@@ -427,13 +427,60 @@ func Run(cfg Config) (*Results, error) {
 	}
 
 	var (
-		mu    sync.Mutex
 		wg    sync.WaitGroup
 		errMu sync.Mutex
 		first error
 	)
-	// absorb merges one dataset's results into the campaign totals.
-	absorb := func(app sdrbench.App, dr *datasetResult, resumed bool) {
+	// Finished datasets are parked in job order and folded into the campaign
+	// totals only after every worker is done: float addition is not
+	// associative, so a fold in completion order would let scheduling decide
+	// the last ulp of SumRelErr and reruns of one configuration would differ.
+	done := make([]*datasetResult, len(jobs))
+	finish := func(i int, dr *datasetResult, suffix string) {
+		done[i] = dr
+		if cfg.Progress != nil {
+			cfg.Progress(fmt.Sprintf("%s/%s %s (%d trials)", jobs[i].app, dr.info.Name, suffix, cfg.Trials))
+		}
+	}
+	fail := func(err error) {
+		errMu.Lock()
+		if first == nil {
+			first = err
+		}
+		errMu.Unlock()
+	}
+	sem := make(chan struct{}, cfg.Workers)
+	for i, j := range jobs {
+		if resume != nil {
+			if dr, ok := resume.lookup(j.app, j.name, cfg); ok {
+				finish(i, dr, "resumed from journal")
+				continue
+			}
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int, j job) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			dr, err := runDatasetSafe(cfg, j.app, j.name, j.load)
+			if err != nil {
+				fail(err)
+				return
+			}
+			if resume != nil {
+				if err := resume.record(j.app, j.name, dr); err != nil {
+					fail(err)
+					return
+				}
+			}
+			finish(i, dr, "done")
+		}(i, j)
+	}
+	wg.Wait()
+	if first != nil {
+		return nil, first
+	}
+	for i, dr := range done {
 		dc := DatasetCells{
 			Info:   dr.info,
 			Hits:   make([][]int, len(cfg.Methods)),
@@ -443,8 +490,7 @@ func Run(cfg Config) (*Results, error) {
 			dc.Hits[mi] = append([]int(nil), c.Hits...)
 			dc.Trials[mi] = c.Trials
 		}
-		mu.Lock()
-		ai := res.appIndex(app)
+		ai := res.appIndex(jobs[i].app)
 		for mi := range cfg.Methods {
 			res.PerMethodApp[mi][ai].merge(dr.cells[mi])
 		}
@@ -454,53 +500,6 @@ func Run(cfg Config) (*Results, error) {
 		res.Datasets = append(res.Datasets, dr.info)
 		res.PerDataset = append(res.PerDataset, dc)
 		res.TotalTrials += cfg.Trials
-		mu.Unlock()
-		if cfg.Progress != nil {
-			suffix := "done"
-			if resumed {
-				suffix = "resumed from journal"
-			}
-			cfg.Progress(fmt.Sprintf("%s/%s %s (%d trials)", app, dr.info.Name, suffix, cfg.Trials))
-		}
-	}
-	sem := make(chan struct{}, cfg.Workers)
-	for _, j := range jobs {
-		if resume != nil {
-			if dr, ok := resume.lookup(j.app, j.name, cfg); ok {
-				absorb(j.app, dr, true)
-				continue
-			}
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j job) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			dr, err := runDatasetSafe(cfg, j.app, j.name, j.load)
-			if err != nil {
-				errMu.Lock()
-				if first == nil {
-					first = err
-				}
-				errMu.Unlock()
-				return
-			}
-			if resume != nil {
-				if err := resume.record(j.app, j.name, dr); err != nil {
-					errMu.Lock()
-					if first == nil {
-						first = err
-					}
-					errMu.Unlock()
-					return
-				}
-			}
-			absorb(j.app, dr, false)
-		}(j)
-	}
-	wg.Wait()
-	if first != nil {
-		return nil, first
 	}
 	// Stable dataset ordering regardless of scheduling.
 	sort.Slice(res.Datasets, func(i, k int) bool {

@@ -421,3 +421,99 @@ func TestStreamIngestion(t *testing.T) {
 	}
 	t.Fatal("quarantine never cleared")
 }
+
+// TestStreamBatchLongerThanWindow pins that an NDJSON batch is answered
+// line for line whatever its length. Results are flushed every 64 lines
+// while the rest of the body is unread, and an HTTP/1 server that is not
+// in full-duplex mode discards that rest at the first flush: a 512-line
+// batch used to come back as ~100 lines.
+func TestStreamBatchLongerThanWindow(t *testing.T) {
+	const rows, cols = 64, 64
+	eng := core.NewEngine(core.Options{Seed: 5})
+	srv, base, shutdown := startServer(t, eng, httpapi.ServerConfig{
+		EnableInject:   true,
+		RedeliverEvery: 5 * time.Millisecond,
+		Service:        service.Config{Workers: 2, QueueDepth: 1024},
+	})
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	ctx := context.Background()
+	c := client.New(client.Config{BaseURL: base, Tenant: "stream"})
+	if _, err := c.Register(ctx, httpapi.RegisterRequest{
+		Name: "field", Dims: []int{rows, cols}, DType: "float32",
+		Policy: httpapi.PolicyInfo{Any: true},
+	}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	if err := c.Upload(ctx, "field", smoothField(rows, cols)); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+
+	var cursor uint64
+	for _, lines := range []int{64, 65, 128, 512} {
+		// Eight interior sites per row, staggered between rows so that no
+		// two of a batch's faults are neighbours.
+		evs := make([]httpapi.EventRequest, lines)
+		pending := map[int]bool{}
+		for n := range evs {
+			row := n / 8
+			off := row*cols + (n%8)*8 + 2 + (row%2)*4
+			inj, err := c.Inject(ctx, "field", httpapi.InjectRequest{Offset: &off})
+			if err != nil {
+				t.Fatalf("%d lines: inject %d: %v", lines, n, err)
+			}
+			evs[n] = httpapi.EventRequest{Addr: inj.Addr, Bit: inj.Bit}
+			pending[off] = true
+		}
+		results, err := c.IngestBatch(ctx, evs)
+		if err != nil {
+			t.Fatalf("%d lines: ingest batch: %v", lines, err)
+		}
+		if len(results) != len(evs) {
+			t.Fatalf("%d lines: got %d result lines", lines, len(results))
+		}
+		for i, res := range results {
+			if res.Status != httpapi.StatusAccepted && res.Status != httpapi.StatusLatched {
+				t.Fatalf("%d lines: line %d: status %q (error %+v)", lines, i, res.Status, res.Error)
+			}
+		}
+
+		deadline := time.Now().Add(30 * time.Second)
+		for len(pending) > 0 && time.Now().Before(deadline) {
+			page, err := c.Outcomes(ctx, cursor, "field", 1000)
+			if err != nil {
+				t.Fatalf("%d lines: outcomes: %v", lines, err)
+			}
+			if page.Dropped {
+				t.Fatalf("%d lines: outcome feed dropped records before %d", lines, cursor)
+			}
+			cursor = page.Next
+			for _, rec := range page.Outcomes {
+				if !rec.OK {
+					t.Fatalf("%d lines: offset %d failed: %s", lines, rec.Offset, rec.Error)
+				}
+				delete(pending, rec.Offset)
+			}
+			if len(page.Outcomes) == 0 {
+				time.Sleep(2 * time.Millisecond)
+			}
+		}
+		if len(pending) > 0 {
+			t.Fatalf("%d lines: %d events never reached an ok outcome", lines, len(pending))
+		}
+		q, err := c.Quarantine(ctx)
+		for ; err == nil && q.Total != 0 && time.Now().Before(deadline); q, err = c.Quarantine(ctx) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if err != nil || q.Total != 0 {
+			t.Fatalf("%d lines: quarantine after settle: %+v, err %v", lines, q, err)
+		}
+	}
+	if got := srv.Machine().PendingFaults(); got != 0 {
+		t.Fatalf("%d planted faults never discovered", got)
+	}
+}

@@ -779,6 +779,12 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, "%v", terr)
 		return
 	}
+	// Results are flushed window by window while later lines are still
+	// unread; without full duplex the HTTP/1 server discards the rest of
+	// the body at the first flush and batches past one window lose lines.
+	// An error only means a wrapped writer cannot switch modes; the stream
+	// is then served as it was before.
+	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)

@@ -54,7 +54,10 @@ type ServerConfig struct {
 	// (default 8). More banks latch more backpressured events before
 	// overflow spills to the redelivery queue; none are ever dropped.
 	Banks int
-	// OutcomeBuffer bounds the outcome feed ring (default 4096).
+	// OutcomeBuffer is how many finished recoveries the outcome feed keeps
+	// (default 4096). It decides only how far a poller may fall behind
+	// before it sees Dropped, and the memory held (192 B a record, grown
+	// on demand); storing and polling cost the same at any size.
 	OutcomeBuffer int
 	// RedeliverEvery is the period of the background loop that redelivers
 	// bank-latched events when the pool has capacity (default 25ms;

@@ -850,14 +850,16 @@ func (s *Service) finishTask(t task, out core.Outcome, err error, attempts int) 
 	}
 	s.mu.Unlock()
 
+	// One detail string serves the journal record and the trace outcome.
+	var detail string
+	if err != nil {
+		detail = err.Error()
+	} else {
+		detail = fmt.Sprintf("method=%v stage=%v attempts=%d", out.Method, out.Stage, attempts)
+	}
+
 	if t.journaled && !s.isCrashed() {
 		faultinject.CrashPoint("service/recovery-done")
-		detail := ""
-		if err != nil {
-			detail = err.Error()
-		} else {
-			detail = fmt.Sprintf("method=%v stage=%v attempts=%d", out.Method, out.Stage, attempts)
-		}
 		// A successful outcome carries the recovered value's exact bit
 		// pattern: the replication partner applies it to its replica field,
 		// so a promoted shard serves bit-identical data.
@@ -868,6 +870,7 @@ func (s *Service) finishTask(t task, out core.Outcome, err error, attempts int) 
 		t0 := time.Now()
 		if jerr := s.jr.FinishValue(t.id, err == nil, detail, newBits); jerr != nil && err == nil {
 			err = jerr
+			detail = err.Error()
 		}
 		t.tr.Observe(trace.StageJournalFinish, t0)
 	}
@@ -876,11 +879,7 @@ func (s *Service) finishTask(t task, out core.Outcome, err error, attempts int) 
 	// already stamped target and outcome, but the journal write above can
 	// flip the final error, so re-stamp here with the authoritative result.
 	t.tr.SetTarget(t.alloc.Name, t.alloc.Tenant, t.off)
-	if err != nil {
-		t.tr.SetOutcome(false, err.Error())
-	} else {
-		t.tr.SetOutcome(true, fmt.Sprintf("method=%v stage=%v attempts=%d", out.Method, out.Stage, attempts))
-	}
+	t.tr.SetOutcome(err == nil, detail)
 	s.eng.Tracer().Finish(t.tr)
 
 	if s.cfg.OnOutcome != nil {
