@@ -19,7 +19,7 @@ package autotune
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 
 	"spatialdue/internal/bitflip"
 	"spatialdue/internal/predict"
@@ -79,6 +79,10 @@ type Result struct {
 	Scores []Score
 }
 
+// headlineMethods is the default candidate list, built once (Select only
+// reads it).
+var headlineMethods = predict.HeadlineMethods()
+
 // Select runs the local search around idx and returns the locally optimal
 // method. The element at idx is never used as a probe and never read.
 func Select(env *predict.Env, idx []int, cfg Config) (Result, error) {
@@ -90,21 +94,15 @@ func Select(env *predict.Env, idx []int, cfg Config) (Result, error) {
 	}
 	methods := cfg.Methods
 	if len(methods) == 0 {
-		methods = predict.HeadlineMethods()
+		methods = headlineMethods
 	}
 
 	a := env.A
-	skip := a.Offset(idx...)
 
-	// Collect probe offsets. Quarantined (masked) cells hold garbage and
-	// can be neither probes nor stencil inputs, so they are skipped here and
-	// inside every predictor.
-	var probes []int
-	a.ForEachInPatch(idx, cfg.K, func(_ []int, off int) {
-		if off != skip && !env.Masked(off) {
-			probes = append(probes, off)
-		}
-	})
+	// Probe offsets and the probe-coordinate buffer are Env scratch, reused
+	// by every Select on this Env; only the scores, which the caller keeps,
+	// are allocated here.
+	probes, probeIdx := env.Probes(idx, cfg.K)
 	if len(probes) == 0 {
 		return Result{}, ErrNoProbes
 	}
@@ -117,38 +115,52 @@ func Select(env *predict.Env, idx []int, cfg Config) (Result, error) {
 		probes = kept
 	}
 
+	// Probes outside, methods inside: a probe's coordinates are computed once
+	// and its neighbourhood stays cached for all candidates. Each method still
+	// sees the probes in row-major order, so its error sum (kept in MeanRelErr
+	// until the division below) rounds as in a method-by-method sweep, and
+	// Random, the one method that draws, draws in the same order.
 	scores := make([]Score, len(methods))
-	probeIdx := make([]int, a.NumDims())
 	for mi, m := range methods {
-		p := predict.New(m)
-		sc := Score{Method: m}
-		sumErr := 0.0
-		for _, off := range probes {
-			a.CoordsInto(probeIdx, off)
-			got, err := p.Predict(env, probeIdx)
+		scores[mi].Method = m
+	}
+	for _, off := range probes {
+		a.CoordsInto(probeIdx, off)
+		want := a.AtOffset(off)
+		for mi, m := range methods {
+			got, err := predict.New(m).Predict(env, probeIdx)
 			if err != nil {
 				continue
 			}
-			want := a.AtOffset(off)
 			re := bitflip.RelErr(want, got)
 			if math.IsInf(re, 0) {
 				continue
 			}
+			sc := &scores[mi]
 			sc.Probes++
 			if re <= cfg.Tolerance {
 				sc.Hits++
 			}
-			sumErr += math.Min(re, 1e3)
+			sc.MeanRelErr += math.Min(re, 1e3)
 		}
-		if sc.Probes > 0 {
-			sc.MeanRelErr = sumErr / float64(sc.Probes)
+	}
+	for mi := range scores {
+		if sc := &scores[mi]; sc.Probes > 0 {
+			sc.MeanRelErr /= float64(sc.Probes)
 		} else {
 			sc.MeanRelErr = math.Inf(1)
 		}
-		scores[mi] = sc
 	}
 
-	sort.SliceStable(scores, func(i, j int) bool { return better(scores[i], scores[j]) })
+	slices.SortStableFunc(scores, func(x, y Score) int {
+		switch {
+		case better(x, y):
+			return -1
+		case better(y, x):
+			return 1
+		}
+		return 0
+	})
 	// A probe-less score ranks below any method that produced even one bad
 	// prediction (hit rate 0 but finite mean error), so if the BEST score
 	// has zero probes, no candidate predicted anything — every probe's

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spatialdue/internal/predict"
@@ -316,13 +317,14 @@ func TestDatasetInfoSorted(t *testing.T) {
 func TestProgressCallback(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Apps = []sdrbench.App{sdrbench.HACC}
-	n := 0
-	cfg.Progress = func(string) { n++ }
+	// Run calls Progress from its worker goroutines.
+	var n atomic.Int64
+	cfg.Progress = func(string) { n.Add(1) }
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if n != sdrbench.DatasetCount(sdrbench.HACC) {
-		t.Errorf("progress called %d times", n)
+	if n.Load() != int64(sdrbench.DatasetCount(sdrbench.HACC)) {
+		t.Errorf("progress called %d times", n.Load())
 	}
 }
 

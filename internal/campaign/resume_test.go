@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"spatialdue/internal/predict"
@@ -129,8 +130,16 @@ func TestResumeJournalPartial(t *testing.T) {
 	// is stale, must be ignored, and the campaign recomputes everything.
 	cfg2 := tinyConfig()
 	cfg2.ResumeJournal = jpath
-	var progress []string
-	cfg2.Progress = func(s string) { progress = append(progress, s) }
+	// Run calls Progress from its worker goroutines.
+	var (
+		mu       sync.Mutex
+		progress []string
+	)
+	cfg2.Progress = func(s string) {
+		mu.Lock()
+		defer mu.Unlock()
+		progress = append(progress, s)
+	}
 	res, err := Run(cfg2)
 	if err != nil {
 		t.Fatal(err)

@@ -116,6 +116,22 @@ type ladderResult struct {
 	verifyFails int
 }
 
+// methodSet is the set of methods one climb has attempted: a bitmask over the
+// 14 predict.Method values. A value outside the enumeration (a bogus policy
+// method, which safePredict turns into an error) is never a member; nothing
+// ever asks about one, since the tuner only ranks real methods.
+type methodSet uint32
+
+func (s *methodSet) add(m predict.Method) {
+	if m >= 0 && m < 32 {
+		*s |= 1 << uint(m)
+	}
+}
+
+func (s methodSet) has(m predict.Method) bool {
+	return m >= 0 && m < 32 && s&(1<<uint(m)) != 0
+}
+
 // safePredict runs one predictor with panic isolation: a method that
 // panics (including an out-of-range Method value, which predict.New
 // rejects by panicking) is reported as an error so the ladder escalates
@@ -200,7 +216,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 	}
 	clk = tr.ObserveSince(trace.StageProvisional, clk)
 
-	tried := map[predict.Method]bool{}
+	var tried methodSet
 	vFails := 0
 	// attempt runs one predict+verify try, recording the two halves as
 	// separate spans (predStage/verStage name the ladder rung).
@@ -208,7 +224,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		tried[m] = true
+		tried.add(m)
 		v, err := safePredict(m, env, idx)
 		clk = tr.ObserveSince(predStage, clk)
 		if err != nil {
@@ -289,7 +305,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 	clk = tr.ObserveSince(trace.StageTune, clk)
 	if terr == nil {
 		ranked = res.Scores
-		if !tried[res.Best] {
+		if !tried.has(res.Best) {
 			v, aerr := attempt(trace.StagePredictTune, trace.StageVerifyTune, res.Best)
 			if aerr == nil {
 				if cachingOn {
@@ -322,7 +338,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 			if cerr := ctx.Err(); cerr != nil {
 				return abort(cerr)
 			}
-			if tried[sc.Method] || sc.Probes == 0 {
+			if tried.has(sc.Method) || sc.Probes == 0 {
 				continue
 			}
 			attempts++

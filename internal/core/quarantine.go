@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -12,9 +13,20 @@ import (
 // corrupt but not yet repaired and verified. Its job is double-fault
 // hygiene: when a second DUE lands while a first recovery is in flight (or
 // a burst takes out several cells at once), no reconstruction may read the
-// still-garbage neighbors. The recovery engine wires this set into
-// predict.Env as a live mask, so every stencil, probe, and range
-// computation skips quarantined cells automatically.
+// still-garbage neighbors. The recovery engine wires each array's view of
+// this set into predict.Env as a live mask, so every stencil, probe, and
+// range computation skips quarantined cells automatically.
+//
+// Freshness contract. Nothing is cached across predictions, probes, methods
+// or ladder rungs: a cell reported by MarkCorrupt before a prediction starts
+// is never read by that prediction, and the final predict and verifyValue at
+// the target are separate, fresh queries. Within one prediction the
+// small-stencil methods ask the set before every read, while LocalRegression
+// asks once — after it starts, before it reads anything — for the
+// quarantined offsets inside its patch's span. Reports are not ordered
+// against array reads (MarkCorrupt takes no stripe), so per-read freshness
+// was never a guarantee a reporter could rely on; the window in which a
+// concurrent report can be missed is one prediction (<= 1 us), not one cell.
 //
 // Lifecycle: an offset enters quarantine when recovery of it begins (or when
 // MarkCorrupt reports it from a detector), and leaves only when a verified
@@ -25,47 +37,104 @@ import (
 
 type quarantineSet struct {
 	mu      sync.Mutex
-	byArray map[*ndarray.Array]map[int]struct{}
+	byArray map[*ndarray.Array]*arrayQuarantine
+}
+
+// arrayQuarantine is one array's slice of the quarantine set and the
+// predict.MaskSource handed to every Env built for that array (allocated
+// once per array, dropped by removeArray). All fields are guarded by q.mu.
+type arrayQuarantine struct {
+	q   *quarantineSet
+	set map[int]struct{} // nil while the array has nothing quarantined
+	// peak is the largest len(set) since set was last nil: Go maps never
+	// shrink, so it — not len(set) — bounds the cost of iterating set.
+	peak int
+}
+
+// view returns (creating on demand) arr's slice of the set.
+func (q *quarantineSet) view(arr *ndarray.Array) *arrayQuarantine {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.viewLocked(arr)
+}
+
+func (q *quarantineSet) viewLocked(arr *ndarray.Array) *arrayQuarantine {
+	v := q.byArray[arr]
+	if v == nil {
+		if q.byArray == nil {
+			q.byArray = map[*ndarray.Array]*arrayQuarantine{}
+		}
+		v = &arrayQuarantine{q: q}
+		q.byArray[arr] = v
+	}
+	return v
+}
+
+func (v *arrayQuarantine) addLocked(off int) {
+	if v.set == nil {
+		v.set = map[int]struct{}{}
+	}
+	v.set[off] = struct{}{}
+	if len(v.set) > v.peak {
+		v.peak = len(v.set)
+	}
+}
+
+// Masked implements predict.MaskSource. It is the per-read query of every
+// small-stencil method, so it unlocks without a defer (a map read cannot
+// panic), which is what keeps it no dearer than the closure it replaced.
+func (v *arrayQuarantine) Masked(off int) bool {
+	v.q.mu.Lock()
+	_, ok := v.set[off]
+	v.q.mu.Unlock()
+	return ok
+}
+
+// AppendMasked implements predict.MaskSource: one lock acquisition and one
+// pass over the array's quarantined offsets answer a whole prediction. It
+// declines when that pass could cost more than limit per-offset queries.
+func (v *arrayQuarantine) AppendMasked(dst []int, lo, hi, limit int) ([]int, bool) {
+	v.q.mu.Lock()
+	defer v.q.mu.Unlock()
+	if v.peak > limit {
+		return dst, false
+	}
+	from := len(dst)
+	for off := range v.set {
+		if off >= lo && off <= hi {
+			dst = append(dst, off)
+		}
+	}
+	slices.Sort(dst[from:])
+	return dst, true
 }
 
 func (q *quarantineSet) add(arr *ndarray.Array, off int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.byArray == nil {
-		q.byArray = map[*ndarray.Array]map[int]struct{}{}
-	}
-	set := q.byArray[arr]
-	if set == nil {
-		set = map[int]struct{}{}
-		q.byArray[arr] = set
-	}
-	set[off] = struct{}{}
+	q.viewLocked(arr).addLocked(off)
 }
 
 // addAll inserts a whole batch under one lock acquisition.
 func (q *quarantineSet) addAll(arr *ndarray.Array, offs []int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.byArray == nil {
-		q.byArray = map[*ndarray.Array]map[int]struct{}{}
-	}
-	set := q.byArray[arr]
-	if set == nil {
-		set = map[int]struct{}{}
-		q.byArray[arr] = set
-	}
+	v := q.viewLocked(arr)
 	for _, off := range offs {
-		set[off] = struct{}{}
+		v.addLocked(off)
 	}
 }
 
 func (q *quarantineSet) remove(arr *ndarray.Array, off int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	set := q.byArray[arr]
-	delete(set, off)
-	if len(set) == 0 {
-		delete(q.byArray, arr)
+	v := q.byArray[arr]
+	if v == nil {
+		return
+	}
+	delete(v.set, off)
+	if len(v.set) == 0 {
+		v.set, v.peak = nil, 0
 	}
 }
 
@@ -80,14 +149,23 @@ func (q *quarantineSet) removeArray(arr *ndarray.Array) {
 func (q *quarantineSet) contains(arr *ndarray.Array, off int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	_, ok := q.byArray[arr][off]
+	_, ok := q.setLocked(arr)[off]
 	return ok
+}
+
+// setLocked returns arr's quarantined offsets; nil (readable, empty) when it
+// has none.
+func (q *quarantineSet) setLocked(arr *ndarray.Array) map[int]struct{} {
+	if v := q.byArray[arr]; v != nil {
+		return v.set
+	}
+	return nil
 }
 
 func (q *quarantineSet) offsets(arr *ndarray.Array) []int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	set := q.byArray[arr]
+	set := q.setLocked(arr)
 	out := make([]int, 0, len(set))
 	for off := range set {
 		out = append(out, off)
@@ -100,8 +178,8 @@ func (q *quarantineSet) size() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := 0
-	for _, set := range q.byArray {
-		n += len(set)
+	for _, v := range q.byArray {
+		n += len(v.set)
 	}
 	return n
 }

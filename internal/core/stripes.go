@@ -264,7 +264,7 @@ func (e *Engine) sharedFor(arr *ndarray.Array) *predict.SharedStats {
 // per member.
 func (e *Engine) envFor(arr *ndarray.Array, seed int64) *predict.Env {
 	env := predict.NewEnv(arr, seed)
-	env.SetMaskFunc(func(o int) bool { return e.quarantine.contains(arr, o) })
+	env.SetMaskSource(e.quarantine.view(arr))
 	env.SetShared(e.sharedFor(arr))
 	return env
 }

@@ -94,22 +94,25 @@ func (e *Engine) verifyValue(env *predict.Env, idx []int, off int, v float64, vr
 
 	lo, hi := math.Inf(1), math.Inf(-1)
 	n := 0
-	env.A.ForEachInPatch(idx, radius, func(_ []int, noff int) {
-		if noff == off || env.Masked(noff) {
-			return
+	rows := env.PatchRows(idx, radius)
+	for rows.Next() {
+		for noff, end := rows.Off, rows.Off+rows.Len; noff < end; noff++ {
+			if noff == off || env.Masked(noff) {
+				continue
+			}
+			x := env.A.AtOffset(noff)
+			if !isFinite(x) {
+				continue
+			}
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
+			n++
 		}
-		x := env.A.AtOffset(noff)
-		if !isFinite(x) {
-			return
-		}
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-		n++
-	})
+	}
 	if n < minN {
 		// Too few trustworthy neighbors to define an envelope; the finite
 		// and range checks above are all that can be said.

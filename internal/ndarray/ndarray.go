@@ -141,6 +141,10 @@ func (a *Array) Dim(d int) int { return a.dims[d] }
 // Strides returns a copy of the row-major strides.
 func (a *Array) Strides() []int { return append([]int(nil), a.strides...) }
 
+// Stride returns the row-major stride of dimension d: the offset distance
+// between cells whose coordinates differ by one in d only.
+func (a *Array) Stride(d int) int { return a.strides[d] }
+
 // Data returns the backing slice in row-major order. Mutating it mutates the
 // array. This is the zero-copy path used by fault injection and
 // checkpointing.
@@ -355,51 +359,89 @@ func (a *Array) ClampIndex(dst, idx []int) {
 	}
 }
 
-// ForEachInPatch calls f for every in-bounds index within Chebyshev distance
-// radius of center (a hyper-cube patch of side 2*radius+1 clipped to the
-// array bounds), including center itself. The idx slice passed to f is
-// reused across calls; f must not retain it. f receives the linear offset as
-// well so callers can read/write without recomputing it.
-func (a *Array) ForEachInPatch(center []int, radius int, f func(idx []int, off int)) {
-	if len(center) != len(a.dims) {
-		panic(fmt.Errorf("%w: center arity %d != %d dims", ErrBounds, len(center), len(a.dims)))
+// PatchBounds returns the inclusive coordinate range [lo, hi] that the patch
+// of Chebyshev radius `radius` around center covers in dimension d once it is
+// clipped to the array. lo > hi means the patch is empty (center lies more
+// than radius outside the array in that dimension).
+func (a *Array) PatchBounds(center []int, radius, d int) (lo, hi int) {
+	lo, hi = center[d]-radius, center[d]+radius
+	if lo < 0 {
+		lo = 0
 	}
-	lo := make([]int, len(a.dims))
-	hi := make([]int, len(a.dims))
+	if hi > a.dims[d]-1 {
+		hi = a.dims[d] - 1
+	}
+	return lo, hi
+}
+
+// PatchRows walks the patch of Chebyshev radius `radius` around center — the
+// hyper-cube of side 2*radius+1 clipped to the array bounds, center included
+// — one row at a time: a row is a run of cells contiguous along the
+// innermost dimension, and rows come in row-major order, so visiting every
+// cell of every row in turn visits the patch in ascending offset order.
+// Between calls to Next the exported fields describe the current row; all
+// per-dimension state lives in the caller's scratch, so a walk allocates
+// nothing.
+type PatchRows struct {
+	// Off is the linear offset of the current row's first cell and Len the
+	// number of cells in the row (the cells are Data()[Off : Off+Len]).
+	Off, Len int
+	// Cur holds the coordinates of the current row's first cell. It is the
+	// scratch slice handed to Array.PatchRows; callers may read it but must
+	// not modify it during the walk.
+	Cur []int
+
+	a       *Array
+	center  []int
+	radius  int
+	started bool
+	empty   bool
+}
+
+// PatchRows starts a walk over the patch around center. cur is caller-owned
+// scratch of length NumDims that the walk uses as its odometer; center must
+// stay unmodified until the walk ends. It panics if center or cur has the
+// wrong arity.
+func (a *Array) PatchRows(center []int, radius int, cur []int) PatchRows {
+	if len(center) != len(a.dims) || len(cur) != len(a.dims) {
+		panic(fmt.Errorf("%w: center arity %d, scratch arity %d != %d dims", ErrBounds, len(center), len(cur), len(a.dims)))
+	}
+	w := PatchRows{Cur: cur, a: a, center: center, radius: radius}
 	for d := range a.dims {
-		lo[d] = center[d] - radius
-		if lo[d] < 0 {
-			lo[d] = 0
+		lo, hi := a.PatchBounds(center, radius, d)
+		if lo > hi {
+			w.empty = true
+			return w
 		}
-		hi[d] = center[d] + radius
-		if hi[d] > a.dims[d]-1 {
-			hi[d] = a.dims[d] - 1
-		}
-		if lo[d] > hi[d] {
-			return // center out of bounds far enough that the patch is empty
-		}
+		cur[d] = lo
+		w.Off += lo * a.strides[d]
+		w.Len = hi - lo + 1 // the last dimension's extent survives the loop
 	}
-	idx := append([]int(nil), lo...)
-	for {
-		off := 0
-		for d := range idx {
-			off += idx[d] * a.strides[d]
-		}
-		f(idx, off)
-		// Odometer increment over the patch box.
-		d := len(idx) - 1
-		for d >= 0 {
-			idx[d]++
-			if idx[d] <= hi[d] {
-				break
-			}
-			idx[d] = lo[d]
-			d--
-		}
-		if d < 0 {
-			return
-		}
+	return w
+}
+
+// Next advances to the next row and reports whether there is one.
+func (w *PatchRows) Next() bool {
+	if w.empty {
+		return false
 	}
+	if !w.started {
+		w.started = true
+		return true
+	}
+	// Odometer over the leading dimensions; the innermost one is the row.
+	for d := len(w.Cur) - 2; d >= 0; d-- {
+		lo, hi := w.a.PatchBounds(w.center, w.radius, d)
+		if w.Cur[d] < hi {
+			w.Cur[d]++
+			w.Off += w.a.strides[d]
+			return true
+		}
+		w.Cur[d] = lo
+		w.Off -= (hi - lo) * w.a.strides[d]
+	}
+	w.empty = true
+	return false
 }
 
 // String returns a short human-readable description, e.g. "ndarray[100x500x500]".

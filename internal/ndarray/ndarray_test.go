@@ -2,6 +2,7 @@ package ndarray
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -316,6 +317,23 @@ func TestClampIndex(t *testing.T) {
 	}
 }
 
+// forEachInPatch visits every cell of the patch through PatchRows, handing f
+// the cell's coordinates and offset the way the closure-based walker that
+// PatchRows replaced did; the ForEachInPatch tests keep pinning its contract
+// (clipping, centre included, row-major order, no cell twice) on the row walk.
+func forEachInPatch(a *Array, center []int, radius int, f func(idx []int, off int)) {
+	rows := a.PatchRows(center, radius, make([]int, a.NumDims()))
+	idx := make([]int, a.NumDims())
+	last := a.NumDims() - 1
+	for rows.Next() {
+		copy(idx, rows.Cur)
+		for c := 0; c < rows.Len; c++ {
+			idx[last] = rows.Cur[last] + c
+			f(idx, rows.Off+c)
+		}
+	}
+}
+
 func TestForEachInPatchCounts(t *testing.T) {
 	a := New(10, 10)
 	cases := []struct {
@@ -334,7 +352,7 @@ func TestForEachInPatchCounts(t *testing.T) {
 	for _, c := range cases {
 		n := 0
 		seenCenter := false
-		a.ForEachInPatch(c.center, c.radius, func(idx []int, off int) {
+		forEachInPatch(a, c.center, c.radius, func(idx []int, off int) {
 			n++
 			if idx[0] == c.center[0] && idx[1] == c.center[1] {
 				seenCenter = true
@@ -357,7 +375,7 @@ func TestForEachInPatchIndexReuse(t *testing.T) {
 	// (documented behavior) by checking all offsets are distinct anyway.
 	a := New(4, 4)
 	seen := map[int]bool{}
-	a.ForEachInPatch([]int{1, 1}, 1, func(_ []int, off int) {
+	forEachInPatch(a, []int{1, 1}, 1, func(_ []int, off int) {
 		if seen[off] {
 			t.Fatalf("offset %d visited twice", off)
 		}
@@ -371,7 +389,7 @@ func TestForEachInPatchIndexReuse(t *testing.T) {
 func TestForEachInPatch3D(t *testing.T) {
 	a := New(5, 5, 5)
 	n := 0
-	a.ForEachInPatch([]int{2, 2, 2}, 1, func([]int, int) { n++ })
+	forEachInPatch(a, []int{2, 2, 2}, 1, func([]int, int) { n++ })
 	if n != 27 {
 		t.Errorf("3-D patch visited %d, want 27", n)
 	}
@@ -384,7 +402,80 @@ func TestForEachInPatchArityPanics(t *testing.T) {
 			t.Fatal("wrong-arity center did not panic")
 		}
 	}()
-	a.ForEachInPatch([]int{1}, 1, func([]int, int) {})
+	forEachInPatch(a, []int{1}, 1, func([]int, int) {})
+}
+
+// TestPatchRowsMatchesBruteForce checks the row walk against the definition
+// (every in-bounds cell within Chebyshev distance radius, ascending offset)
+// for 1-D to 4-D shapes — including size-1 dimensions — every center, and
+// centers outside the array.
+func TestPatchRowsMatchesBruteForce(t *testing.T) {
+	for _, dims := range [][]int{{9}, {1}, {4, 5}, {1, 6}, {3, 3, 3}, {4, 1, 5}, {3, 2, 4, 3}} {
+		a := New(dims...)
+		cur := make([]int, len(dims))
+		idx := make([]int, len(dims))
+		for _, radius := range []int{0, 1, 2, 5} {
+			for c := -2; c < a.Len()+2; c++ {
+				// In-range c are real cells; the rest push the first
+				// coordinate outside the array.
+				center := make([]int, len(dims))
+				switch {
+				case c < 0:
+					center[0] = c
+				case c >= a.Len():
+					center[0] = dims[0] + c - a.Len()
+				default:
+					a.CoordsInto(center, c)
+				}
+				var want []int
+				for off := 0; off < a.Len(); off++ {
+					a.CoordsInto(idx, off)
+					in := true
+					for d := range idx {
+						if idx[d] < center[d]-radius || idx[d] > center[d]+radius {
+							in = false
+						}
+					}
+					if in {
+						want = append(want, off)
+					}
+				}
+				var got []int
+				rows := a.PatchRows(center, radius, cur)
+				for rows.Next() {
+					if rows.Off != a.Offset(rows.Cur...) {
+						t.Fatalf("dims %v center %v r=%d: row Off %d != Offset(Cur %v)", dims, center, radius, rows.Off, rows.Cur)
+					}
+					for i := 0; i < rows.Len; i++ {
+						got = append(got, rows.Off+i)
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("dims %v center %v r=%d: walked %v, want %v", dims, center, radius, got, want)
+				}
+				if rows.Next() {
+					t.Fatalf("dims %v center %v r=%d: Next true after the walk ended", dims, center, radius)
+				}
+			}
+		}
+	}
+}
+
+func TestPatchRowsZeroAllocs(t *testing.T) {
+	a := New(6, 7, 8)
+	center, cur := []int{3, 0, 4}, make([]int, 3)
+	cells := 0
+	if n := testing.AllocsPerRun(100, func() {
+		rows := a.PatchRows(center, 2, cur)
+		for rows.Next() {
+			cells += rows.Len
+		}
+	}); n != 0 {
+		t.Errorf("PatchRows walk: %v allocs, want 0", n)
+	}
+	if cells == 0 {
+		t.Fatal("walk visited nothing")
+	}
 }
 
 func TestString(t *testing.T) {

@@ -72,3 +72,24 @@ func TestSimpleKernelsZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestLocalRegressionZeroAllocs covers the three ways the kernel learns what
+// it must not read: no mask at all, an enumerable source (the engine's
+// quarantine view) and Mask offsets (asked per cell).
+func TestLocalRegressionZeroAllocs(t *testing.T) {
+	p := LocalRegression{Radius: 3}
+	env, idx := kernelBenchEnv()
+	plain := NewEnv(env.A, 1)
+	offsets, _ := allocField()
+	for name, c := range map[string]struct {
+		env *Env
+		idx []int
+	}{"no mask": {plain, idx}, "enumerable": {env, idx}, "offsets": {offsets, []int{32, 32}}} {
+		c := c
+		assertZeroAllocs(t, p.Name()+", "+name, func() {
+			if _, err := p.Predict(c.env, c.idx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

@@ -54,3 +54,45 @@ func BenchmarkLagrangeWeightsCompute(b *testing.B) {
 		computeLagrangeWeights(nodes)
 	}
 }
+
+// kernelBenchEnv is the BenchmarkLocalRegressionKernel site: 3-D, interior,
+// Radius 3, the target and one more cell of the patch quarantined, behind an
+// enumerable mask as in the engine.
+func kernelBenchEnv() (*Env, []int) {
+	a := fill([]int{20, 50, 50}, func(idx []int) float64 {
+		return 900 + 30*math.Sin(float64(idx[0])/3) + 11*math.Cos(float64(idx[1])/7) + float64(idx[2]%5)
+	})
+	idx := []int{10, 25, 25}
+	env := NewEnv(a, 1)
+	env.SetMaskSource(newSetMask(a.Offset(idx...), a.Offset(11, 24, 27)))
+	return env, idx
+}
+
+// BenchmarkLocalRegressionKernel times the row-walk kernel with the closure
+// kernel it replaced beside it (same site, same mask).
+func BenchmarkLocalRegressionKernel(b *testing.B) {
+	b.Run("RowWalk", func(b *testing.B) {
+		env, idx := kernelBenchEnv()
+		p := LocalRegression{Radius: 3}
+		if _, err := p.Predict(env, idx); err != nil { // warm scratch
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := p.Predict(env, idx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Reference", func(b *testing.B) {
+		env, idx := kernelBenchEnv()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := localRegressionRef(env, idx, 3); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -116,7 +116,7 @@ func (l Lagrange) Predict(env *Env, idx []int) (float64, error) {
 	if len(l.Offsets) == 0 {
 		return 0, ErrUnsupported
 	}
-	nb := intBuf(&env.sc.lagNb, len(idx))
+	nb := env.ints(slotLagNb)
 	copy(nb, idx)
 
 	// Structured-fault degradation ladder: the paper's interpolation along

@@ -136,8 +136,10 @@ func (l Lorenzo) Predict(env *Env, idx []int) (float64, error) {
 
 	// Per-dimension feasibility: which of -1 (preceding) / +1 (succeeding)
 	// keeps L layers in bounds. Preceding is preferred.
-	canNeg := boolBuf(&env.sc.lorNeg, d)
-	canPos := boolBuf(&env.sc.lorPos, d)
+	if len(env.sc.lorSides) != 2*d {
+		env.sc.lorSides = make([]bool, 2*d)
+	}
+	canNeg, canPos := env.sc.lorSides[:d], env.sc.lorSides[d:]
 	boundsOK := true
 	for t := 0; t < d; t++ {
 		canNeg[t] = idx[t]-L >= 0
@@ -151,10 +153,10 @@ func (l Lorenzo) Predict(env *Env, idx []int) (float64, error) {
 	}
 
 	coef := binom(L)
-	s := intBuf(&env.sc.lorS, d)
-	nb := intBuf(&env.sc.lorNb, d)
-	dir := intBuf(&env.sc.lorDir, d)
-	maxs := intBuf(&env.sc.lorMaxs, d)
+	s := env.ints(slotLorS)
+	nb := env.ints(slotLorNb)
+	dir := env.ints(slotLorDir)
+	maxs := env.ints(slotLorMaxs)
 
 	if boundsOK {
 		for t := 0; t < d; t++ {
@@ -319,29 +321,33 @@ func (l LorenzoAuto) Predict(env *Env, idx []int) (float64, error) {
 	skip := a.Offset(idx...)
 
 	bestL, bestScore := 0, math.Inf(1)
-	probeIdx := intBuf(&env.sc.probeIdx, a.NumDims())
+	probeIdx := env.ints(slotAutoIdx)
 	for L := 1; L <= maxL; L++ {
 		p := Lorenzo{Layers: L}
 		sum, n := 0.0, 0
-		var failed bool
-		a.ForEachInPatch(idx, radius, func(_ []int, off int) {
-			if off == skip || failed || env.Masked(off) {
-				return
+		failed := false
+		rows := env.PatchRows(idx, radius)
+	probing:
+		for rows.Next() {
+			for off, end := rows.Off, rows.Off+rows.Len; off < end; off++ {
+				if off == skip || env.Masked(off) {
+					continue
+				}
+				a.CoordsInto(probeIdx, off)
+				got, err := p.Predict(env, probeIdx)
+				if err != nil {
+					failed = true // this depth does not fit here at all
+					break probing
+				}
+				want := a.AtOffset(off)
+				re := math.Abs(got - want)
+				if want != 0 {
+					re /= math.Abs(want)
+				}
+				sum += math.Min(re, 1e3)
+				n++
 			}
-			a.CoordsInto(probeIdx, off)
-			got, err := p.Predict(env, probeIdx)
-			if err != nil {
-				failed = true // this depth does not fit here at all
-				return
-			}
-			want := a.AtOffset(off)
-			re := math.Abs(got - want)
-			if want != 0 {
-				re /= math.Abs(want)
-			}
-			sum += math.Min(re, 1e3)
-			n++
-		})
+		}
 		if failed || n == 0 {
 			continue
 		}

@@ -63,8 +63,8 @@ type Env struct {
 	// Mask state: offsets whose stored values are known-garbage (e.g.
 	// quarantined multi-DUE neighbors) and must not feed any stencil.
 	masked   map[int]bool
-	allowed  map[int]bool       // overrides masked and maskFn (seeded cells)
-	maskFn   func(off int) bool // live predicate (engine quarantine set)
+	allowed  map[int]bool // overrides masked and mask (seeded cells)
+	mask     MaskSource   // live source (engine quarantine set)
 	haveMask bool
 
 	// shared, when set, supplies the array-wide statistics (value range,
@@ -76,20 +76,80 @@ type Env struct {
 	sc scratch
 }
 
+// MaskSource is a live set of offsets that must not be read — in the engine,
+// one array's view of the quarantine set. Both methods answer from the set's
+// state at the moment of the call.
+type MaskSource interface {
+	// Masked reports whether off is in the set.
+	Masked(off int) bool
+	// AppendMasked appends to dst, in ascending order, every offset of the
+	// set inside [lo, hi]. A source that cannot enumerate, or whose set is
+	// too large for enumeration to beat `limit` Masked calls, returns
+	// ok=false and the caller asks Masked per offset instead.
+	AppendMasked(dst []int, lo, hi, limit int) (out []int, ok bool)
+}
+
+// maskFunc adapts a bare predicate (SetMaskFunc) to MaskSource: it answers
+// per offset and never enumerates.
+type maskFunc func(off int) bool
+
+func (f maskFunc) Masked(off int) bool { return f(off) }
+
+func (f maskFunc) AppendMasked(dst []int, _, _, _ int) ([]int, bool) { return dst, false }
+
 // scratch holds the per-Env buffers that keep the predictor kernels
 // allocation-free on the hot path. An Env is single-goroutine; nested
 // predictor calls (LorenzoAuto probing Lorenzo, autotune probing everything)
-// use disjoint fields so reuse is safe.
+// use disjoint slots so reuse is safe.
 type scratch struct {
-	lorS, lorNb, lorDir []int  // Lorenzo odometer / neighbor / orientation
-	lorMaxs             []int  // Lorenzo per-dimension layer counts
-	lorNeg, lorPos      []bool // Lorenzo per-dimension feasibility
-	probeIdx            []int  // LorenzoAuto probe coordinates
-	lagNb, lagNodes     []int  // Lagrange neighbor index / fallback nodes
-	avgNb               []int  // Average neighbor index
-	regIdx              []int  // GlobalRegression scan coordinates
-	phi, xtx, xtv       []float64
-	solveM, solveX      []float64
+	// ints backs every NumDims-long coordinate buffer, one slot each (see
+	// Env.ints): a fresh Env pays one allocation for all of them.
+	ints     []int
+	lorSides []bool    // Lorenzo per-dimension feasibility, both sides
+	lagNodes []int     // Lagrange fallback nodes (one per node, not per dim)
+	excluded []int     // LocalRegression: offsets in the patch it must not read
+	probes   []int     // autotune: probe offsets (see Env.Probes)
+	fit      []float64 // regression working set (see Env.fitScratch)
+}
+
+// The coordinate-scratch slots of scratch.ints.
+const (
+	slotLorS     = iota // Lorenzo odometer
+	slotLorNb           // Lorenzo neighbor index
+	slotLorDir          // Lorenzo orientation
+	slotLorMaxs         // Lorenzo per-dimension layer counts
+	slotAutoIdx         // LorenzoAuto probe coordinates
+	slotLagNb           // Lagrange neighbor index
+	slotAvgNb           // Average neighbor index
+	slotRegIdx          // GlobalRegression scan coordinates
+	slotPatchCur        // ndarray.PatchRows odometer (see Env.PatchRows)
+	slotProbeIdx        // autotune probe coordinates (see Env.Probes)
+	numIntSlots
+)
+
+// ints returns coordinate-scratch slot `slot`: NumDims ints, private to the
+// slot's user, carved from one lazily allocated slab.
+func (e *Env) ints(slot int) []int {
+	d := e.A.NumDims()
+	if len(e.sc.ints) != numIntSlots*d {
+		e.sc.ints = make([]int, numIntSlots*d)
+	}
+	return e.sc.ints[slot*d : (slot+1)*d : (slot+1)*d]
+}
+
+// fitScratch returns the working set of a least-squares fit with p features
+// — the feature vector, the normal equations X'X (p*p, row-major) and X'v,
+// and solveSymInto's two buffers — carved from one allocation.
+func (e *Env) fitScratch(p int) (phi, xtx, xtv, solveM, solveX []float64) {
+	if n := 2*p*p + 3*p; len(e.sc.fit) != n {
+		e.sc.fit = make([]float64, n)
+	}
+	buf := e.sc.fit
+	phi, buf = buf[:p:p], buf[p:]
+	xtx, buf = buf[:p*p:p*p], buf[p*p:]
+	xtv, buf = buf[:p:p], buf[p:]
+	solveM, solveX = buf[:p*p:p*p], buf[p*p:]
+	return phi, xtx, xtv, solveM, solveX
 }
 
 // intBuf returns *buf resized (reallocating only on growth) to n elements.
@@ -100,18 +160,42 @@ func intBuf(buf *[]int, n int) []int {
 	return (*buf)[:n]
 }
 
-func floatBuf(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	return (*buf)[:n]
+// PatchRows starts a row walk (see ndarray.PatchRows) over the patch of
+// Chebyshev radius `radius` around idx, using the Env's odometer scratch.
+// One walk at a time per Env: finish (or abandon) it before anything else on
+// the Env starts another.
+func (e *Env) PatchRows(idx []int, radius int) ndarray.PatchRows {
+	return e.A.PatchRows(idx, radius, e.ints(slotPatchCur))
 }
 
-func boolBuf(buf *[]bool, n int) []bool {
-	if cap(*buf) < n {
-		*buf = make([]bool, n)
+// Probes collects the leave-one-out probe points of the auto-tuner around
+// idx: the offsets of every cell within Chebyshev distance k except idx
+// itself and masked cells (they hold garbage and can be neither probes nor
+// stencil inputs), in row-major order. Both results are Env scratch, valid
+// until the next Probes call and touched by no predictor: offs may be
+// thinned in place, and coord is NumDims ints for the coordinates of the
+// probe being predicted.
+func (e *Env) Probes(idx []int, k int) (offs, coord []int) {
+	skip := e.A.Offset(idx...)
+	cells := 1
+	for d := range idx {
+		lo, hi := e.A.PatchBounds(idx, k, d)
+		cells *= hi - lo + 1
 	}
-	return (*buf)[:n]
+	if cap(e.sc.probes) < cells {
+		e.sc.probes = make([]int, 0, cells)
+	}
+	offs = e.sc.probes[:0]
+	rows := e.PatchRows(idx, k)
+	for rows.Next() {
+		for off, end := rows.Off, rows.Off+rows.Len; off < end; off++ {
+			if off != skip && !e.Masked(off) {
+				offs = append(offs, off)
+			}
+		}
+	}
+	e.sc.probes = offs
+	return offs, e.ints(slotProbeIdx)
 }
 
 // NewEnv wraps a dataset with a deterministic random source. Dataset-wide
@@ -199,13 +283,32 @@ func (e *Env) Allow(offs ...int) {
 	e.rangeOK = false
 }
 
-// SetMaskFunc installs a live mask predicate consulted on every read (in
-// addition to any offsets passed to Mask). The recovery engine wires its
-// quarantine set here so cells reported corrupt *while a recovery is in
-// flight* are masked immediately.
+// SetMaskFunc installs a live mask predicate (in addition to any offsets
+// passed to Mask). The contract, for the predicate and for SetMaskSource
+// alike: nothing is cached across predictions, probes, methods or ladder
+// rungs, so a cell the source reports masked before a prediction starts is
+// never read by that prediction. Within one prediction the small-stencil
+// methods ask before every read; LocalRegression asks once, after it starts
+// and before it reads anything (per cell of its patch for a bare predicate).
+// Reports are not ordered against array reads, so per-read freshness was
+// never a guarantee a caller could use: the window in which a concurrent
+// report can be missed is one prediction (<= 1 us) rather than one cell.
 func (e *Env) SetMaskFunc(fn func(off int) bool) {
-	e.maskFn = fn
-	e.haveMask = e.haveMask || fn != nil
+	if fn == nil {
+		e.SetMaskSource(nil)
+		return
+	}
+	e.SetMaskSource(maskFunc(fn))
+}
+
+// SetMaskSource installs a live mask that can also enumerate a range (the
+// recovery engine wires one array's view of its quarantine set here, so
+// cells reported corrupt *while a recovery is in flight* are masked from the
+// next prediction on). It replaces any predicate or source installed before;
+// see SetMaskFunc for the freshness contract.
+func (e *Env) SetMaskSource(src MaskSource) {
+	e.mask = src
+	e.haveMask = e.haveMask || src != nil
 	e.rangeOK = false
 }
 
@@ -217,7 +320,25 @@ func (e *Env) Masked(off int) bool {
 	if e.masked[off] {
 		return true
 	}
-	return e.maskFn != nil && e.maskFn(off)
+	return e.mask != nil && e.mask.Masked(off)
+}
+
+// appendMaskedIn is the per-prediction form of Masked: it appends to dst, in
+// ascending order, the offsets in [lo, hi] for which Masked is true right
+// now. It reports ok=false when that takes asking Masked per offset — a bare
+// predicate, Mask/Allow overrides in play, or a source that declined (its set
+// outgrew limit) — which the caller then does over the offsets it actually
+// reads.
+func (e *Env) appendMaskedIn(dst []int, lo, hi, limit int) (out []int, ok bool) {
+	switch {
+	case !e.haveMask:
+		return dst, true
+	case len(e.masked) > 0 || len(e.allowed) > 0:
+		return dst, false
+	case e.mask == nil:
+		return dst, true
+	}
+	return e.mask.AppendMasked(dst, lo, hi, limit)
 }
 
 // HasMask reports whether any mask state is installed (used to decide
@@ -323,6 +444,11 @@ func ParseMethod(name string) (Method, error) {
 	return 0, fmt.Errorf("predict: unknown method %q", name)
 }
 
+// paperLagrange is the paper's Lagrange configuration (two preceding values
+// and one succeeding), boxed once: New hands out the same read-only value
+// instead of building the offset slice per call.
+var paperLagrange Predictor = Lagrange{Offsets: []int{-2, -1, 1}}
+
 // New constructs the predictor implementing m with the paper's parameters.
 func New(m Method) Predictor {
 	switch m {
@@ -353,7 +479,7 @@ func New(m Method) Predictor {
 	case MethodLocalLinReg:
 		return LocalRegression{Radius: 3}
 	case MethodLagrange:
-		return Lagrange{Offsets: []int{-2, -1, 1}}
+		return paperLagrange
 	default:
 		panic(fmt.Sprintf("predict: no constructor for %v", m))
 	}

@@ -39,7 +39,7 @@ func (Average) Name() string { return "Average" }
 func (Average) Predict(env *Env, idx []int) (float64, error) {
 	a := env.A
 	sum, n := 0.0, 0
-	nb := intBuf(&env.sc.avgNb, len(idx))
+	nb := env.ints(slotAvgNb)
 	copy(nb, idx)
 	for d := 0; d < a.NumDims(); d++ {
 		for _, delta := range [2]int{-1, +1} {
