@@ -131,11 +131,6 @@ type Engine = core.Engine
 // Outcome describes a completed localized recovery.
 type Outcome = core.Outcome
 
-// VerifyOptions configures reconstruction plausibility verification
-// (Options.Verify): finite, inside the registered ValueRange, and
-// consistent with the local neighbor spread.
-type VerifyOptions = core.VerifyOptions
-
 // Stage identifies a rung of the recovery escalation ladder: primary →
 // tune → alternate → restore → exhausted.
 type Stage = core.Stage

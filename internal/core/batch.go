@@ -2,12 +2,9 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sort"
+	"slices"
 	"time"
 
-	"spatialdue/internal/ndarray"
-	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
 	"spatialdue/internal/trace"
 )
@@ -112,233 +109,70 @@ func (e *Engine) RecoverBatchTraced(ctx context.Context, alloc *registry.Allocat
 		return results
 	}
 	e.observeBatch(len(offsets))
-	arr := alloc.Array
+	t := allocTarget(alloc)
+	st := e.record(&t)
 
-	trs := make([]*trace.Trace, len(offsets))
-	owned := make([]bool, len(offsets))
-	born := time.Now() // one birth instant shared by every owned member
-	for i := range offsets {
-		if i < len(traces) {
-			trs[i] = traces[i]
-		}
-		if trs[i] == nil {
-			trs[i] = trace.GetPooledAt(born)
-			owned[i] = true
-		}
-	}
-
-	// Pre-assign deterministic seeds in submission order, exactly as a
-	// sequential loop over RecoverElement would have drawn them.
-	seeds := make([]int64, len(offsets))
-	for i := range offsets {
-		seeds[i] = e.nextSeed()
-	}
-
-	// Resolve out-of-range members immediately (same error and bookkeeping
-	// as the sequential path), and coalesce the quarantine insert for the
-	// rest.
+	// Mint traces and pre-assign deterministic seeds in submission order,
+	// exactly as a sequential loop over RecoverElement would have drawn
+	// them; settle the members that cannot climb (same error and
+	// bookkeeping as the sequential path) and collect the rest.
+	members := make([]member, len(offsets))
 	valid := make([]int, 0, len(offsets))
-	done := make([]bool, len(offsets))
+	born := time.Now() // one birth instant shared by every owned member
 	for i, off := range offsets {
-		if off < 0 || off >= arr.Len() {
-			err := fmt.Errorf("%w: offset %d out of range", ErrCheckpointRestartRequired, off)
-			_, results[i].Err = e.finishRecovery(alloc, off, ladderResult{}, err, trs[i])
-			if owned[i] {
-				e.tracer.Finish(trs[i])
-				trace.Recycle(trs[i])
-			}
-			done[i] = true
-			continue
+		m := &members[i]
+		m.i, m.off, m.seed = i, off, e.nextSeed()
+		if i < len(traces) {
+			m.tr = traces[i]
 		}
-		valid = append(valid, off)
-	}
-	if len(valid) > 0 {
-		e.markQuarantinedAll(arr, valid)
-	}
-
-	// Force the shared-statistics build now, on this goroutine, so the O(N)
-	// snapshot scan is not repeated (or raced for) inside the clusters.
-	shared := e.sharedFor(arr)
-	shared.Prepare()
-
-	// --- Cluster members by stripe-range connectivity. ---
-	ss := e.stripesFor(arr)
-	stripeSeen := map[int]bool{}
-	for i, off := range offsets {
-		if !done[i] {
-			stripeSeen[ss.stripeOf(off)] = true
+		if m.tr == nil {
+			m.tr, m.owned = trace.GetPooledAt(born), true
 		}
-	}
-	stripes := make([]int, 0, len(stripeSeen))
-	for s := range stripeSeen {
-		stripes = append(stripes, s)
-	}
-	sort.Ints(stripes)
-	// Two members conflict iff their three-stripe lock ranges overlap, i.e.
-	// their stripes are within 2 of each other; chain such stripes into one
-	// cluster.
-	clusterOf := map[int]int{} // stripe -> cluster id
-	nclusters := 0
-	for i, s := range stripes {
-		if i == 0 || s-stripes[i-1] > 2 {
-			nclusters++
+		switch {
+		case st == nil:
+			e.finish(&t, nil, m, ladderResult{}, t.errUnprotected(), nil)
+		case off < 0 || off >= t.arr.Len():
+			e.finish(&t, st, m, ladderResult{}, errOutOfRange(off), nil)
+		default:
+			valid = append(valid, off)
 		}
-		clusterOf[s] = nclusters - 1
+		results[i].Err = m.err
 	}
-	type cluster struct {
-		members []int // indices into offsets, submission order
-		lo, hi  int   // stripe lock range
-	}
-	clusters := make([]cluster, nclusters)
-	for i := range clusters {
-		clusters[i].lo, clusters[i].hi = ss.n, -1
-	}
-	for i, off := range offsets {
-		if done[i] {
-			continue
-		}
-		c := &clusters[clusterOf[ss.stripeOf(off)]]
-		c.members = append(c.members, i)
-		lo, hi := ss.rangeFor(off)
-		if lo < c.lo {
-			c.lo = lo
-		}
-		if hi > c.hi {
-			c.hi = hi
-		}
-	}
-
-	type memberResult struct {
-		i   int
-		out Outcome
-		err error
-	}
-	// Buffered so background clusters finishing after abandonment never
-	// block on a collector that has already returned.
-	resCh := make(chan memberResult, len(offsets))
-	run := func(c cluster) {
-		// One lock acquisition per cluster: every member's trace carries the
-		// same stripe_wait span, because that is literally the wait they
-		// shared.
-		t0 := time.Now()
-		if err := ss.acquireRange(ctx, c.lo, c.hi); err != nil {
-			wait := time.Since(t0)
-			for _, i := range c.members {
-				trs[i].ObserveDur(trace.StageStripeWait, t0, wait)
-				off := offsets[i]
-				lerr := fmt.Errorf("%w: %s[%d]: waiting for recovery lock: %v", ErrRecoveryAbandoned, alloc.Name, off, err)
-				_, ferr := e.finishRecovery(alloc, off, ladderResult{}, lerr, trs[i])
-				if owned[i] {
-					e.tracer.Finish(trs[i])
-					trace.Recycle(trs[i])
-				}
-				resCh <- memberResult{i: i, err: ferr}
-			}
-			return
-		}
-		wait := time.Since(t0)
-		for _, i := range c.members {
-			trs[i].ObserveDur(trace.StageStripeWait, t0, wait)
-		}
-		defer ss.release(c.lo, c.hi)
-		// One Env for the whole cluster: the mask is live, the shared
-		// statistics are frozen, and the scratch buffers amortize across
-		// members. Reseeding restores each member's private random stream.
-		env := e.envFor(arr, 0)
-		members := c.members
-		if e.opts.FrontierBatch {
-			// Copy so the frontier reordering below never mutates the
-			// cluster built from submission order.
-			members = append([]int(nil), members...)
-		}
-		for n := 0; n < len(members); n++ {
-			if e.opts.FrontierBatch {
-				// Frontier-inward: of the still-pending members, recover the
-				// one with the most healthy face neighbors next. Earlier
-				// repairs release quarantine, so interior cells gain healthy
-				// neighbors as the frontier advances; ties keep submission
-				// order. Each member keeps its own pre-assigned seed.
-				best, bestN := n, frontierHealthy(env, arr, offsets[members[n]])
-				for j := n + 1; j < len(members); j++ {
-					if hn := frontierHealthy(env, arr, offsets[members[j]]); hn > bestN {
-						best, bestN = j, hn
-					}
-				}
-				if best != n {
-					picked := members[best]
-					copy(members[n+1:best+1], members[n:best])
-					members[n] = picked
-				}
-			}
-			i := members[n]
-			env.Reseed(seeds[i])
-			res, rerr := e.reconstruct(ctx, arr, alloc.Policy.Any, alloc.Policy.Method, offsets[i], alloc.Policy.Range, alloc.Name, env, trs[i], time.Now())
-			out, ferr := e.finishRecovery(alloc, offsets[i], res, rerr, trs[i])
-			if owned[i] {
-				e.tracer.Finish(trs[i])
-				trace.Recycle(trs[i])
-			}
-			resCh <- memberResult{i: i, out: out, err: ferr}
-		}
-	}
-
-	pending := 0
-	for _, c := range clusters {
-		pending += len(c.members)
-	}
-	if len(clusters) == 1 && ctx.Done() == nil {
-		// Single cluster, nothing to abandon: run inline, no goroutine.
-		run(clusters[0])
-	} else {
-		for _, c := range clusters {
-			go run(c)
-		}
-	}
-
-	if ctx.Done() == nil {
-		for ; pending > 0; pending-- {
-			r := <-resCh
-			results[r.i].Outcome, results[r.i].Err = r.out, r.err
-		}
+	if len(valid) == 0 {
 		return results
 	}
-	received := done // out-of-range members already resolved
-	for pending > 0 {
-		select {
-		case r := <-resCh:
-			results[r.i].Outcome, results[r.i].Err = r.out, r.err
-			received[r.i] = true
-			pending--
-		case <-ctx.Done():
-			for i, off := range offsets {
-				if !received[i] {
-					results[i].Err = fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, alloc.Name, off, ctx.Err())
-				}
-			}
-			return results
-		}
-	}
-	return results
-}
+	// One coalesced quarantine insert; then force the shared-statistics
+	// build now, on this goroutine, so the O(N) snapshot scan is not
+	// repeated (or raced for) inside the clusters.
+	e.quarantineCells(t.arr, st, valid...)
+	st.shared.Prepare()
 
-// frontierHealthy counts the healthy (in-bounds, unquarantined) face
-// neighbors of the element at off — the FrontierBatch ordering key. Called
-// only on the opt-in frontier path, so the per-call coordinate scratch is
-// off the default batch hot path.
-func frontierHealthy(env *predict.Env, arr *ndarray.Array, off int) int {
-	idx := make([]int, arr.NumDims())
-	nb := make([]int, arr.NumDims())
-	arr.CoordsInto(idx, off)
-	copy(nb, idx)
-	n := 0
-	for d := 0; d < arr.NumDims(); d++ {
-		for _, delta := range [2]int{-1, 1} {
-			nb[d] = idx[d] + delta
-			if nb[d] >= 0 && nb[d] < arr.Dim(d) && !env.Masked(arr.Offset(nb...)) {
-				n++
-			}
-		}
-		nb[d] = idx[d]
+	// Cluster members by stripe-range connectivity: two members conflict iff
+	// their three-stripe lock ranges overlap, i.e. their stripes are within
+	// 2 of each other. starts holds the first stripe of each cluster, over
+	// the sorted distinct stripes hit.
+	hit := make([]int, len(valid))
+	for i, off := range valid {
+		hit[i] = st.stripeOf(off)
 	}
-	return n
+	slices.Sort(hit)
+	hit = slices.Compact(hit)
+	var starts []int
+	for i, s := range hit {
+		if i == 0 || s-hit[i-1] > 2 {
+			starts = append(starts, s)
+		}
+	}
+	clusters := make([]cluster, len(starts))
+	for i := range members {
+		if m := &members[i]; m.err == nil {
+			// The last cluster starting at or before the member's stripe.
+			k, _ := slices.BinarySearch(starts, st.stripeOf(m.off)+1)
+			c := &clusters[k-1]
+			c.members = append(c.members, *m)
+			c.frontier = e.opts.FrontierBatch
+		}
+	}
+	e.run(ctx, &t, st, clusters, results)
+	return results
 }

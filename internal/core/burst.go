@@ -3,10 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
-	"spatialdue/internal/ndarray"
+	"spatialdue/internal/autotune"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
 )
@@ -68,22 +69,27 @@ const burstTol = 1e-7
 // failure the returned outcome is still populated and the error reports how
 // many elements remain quarantined.
 func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstOutcome, error) {
-	ss := e.stripesFor(alloc.Array)
-	ss.acquireAllBlocking()
-	defer ss.releaseAll()
-	return e.recoverBurst(alloc.Array, alloc.Policy, offsets)
-}
+	// The BFS seed pass and healthy-mean scan read the array whole: hold
+	// every stripe, start to finish.
+	t := allocTarget(alloc)
+	arr, policy := t.arr, t.policy
+	st := e.record(&t)
+	if st != nil {
+		st, _ = e.acquire(context.Background(), arr, st, 0, st.n-1)
+	}
+	if st == nil {
+		return BurstOutcome{}, t.errUnprotected()
+	}
+	defer st.releaseAll()
+	t.name = "burst" // what the audit trail and StageHook call burst cells
 
-// recoverBurst runs the burst pipeline. The caller must hold every stripe
-// of the array (the BFS seed pass and healthy-mean scan read it whole).
-func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offsets []int) (BurstOutcome, error) {
 	if len(offsets) == 0 {
 		return BurstOutcome{}, fmt.Errorf("%w: empty burst", ErrCheckpointRestartRequired)
 	}
 	seen := make(map[int]bool, len(offsets))
 	for _, off := range offsets {
 		if off < 0 || off >= arr.Len() {
-			return BurstOutcome{}, fmt.Errorf("%w: offset %d out of range", ErrCheckpointRestartRequired, off)
+			return BurstOutcome{}, errOutOfRange(off)
 		}
 		seen[off] = true
 	}
@@ -106,9 +112,9 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 	}
 	// Coalesced quarantine insert: one pass over the quarantine set, one
 	// over the shared statistics.
-	e.markQuarantinedAll(arr, work)
+	e.quarantineCells(arr, st, work...)
 
-	env := e.envFor(arr, e.nextSeed())
+	env := e.envFor(arr, st, e.nextSeed())
 
 	// Mean over the healthy cells only — quarantined ones (the burst, plus
 	// anything reported by MarkCorrupt) may hold NaN or garbage. Used as a
@@ -178,11 +184,10 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 		// Tune once at the burst's first element; the whole burst shares
 		// locality.
 		arr.CoordsInto(idx, work[0])
-		sel, err := selectTuned(e, env, idx)
-		if err == nil {
-			method, tuned = sel, true
+		if sel, err := autotune.Select(env, idx, e.opts.Tune); err == nil {
+			method, tuned = sel.Best, true
 		} else {
-			method = e.opts.Provisional
+			method = provisionalMethod
 		}
 	}
 
@@ -198,11 +203,11 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 			}
 			old := arr.AtOffset(off)
 			arr.SetOffset(off, v)
-			den := abs(v)
+			den := math.Abs(v)
 			if den == 0 {
 				den = 1
 			}
-			if rel := abs(v-old) / den; rel > maxRel {
+			if rel := math.Abs(v-old) / den; rel > maxRel {
 				maxRel = rel
 			}
 		}
@@ -216,7 +221,7 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 	verified := make([]bool, len(work))
 	for i, off := range work {
 		arr.CoordsInto(idx, off)
-		verified[i] = e.verifyValue(env, idx, off, arr.AtOffset(off), policy.Range) == nil
+		verified[i] = verifyValue(env, idx, off, arr.AtOffset(off), policy.Range) == nil
 	}
 	for i, off := range work {
 		if verified[i] {
@@ -226,36 +231,27 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 		}
 	}
 
-	recovered, tunedExtra := 0, 0
+	// Sweep-verified cells are done; each failure climbs the single-element
+	// ladder as a cluster of one under the stripes already held, in offset
+	// order, so the audit trail stays in offset order too.
+	swept, failed := 0, 0
 	var lastErr error
-	failed := 0
 	for i, off := range work {
 		if verified[i] {
-			recovered++
+			swept++
 			e.audit.record(AuditEntry{
-				Alloc: "burst", Offset: off, Method: method, Tuned: tuned,
+				Alloc: t.name, Offset: off, Method: method, Tuned: tuned,
 				Old: oldOf[off], New: arr.AtOffset(off), OK: true,
 			})
 			continue
 		}
 		out.Escalated++
-		res, err := e.reconstruct(context.Background(), arr, policy.Any, policy.Method, off, policy.Range, "burst", e.envFor(arr, e.nextSeed()), nil, time.Now())
-		if err != nil {
+		m := [1]member{{off: off, seed: e.nextSeed(), burst: true, old: oldOf[off]}}
+		e.climb(context.Background(), &t, st, &cluster{members: m[:], held: true}, time.Time{}, nil)
+		if m[0].err != nil {
 			failed++
-			lastErr = err
-			e.recordSpatial(arr, off, res, false)
-			e.audit.record(AuditEntry{Alloc: "burst", Offset: off, Err: err.Error()})
-			continue
+			lastErr = m[0].err
 		}
-		e.recordSpatial(arr, off, res, true)
-		recovered++
-		if res.tuned {
-			tunedExtra++
-		}
-		e.audit.record(AuditEntry{
-			Alloc: "burst", Offset: off, Method: res.method, Tuned: res.tuned,
-			Stage: res.stage, Old: oldOf[off], New: res.value, OK: true,
-		})
 	}
 	for i, off := range offsets {
 		out.New[i] = arr.AtOffset(off)
@@ -263,32 +259,17 @@ func (e *Engine) recoverBurst(arr *ndarray.Array, policy registry.Policy, offset
 
 	out.Method, out.Tuned, out.Sweeps = method, tuned, sweeps
 	e.mu.Lock()
-	e.stats.Recovered += recovered
+	e.stats.Recovered += swept
+	if swept > 0 {
+		e.byMethod[method] += int64(swept)
+	}
 	if tuned {
 		e.stats.Tuned++
 	}
-	e.stats.Tuned += tunedExtra
-	e.stats.Fallbacks += failed
 	e.mu.Unlock()
 	if failed > 0 {
 		return out, fmt.Errorf("%w: %d of %d burst elements unrecovered (last: %v)",
 			ErrCheckpointRestartRequired, failed, len(work), lastErr)
 	}
 	return out, nil
-}
-
-// selectTuned runs the auto-tuner and returns the winning method.
-func selectTuned(e *Engine, env *predict.Env, idx []int) (predict.Method, error) {
-	sel, err := autotuneSelect(env, idx, e.opts.Tune)
-	if err != nil {
-		return 0, err
-	}
-	return sel, nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

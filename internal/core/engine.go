@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"spatialdue/internal/autotune"
 	"spatialdue/internal/bitflip"
@@ -56,23 +55,6 @@ type Options struct {
 	// Tune configures the RECOVER_ANY auto-tuner. Zero values take the
 	// paper's defaults (K=3, 1% tolerance, all headline methods).
 	Tune autotune.Config
-	// Provisional is the cheap method used to patch the corrupted element
-	// while recovery runs (the cell is masked out of every stencil, but raw
-	// readers of the array see a bounded placeholder instead of garbage).
-	// Defaults to MethodAverage unless ProvisionalSet is true.
-	Provisional predict.Method
-	// ProvisionalSet marks Provisional as deliberately chosen. Without it a
-	// zero Provisional selects the default; with it MethodZero (the zero
-	// value of predict.Method) is honored as the provisional method.
-	ProvisionalSet bool
-	// Verify configures reconstruction plausibility verification; see
-	// VerifyOptions. The zero value enables it with defaults.
-	Verify VerifyOptions
-	// MaxAlternates bounds the alternate-method rung of the escalation
-	// ladder: how many next-best tuner candidates are tried after the
-	// primary and re-tune rungs fail. Zero selects the default (3);
-	// negative disables the rung.
-	MaxAlternates int
 	// StageHook, when set, is called at every ladder-stage entry. It runs
 	// on the recovering goroutine with the array's recovery lock held, so
 	// it must not call back into recovery on this engine; report secondary
@@ -84,21 +66,6 @@ type Options struct {
 	// TuneCacheBlock^d region of the same array. Zero disables caching
 	// (every corruption re-tunes, as in the paper).
 	TuneCacheBlock int
-	// HotSpotZ is the |G*| z-score past which a stripe counts as an error
-	// hot spot (or, negated, a cold spot) in the spatial analytics. Zero
-	// selects spatial.DefaultHotZ (1.645, the one-sided 95% critical
-	// value).
-	HotSpotZ float64
-	// HotTuneTTL is the tune-cache TTL, in cache hits, applied to hot-spot
-	// regions: after that many served hits the region re-tunes. Counted in
-	// uses — never wall time — so journal replay reproduces the identical
-	// hit/miss sequence. Zero selects the default (16). Cold and neutral
-	// regions keep their cached decision until invalidated.
-	HotTuneTTL int
-	// HotWidenK is added to the tuner's K when a hot-spot region
-	// re-tunes: the decision will be reused across the whole region, so
-	// it is worth more probes. Zero selects the default (2).
-	HotWidenK int
 	// FrontierBatch orders the members of each batch-recovery stripe
 	// cluster frontier-inward: at every step the pending member with the
 	// most healthy (unquarantined) face neighbors recovers next, so cells
@@ -111,6 +78,25 @@ type Options struct {
 	// Seed makes the Random method and tuning deterministic.
 	Seed int64
 }
+
+// Fixed engine behaviour: one value each, everywhere the engine runs.
+const (
+	// provisionalMethod patches the corrupted element while recovery runs:
+	// the cell is masked out of every stencil, but raw readers of the array
+	// see a bounded placeholder instead of garbage.
+	provisionalMethod = predict.MethodAverage
+	// maxAlternates is how many next-best tuner candidates the alternate
+	// rung tries after the primary and re-tune rungs fail.
+	maxAlternates = 3
+	// hotTuneTTL is the tune-cache TTL of a hot-spot region (stripe |G*| >=
+	// spatial.DefaultHotZ), in served hits — never wall time, so journal
+	// replay reproduces the hit/miss sequence. Other regions keep their
+	// decision until invalidated.
+	hotTuneTTL = 16
+	// hotWidenK is added to the tuner's K when a hot-spot region re-tunes:
+	// the decision is reused across the region, so it is worth more probes.
+	hotWidenK = 2
+)
 
 // Outcome describes one completed localized recovery.
 type Outcome struct {
@@ -153,10 +139,7 @@ type Engine struct {
 	byMethod  map[predict.Method]int64 // lifetime successful recoveries per method
 	outcomes  map[outcomeKey]string    // memoized trace-outcome detail strings
 	escal     [numStages]int64
-	caches    map[*ndarray.Array]*autotune.Cache
-	stripes   map[*ndarray.Array]*stripeSet
-	shared    map[*ndarray.Array]*predict.SharedStats
-	spatials  map[*ndarray.Array]*spatial.Analytics
+	arrays    map[*ndarray.Array]*arrayState // the one per-array record; see stripes.go
 	ckptWorld *fti.World
 	ckptRank  int
 
@@ -190,9 +173,6 @@ func (l recLock) lock(ctx context.Context) error {
 	}
 }
 
-// lockBlocking acquires the lock unconditionally (legacy non-context paths).
-func (l recLock) lockBlocking() { l <- struct{}{} }
-
 func (l recLock) unlock() { <-l }
 
 // NewEngine creates an engine with its own allocation registry.
@@ -203,15 +183,13 @@ func NewEngine(opts Options) *Engine {
 	if opts.Tune.Tolerance <= 0 {
 		opts.Tune.Tolerance = 0.01
 	}
-	if !opts.ProvisionalSet && opts.Provisional == predict.MethodZero {
-		opts.Provisional = predict.MethodAverage
-	}
 	return &Engine{
 		opts:     opts,
 		table:    registry.NewTable(),
 		tracer:   trace.NewCollector(0),
 		byMethod: map[predict.Method]int64{},
 		outcomes: map[outcomeKey]string{},
+		arrays:   map[*ndarray.Array]*arrayState{},
 	}
 }
 
@@ -238,7 +216,7 @@ func (e *Engine) Stats() Stats {
 // faults can land (and call FieldUpdated after replacing the contents).
 func (e *Engine) Protect(name string, arr *ndarray.Array, dtype bitflip.DType, policy registry.Policy) *registry.Allocation {
 	alloc := e.table.Register(name, arr, dtype, policy)
-	e.sharedFor(arr)
+	e.stateFor(arr)
 	return alloc
 }
 
@@ -248,40 +226,41 @@ func (e *Engine) Protect(name string, arr *ndarray.Array, dtype bitflip.DType, p
 func (e *Engine) ProtectTenant(tenant, name string, arr *ndarray.Array, dtype bitflip.DType, policy registry.Policy) (*registry.Allocation, error) {
 	alloc, err := e.table.RegisterTenant(tenant, name, arr, dtype, policy)
 	if err == nil {
-		e.sharedFor(arr)
+		e.stateFor(arr)
 	}
 	return alloc, err
 }
 
-// Unprotect tears down a protected allocation: it unregisters the
-// allocation from the table and drops every piece of per-array engine state
-// (tuning cache, stripe locks, shared statistics, quarantine entries), so a
-// long-running multi-tenant server that registers and unregisters
-// allocations does not grow without bound. It refuses with
-// ErrRecoveriesInFlight while any recovery holds one of the array's
-// stripes. The caller must stop submitting recoveries for the allocation
-// before tearing it down: a submission racing Unprotect can recreate
-// transient per-array state after the maps are cleared, which leaks nothing
-// permanent (the recreated state dies with the unreferenced array) but
-// wastes the work.
+// Unprotect tears down a protected allocation: it unregisters it from the
+// table and retires the array's engine record (stripe locks, shared
+// statistics, spatial analytics, tuning cache) and quarantine entries, so a
+// long-running multi-tenant server does not grow without bound. It refuses
+// with ErrRecoveriesInFlight while any recovery holds one of the array's
+// stripes.
+//
+// Recoveries racing the teardown: Unprotect takes every stripe before it
+// retires the record, and every stripe holder confirms after acquiring that
+// its record is still the live one (Engine.acquire). So a holder of the live
+// record cannot lose it, and a recovery still waiting when the record was
+// retired finds out before it touches a cell. Nothing re-creates the record
+// of an unprotected allocation (the caller may already have released the
+// array's memory): recoveries submitted after, or overtaken by, the teardown
+// fail with ErrCheckpointRestartRequired wrapping registry.ErrNotRegistered.
 func (e *Engine) Unprotect(alloc *registry.Allocation) error {
 	arr := alloc.Array
-	e.mu.Lock()
-	ss := e.stripes[arr]
-	e.mu.Unlock()
-	if ss != nil {
-		if !ss.tryAcquireAll() {
+	st := e.liveState(arr)
+	if st != nil {
+		if !st.tryAcquireAll() {
 			return fmt.Errorf("%w: %s", ErrRecoveriesInFlight, alloc.Name)
 		}
-		defer ss.releaseAll()
+		defer st.releaseAll()
 	}
 	e.table.Unregister(alloc.ID)
 	e.quarantine.removeArray(arr)
 	e.mu.Lock()
-	delete(e.caches, arr)
-	delete(e.stripes, arr)
-	delete(e.shared, arr)
-	delete(e.spatials, arr)
+	if e.arrays[arr] == st {
+		delete(e.arrays, arr)
+	}
 	e.mu.Unlock()
 	return nil
 }
@@ -318,9 +297,8 @@ func (e *Engine) AttachCheckpoints(w *fti.World, rank int) {
 // climb. After replacing the array's contents wholesale, follow up with
 // FieldUpdated so the shared recovery statistics are rebuilt.
 func (e *Engine) WithArrayLock(arr *ndarray.Array, f func()) {
-	ss := e.stripesFor(arr)
-	ss.acquireAllBlocking()
-	defer ss.releaseAll()
+	st := e.lockAll(arr)
+	defer st.releaseAll()
 	f()
 }
 
@@ -337,10 +315,7 @@ func (e *Engine) RecoverAddress(addr uint64) (Outcome, error) {
 func (e *Engine) RecoverAddressCtx(ctx context.Context, addr uint64) (Outcome, error) {
 	alloc, off, err := e.table.Lookup(addr)
 	if err != nil {
-		e.mu.Lock()
-		e.stats.Fallbacks++
-		e.mu.Unlock()
-		e.audit.record(AuditEntry{Alloc: fmt.Sprintf("addr %#x", addr), Offset: -1, Err: err.Error()})
+		e.finish(&target{name: fmt.Sprintf("addr %#x", addr)}, nil, &member{off: -1}, ladderResult{}, err, nil)
 		// Double-wrap so callers can match both the escalation sentinel and
 		// the cause — a registry.ErrMetadataCorrupt must stay distinguishable
 		// (the HTTP layer maps it to 422, not 404).
@@ -368,106 +343,8 @@ func (e *Engine) RecoverElement(alloc *registry.Allocation, off int) (Outcome, e
 // ever observes a half-finished repair. A recovery that completes after
 // abandonment is still counted and audited.
 func (e *Engine) RecoverElementCtx(ctx context.Context, alloc *registry.Allocation, off int) (Outcome, error) {
-	if ctx.Done() == nil {
-		// Not cancelable: run inline, no goroutine overhead.
-		return e.recoverElementSync(ctx, alloc, off)
-	}
-	type result struct {
-		out Outcome
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		out, err := e.recoverElementSync(ctx, alloc, off)
-		done <- result{out, err}
-	}()
-	select {
-	case r := <-done:
-		return r.out, r.err
-	case <-ctx.Done():
-		return Outcome{}, fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, alloc.Name, off, ctx.Err())
-	}
-}
-
-// recoverElementSync runs one complete element recovery on the calling
-// goroutine: stripe locks, ladder climb, bookkeeping. If off is out of the
-// array's range the stripe span falls back to the whole table (reconstruct
-// rejects the offset under the locks).
-func (e *Engine) recoverElementSync(ctx context.Context, alloc *registry.Allocation, off int) (Outcome, error) {
-	// A context-carried trace (the service path) is finished by its owner
-	// after journal completion; otherwise the engine mints and finishes one
-	// itself, so direct RecoverElement calls feed the histograms too.
-	tr, external := trace.FromContext(ctx)
-	var t0 time.Time
-	if !external {
-		tr = trace.GetPooled()
-		// The trace was just born; its birth instant doubles as the
-		// stripe-wait origin, saving a clock read on the hot path.
-		t0 = tr.Born()
-		defer func() {
-			e.tracer.Finish(tr)
-			trace.Recycle(tr)
-		}()
-	}
-	seed := e.nextSeed()
-	ss := e.stripesFor(alloc.Array)
-	lo, hi := 0, ss.n-1
-	if off >= 0 && off < alloc.Array.Len() {
-		lo, hi = ss.rangeFor(off)
-	}
-	if external {
-		t0 = time.Now()
-	}
-	if err := ss.acquireRange(ctx, lo, hi); err != nil {
-		tr.Observe(trace.StageStripeWait, t0)
-		err = fmt.Errorf("%w: %s[%d]: waiting for recovery lock: %v", ErrRecoveryAbandoned, alloc.Name, off, err)
-		return e.finishRecovery(alloc, off, ladderResult{}, err, tr)
-	}
-	t0 = tr.ObserveSince(trace.StageStripeWait, t0)
-	env := e.envFor(alloc.Array, seed)
-	res, err := e.reconstruct(ctx, alloc.Array, alloc.Policy.Any, alloc.Policy.Method, off, alloc.Policy.Range, alloc.Name, env, tr, t0)
-	ss.release(lo, hi)
-	return e.finishRecovery(alloc, off, res, err, tr)
-}
-
-// finishRecovery applies the post-climb bookkeeping (counters, audit trail,
-// trace annotation) shared by the single-element and batch paths.
-func (e *Engine) finishRecovery(alloc *registry.Allocation, off int, res ladderResult, err error, tr *trace.Trace) (Outcome, error) {
-	if err != nil {
-		tr.SetResult(alloc.Name, alloc.Tenant, off, false, err.Error())
-		e.mu.Lock()
-		e.stats.Fallbacks++
-		e.mu.Unlock()
-		if errors.Is(err, ErrCheckpointRestartRequired) {
-			e.recordSpatial(alloc.Array, off, res, false)
-		}
-		e.audit.record(AuditEntry{Alloc: alloc.Name, Offset: off, Err: err.Error()})
-		return Outcome{}, err
-	}
-	e.recordSpatial(alloc.Array, off, res, true)
-	e.mu.Lock()
-	e.stats.Recovered++
-	if res.tuned {
-		e.stats.Tuned++
-	}
-	e.byMethod[res.method]++
-	// Outcome details are drawn from a tiny method x stage set; memoizing
-	// them keeps fmt.Sprintf off the recovery hot path.
-	detail, ok := e.outcomes[outcomeKey{res.method, res.stage}]
-	if !ok {
-		detail = fmt.Sprintf("method=%v stage=%v", res.method, res.stage)
-		e.outcomes[outcomeKey{res.method, res.stage}] = detail
-	}
-	e.mu.Unlock()
-	tr.SetResult(alloc.Name, alloc.Tenant, off, true, detail)
-	e.audit.record(AuditEntry{
-		Alloc: alloc.Name, Offset: off, Method: res.method, Tuned: res.tuned,
-		Stage: res.stage, Old: res.old, New: res.value, OK: true,
-	})
-	return Outcome{
-		Allocation: alloc, Offset: off, Method: res.method, Tuned: res.tuned,
-		Stage: res.stage, Old: res.old, New: res.value,
-	}, nil
+	t := allocTarget(alloc)
+	return e.recoverOne(ctx, &t, off)
 }
 
 // MethodCounts returns the lifetime count of successful recoveries per
@@ -488,123 +365,14 @@ func (e *Engine) MethodCounts() map[predict.Method]int64 {
 // repairing via the per-dataset policy recorded by fti.Protect.
 func (e *Engine) FTIRepairer() fti.RepairFunc {
 	return func(ds *fti.Dataset, off int) (float64, error) {
-		tr := trace.GetPooled()
-		defer func() {
-			e.tracer.Finish(tr)
-			trace.Recycle(tr)
-		}()
-		tr.SetTarget("fti:"+ds.Name, "", off)
-		seed := e.nextSeed()
-		ss := e.stripesFor(ds.Array)
-		lo, hi := 0, ss.n-1
-		if off >= 0 && off < ds.Array.Len() {
-			lo, hi = ss.rangeFor(off)
-		}
-		t0 := tr.Born()
-		ss.acquireRangeBlocking(lo, hi)
-		t0 = tr.ObserveSince(trace.StageStripeWait, t0)
-		res, err := e.reconstruct(context.Background(), ds.Array, ds.Policy.Any, ds.Policy.Method, off, nil, "fti:"+ds.Name, e.envFor(ds.Array, seed), tr, t0)
-		ss.release(lo, hi)
-		if err != nil {
-			tr.SetOutcome(false, err.Error())
-			e.mu.Lock()
-			e.stats.Fallbacks++
-			e.mu.Unlock()
-			if errors.Is(err, ErrCheckpointRestartRequired) {
-				e.recordSpatial(ds.Array, off, res, false)
-			}
-			e.audit.record(AuditEntry{Alloc: "fti:" + ds.Name, Offset: off, Err: err.Error()})
-			return 0, err
-		}
-		e.recordSpatial(ds.Array, off, res, true)
-		tr.SetOutcome(true, fmt.Sprintf("method=%v stage=%v", res.method, res.stage))
-		e.mu.Lock()
-		e.stats.Recovered++
-		if res.tuned {
-			e.stats.Tuned++
-		}
-		e.byMethod[res.method]++
-		e.mu.Unlock()
-		e.audit.record(AuditEntry{
-			Alloc: "fti:" + ds.Name, Offset: off, Method: res.method, Tuned: res.tuned,
-			Stage: res.stage, Old: res.old, New: res.value, OK: true,
-		})
-		return res.value, nil
+		t := target{arr: ds.Array, name: "fti:" + ds.Name,
+			policy: registry.Policy{Any: ds.Policy.Any, Method: ds.Policy.Method}}
+		out, err := e.recoverOne(context.Background(), &t, off)
+		return out.New, err
 	}
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-
-// Default hot-spot cache policy (Options.HotTuneTTL / Options.HotWidenK
-// zero values).
-const (
-	defaultHotTuneTTL = 16
-	defaultHotWidenK  = 2
-)
-
-// cacheFor returns (creating on demand) the tuning cache of an array.
-// Cache regions ARE the array's lock stripes: corruptions in one stripe are
-// always serialized (element recovery holds stripes s-1..s+1), so cached
-// decisions never depend on scheduling, and a streaming upload's
-// stripe-granular invalidation maps one-to-one onto cache regions. The
-// per-region policy closes the analytics feedback loop — hot-spot stripes
-// (|G*| >= HotSpotZ) get a short uses-counted TTL, a widened re-tune K,
-// and a bias toward the stripe's historically best method, while smooth
-// stripes keep their decision until invalidated.
-func (e *Engine) cacheFor(arr *ndarray.Array) *autotune.Cache {
-	e.mu.Lock()
-	c, ok := e.caches[arr]
-	e.mu.Unlock()
-	if ok {
-		return c
-	}
-	// Assemble outside e.mu: the stripe-table and analytics accessors take
-	// e.mu themselves.
-	ss := e.stripesFor(arr)
-	sa := e.spatialFor(arr)
-	c = autotune.NewCache(ss.rows)
-	c.SetRegionFunc(func(idx []int) int {
-		s := 0
-		if len(idx) > 0 {
-			s = idx[0] / ss.rows
-		}
-		if s >= ss.n {
-			s = ss.n - 1
-		}
-		if s < 0 {
-			s = 0
-		}
-		return s
-	})
-	hotTTL := e.opts.HotTuneTTL
-	if hotTTL <= 0 {
-		hotTTL = defaultHotTuneTTL
-	}
-	widen := e.opts.HotWidenK
-	if widen <= 0 {
-		widen = defaultHotWidenK
-	}
-	c.SetPolicyFunc(func(region int) autotune.Policy {
-		if sa.Heat(region) != spatial.HeatHot {
-			return autotune.Policy{}
-		}
-		p := autotune.Policy{TTLUses: hotTTL, WidenK: widen}
-		if m, ok := sa.BestMethod(region); ok {
-			p.Bias, p.BiasOK = m, true
-		}
-		return p
-	})
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.caches == nil {
-		e.caches = map[*ndarray.Array]*autotune.Cache{}
-	}
-	if prev, ok := e.caches[arr]; ok {
-		return prev // lost the assembly race; the first one wins
-	}
-	e.caches[arr] = c
-	return c
-}
 
 // InvalidateTuneCache drops cached tuning decisions for an array (call
 // after the protected data changes character). A nil array drops all.
@@ -612,14 +380,10 @@ func (e *Engine) cacheFor(arr *ndarray.Array) *autotune.Cache {
 func (e *Engine) InvalidateTuneCache(arr *ndarray.Array) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if arr == nil {
-		for _, c := range e.caches {
-			c.Invalidate()
+	for a, st := range e.arrays {
+		if arr == nil || a == arr {
+			st.cache.Invalidate()
 		}
-		return
-	}
-	if c, ok := e.caches[arr]; ok {
-		c.Invalidate()
 	}
 }
 
@@ -629,67 +393,27 @@ func (e *Engine) TuneCacheCounters() autotune.CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out autotune.CacheStats
-	for _, c := range e.caches {
-		st := c.Counters()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Coalesced += st.Coalesced
-		out.Expiries += st.Expiries
-		out.Invalidations += st.Invalidations
-		out.Corrections += st.Corrections
+	for _, st := range e.arrays {
+		c := st.cache.Counters()
+		out.Hits += c.Hits
+		out.Misses += c.Misses
+		out.Coalesced += c.Coalesced
+		out.Expiries += c.Expiries
+		out.Invalidations += c.Invalidations
+		out.Corrections += c.Corrections
 	}
 	return out
 }
 
-// spatialFor returns (creating on demand) the spatial analytics of an
-// array, sized to its stripe table.
-func (e *Engine) spatialFor(arr *ndarray.Array) *spatial.Analytics {
-	ss := e.stripesFor(arr)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.spatials == nil {
-		e.spatials = map[*ndarray.Array]*spatial.Analytics{}
-	}
-	sa, ok := e.spatials[arr]
-	if !ok {
-		sa = spatial.New(ss.n, e.opts.HotSpotZ)
-		e.spatials[arr] = sa
-	}
-	return sa
-}
-
 // SpatialReport computes the spatial-autocorrelation report (Moran's I,
 // Geary's C, per-stripe G* hot/cold spots) over arr's accumulated recovery
-// outcomes.
+// outcomes; the empty report for an array the engine holds no record of.
 func (e *Engine) SpatialReport(arr *ndarray.Array) spatial.Report {
-	return e.spatialFor(arr).Report()
-}
-
-// recordSpatial deposits one finished ladder climb into the array's
-// per-stripe spatial accumulators. ok=false is a ladder exhaustion; lock
-// timeouts and abandoned climbs are NOT recorded (they carry scheduling
-// signal, not spatial signal, and recording them would make the analytics
-// depend on replay timing).
-func (e *Engine) recordSpatial(arr *ndarray.Array, off int, res ladderResult, ok bool) {
-	if off < 0 || off >= arr.Len() {
-		return
+	var sa *spatial.Analytics
+	if st := e.liveState(arr); st != nil {
+		sa = st.spatial
 	}
-	s := e.stripesFor(arr).stripeOf(off)
-	if ok {
-		e.spatialFor(arr).Accumulate(s, res.residual, res.verifyFails, int(res.stage), res.method, true)
-	} else {
-		e.spatialFor(arr).Accumulate(s, math.NaN(), res.verifyFails, int(StageExhausted), 0, false)
-	}
-}
-
-// autotuneSelect wraps the tuner for internal reuse (single-element and
-// burst paths share it).
-func autotuneSelect(env *predict.Env, idx []int, cfg autotune.Config) (predict.Method, error) {
-	sel, err := autotune.Select(env, idx, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return sel.Best, nil
+	return sa.Report()
 }
 
 // outcomeKey indexes the memoized trace-outcome detail strings.

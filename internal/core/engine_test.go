@@ -185,11 +185,8 @@ func TestFTIRepairerWithSDCCheck(t *testing.T) {
 	}
 }
 
-func TestProvisionalPatchDefaultsToAverage(t *testing.T) {
+func TestTuneDefaults(t *testing.T) {
 	eng := NewEngine(Options{})
-	if eng.opts.Provisional != predict.MethodAverage {
-		t.Errorf("Provisional = %v", eng.opts.Provisional)
-	}
 	if eng.opts.Tune.K != 3 || eng.opts.Tune.Tolerance != 0.01 {
 		t.Errorf("tune defaults = %+v", eng.opts.Tune)
 	}
@@ -261,7 +258,7 @@ func TestTuneCacheSpeedsRepeatRecoveries(t *testing.T) {
 	if out1.Method != out2.Method {
 		t.Errorf("cached tuning changed method: %v vs %v", out1.Method, out2.Method)
 	}
-	hits, misses := eng.cacheFor(a).Stats()
+	hits, misses := eng.stateFor(a).cache.Stats()
 	if hits != 1 || misses != 1 {
 		t.Errorf("cache stats = %d/%d, want 1/1", hits, misses)
 	}
@@ -286,11 +283,11 @@ func TestInvalidateTuneCache(t *testing.T) {
 	}
 	// Counters survive invalidation (only decisions are dropped), so the
 	// same cache shows both tuner runs: one before, one re-tune after.
-	hits, misses := eng.cacheFor(a).Stats()
+	hits, misses := eng.stateFor(a).cache.Stats()
 	if hits != 0 || misses != 2 {
 		t.Errorf("stats after invalidation = %d/%d, want 0 hits, 2 misses", hits, misses)
 	}
-	if inv := eng.cacheFor(a).Counters().Invalidations; inv != 1 {
+	if inv := eng.stateFor(a).cache.Counters().Invalidations; inv != 1 {
 		t.Errorf("invalidations = %d, want 1", inv)
 	}
 	eng.InvalidateTuneCache(nil) // drop-all path must not panic

@@ -8,9 +8,7 @@ import (
 
 	"spatialdue/internal/autotune"
 	"spatialdue/internal/bitflip"
-	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
-	"spatialdue/internal/registry"
 	"spatialdue/internal/trace"
 )
 
@@ -25,7 +23,7 @@ import (
 //	tune      — a fresh, cache-bypassing auto-tune run over the masked
 //	            neighborhood, trying its winner;
 //	alternate — the tuner's next-best candidates, in rank order, up to
-//	            MaxAlternates attempts;
+//	            maxAlternates (3) attempts;
 //	restore   — the single affected element re-read from the newest
 //	            surviving checkpoint (fti.RestoreElement), when a
 //	            checkpoint world is attached;
@@ -96,9 +94,6 @@ type StageEvent struct {
 	Err error
 }
 
-// defaultMaxAlternates bounds the alternate-method rung.
-const defaultMaxAlternates = 3
-
 // ladderResult is the outcome of a successful climb.
 type ladderResult struct {
 	method predict.Method
@@ -162,8 +157,8 @@ func (e *Engine) enterStage(alloc string, off int, st Stage, m predict.Method, c
 
 // reconstruct supervises the recovery of one element: quarantine, masked
 // prediction, plausibility verification, and the escalation ladder. The
-// caller must hold the element's stripe range (or every stripe); see
-// stripes.go. On success the verified value
+// caller must hold the element's stripe range (or every stripe) of st, the
+// array's live record; see stripes.go. On success the verified value
 // has been written in place and the element released from quarantine; on
 // failure the pre-recovery value is back in place and the element remains
 // quarantined.
@@ -175,16 +170,14 @@ func (e *Engine) enterStage(alloc string, off int, st Stage, m predict.Method, c
 // exhausted-stage accounting — the recovery was cut short, not beaten).
 // The caller supplies the prediction environment (see Engine.envFor): a
 // live quarantine mask plus the array's shared statistics, already seeded
-// with this recovery's deterministic seed. Sequential recoveries build a
-// fresh Env per element; batch clusters share one Env (and its scratch
-// buffers) across members, reseeding per member, which is observationally
-// identical.
-func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bool, fixed predict.Method, off int, vr *registry.ValueRange, alloc string, env *predict.Env, tr *trace.Trace, clk time.Time) (ladderResult, error) {
+// with this member's deterministic seed.
+func (e *Engine) reconstruct(ctx context.Context, t *target, st *arrayState, m *member, env *predict.Env, clk time.Time) (ladderResult, error) {
+	arr, off, tr, vr := t.arr, m.off, m.tr, t.policy.Range
 	if off < 0 || off >= arr.Len() {
-		return ladderResult{}, fmt.Errorf("%w: offset %d out of range", ErrCheckpointRestartRequired, off)
+		return ladderResult{}, errOutOfRange(off)
 	}
 	if err := ctx.Err(); err != nil {
-		return ladderResult{}, fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, alloc, off, err)
+		return ladderResult{}, fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, t.name, off, err)
 	}
 	old := arr.AtOffset(off)
 	idx := arr.Coords(off)
@@ -192,14 +185,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 	// Quarantine first: from here on no stencil, probe, or verification
 	// neighborhood on this array may read the corrupted cell, and its
 	// snapshot contribution leaves the shared statistics.
-	e.markQuarantined(arr, off)
-
-	e.mu.Lock()
-	maxAlt := e.opts.MaxAlternates
-	e.mu.Unlock()
-	if maxAlt == 0 {
-		maxAlt = defaultMaxAlternates
-	}
+	e.quarantineCells(arr, st, off)
 
 	// Patch the cell with a provisional estimate. Predictors never read it
 	// (it is masked), but concurrent readers of the raw array see something
@@ -208,7 +194,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 	// shared between the ending span and the starting one. The caller seeds
 	// the chain with its last boundary (typically the stripe-wait end).
 	prov, provOK := 0.0, false
-	if p, perr := safePredict(e.opts.Provisional, env, idx); perr == nil && isFinite(p) {
+	if p, perr := safePredict(provisionalMethod, env, idx); perr == nil && isFinite(p) {
 		arr.SetOffset(off, p)
 		prov, provOK = p, true
 	} else {
@@ -230,7 +216,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 		if err != nil {
 			return 0, err
 		}
-		err = e.verifyValue(env, idx, off, v, vr)
+		err = verifyValue(env, idx, off, v, vr)
 		clk = tr.ObserveSince(verStage, clk)
 		if err != nil {
 			vFails++
@@ -252,7 +238,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 	// value back in place, element still quarantined.
 	abort := func(cause error) (ladderResult, error) {
 		arr.SetOffset(off, old)
-		return ladderResult{old: old, verifyFails: vFails}, fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, alloc, off, cause)
+		return ladderResult{old: old, verifyFails: vFails}, fmt.Errorf("%w: %s[%d]: %v", ErrRecoveryAbandoned, t.name, off, cause)
 	}
 
 	// --- Stage: primary ---
@@ -260,12 +246,13 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 		lastErr error
 		ranked  []autotune.Score // best-first candidates from the latest tune
 	)
-	method, tuned := fixed, false
+	tuneAny := t.policy.Any
+	method, tuned := t.policy.Method, false
 	cachingOn := tuneAny && e.opts.TuneCacheBlock > 0
 	if tuneAny {
 		if cachingOn {
-			if m, hit, terr := e.cacheFor(arr).Select(env, idx, e.opts.Tune); terr == nil {
-				method, tuned = m, true
+			if best, hit, terr := st.cache.Select(env, idx, e.opts.Tune); terr == nil {
+				method, tuned = best, true
 				if hit {
 					tr.SetTuneCache("hit")
 				} else {
@@ -282,7 +269,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 		clk = tr.ObserveSince(trace.StageTune, clk)
 	}
 	if !tuneAny || tuned {
-		e.enterStage(alloc, off, StagePrimary, method, nil)
+		e.enterStage(t.name, off, StagePrimary, method, nil)
 		v, aerr := attempt(trace.StagePredictPrimary, trace.StageVerifyPrimary, method)
 		if aerr == nil {
 			return succeed(StagePrimary, method, tuned, v)
@@ -292,14 +279,14 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 		// RECOVER_ANY with no usable tuner result: the primary rung has no
 		// method to try, but it is still entered (and counted) so the ladder
 		// trace is complete.
-		e.enterStage(alloc, off, StagePrimary, method, lastErr)
+		e.enterStage(t.name, off, StagePrimary, method, lastErr)
 	}
 
 	// --- Stage: tune (fresh, cache-bypassing run) ---
 	if err := ctx.Err(); err != nil {
 		return abort(err)
 	}
-	e.enterStage(alloc, off, StageTune, 0, lastErr)
+	e.enterStage(t.name, off, StageTune, 0, lastErr)
 	clk = time.Now()
 	res, terr := autotune.Select(env, idx, e.opts.Tune)
 	clk = tr.ObserveSince(trace.StageTune, clk)
@@ -314,7 +301,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 					// verified. Publish it so the region's next recovery
 					// hits the corrected entry instead of re-walking the
 					// ladder.
-					e.cacheFor(arr).Update(idx, res.Best, res.Scores)
+					st.cache.Update(idx, res.Best, res.Scores)
 				}
 				return succeed(StageTune, res.Best, true, v)
 			}
@@ -328,11 +315,11 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 	if err := ctx.Err(); err != nil {
 		return abort(err)
 	}
-	if len(ranked) > 0 && maxAlt > 0 {
-		e.enterStage(alloc, off, StageAlternate, 0, lastErr)
+	if len(ranked) > 0 {
+		e.enterStage(t.name, off, StageAlternate, 0, lastErr)
 		attempts := 0
 		for _, sc := range ranked {
-			if attempts >= maxAlt {
+			if attempts >= maxAlternates {
 				break
 			}
 			if cerr := ctx.Err(); cerr != nil {
@@ -347,7 +334,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 				if cachingOn {
 					// Same correction as the tune rung: the alternate that
 					// finally verified is the region's best current answer.
-					e.cacheFor(arr).Update(idx, sc.Method, ranked)
+					st.cache.Update(idx, sc.Method, ranked)
 				}
 				return succeed(StageAlternate, sc.Method, true, v)
 			}
@@ -363,7 +350,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 	w, rank := e.ckptWorld, e.ckptRank
 	e.mu.Unlock()
 	if w != nil {
-		e.enterStage(alloc, off, StageRestore, 0, lastErr)
+		e.enterStage(t.name, off, StageRestore, 0, lastErr)
 		clk = time.Now()
 		v, rerr := w.RestoreElement(rank, arr, off)
 		clk = tr.ObserveSince(trace.StageRestore, clk)
@@ -382,7 +369,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 	}
 
 	// --- Stage: exhausted ---
-	e.enterStage(alloc, off, StageExhausted, 0, lastErr)
+	e.enterStage(t.name, off, StageExhausted, 0, lastErr)
 	// Leave the corrupted value in place (the caller will checkpoint-restart,
 	// which needs consistency) and keep the element quarantined so neighbors
 	// recovering later never trust it.
@@ -391,7 +378,7 @@ func (e *Engine) reconstruct(ctx context.Context, arr *ndarray.Array, tuneAny bo
 		lastErr = fmt.Errorf("no recovery method applies")
 	}
 	return ladderResult{old: old, verifyFails: vFails}, fmt.Errorf("%w: ladder exhausted for %s[%d]: %w",
-		ErrCheckpointRestartRequired, alloc, off, lastErr)
+		ErrCheckpointRestartRequired, t.name, off, lastErr)
 }
 
 // Escalations returns the lifetime count of ladder-stage entries per stage.

@@ -109,13 +109,7 @@ func (v *arrayQuarantine) AppendMasked(dst []int, lo, hi, limit int) ([]int, boo
 	return dst, true
 }
 
-func (q *quarantineSet) add(arr *ndarray.Array, off int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.viewLocked(arr).addLocked(off)
-}
-
-// addAll inserts a whole batch under one lock acquisition.
+// addAll inserts offs under one lock acquisition.
 func (q *quarantineSet) addAll(arr *ndarray.Array, offs []int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -188,12 +182,15 @@ func (q *quarantineSet) size() int {
 // garbage (e.g. a second MCE arrived while another recovery was running, or
 // a detector localized corruption that will be repaired later). The offset
 // is masked out of every stencil until a later RecoverElement/RecoverBurst
-// repairs and verifies it.
+// repairs and verifies it. A report against an allocation that has been
+// unprotected is dropped.
 func (e *Engine) MarkCorrupt(alloc *registry.Allocation, off int) {
 	if off < 0 || off >= alloc.Array.Len() {
 		return
 	}
-	e.markQuarantined(alloc.Array, off)
+	if st := e.liveState(alloc.Array); st != nil {
+		e.quarantineCells(alloc.Array, st, off)
+	}
 }
 
 // IsQuarantined reports whether the element at linear offset off of alloc
@@ -214,7 +211,9 @@ func (e *Engine) ClearCorrupt(alloc *registry.Allocation, off int) {
 		return
 	}
 	e.quarantine.remove(alloc.Array, off)
-	e.sharedFor(alloc.Array).Readmit(off)
+	if st := e.liveState(alloc.Array); st != nil {
+		st.shared.Readmit(off)
+	}
 }
 
 // Quarantined returns the offsets of alloc currently quarantined (reported

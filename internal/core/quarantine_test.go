@@ -25,7 +25,7 @@ func TestQuarantineViewEnumerates(t *testing.T) {
 	}
 
 	q.addAll(a, []int{40, 7, 23, 99})
-	q.add(b, 23)
+	q.addAll(b, []int{23})
 	got, ok := va.AppendMasked([]int{-1}, 7, 40, 10)
 	if want := "[-1 7 23 40]"; !ok || fmt.Sprint(got) != want {
 		t.Errorf("AppendMasked(7..40) = %v, %v; want %s, true", got, ok, want)
@@ -50,7 +50,7 @@ func TestQuarantineViewEnumerates(t *testing.T) {
 	}
 	// Emptied, the set starts over.
 	q.remove(a, 99)
-	q.add(a, 5)
+	q.addAll(a, []int{5})
 	if got, ok := va.AppendMasked(nil, 0, 99, 3); !ok || fmt.Sprint(got) != "[5]" {
 		t.Errorf("after emptying: %v, %v; want [5], true", got, ok)
 	}

@@ -34,7 +34,7 @@ func TestStaleCacheCorrectedAfterVerifyFailure(t *testing.T) {
 
 	// Poison the region with a stale decision: MethodZero reconstructs 0,
 	// which the (50, 150) range verification always rejects.
-	c := eng.cacheFor(a)
+	c := eng.stateFor(a).cache
 	c.Update([]int{5, 5}, predict.MethodZero,
 		[]autotune.Score{{Method: predict.MethodZero, Hits: 0, Probes: 5, MeanRelErr: 1}})
 
@@ -91,7 +91,7 @@ func TestRowWipeLadderReportsNoProbes(t *testing.T) {
 	for y := ty - 4; y <= ty+4; y++ {
 		for x := 0; x < 24; x++ {
 			if off := a.Offset(y, x); off != survivor {
-				eng.markQuarantined(a, off)
+				eng.MarkCorrupt(alloc, off)
 			}
 		}
 	}
@@ -118,7 +118,7 @@ func TestFieldUpdatedStripesPartialInvalidation(t *testing.T) {
 	eng := NewEngine(Options{Seed: 13, TuneCacheBlock: 8})
 	a := smoothArray(64, 16)
 	alloc := eng.Protect("p", a, bitflip.Float32, registry.RecoverAny())
-	ss := eng.stripesFor(a)
+	ss := eng.stateFor(a)
 	if ss.n < 5 {
 		t.Fatalf("need >= 5 stripes, have %d (rows=%d)", ss.n, ss.rows)
 	}
@@ -137,7 +137,7 @@ func TestFieldUpdatedStripesPartialInvalidation(t *testing.T) {
 	for s := 0; s < ss.n; s++ {
 		recoverAt(s*ss.rows + 2)
 	}
-	c := eng.cacheFor(a)
+	c := eng.stateFor(a).cache
 	if _, misses := c.Stats(); misses != ss.n {
 		t.Fatalf("warmup misses = %d, want %d", misses, ss.n)
 	}
@@ -184,7 +184,7 @@ func TestSpatialReportAndMetrics(t *testing.T) {
 	if rep.Recoveries != 4 {
 		t.Fatalf("spatial recoveries = %d, want 4", rep.Recoveries)
 	}
-	s0 := eng.stripesFor(a).stripeOf(a.Offset(4, 7))
+	s0 := eng.stateFor(a).stripeOf(a.Offset(4, 7))
 	if rep.Local[s0].Successes < 3 {
 		t.Errorf("stripe %d successes = %d, want >= 3", s0, rep.Local[s0].Successes)
 	}

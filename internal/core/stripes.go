@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"math"
 	"sync/atomic"
 	"time"
 
+	"spatialdue/internal/autotune"
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
+	"spatialdue/internal/spatial"
 )
 
 // Lock striping replaces the single per-array recovery lock: the array is
@@ -21,7 +24,7 @@ import (
 // rows away from r: the auto-tuner probes healthy cells within Chebyshev
 // distance K of the target, and every predictor evaluated at a probe (or at
 // the target) reads at most MaxStencilReach further (verification reads
-// Verify.Radius rows, which the same bound covers unless configured larger).
+// verifyRadius rows, which the same bound covers).
 // With stripes at least that tall, an element in stripe s has its entire
 // read/write set inside stripes s-1..s+1. Holding that range for the
 // duration of the recovery therefore makes two recoveries either serialized
@@ -54,38 +57,8 @@ type stripeSet struct {
 	acquisitions atomic.Int64
 }
 
-// stripeRowsFor computes the stripe height from the engine options: the
-// auto-tune probe radius plus the widest predictor stencil, or the
-// verification radius if someone configured it larger.
-func stripeRowsFor(opts Options) int {
-	rows := opts.Tune.K + predict.MaxStencilReach
-	if r := opts.Verify.Radius; r > rows {
-		rows = r
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	return rows
-}
-
-func newStripeSet(arr *ndarray.Array, rows int) *stripeSet {
-	dim0 := arr.Dim(0)
-	n := dim0 / rows
-	if n < 1 {
-		n = 1
-	}
-	ss := &stripeSet{
-		rows:   rows,
-		rowLen: arr.Len() / dim0,
-		n:      n,
-		total:  arr.Len(),
-		locks:  make([]recLock, n),
-	}
-	for i := range ss.locks {
-		ss.locks[i] = newRecLock()
-	}
-	return ss
-}
+// The stripe height above covers the verification neighborhood too.
+const _ = uint(predict.MaxStencilReach - verifyRadius)
 
 // stripeOf maps a linear element offset to its stripe. The final stripe
 // absorbs the remainder rows, so it is the tallest, never the shortest.
@@ -129,25 +102,12 @@ func (ss *stripeSet) acquireRange(ctx context.Context, lo, hi int) error {
 	return nil
 }
 
-// acquireRangeBlocking is acquireRange for non-context paths.
-func (ss *stripeSet) acquireRangeBlocking(lo, hi int) {
-	start := time.Now()
-	for i := lo; i <= hi; i++ {
-		ss.locks[i].lockBlocking()
-	}
-	ss.waitNanos.Add(time.Since(start).Nanoseconds())
-	ss.acquisitions.Add(1)
-}
-
 // release drops stripes lo..hi (any order is safe; keep it simple).
 func (ss *stripeSet) release(lo, hi int) {
 	for i := lo; i <= hi; i++ {
 		ss.locks[i].unlock()
 	}
 }
-
-// acquireAllBlocking takes every stripe (full-array operations).
-func (ss *stripeSet) acquireAllBlocking() { ss.acquireRangeBlocking(0, ss.n-1) }
 
 // tryAcquireAll takes every stripe without blocking, backing out entirely if
 // any stripe is held. Unprotect uses it to refuse teardown while recoveries
@@ -190,12 +150,11 @@ func (ss *stripeSet) stripeSpan(s int) (lo, hi int) {
 // through a scratch buffer instead); a non-nil error stops the walk and is
 // returned.
 func (e *Engine) ForEachStripeLocked(arr *ndarray.Array, f func(lo, hi int) error) error {
-	ss := e.stripesFor(arr)
-	for s := 0; s < ss.n; s++ {
-		ss.acquireRangeBlocking(s, s)
-		lo, hi := ss.stripeSpan(s)
+	for s, n := 0, e.NumStripes(arr); s < n; s++ {
+		st := e.lock(arr, s, s)
+		lo, hi := st.stripeSpan(s)
 		err := f(lo, hi)
-		ss.release(s, s)
+		st.release(s, s)
 		if err != nil {
 			return err
 		}
@@ -208,64 +167,141 @@ func (e *Engine) ForEachStripeLocked(arr *ndarray.Array, f func(lo, hi int) erro
 // stripe-exclusive access (stage into a scratch buffer outside the lock,
 // memcpy inside it) — the pattern the streaming field handlers use, since
 // ForEachStripeLocked forbids blocking I/O inside the callback.
-func (e *Engine) NumStripes(arr *ndarray.Array) int { return e.stripesFor(arr).n }
+func (e *Engine) NumStripes(arr *ndarray.Array) int { return e.stateFor(arr).n }
 
 // StripeSpan returns the half-open element range [lo, hi) owned by stripe s.
 func (e *Engine) StripeSpan(arr *ndarray.Array, s int) (lo, hi int) {
-	return e.stripesFor(arr).stripeSpan(s)
+	return e.stateFor(arr).stripeSpan(s)
 }
 
 // WithStripeLock runs f holding exactly stripe s's lock, which by the
 // ownership argument above grants exclusive access to the elements in
 // StripeSpan(arr, s). f must not block on external I/O.
 func (e *Engine) WithStripeLock(arr *ndarray.Array, s int, f func()) {
-	ss := e.stripesFor(arr)
-	ss.acquireRangeBlocking(s, s)
-	defer ss.release(s, s)
+	st := e.lock(arr, s, s)
+	defer st.release(s, s)
 	f()
 }
 
-// stripesFor returns (creating on demand) the stripe table of an array.
-func (e *Engine) stripesFor(arr *ndarray.Array) *stripeSet {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stripes == nil {
-		e.stripes = map[*ndarray.Array]*stripeSet{}
-	}
-	ss, ok := e.stripes[arr]
-	if !ok {
-		ss = newStripeSet(arr, stripeRowsFor(e.opts))
-		e.stripes[arr] = ss
-	}
-	return ss
+// arrayState is the engine's one record per array: the stripe locks and what
+// they guard, created together (by Protect, or on first use for arrays the
+// engine never registered) and retired together (by Unprotect). A recovery
+// resolves it once.
+type arrayState struct {
+	stripeSet
+	// shared snapshots the array when the record is created, so that must
+	// happen while the values are trustworthy: at registration, before
+	// faults land.
+	shared  *predict.SharedStats
+	spatial *spatial.Analytics // recovery outcomes per stripe
+	cache   *autotune.Cache    // RECOVER_ANY decisions per stripe (consulted only under Options.TuneCacheBlock)
 }
 
-// sharedFor returns (creating on demand) the shared statistics of an array.
-// Creation snapshots the array's current values, so it must happen while
-// they are trustworthy — at registration, before faults land (Protect calls
-// this eagerly).
-func (e *Engine) sharedFor(arr *ndarray.Array) *predict.SharedStats {
+// liveState returns arr's record, or nil when it has none.
+func (e *Engine) liveState(arr *ndarray.Array) *arrayState {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.shared == nil {
-		e.shared = map[*ndarray.Array]*predict.SharedStats{}
-	}
-	s, ok := e.shared[arr]
-	if !ok {
-		s = predict.NewSharedStats(arr)
-		e.shared[arr] = s
-	}
-	return s
+	st := e.arrays[arr]
+	e.mu.Unlock()
+	return st
 }
 
-// envFor builds the prediction environment every engine recovery path uses:
-// live quarantine mask plus the array's shared statistics. One Env serves
-// one goroutine; batch clusters share one Env across members and Reseed it
-// per member.
-func (e *Engine) envFor(arr *ndarray.Array, seed int64) *predict.Env {
+// stateFor returns arr's record, creating it if need be.
+func (e *Engine) stateFor(arr *ndarray.Array) *arrayState {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st := e.arrays[arr]
+	if st == nil {
+		rows := e.opts.Tune.K + predict.MaxStencilReach // the reach bound
+		n := max(1, arr.Dim(0)/rows)
+		st = &arrayState{
+			stripeSet: stripeSet{rows: rows, rowLen: arr.Len() / arr.Dim(0), n: n, total: arr.Len(), locks: make([]recLock, n)},
+			shared:    predict.NewSharedStats(arr),
+			spatial:   spatial.New(n, spatial.DefaultHotZ),
+		}
+		for i := range st.locks {
+			st.locks[i] = newRecLock()
+		}
+		st.cache = st.newTuneCache()
+		e.arrays[arr] = st
+	}
+	return st
+}
+
+// newTuneCache builds the record's tuning cache. Cache regions ARE the
+// array's lock stripes: corruptions in one stripe are always serialized
+// (element recovery holds stripes s-1..s+1), so cached decisions never
+// depend on scheduling, and a streaming upload's stripe-granular
+// invalidation maps one-to-one onto cache regions. The per-region policy
+// closes the analytics feedback loop — hot-spot stripes get a short
+// uses-counted TTL, a widened re-tune K, and a bias toward the stripe's
+// historically best method, while smooth stripes keep their decision until
+// invalidated.
+func (st *arrayState) newTuneCache() *autotune.Cache {
+	c := autotune.NewCache(st.rows)
+	c.SetRegionFunc(func(idx []int) int {
+		if len(idx) == 0 {
+			return 0
+		}
+		return min(max(idx[0]/st.rows, 0), st.n-1)
+	})
+	c.SetPolicyFunc(func(region int) autotune.Policy {
+		if st.spatial.Heat(region) != spatial.HeatHot {
+			return autotune.Policy{}
+		}
+		p := autotune.Policy{TTLUses: hotTuneTTL, WidenK: hotWidenK}
+		if m, ok := st.spatial.BestMethod(region); ok {
+			p.Bias, p.BiasOK = m, true
+		}
+		return p
+	})
+	return c
+}
+
+// acquire takes stripes lo..hi of st, arr's record as the caller resolved
+// it, then confirms under e.mu that st is still the live one. Unprotect
+// needs every stripe before it retires a record, so whoever holds stripes of
+// the live record keeps it; whoever finds its record retired has locked
+// nothing anyone else honours and has not touched the array yet. It lets go
+// and tries the record that replaced it (a re-registration; same geometry,
+// the stripe height being a function of the options alone). A nil record
+// back means there is none: the array was unprotected.
+func (e *Engine) acquire(ctx context.Context, arr *ndarray.Array, st *arrayState, lo, hi int) (*arrayState, error) {
+	for st != nil {
+		if err := st.acquireRange(ctx, lo, hi); err != nil {
+			return st, err
+		}
+		live := e.liveState(arr)
+		if live == st {
+			break
+		}
+		st.release(lo, hi)
+		st = live
+	}
+	return st, nil
+}
+
+// lock takes stripes lo..hi of arr's live record, creating the record if
+// need be: external mutators may bring arrays the engine has not seen.
+func (e *Engine) lock(arr *ndarray.Array, lo, hi int) *arrayState {
+	for {
+		if st, _ := e.acquire(context.Background(), arr, e.stateFor(arr), lo, hi); st != nil {
+			return st
+		}
+	}
+}
+
+// lockAll takes every stripe of arr (full-array operations).
+func (e *Engine) lockAll(arr *ndarray.Array) *arrayState {
+	return e.lock(arr, 0, e.NumStripes(arr)-1)
+}
+
+// envFor builds the prediction environment every recovery uses: live
+// quarantine mask plus the array's shared statistics. One Env serves one
+// goroutine; a cluster shares one across members, reseeding per member.
+func (e *Engine) envFor(arr *ndarray.Array, st *arrayState, seed int64) *predict.Env {
 	env := predict.NewEnv(arr, seed)
 	env.SetMaskSource(e.quarantine.view(arr))
-	env.SetShared(e.sharedFor(arr))
+	env.SetShared(st.shared)
 	return env
 }
 
@@ -279,20 +315,29 @@ func (e *Engine) nextSeed() int64 {
 	return e.opts.Seed ^ e.seq
 }
 
-// markQuarantined quarantines one offset and excludes it from the array's
-// shared statistics (subtracting its snapshot contribution). Every
-// quarantine insertion in the engine goes through here so the two sets
-// never drift apart.
-func (e *Engine) markQuarantined(arr *ndarray.Array, off int) {
-	e.quarantine.add(arr, off)
-	e.sharedFor(arr).Exclude(off)
+// quarantineCells quarantines offs and excludes them from the array's
+// shared statistics (subtracting their snapshot contributions), in order.
+// Every quarantine insertion goes through here so the two sets never drift.
+func (e *Engine) quarantineCells(arr *ndarray.Array, st *arrayState, offs ...int) {
+	e.quarantine.addAll(arr, offs)
+	st.shared.Exclude(offs...)
 }
 
-// markQuarantinedAll is the coalesced form: one pass over the quarantine
-// set and one pass over the shared statistics, in submission order.
-func (e *Engine) markQuarantinedAll(arr *ndarray.Array, offs []int) {
-	e.quarantine.addAll(arr, offs)
-	e.sharedFor(arr).Exclude(offs...)
+// recordSpatial deposits one finished ladder climb into the array's
+// per-stripe spatial accumulators. ok=false is a ladder exhaustion; lock
+// timeouts and abandoned climbs are NOT recorded (they carry scheduling
+// signal, not spatial signal, and recording them would make the analytics
+// depend on replay timing). A nil record (a refused recovery) records
+// nothing.
+func (st *arrayState) recordSpatial(off int, res ladderResult, ok bool) {
+	if st == nil || off < 0 || off >= st.total {
+		return
+	}
+	if ok {
+		st.spatial.Accumulate(st.stripeOf(off), res.residual, res.verifyFails, int(res.stage), res.method, true)
+	} else {
+		st.spatial.Accumulate(st.stripeOf(off), math.NaN(), res.verifyFails, int(StageExhausted), 0, false)
+	}
 }
 
 // FieldUpdated tells the engine the array's contents were replaced
@@ -302,11 +347,10 @@ func (e *Engine) markQuarantinedAll(arr *ndarray.Array, offs []int) {
 // cached tuning decisions in the same pass. Call it after the mutation,
 // outside WithArrayLock (it takes the stripes itself).
 func (e *Engine) FieldUpdated(arr *ndarray.Array) {
-	ss := e.stripesFor(arr)
-	ss.acquireAllBlocking()
-	defer ss.releaseAll()
-	e.sharedFor(arr).Rebuild(e.quarantine.offsets(arr))
-	e.InvalidateTuneCache(arr)
+	st := e.lockAll(arr)
+	defer st.releaseAll()
+	st.shared.Rebuild(e.quarantine.offsets(arr))
+	st.cache.Invalidate()
 }
 
 // FieldUpdatedStripes is FieldUpdated for a partial mutation: the caller
@@ -320,26 +364,20 @@ func (e *Engine) FieldUpdated(arr *ndarray.Array) {
 // cached decision. Spatial analytics survive both variants: error history
 // is a property of the memory underneath, not of the field contents.
 func (e *Engine) FieldUpdatedStripes(arr *ndarray.Array, stripes []int) {
-	ss := e.stripesFor(arr)
-	ss.acquireAllBlocking()
-	defer ss.releaseAll()
-	e.sharedFor(arr).Rebuild(e.quarantine.offsets(arr))
+	st := e.lockAll(arr)
+	defer st.releaseAll()
+	st.shared.Rebuild(e.quarantine.offsets(arr))
 	seen := make(map[int]bool, 3*len(stripes))
 	regions := make([]int, 0, 3*len(stripes))
 	for _, s := range stripes {
 		for r := s - 1; r <= s+1; r++ {
-			if r >= 0 && r < ss.n && !seen[r] {
+			if r >= 0 && r < st.n && !seen[r] {
 				seen[r] = true
 				regions = append(regions, r)
 			}
 		}
 	}
-	e.mu.Lock()
-	c := e.caches[arr]
-	e.mu.Unlock()
-	if c != nil {
-		c.InvalidateRegions(regions)
-	}
+	st.cache.InvalidateRegions(regions)
 }
 
 // StripeWait reports the cumulative time spent acquiring stripe locks and
@@ -348,9 +386,9 @@ func (e *Engine) StripeWait() (wait time.Duration, acquisitions int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var ns int64
-	for _, ss := range e.stripes {
-		ns += ss.waitNanos.Load()
-		acquisitions += ss.acquisitions.Load()
+	for _, st := range e.arrays {
+		ns += st.waitNanos.Load()
+		acquisitions += st.acquisitions.Load()
 	}
 	return time.Duration(ns), acquisitions
 }

@@ -69,9 +69,9 @@ func TestFieldUpdatedReadmitsMassQuarantinedStripe(t *testing.T) {
 	eng := NewEngine(Options{Seed: 12})
 	a := smoothArray(33, 16)
 	alloc := eng.Protect("g", a, bitflip.Float32, registry.RecoverWith(predict.MethodAverage))
-	shared := eng.sharedFor(a)
+	shared := eng.stateFor(a).shared
 
-	ss := eng.stripesFor(a)
+	ss := eng.stateFor(a)
 	if ss.rows != 11 {
 		t.Fatalf("stripe height = %d rows, test assumes 11", ss.rows)
 	}

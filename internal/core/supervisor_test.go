@@ -281,24 +281,6 @@ func TestValueRangeEscalates(t *testing.T) {
 	}
 }
 
-// TestProvisionalSetHonorsZero covers the Options.Provisional defaulting
-// fix: MethodZero is the zero value, so choosing it deliberately needs
-// ProvisionalSet.
-func TestProvisionalSetHonorsZero(t *testing.T) {
-	eng := NewEngine(Options{Provisional: predict.MethodZero, ProvisionalSet: true})
-	if eng.opts.Provisional != predict.MethodZero {
-		t.Errorf("Provisional = %v, want Zero honored", eng.opts.Provisional)
-	}
-	eng = NewEngine(Options{Provisional: predict.MethodZero})
-	if eng.opts.Provisional != predict.MethodAverage {
-		t.Errorf("Provisional = %v, want Average default", eng.opts.Provisional)
-	}
-	eng = NewEngine(Options{Provisional: predict.MethodLorenzo1})
-	if eng.opts.Provisional != predict.MethodLorenzo1 {
-		t.Errorf("Provisional = %v, want explicit choice kept", eng.opts.Provisional)
-	}
-}
-
 // TestStageStrings pins the metric label names.
 func TestStageStrings(t *testing.T) {
 	want := map[Stage]string{

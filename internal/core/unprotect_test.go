@@ -9,45 +9,38 @@ import (
 	"testing"
 
 	"spatialdue/internal/bitflip"
+	"spatialdue/internal/fti"
+	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
 	"spatialdue/internal/trace"
 )
 
 // TestUnprotectDropsPerArrayState is the state-leak regression: before
-// Unprotect existed, the caches/stripes/shared maps grew one entry per
-// registered array forever.
+// Unprotect existed, the per-array map grew one entry per registered array
+// forever.
 func TestUnprotectDropsPerArrayState(t *testing.T) {
 	// TuneCacheBlock on, so the tuning-cache map is exercised too.
 	eng := NewEngine(Options{Seed: 5, TuneCacheBlock: 8})
 	a := smoothArray(20, 20)
 	alloc := eng.Protect("leaky", a, bitflip.Float32, registry.RecoverAny())
 
-	// Run one recovery so every per-array map is populated.
+	// Run one recovery so every part of the per-array record is in use.
 	off := a.Offset(4, 4)
 	a.SetOffset(off, math.Inf(1))
 	if _, err := eng.RecoverElement(alloc, off); err != nil {
 		t.Fatal(err)
 	}
 	eng.MarkCorrupt(alloc, a.Offset(9, 9)) // leave a quarantine entry behind too
-	eng.mu.Lock()
-	if eng.stripes[a] == nil || eng.shared[a] == nil || eng.caches[a] == nil {
-		eng.mu.Unlock()
+	if st := eng.liveState(a); st == nil || st.shared == nil || st.cache == nil {
 		t.Fatal("per-array state not populated before Unprotect")
 	}
-	eng.mu.Unlock()
 
 	if err := eng.Unprotect(alloc); err != nil {
 		t.Fatal(err)
 	}
 
-	eng.mu.Lock()
-	_, hasCache := eng.caches[a]
-	_, hasStripes := eng.stripes[a]
-	_, hasShared := eng.shared[a]
-	eng.mu.Unlock()
-	if hasCache || hasStripes || hasShared {
-		t.Errorf("per-array state leaked: cache=%v stripes=%v shared=%v",
-			hasCache, hasStripes, hasShared)
+	if eng.liveState(a) != nil {
+		t.Error("per-array state leaked: the record survived Unprotect")
 	}
 	if eng.QuarantineCount() != 0 {
 		t.Errorf("quarantine entries leaked: %d", eng.QuarantineCount())
@@ -64,7 +57,7 @@ func TestUnprotectRefusesWhileRecoveriesInFlight(t *testing.T) {
 	a := smoothArray(20, 20)
 	alloc := eng.Protect("busy", a, bitflip.Float32, registry.RecoverAny())
 
-	ss := eng.stripesFor(a)
+	ss := eng.stateFor(a)
 	lo, hi := ss.rangeFor(a.Offset(10, 10))
 	if err := ss.acquireRange(context.Background(), lo, hi); err != nil {
 		t.Fatal(err)
@@ -109,11 +102,90 @@ func TestUnprotectUnderConcurrentRecoveries(t *testing.T) {
 	if err := eng.Unprotect(alloc); err != nil {
 		t.Fatalf("final Unprotect: %v", err)
 	}
-	eng.mu.Lock()
-	_, hasStripes := eng.stripes[a]
-	eng.mu.Unlock()
-	if hasStripes {
+	if eng.liveState(a) != nil {
 		t.Error("stripe set survived final Unprotect")
+	}
+}
+
+// TestRecoveryAfterUnprotectRefused: nothing re-creates the record of an
+// unprotected allocation (its memory may be gone), so every entry point
+// refuses instead of snapshotting and repairing the orphaned array.
+func TestRecoveryAfterUnprotectRefused(t *testing.T) {
+	eng := NewEngine(Options{Seed: 7})
+	a := smoothArray(32, 32)
+	alloc := eng.Protect("gone", a, bitflip.Float32, registry.RecoverAny())
+	if err := eng.Unprotect(alloc); err != nil {
+		t.Fatal(err)
+	}
+	off := a.Offset(9, 9)
+	a.SetOffset(off, 1e30)
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCheckpointRestartRequired) || !errors.Is(err, registry.ErrNotRegistered) {
+			t.Errorf("%s after Unprotect: err = %v, want checkpoint-restart wrapping not-registered", what, err)
+		}
+	}
+	_, err := eng.RecoverElement(alloc, off)
+	refused("RecoverElement", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = eng.RecoverElementCtx(ctx, alloc, off)
+	refused("RecoverElementCtx", err)
+	for _, r := range eng.RecoverBatch(context.Background(), alloc, []int{off, off + 1}) {
+		refused("RecoverBatch", r.Err)
+	}
+	_, err = eng.RecoverBurst(alloc, []int{off})
+	refused("RecoverBurst", err)
+	eng.MarkCorrupt(alloc, off)
+	if a.AtOffset(off) != 1e30 || eng.QuarantineCount() != 0 || eng.liveState(a) != nil {
+		t.Errorf("refused recoveries left a trace: value %v, %d quarantined, record %v",
+			a.AtOffset(off), eng.QuarantineCount(), eng.liveState(a))
+	}
+	if st := eng.Stats(); st.Recovered != 0 || st.Fallbacks != 4 { // element, elementctx, two batch members
+		t.Errorf("stats = %+v, want 4 fallbacks", st)
+	}
+}
+
+// TestAcquireRechecksLiveRecord is the item-0(d) mechanism in isolation: a
+// waiter that gets its stripes only after the record was retired lets go of
+// them and moves to the record that replaced it, or reports that there is
+// none.
+func TestAcquireRechecksLiveRecord(t *testing.T) {
+	eng := NewEngine(Options{Seed: 7})
+	a := smoothArray(32, 32)
+	ctx := context.Background()
+	for _, replaced := range []bool{false, true} {
+		old := eng.stateFor(a)
+		if err := old.acquireRange(ctx, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan *arrayState)
+		go func() {
+			st, _ := eng.acquire(ctx, a, old, 0, 1)
+			got <- st
+		}()
+		// Retire the record while the waiter is (or is about to be) queued
+		// behind the held stripes, as Unprotect does once it has them all.
+		eng.mu.Lock()
+		delete(eng.arrays, a)
+		eng.mu.Unlock()
+		var fresh *arrayState
+		if replaced {
+			fresh = eng.stateFor(a)
+		}
+		old.release(0, 1)
+		if st := <-got; st != fresh {
+			t.Fatalf("replaced=%v: waiter ended up on %p, want %p", replaced, st, fresh)
+		}
+		if !old.tryAcquireAll() {
+			t.Fatalf("replaced=%v: waiter kept stripes of the retired record", replaced)
+		}
+		if fresh != nil {
+			if fresh.tryAcquireAll() {
+				t.Fatal("waiter does not hold the stripes of the record it moved to")
+			}
+			fresh.release(0, 1)
+		}
 	}
 }
 
@@ -147,6 +219,31 @@ func TestMethodCountersMonotonic(t *testing.T) {
 			prev = sum
 		}
 	}
+	// Every path that bumps Recovered must bump a method counter too: a
+	// burst whose cells sweep-verify, a burst whose cells escalate (Zero
+	// violates the range for each), and a checkpoint-library repair.
+	burst := []int{a.Offset(30, 10), a.Offset(30, 11), a.Offset(30, 12)}
+	for _, off := range burst {
+		a.SetOffset(off, math.NaN())
+	}
+	if _, err := eng.RecoverBurst(alloc, burst); err != nil {
+		t.Fatal(err)
+	}
+	ranged := eng.Protect("ranged", smoothArray(64, 64), bitflip.Float32,
+		registry.RecoverWith(predict.MethodZero).WithRange(20, 40))
+	for _, off := range burst[:2] {
+		ranged.Array.SetOffset(off, math.NaN())
+	}
+	if out, err := eng.RecoverBurst(ranged, burst[:2]); err != nil || out.Escalated != 2 {
+		t.Fatalf("escalating burst: %+v, %v", out, err)
+	}
+	ds := &fti.Dataset{Name: "ckpt", Array: smoothArray(16, 16), DType: bitflip.Float32,
+		Policy: fti.RecoveryPolicy{Method: predict.MethodAverage}}
+	ds.Array.SetOffset(40, math.NaN())
+	if _, err := eng.FTIRepairer()(ds, 40); err != nil {
+		t.Fatal(err)
+	}
+
 	var sum int64
 	for _, c := range eng.MethodCounts() {
 		sum += c
@@ -154,7 +251,7 @@ func TestMethodCountersMonotonic(t *testing.T) {
 	if got := int64(eng.Stats().Recovered); sum != got {
 		t.Fatalf("lifetime method counters sum to %d, engine recovered %d", sum, got)
 	}
-	if sum <= int64(auditCap) {
+	if sum <= int64(auditCap)+6 {
 		t.Fatalf("test did not exercise ring wrap: only %d successes", sum)
 	}
 

@@ -18,36 +18,26 @@ import (
 //  1. finite — NaN/Inf never enters the array;
 //  2. inside the allocation's registered ValueRange, when one was supplied
 //     at Protect time (domain knowledge: densities are non-negative, ...);
-//  3. neighbor-consistent — within a configurable multiple of the local
-//     neighbor spread: the usable (unmasked, finite) values within Radius
-//     of the target define an envelope [min, max], and the reconstruction
-//     must fall inside it widened by SpreadFactor times its width.
+//  3. neighbor-consistent — within verifySpread times the local neighbor
+//     spread: the usable (unmasked, finite) values within verifyRadius of
+//     the target define an envelope [min, max], and the reconstruction
+//     must fall inside it widened by verifySpread times its width.
 //
 // A value failing any test is not written; the supervisor escalates to the
 // next rung of the recovery ladder instead (see escalate.go).
 
-// VerifyOptions configures reconstruction plausibility verification.
-type VerifyOptions struct {
-	// Disabled turns neighbor-consistency verification off (finite and
-	// ValueRange checks always run; non-finite values are never written).
-	Disabled bool
-	// SpreadFactor is the slack multiplier on the neighbor envelope: a
-	// reconstruction must lie within [min - F*spread, max + F*spread] of
-	// the usable neighbors. Zero selects the default (8).
-	SpreadFactor float64
-	// Radius is the Chebyshev radius of the verification neighborhood.
-	// Zero selects the default (2).
-	Radius int
-	// MinNeighbors is the minimum number of usable neighbors required to
-	// run the spread test; below it the test is skipped (there is nothing
-	// to be consistent with). Zero selects the default (2).
-	MinNeighbors int
-}
-
 const (
-	defaultSpreadFactor = 8.0
-	defaultVerifyRadius = 2
-	defaultMinNeighbors = 2
+	// verifySpread is the slack multiplier on the neighbor envelope: a
+	// reconstruction must lie within [min - F*spread, max + F*spread] of
+	// the usable neighbors.
+	verifySpread = 8.0
+	// verifyRadius is the Chebyshev radius of the verification
+	// neighborhood (inside the stripe reach bound; see stripes.go).
+	verifyRadius = 2
+	// verifyMinNeighbors is the fewest usable neighbors the spread test
+	// runs on; below it the test is skipped (there is nothing to be
+	// consistent with).
+	verifyMinNeighbors = 2
 )
 
 // ErrVerifyFailed marks a reconstruction rejected by plausibility
@@ -69,32 +59,16 @@ func (e errImplausible) Unwrap() error { return ErrVerifyFailed }
 
 // verifyValue checks a candidate reconstruction v for the element at
 // idx/off. A nil return means the value may be written in place.
-func (e *Engine) verifyValue(env *predict.Env, idx []int, off int, v float64, vr *registry.ValueRange) error {
+func verifyValue(env *predict.Env, idx []int, off int, v float64, vr *registry.ValueRange) error {
 	if !isFinite(v) {
 		return errImplausible{fmt.Sprintf("non-finite value %v", v)}
 	}
 	if vr != nil && !vr.Contains(v) {
 		return errImplausible{fmt.Sprintf("value %g outside registered range [%g, %g]", v, vr.Lo, vr.Hi)}
 	}
-	if e.opts.Verify.Disabled {
-		return nil
-	}
-	factor := e.opts.Verify.SpreadFactor
-	if factor <= 0 {
-		factor = defaultSpreadFactor
-	}
-	radius := e.opts.Verify.Radius
-	if radius <= 0 {
-		radius = defaultVerifyRadius
-	}
-	minN := e.opts.Verify.MinNeighbors
-	if minN <= 0 {
-		minN = defaultMinNeighbors
-	}
-
 	lo, hi := math.Inf(1), math.Inf(-1)
 	n := 0
-	rows := env.PatchRows(idx, radius)
+	rows := env.PatchRows(idx, verifyRadius)
 	for rows.Next() {
 		for noff, end := rows.Off, rows.Off+rows.Len; noff < end; noff++ {
 			if noff == off || env.Masked(noff) {
@@ -113,13 +87,13 @@ func (e *Engine) verifyValue(env *predict.Env, idx []int, off int, v float64, vr
 			n++
 		}
 	}
-	if n < minN {
+	if n < verifyMinNeighbors {
 		// Too few trustworthy neighbors to define an envelope; the finite
 		// and range checks above are all that can be said.
 		return nil
 	}
 	spread := hi - lo
-	slack := factor * spread
+	slack := verifySpread * spread
 	if spread == 0 {
 		// Locally constant data: allow modest drift around the constant so
 		// exact interpolants pass while garbage is still rejected.
@@ -128,7 +102,7 @@ func (e *Engine) verifyValue(env *predict.Env, idx []int, off int, v float64, vr
 	if v < lo-slack || v > hi+slack {
 		return errImplausible{fmt.Sprintf(
 			"value %g outside neighbor envelope [%g, %g] (spread %g, factor %g, %d neighbors)",
-			v, lo-slack, hi+slack, spread, factor, n)}
+			v, lo-slack, hi+slack, spread, verifySpread, n)}
 	}
 	return nil
 }
