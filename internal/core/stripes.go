@@ -347,10 +347,11 @@ func (st *arrayState) recordSpatial(off int, res ladderResult, ok bool) {
 // cached tuning decisions in the same pass. Call it after the mutation,
 // outside WithArrayLock (it takes the stripes itself).
 func (e *Engine) FieldUpdated(arr *ndarray.Array) {
-	st := e.lockAll(arr)
-	defer st.releaseAll()
-	st.shared.Rebuild(e.quarantine.offsets(arr))
-	st.cache.Invalidate()
+	all := make([]int, e.NumStripes(arr))
+	for s := range all {
+		all[s] = s
+	}
+	e.FieldUpdatedStripes(arr, all)
 }
 
 // FieldUpdatedStripes is FieldUpdated for a partial mutation: the caller

@@ -104,6 +104,10 @@ type callOpts struct {
 	// traceparent, when non-empty, is sent as the W3C trace-context header
 	// so the server adopts the caller's trace-id for the recovery.
 	traceparent string
+	// field, when non-nil, is the request body in place of the JSON bytes: a
+	// field encoded as it is sent. Like the bytes it can be sent again from
+	// byte 0, for a retry after backpressure or a followed 307.
+	field []float64
 }
 
 // decodeError turns a non-2xx response into an *httpapi.Error.
@@ -133,8 +137,9 @@ func decodeError(resp *http.Response, body []byte) error {
 	return e
 }
 
-// do runs one request, retrying per opts, and decodes a JSON response into
-// out (skipped when out is nil). body is re-readable across retries.
+// do runs one request, retrying per opts, and decodes the response into out:
+// *[]float64 takes a field body, *[]byte the raw bytes, anything else JSON
+// (skipped when out is nil).
 func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, opts callOpts) error {
 	attempts := c.cfg.MaxRetries
 	if !opts.retryable || attempts < 0 {
@@ -142,9 +147,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	}
 	var lastErr error
 	for try := 0; ; try++ {
-		respBody, err := c.once(ctx, method, path, body, out, opts)
+		err := c.once(ctx, method, path, body, out, opts)
 		if err == nil {
-			_ = respBody
 			return nil
 		}
 		lastErr = err
@@ -172,14 +176,26 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 	}
 }
 
-func (c *Client) once(ctx context.Context, method, path string, body []byte, out any, opts callOpts) ([]byte, error) {
+func (c *Client) once(ctx context.Context, method, path string, body []byte, out any, opts callOpts) error {
 	var rd io.Reader
-	if body != nil {
+	switch {
+	case opts.field != nil:
+		rd = &fieldEncoder{vals: opts.field}
+	case body != nil:
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.cfg.BaseURL+path, rd)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	if opts.field != nil {
+		// What NewRequest does for a bytes.Reader: a declared length keeps the
+		// upload on the server's stripe-streaming path, and GetBody lets the
+		// transport follow a 307 to the shard owner with the whole body.
+		req.ContentLength = 8 * int64(len(opts.field))
+		req.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(&fieldEncoder{vals: opts.field}), nil
+		}
 	}
 	if c.cfg.Tenant != "" {
 		req.Header.Set(httpapi.TenantHeader, c.cfg.Tenant)
@@ -196,24 +212,34 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		envelope, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		return decodeError(resp, envelope)
+	}
+	if vals, ok := out.(*[]float64); ok {
+		if *vals, err = readField(resp.Body, resp.ContentLength); err != nil {
+			return fmt.Errorf("client: %s %s: %w", method, path, err)
+		}
+		return nil
+	}
 	respBody, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return respBody, decodeError(resp, respBody)
+		return err
 	}
 	if out != nil {
 		if raw, ok := out.(*[]byte); ok {
 			*raw = respBody
 		} else if err := json.Unmarshal(respBody, out); err != nil {
-			return respBody, fmt.Errorf("client: decode %s %s response: %w", method, path, err)
+			return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
 		}
 	}
-	return respBody, nil
+	return nil
 }
 
 func marshal(v any) []byte {
@@ -252,20 +278,23 @@ func (c *Client) Allocation(ctx context.Context, name string) (*httpapi.Allocati
 	return &out, nil
 }
 
-// Upload replaces the allocation's field data (row-major float64s).
+// Upload replaces the allocation's field data (row-major float64s). The body
+// is encoded as it is sent, fieldChunk bytes at a time; vals must not change
+// until Upload returns.
 func (c *Client) Upload(ctx context.Context, name string, vals []float64) error {
-	return c.do(ctx, http.MethodPut, "/v1/allocations/"+url.PathEscape(name)+"/data",
-		httpapi.Float64sToBytes(vals), nil,
-		callOpts{retryable: true, contentType: "application/octet-stream"})
+	return c.do(ctx, http.MethodPut, "/v1/allocations/"+url.PathEscape(name)+"/data", nil, nil,
+		callOpts{retryable: true, contentType: "application/octet-stream", field: vals})
 }
 
-// Download fetches the allocation's current field data.
+// Download fetches the allocation's current field data. The body is decoded
+// as it arrives into one slice sized from Content-Length; a body shorter or
+// longer than declared, or not a whole number of elements, is an error.
 func (c *Client) Download(ctx context.Context, name string) ([]float64, error) {
-	var raw []byte
-	if err := c.do(ctx, http.MethodGet, "/v1/allocations/"+url.PathEscape(name)+"/data", nil, &raw, callOpts{retryable: true}); err != nil {
+	var vals []float64
+	if err := c.do(ctx, http.MethodGet, "/v1/allocations/"+url.PathEscape(name)+"/data", nil, &vals, callOpts{retryable: true}); err != nil {
 		return nil, err
 	}
-	return httpapi.BytesToFloat64s(raw)
+	return vals, nil
 }
 
 // Element reads one element's state (valbits, coords, quarantine flag).

@@ -14,6 +14,7 @@ import (
 
 	"spatialdue/internal/core"
 	"spatialdue/internal/httpapi"
+	"spatialdue/internal/httpapi/client"
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/service"
 )
@@ -133,6 +134,37 @@ func BenchmarkFieldDownload(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFieldTransferSDK measures one field re-upload and read-back as an
+// application pays for it: client.Upload then client.Download over loopback
+// TCP against a real server. Run with -benchmem: B/op is the SDK's and the
+// server's transfer memory together, and should stay near the one
+// []float64 a download returns.
+func BenchmarkFieldTransferSDK(b *testing.B) {
+	const rows, cols = 256, 256
+	vals := smoothField(rows, cols)
+	srv, _ := benchServer(b, httpapi.FieldStoreHeap)
+	benchRegister(b, srv, "bench", "f", rows, cols)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := client.New(client.Config{BaseURL: ts.URL, Tenant: "bench"})
+	ctx := context.Background()
+	b.SetBytes(2 * 8 * int64(len(vals)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Upload(ctx, "f", vals); err != nil {
+			b.Fatal(err)
+		}
+		got, err := c.Download(ctx, "f")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got) != len(vals) {
+			b.Fatalf("downloaded %d values, want %d", len(got), len(vals))
+		}
 	}
 }
 

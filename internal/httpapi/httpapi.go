@@ -26,10 +26,6 @@
 package httpapi
 
 import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
 	"spatialdue/internal/spatial"
 	"spatialdue/internal/trace"
 )
@@ -388,28 +384,4 @@ type ReadyReport struct {
 	// this node promoted/standby) flips the report to 503 so load balancers
 	// prefer healthy nodes — the node itself keeps serving.
 	Cluster *ClusterStatus `json:"cluster,omitempty"`
-}
-
-// Float64sToBytes encodes field data for upload: little-endian IEEE-754,
-// 8 bytes per element, row-major — the PUT /v1/allocations/{name}/data
-// body format.
-func Float64sToBytes(vals []float64) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-	}
-	return out
-}
-
-// BytesToFloat64s decodes a downloaded field (the inverse of
-// Float64sToBytes).
-func BytesToFloat64s(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("httpapi: field data length %d not a multiple of 8", len(b))
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
 }

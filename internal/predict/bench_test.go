@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -95,4 +96,50 @@ func BenchmarkLocalRegressionKernel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// sharedBuildBench is the BenchmarkSharedStatsBuild site: a side x side
+// field with 50 cells excluded before the build.
+func sharedBuildBench(side int) *SharedStats {
+	a := fill([]int{side, side}, func(idx []int) float64 {
+		return 280 + 35*math.Sin(float64(idx[0])/40) + 9*math.Cos(float64(idx[1])/17)
+	})
+	s := NewSharedStats(a)
+	for off := 0; off < 50; off++ {
+		s.Exclude(off * (a.Len() / 50))
+	}
+	return s
+}
+
+// BenchmarkSharedStatsBuild times the array-wide moment and range build that
+// the first global-coupled recovery after a field upload pays.
+func BenchmarkSharedStatsBuild(b *testing.B) {
+	for _, side := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
+			s := sharedBuildBench(side)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.built = false
+				s.build()
+			}
+		})
+	}
+}
+
+// BenchmarkSharedBuildReference is the per-cell loop the row walk replaced,
+// at the same sites. Under its own name: at ~100 ms per 1024x1024 build it
+// would take CI's fixed-iteration bench job tens of minutes.
+func BenchmarkSharedBuildReference(b *testing.B) {
+	for _, side := range []int{256, 1024} {
+		b.Run(fmt.Sprintf("%dx%d", side, side), func(b *testing.B) {
+			s := sharedBuildBench(side)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sharedBuildRef(s.a, s.snap, s.excluded)
+				sharedRangeRef(s.snap, s.excluded)
+			}
+		})
+	}
 }

@@ -36,13 +36,13 @@ type Moments struct {
 
 // NewMoments scans the array once and accumulates the full-dataset moments.
 func NewMoments(a *ndarray.Array) *Moments {
-	return NewMomentsExcluding(a, nil)
+	m := newMoments(a)
+	m.accumulate(a.Data(), nil)
+	return m
 }
 
-// NewMomentsExcluding scans the array once, accumulating moments over every
-// element for which skip is nil or returns false. The engine builds its
-// shared moments this way, leaving quarantined cells out from the start.
-func NewMomentsExcluding(a *ndarray.Array, skip func(off int) bool) *Moments {
+// newMoments returns empty moments for an array of a's shape.
+func newMoments(a *ndarray.Array) *Moments {
 	d := a.NumDims()
 	m := &Moments{
 		p:      d + 1,
@@ -56,18 +56,201 @@ func NewMomentsExcluding(a *ndarray.Array, skip func(off int) bool) *Moments {
 	for t := 0; t < d; t++ {
 		m.center[t] = float64(a.Dim(t)-1) / 2
 	}
-	idx := make([]int, d)
-	phi := make([]float64, m.p)
-	for off := 0; off < a.Len(); off++ {
-		if skip != nil && skip(off) {
-			continue
-		}
-		a.CoordsInto(idx, off)
-		m.features(idx, phi)
-		m.add(phi, a.AtOffset(off), +1)
-		m.n++
-	}
 	return m
+}
+
+// accumulate fills empty moments from data — the values of an array of m's
+// shape, in offset order — leaving out the cells at the offsets excl (in
+// range, ascending, no duplicates). It returns the minimum and maximum of the
+// cells it took, NaN cells aside: (NaN, NaN) when there is no such cell. It
+// is the one array-wide scan behind both NewMoments and SharedStats.
+//
+// The result is, bit for bit, what adding the cells one by one in offset
+// order gives (Moments.add, which the incremental updates still use and a
+// test-only reference loop replays over whole arrays). The two halves of the
+// normal equations get there differently:
+//
+// X'X. Every feature is a half-integer: phi_0 = 1 and phi_t = x_t - (n_t-1)/2
+// with |phi_t| <= (n_t-1)/2. In units of 1/4, then, every product phi_i*phi_j
+// is an integer of magnitude at most e*e, where e = max(maxDim-1, 2), and the
+// sum of any subset of the N cells' products is an integer of magnitude at
+// most N*e*e. While N*e*e < 2^53 every such sum is a float64, so adding the
+// cells one by one never rounds: the result does not depend on the order of
+// the additions and equals the sum over the full grid in closed form — N, zero
+// off the diagonal (centred coordinates sum to zero along every axis) and
+// (N/n_t) * sum_x (x - (n_t-1)/2)^2 on it — less one rank-1 term per excluded
+// cell. Past the bound (a 1-D array over ~208 000 cells, a 9 742 x 9 742 grid)
+// the one-by-one additions may round, so X'X is accumulated inside the walk
+// the way the reference does it.
+//
+// X'v. The terms phi_t*v round, and so does every addition, so each entry is
+// accumulated cell by cell in offset order with the same two roundings per
+// term. Entries are independent accumulators: sharing one pass between them
+// reorders no entry's additions. The features need no division: all but the
+// last coordinate are constant along a row and advance as an odometer, the
+// last one counts up from the row's start. With the excluded offsets sorted,
+// a row is runs of cells between them, and a row without one a single run.
+func (m *Moments) accumulate(data []float64, excl []int) (lo, hi float64) {
+	p, d, n := m.p, m.p-1, len(data)
+	rowLen := m.shape[d-1]
+	cLast := m.center[d-1]
+	xtx, xtv, phi := m.xtx, m.xtv, m.phiBuf
+	m.n = n - len(excl)
+
+	e := 2
+	for _, dim := range m.shape {
+		if dim-1 > e {
+			e = dim - 1
+		}
+	}
+	exact := n <= (1<<53-1)/e/e
+	if exact {
+		xtx[0] = float64(n)
+		for t, dim := range m.shape {
+			var sq float64
+			for x := 0; x < dim; x++ {
+				f := float64(x) - m.center[t]
+				sq += f * f
+			}
+			xtx[(t+1)*p+t+1] = sq * float64(n/dim)
+		}
+	}
+
+	// X'v entries 0, 1, 2 and d (the last coordinate's) accumulate in
+	// registers for the whole walk, as in LocalRegression.Predict: up to 3-D
+	// that is every entry. An entry a lower-dimensional fit lacks is a dummy
+	// that is never stored.
+	w := newRowWalk()
+	lead := m.idxBuf[:d-1] // the row's leading coordinates
+	for t := range lead {
+		lead[t] = 0
+	}
+	phi[0] = 1
+	k := 0 // excl[k:] are the excluded offsets not yet passed
+	for base := 0; base < n; base += rowLen {
+		for t, x := range lead {
+			phi[t+1] = float64(x) - m.center[t]
+		}
+		var f1, f2 float64
+		if d > 1 {
+			f1 = phi[1]
+		}
+		if d > 2 {
+			f2 = phi[2]
+		}
+		end := base + rowLen
+		for off := base; off < end; off++ { // off++ steps over the excluded cell that ended a run
+			stop := end
+			if k < len(excl) && excl[k] < end {
+				stop = excl[k]
+				k++
+			}
+			run := data[off:stop]
+			w.add(run, f1, f2, float64(off-base)-cLast)
+			for t := 3; t < d; t++ {
+				acc, f := xtv[t], phi[t]
+				for _, v := range run {
+					acc += f * v
+				}
+				xtv[t] = acc
+			}
+			if !exact {
+				x := float64(off-base) - cLast
+				for range run {
+					phi[d] = x
+					for i := 0; i < p; i++ {
+						for j := i; j < p; j++ {
+							xtx[i*p+j] += phi[i] * phi[j]
+						}
+					}
+					x++
+				}
+			} else if stop < end {
+				// The excluded cell ending the run leaves the closed form.
+				phi[d] = float64(stop-base) - cLast
+				for i := 0; i < p; i++ {
+					for j := i; j < p; j++ {
+						xtx[i*p+j] -= phi[i] * phi[j]
+					}
+				}
+			}
+			off = stop
+		}
+		for t := d - 2; t >= 0; t-- {
+			if lead[t]++; lead[t] < m.shape[t] {
+				break
+			}
+			lead[t] = 0
+		}
+	}
+	xtv[0] = w.a0
+	if d > 1 {
+		xtv[1] = w.a1
+	}
+	if d > 2 {
+		xtv[2] = w.a2
+	}
+	xtv[d] = w.ax
+	for i := 0; i < p; i++ {
+		for j := 0; j < i; j++ {
+			xtx[i*p+j] = xtx[j*p+i]
+		}
+	}
+	return w.span()
+}
+
+// rowWalk is what accumulate carries from one run of cells to the next: the
+// four X'v entries every cell feeds and the range so far.
+type rowWalk struct {
+	a0, a1, a2, ax float64
+	lo, hi         float64
+}
+
+func newRowWalk() rowWalk { return rowWalk{lo: math.Inf(1), hi: math.Inf(-1)} }
+
+// span returns the minimum and maximum of the cells added, NaN cells aside:
+// (NaN, NaN) when there was none.
+func (w *rowWalk) span() (lo, hi float64) {
+	if w.lo > w.hi {
+		return math.NaN(), math.NaN()
+	}
+	return w.lo, w.hi
+}
+
+// add folds one run of a row's cells into w. f1 and f2 are the row's first
+// two features, x the last feature of the run's first cell. A function of its
+// own so that the loop keeps all of its state in registers.
+func (w *rowWalk) add(run []float64, f1, f2, x float64) {
+	a0, a1, a2, ax, lo, hi := w.a0, w.a1, w.a2, w.ax, w.lo, w.hi
+	for _, v := range run {
+		a0 += v
+		a1 += f1 * v
+		a2 += f2 * v
+		ax += x * v
+		x++
+		// NaN compares false both ways and is skipped.
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+	}
+	w.a0, w.a1, w.a2, w.ax, w.lo, w.hi = a0, a1, a2, ax, lo, hi
+}
+
+// rangeExcluding returns the minimum and maximum of data less the cells at
+// the ascending offsets excl, by rowWalk's rule. It is the walk of accumulate
+// with the rows and the sums left out (the features are zero).
+func rangeExcluding(data []float64, excl []int) (lo, hi float64) {
+	w := newRowWalk()
+	off := 0
+	for _, stop := range excl {
+		w.add(data[off:stop], 0, 0, 0)
+		off = stop + 1
+	}
+	w.add(data[off:], 0, 0, 0)
+	return w.span()
 }
 
 // AddElement folds the element at off (with its currently stored value)

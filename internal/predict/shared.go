@@ -1,7 +1,9 @@
 package predict
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"spatialdue/internal/ndarray"
@@ -55,9 +57,9 @@ type SharedStats struct {
 	rangeDirty bool
 	min, max   float64
 
-	// Scratch for PredictExcluding (guarded by mu).
+	// Scratch for PredictExcluding and sortedExcluded (guarded by mu).
 	phi, xtx, xtv, solveM, solveX []float64
-	idxBuf                        []int
+	exclBuf                       []int
 }
 
 // NewSharedStats snapshots a's current values (which must be trustworthy:
@@ -72,14 +74,18 @@ func NewSharedStats(a *ndarray.Array) *SharedStats {
 }
 
 // resnapshot copies the live array into the snapshot. Caller must guarantee
-// the live array is quiescent (the engine holds every stripe).
+// the live array is quiescent (the engine holds every stripe). An array whose
+// length no longer matches the snapshot is a bug upstream (arrays do not
+// resize): the build walks the snapshot by the array's shape, so it panics
+// here rather than fit over a prefix.
 func (s *SharedStats) resnapshot() {
 	if s.snap == nil {
 		s.snap = make([]float64, s.a.Len())
 	}
-	for off := range s.snap {
-		s.snap[off] = s.a.AtOffset(off)
+	if s.a.Len() != len(s.snap) {
+		panic(fmt.Sprintf("predict: SharedStats snapshot holds %d cells, the array %d", len(s.snap), s.a.Len()))
 	}
+	copy(s.snap, s.a.Data())
 }
 
 // Exclude removes the cells at offs from the statistics, in order,
@@ -200,58 +206,34 @@ func (s *SharedStats) Prepare() {
 }
 
 // build computes moments and range over the snapshot, skipping excluded
-// cells. Caller holds mu.
+// cells, in one pass (Moments.accumulate). Caller holds mu.
 func (s *SharedStats) build() {
 	if s.built {
 		return
 	}
-	d := s.a.NumDims()
-	m := &Moments{
-		p:      d + 1,
-		xtx:    make([]float64, (d+1)*(d+1)),
-		xtv:    make([]float64, d+1),
-		center: make([]float64, d),
-		shape:  s.a.Dims(),
-		idxBuf: make([]int, d),
-		phiBuf: make([]float64, d+1),
-	}
-	for t := 0; t < d; t++ {
-		m.center[t] = float64(s.a.Dim(t)-1) / 2
-	}
-	idx := make([]int, d)
-	phi := make([]float64, m.p)
-	for off := range s.snap {
-		if _, ok := s.excluded[off]; ok {
-			continue
-		}
-		s.a.CoordsInto(idx, off)
-		m.features(idx, phi)
-		m.add(phi, s.snap[off], +1)
-		m.n++
-	}
-	s.mom = m
-	s.rescanRangeLocked()
+	s.mom = newMoments(s.a)
+	s.min, s.max = s.mom.accumulate(s.snap, s.sortedExcluded())
+	s.rangeOK = true
+	s.rangeDirty = false
 	s.built = true
+}
+
+// sortedExcluded returns the excluded offsets in ascending order, the form
+// the snapshot walks merge against. Caller holds mu.
+func (s *SharedStats) sortedExcluded() []int {
+	excl := s.exclBuf[:0]
+	for off := range s.excluded {
+		excl = append(excl, off)
+	}
+	slices.Sort(excl)
+	s.exclBuf = excl
+	return excl
 }
 
 // rescanRangeLocked recomputes (min, max) over the non-excluded, non-NaN
 // snapshot cells. Caller holds mu.
 func (s *SharedStats) rescanRangeLocked() {
-	s.min, s.max = math.NaN(), math.NaN()
-	for off, v := range s.snap {
-		if _, ok := s.excluded[off]; ok {
-			continue
-		}
-		if math.IsNaN(v) {
-			continue
-		}
-		if math.IsNaN(s.min) || v < s.min {
-			s.min = v
-		}
-		if math.IsNaN(s.max) || v > s.max {
-			s.max = v
-		}
-	}
+	s.min, s.max = rangeExcluding(s.snap, s.sortedExcluded())
 	s.rangeOK = true
 	s.rangeDirty = false
 }
