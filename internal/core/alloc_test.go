@@ -16,10 +16,11 @@ import (
 	"spatialdue/internal/registry"
 )
 
-// TestRecoveryAllocations pins the two BenchmarkRecoveryHotPath shapes at
-// what they allocated before the recovery paths were unified: the
+// TestRecoveryAllocations pins the Single and Batch16 BenchmarkRecoveryHotPath
+// shapes at what they allocated before the recovery paths were unified (the
 // single-element path must not inherit the batch path's per-call slices,
-// maps and channel, and a batch must not pay more than it did.
+// maps and channel, and a batch must not pay more than it did), and a
+// Burst16-shaped row wipe at what it allocates with an O(burst) seed pass.
 func TestRecoveryAllocations(t *testing.T) {
 	mk := func() (*Engine, *registry.Allocation) {
 		eng := NewEngine(Options{Seed: 7})
@@ -68,5 +69,27 @@ func TestRecoveryAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, batch); n > 86 {
 		t.Errorf("16-member RecoverBatch: %v allocs, want <= 86", n)
+	}
+
+	// A 16-cell row wipe, pinned where the burst stopped allocating two maps
+	// per call and a sort.SliceStable swapper per seed (63 allocs before).
+	eng, alloc = mk()
+	wipe := make([]int, 16)
+	for i := range wipe {
+		wipe[i] = alloc.Array.Offset(128, 24+i)
+	}
+	burst := func() {
+		for _, off := range wipe {
+			alloc.Array.SetOffset(off, math.NaN())
+		}
+		if _, err := eng.RecoverBurst(alloc, wipe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		burst()
+	}
+	if n := testing.AllocsPerRun(50, burst); n > 26 {
+		t.Errorf("16-cell RecoverBurst: %v allocs, want <= 26", n)
 	}
 }

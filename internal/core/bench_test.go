@@ -10,6 +10,7 @@ import (
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
+	"spatialdue/internal/sdrbench"
 )
 
 func benchEngine(b *testing.B, ny, nx int) (*Engine, *ndarray.Array, *registry.Allocation) {
@@ -26,7 +27,9 @@ func benchEngine(b *testing.B, ny, nx int) (*Engine, *ndarray.Array, *registry.A
 // BenchmarkRecoveryHotPath is the CI-tracked recovery benchmark:
 // Single is one corrupt-and-recover cycle, Batch amortizes one
 // RecoverBatch call over 16 co-located members, Contended8 drives
-// 8 goroutines against one array with stripe-disjoint row bands.
+// 8 goroutines against one array with stripe-disjoint row bands, and
+// Burst16 is one 16-cell RecoverBurst: a row wipe on CESM/FLDS and a 4x4
+// block in one plane of Miranda/density, both at ScaleSmall.
 func BenchmarkRecoveryHotPath(b *testing.B) {
 	b.Run("Single", func(b *testing.B) {
 		eng, a, alloc := benchEngine(b, 256, 64)
@@ -85,5 +88,54 @@ func BenchmarkRecoveryHotPath(b *testing.B) {
 				}
 			}
 		})
+	})
+	b.Run("Burst16", func(b *testing.B) {
+		for _, c := range []struct {
+			name  string
+			ds    *sdrbench.Dataset
+			cells func(a *ndarray.Array) []int
+		}{
+			{"Row", sdrbench.Generate(sdrbench.CESM, "FLDS", sdrbench.ScaleSmall), func(a *ndarray.Array) []int {
+				offs := make([]int, 16)
+				for i := range offs {
+					offs[i] = a.Offset(45, 80+i)
+				}
+				return offs
+			}},
+			{"Block3D", sdrbench.Generate(sdrbench.Miranda, "density", sdrbench.ScaleSmall), func(a *ndarray.Array) []int {
+				var offs []int
+				for j := 10; j < 14; j++ {
+					for k := 10; k < 14; k++ {
+						offs = append(offs, a.Offset(8, j, k))
+					}
+				}
+				return offs
+			}},
+		} {
+			b.Run(c.name, func(b *testing.B) {
+				a := c.ds.Array
+				eng := NewEngine(Options{Seed: 7})
+				alloc := eng.Protect(c.ds.Name, a, c.ds.DType, registry.RecoverWith(predict.MethodLorenzo1))
+				cells := c.cells(a)
+				orig := make([]float64, len(cells))
+				for k, off := range cells {
+					orig[k] = a.AtOffset(off)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for _, off := range cells {
+						a.SetOffset(off, math.NaN())
+					}
+					if _, err := eng.RecoverBurst(alloc, cells); err != nil {
+						b.Fatal(err)
+					}
+					for k, off := range cells {
+						a.SetOffset(off, orig[k])
+					}
+				}
+				b.ReportMetric(float64(b.N)*float64(len(cells))/b.Elapsed().Seconds(), "cells/s")
+			})
+		}
 	})
 }

@@ -4,10 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"spatialdue/internal/autotune"
+	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
 )
@@ -69,8 +70,8 @@ const burstTol = 1e-7
 // failure the returned outcome is still populated and the error reports how
 // many elements remain quarantined.
 func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstOutcome, error) {
-	// The BFS seed pass and healthy-mean scan read the array whole: hold
-	// every stripe, start to finish.
+	// The seed pass and the sweeps read and write across the whole burst:
+	// hold every stripe, start to finish.
 	t := allocTarget(alloc)
 	arr, policy := t.arr, t.policy
 	st := e.record(&t)
@@ -86,29 +87,27 @@ func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstO
 	if len(offsets) == 0 {
 		return BurstOutcome{}, fmt.Errorf("%w: empty burst", ErrCheckpointRestartRequired)
 	}
-	seen := make(map[int]bool, len(offsets))
 	for _, off := range offsets {
 		if off < 0 || off >= arr.Len() {
 			return BurstOutcome{}, errOutOfRange(off)
 		}
-		seen[off] = true
 	}
 	// Canonicalize: dedupe and sort. Everything below operates on work;
 	// Old/New remain indexed like the caller's offsets slice.
-	work := make([]int, 0, len(seen))
-	for off := range seen {
-		work = append(work, off)
-	}
-	sort.Ints(work)
+	work := slices.Clone(offsets)
+	slices.Sort(work)
+	work = slices.Compact(work)
 	if len(work) == arr.Len() {
 		return BurstOutcome{}, fmt.Errorf("%w: every element corrupted", ErrCheckpointRestartRequired)
 	}
 
 	out := BurstOutcome{Old: make([]float64, len(offsets)), New: make([]float64, len(offsets))}
-	oldOf := make(map[int]float64, len(work))
 	for i, off := range offsets {
 		out.Old[i] = arr.AtOffset(off)
-		oldOf[off] = out.Old[i]
+	}
+	old := make([]float64, len(work)) // indexed like work
+	for w, off := range work {
+		old[w] = arr.AtOffset(off)
 	}
 	// Coalesced quarantine insert: one pass over the quarantine set, one
 	// over the shared statistics.
@@ -116,66 +115,54 @@ func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstO
 
 	env := e.envFor(arr, st, e.nextSeed())
 
-	// Mean over the healthy cells only — quarantined ones (the burst, plus
-	// anything reported by MarkCorrupt) may hold NaN or garbage. Used as a
-	// last-resort seed for cells that (pathologically) never gain a healthy
-	// neighbor during the BFS.
-	healthySum, healthyN := 0.0, 0
-	for off := 0; off < arr.Len(); off++ {
-		if v := arr.AtOffset(off); !env.Masked(off) && isFinite(v) {
-			healthySum += v
-			healthyN++
-		}
-	}
-	healthyMean := 0.0
-	if healthyN > 0 {
-		healthyMean = healthySum / float64(healthyN)
-	}
-
 	// --- Seed pass: BFS by healthy-neighbor count. ---
-	pending := append([]int(nil), work...)
-	idx := make([]int, arr.NumDims())
-	nb := make([]int, arr.NumDims())
-	healthyAvg := func(off int) (float64, int) {
-		arr.CoordsInto(idx, off)
-		copy(nb, idx)
-		sum, n := 0.0, 0
-		for d := 0; d < arr.NumDims(); d++ {
-			for _, delta := range [2]int{-1, 1} {
-				nb[d] = idx[d] + delta
-				if nb[d] >= 0 && nb[d] < arr.Dim(d) {
-					noff := arr.Offset(nb...)
-					if !env.Masked(noff) {
-						sum += arr.AtOffset(noff)
-						n++
-					}
-				}
-			}
-			nb[d] = idx[d]
-		}
-		if n == 0 {
-			return 0, 0
-		}
-		return sum / float64(n), n
+	//
+	// keys[w] counts work[w]'s healthy face neighbors, read off the live
+	// mask once. From then on only a seed changes a count — it turns a
+	// quarantined burst cell trustworthy — so seeding a cell adds one to each
+	// pending neighbor's key. Keys only order the pass; every seed's average
+	// reads the live mask.
+	buf := make([]int, 2*len(work))
+	keys, pending := buf[:len(work)], buf[len(work):] // pending indexes work
+	for w, off := range work {
+		keys[w], pending[w] = frontierHealthy(env, arr, off), w
 	}
+	mean, haveMean := 0.0, false
 	for len(pending) > 0 {
-		// Pick the pending cell with the most healthy neighbors.
-		sort.SliceStable(pending, func(i, j int) bool {
-			_, ni := healthyAvg(pending[i])
-			_, nj := healthyAvg(pending[j])
-			return ni > nj
+		// Pick the pending cell with the most healthy neighbors; ties keep
+		// the order the previous round's stable sort left them in.
+		slices.SortStableFunc(pending, func(i, j int) int { return keys[j] - keys[i] })
+		w := pending[0]
+		pending = pending[1:]
+		keys[w] = -1 // seeded: no longer pending
+		off := work[w]
+		sum, n := 0.0, 0
+		faceNeighbors(arr, off, func(noff int) {
+			if !env.Masked(noff) {
+				sum += arr.AtOffset(noff)
+				n++
+			}
 		})
-		off := pending[0]
-		v, n := healthyAvg(off)
-		if n == 0 {
+		v := 0.0
+		if n > 0 {
+			v = sum / float64(n)
+		} else {
 			// Isolated deep inside the burst and nothing healthy adjacent
 			// yet — fall back to the healthy-cell mean as a seed.
-			v = healthyMean
+			if !haveMean {
+				mean, haveMean = healthyMean(env, arr, work), true
+			}
+			v = mean
 		}
 		arr.SetOffset(off, v)
 		env.Allow(off) // seeded: trustworthy enough to feed later stencils
-		pending = pending[1:]
+		faceNeighbors(arr, off, func(noff int) {
+			if j, ok := slices.BinarySearch(work, noff); ok && keys[j] >= 0 {
+				keys[j]++
+			}
+		})
 	}
+	idx := make([]int, arr.NumDims())
 
 	// --- Choose the refinement method. ---
 	method := policy.Method
@@ -241,12 +228,12 @@ func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstO
 			swept++
 			e.audit.record(AuditEntry{
 				Alloc: t.name, Offset: off, Method: method, Tuned: tuned,
-				Old: oldOf[off], New: arr.AtOffset(off), OK: true,
+				Old: old[i], New: arr.AtOffset(off), OK: true,
 			})
 			continue
 		}
 		out.Escalated++
-		m := [1]member{{off: off, seed: e.nextSeed(), burst: true, old: oldOf[off]}}
+		m := [1]member{{off: off, seed: e.nextSeed(), burst: true, old: old[i]}}
 		e.climb(context.Background(), &t, st, &cluster{members: m[:], held: true}, time.Time{}, nil)
 		if m[0].err != nil {
 			failed++
@@ -272,4 +259,29 @@ func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstO
 			ErrCheckpointRestartRequired, failed, len(work), lastErr)
 	}
 	return out, nil
+}
+
+// healthyMean is the seed of last resort: the mean of the finite cells that
+// are neither in the burst (work, sorted) nor reported corrupt, summed in
+// offset order. Burst cells are skipped by membership, not by the mask: the
+// ones seeded so far have left the env's mask and hold estimates, not data.
+// It is a burst's only whole-array pass, and only a seed with no healthy
+// face neighbor (a burst enclosed by quarantined cells) needs it.
+func healthyMean(env *predict.Env, arr *ndarray.Array, work []int) float64 {
+	sum, n := 0.0, 0
+	next := 0 // work[next] is the next burst cell in offset order
+	for off := 0; off < arr.Len(); off++ {
+		if next < len(work) && work[next] == off {
+			next++
+			continue
+		}
+		if v := arr.AtOffset(off); !env.Masked(off) && isFinite(v) {
+			sum += v
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }

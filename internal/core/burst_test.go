@@ -3,6 +3,10 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"spatialdue/internal/bitflip"
@@ -218,5 +222,94 @@ func TestRecoverBurstLargeBurstDegradesGracefully(t *testing.T) {
 		if re := bitflip.RelErr(orig[j], a.AtOffset(off)); re > 0.10 {
 			t.Errorf("row element %d: rel err %v", j, re)
 		}
+	}
+}
+
+// TestRecoverBurstConcurrentMarkCorrupt runs row wipes on one allocation
+// while another goroutine reports and clears the cells bordering them, so the
+// seed pass's neighbor counts go stale under it. Every burst cell must end
+// either verified (out of quarantine, finite, as reported in New) or
+// quarantined with the burst's error saying so; once the reporter has cleared
+// its cells, Quarantined holds exactly the burst cells left unrepaired.
+func TestRecoverBurstConcurrentMarkCorrupt(t *testing.T) {
+	eng := NewEngine(Options{Seed: 8})
+	a := smoothArray(32, 32)
+	alloc := eng.Protect("g", a, bitflip.Float32, registry.RecoverWith(predict.MethodLorenzo1))
+
+	var bursts [][]int
+	var border []int // the rows above and below each burst, past its ends
+	for r := 4; r < 32; r += 6 {
+		burst := make([]int, 16)
+		for j := range burst {
+			burst[j] = a.Offset(r, 8+j)
+		}
+		bursts = append(bursts, burst)
+		for j := 6; j < 26; j++ {
+			border = append(border, a.Offset(r-1, j), a.Offset(r+1, j))
+		}
+		border = append(border, a.Offset(r, 7), a.Offset(r, 24))
+	}
+
+	started, stop := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			if i == 1 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				for _, off := range border {
+					eng.ClearCorrupt(alloc, off)
+				}
+				return
+			default:
+			}
+			if off := border[i%len(border)]; i/len(border)%2 == 0 {
+				eng.MarkCorrupt(alloc, off)
+			} else {
+				eng.ClearCorrupt(alloc, off)
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	<-started
+	left := map[int]bool{} // burst cells the latest burst over them left quarantined
+	for lap := 0; lap < 8; lap++ {
+		for _, burst := range bursts {
+			for _, off := range burst {
+				a.SetOffset(off, math.NaN())
+			}
+			out, err := eng.RecoverBurst(alloc, burst)
+			if err != nil && !errors.Is(err, ErrCheckpointRestartRequired) {
+				t.Fatalf("burst failed outside the ladder: %v", err)
+			}
+			for i, off := range burst {
+				left[off] = eng.IsQuarantined(alloc, off)
+				switch {
+				case left[off] && err == nil:
+					t.Errorf("lap %d: cell %d left quarantined by a burst that reported success", lap, off)
+				case !left[off] && (!isFinite(a.AtOffset(off)) || out.New[i] != a.AtOffset(off)):
+					t.Errorf("lap %d: cell %d released holding %v (outcome %v)", lap, off, a.AtOffset(off), out.New[i])
+				}
+			}
+			runtime.Gosched() // let the reporter in between bursts at GOMAXPROCS=1
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	var want []int
+	for off, q := range left {
+		if q {
+			want = append(want, off)
+		}
+	}
+	sort.Ints(want)
+	if got := eng.Quarantined(alloc); !slices.Equal(got, want) {
+		t.Errorf("Quarantined = %v, want the unrepaired burst cells %v", got, want)
 	}
 }

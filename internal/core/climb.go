@@ -286,23 +286,32 @@ func (e *Engine) finish(t *target, st *arrayState, m *member, res ladderResult, 
 }
 
 // frontierHealthy counts the healthy (in-bounds, unquarantined) face
-// neighbors of the element at off — the FrontierBatch ordering key. Called
-// only on the opt-in frontier path, so the per-call coordinate scratch is
-// off the default batch hot path.
+// neighbors of the element at off — the ordering key of FrontierBatch and of
+// the burst seed pass.
 func frontierHealthy(env *predict.Env, arr *ndarray.Array, off int) int {
-	idx := make([]int, arr.NumDims())
-	nb := make([]int, arr.NumDims())
-	arr.CoordsInto(idx, off)
-	copy(nb, idx)
 	n := 0
-	for d := 0; d < arr.NumDims(); d++ {
-		for _, delta := range [2]int{-1, 1} {
-			nb[d] = idx[d] + delta
-			if nb[d] >= 0 && nb[d] < arr.Dim(d) && !env.Masked(arr.Offset(nb...)) {
-				n++
-			}
+	faceNeighbors(arr, off, func(noff int) {
+		if !env.Masked(noff) {
+			n++
 		}
-		nb[d] = idx[d]
-	}
+	})
 	return n
+}
+
+// faceNeighbors calls fn with the offset of each in-bounds face neighbor of
+// the element at off (0 <= off < arr.Len()): dimension by dimension, the
+// lower neighbor first. It allocates nothing.
+func faceNeighbors(arr *ndarray.Array, off int, fn func(noff int)) {
+	rem := off
+	for d := 0; d < arr.NumDims(); d++ {
+		s := arr.Stride(d)
+		i := rem / s
+		rem -= i * s
+		if i > 0 {
+			fn(off - s)
+		}
+		if i < arr.Dim(d)-1 {
+			fn(off + s)
+		}
+	}
 }
