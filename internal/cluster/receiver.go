@@ -31,7 +31,8 @@ type replicaState struct {
 	log     *journal.Log
 	count   uint64 // intact records durably in the replica file
 	intents map[uint64]journal.Intent
-	conn    net.Conn // active replication conn from the owner, if any
+	dec     journal.Decoder // decodes both the file at open and the live stream
+	conn    net.Conn        // active replication conn from the owner, if any
 }
 
 // replicaFor returns (opening or creating) the replica state for an owner.
@@ -69,15 +70,14 @@ func (st *replicaState) open() error {
 	st.intents = make(map[uint64]journal.Intent)
 	return journal.Records(st.path, func(seq uint64, line []byte) error {
 		st.count = seq
-		in, out, err := journal.DecodeRecord(line)
+		rec, err := st.dec.Decode(line)
 		if err != nil {
 			return nil // foreign record kinds replicate fine; they just don't replay
 		}
-		if in != nil {
-			st.intents[in.ID] = *in
-		}
-		if out != nil {
-			delete(st.intents, out.ID)
+		if rec.Kind == journal.KindIntent {
+			st.intents[rec.Intent.ID] = rec.Intent
+		} else {
+			delete(st.intents, rec.Outcome.ID)
 		}
 		return nil
 	})
@@ -265,20 +265,19 @@ func (n *Node) applyUnreg(h frameHeader) {
 // outcomes write the recovered IEEE-754 bits and lift the quarantine, failed
 // outcomes leave the cell quarantined. Called with st.mu held.
 func (n *Node) applyRecord(st *replicaState, line []byte) {
-	in, out, err := journal.DecodeRecord(line)
+	rec, err := st.dec.Decode(line)
 	if err != nil {
 		return
 	}
-	if in != nil {
-		st.intents[in.ID] = *in
+	if rec.Kind == journal.KindIntent {
+		in := rec.Intent
+		st.intents[in.ID] = in
 		if a, ok := n.eng.Table().ByTenantName(in.Tenant, in.Alloc); ok {
 			n.eng.MarkCorrupt(a, in.Offset)
 		}
 		return
 	}
-	if out == nil {
-		return
-	}
+	out := rec.Outcome
 	intent, tracked := st.intents[out.ID]
 	delete(st.intents, out.ID)
 	if !tracked || !out.OK {

@@ -17,10 +17,9 @@ import (
 )
 
 // TestRecoveryAllocations pins the Single and Batch16 BenchmarkRecoveryHotPath
-// shapes at what they allocated before the recovery paths were unified (the
-// single-element path must not inherit the batch path's per-call slices,
-// maps and channel, and a batch must not pay more than it did), and a
-// Burst16-shaped row wipe at what it allocates with an O(burst) seed pass.
+// shapes (the single-element path must not inherit the batch path's per-call
+// slices, maps and channel) and a Burst16-shaped row wipe at what they
+// allocate.
 func TestRecoveryAllocations(t *testing.T) {
 	mk := func() (*Engine, *registry.Allocation) {
 		eng := NewEngine(Options{Seed: 7})
@@ -43,8 +42,8 @@ func TestRecoveryAllocations(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		single()
 	}
-	if n := testing.AllocsPerRun(200, single); n > 8 {
-		t.Errorf("RecoverElement: %v allocs, want <= 8", n)
+	if n := testing.AllocsPerRun(200, single); n > 6 {
+		t.Errorf("RecoverElement: %v allocs, want <= 6", n)
 	}
 
 	eng, alloc = mk()
@@ -67,12 +66,12 @@ func TestRecoveryAllocations(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		batch()
 	}
-	if n := testing.AllocsPerRun(50, batch); n > 86 {
-		t.Errorf("16-member RecoverBatch: %v allocs, want <= 86", n)
+	// 66 measured; the slack absorbs trace-pool refills after a GC.
+	if n := testing.AllocsPerRun(50, batch); n > 68 {
+		t.Errorf("16-member RecoverBatch: %v allocs, want <= 68", n)
 	}
 
-	// A 16-cell row wipe, pinned where the burst stopped allocating two maps
-	// per call and a sort.SliceStable swapper per seed (63 allocs before).
+	// A 16-cell row wipe.
 	eng, alloc = mk()
 	wipe := make([]int, 16)
 	for i := range wipe {
@@ -89,7 +88,7 @@ func TestRecoveryAllocations(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		burst()
 	}
-	if n := testing.AllocsPerRun(50, burst); n > 26 {
-		t.Errorf("16-cell RecoverBurst: %v allocs, want <= 26", n)
+	if n := testing.AllocsPerRun(50, burst); n > 19 {
+		t.Errorf("16-cell RecoverBurst: %v allocs, want <= 19", n)
 	}
 }

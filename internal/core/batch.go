@@ -144,7 +144,7 @@ func (e *Engine) RecoverBatchTraced(ctx context.Context, alloc *registry.Allocat
 	// One coalesced quarantine insert; then force the shared-statistics
 	// build now, on this goroutine, so the O(N) snapshot scan is not
 	// repeated (or raced for) inside the clusters.
-	e.quarantineCells(t.arr, st, valid...)
+	st.quarantineCells(valid...)
 	st.shared.Prepare()
 
 	// Cluster members by stripe-range connectivity: two members conflict iff

@@ -111,7 +111,7 @@ func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstO
 	}
 	// Coalesced quarantine insert: one pass over the quarantine set, one
 	// over the shared statistics.
-	e.quarantineCells(arr, st, work...)
+	st.quarantineCells(work...)
 
 	env := e.envFor(arr, st, e.nextSeed())
 
@@ -214,7 +214,7 @@ func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstO
 		if verified[i] {
 			// Released before escalation so ladder climbs for the failures
 			// can trust these neighbors.
-			e.quarantine.remove(arr, off)
+			st.quarantine.remove(off)
 		}
 	}
 

@@ -67,7 +67,7 @@ func (e *Engine) recoverBurstRef(alloc *registry.Allocation, offsets []int) (Bur
 	}
 	// Coalesced quarantine insert: one pass over the quarantine set, one
 	// over the shared statistics.
-	e.quarantineCells(arr, st, work...)
+	st.quarantineCells(work...)
 
 	env := e.envFor(arr, st, e.nextSeed())
 
@@ -182,7 +182,7 @@ func (e *Engine) recoverBurstRef(alloc *registry.Allocation, offsets []int) (Bur
 		if verified[i] {
 			// Released before escalation so ladder climbs for the failures
 			// can trust these neighbors.
-			e.quarantine.remove(arr, off)
+			st.quarantine.remove(off)
 		}
 	}
 

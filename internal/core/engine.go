@@ -127,11 +127,10 @@ type Stats struct {
 
 // Engine performs localized DUE/SDC recovery.
 type Engine struct {
-	opts       Options
-	table      *registry.Table
-	audit      auditLog
-	quarantine quarantineSet
-	tracer     *trace.Collector
+	opts   Options
+	table  *registry.Table
+	audit  auditLog
+	tracer *trace.Collector
 
 	mu        sync.Mutex
 	seq       int64
@@ -232,11 +231,10 @@ func (e *Engine) ProtectTenant(tenant, name string, arr *ndarray.Array, dtype bi
 }
 
 // Unprotect tears down a protected allocation: it unregisters it from the
-// table and retires the array's engine record (stripe locks, shared
-// statistics, spatial analytics, tuning cache) and quarantine entries, so a
-// long-running multi-tenant server does not grow without bound. It refuses
-// with ErrRecoveriesInFlight while any recovery holds one of the array's
-// stripes.
+// table and retires the array's engine record (stripe locks, quarantine set,
+// shared statistics, spatial analytics, tuning cache), so a long-running
+// multi-tenant server does not grow without bound. It refuses with
+// ErrRecoveriesInFlight while any recovery holds one of the array's stripes.
 //
 // Recoveries racing the teardown: Unprotect takes every stripe before it
 // retires the record, and every stripe holder confirms after acquiring that
@@ -256,7 +254,6 @@ func (e *Engine) Unprotect(alloc *registry.Allocation) error {
 		defer st.releaseAll()
 	}
 	e.table.Unregister(alloc.ID)
-	e.quarantine.removeArray(arr)
 	e.mu.Lock()
 	if e.arrays[arr] == st {
 		delete(e.arrays, arr)

@@ -185,7 +185,7 @@ func (e *Engine) reconstruct(ctx context.Context, t *target, st *arrayState, m *
 	// Quarantine first: from here on no stencil, probe, or verification
 	// neighborhood on this array may read the corrupted cell, and its
 	// snapshot contribution leaves the shared statistics.
-	e.quarantineCells(arr, st, off)
+	st.quarantineCells(off)
 
 	// Patch the cell with a provisional estimate. Predictors never read it
 	// (it is masked), but concurrent readers of the raw array see something
@@ -224,14 +224,14 @@ func (e *Engine) reconstruct(ctx context.Context, t *target, st *arrayState, m *
 		}
 		return v, nil
 	}
-	succeed := func(st Stage, m predict.Method, tuned bool, v float64) (ladderResult, error) {
+	succeed := func(stage Stage, m predict.Method, tuned bool, v float64) (ladderResult, error) {
 		arr.SetOffset(off, v)
-		e.quarantine.remove(arr, off)
+		st.quarantine.remove(off)
 		residual := math.NaN()
 		if provOK {
 			residual = bitflip.RelErr(v, prov)
 		}
-		return ladderResult{method: m, tuned: tuned, stage: st, old: old, value: v,
+		return ladderResult{method: m, tuned: tuned, stage: stage, old: old, value: v,
 			residual: residual, verifyFails: vFails}, nil
 	}
 	// abort cuts the climb short when the context expires: pre-recovery

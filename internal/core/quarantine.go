@@ -1,11 +1,10 @@
 package core
 
 import (
-	"slices"
-	"sort"
-	"sync"
+	"math"
+	"math/bits"
+	"sync/atomic"
 
-	"spatialdue/internal/ndarray"
 	"spatialdue/internal/registry"
 )
 
@@ -13,9 +12,9 @@ import (
 // corrupt but not yet repaired and verified. Its job is double-fault
 // hygiene: when a second DUE lands while a first recovery is in flight (or
 // a burst takes out several cells at once), no reconstruction may read the
-// still-garbage neighbors. The recovery engine wires each array's view of
-// this set into predict.Env as a live mask, so every stencil, probe, and
-// range computation skips quarantined cells automatically.
+// still-garbage neighbors. The recovery engine wires each array's set into
+// predict.Env as a live mask, so every stencil, probe, and range computation
+// skips quarantined cells automatically.
 //
 // Freshness contract. Nothing is cached across predictions, probes, methods
 // or ladder rungs: a cell reported by MarkCorrupt before a prediction starts
@@ -35,147 +34,99 @@ import (
 // its neighbors keep treating it as garbage until checkpoint-restart
 // resolves it.
 
-type quarantineSet struct {
-	mu      sync.Mutex
-	byArray map[*ndarray.Array]*arrayQuarantine
+// quarantine is one array's quarantine set, a part of its arrayState: one
+// bit per element and the number of bits set. It is the predict.MaskSource
+// of every Env built for the array. Readers take no lock — Masked is one
+// atomic load — and an atomic load sees the set as it stands at the call,
+// which is all the freshness contract asks. Writers flip bits with
+// compare-and-swap loops: a word can straddle a stripe boundary, and
+// MarkCorrupt/ClearCorrupt hold no stripe at all. The count moves only when
+// a swap actually flips a bit, so it is exact whenever no write is in
+// flight.
+type quarantine struct {
+	words []atomic.Uint64
+	count atomic.Int64
 }
 
-// arrayQuarantine is one array's slice of the quarantine set and the
-// predict.MaskSource handed to every Env built for that array (allocated
-// once per array, dropped by removeArray). All fields are guarded by q.mu.
-type arrayQuarantine struct {
-	q   *quarantineSet
-	set map[int]struct{} // nil while the array has nothing quarantined
-	// peak is the largest len(set) since set was last nil: Go maps never
-	// shrink, so it — not len(set) — bounds the cost of iterating set.
-	peak int
-}
+// init sizes an empty set for an array of cells elements.
+func (q *quarantine) init(cells int) { q.words = make([]atomic.Uint64, (cells+63)/64) }
 
-// view returns (creating on demand) arr's slice of the set.
-func (q *quarantineSet) view(arr *ndarray.Array) *arrayQuarantine {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.viewLocked(arr)
-}
-
-func (q *quarantineSet) viewLocked(arr *ndarray.Array) *arrayQuarantine {
-	v := q.byArray[arr]
-	if v == nil {
-		if q.byArray == nil {
-			q.byArray = map[*ndarray.Array]*arrayQuarantine{}
+// add quarantines off (0 <= off < cells).
+func (q *quarantine) add(off int) {
+	w, bit := &q.words[off>>6], uint64(1)<<(off&63)
+	for old := w.Load(); old&bit == 0; old = w.Load() {
+		if w.CompareAndSwap(old, old|bit) {
+			q.count.Add(1)
+			return
 		}
-		v = &arrayQuarantine{q: q}
-		q.byArray[arr] = v
-	}
-	return v
-}
-
-func (v *arrayQuarantine) addLocked(off int) {
-	if v.set == nil {
-		v.set = map[int]struct{}{}
-	}
-	v.set[off] = struct{}{}
-	if len(v.set) > v.peak {
-		v.peak = len(v.set)
 	}
 }
 
-// Masked implements predict.MaskSource. It is the per-read query of every
-// small-stencil method, so it unlocks without a defer (a map read cannot
-// panic), which is what keeps it no dearer than the closure it replaced.
-func (v *arrayQuarantine) Masked(off int) bool {
-	v.q.mu.Lock()
-	_, ok := v.set[off]
-	v.q.mu.Unlock()
-	return ok
+// remove releases off (0 <= off < cells) from quarantine.
+func (q *quarantine) remove(off int) {
+	w, bit := &q.words[off>>6], uint64(1)<<(off&63)
+	for old := w.Load(); old&bit != 0; old = w.Load() {
+		if w.CompareAndSwap(old, old&^bit) {
+			q.count.Add(-1)
+			return
+		}
+	}
 }
 
-// AppendMasked implements predict.MaskSource: one lock acquisition and one
-// pass over the array's quarantined offsets answer a whole prediction. It
-// declines when that pass could cost more than limit per-offset queries.
-func (v *arrayQuarantine) AppendMasked(dst []int, lo, hi, limit int) ([]int, bool) {
-	v.q.mu.Lock()
-	defer v.q.mu.Unlock()
-	if v.peak > limit {
+// Masked implements predict.MaskSource; an offset outside the array is never
+// quarantined.
+func (q *quarantine) Masked(off int) bool {
+	w := uint(off) >> 6
+	return w < uint(len(q.words)) && q.words[w].Load()&(1<<(uint(off)&63)) != 0
+}
+
+// AppendMasked implements predict.MaskSource: it reads the words [lo, hi]
+// covers and nothing else, so its cost is the span's, whatever the size of
+// the set. It declines only when the span covers more words than limit —
+// a patch far narrower than its linear span, such as a 3-D patch in a large
+// array — where limit per-cell Masked loads are the cheaper answer.
+func (q *quarantine) AppendMasked(dst []int, lo, hi, limit int) ([]int, bool) {
+	lo, hi = max(lo, 0), min(hi, 64*len(q.words)-1)
+	if lo > hi {
+		return dst, true
+	}
+	first, last := lo>>6, hi>>6
+	if last-first >= limit {
 		return dst, false
 	}
-	from := len(dst)
-	for off := range v.set {
-		if off >= lo && off <= hi {
-			dst = append(dst, off)
+	words := q.words[first : last+1]
+	for i := 0; i < len(words); i++ {
+		// Skip empty words four at a time: most of a patch's span is clean.
+		for ; i+4 <= len(words); i += 4 {
+			g := words[i : i+4 : i+4]
+			if g[0].Load()|g[1].Load()|g[2].Load()|g[3].Load() != 0 {
+				break
+			}
+		}
+		if i == len(words) {
+			break
+		}
+		set := words[i].Load()
+		if set == 0 {
+			continue
+		}
+		if i == 0 {
+			set &= ^uint64(0) << (lo & 63)
+		}
+		if i == len(words)-1 {
+			set &= ^uint64(0) >> (63 - hi&63)
+		}
+		for w := (first + i) << 6; set != 0; set &= set - 1 {
+			dst = append(dst, w|bits.TrailingZeros64(set))
 		}
 	}
-	slices.Sort(dst[from:])
 	return dst, true
 }
 
-// addAll inserts offs under one lock acquisition.
-func (q *quarantineSet) addAll(arr *ndarray.Array, offs []int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	v := q.viewLocked(arr)
-	for _, off := range offs {
-		v.addLocked(off)
-	}
-}
-
-func (q *quarantineSet) remove(arr *ndarray.Array, off int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	v := q.byArray[arr]
-	if v == nil {
-		return
-	}
-	delete(v.set, off)
-	if len(v.set) == 0 {
-		v.set, v.peak = nil, 0
-	}
-}
-
-// removeArray drops every quarantine entry for an array (allocation
-// teardown via Engine.Unprotect).
-func (q *quarantineSet) removeArray(arr *ndarray.Array) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	delete(q.byArray, arr)
-}
-
-func (q *quarantineSet) contains(arr *ndarray.Array, off int) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	_, ok := q.setLocked(arr)[off]
-	return ok
-}
-
-// setLocked returns arr's quarantined offsets; nil (readable, empty) when it
-// has none.
-func (q *quarantineSet) setLocked(arr *ndarray.Array) map[int]struct{} {
-	if v := q.byArray[arr]; v != nil {
-		return v.set
-	}
-	return nil
-}
-
-func (q *quarantineSet) offsets(arr *ndarray.Array) []int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	set := q.setLocked(arr)
-	out := make([]int, 0, len(set))
-	for off := range set {
-		out = append(out, off)
-	}
-	sort.Ints(out)
+// offsets returns the quarantined offsets in ascending order (never nil).
+func (q *quarantine) offsets() []int {
+	out, _ := q.AppendMasked([]int{}, 0, 64*len(q.words)-1, math.MaxInt)
 	return out
-}
-
-func (q *quarantineSet) size() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for _, v := range q.byArray {
-		n += len(v.set)
-	}
-	return n
 }
 
 // MarkCorrupt reports that the element at linear offset off of alloc holds
@@ -189,14 +140,15 @@ func (e *Engine) MarkCorrupt(alloc *registry.Allocation, off int) {
 		return
 	}
 	if st := e.liveState(alloc.Array); st != nil {
-		e.quarantineCells(alloc.Array, st, off)
+		st.quarantineCells(off)
 	}
 }
 
 // IsQuarantined reports whether the element at linear offset off of alloc
 // is currently quarantined.
 func (e *Engine) IsQuarantined(alloc *registry.Allocation, off int) bool {
-	return e.quarantine.contains(alloc.Array, off)
+	st := e.liveState(alloc.Array)
+	return st != nil && st.quarantine.Masked(off)
 }
 
 // ClearCorrupt reverses MarkCorrupt for an element whose recovery was never
@@ -210,8 +162,8 @@ func (e *Engine) ClearCorrupt(alloc *registry.Allocation, off int) {
 	if off < 0 || off >= alloc.Array.Len() {
 		return
 	}
-	e.quarantine.remove(alloc.Array, off)
 	if st := e.liveState(alloc.Array); st != nil {
+		st.quarantine.remove(off)
 		st.shared.Readmit(off)
 	}
 }
@@ -219,9 +171,20 @@ func (e *Engine) ClearCorrupt(alloc *registry.Allocation, off int) {
 // Quarantined returns the offsets of alloc currently quarantined (reported
 // corrupt, not yet repaired), in ascending order.
 func (e *Engine) Quarantined(alloc *registry.Allocation) []int {
-	return e.quarantine.offsets(alloc.Array)
+	if st := e.liveState(alloc.Array); st != nil {
+		return st.quarantine.offsets()
+	}
+	return []int{}
 }
 
 // QuarantineCount returns the total number of quarantined elements across
 // all protected arrays (exported to Prometheus as spatialdue_quarantined).
-func (e *Engine) QuarantineCount() int { return e.quarantine.size() }
+func (e *Engine) QuarantineCount() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := int64(0)
+	for _, st := range e.arrays {
+		n += st.quarantine.count.Load()
+	}
+	return int(n)
+}

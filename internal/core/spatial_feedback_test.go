@@ -105,7 +105,7 @@ func TestRowWipeLadderReportsNoProbes(t *testing.T) {
 	if !errors.Is(err, autotune.ErrNoProbes) {
 		t.Fatalf("err = %v, want autotune.ErrNoProbes in the chain", err)
 	}
-	if !eng.quarantine.contains(a, off) {
+	if !eng.IsQuarantined(alloc, off) {
 		t.Error("exhausted element left quarantine")
 	}
 }

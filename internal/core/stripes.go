@@ -189,6 +189,7 @@ func (e *Engine) WithStripeLock(arr *ndarray.Array, s int, f func()) {
 // resolves it once.
 type arrayState struct {
 	stripeSet
+	quarantine quarantine // see quarantine.go
 	// shared snapshots the array when the record is created, so that must
 	// happen while the values are trustworthy: at registration, before
 	// faults land.
@@ -221,6 +222,7 @@ func (e *Engine) stateFor(arr *ndarray.Array) *arrayState {
 		for i := range st.locks {
 			st.locks[i] = newRecLock()
 		}
+		st.quarantine.init(arr.Len())
 		st.cache = st.newTuneCache()
 		e.arrays[arr] = st
 	}
@@ -300,7 +302,7 @@ func (e *Engine) lockAll(arr *ndarray.Array) *arrayState {
 // goroutine; a cluster shares one across members, reseeding per member.
 func (e *Engine) envFor(arr *ndarray.Array, st *arrayState, seed int64) *predict.Env {
 	env := predict.NewEnv(arr, seed)
-	env.SetMaskSource(e.quarantine.view(arr))
+	env.SetMaskSource(&st.quarantine)
 	env.SetShared(st.shared)
 	return env
 }
@@ -318,8 +320,10 @@ func (e *Engine) nextSeed() int64 {
 // quarantineCells quarantines offs and excludes them from the array's
 // shared statistics (subtracting their snapshot contributions), in order.
 // Every quarantine insertion goes through here so the two sets never drift.
-func (e *Engine) quarantineCells(arr *ndarray.Array, st *arrayState, offs ...int) {
-	e.quarantine.addAll(arr, offs)
+func (st *arrayState) quarantineCells(offs ...int) {
+	for _, off := range offs {
+		st.quarantine.add(off)
+	}
 	st.shared.Exclude(offs...)
 }
 
@@ -367,7 +371,7 @@ func (e *Engine) FieldUpdated(arr *ndarray.Array) {
 func (e *Engine) FieldUpdatedStripes(arr *ndarray.Array, stripes []int) {
 	st := e.lockAll(arr)
 	defer st.releaseAll()
-	st.shared.Rebuild(e.quarantine.offsets(arr))
+	st.shared.Rebuild(st.quarantine.offsets())
 	seen := make(map[int]bool, 3*len(stripes))
 	regions := make([]int, 0, 3*len(stripes))
 	for _, s := range stripes {

@@ -252,7 +252,7 @@ func TestQuarantineMaskingKeepsGarbageOutOfStencils(t *testing.T) {
 		t.Errorf("recovery read quarantined garbage: got %v, true %v", out.New, orig)
 	}
 	// The garbage neighbor is still quarantined (not yet repaired).
-	if !eng.quarantine.contains(a, bad) {
+	if !eng.IsQuarantined(alloc, bad) {
 		t.Error("reported-corrupt neighbor left quarantine without being repaired")
 	}
 }

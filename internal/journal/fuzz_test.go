@@ -95,3 +95,59 @@ func FuzzTornTailRepair(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeRecord holds the decoder's fast path to its reference: on every
+// line it accepts, json.Unmarshal must succeed and give the same record, bit
+// for bit. Seeds are real lines and the near misses around them.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, line := range []string{
+		`{"k":"intent","i":{"id":7,"alloc":"grid","off":132,"valbits":9221650857558867969}}`,
+		`{"k":"intent","i":{"id":8,"alloc":"field","tenant":"t1","addr":139637976727552,"off":4,"valbits":4631107791820423168}}`,
+		`{"k":"outcome","o":{"id":7,"ok":true,"detail":"method=Lorenzo 1-Layer stage=primary","valbits":4632233691727265792}}`,
+		`{"k":"outcome","o":{"id":9,"ok":false,"detail":"core: checkpoint-restart required"}}`,
+		`{"k":"outcome","o":{"id":9,"ok":true}}`,
+		`{"k":"intent","i":{"id":1,"alloc":"g","off":0,"valbits":9221120237041090561}}`, // NaN payload
+		`{"k":"intent","i":{"id":1,"alloc":"g","off":0}}`,                               // no valbits
+		`{"k":"intent","i":{}}`,
+		`{"k":"intent","i":{"id":1,"alloc":"a\"b","off":0,"valbits":0}}`, // escapes
+		`{"k":"intent","i":{"id":1,"alloc":"\u003cx\u003e","off":0,"valbits":0}}`,
+		`{"k":"intent","i":{"id":1,"alloc":"café","off":0,"valbits":0}}`, // UTF-8
+		"{\"k\":\"intent\",\"i\":{\"id\":1,\"alloc\":\"a\xffb\"}}",       // invalid UTF-8
+		`{"k":"intent","i":{"off":1,"id":2,"alloc":"g"}}`,                // reordered
+		`{"k":"outcome","o":{"ok":true,"id":3}}`,
+		`{"k":"intent","i":{"id":18446744073709551615,"alloc":"g","off":9223372036854775807,"valbits":18446744073709551615}}`,
+		`{"k":"intent","i":{"id":18446744073709551616,"alloc":"g","off":0,"valbits":0}}`,
+		`{"k":"intent","i":{"id":99999999999999999999,"alloc":"g","off":0,"valbits":0}}`,
+		`{"k":"intent","i":{"id":1,"alloc":"g","off":9223372036854775808,"valbits":0}}`,
+		`{"k":"intent","i":{"id":1,"alloc":"g","off":-9223372036854775808,"valbits":0}}`,
+		`{"k":"intent","i":{"id":1,"alloc":"g","off":-9223372036854775809,"valbits":0}}`,
+		`{"k":"intent","i":{"id":-1,"alloc":"g","off":-5,"valbits":0}}`,
+		`{"k":"intent","i":{"id":01,"alloc":"g"}}`,
+		`{"k":"intent","i":{"id":1,"alloc":"g","off":-0}}`,
+		`{"k":"intent","i":{"id":1,"alloc":"g","valbits":1e3}}`,
+		`{"k":"intent","i":{"id":1,"id":2,"alloc":"g"}}`,
+		`{"k":"intent","i":{"ID":1,"Alloc":"g"}}`,
+		`{"k":"intent","i":{"id":1,"alloc":null}}`,
+		`{"k":"intent","i":{"id":1} }`,
+		`{"k":"intent","i":{"id":1},"o":{"id":2}}`,
+		`{"k":"outcome","o":{"id":1,"ok":true,"detail":"x","valbits":0}}x`,
+		`{"k":"outcome","i":{"id":1}}`,
+		`{"k":"bogus","o":{"id":1}}`,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var d Decoder
+		fast, ok := d.decodeFast(line)
+		if !ok {
+			return
+		}
+		ref, err := decodeJSON(line)
+		if err != nil {
+			t.Fatalf("fast path accepted %q, which json.Unmarshal refuses: %v", line, err)
+		}
+		if !sameRecord(fast, ref) {
+			t.Fatalf("%q: fast path %+v, json.Unmarshal %+v", line, fast, ref)
+		}
+	})
+}

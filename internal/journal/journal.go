@@ -46,41 +46,36 @@ type Log struct {
 // for speed (the OS still sees every write immediately, so only a machine
 // crash, not a process crash, can lose records).
 func OpenLog(path string, sync bool) (*Log, error) {
+	intact, err := scanFile(path, func([]byte) error { return nil })
+	if err != nil {
+		return nil, err
+	}
+	return openLog(path, sync, intact)
+}
+
+// openLog is OpenLog for a caller that has already scanned the file:
+// intact is the length of its intact prefix, which scanFile reports, and
+// anything past it is a torn tail to truncate.
+func openLog(path string, sync bool, intact int64) (*Log, error) {
 	if dir := filepath.Dir(path); dir != "" && dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("journal: %w", err)
 		}
 	}
-	if err := repairTail(path); err != nil {
-		return nil, err
+	st, err := os.Stat(path)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	if err == nil && st.Size() > intact {
+		if err := os.Truncate(path, intact); err != nil {
+			return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
+		}
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	return &Log{f: f, path: path, sync: sync}, nil
-}
-
-// repairTail truncates a torn final record (crash mid-append) so the log
-// ends on a record boundary. A missing file needs no repair.
-func repairTail(path string) error {
-	intact, err := scanFile(path, func([]byte) error { return nil })
-	if err != nil {
-		return err
-	}
-	st, err := os.Stat(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	if st.Size() > intact {
-		if err := os.Truncate(path, intact); err != nil {
-			return fmt.Errorf("journal: truncate torn tail: %w", err)
-		}
-	}
-	return nil
 }
 
 // Path returns the log's file path.
@@ -145,7 +140,9 @@ func (l *Log) Close() error {
 // raw JSON of each line in order. A torn final record (partial line from a
 // crash mid-append) is silently discarded; torn or corrupt records anywhere
 // else are an error, because an append-only log can only be damaged at its
-// tail by a crash. A missing file scans as empty.
+// tail by a crash. A missing file scans as empty. The scan reads through one
+// reused buffer: line is valid only until fn returns, so fn copies what it
+// keeps.
 func Scan(path string, fn func(line []byte) error) error {
 	_, err := scanFile(path, fn)
 	return err
@@ -177,7 +174,9 @@ func CountRecords(path string) (uint64, error) {
 
 // scanFile is Scan plus bookkeeping of the intact prefix length: the byte
 // offset just past the last complete, valid record (what a tail repair
-// truncates to).
+// truncates to). Lines are slices of the reader's buffer, or of one reused
+// buffer for a line longer than that, so a scan allocates per file, not per
+// record.
 func scanFile(path string, fn func(line []byte) error) (intact int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -188,12 +187,21 @@ func scanFile(path string, fn func(line []byte) error) (intact int64, err error)
 	}
 	defer f.Close()
 
-	r := bufio.NewReader(f)
+	r := bufio.NewReaderSize(f, 64<<10)
+	var long []byte      // a line longer than r's buffer, reassembled
 	var pendingErr error // defect found on the previous line; fatal unless it was the last
 	var offset int64
 	lineNo := 0
 	for {
-		line, err := r.ReadBytes('\n')
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = r.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
 		atEOF := err == io.EOF
 		if err != nil && !atEOF {
 			return intact, fmt.Errorf("journal: read %s: %w", path, err)

@@ -5,10 +5,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
+// TestLogAppendScanRoundTrip includes a record several times the scan's
+// read buffer, which reaches the callback whole, between ordinary ones.
 func TestLogAppendScanRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.jsonl")
 	l, err := OpenLog(path, true)
@@ -19,8 +22,10 @@ func TestLogAppendScanRoundTrip(t *testing.T) {
 		N int    `json:"n"`
 		S string `json:"s"`
 	}
-	for i := 0; i < 5; i++ {
-		if err := l.Append(rec{N: i, S: "x"}); err != nil {
+	long := strings.Repeat("0123456789", 20_000)
+	want := []rec{{0, "x"}, {1, long}, {2, "x"}, {3, long + "y"}, {4, "x"}}
+	for _, r := range want {
+		if err := l.Append(r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,8 +47,8 @@ func TestLogAppendScanRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 5 || got[4].N != 4 {
-		t.Errorf("scanned %v, want 5 records 0..4", got)
+	if !slices.Equal(got, want) {
+		t.Errorf("scanned %d records, want the 5 appended", len(got))
 	}
 }
 
@@ -61,10 +66,11 @@ func TestScanMissingFileIsEmpty(t *testing.T) {
 // written, while everything before it survives.
 func TestScanTornTail(t *testing.T) {
 	for _, torn := range []string{
-		`{"n":2`,            // truncated JSON, no newline
-		`{"n":2}`,           // complete JSON but the newline was lost
-		"\x00\x00\x00",      // garbage bytes
-		`{"n":` + "\x00\"x", // garbage mid-record
+		`{"n":2`,                                // truncated JSON, no newline
+		`{"n":2}`,                               // complete JSON but the newline was lost
+		"\x00\x00\x00",                          // garbage bytes
+		`{"n":` + "\x00\"x",                     // garbage mid-record
+		`{"s":"` + strings.Repeat("x", 200_000), // torn past the read buffer
 	} {
 		path := filepath.Join(t.TempDir(), "log.jsonl")
 		if err := os.WriteFile(path, []byte("{\"n\":0}\n{\"n\":1}\n"+torn), 0o644); err != nil {

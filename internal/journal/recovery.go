@@ -1,10 +1,11 @@
 package journal
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"spatialdue/internal/faultinject"
@@ -78,8 +79,8 @@ type Outcome struct {
 	NewBits uint64 `json:"valbits,omitempty"`
 }
 
-// record is the on-disk envelope: exactly one of Intent/Outcome is set.
-type record struct {
+// envelope is the on-disk record: exactly one of Intent/Outcome is set.
+type envelope struct {
 	Kind    string   `json:"k"` // "intent" | "outcome"
 	Intent  *Intent  `json:"i,omitempty"`
 	Outcome *Outcome `json:"o,omitempty"`
@@ -105,42 +106,32 @@ type Recovery struct {
 // replays its records: every intent without a matching outcome — a recovery
 // the previous process started but never finished — is returned in ID order
 // so the caller can re-quarantine and resubmit it. New records append after
-// the old ones; IDs continue from the highest seen.
+// the old ones; IDs continue from the highest seen. The file is read once:
+// the replay's scan also finds the torn tail the log truncates.
 func OpenRecovery(path string, sync bool) (*Recovery, []Intent, error) {
 	dangling := map[uint64]Intent{}
 	var maxID, seq uint64
-	err := Scan(path, func(line []byte) error {
+	var dec Decoder
+	intact, err := scanFile(path, func(line []byte) error {
 		seq++
-		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return fmt.Errorf("journal: decode record: %w", err)
+		rec, err := dec.Decode(line)
+		if err != nil {
+			return err
 		}
-		switch rec.Kind {
-		case "intent":
-			if rec.Intent == nil {
-				return fmt.Errorf("journal: intent record without body")
-			}
-			dangling[rec.Intent.ID] = *rec.Intent
-			if rec.Intent.ID > maxID {
-				maxID = rec.Intent.ID
-			}
-		case "outcome":
-			if rec.Outcome == nil {
-				return fmt.Errorf("journal: outcome record without body")
-			}
-			delete(dangling, rec.Outcome.ID)
-			if rec.Outcome.ID > maxID {
-				maxID = rec.Outcome.ID
-			}
-		default:
-			return fmt.Errorf("journal: unknown record kind %q", rec.Kind)
+		id := rec.Intent.ID
+		if rec.Kind == KindIntent {
+			dangling[id] = rec.Intent
+		} else {
+			id = rec.Outcome.ID
+			delete(dangling, id)
 		}
+		maxID = max(maxID, id)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	log, err := OpenLog(path, sync)
+	log, err := openLog(path, sync, intact)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -148,7 +139,7 @@ func OpenRecovery(path string, sync bool) (*Recovery, []Intent, error) {
 	for _, in := range dangling {
 		unfinished = append(unfinished, in)
 	}
-	sort.Slice(unfinished, func(i, j int) bool { return unfinished[i].ID < unfinished[j].ID })
+	slices.SortFunc(unfinished, func(a, b Intent) int { return cmp.Compare(a.ID, b.ID) })
 	return &Recovery{log: log, nextID: maxID + 1, seq: seq}, unfinished, nil
 }
 
@@ -176,7 +167,7 @@ func (r *Recovery) Path() string { return r.log.Path() }
 // numbers assigned here always match line order in the file), and feeds the
 // sink. The log's own mutex already serializes writers; taking r.mu around
 // the write adds no extra contention beyond what the file imposes.
-func (r *Recovery) append(rec record) error {
+func (r *Recovery) append(rec envelope) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("journal: marshal: %w", err)
@@ -203,7 +194,7 @@ func (r *Recovery) Begin(tenant, alloc string, addr uint64, off int, detected fl
 	r.nextID++
 	r.mu.Unlock()
 	in := Intent{ID: id, Alloc: alloc, Tenant: tenant, Addr: addr, Offset: off, Detected: detected}
-	if err := r.append(record{Kind: "intent", Intent: &in}); err != nil {
+	if err := r.append(envelope{Kind: "intent", Intent: &in}); err != nil {
 		return 0, err
 	}
 	faultinject.CrashPoint("journal/intent-written")
@@ -222,35 +213,11 @@ func (r *Recovery) Finish(id uint64, ok bool, detail string) error {
 func (r *Recovery) FinishValue(id uint64, ok bool, detail string, newBits uint64) error {
 	faultinject.CrashPoint("journal/outcome-unwritten")
 	out := Outcome{ID: id, OK: ok, Detail: detail, NewBits: newBits}
-	if err := r.append(record{Kind: "outcome", Outcome: &out}); err != nil {
+	if err := r.append(envelope{Kind: "outcome", Outcome: &out}); err != nil {
 		return err
 	}
 	faultinject.CrashPoint("journal/outcome-written")
 	return nil
-}
-
-// DecodeRecord decodes one raw journal line (as delivered by a Sink or by
-// Records) into its intent or outcome. Exactly one of the returns is
-// non-nil on success.
-func DecodeRecord(line []byte) (*Intent, *Outcome, error) {
-	var rec record
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return nil, nil, fmt.Errorf("journal: decode record: %w", err)
-	}
-	switch rec.Kind {
-	case "intent":
-		if rec.Intent == nil {
-			return nil, nil, fmt.Errorf("journal: intent record without body")
-		}
-		return rec.Intent, nil, nil
-	case "outcome":
-		if rec.Outcome == nil {
-			return nil, nil, fmt.Errorf("journal: outcome record without body")
-		}
-		return nil, rec.Outcome, nil
-	default:
-		return nil, nil, fmt.Errorf("journal: unknown record kind %q", rec.Kind)
-	}
 }
 
 // Close closes the underlying log.

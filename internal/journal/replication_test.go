@@ -57,12 +57,12 @@ func TestSinkSequencesMatchFile(t *testing.T) {
 		t.Fatalf("scanned %d records, want 2", i)
 	}
 	// The outcome's recovered bits survive the round trip exactly.
-	_, out, err := DecodeRecord(taps[1].line)
-	if err != nil || out == nil {
+	rec, err := DecodeRecord(taps[1].line)
+	if err != nil || rec.Kind != KindOutcome {
 		t.Fatalf("DecodeRecord: intent/outcome mix-up, err=%v", err)
 	}
-	if out.NewBits != math.Float64bits(3.25) {
-		t.Fatalf("NewBits = %#x, want %#x", out.NewBits, math.Float64bits(3.25))
+	if out := rec.Outcome; out.NewBits != math.Float64bits(3.25) {
+		t.Fatalf("NewBits = %#x, want %#x", rec.Outcome.NewBits, math.Float64bits(3.25))
 	}
 }
 

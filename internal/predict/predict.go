@@ -83,8 +83,8 @@ type MaskSource interface {
 	// Masked reports whether off is in the set.
 	Masked(off int) bool
 	// AppendMasked appends to dst, in ascending order, every offset of the
-	// set inside [lo, hi]. A source that cannot enumerate, or whose set is
-	// too large for enumeration to beat `limit` Masked calls, returns
+	// set inside [lo, hi]. A source that cannot enumerate, or for which
+	// enumerating the span costs more than `limit` Masked calls, returns
 	// ok=false and the caller asks Masked per offset instead.
 	AppendMasked(dst []int, lo, hi, limit int) (out []int, ok bool)
 }
@@ -312,13 +312,17 @@ func (e *Env) SetMaskSource(src MaskSource) {
 	e.rangeOK = false
 }
 
-// Masked reports whether the value stored at off must not be used.
+// Masked reports whether the value stored at off must not be used. Without
+// Mask/Allow overrides (every engine recovery but a burst, whose seed pass
+// allows cells back) it is the source's answer alone.
 func (e *Env) Masked(off int) bool {
-	if !e.haveMask || e.allowed[off] {
-		return false
-	}
-	if e.masked[off] {
-		return true
+	if e.masked != nil || e.allowed != nil {
+		if e.allowed[off] {
+			return false
+		}
+		if e.masked[off] {
+			return true
+		}
 	}
 	return e.mask != nil && e.mask.Masked(off)
 }
@@ -326,9 +330,9 @@ func (e *Env) Masked(off int) bool {
 // appendMaskedIn is the per-prediction form of Masked: it appends to dst, in
 // ascending order, the offsets in [lo, hi] for which Masked is true right
 // now. It reports ok=false when that takes asking Masked per offset — a bare
-// predicate, Mask/Allow overrides in play, or a source that declined (its set
-// outgrew limit) — which the caller then does over the offsets it actually
-// reads.
+// predicate, Mask/Allow overrides in play, or a source that declined (the
+// span costs more than limit queries) — which the caller then does over the
+// offsets it actually reads.
 func (e *Env) appendMaskedIn(dst []int, lo, hi, limit int) (out []int, ok bool) {
 	switch {
 	case !e.haveMask:

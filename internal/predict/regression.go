@@ -459,7 +459,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	}
 
 	// One mask query for the whole prediction; per cell when the mask cannot
-	// enumerate (a bare predicate, Mask/Allow overrides, an oversized set).
+	// enumerate (a bare predicate, Mask/Allow overrides, a span too wide).
 	excl, enumerated := env.appendMaskedIn(env.sc.excluded[:0], first, last, n)
 	if !enumerated {
 		excl = excl[:0]

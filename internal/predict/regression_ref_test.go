@@ -103,7 +103,7 @@ func localRegressionRef(env *Env, idx []int, r int) (float64, error) {
 // engine's per-array quarantine view — that counts how it is asked.
 type setMask struct {
 	offs    map[int]bool
-	decline bool // refuse to enumerate, as an oversized quarantine set does
+	decline bool // refuse to enumerate, as the quarantine does for too wide a span
 
 	maskedCalls, appendCalls int
 }
