@@ -6,10 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"flag"
 	"math"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,20 +17,18 @@ import (
 	"spatialdue/internal/bitflip"
 	"spatialdue/internal/detect"
 	"spatialdue/internal/fti"
+	"spatialdue/internal/golden"
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
 	"spatialdue/internal/trace"
 )
 
-// updateGolden regenerates testdata/pipeline_golden.json from whatever the
-// engine does now. The committed file was generated before the recovery
-// paths were collapsed onto one climb, so it pins the four old paths'
-// observable behaviour bit for bit; only regenerate it for a change that is
-// meant to move array bits, outcomes, error strings, audit entries, seeds or
-// span sets.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/pipeline_golden.json from the current engine")
-
+// pipelineGoldenPath is the record TestPipelineGolden compares against. It
+// was generated before the recovery paths were collapsed onto one climb, so
+// it pins the four old paths' observable behaviour bit for bit; only
+// regenerate it (-update-golden) for a change that is meant to move array
+// bits, outcomes, error strings, audit entries, seeds or span sets.
 const pipelineGoldenPath = "testdata/pipeline_golden.json"
 
 func bitsOf(v float64) string { return strconv.FormatUint(math.Float64bits(v), 16) }
@@ -608,36 +603,5 @@ func TestPipelineGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf = append(buf, '\n')
-
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(pipelineGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(pipelineGoldenPath, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", pipelineGoldenPath, len(buf))
-		return
-	}
-
-	want, err := os.ReadFile(pipelineGoldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(buf, want) {
-		return
-	}
-	gl, wl := strings.Split(string(buf), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) && i < len(wl); i++ {
-		if gl[i] != wl[i] {
-			lo := i - 12
-			if lo < 0 {
-				lo = 0
-			}
-			t.Fatalf("pipeline diverges from %s at line %d:\n got %s\nwant %s\ncontext:\n%s",
-				pipelineGoldenPath, i+1, gl[i], wl[i], strings.Join(wl[lo:i], "\n"))
-		}
-	}
-	t.Fatalf("pipeline record has %d lines, %s has %d", len(gl), pipelineGoldenPath, len(wl))
+	golden.Compare(t, pipelineGoldenPath, append(buf, '\n'))
 }
