@@ -47,6 +47,7 @@ import (
 	"spatialdue/internal/httpapi"
 	"spatialdue/internal/httpapi/client"
 	"spatialdue/internal/mca"
+	"spatialdue/internal/metrics"
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
@@ -263,14 +264,7 @@ func SimulateTradeoff(p TradeoffParams, s TradeoffStrategy, seed int64) tradeoff
 // MetricsHandler serves an engine's recovery counters in the Prometheus
 // text exposition format — mount it on /metrics to observe a protected
 // application's recovery activity.
-func MetricsHandler(e *Engine) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		if err := e.WriteMetrics(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-}
+func MetricsHandler(e *Engine) http.Handler { return metrics.Handler(e.WriteMetrics) }
 
 // RecoveryService is the resilient long-running recovery front end: a
 // bounded worker pool with admission control, per-recovery deadlines, retry

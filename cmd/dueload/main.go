@@ -65,7 +65,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -73,10 +72,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -84,6 +81,7 @@ import (
 	"spatialdue/internal/bitflip"
 	"spatialdue/internal/httpapi"
 	"spatialdue/internal/httpapi/client"
+	"spatialdue/internal/metrics"
 	"spatialdue/internal/service"
 	"spatialdue/internal/stats"
 )
@@ -260,8 +258,7 @@ func main() {
 	printHist(total.e2e)
 
 	for _, a := range addrList {
-		scrapeHotPathMetrics(a)
-		scrapeStageLatency(a)
+		printServerMetrics(a)
 	}
 
 	if failedClients > 0 {
@@ -710,150 +707,54 @@ func smoothField(rows, cols int, seed int64) []float64 {
 	return orig
 }
 
-// scrapeHotPathMetrics pulls the server's /metrics and summarizes the
-// recovery hot-path counters: stripe lock contention, batch coalescing,
-// and server-side latching. Best-effort — a server without /metrics (or
-// already gone) just skips the section.
-func scrapeHotPathMetrics(base string) {
-	resp, err := http.Get(strings.TrimRight(base, "/") + "/metrics")
+// scrapeMetrics fetches and parses one server's /metrics page.
+func scrapeMetrics(base string) (map[string]float64, error) {
+	page, err := client.New(client.Config{BaseURL: base}).Metrics(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	return metrics.Parse(strings.NewReader(page))
+}
+
+// printServerMetrics summarizes one server's /metrics: the recovery
+// hot-path counters (stripe lock contention, batch coalescing, server-side
+// latching), then a per-stage p50/p95/p99 table from the stage-duration
+// histograms — where each recovery's time actually went. Best-effort: a
+// server without /metrics (or already gone) just skips the section.
+func printServerMetrics(base string) {
+	vals, err := scrapeMetrics(base)
 	if err != nil {
 		fmt.Printf("\n(metrics scrape skipped: %v)\n", err)
 		return
-	}
-	defer resp.Body.Close()
-	vals := map[string]float64{}
-	names := []string{
-		"spatialdue_stripe_wait_seconds",
-		"spatialdue_stripe_acquisitions_total",
-		"spatialdue_batch_size_sum",
-		"spatialdue_batch_size_count",
-		"spatialdue_service_batched_total",
-		"spatialdue_http_events_latched_total",
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		for _, name := range names {
-			if rest, ok := strings.CutPrefix(line, name+" "); ok {
-				if v, perr := strconv.ParseFloat(strings.TrimSpace(rest), 64); perr == nil {
-					vals[name] = v
-				}
-			}
-		}
 	}
 	fmt.Printf("\n== server hot-path metrics ==\n")
 	fmt.Printf("stripe lock wait   %v over %.0f acquisitions\n",
 		time.Duration(vals["spatialdue_stripe_wait_seconds"]*float64(time.Second)).Round(time.Microsecond),
 		vals["spatialdue_stripe_acquisitions_total"])
 	calls, members := vals["spatialdue_batch_size_count"], vals["spatialdue_batch_size_sum"]
-	mean := 0.0
-	if calls > 0 {
-		mean = members / calls
-	}
-	fmt.Printf("batch calls        %.0f (%.0f members, mean size %.1f)\n", calls, members, mean)
+	fmt.Printf("batch calls        %.0f (%.0f members, mean size %.1f)\n", calls, members, members/max(calls, 1))
 	fmt.Printf("batched recoveries %.0f\n", vals["spatialdue_service_batched_total"])
 	fmt.Printf("latched events     %.0f\n", vals["spatialdue_http_events_latched_total"])
-}
 
-// scrapedHist is one Prometheus histogram reassembled from /metrics
-// _bucket lines: ascending upper bounds with cumulative counts.
-type scrapedHist struct {
-	les    []float64
-	counts []float64
-	count  float64
-}
-
-// quantile interpolates the q-quantile Prometheus-style: linearly inside
-// the bucket where the cumulative count crosses q*total.
-func (h *scrapedHist) quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := q * h.count
-	lo, cLo := 0.0, 0.0
-	for i, le := range h.les {
-		if h.counts[i] >= target {
-			in := h.counts[i] - cLo
-			if in <= 0 || math.IsInf(le, 1) {
-				return lo
-			}
-			return lo + (le-lo)*(target-cLo)/in
-		}
-		lo, cLo = le, h.counts[i]
-	}
-	return lo
-}
-
-// scrapeStageLatency pulls the server's stage-duration histograms
-// (spatialdue_stage_duration_seconds{stage=...} and
-// spatialdue_recovery_duration_seconds) and prints a per-stage
-// p50/p95/p99 table — where each recovery's time actually went.
-// Best-effort, like scrapeHotPathMetrics.
-func scrapeStageLatency(base string) {
-	resp, err := http.Get(strings.TrimRight(base, "/") + "/metrics")
-	if err != nil {
-		fmt.Printf("\n(stage latency scrape skipped: %v)\n", err)
-		return
-	}
-	defer resp.Body.Close()
-
-	const stagePrefix = `spatialdue_stage_duration_seconds_bucket{stage="`
-	const e2ePrefix = `spatialdue_recovery_duration_seconds_bucket{le="`
-	hists := map[string]*scrapedHist{}
-	order := []string{}
-	addBucket := func(name, le, count string) {
-		v, verr := strconv.ParseFloat(strings.TrimSpace(count), 64)
-		if verr != nil {
-			return
-		}
-		bound := math.Inf(1)
-		if le != "+Inf" {
-			if bound, verr = strconv.ParseFloat(le, 64); verr != nil {
-				return
-			}
-		}
-		h := hists[name]
-		if h == nil {
-			h = &scrapedHist{}
-			hists[name] = h
-			order = append(order, name)
-		}
-		h.les = append(h.les, bound)
-		h.counts = append(h.counts, v)
-		h.count = v // buckets are cumulative; +Inf arrives last
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, stagePrefix); ok {
-			stage, rest, ok := strings.Cut(rest, `",le="`)
-			if !ok {
-				continue
-			}
-			le, count, ok := strings.Cut(rest, `"} `)
-			if !ok {
-				continue
-			}
-			addBucket(stage, le, count)
-		} else if rest, ok := strings.CutPrefix(line, e2ePrefix); ok {
-			le, count, ok := strings.Cut(rest, `"} `)
-			if !ok {
-				continue
-			}
-			addBucket("end-to-end", le, count)
-		}
-	}
-	if len(order) == 0 {
+	stages := metrics.LabelValues(vals, "spatialdue_stage_duration_seconds_count", "stage")
+	e2e := metrics.Buckets(vals, "spatialdue_recovery_duration_seconds")
+	if len(stages) == 0 && len(e2e) == 0 {
 		fmt.Printf("\n(no stage-duration histograms on /metrics)\n")
 		return
 	}
 	fmt.Printf("\n== per-stage latency (server histograms) ==\n")
 	fmt.Printf("  %-18s %8s %10s %10s %10s\n", "stage", "count", "p50", "p95", "p99")
-	for _, name := range order {
-		h := hists[name]
-		fmt.Printf("  %-18s %8.0f %10s %10s %10s\n", name, h.count,
-			fmtDur(h.quantile(0.50)), fmtDur(h.quantile(0.95)), fmtDur(h.quantile(0.99)))
+	row := func(name string, b []metrics.Bucket) {
+		if len(b) == 0 {
+			return
+		}
+		q := func(p float64) string { return fmtDur(metrics.HistogramQuantile(p, b)) }
+		fmt.Printf("  %-18s %8.0f %10s %10s %10s\n", name, b[len(b)-1].Count, q(0.50), q(0.95), q(0.99))
 	}
+	for _, stage := range stages {
+		row(stage, metrics.Buckets(vals, "spatialdue_stage_duration_seconds", "stage", stage))
+	}
+	row("end-to-end", e2e)
 }
 
 // distinctOffsets deals n distinct offsets out of [0, limit), shuffled

@@ -1,14 +1,10 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"spatialdue/internal/bitflip"
@@ -227,8 +223,11 @@ func runStormProfile(addr, profile string, events, rows, cols, span int, settle 
 	fmt.Printf("quarantined at end: %d\n", quarantined)
 
 	if class == faultinject.ClassMetadata {
-		repairs := scrapeCounter(addr, "spatialdue_descriptor_repairs_total")
-		refusals := scrapeCounter(addr, "spatialdue_descriptor_refusals_total")
+		vals, err := scrapeMetrics(addr)
+		if err != nil {
+			fatalf("profile metadata: %v", err)
+		}
+		repairs, refusals := vals["spatialdue_descriptor_repairs_total"], vals["spatialdue_descriptor_refusals_total"]
 		fmt.Printf("descriptor repairs %g, refusals %g\n", repairs, refusals)
 		if repairs < 1 {
 			fatalf("profile metadata: server parity never repaired a descriptor")
@@ -248,23 +247,4 @@ func runStormProfile(addr, profile string, events, rows, cols, span int, settle 
 	// band — zero lost recoveries is the contract, precision is the metric.
 	fmt.Printf("\nOK [profile %s]: %d cells across %d events, %d recovered in place, %d checkpoint-restored, zero lost\n",
 		profile, len(tracked), events, len(okAt), restored)
-}
-
-// scrapeCounter fetches one counter value from the server's /metrics
-// (NaN when the scrape fails or the series is absent).
-func scrapeCounter(base, name string) float64 {
-	resp, err := http.Get(strings.TrimRight(base, "/") + "/metrics")
-	if err != nil {
-		return math.NaN()
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		if rest, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
-			if v, perr := strconv.ParseFloat(strings.TrimSpace(rest), 64); perr == nil {
-				return v
-			}
-		}
-	}
-	return math.NaN()
 }

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -46,6 +47,7 @@ import (
 	"spatialdue/internal/cluster"
 	"spatialdue/internal/faultinject"
 	"spatialdue/internal/httpapi"
+	"spatialdue/internal/metrics"
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/ndarray/mmapstore"
 	"spatialdue/internal/sdrbench"
@@ -453,11 +455,12 @@ func runServe(eng *spatialdue.Engine, alloc *spatialdue.Allocation, ds *sdrbench
 		}
 		defer ml.Close()
 		mux := http.NewServeMux()
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			_ = eng.WriteMetrics(w)
-			_ = svc.WriteMetrics(w)
-		})
+		mux.Handle("GET /metrics", metrics.Handler(func(w io.Writer) error {
+			mw := metrics.NewWriter(w)
+			_ = eng.WriteMetrics(mw) // write errors are kept in mw
+			_ = svc.WriteMetrics(mw)
+			return mw.Err()
+		}))
 		mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 			breakers := map[string]string{}
 			for name, state := range svc.BreakerStates() {

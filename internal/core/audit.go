@@ -5,6 +5,7 @@ import (
 	"io"
 	"sync"
 
+	"spatialdue/internal/metrics"
 	"spatialdue/internal/predict"
 )
 
@@ -96,134 +97,56 @@ func (e *Engine) Audit() []AuditEntry { return e.audit.snapshot() }
 // WriteMetrics exports the engine counters in the Prometheus text format.
 func (e *Engine) WriteMetrics(w io.Writer) error {
 	st := e.Stats()
+	mw := metrics.NewWriter(w)
+	mw.Counter("spatialdue_recovered_total", "Elements recovered in place.", st.Recovered)
+	mw.Counter("spatialdue_tuned_total", "Recoveries that used RECOVER_ANY auto-tuning.", st.Tuned)
+	mw.Counter("spatialdue_fallbacks_total", "Checkpoint-restart fallbacks.", st.Fallbacks)
+	mw.Family("spatialdue_escalations_total", "Recovery-ladder stage entries per stage.", metrics.Counter)
+	esc := e.Escalations()
+	for s := Stage(0); s < numStages; s++ {
+		mw.Sample(esc[s], "stage", s.String())
+	}
+	mw.Gauge("spatialdue_quarantined", "Elements currently quarantined (corrupt, unrepaired).", e.QuarantineCount())
+	wait, acq := e.StripeWait()
+	mw.Counter("spatialdue_stripe_wait_seconds", "Cumulative time spent acquiring region-stripe recovery locks.", wait.Seconds())
+	mw.Counter("spatialdue_stripe_acquisitions_total", "Stripe lock-range acquisitions.", acq)
+	calls, members, buckets := e.BatchStats()
+	bounds, cumulative := make([]float64, len(buckets)), make([]uint64, len(buckets))
+	for i, n := range buckets {
+		bounds[i], cumulative[i] = float64(batchSizeBuckets[i]), uint64(n)
+	}
+	mw.Family("spatialdue_batch_size", "RecoverBatch sizes (members per call).", metrics.Histogram)
+	mw.Histogram(bounds, cumulative, members, uint64(calls))
+	verifies, repairs, refusals := e.table.DescriptorStats()
+	mw.Counter("spatialdue_descriptor_verifies_total", "Allocation-descriptor parity verifications.", verifies)
+	mw.Counter("spatialdue_descriptor_repairs_total", "Descriptors reconstructed from parity after corruption.", repairs)
+	mw.Counter("spatialdue_descriptor_refusals_total", "Descriptor lookups refused as corrupt beyond parity.", refusals)
+	tc := e.TuneCacheCounters()
+	mw.Counter("spatialdue_tune_cache_hits_total", "Tune-cache hits (cached decision served, tuner skipped; includes coalesced waits).", tc.Hits+tc.Coalesced)
+	mw.Counter("spatialdue_tune_cache_misses_total", "Tune-cache misses (tuner runs).", tc.Misses)
+	mw.Counter("spatialdue_tune_cache_invalidations_total", "Cached tuning decisions dropped by full or stripe-granular invalidation.", tc.Invalidations)
+	mw.Counter("spatialdue_tune_cache_expiries_total", "Hot-spot TTL expiries (cached decision aged out by uses).", tc.Expiries)
+	mw.Counter("spatialdue_tune_cache_corrections_total", "Cached decisions replaced after a verification failure exposed them as stale.", tc.Corrections)
+	if allocs := e.table.Allocations(); len(allocs) > 0 {
+		mw.Family("spatialdue_spatial_moran_i", "Global Moran's I over per-stripe recovery-error intensity (0 when undefined).", metrics.Gauge)
+		for _, a := range allocs {
+			if rep := e.SpatialReport(a.Array); rep.Recoveries > 0 {
+				mw.Sample(rep.MoranI, "alloc", a.QualifiedName())
+			}
+		}
+	}
 	// Lifetime per-method counters, NOT a recount of the bounded audit ring:
 	// a ring-derived value decreases as old entries rotate out, which breaks
 	// the Prometheus counter contract (rate() over a decreasing series
 	// silently yields garbage).
-	byMethod := e.MethodCounts()
-	if _, err := fmt.Fprintf(w,
-		"# HELP spatialdue_recovered_total Elements recovered in place.\n"+
-			"# TYPE spatialdue_recovered_total counter\n"+
-			"spatialdue_recovered_total %d\n"+
-			"# HELP spatialdue_tuned_total Recoveries that used RECOVER_ANY auto-tuning.\n"+
-			"# TYPE spatialdue_tuned_total counter\n"+
-			"spatialdue_tuned_total %d\n"+
-			"# HELP spatialdue_fallbacks_total Checkpoint-restart fallbacks.\n"+
-			"# TYPE spatialdue_fallbacks_total counter\n"+
-			"spatialdue_fallbacks_total %d\n",
-		st.Recovered, st.Tuned, st.Fallbacks); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP spatialdue_escalations_total Recovery-ladder stage entries per stage.\n"+
-			"# TYPE spatialdue_escalations_total counter\n"); err != nil {
-		return err
-	}
-	esc := e.Escalations()
-	for s := Stage(0); s < numStages; s++ {
-		if _, err := fmt.Fprintf(w, "spatialdue_escalations_total{stage=%q} %d\n", s.String(), esc[s]); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP spatialdue_quarantined Elements currently quarantined (corrupt, unrepaired).\n"+
-			"# TYPE spatialdue_quarantined gauge\n"+
-			"spatialdue_quarantined %d\n", e.QuarantineCount()); err != nil {
-		return err
-	}
-	wait, acq := e.StripeWait()
-	if _, err := fmt.Fprintf(w,
-		"# HELP spatialdue_stripe_wait_seconds Cumulative time spent acquiring region-stripe recovery locks.\n"+
-			"# TYPE spatialdue_stripe_wait_seconds counter\n"+
-			"spatialdue_stripe_wait_seconds %g\n"+
-			"# HELP spatialdue_stripe_acquisitions_total Stripe lock-range acquisitions.\n"+
-			"# TYPE spatialdue_stripe_acquisitions_total counter\n"+
-			"spatialdue_stripe_acquisitions_total %d\n", wait.Seconds(), acq); err != nil {
-		return err
-	}
-	calls, members, buckets := e.BatchStats()
-	if _, err := fmt.Fprintf(w,
-		"# HELP spatialdue_batch_size RecoverBatch sizes (members per call).\n"+
-			"# TYPE spatialdue_batch_size histogram\n"); err != nil {
-		return err
-	}
-	for bi, bound := range batchSizeBuckets {
-		if _, err := fmt.Fprintf(w, "spatialdue_batch_size_bucket{le=\"%d\"} %d\n", bound, buckets[bi]); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w,
-		"spatialdue_batch_size_bucket{le=\"+Inf\"} %d\n"+
-			"spatialdue_batch_size_sum %d\n"+
-			"spatialdue_batch_size_count %d\n", calls, members, calls); err != nil {
-		return err
-	}
-	verifies, repairs, refusals := e.table.DescriptorStats()
-	if _, err := fmt.Fprintf(w,
-		"# HELP spatialdue_descriptor_verifies_total Allocation-descriptor parity verifications.\n"+
-			"# TYPE spatialdue_descriptor_verifies_total counter\n"+
-			"spatialdue_descriptor_verifies_total %d\n"+
-			"# HELP spatialdue_descriptor_repairs_total Descriptors reconstructed from parity after corruption.\n"+
-			"# TYPE spatialdue_descriptor_repairs_total counter\n"+
-			"spatialdue_descriptor_repairs_total %d\n"+
-			"# HELP spatialdue_descriptor_refusals_total Descriptor lookups refused as corrupt beyond parity.\n"+
-			"# TYPE spatialdue_descriptor_refusals_total counter\n"+
-			"spatialdue_descriptor_refusals_total %d\n", verifies, repairs, refusals); err != nil {
-		return err
-	}
-	tc := e.TuneCacheCounters()
-	if _, err := fmt.Fprintf(w,
-		"# HELP spatialdue_tune_cache_hits_total Tune-cache hits (cached decision served, tuner skipped; includes coalesced waits).\n"+
-			"# TYPE spatialdue_tune_cache_hits_total counter\n"+
-			"spatialdue_tune_cache_hits_total %d\n"+
-			"# HELP spatialdue_tune_cache_misses_total Tune-cache misses (tuner runs).\n"+
-			"# TYPE spatialdue_tune_cache_misses_total counter\n"+
-			"spatialdue_tune_cache_misses_total %d\n"+
-			"# HELP spatialdue_tune_cache_invalidations_total Cached tuning decisions dropped by full or stripe-granular invalidation.\n"+
-			"# TYPE spatialdue_tune_cache_invalidations_total counter\n"+
-			"spatialdue_tune_cache_invalidations_total %d\n"+
-			"# HELP spatialdue_tune_cache_expiries_total Hot-spot TTL expiries (cached decision aged out by uses).\n"+
-			"# TYPE spatialdue_tune_cache_expiries_total counter\n"+
-			"spatialdue_tune_cache_expiries_total %d\n"+
-			"# HELP spatialdue_tune_cache_corrections_total Cached decisions replaced after a verification failure exposed them as stale.\n"+
-			"# TYPE spatialdue_tune_cache_corrections_total counter\n"+
-			"spatialdue_tune_cache_corrections_total %d\n",
-		tc.Hits+tc.Coalesced, tc.Misses, tc.Invalidations, tc.Expiries, tc.Corrections); err != nil {
-		return err
-	}
-	if allocs := e.table.Allocations(); len(allocs) > 0 {
-		if _, err := fmt.Fprintf(w,
-			"# HELP spatialdue_spatial_moran_i Global Moran's I over per-stripe recovery-error intensity (0 when undefined).\n"+
-				"# TYPE spatialdue_spatial_moran_i gauge\n"); err != nil {
-			return err
-		}
-		for _, a := range allocs {
-			rep := e.SpatialReport(a.Array)
-			if rep.Recoveries == 0 {
-				continue
-			}
-			label := a.Name
-			if a.Tenant != "" {
-				label = a.Tenant + "/" + a.Name
-			}
-			if _, err := fmt.Fprintf(w, "spatialdue_spatial_moran_i{alloc=%q} %g\n", label, rep.MoranI); err != nil {
-				return err
-			}
-		}
-	}
-	if len(byMethod) > 0 {
-		if _, err := fmt.Fprintf(w,
-			"# HELP spatialdue_recoveries_by_method Lifetime successful recoveries per method.\n"+
-				"# TYPE spatialdue_recoveries_by_method counter\n"); err != nil {
-			return err
-		}
+	if byMethod := e.MethodCounts(); len(byMethod) > 0 {
+		mw.Family("spatialdue_recoveries_by_method", "Lifetime successful recoveries per method.", metrics.Counter)
 		for _, m := range predict.HeadlineMethods() {
 			if n := byMethod[m]; n > 0 {
-				if _, err := fmt.Fprintf(w, "spatialdue_recoveries_by_method{method=%q} %d\n", m.String(), n); err != nil {
-					return err
-				}
+				mw.Sample(n, "method", m.String())
 			}
 		}
 	}
-	return e.tracer.WriteMetrics(w)
+	_ = e.tracer.WriteMetrics(mw) // its write errors are mw's
+	return mw.Err()
 }

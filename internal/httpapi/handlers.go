@@ -16,6 +16,7 @@ import (
 
 	"spatialdue/internal/bitflip"
 	"spatialdue/internal/faultinject"
+	"spatialdue/internal/metrics"
 	"spatialdue/internal/ndarray/mmapstore"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
@@ -171,64 +172,32 @@ func (s *Server) queueCapacity() int {
 	return 64
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if err := s.eng.WriteMetrics(w); err != nil {
-		return
-	}
-	if err := s.svc.WriteMetrics(w); err != nil {
-		return
-	}
+// WriteMetrics writes the server's whole /metrics page in the Prometheus
+// text format: the engine's and the service's families, then the ingestion
+// path's, the predictive-health tier's and the cluster's.
+func (s *Server) WriteMetrics(w io.Writer) error {
+	mw := metrics.NewWriter(w)
+	// Each layer writes through mw, which keeps the page's first write error.
+	_ = s.eng.WriteMetrics(mw)
+	_ = s.svc.WriteMetrics(mw)
 	due, _, overflow := s.machine.Stats()
-	fmt.Fprintf(w,
-		"# HELP spatialdue_http_events_accepted_total Events admitted into the recovery pool.\n"+
-			"# TYPE spatialdue_http_events_accepted_total counter\n"+
-			"spatialdue_http_events_accepted_total %d\n"+
-			"# HELP spatialdue_http_events_latched_total Backpressured events left bank-latched for redelivery.\n"+
-			"# TYPE spatialdue_http_events_latched_total counter\n"+
-			"spatialdue_http_events_latched_total %d\n"+
-			"# HELP spatialdue_http_events_rejected_total Events rejected without latching.\n"+
-			"# TYPE spatialdue_http_events_rejected_total counter\n"+
-			"spatialdue_http_events_rejected_total %d\n"+
-			"# HELP spatialdue_http_allocations Registered allocations.\n"+
-			"# TYPE spatialdue_http_allocations gauge\n"+
-			"spatialdue_http_allocations %d\n"+
-			"# HELP spatialdue_mca_raised_due_total DUEs delivered through the simulated MCA.\n"+
-			"# TYPE spatialdue_mca_raised_due_total counter\n"+
-			"spatialdue_mca_raised_due_total %d\n"+
-			"# HELP spatialdue_mca_bank_overflows_total Bank overflows (events displaced to the redelivery queue).\n"+
-			"# TYPE spatialdue_mca_bank_overflows_total counter\n"+
-			"spatialdue_mca_bank_overflows_total %d\n",
-		s.evAccepted.Load(), s.evLatched.Load(), s.evRejected.Load(),
-		s.eng.Table().Len(), due, overflow)
+	mw.Counter("spatialdue_http_events_accepted_total", "Events admitted into the recovery pool.", s.evAccepted.Load())
+	mw.Counter("spatialdue_http_events_latched_total", "Backpressured events left bank-latched for redelivery.", s.evLatched.Load())
+	mw.Counter("spatialdue_http_events_rejected_total", "Events rejected without latching.", s.evRejected.Load())
+	mw.Gauge("spatialdue_http_allocations", "Registered allocations.", s.eng.Table().Len())
+	mw.Counter("spatialdue_mca_raised_due_total", "DUEs delivered through the simulated MCA.", due)
+	mw.Counter("spatialdue_mca_bank_overflows_total", "Bank overflows (events displaced to the redelivery queue).", overflow)
 	if s.health != nil {
-		if err := s.health.WriteMetrics(w); err != nil {
-			return
-		}
+		_ = s.health.WriteMetrics(mw)
 	}
 	if s.cfg.Cluster != nil {
 		cs := s.cfg.Cluster.Status()
-		b2i := func(b bool) int {
-			if b {
-				return 1
-			}
-			return 0
-		}
-		fmt.Fprintf(w,
-			"# HELP spatialdue_replication_lag_records Journal records appended but not yet acknowledged by the partner.\n"+
-				"# TYPE spatialdue_replication_lag_records gauge\n"+
-				"spatialdue_replication_lag_records %d\n"+
-				"# HELP spatialdue_cluster_partner_unreachable Partner unreachable past the heartbeat budget (1) or reachable (0).\n"+
-				"# TYPE spatialdue_cluster_partner_unreachable gauge\n"+
-				"spatialdue_cluster_partner_unreachable %d\n"+
-				"# HELP spatialdue_cluster_promoted_shards Dead owners whose shards this node has promoted itself over.\n"+
-				"# TYPE spatialdue_cluster_promoted_shards gauge\n"+
-				"spatialdue_cluster_promoted_shards %d\n"+
-				"# HELP spatialdue_cluster_degraded Cluster redundancy lost from this node's perspective.\n"+
-				"# TYPE spatialdue_cluster_degraded gauge\n"+
-				"spatialdue_cluster_degraded %d\n",
-			cs.ReplicationLag, b2i(cs.PartnerDown), len(cs.PromotedFor), b2i(cs.Degraded))
+		mw.Gauge("spatialdue_replication_lag_records", "Journal records appended but not yet acknowledged by the partner.", cs.ReplicationLag)
+		mw.Gauge("spatialdue_cluster_partner_unreachable", "Partner unreachable past the heartbeat budget (1) or reachable (0).", cs.PartnerDown)
+		mw.Gauge("spatialdue_cluster_promoted_shards", "Dead owners whose shards this node has promoted itself over.", len(cs.PromotedFor))
+		mw.Gauge("spatialdue_cluster_degraded", "Cluster redundancy lost from this node's perspective.", cs.Degraded)
 	}
+	return mw.Err()
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {

@@ -17,6 +17,7 @@ import (
 
 	"spatialdue/internal/core"
 	"spatialdue/internal/mca"
+	"spatialdue/internal/metrics"
 	"spatialdue/internal/predictor"
 	"spatialdue/internal/registry"
 	"spatialdue/internal/service"
@@ -294,7 +295,7 @@ func (s *Server) routes() {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", metrics.Handler(s.WriteMetrics))
 
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)

@@ -5,11 +5,13 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 
 	"spatialdue/internal/core"
 	"spatialdue/internal/fti"
 	"spatialdue/internal/mca"
+	"spatialdue/internal/metrics"
 	"spatialdue/internal/registry"
 )
 
@@ -442,36 +444,28 @@ func (m *Manager) CheckpointInterval() float64 {
 // WriteMetrics emits the predictive-health tier's Prometheus metrics.
 func (m *Manager) WriteMetrics(w io.Writer) error {
 	reports := m.pred.Report()
-	m.mu.Lock()
-	interval := m.interval
-	offlined := len(m.offlined)
-	kinds := make([]ActionKind, 0, len(m.actions))
-	for k := range m.actions {
+	counts := m.ActionCounts()
+	kinds := make([]ActionKind, 0, len(counts))
+	for k := range counts {
 		kinds = append(kinds, k)
 	}
-	counts := make(map[ActionKind]int, len(m.actions))
-	for k, v := range m.actions {
-		counts[k] = v
-	}
-	m.mu.Unlock()
 	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
 
-	if _, err := fmt.Fprintf(w, "# HELP spatialdue_predictor_risk Bank failure risk score (weighted logistic over CE features).\n# TYPE spatialdue_predictor_risk gauge\n"); err != nil {
-		return err
-	}
+	mw := metrics.NewWriter(w)
+	mw.Family("spatialdue_predictor_risk", "Bank failure risk score (weighted logistic over CE features).", metrics.Gauge)
 	for _, r := range reports {
-		fmt.Fprintf(w, "spatialdue_predictor_risk{bank=\"%d\"} %g\n", r.Bank, r.Risk)
+		mw.Sample(r.Risk, "bank", strconv.Itoa(r.Bank))
 	}
-	fmt.Fprintf(w, "# HELP spatialdue_predictor_tier Bank health tier (0 none, 1 watch, 2 elevated, 3 critical).\n# TYPE spatialdue_predictor_tier gauge\n")
+	mw.Family("spatialdue_predictor_tier", "Bank health tier (0 none, 1 watch, 2 elevated, 3 critical).", metrics.Gauge)
 	for _, r := range reports {
-		fmt.Fprintf(w, "spatialdue_predictor_tier{bank=\"%d\"} %d\n", r.Bank, int(r.Tier))
+		mw.Sample(int(r.Tier), "bank", strconv.Itoa(r.Bank))
 	}
-	fmt.Fprintf(w, "# HELP spatialdue_predictor_actions_total Proactive health actions executed.\n# TYPE spatialdue_predictor_actions_total counter\n")
+	mw.Family("spatialdue_predictor_actions_total", "Proactive health actions executed.", metrics.Counter)
 	for _, k := range kinds {
-		fmt.Fprintf(w, "spatialdue_predictor_actions_total{action=%q} %d\n", string(k), counts[k])
+		mw.Sample(counts[k], "action", string(k))
 	}
-	fmt.Fprintf(w, "# HELP spatialdue_predictor_ckpt_interval_seconds Recomputed Young checkpoint interval (0 = baseline).\n# TYPE spatialdue_predictor_ckpt_interval_seconds gauge\nspatialdue_predictor_ckpt_interval_seconds %g\n", interval)
-	fmt.Fprintf(w, "# HELP spatialdue_predictor_offlined_rows_total Rows proactively migrated and offlined.\n# TYPE spatialdue_predictor_offlined_rows_total counter\nspatialdue_predictor_offlined_rows_total %d\n", offlined)
-	_, err := fmt.Fprintf(w, "# HELP spatialdue_predictor_observations_total CE observations consumed.\n# TYPE spatialdue_predictor_observations_total counter\nspatialdue_predictor_observations_total %d\n", m.pred.Total())
-	return err
+	mw.Gauge("spatialdue_predictor_ckpt_interval_seconds", "Recomputed Young checkpoint interval (0 = baseline).", m.CheckpointInterval())
+	mw.Counter("spatialdue_predictor_offlined_rows_total", "Rows proactively migrated and offlined.", len(m.OfflinedRows()))
+	mw.Counter("spatialdue_predictor_observations_total", "CE observations consumed.", m.pred.Total())
+	return mw.Err()
 }

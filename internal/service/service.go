@@ -29,6 +29,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime/pprof"
+	"sort"
 	"sync"
 	"time"
 
@@ -36,6 +37,7 @@ import (
 	"spatialdue/internal/faultinject"
 	"spatialdue/internal/journal"
 	"spatialdue/internal/mca"
+	"spatialdue/internal/metrics"
 	"spatialdue/internal/registry"
 	"spatialdue/internal/trace"
 )
@@ -1018,59 +1020,29 @@ func (s *Service) Close() error { return s.Drain(context.Background()) }
 // complementing the engine's own WriteMetrics.
 func (s *Service) WriteMetrics(w io.Writer) error {
 	st := s.Stats()
-	s.mu.Lock()
-	pending := s.pendingN
-	states := make(map[string]BreakerState, len(s.breakers))
-	for name, b := range s.breakers {
-		states[name] = b.snapshot()
-	}
-	s.mu.Unlock()
-	if _, err := fmt.Fprintf(w,
-		"# HELP spatialdue_service_submitted_total Recovery submissions (incl. rejected).\n"+
-			"# TYPE spatialdue_service_submitted_total counter\n"+
-			"spatialdue_service_submitted_total %d\n"+
-			"# HELP spatialdue_service_rejected_total Submissions rejected with ErrOverloaded.\n"+
-			"# TYPE spatialdue_service_rejected_total counter\n"+
-			"spatialdue_service_rejected_total %d\n"+
-			"# HELP spatialdue_service_breaker_rejected_total Submissions degraded by an open breaker.\n"+
-			"# TYPE spatialdue_service_breaker_rejected_total counter\n"+
-			"spatialdue_service_breaker_rejected_total %d\n"+
-			"# HELP spatialdue_service_recovered_total Recoveries completed successfully.\n"+
-			"# TYPE spatialdue_service_recovered_total counter\n"+
-			"spatialdue_service_recovered_total %d\n"+
-			"# HELP spatialdue_service_failed_total Recoveries that failed terminally.\n"+
-			"# TYPE spatialdue_service_failed_total counter\n"+
-			"spatialdue_service_failed_total %d\n"+
-			"# HELP spatialdue_service_abandoned_total Failed recoveries whose final attempt hit the deadline.\n"+
-			"# TYPE spatialdue_service_abandoned_total counter\n"+
-			"spatialdue_service_abandoned_total %d\n"+
-			"# HELP spatialdue_service_retries_total Backoff retries.\n"+
-			"# TYPE spatialdue_service_retries_total counter\n"+
-			"spatialdue_service_retries_total %d\n"+
-			"# HELP spatialdue_service_batched_total Recoveries coalesced through RecoverBatch.\n"+
-			"# TYPE spatialdue_service_batched_total counter\n"+
-			"spatialdue_service_batched_total %d\n"+
-			"# HELP spatialdue_service_replayed_total Journal intents replayed on restart.\n"+
-			"# TYPE spatialdue_service_replayed_total counter\n"+
-			"spatialdue_service_replayed_total %d\n"+
-			"# HELP spatialdue_service_breaker_trips_total Circuit breaker trips.\n"+
-			"# TYPE spatialdue_service_breaker_trips_total counter\n"+
-			"spatialdue_service_breaker_trips_total %d\n"+
-			"# HELP spatialdue_service_shadow_restored_total Recoveries served from the predictive-health migration shadow.\n"+
-			"# TYPE spatialdue_service_shadow_restored_total counter\n"+
-			"spatialdue_service_shadow_restored_total %d\n"+
-			"# HELP spatialdue_service_queue_depth Queued-but-unstarted recoveries.\n"+
-			"# TYPE spatialdue_service_queue_depth gauge\n"+
-			"spatialdue_service_queue_depth %d\n",
-		st.Submitted, st.Rejected, st.BreakerRejected, st.Recovered, st.Failed,
-		st.Abandoned, st.Retries, st.Batched, st.Replayed, st.BreakerTrips,
-		st.ShadowRestored, pending); err != nil {
-		return err
-	}
-	for name, state := range states {
-		if _, err := fmt.Fprintf(w, "spatialdue_service_breaker_state{alloc=%q,state=%q} 1\n", name, state); err != nil {
-			return err
+	mw := metrics.NewWriter(w)
+	mw.Counter("spatialdue_service_submitted_total", "Recovery submissions (incl. rejected).", st.Submitted)
+	mw.Counter("spatialdue_service_rejected_total", "Submissions rejected with ErrOverloaded.", st.Rejected)
+	mw.Counter("spatialdue_service_breaker_rejected_total", "Submissions degraded by an open breaker.", st.BreakerRejected)
+	mw.Counter("spatialdue_service_recovered_total", "Recoveries completed successfully.", st.Recovered)
+	mw.Counter("spatialdue_service_failed_total", "Recoveries that failed terminally.", st.Failed)
+	mw.Counter("spatialdue_service_abandoned_total", "Failed recoveries whose final attempt hit the deadline.", st.Abandoned)
+	mw.Counter("spatialdue_service_retries_total", "Backoff retries.", st.Retries)
+	mw.Counter("spatialdue_service_batched_total", "Recoveries coalesced through RecoverBatch.", st.Batched)
+	mw.Counter("spatialdue_service_replayed_total", "Journal intents replayed on restart.", st.Replayed)
+	mw.Counter("spatialdue_service_breaker_trips_total", "Circuit breaker trips.", st.BreakerTrips)
+	mw.Counter("spatialdue_service_shadow_restored_total", "Recoveries served from the predictive-health migration shadow.", st.ShadowRestored)
+	mw.Gauge("spatialdue_service_queue_depth", "Queued-but-unstarted recoveries.", s.QueueLen())
+	if states := s.BreakerStates(); len(states) > 0 {
+		names := make([]string, 0, len(states))
+		for name := range states {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		mw.Family("spatialdue_service_breaker_state", "Circuit breaker state per allocation (1 on the current state).", metrics.Gauge)
+		for _, name := range names {
+			mw.Sample(1, "alloc", name, "state", states[name].String())
 		}
 	}
-	return nil
+	return mw.Err()
 }

@@ -1,12 +1,12 @@
 package trace
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
+
+	"spatialdue/internal/metrics"
 )
 
 // Collector aggregates finished traces into Prometheus-exportable
@@ -97,7 +97,7 @@ var durationBuckets = [numBuckets]float64{
 const numBuckets = 22
 
 // hist is one duration histogram. counts are per-bucket (NOT cumulative)
-// so observe touches one counter; writeHist accumulates the running total
+// so observe touches one counter; WriteMetrics accumulates the running total
 // the Prometheus text format wants at export time, off the hot path.
 type hist struct {
 	counts [numBuckets]uint64
@@ -246,66 +246,38 @@ func (t *Trace) summaryLocked() Summary {
 // WriteMetrics exports the stage and recovery duration histograms in the
 // Prometheus text format.
 func (c *Collector) WriteMetrics(w io.Writer) error {
+	type stage struct {
+		name string
+		h    hist
+	}
 	c.mu.Lock()
-	names := make([]string, 0, numStages+len(c.extra))
-	byName := make(map[string]hist, numStages+len(c.extra))
+	stages := make([]stage, 0, numStages+len(c.extra))
 	for i, name := range stageNames {
 		if c.known[i].n > 0 {
-			names = append(names, name)
-			byName[name] = c.known[i]
+			stages = append(stages, stage{name, c.known[i]})
 		}
 	}
 	for name, h := range c.extra {
-		names = append(names, name)
-		byName[name] = *h
+		stages = append(stages, stage{name, *h})
 	}
-	sort.Strings(names)
 	rec := c.recovery
 	c.mu.Unlock()
+	sort.Slice(stages, func(i, j int) bool { return stages[i].name < stages[j].name })
 
-	if len(names) > 0 {
-		if _, err := fmt.Fprintf(w,
-			"# HELP spatialdue_stage_duration_seconds Time spent per recovery-pipeline stage.\n"+
-				"# TYPE spatialdue_stage_duration_seconds histogram\n"); err != nil {
-			return err
+	mw := metrics.NewWriter(w)
+	series := func(h hist, labelPairs ...string) {
+		for i := 1; i < numBuckets; i++ {
+			h.counts[i] += h.counts[i-1] // h is a copy: make its counts cumulative
 		}
-		for _, name := range names {
-			h := byName[name]
-			if err := writeHist(w, "spatialdue_stage_duration_seconds", name, &h); err != nil {
-				return err
-			}
-		}
+		mw.Histogram(durationBuckets[:], h.counts[:], h.sum, h.n, labelPairs...)
 	}
-	if _, err := fmt.Fprintf(w,
-		"# HELP spatialdue_recovery_duration_seconds End-to-end recovery latency (admission to terminal outcome).\n"+
-			"# TYPE spatialdue_recovery_duration_seconds histogram\n"); err != nil {
-		return err
-	}
-	return writeHist(w, "spatialdue_recovery_duration_seconds", "", &rec)
-}
-
-// writeHist emits one histogram series, labeled stage=name when name is
-// non-empty.
-func writeHist(w io.Writer, metric, name string, h *hist) error {
-	label := func(le string) string {
-		if name == "" {
-			return fmt.Sprintf("{le=%q}", le)
-		}
-		return fmt.Sprintf("{stage=%q,le=%q}", name, le)
-	}
-	cum := uint64(0)
-	for i, b := range durationBuckets {
-		cum += h.counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			metric, label(strconv.FormatFloat(b, 'g', -1, 64)), cum); err != nil {
-			return err
+	if len(stages) > 0 {
+		mw.Family("spatialdue_stage_duration_seconds", "Time spent per recovery-pipeline stage.", metrics.Histogram)
+		for _, s := range stages {
+			series(s.h, "stage", s.name)
 		}
 	}
-	suffix := ""
-	if name != "" {
-		suffix = fmt.Sprintf("{stage=%q}", name)
-	}
-	_, err := fmt.Fprintf(w, "%s_bucket%s %d\n%s_sum%s %g\n%s_count%s %d\n",
-		metric, label("+Inf"), h.n, metric, suffix, h.sum, metric, suffix, h.n)
-	return err
+	mw.Family("spatialdue_recovery_duration_seconds", "End-to-end recovery latency (admission to terminal outcome).", metrics.Histogram)
+	series(rec)
+	return mw.Err()
 }

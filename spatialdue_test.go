@@ -11,6 +11,7 @@ import (
 
 	"spatialdue"
 	"spatialdue/internal/bitflip"
+	"spatialdue/internal/metrics"
 	"spatialdue/internal/sdrbench"
 )
 
@@ -250,5 +251,30 @@ func TestMetricsHandler(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "spatialdue_recovered_total 1") {
 		t.Errorf("metrics body missing counter:\n%s", body)
+	}
+}
+
+// TestMetricsLabelEscaping protects an allocation whose name only the
+// library (not the HTTP layer's name check) lets through: a tab, a control
+// byte and a quote. The page must still parse, and give the name back.
+func TestMetricsLabelEscaping(t *testing.T) {
+	const name = "t\tab\x01\"q"
+	grid := smoothGrid(t, 16, 16)
+	eng := spatialdue.NewEngine(spatialdue.Options{Seed: 4})
+	alloc := eng.Protect(name, grid, spatialdue.Float32, spatialdue.RecoverAny())
+	off := grid.Offset(8, 8)
+	grid.SetOffset(off, math.NaN())
+	if _, err := eng.RecoverAddress(alloc.AddrOf(off)); err != nil {
+		t.Fatal(err)
+	}
+
+	rec := httptest.NewRecorder()
+	spatialdue.MetricsHandler(eng).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	samples, err := metrics.Parse(rec.Body)
+	if err != nil {
+		t.Fatalf("parse /metrics: %v", err)
+	}
+	if got := metrics.LabelValues(samples, "spatialdue_spatial_moran_i", "alloc"); len(got) != 1 || got[0] != name {
+		t.Fatalf("alloc label values = %q, want [%q]", got, name)
 	}
 }
