@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"spatialdue/internal/httpapi"
@@ -228,18 +229,41 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 		}
 		return nil
 	}
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if raw, ok := out.(*[]byte); ok {
+		*raw, err = io.ReadAll(resp.Body)
 		return err
 	}
-	if out != nil {
-		if raw, ok := out.(*[]byte); ok {
-			*raw = respBody
-		} else if err := json.Unmarshal(respBody, out); err != nil {
-			return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
-		}
+	// The body is read into a recycled buffer: every decoder copies what it
+	// keeps.
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return err
+	}
+	if err := decode(buf.Bytes(), out); err != nil {
+		return fmt.Errorf("client: decode %s %s response: %w", method, path, err)
 	}
 	return nil
+}
+
+// bodyBufs recycles the buffers response bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 0, 4<<10)) }}
+
+// decode decodes a JSON response body into out (nothing when out is nil):
+// a record the recovery path receives once per event through its own
+// decoder, anything else through json.Unmarshal.
+func decode(body []byte, out any) (err error) {
+	switch out := out.(type) {
+	case nil:
+	case *httpapi.OutcomesPage:
+		*out, err = httpapi.DecodeOutcomesPage(body)
+	case *httpapi.EventResult:
+		*out, err = httpapi.DecodeEventResult(body)
+	default:
+		err = json.Unmarshal(body, out)
+	}
+	return err
 }
 
 func marshal(v any) []byte {
@@ -342,7 +366,7 @@ func (c *Client) Ingest(ctx context.Context, ev httpapi.EventRequest) (*httpapi.
 // the latched error) echoes it. Pass "" to let the server mint an ID.
 func (c *Client) IngestTraced(ctx context.Context, ev httpapi.EventRequest, traceparent string) (*httpapi.EventResult, error) {
 	var out httpapi.EventResult
-	err := c.do(ctx, http.MethodPost, "/v1/events", marshal(ev), &out,
+	err := c.do(ctx, http.MethodPost, "/v1/events", ev.AppendJSON(nil, true), &out,
 		callOpts{retryable: false, traceparent: traceparent})
 	if err != nil {
 		if apiErr, ok := err.(*httpapi.Error); ok {
@@ -364,14 +388,13 @@ func (c *Client) IngestTraced(ctx context.Context, ev httpapi.EventRequest, trac
 // results, in order. Transport-level success with per-event failures is
 // not an error; inspect each EventResult.
 func (c *Client) IngestBatch(ctx context.Context, evs []httpapi.EventRequest) ([]httpapi.EventResult, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, ev := range evs {
-		if err := enc.Encode(ev); err != nil {
-			return nil, err
-		}
+	// The transport may still be sending the body when Do returns, so it
+	// gets a buffer of its own, sized for the usual event.
+	body := make([]byte, 0, 48*len(evs))
+	for i := range evs {
+		body = append(evs[i].AppendJSON(body, true), '\n')
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+"/v1/events/stream", &buf)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.cfg.BaseURL+"/v1/events/stream", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -388,16 +411,19 @@ func (c *Client) IngestBatch(ctx context.Context, evs []httpapi.EventRequest) ([
 		body, _ := io.ReadAll(resp.Body)
 		return nil, decodeError(resp, body)
 	}
-	var out []httpapi.EventResult
+	out := make([]httpapi.EventResult, 0, len(evs))
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(buf)
+	buf.Reset()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(buf.AvailableBuffer(), 1<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var res httpapi.EventResult
-		if err := json.Unmarshal(line, &res); err != nil {
+		res, err := httpapi.DecodeEventResult(line)
+		if err != nil {
 			return out, fmt.Errorf("client: decode stream result: %w", err)
 		}
 		out = append(out, res)

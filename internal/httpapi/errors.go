@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"spatialdue/internal/core"
+	"spatialdue/internal/jsonwire"
 	"spatialdue/internal/registry"
 	"spatialdue/internal/service"
 )
@@ -33,6 +34,11 @@ const (
 	CodeInternal          = "internal"
 )
 
+var codes = []string{CodeBadRequest, CodeNotRegistered, CodeNameTaken, CodeBadDims,
+	CodeOverloaded, CodeVerifyFailed, CodeMetadataCorrupt, CodeAbandoned, CodeCircuitOpen,
+	CodeCheckpointRestart, CodeDraining, CodeRecoveriesBusy, CodeForwardLoop,
+	CodePayloadTooLarge, CodeInternal}
+
 // ErrForwardLoop is returned when a shard-forwarding redirect chain exceeds
 // MaxForwardHops — a cluster map disagreement (two nodes each believing the
 // other owns the tenant) that would otherwise bounce the request forever.
@@ -47,6 +53,35 @@ type ErrorDetail struct {
 	// Latched marks an event rejection whose record remains bank-latched
 	// for server-side redelivery: backpressure, not loss. Do not resend.
 	Latched bool `json:"latched,omitempty"`
+}
+
+// appendJSON appends d as encoding/json writes it with HTML escaping on or
+// off.
+func (d *ErrorDetail) appendJSON(dst []byte, escapeHTML bool) []byte {
+	dst = jsonwire.AppendString(append(dst, `{"code":`...), d.Code, escapeHTML)
+	dst = jsonwire.AppendString(append(dst, `,"message":`...), d.Message, escapeHTML)
+	if d.Latched {
+		dst = append(dst, `,"latched":true`...)
+	}
+	return append(dst, '}')
+}
+
+var errorDetailKeys = []string{"code", "message", "latched"}
+
+// decodeFast decodes the detail at the head of b in the shape appendJSON
+// writes into d, returning what follows it.
+func (d *ErrorDetail) decodeFast(b []byte) ([]byte, bool) {
+	return jsonwire.Members(b, errorDetailKeys, func(k int, b []byte) (rest []byte, ok bool) {
+		switch errorDetailKeys[k] {
+		case "code":
+			d.Code, rest, ok = jsonwire.StringValue(b, codes...)
+		case "message":
+			d.Message, rest, ok = jsonwire.StringValue(b)
+		case "latched":
+			d.Latched, rest, ok = jsonwire.Bool(b)
+		}
+		return rest, ok
+	})
 }
 
 // ErrorBody is the JSON error envelope.

@@ -707,25 +707,61 @@ func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, "%v", terr)
 		return
 	}
-	var ev EventRequest
-	if err := json.NewDecoder(r.Body).Decode(&ev); err != nil {
+	bp := getBuf()
+	ev, err := decodeEventBody(r.Body, bp)
+	if err != nil {
+		putBuf(bp)
 		writeBadRequest(w, "decode event: %v", err)
 		return
 	}
 	tid, _ := trace.ParseTraceparent(r.Header.Get(TraceparentHeader))
 	res := s.ingestOne(tenant, ev, tid)
-	if res.Status == StatusAccepted {
-		writeJSON(w, http.StatusAccepted, res)
-		return
+	status := http.StatusAccepted
+	if res.Status != StatusAccepted {
+		// EventResult serializes its ErrorDetail under the same "error" key
+		// as ErrorBody, so clients decoding the error envelope still work
+		// while latched responses additionally carry status and trace_id.
+		var retry bool
+		status, retry = StatusFor(res.Error.Code)
+		if retry {
+			w.Header().Set("Retry-After", "1")
+		}
 	}
-	// EventResult serializes its ErrorDetail under the same "error" key as
-	// ErrorBody, so clients decoding the error envelope still work while
-	// latched responses additionally carry status and trace_id.
-	status, retry := StatusFor(res.Error.Code)
-	if retry {
-		w.Header().Set("Retry-After", "1")
+	*bp = append(res.AppendJSON((*bp)[:0], false), '\n')
+	writeBody(w, status, bp)
+}
+
+// decodeEventBody decodes the first JSON value of body into an event as
+// json.Decoder does: leading whitespace is skipped and bytes past the value
+// are never read. A body that ends within the buffer's capacity, in the
+// shape EventRequest.AppendJSON writes, takes a fast path.
+func decodeEventBody(body io.Reader, bp *[]byte) (EventRequest, error) {
+	buf, err := fill(body, *bp)
+	*bp = buf
+	if err == io.EOF {
+		if ev, _, ok := decodeEventRequestFast(buf); ok {
+			return ev, nil
+		}
 	}
-	writeJSON(w, status, res)
+	// The decoder reads what fill read, then the rest of body: the same
+	// stream. A request body's errors are sticky (http.MaxBytesReader), so
+	// an error fill met is met again at the same point.
+	var ev EventRequest
+	err = json.NewDecoder(io.MultiReader(bytes.NewReader(buf), body)).Decode(&ev)
+	return ev, err
+}
+
+// fill reads r into buf's spare capacity until EOF, an error, or a full
+// buffer (err nil: more may follow).
+func fill(r io.Reader, buf []byte) ([]byte, error) {
+	for len(buf) < cap(buf) {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // streamWindow is the NDJSON ingest window: events are parsed and admitted
@@ -756,17 +792,22 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 
+	lines, out := getBuf(), getBuf()
+	defer putBuf(lines)
+	defer putBuf(out)
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(*lines, 1<<20)
 	n := 0
 	window := make([]EventResult, 0, streamWindow)
 	emit := func() {
-		for _, res := range window {
-			_ = enc.Encode(res)
+		buf := (*out)[:0]
+		for i := range window {
+			buf = append(window[i].AppendJSON(buf, true), '\n')
 		}
+		*out = buf
+		_, _ = w.Write(buf) // a failed write means the client went away
 		window = window[:0]
 		if flusher != nil {
 			flusher.Flush()
@@ -777,9 +818,8 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 		if len(line) == 0 {
 			continue
 		}
-		var ev EventRequest
 		var res EventResult
-		if err := json.Unmarshal(line, &ev); err != nil {
+		if ev, err := decodeEventRequest(line); err != nil {
 			s.evRejected.Add(1)
 			res = EventResult{Status: StatusRejected,
 				Error: &ErrorDetail{Code: CodeBadRequest, Message: fmt.Sprintf("line %d: %v", n+1, err)}}
@@ -821,7 +861,10 @@ func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, s.outcomes.page(since, tenant, q.Get("alloc"), limit))
+	page := s.outcomes.page(since, tenant, q.Get("alloc"), limit)
+	bp := getBuf()
+	*bp = append(page.AppendJSON(*bp, false), '\n')
+	writeBody(w, http.StatusOK, bp)
 }
 
 func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request) {

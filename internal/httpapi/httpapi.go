@@ -26,6 +26,15 @@
 package httpapi
 
 import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"strconv"
+
+	"spatialdue/internal/core"
+	"spatialdue/internal/jsonwire"
+	"spatialdue/internal/predict"
+	"spatialdue/internal/predictor"
 	"spatialdue/internal/spatial"
 	"spatialdue/internal/trace"
 )
@@ -119,6 +128,71 @@ type EventRequest struct {
 	Bit int `json:"bit,omitempty"`
 }
 
+// AppendJSON appends ev as encoding/json writes it with HTML escaping on or
+// off.
+func (ev *EventRequest) AppendJSON(dst []byte, escapeHTML bool) []byte {
+	// Every member is omitempty: each is written after a comma, and the
+	// first comma becomes the opening brace.
+	mark := len(dst)
+	if ev.Kind != "" {
+		dst = jsonwire.AppendString(append(dst, `,"kind":`...), ev.Kind, escapeHTML)
+	}
+	if ev.Addr != 0 {
+		dst = strconv.AppendUint(append(dst, `,"addr":`...), ev.Addr, 10)
+	}
+	if ev.Alloc != "" {
+		dst = jsonwire.AppendString(append(dst, `,"alloc":`...), ev.Alloc, escapeHTML)
+	}
+	if ev.Offset != nil {
+		dst = strconv.AppendInt(append(dst, `,"offset":`...), int64(*ev.Offset), 10)
+	}
+	if ev.Bit != 0 {
+		dst = strconv.AppendInt(append(dst, `,"bit":`...), int64(ev.Bit), 10)
+	}
+	if len(dst) == mark {
+		return append(dst, "{}"...)
+	}
+	dst[mark] = '{'
+	return append(dst, '}')
+}
+
+// decodeEventRequest decodes one event as json.Unmarshal does into a zero
+// EventRequest. The shape AppendJSON writes takes a fast path; anything
+// else takes json.Unmarshal.
+func decodeEventRequest(data []byte) (EventRequest, error) {
+	if ev, rest, ok := decodeEventRequestFast(data); ok && jsonwire.Space(rest) {
+		return ev, nil
+	}
+	var ev EventRequest
+	err := json.Unmarshal(data, &ev)
+	return ev, err
+}
+
+var eventRequestKeys = []string{"kind", "addr", "alloc", "offset", "bit"}
+
+// decodeEventRequestFast decodes the event at the head of b in the shape
+// AppendJSON writes, returning what follows it.
+func decodeEventRequestFast(b []byte) (ev EventRequest, rest []byte, ok bool) {
+	rest, ok = jsonwire.Members(b, eventRequestKeys, func(k int, b []byte) (rest []byte, ok bool) {
+		switch eventRequestKeys[k] {
+		case "kind":
+			ev.Kind, rest, ok = jsonwire.StringValue(b, EventKindDUE, EventKindCE)
+		case "addr":
+			ev.Addr, rest, ok = jsonwire.Uint(b)
+		case "alloc":
+			ev.Alloc, rest, ok = jsonwire.StringValue(b)
+		case "offset":
+			var off int
+			off, rest, ok = jsonwire.Int(b)
+			ev.Offset = &off
+		case "bit":
+			ev.Bit, rest, ok = jsonwire.Int(b)
+		}
+		return rest, ok
+	})
+	return ev, rest, ok
+}
+
 // Event ingestion statuses.
 const (
 	// StatusAccepted: the event was admitted into the recovery pool.
@@ -132,6 +206,8 @@ const (
 	StatusRejected = "rejected"
 )
 
+var statuses = []string{StatusAccepted, StatusLatched, StatusRejected}
+
 // EventResult reports the admission outcome of one event.
 type EventResult struct {
 	Status string       `json:"status"`
@@ -141,6 +217,50 @@ type EventResult struct {
 	// reached admission.
 	TraceID string `json:"trace_id,omitempty"`
 }
+
+// AppendJSON appends res as encoding/json writes it with HTML escaping on
+// or off.
+func (res *EventResult) AppendJSON(dst []byte, escapeHTML bool) []byte {
+	dst = jsonwire.AppendString(append(dst, `{"status":`...), res.Status, escapeHTML)
+	if res.Error != nil {
+		dst = res.Error.appendJSON(append(dst, `,"error":`...), escapeHTML)
+	}
+	if res.TraceID != "" {
+		dst = jsonwire.AppendString(append(dst, `,"trace_id":`...), res.TraceID, escapeHTML)
+	}
+	return append(dst, '}')
+}
+
+// DecodeEventResult decodes one result as json.Unmarshal does into a zero
+// EventResult. The shape AppendJSON writes, with trailing whitespace, takes
+// a fast path; anything else takes json.Unmarshal.
+func DecodeEventResult(data []byte) (EventResult, error) {
+	if res, ok := decodeEventResultFast(data); ok {
+		return res, nil
+	}
+	var res EventResult
+	err := json.Unmarshal(data, &res)
+	return res, err
+}
+
+// decodeEventResultFast is DecodeEventResult's fast path.
+func decodeEventResultFast(data []byte) (res EventResult, ok bool) {
+	rest, ok := jsonwire.Members(data, eventResultKeys, func(k int, b []byte) (rest []byte, ok bool) {
+		switch eventResultKeys[k] {
+		case "status":
+			res.Status, rest, ok = jsonwire.StringValue(b, statuses...)
+		case "error":
+			res.Error = new(ErrorDetail)
+			rest, ok = res.Error.decodeFast(b)
+		case "trace_id":
+			res.TraceID, rest, ok = jsonwire.StringValue(b)
+		}
+		return rest, ok
+	})
+	return res, ok && jsonwire.Space(rest)
+}
+
+var eventResultKeys = []string{"status", "error", "trace_id"}
 
 // InjectRequest corrupts one element of an allocation in place and plants
 // the fault in the simulated memory (POST /v1/allocations/{name}/inject) —
@@ -230,6 +350,9 @@ type ElementState struct {
 // OutcomeRecord is one finished recovery, as reported by the outcome feed
 // (GET /v1/outcomes). Seq is a monotone cursor: poll with since=<last
 // Next> to stream.
+//
+// NewBits is always on the wire; New only when it is finite (JSON cannot
+// represent NaN/Inf), and a decoder without new takes New from NewBits.
 type OutcomeRecord struct {
 	Seq      uint64  `json:"seq"`
 	Tenant   string  `json:"tenant,omitempty"`
@@ -244,11 +367,149 @@ type OutcomeRecord struct {
 	Tuned    bool    `json:"tuned,omitempty"`
 	OldBits  uint64  `json:"old_valbits"`
 	New      float64 `json:"new"`
+	NewBits  uint64  `json:"new_valbits"`
 	Attempts int     `json:"attempts"`
 	Replayed bool    `json:"replayed,omitempty"`
 	Probe    bool    `json:"probe,omitempty"`
 	TraceID  string  `json:"trace_id,omitempty"`
 	UnixNano int64   `json:"unix_nano"`
+}
+
+// UnmarshalJSON implements json.Unmarshaler: a record without new takes
+// New from new_valbits.
+func (r *OutcomeRecord) UnmarshalJSON(b []byte) error {
+	type plain OutcomeRecord // the fields without this method
+	var w struct {
+		plain
+		New *float64 `json:"new"`
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*r = OutcomeRecord(w.plain)
+	r.New = math.Float64frombits(r.NewBits)
+	if w.New != nil {
+		r.New = *w.New
+	}
+	return nil
+}
+
+// appendJSON appends r as encoding/json writes it with HTML escaping on or
+// off. A non-finite New, which encoding/json refuses, is left out.
+func (r *OutcomeRecord) appendJSON(dst []byte, escapeHTML bool) []byte {
+	dst = strconv.AppendUint(append(dst, `{"seq":`...), r.Seq, 10)
+	if r.Tenant != "" {
+		dst = jsonwire.AppendString(append(dst, `,"tenant":`...), r.Tenant, escapeHTML)
+	}
+	dst = jsonwire.AppendString(append(dst, `,"alloc":`...), r.Alloc, escapeHTML)
+	dst = strconv.AppendInt(append(dst, `,"offset":`...), int64(r.Offset), 10)
+	if r.Addr != 0 {
+		dst = strconv.AppendUint(append(dst, `,"addr":`...), r.Addr, 10)
+	}
+	dst = strconv.AppendBool(append(dst, `,"ok":`...), r.OK)
+	if r.Error != "" {
+		dst = jsonwire.AppendString(append(dst, `,"error":`...), r.Error, escapeHTML)
+	}
+	if r.Code != "" {
+		dst = jsonwire.AppendString(append(dst, `,"code":`...), r.Code, escapeHTML)
+	}
+	if r.Method != "" {
+		dst = jsonwire.AppendString(append(dst, `,"method":`...), r.Method, escapeHTML)
+	}
+	if r.Stage != "" {
+		dst = jsonwire.AppendString(append(dst, `,"stage":`...), r.Stage, escapeHTML)
+	}
+	if r.Tuned {
+		dst = append(dst, `,"tuned":true`...)
+	}
+	dst = strconv.AppendUint(append(dst, `,"old_valbits":`...), r.OldBits, 10)
+	if !math.IsNaN(r.New) && !math.IsInf(r.New, 0) {
+		dst = jsonwire.AppendFloat(append(dst, `,"new":`...), r.New)
+	}
+	dst = strconv.AppendUint(append(dst, `,"new_valbits":`...), r.NewBits, 10)
+	dst = strconv.AppendInt(append(dst, `,"attempts":`...), int64(r.Attempts), 10)
+	if r.Replayed {
+		dst = append(dst, `,"replayed":true`...)
+	}
+	if r.Probe {
+		dst = append(dst, `,"probe":true`...)
+	}
+	if r.TraceID != "" {
+		dst = jsonwire.AppendString(append(dst, `,"trace_id":`...), r.TraceID, escapeHTML)
+	}
+	dst = strconv.AppendInt(append(dst, `,"unix_nano":`...), r.UnixNano, 10)
+	return append(dst, '}')
+}
+
+var outcomeKeys = []string{"seq", "tenant", "alloc", "offset", "addr", "ok", "error", "code",
+	"method", "stage", "tuned", "old_valbits", "new", "new_valbits", "attempts", "replayed",
+	"probe", "trace_id", "unix_nano"}
+
+// The closed vocabularies of a record's method and stage, decoded to these
+// strings without allocating.
+var methodNames, stageNames = func() (methods, stages []string) {
+	for m := predict.MethodZero; m <= predict.MethodLorenzoAuto; m++ {
+		methods = append(methods, m.String())
+	}
+	for s := core.StagePrimary; s <= core.StageOfflined; s++ {
+		stages = append(stages, s.String())
+	}
+	return methods, append(stages, string(predictor.ActionPageOfflined))
+}()
+
+// decodeOutcomeFast decodes the record at the head of b in the shape
+// appendJSON writes, returning what follows it. A tenant or alloc equal to
+// prev's reuses prev's string: a page is mostly one allocation's records.
+func decodeOutcomeFast(b []byte, prev *OutcomeRecord) (r OutcomeRecord, rest []byte, ok bool) {
+	hasNew := false
+	rest, ok = jsonwire.Members(b, outcomeKeys, func(k int, b []byte) (rest []byte, ok bool) {
+		switch outcomeKeys[k] {
+		case "seq":
+			r.Seq, rest, ok = jsonwire.Uint(b)
+		case "tenant":
+			r.Tenant, rest, ok = jsonwire.StringValue(b, prev.Tenant)
+		case "alloc":
+			r.Alloc, rest, ok = jsonwire.StringValue(b, prev.Alloc)
+		case "offset":
+			r.Offset, rest, ok = jsonwire.Int(b)
+		case "addr":
+			r.Addr, rest, ok = jsonwire.Uint(b)
+		case "ok":
+			r.OK, rest, ok = jsonwire.Bool(b)
+		case "error":
+			r.Error, rest, ok = jsonwire.StringValue(b)
+		case "code":
+			r.Code, rest, ok = jsonwire.StringValue(b, codes...)
+		case "method":
+			r.Method, rest, ok = jsonwire.StringValue(b, methodNames...)
+		case "stage":
+			r.Stage, rest, ok = jsonwire.StringValue(b, stageNames...)
+		case "tuned":
+			r.Tuned, rest, ok = jsonwire.Bool(b)
+		case "old_valbits":
+			r.OldBits, rest, ok = jsonwire.Uint(b)
+		case "new":
+			r.New, rest, ok = jsonwire.Float(b)
+			hasNew = true
+		case "new_valbits":
+			r.NewBits, rest, ok = jsonwire.Uint(b)
+		case "attempts":
+			r.Attempts, rest, ok = jsonwire.Int(b)
+		case "replayed":
+			r.Replayed, rest, ok = jsonwire.Bool(b)
+		case "probe":
+			r.Probe, rest, ok = jsonwire.Bool(b)
+		case "trace_id":
+			r.TraceID, rest, ok = jsonwire.StringValue(b)
+		case "unix_nano":
+			r.UnixNano, rest, ok = jsonwire.Int64(b)
+		}
+		return rest, ok
+	})
+	if !hasNew {
+		r.New = math.Float64frombits(r.NewBits)
+	}
+	return r, rest, ok
 }
 
 // OutcomesPage is one page of the outcome feed.
@@ -260,6 +521,70 @@ type OutcomesPage struct {
 	Dropped  bool            `json:"dropped,omitempty"`
 	Outcomes []OutcomeRecord `json:"outcomes"`
 }
+
+// AppendJSON appends p as encoding/json writes it with HTML escaping on or
+// off, except that a record's non-finite New, which encoding/json refuses,
+// is left out (its bits are in new_valbits).
+func (p *OutcomesPage) AppendJSON(dst []byte, escapeHTML bool) []byte {
+	dst = strconv.AppendUint(append(dst, `{"next":`...), p.Next, 10)
+	if p.Dropped {
+		dst = append(dst, `,"dropped":true`...)
+	}
+	if p.Outcomes == nil {
+		return append(dst, `,"outcomes":null}`...)
+	}
+	dst = append(dst, `,"outcomes":[`...)
+	for i := range p.Outcomes {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = p.Outcomes[i].appendJSON(dst, escapeHTML)
+	}
+	return append(dst, "]}"...)
+}
+
+// DecodeOutcomesPage decodes one page as json.Unmarshal does into a zero
+// OutcomesPage. The shape AppendJSON writes, with trailing whitespace, takes
+// a fast path; anything else takes json.Unmarshal.
+func DecodeOutcomesPage(data []byte) (OutcomesPage, error) {
+	if p, ok := decodeOutcomesPageFast(data); ok {
+		return p, nil
+	}
+	var p OutcomesPage
+	err := json.Unmarshal(data, &p)
+	return p, err
+}
+
+// decodeOutcomesPageFast is DecodeOutcomesPage's fast path.
+func decodeOutcomesPageFast(data []byte) (p OutcomesPage, ok bool) {
+	rest, ok := jsonwire.Members(data, pageKeys, func(k int, b []byte) (rest []byte, ok bool) {
+		switch pageKeys[k] {
+		case "next":
+			p.Next, rest, ok = jsonwire.Uint(b)
+		case "dropped":
+			p.Dropped, rest, ok = jsonwire.Bool(b)
+		case "outcomes":
+			if jsonwire.HasPrefix(b, "null") {
+				return b[len("null"):], true
+			}
+			// Every record starts with this key, which no string can hold
+			// unescaped: the count sizes the slice in one allocation.
+			p.Outcomes = make([]OutcomeRecord, 0, bytes.Count(b, []byte(`{"seq":`)))
+			prev := &OutcomeRecord{}
+			rest, ok = jsonwire.Elements(b, func(b []byte) (rest []byte, ok bool) {
+				var r OutcomeRecord
+				r, rest, ok = decodeOutcomeFast(b, prev)
+				p.Outcomes = append(p.Outcomes, r)
+				prev = &p.Outcomes[len(p.Outcomes)-1]
+				return rest, ok
+			})
+		}
+		return rest, ok
+	})
+	return p, ok && jsonwire.Space(rest)
+}
+
+var pageKeys = []string{"next", "dropped", "outcomes"}
 
 // QuarantineReport lists the tenant's quarantined (corrupt, unrepaired)
 // elements (GET /v1/quarantine).

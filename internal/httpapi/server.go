@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -459,13 +460,53 @@ func (s *Server) tenant(r *http.Request) (string, error) {
 	return t, nil
 }
 
-// writeJSON writes one JSON response.
+// writeJSON writes one JSON response, encoded before the status is sent: a
+// value that fails to encode is answered with 500 and the internal error
+// envelope, never with a success status and an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	bp := getBuf()
+	buf := bytes.NewBuffer(*bp)
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = enc.Encode(ErrorBody{Error: ErrorDetail{Code: CodeInternal,
+			Message: fmt.Sprintf("encode response: %v", err)}})
+	}
+	*bp = buf.Bytes()
+	writeBody(w, status, bp)
+}
+
+// writeBody writes one JSON response already encoded into a buffer from
+// getBuf, and recycles the buffer.
+func writeBody(w http.ResponseWriter, status int, body *[]byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(*body) // a failed write means the client went away
+	putBuf(body)
+}
+
+// bodyBufs recycles the buffers responses are encoded into and small
+// request bodies are read into.
+var bodyBufs = sync.Pool{New: func() any {
+	buf := make([]byte, 0, 4<<10)
+	return &buf
+}}
+
+// getBuf returns an empty buffer from bodyBufs.
+func getBuf() *[]byte {
+	bp := bodyBufs.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+// putBuf returns a buffer to bodyBufs, unless it grew past what is worth
+// keeping.
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= 1<<20 {
+		bodyBufs.Put(bp)
+	}
 }
 
 // writeError maps err onto the wire: status from the error table, JSON
@@ -512,5 +553,6 @@ func recordFromResult(res service.Result) OutcomeRecord {
 	rec.Tuned = res.Outcome.Tuned
 	rec.OldBits = float64Bits(res.Outcome.Old)
 	rec.New = res.Outcome.New
+	rec.NewBits = float64Bits(res.Outcome.New)
 	return rec
 }

@@ -7,6 +7,7 @@
 package journal
 
 import (
+	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -43,5 +44,30 @@ func TestOpenRecoveryGarbage(t *testing.T) {
 	t.Logf("replay garbage: %.2f B and %.4f allocations per record", bytes, allocs)
 	if bytes > 64 || allocs > 0.1 {
 		t.Errorf("replay made %.2f B and %.4f allocations per record; want <= 64 B and <= 0.1", bytes, allocs)
+	}
+}
+
+// TestAppendAllocations pins a journal append at zero allocations: the line
+// is encoded into the journal's reused buffer and written as it is.
+func TestAppendAllocations(t *testing.T) {
+	r, _, err := OpenRecovery(filepath.Join(t.TempDir(), "j.jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var id uint64
+	if n := testing.AllocsPerRun(200, func() {
+		if id, err = r.Begin("t0", "field", 0x7f0000000000, 132, math.NaN()); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Begin made %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := r.FinishValue(id, true, "method=Lorenzo 1-Layer stage=primary", math.Float64bits(287.5)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("FinishValue made %v allocations, want 0", n)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"spatialdue/internal/jsonwire"
 )
 
 // Kind says which body a decoded journal record carries.
@@ -82,21 +84,20 @@ var (
 )
 
 // decodeFast decodes the shape append writes and declines (ok=false)
-// anything else. It accepts the envelope byte for byte, then a body whose
-// keys come in the written order, each at most once (any may be absent, as
-// omitempty leaves them), with no whitespace; integers in plain decimal that
-// fit their field; ok as true or false; and strings of printable ASCII with
-// no escapes. json.Unmarshal gives the same record for every such line.
+// anything else. It accepts the envelope byte for byte, then a body in the
+// shape jsonwire.Members takes, integers in plain decimal that fit their
+// field and ok as true or false. json.Unmarshal gives the same record for
+// every such line.
 func (d *Decoder) decodeFast(line []byte) (Record, bool) {
-	const intentHead, outcomeHead = `{"k":"intent","i":{`, `{"k":"outcome","o":{`
+	const intentHead, outcomeHead = `{"k":"intent","i":`, `{"k":"outcome","o":`
 	var (
 		rec  Record
 		keys []string
 	)
 	switch {
-	case hasPrefix(line, intentHead):
+	case jsonwire.HasPrefix(line, intentHead):
 		rec.Kind, keys, line = KindIntent, intentKeys, line[len(intentHead):]
-	case hasPrefix(line, outcomeHead):
+	case jsonwire.HasPrefix(line, outcomeHead):
 		rec.Kind, keys, line = KindOutcome, outcomeKeys, line[len(outcomeHead):]
 	default:
 		return rec, false
@@ -107,57 +108,28 @@ func (d *Decoder) decodeFast(line []byte) (Record, bool) {
 		okay                  bool
 		alloc, tenant, detail string
 	)
-	next := 0 // keys[next:] may still follow
-	for n := 0; ; n++ {
-		if len(line) == 0 {
-			return rec, false
-		}
-		if line[0] == '}' {
-			line = line[1:]
-			break
-		}
-		if n > 0 {
-			if line[0] != ',' {
-				return rec, false
-			}
-			line = line[1:]
-		}
-		key, rest, ok := asciiString(line)
-		if !ok || len(rest) == 0 || rest[0] != ':' {
-			return rec, false
-		}
-		line = rest[1:]
-		j := next
-		for j < len(keys) && keys[j] != string(key) {
-			j++
-		}
-		if j == len(keys) {
-			return rec, false
-		}
-		next = j + 1
-		switch keys[j] {
+	line, ok := jsonwire.Members(line, keys, func(k int, b []byte) (rest []byte, ok bool) {
+		switch keys[k] {
 		case "id":
-			id, line, ok = uintValue(line)
+			id, rest, ok = jsonwire.Uint(b)
 		case "addr":
-			addr, line, ok = uintValue(line)
+			addr, rest, ok = jsonwire.Uint(b)
 		case "valbits":
-			bits, line, ok = uintValue(line)
+			bits, rest, ok = jsonwire.Uint(b)
 		case "off":
-			off, line, ok = intValue(line)
+			off, rest, ok = jsonwire.Int(b)
 		case "ok":
-			okay, line, ok = boolValue(line)
+			okay, rest, ok = jsonwire.Bool(b)
 		case "alloc":
-			alloc, line, ok = d.stringValue(line)
+			alloc, rest, ok = d.stringValue(b)
 		case "tenant":
-			tenant, line, ok = d.stringValue(line)
+			tenant, rest, ok = d.stringValue(b)
 		case "detail":
-			detail, line, ok = d.stringValue(line)
+			detail, rest, ok = d.stringValue(b)
 		}
-		if !ok {
-			return rec, false
-		}
-	}
-	if string(line) != "}" {
+		return rest, ok
+	})
+	if !ok || string(line) != "}" {
 		return rec, false
 	}
 	if rec.Kind == KindIntent {
@@ -169,26 +141,10 @@ func (d *Decoder) decodeFast(line []byte) (Record, bool) {
 	return rec, true
 }
 
-// asciiString splits a leading JSON string of printable ASCII without
-// escapes off b: its contents and what follows the closing quote.
-func asciiString(b []byte) (s, rest []byte, ok bool) {
-	if len(b) == 0 || b[0] != '"' {
-		return nil, nil, false
-	}
-	for i := 1; i < len(b); i++ {
-		switch c := b[i]; {
-		case c == '"':
-			return b[1:i], b[i+1:], true
-		case c < 0x20 || c == '\\' || c >= 0x80:
-			return nil, nil, false
-		}
-	}
-	return nil, nil, false
-}
-
-// stringValue is asciiString with the contents interned.
+// stringValue splits a leading string off b as jsonwire.String does, with
+// the contents interned.
 func (d *Decoder) stringValue(b []byte) (string, []byte, bool) {
-	s, rest, ok := asciiString(b)
+	s, rest, ok := jsonwire.String(b)
 	if !ok {
 		return "", nil, false
 	}
@@ -204,52 +160,3 @@ func (d *Decoder) stringValue(b []byte) (string, []byte, bool) {
 	}
 	return v, rest, true
 }
-
-// uintValue splits a leading unsigned JSON integer (no sign, fraction or
-// exponent; no leading zero) off b, declining one past math.MaxUint64.
-func uintValue(b []byte) (uint64, []byte, bool) {
-	var v uint64
-	i := 0
-	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
-		dig := uint64(b[i] - '0')
-		if v > (math.MaxUint64-dig)/10 {
-			return 0, nil, false
-		}
-		v = 10*v + dig
-	}
-	if i == 0 || (b[0] == '0' && i > 1) {
-		return 0, nil, false
-	}
-	return v, b[i:], true
-}
-
-// intValue is uintValue with an optional minus sign, declining a value
-// outside the int range.
-func intValue(b []byte) (int, []byte, bool) {
-	neg := len(b) > 0 && b[0] == '-'
-	if neg {
-		b = b[1:]
-	}
-	mag, rest, ok := uintValue(b)
-	switch {
-	case !ok, !neg && mag > math.MaxInt, neg && mag > math.MaxInt+1:
-		return 0, nil, false
-	case neg:
-		return -int(mag), rest, true
-	}
-	return int(mag), rest, true
-}
-
-// boolValue splits a leading JSON true or false off b.
-func boolValue(b []byte) (bool, []byte, bool) {
-	switch {
-	case hasPrefix(b, "true"):
-		return true, b[4:], true
-	case hasPrefix(b, "false"):
-		return false, b[5:], true
-	}
-	return false, nil, false
-}
-
-// hasPrefix reports whether b begins with p, without converting b.
-func hasPrefix(b []byte, p string) bool { return len(b) >= len(p) && string(b[:len(p)]) == p }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -100,6 +101,58 @@ func TestDecodeFastTakesWrittenLines(t *testing.T) {
 		ref, err := decodeJSON(line)
 		if err != nil || !sameRecord(fast, ref) {
 			t.Errorf("%s: fast %+v, reference %+v (%v)", line, fast, ref, err)
+		}
+	}
+}
+
+// TestAppendMatchesMarshal holds the line appender to json.Marshal, the
+// format's reference, over generated intents and outcomes: names and details
+// with quotes, HTML characters, control bytes and non-ASCII, and integers and
+// payload bits at their extremes.
+func TestAppendMatchesMarshal(t *testing.T) {
+	strs := []string{"", "grid", "field-7", `a"b\c`, "<x>&y", "tab\there", "café", "a\xffb",
+		"line\u2028sep", "method=Lorenzo 1-Layer stage=primary", "core: checkpoint-restart required"}
+	u64s := []uint64{0, 1, 0x7fff12340000, math.MaxUint64, 0x7ff8000000000001, math.Float64bits(math.Inf(-1))}
+	ints := []int{0, -1, 132, math.MaxInt, math.MinInt}
+	rng := rand.New(rand.NewSource(1))
+	pick := func(n int) int { return rng.Intn(n) }
+	for i := 0; i < 5000; i++ {
+		var e envelope
+		if i%2 == 0 {
+			e = envelope{Kind: "intent", Intent: &Intent{ID: u64s[pick(len(u64s))], Alloc: strs[pick(len(strs))],
+				Tenant: strs[pick(len(strs))], Addr: u64s[pick(len(u64s))], Offset: ints[pick(len(ints))],
+				Detected: math.Float64frombits(u64s[pick(len(u64s))] ^ rng.Uint64()>>uint(pick(64)))}}
+		} else {
+			e = envelope{Kind: "outcome", Outcome: &Outcome{ID: u64s[pick(len(u64s))], OK: pick(2) == 0,
+				Detail: strs[pick(len(strs))], NewBits: u64s[pick(len(u64s))]}}
+		}
+		want, err := json.Marshal(&e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.appendJSON([]byte("x")); string(got[1:]) != string(want) {
+			t.Fatalf("appendJSON = %s, want %s", got[1:], want)
+		}
+	}
+}
+
+// BenchmarkRecoveryAppend is one journaled recovery's two appends (intent
+// and outcome) to an unsynced journal: ns and allocations per pair.
+func BenchmarkRecoveryAppend(b *testing.B) {
+	r, _, err := OpenRecovery(filepath.Join(b.TempDir(), "j.jsonl"), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := r.Begin("t0", "field", 0x7f0000000000, i&0xffff, math.NaN())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := r.FinishValue(id, true, "method=Lorenzo 1-Layer stage=primary", math.Float64bits(287.5)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

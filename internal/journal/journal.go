@@ -99,12 +99,17 @@ func (l *Log) Append(v any) error {
 // byte-identical prefix of the owner's journal and record sequence numbers
 // (line indexes) agree on both sides.
 func (l *Log) AppendLine(line []byte) error {
+	data := make([]byte, 0, len(line)+1)
+	data = append(data, line...)
+	return l.write(append(data, '\n'))
+}
+
+// write appends data, one record line with its newline, in a single
+// write(2) call.
+func (l *Log) write(data []byte) error {
 	if err := faultinject.ErrorPoint("journal/append"); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	data := make([]byte, 0, len(line)+1)
-	data = append(data, line...)
-	data = append(data, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {

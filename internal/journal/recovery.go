@@ -3,12 +3,13 @@ package journal
 import (
 	"cmp"
 	"encoding/json"
-	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 
 	"spatialdue/internal/faultinject"
+	"spatialdue/internal/jsonwire"
 )
 
 // Intent is one journaled recovery intent: everything a restarted service
@@ -52,6 +53,27 @@ func (in Intent) MarshalJSON() ([]byte, error) {
 	})
 }
 
+// appendJSON appends in as json.Marshal writes it.
+func (in *Intent) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, in.ID, 10)
+	dst = append(dst, `,"alloc":`...)
+	dst = jsonwire.AppendString(dst, in.Alloc, true)
+	if in.Tenant != "" {
+		dst = append(dst, `,"tenant":`...)
+		dst = jsonwire.AppendString(dst, in.Tenant, true)
+	}
+	if in.Addr != 0 {
+		dst = append(dst, `,"addr":`...)
+		dst = strconv.AppendUint(dst, in.Addr, 10)
+	}
+	dst = append(dst, `,"off":`...)
+	dst = strconv.AppendInt(dst, int64(in.Offset), 10)
+	dst = append(dst, `,"valbits":`...)
+	dst = strconv.AppendUint(dst, math.Float64bits(in.Detected), 10)
+	return append(dst, '}')
+}
+
 // UnmarshalJSON implements json.Unmarshaler.
 func (in *Intent) UnmarshalJSON(b []byte) error {
 	var w intentWire
@@ -79,6 +101,23 @@ type Outcome struct {
 	NewBits uint64 `json:"valbits,omitempty"`
 }
 
+// appendJSON appends o as json.Marshal writes it.
+func (o *Outcome) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, o.ID, 10)
+	dst = append(dst, `,"ok":`...)
+	dst = strconv.AppendBool(dst, o.OK)
+	if o.Detail != "" {
+		dst = append(dst, `,"detail":`...)
+		dst = jsonwire.AppendString(dst, o.Detail, true)
+	}
+	if o.NewBits != 0 {
+		dst = append(dst, `,"valbits":`...)
+		dst = strconv.AppendUint(dst, o.NewBits, 10)
+	}
+	return append(dst, '}')
+}
+
 // envelope is the on-disk record: exactly one of Intent/Outcome is set.
 type envelope struct {
 	Kind    string   `json:"k"` // "intent" | "outcome"
@@ -86,11 +125,27 @@ type envelope struct {
 	Outcome *Outcome `json:"o,omitempty"`
 }
 
+// appendJSON appends e as json.Marshal writes it: the journal's line
+// format, which decodeFast reads back.
+func (e *envelope) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"k":`...)
+	dst = jsonwire.AppendString(dst, e.Kind, true)
+	if e.Intent != nil {
+		dst = e.Intent.appendJSON(append(dst, `,"i":`...))
+	}
+	if e.Outcome != nil {
+		dst = e.Outcome.appendJSON(append(dst, `,"o":`...))
+	}
+	return append(dst, '}')
+}
+
 // Sink observes every record appended to a Recovery journal, with its
 // 1-based sequence number (index in the file) and raw JSON line. The
 // replication sender uses it to tail the journal live. It is called after
 // the record is durably in the local file, while an internal lock is held —
-// implementations must not block (hand off to a channel and return).
+// implementations must not block (hand off to a channel and return). line
+// is the journal's reused buffer: it is valid only until the sink returns,
+// so a sink copies what it keeps.
 type Sink func(seq uint64, line []byte)
 
 // Recovery is the service's write-ahead recovery journal.
@@ -100,6 +155,7 @@ type Recovery struct {
 	nextID uint64
 	seq    uint64 // records in the file: the replication cursor
 	sink   Sink
+	line   []byte // the record being appended, reused under mu
 }
 
 // OpenRecovery opens (creating if needed) the recovery journal at path and
@@ -163,23 +219,21 @@ func (r *Recovery) Seq() uint64 {
 // Path returns the journal file's path.
 func (r *Recovery) Path() string { return r.log.Path() }
 
-// append marshals rec, appends it under the sequence lock (so sequence
-// numbers assigned here always match line order in the file), and feeds the
-// sink. The log's own mutex already serializes writers; taking r.mu around
-// the write adds no extra contention beyond what the file imposes.
+// append encodes rec into the reused line buffer, appends it under the
+// sequence lock (so sequence numbers assigned here always match line order
+// in the file), and feeds the sink. The log's own mutex already serializes
+// writers; taking r.mu around the write adds no extra contention beyond
+// what the file imposes.
 func (r *Recovery) append(rec envelope) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("journal: marshal: %w", err)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.log.AppendLine(data); err != nil {
+	r.line = append(rec.appendJSON(r.line[:0]), '\n')
+	if err := r.log.write(r.line); err != nil {
 		return err
 	}
 	r.seq++
 	if r.sink != nil {
-		r.sink(r.seq, data)
+		r.sink(r.seq, r.line[:len(r.line)-1])
 	}
 	return nil
 }
