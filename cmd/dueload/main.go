@@ -348,7 +348,8 @@ func (r *report) merge(o *report) {
 	r.redelivered += o.redelivered
 	r.failovers += o.failovers
 	r.maxRelErr = math.Max(r.maxRelErr, o.maxRelErr)
-	// Order-independent combine (clients merge in completion order).
+	// XOR, so the digest does not depend on merge order; main merges the
+	// clients' reports by client index after all of them have returned.
 	r.fieldSum ^= o.fieldSum
 	for k, v := range o.byCode {
 		r.byCode[k] += v

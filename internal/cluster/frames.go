@@ -59,6 +59,9 @@ const (
 	// maxFramePayload bounds payloads; field snapshots dominate, and the
 	// HTTP layer caps uploads at 256 MiB, so mirror that.
 	maxFramePayload = 256 << 20
+	// maxControlHeader bounds the header of a frame that carries no
+	// payload (hello, welcome, ack): a node name and two counters.
+	maxControlHeader = 4 << 10
 )
 
 // writeFrame emits one frame as a single Write call, so a crash or
@@ -106,6 +109,19 @@ func bytesToFloat64s(buf []byte) ([]float64, error) {
 // allocation happens; io.EOF surfaces unwrapped so callers can tell a clean
 // close from a torn frame (io.ErrUnexpectedEOF).
 func readFrame(r io.Reader) (frameHeader, []byte, error) {
+	return readFrameCapped(r, maxFrameHeader, maxFramePayload)
+}
+
+// readControlFrame reads a frame that carries no payload (hello, welcome,
+// ack). Its tight caps matter most for hello, which arrives before the
+// dialer is known to be the partner: a stranger's prefix announcing a big
+// payload is refused without allocating it.
+func readControlFrame(r io.Reader) (frameHeader, error) {
+	h, _, err := readFrameCapped(r, maxControlHeader, 0)
+	return h, err
+}
+
+func readFrameCapped(r io.Reader, maxHeader, maxPayload uint32) (frameHeader, []byte, error) {
 	var lens [8]byte
 	if _, err := io.ReadFull(r, lens[:]); err != nil {
 		if err == io.EOF {
@@ -115,10 +131,10 @@ func readFrame(r io.Reader) (frameHeader, []byte, error) {
 	}
 	hl := binary.BigEndian.Uint32(lens[0:])
 	pl := binary.BigEndian.Uint32(lens[4:])
-	if hl == 0 || hl > maxFrameHeader {
+	if hl == 0 || hl > maxHeader {
 		return frameHeader{}, nil, fmt.Errorf("cluster: frame header length %d out of range", hl)
 	}
-	if pl > maxFramePayload {
+	if pl > maxPayload {
 		return frameHeader{}, nil, fmt.Errorf("cluster: frame payload length %d exceeds cap", pl)
 	}
 	buf := make([]byte, int(hl)+int(pl))

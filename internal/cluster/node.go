@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,12 +59,16 @@ type Node struct {
 	hs     *http.Server
 	replLn net.Listener
 
-	mu       sync.Mutex
-	replicas map[string]*replicaState
-	promoted map[string]bool
-	standby  bool
-	killed   bool
+	mu           sync.Mutex
+	replicas     map[string]*replicaState
+	promoted     map[string]bool
+	standby      bool
+	startupProbe string // how the start-up probe ended; see httpapi.ClusterStatus
+	killed       bool
 
+	// ready is closed once the start-up probe has decided this node's role;
+	// until then ServeHTTP holds every route but the cluster status.
+	ready    chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
 }
@@ -99,6 +104,7 @@ func New(eng *core.Engine, cfg Config) (*Node, error) {
 		eng:      eng,
 		replicas: make(map[string]*replicaState),
 		promoted: make(map[string]bool),
+		ready:    make(chan struct{}),
 		stop:     make(chan struct{}),
 	}
 	n.partner, n.hasPartner = cfg.Map.PartnerOf(cfg.Self)
@@ -122,24 +128,35 @@ func (n *Node) Server() *httpapi.Server { return n.srv }
 // Serve runs the node on the two listeners until ctx is cancelled or the
 // node is killed. The node drives its own http.Server so Kill can abort
 // accepted connections without a drain.
+//
+// Start-up order: serve HTTP (status only) and accept replication, ask the
+// partner whether it promoted over us, decide the role, open every route,
+// then start the sender and the heartbeats. Serving before asking lets two
+// nodes started together answer each other's probe at once.
 func (n *Node) Serve(ctx context.Context, httpLn, replLn net.Listener) error {
 	n.mu.Lock()
-	if n.killed {
+	if n.killed || n.hs != nil {
 		n.mu.Unlock()
-		return fmt.Errorf("cluster: node %q already killed", n.cfg.Self)
+		return fmt.Errorf("cluster: node %q already served or killed", n.cfg.Self)
 	}
-	n.hs = &http.Server{Handler: n.srv}
+	n.hs = &http.Server{Handler: n}
 	n.replLn = replLn
 	n.mu.Unlock()
 
-	if n.hasPartner {
-		n.probeStandby()
-	}
-
 	go func() { _ = n.hs.Serve(httpLn) }()
 	go n.acceptLoop(replLn)
+	n.decideRole()
+
+	n.mu.Lock()
+	if n.killed {
+		n.mu.Unlock()
+		return nil // killed mid-probe; Kill tore everything down
+	}
+	// Under mu, so Kill either sees the sender up and stops it, or has
+	// already marked the node killed.
+	n.senderUp.Store(n.sender != nil)
+	n.mu.Unlock()
 	if n.sender != nil {
-		n.senderUp.Store(true)
 		go n.sender.run()
 	}
 	for _, owner := range n.cfg.Map.OwnersPartneredTo(n.cfg.Self) {
@@ -213,31 +230,77 @@ func (n *Node) closeReplicaConns() {
 	}
 }
 
+// ServeHTTP serves the node's HTTP API once the role is decided. Until then
+// every route but GET /v1/cluster/status waits (the partner's start-up
+// probe must get its answer), so no tenant is served — and /healthz does
+// not say 200 — before the node knows whether its partner promoted over
+// it. After start-up the gate is one receive from a closed channel.
+func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	select {
+	case <-n.ready:
+	default:
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/cluster/status" {
+			select {
+			case <-n.ready:
+			case <-r.Context().Done():
+				return
+			case <-n.stop:
+				http.Error(w, "node stopped while starting", http.StatusServiceUnavailable)
+				return
+			}
+		}
+	}
+	n.srv.ServeHTTP(w, r)
+}
+
+// decideRole runs the start-up probe (when there is a partner to ask),
+// records its outcome and role, and opens the routes.
+func (n *Node) decideRole() {
+	outcome, standby := "", false
+	if n.hasPartner {
+		outcome, standby = n.probeStandby()
+		log.Printf("cluster[%s]: start-up probe of partner %s: %s", n.cfg.Self, n.partner.Name, outcome)
+		if standby {
+			log.Printf("cluster[%s]: partner %s promoted itself over our shards; entering standby", n.cfg.Self, n.partner.Name)
+		}
+	}
+	n.mu.Lock()
+	n.startupProbe, n.standby = outcome, standby
+	n.mu.Unlock()
+	close(n.ready)
+}
+
 // probeStandby asks the partner, once at startup, whether it promoted
 // itself over this node's shards while we were dead. If so we come back as
 // a standby: our own tenants keep forwarding to the promoted partner (which
 // holds the live recovery state), while our receiver catches up replicas in
-// the background.
-func (n *Node) probeStandby() {
+// the background. It returns the probe's outcome (an
+// httpapi.StartupProbe* value); only an answer can make this node a
+// standby.
+func (n *Node) probeStandby() (outcome string, standby bool) {
 	client := &http.Client{Timeout: 500 * time.Millisecond}
 	resp, err := client.Get(n.partner.URL + "/v1/cluster/status")
 	if err != nil {
-		return
+		return probeFailure(err, httpapi.StartupProbeUnreachable), false
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return httpapi.StartupProbeUndecodable, false
+	}
 	var cs httpapi.ClusterStatus
-	if json.NewDecoder(resp.Body).Decode(&cs) != nil {
-		return
+	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil {
+		return probeFailure(err, httpapi.StartupProbeUndecodable), false
 	}
-	for _, name := range cs.PromotedFor {
-		if name == n.cfg.Self {
-			n.mu.Lock()
-			n.standby = true
-			n.mu.Unlock()
-			log.Printf("cluster[%s]: partner %s promoted itself over our shards; entering standby", n.cfg.Self, n.partner.Name)
-			return
-		}
+	return httpapi.StartupProbeAnswered, slices.Contains(cs.PromotedFor, n.cfg.Self)
+}
+
+// probeFailure names a failed probe: the client's timeout, or otherwise.
+func probeFailure(err error, otherwise string) string {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return httpapi.StartupProbeTimeout
 	}
+	return otherwise
 }
 
 // probeLoop heartbeats one owner whose partner this node is, and promotes
@@ -382,6 +445,7 @@ func (n *Node) Status() httpapi.ClusterStatus {
 		cs.PromotedFor = append(cs.PromotedFor, name)
 	}
 	cs.Standby = n.standby
+	cs.StartupProbe = n.startupProbe
 	n.mu.Unlock()
 	sort.Strings(cs.PromotedFor)
 	if n.sender != nil {
@@ -398,14 +462,16 @@ func (n *Node) AllocRegistered(a *registry.Allocation) {
 	if n.sender == nil || a == nil {
 		return
 	}
-	n.sender.enqueueControl(outMsg{h: frameHeader{
-		Type:   frameAlloc,
-		Tenant: a.Tenant,
-		Alloc:  a.Name,
-		Dims:   a.Array.Dims(),
-		DType:  a.DType.String(),
-		Policy: policyToWire(a.Policy),
-	}})
+	n.sender.enqueueControl(func() outMsg {
+		return outMsg{h: frameHeader{
+			Type:   frameAlloc,
+			Tenant: a.Tenant,
+			Alloc:  a.Name,
+			Dims:   a.Array.Dims(),
+			DType:  a.DType.String(),
+			Policy: policyToWire(a.Policy),
+		}}
+	})
 }
 
 // FieldUploaded implements httpapi.Cluster: stream new field contents to
@@ -419,9 +485,11 @@ func (n *Node) FieldUploaded(a *registry.Allocation) {
 	if n.sender == nil || a == nil {
 		return
 	}
-	n.sender.enqueueControl(outMsg{
-		h:       frameHeader{Type: frameField, Tenant: a.Tenant, Alloc: a.Name},
-		payload: n.fieldPayload(a),
+	n.sender.enqueueControl(func() outMsg {
+		return outMsg{
+			h:       frameHeader{Type: frameField, Tenant: a.Tenant, Alloc: a.Name},
+			payload: n.fieldPayload(a),
+		}
 	})
 }
 
@@ -453,5 +521,5 @@ func (n *Node) AllocUnregistered(tenant, name string) {
 	if n.sender == nil {
 		return
 	}
-	n.sender.enqueueControl(outMsg{h: frameHeader{Type: frameUnreg, Tenant: tenant, Alloc: name}})
+	n.sender.enqueueTeardown(outMsg{h: frameHeader{Type: frameUnreg, Tenant: tenant, Alloc: name}})
 }

@@ -53,13 +53,22 @@ func testServerConfig() httpapi.ServerConfig {
 	}
 }
 
-// startNode builds and serves a node on fresh listeners, waiting for
+// startNode builds and serves a node on the given listeners, waiting for
 // /healthz before returning.
 func startNode(t *testing.T, self string, m *Map, httpLn, replLn net.Listener, hb, budget time.Duration) *testNode {
 	return startNodeEngine(t, self, m, httpLn, replLn, hb, budget, core.Options{Seed: 7})
 }
 
 func startNodeEngine(t *testing.T, self string, m *Map, httpLn, replLn net.Listener, hb, budget time.Duration, opts core.Options) *testNode {
+	t.Helper()
+	tn := serveNode(t, self, m, httpLn, replLn, hb, budget, opts)
+	tn.waitHealthy(t)
+	return tn
+}
+
+// serveNode builds a node and starts Serve on the given listeners without
+// waiting for it to come up; the test's cleanup stops it.
+func serveNode(t *testing.T, self string, m *Map, httpLn, replLn net.Listener, hb, budget time.Duration, opts core.Options) *testNode {
 	t.Helper()
 	eng := core.NewEngine(opts)
 	n, err := New(eng, Config{
@@ -79,14 +88,6 @@ func startNodeEngine(t *testing.T, self string, m *Map, httpLn, replLn net.Liste
 		repl:   replLn.Addr().String(),
 		cancel: cancel, done: done,
 	}
-	waitFor(t, 5*time.Second, "node "+self+" healthy", func() bool {
-		resp, err := http.Get(tn.base + "/healthz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
-	})
 	t.Cleanup(func() {
 		cancel()
 		select {
@@ -96,6 +97,19 @@ func startNodeEngine(t *testing.T, self string, m *Map, httpLn, replLn net.Liste
 		}
 	})
 	return tn
+}
+
+// waitHealthy waits until the node's /healthz answers 200.
+func (tn *testNode) waitHealthy(t *testing.T) {
+	t.Helper()
+	waitFor(t, 5*time.Second, "node "+tn.node.cfg.Self+" healthy", func() bool {
+		resp, err := http.Get(tn.base + "/healthz")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
 }
 
 // tenantOwnedBy finds a tenant name the map assigns to the given node.

@@ -110,7 +110,7 @@ func (n *Node) acceptLoop(ln net.Listener) {
 // handleRepl drives one inbound replication session from an owner.
 func (n *Node) handleRepl(conn net.Conn) {
 	defer conn.Close()
-	h, _, err := readFrame(conn)
+	h, err := readControlFrame(conn)
 	if err != nil || h.Type != frameHello || h.From == "" {
 		return
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,6 +58,17 @@ type sender struct {
 	mu        sync.Mutex
 	conn      net.Conn
 	downSince time.Time // zero while the partner session is healthy
+
+	// ctl orders control-frame capture against the session snapshot: a
+	// session sends only alloc/field frames captured after its own
+	// snapshot, so both captures run under it. Lock order: ctl before the
+	// node's mu and the engine's stripe locks, which the captures take;
+	// nothing takes ctl while holding either. live is true from a
+	// session's snapshot until the session ends; teardowns holds the
+	// unreg frames the next session must send before its snapshot.
+	ctl       sync.Mutex
+	live      bool
+	teardowns []outMsg
 }
 
 const (
@@ -93,15 +105,81 @@ func (s *sender) sink(seq uint64, line []byte) {
 	}
 }
 
-// enqueueControl queues an alloc/field/unreg frame. Control state has no
-// sequence numbers — a drop is repaired by the snapshot on the forced
-// reconnect.
-func (s *sender) enqueueControl(m outMsg) {
+// enqueueControl queues an alloc or field frame, built (payload captured)
+// by build. While no session is up nothing is queued: the next session's
+// snapshot carries the state, and a copy captured now would reach the
+// partner after that newer snapshot and roll it back. A drop on a full
+// outbox forces a reconnect, whose snapshot repairs it.
+func (s *sender) enqueueControl(build func() outMsg) {
+	s.ctl.Lock()
+	defer s.ctl.Unlock()
+	if s.live {
+		s.push(build())
+	}
+}
+
+// enqueueTeardown queues an unreg frame. A snapshot carries no absence, so
+// a teardown is never dropped: while no session is up, or when the outbox
+// is full, it waits for the next session, which sends it before its
+// snapshot.
+func (s *sender) enqueueTeardown(m outMsg) {
+	s.ctl.Lock()
+	defer s.ctl.Unlock()
+	if !s.live || !s.push(m) {
+		s.teardowns = append(s.teardowns, m)
+	}
+}
+
+func (s *sender) push(m outMsg) bool {
 	select {
 	case s.outbox <- m:
+		return true
 	default:
 		s.overflow.Store(true)
+		return false
 	}
+}
+
+// begin opens a session's control stream and returns what it sends before
+// the journal: the pending teardowns, then the snapshot. Frames an earlier
+// session left queued are drained here: their journal records are in the
+// file the catch-up scan re-reads (the sink runs after the write), their
+// alloc/field frames predate the snapshot, and only their teardowns still
+// need sending.
+func (s *sender) begin() ([]outMsg, []snapshotItem) {
+	s.ctl.Lock()
+	defer s.ctl.Unlock()
+	var left []outMsg
+	for drained := false; !drained; {
+		select {
+		case m := <-s.outbox:
+			if m.h.Type == frameUnreg {
+				left = append(left, m)
+			}
+		default:
+			drained = true
+		}
+	}
+	s.teardowns = append(left, s.teardowns...)
+	s.overflow.Store(false)
+	s.live = true
+	return slices.Clone(s.teardowns), s.snapshot()
+}
+
+// sentTeardowns forgets the first k pending teardowns once a session has
+// delivered them. Later ones only ever append.
+func (s *sender) sentTeardowns(k int) {
+	s.ctl.Lock()
+	s.teardowns = slices.Delete(s.teardowns, 0, k)
+	s.ctl.Unlock()
+}
+
+// end closes the session's control stream: control frames captured from
+// here on wait for the next snapshot.
+func (s *sender) end() {
+	s.ctl.Lock()
+	s.live = false
+	s.ctl.Unlock()
 }
 
 // forceReconnect tears down the current session (if any); the run loop
@@ -194,6 +272,7 @@ func (s *sender) run() {
 		}
 		delay = reconnectBaseDelay
 		err = s.session(conn)
+		s.end()
 		_ = conn.Close()
 		s.mu.Lock()
 		s.conn = nil
@@ -232,7 +311,7 @@ func (s *sender) session(conn net.Conn) error {
 		return err
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(frameWriteTimeout))
-	h, _, err := readFrame(conn)
+	h, err := readControlFrame(conn)
 	if err != nil {
 		return err
 	}
@@ -242,14 +321,13 @@ func (s *sender) session(conn net.Conn) error {
 	resume := h.Resume
 	_ = conn.SetReadDeadline(time.Time{})
 	s.markUp(conn)
-	s.overflow.Store(false)
 
 	// Ack reader: a tiny goroutine per session; exits when the conn closes.
 	ackDone := make(chan struct{})
 	go func() {
 		defer close(ackDone)
 		for {
-			h, _, err := readFrame(conn)
+			h, err := readControlFrame(conn)
 			if err != nil {
 				return
 			}
@@ -265,11 +343,19 @@ func (s *sender) session(conn net.Conn) error {
 	}()
 	defer func() { _ = conn.Close(); <-ackDone }()
 
-	// Idempotent control snapshot: every locally-served allocation and its
-	// current field. The partner re-applies registrations (skipping names it
+	// Teardowns first, then the idempotent control snapshot: every
+	// locally-served allocation and its current field. The partner drops
+	// what was torn down, re-applies registrations (skipping names it
 	// holds) and overwrites fields — making first connect, reconnect, and a
 	// rejoining ex-owner's catch-up one code path.
-	for _, item := range s.snapshot() {
+	teardowns, items := s.begin()
+	for _, m := range teardowns {
+		if err := s.send(conn, m.h, nil); err != nil {
+			return err
+		}
+	}
+	s.sentTeardowns(len(teardowns))
+	for _, item := range items {
 		ah := frameHeader{Type: frameAlloc, Tenant: item.tenant, Alloc: item.name,
 			Dims: item.dims, DType: item.dtype, Policy: item.policy}
 		if err := s.send(conn, ah, nil); err != nil {

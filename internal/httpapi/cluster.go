@@ -43,7 +43,26 @@ type ClusterStatus struct {
 	// ReplicationLag is how many journal records this node has appended
 	// that its partner has not yet acknowledged.
 	ReplicationLag uint64 `json:"replication_lag_records"`
+	// StartupProbe is how this node's start-up question to its partner
+	// ("did you promote over me?") ended: one of the StartupProbe*
+	// values. Empty on a node with a partner means the question is still
+	// open and the role undecided (see Starting); empty without a partner
+	// means there was nothing to ask.
+	StartupProbe string `json:"startup_probe,omitempty"`
 }
+
+// Outcomes of a node's start-up probe. Only answered tells the node its
+// role; on the others it starts as the owner of its shards.
+const (
+	StartupProbeAnswered    = "answered"
+	StartupProbeUnreachable = "unreachable"
+	StartupProbeTimeout     = "timeout"
+	StartupProbeUndecodable = "undecodable"
+)
+
+// Starting reports whether the node has not yet decided its role. A
+// starting node answers only GET /v1/cluster/status; everything else waits.
+func (cs ClusterStatus) Starting() bool { return cs.Partner != "" && cs.StartupProbe == "" }
 
 // Cluster is what the HTTP layer needs from a cluster node. Implemented by
 // internal/cluster.Node; nil (the default) means single-node operation and

@@ -139,6 +139,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Cluster != nil {
 		cs := s.cfg.Cluster.Status()
 		rep.Cluster = &cs
+		if cs.Starting() && rep.Ready {
+			rep.Ready = false
+			rep.Reason = "starting"
+			status = http.StatusServiceUnavailable
+		}
 		if cs.Degraded && rep.Ready {
 			// Still serving — promotion means this node IS the shard now —
 			// but redundancy is gone, so steer balancers elsewhere.
