@@ -487,14 +487,37 @@ func (t *Table) verifyLocked(a *Allocation) (bool, error) {
 		t.descRefusals.Add(1)
 		return false, fmt.Errorf("%w: allocation %d: %v", ErrMetadataCorrupt, a.ID, derr)
 	}
-	a.ID = f.ID
-	a.Base = f.Base
-	a.DType = f.DType
-	a.Policy = f.Policy
-	a.Name = f.Name
-	a.Tenant = f.Tenant
+	// Write back only the fields the repair changed: recovery workers read
+	// an allocation's name, tenant and policy without the table lock, and
+	// rewriting an unchanged field would race with those reads.
+	if a.ID != f.ID {
+		a.ID = f.ID
+	}
+	if a.Base != f.Base {
+		a.Base = f.Base
+	}
+	if a.DType != f.DType {
+		a.DType = f.DType
+	}
+	if !samePolicy(a.Policy, f.Policy) {
+		a.Policy = f.Policy
+	}
+	if a.Name != f.Name {
+		a.Name = f.Name
+	}
+	if a.Tenant != f.Tenant {
+		a.Tenant = f.Tenant
+	}
 	t.descRepairs.Add(1)
 	return true, nil
+}
+
+// samePolicy reports whether two policies are equal by value.
+func samePolicy(a, b Policy) bool {
+	if a.Any != b.Any || a.Method != b.Method || (a.Range == nil) != (b.Range == nil) {
+		return false
+	}
+	return a.Range == nil || *a.Range == *b.Range
 }
 
 // VerifyDescriptor parity-verifies one allocation's descriptor, repairing

@@ -3,6 +3,7 @@ package registry
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"spatialdue/internal/bitflip"
@@ -206,4 +207,45 @@ func FuzzDescriptorDecode(f *testing.F) {
 			_ = encodeDescriptor(f)
 		}
 	})
+}
+
+// TestRepairLeavesIntactFieldsUnwritten: a repair writes back only the
+// fields the corruption changed. Recovery workers read an allocation's
+// name, tenant and policy without the table lock while descriptor repairs
+// run under it; under -race a rewrite of those unchanged fields is a
+// reported data race.
+func TestRepairLeavesIntactFieldsUnwritten(t *testing.T) {
+	tab, a := sealTestAlloc(t)
+	name, tenant, policy := a.Name, a.Tenant, a.Policy
+	addr := a.AddrOf(10)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if a.Name != name || a.Tenant != tenant || a.Policy.Range != policy.Range {
+				t.Error("repair changed an intact field")
+				return
+			}
+		}
+	}()
+	for bit := 0; bit < DescriptorBits; bit += 9 {
+		if err := tab.CorruptDescriptor(a.ID, bit); err != nil {
+			t.Fatalf("corrupt bit %d: %v", bit, err)
+		}
+		if _, _, err := tab.Lookup(addr); err != nil {
+			t.Fatalf("lookup after corrupting bit %d: %v", bit, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if _, repairs, _ := tab.DescriptorStats(); repairs == 0 {
+		t.Fatal("no repair counted")
+	}
 }
