@@ -83,3 +83,13 @@ func isTransportErr(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, syscall.ECONNREFUSED) || errors.Is(err, syscall.ECONNRESET)
 }
+
+// call is do for an operation with a result.
+func call[T any](ctx context.Context, f *failover, op func(c *client.Client) (T, error)) (T, error) {
+	var out T
+	err := f.do(ctx, func(c *client.Client) (err error) {
+		out, err = op(c)
+		return err
+	})
+	return out, err
+}

@@ -2,13 +2,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"time"
 
-	"spatialdue/internal/bitflip"
 	"spatialdue/internal/httpapi"
 	"spatialdue/internal/httpapi/client"
+	"spatialdue/internal/stats"
 )
 
 // runHotspotProfile drives a spatially concentrated DUE storm — most faults
@@ -28,8 +29,10 @@ import (
 //     ends empty, and the field matches the upload within tolerance.
 //
 // The server must run with the tune cache enabled (duerecover -serve
-// -listen ...; the -tune-cache flag defaults on).
-func runHotspotProfile(addr string, events, rows, cols int, settle time.Duration, seed int64, tol float64) {
+// -listen ...; the -tune-cache flag defaults on), and be freshly started:
+// the cache counters and the spatial statistics are server-wide.
+func runHotspotProfile(ctx context.Context, cfg config) error {
+	rows, cols := cfg.rows, cfg.cols
 	// G* needs spatial resolution: with few stripes a 2-stripe band cannot
 	// clear the 1.645 hot threshold no matter how much error mass it holds.
 	// 128 rows give the engine's ~11-row stripes enough units to resolve.
@@ -38,53 +41,23 @@ func runHotspotProfile(addr string, events, rows, cols int, settle time.Duration
 		rows = 128
 	}
 	fmt.Printf("dueload: hotspot storm profile: %d events against %s (%dx%d field)\n",
-		events, addr, rows, cols)
+		cfg.events, cfg.addr, rows, cols)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*settle+5*time.Minute)
-	defer cancel()
-
-	const allocName = "field"
-	c := client.New(client.Config{BaseURL: addr, Tenant: "storm-hotspot"})
-	if _, err := c.Register(ctx, httpapi.RegisterRequest{
-		Name: allocName, Dims: []int{rows, cols}, DType: "float32",
-		Policy: httpapi.PolicyInfo{Any: true, Range: &httpapi.RangeInfo{Lo: 50, Hi: 150}},
-	}); err != nil {
-		fatalf("register: %v", err)
+	r := newRun([]string{cfg.addr}, 0, "storm-hotspot")
+	if _, err := r.setup(ctx, rows, cols, "float32", cfg.seed); err != nil {
+		return err
 	}
-	orig := smoothField(rows, cols, seed)
-	if err := c.Upload(ctx, allocName, orig); err != nil {
-		fatalf("upload: %v", err)
-	}
-
-	injected := map[int]bool{}
-	inject := func(off int, bit *int) {
-		if _, err := c.Inject(ctx, allocName, httpapi.InjectRequest{
-			Offset: &off, Seed: seed + int64(off), Bit: bit,
-		}); err != nil {
-			fatalf("inject %d: %v", off, err)
+	inject := func(off int, bit *int) error {
+		if _, err := r.inject(ctx, httpapi.InjectRequest{Offset: &off, Seed: cfg.seed + int64(off), Bit: bit}); err != nil {
+			return fmt.Errorf("inject %d: %w", off, err)
 		}
-		injected[off] = true
-	}
-	// recoverSync recovers one corrupted cell synchronously, returning the
-	// server's in-engine elapsed time. A failed recovery (neighborhood still
-	// corrupt) stays quarantined for the sweep.
-	failed := 0
-	recoverSync := func(off int) (float64, bool) {
-		rep, err := c.Recover(ctx, allocName, off)
-		if err != nil {
-			failed++
-			return 0, false
-		}
-		return rep.ElapsedSeconds, true
+		return nil
 	}
 
 	// The hot band: a narrow run of rows mid-field. Measurement rows sit
 	// well clear of it — two near the top, two near the bottom, >= 13 rows
 	// apart so each lands in a distinct ~11-row lock stripe.
-	bandH := rows / 8
-	if bandH < 2 {
-		bandH = 2
-	}
+	bandH := max(rows/8, 2)
 	bandLo := rows/2 - bandH/2
 	measureRows := []int{2, 18, rows - 30, rows - 12}
 
@@ -93,22 +66,21 @@ func runHotspotProfile(addr string, events, rows, cols int, settle time.Duration
 	// tuner run) and the repeats are hits (tuner skipped). Same fault class,
 	// same clean neighborhoods: the latency delta IS the tuner cost.
 	const perRow = 5
-	var coldSum, warmSum float64
-	coldSamples, warmSamples := 0, 0
+	var cold, warm stats.Summary // in-engine seconds
 	for _, row := range measureRows {
 		for j := 0; j < perRow; j++ {
 			off := row*cols + 3 + j*(cols-6)/perRow
-			inject(off, nil)
-			el, ok := recoverSync(off)
-			if !ok {
-				fatalf("measurement recovery at offset %d failed", off)
+			if err := inject(off, nil); err != nil {
+				return err
+			}
+			rep, err := r.recoverCell(ctx, off)
+			if err != nil {
+				return fmt.Errorf("measurement recovery at offset %d failed", off)
 			}
 			if j == 0 {
-				coldSum += el
-				coldSamples++
+				cold.Add(rep.ElapsedSeconds)
 			} else {
-				warmSum += el
-				warmSamples++
+				warm.Add(rep.ElapsedSeconds)
 			}
 		}
 	}
@@ -120,66 +92,48 @@ func runHotspotProfile(addr string, events, rows, cols int, settle time.Duration
 	// polluted predictions and the ladder escalates — real error mass
 	// (verify failures, escalation depth, residual) concentrated in the
 	// band, not just more recoveries.
-	state := uint64(seed)*6364136223846793005 + 1442695040888963407
+	state := uint64(cfg.seed)*6364136223846793005 + 1442695040888963407
 	next := func(n int) int {
 		state = state*6364136223846793005 + 1442695040888963407
 		return int(state>>33) % n
 	}
-	bandEvents := events - len(measureRows)*perRow
-	if bandEvents < 8 {
-		bandEvents = 8
-	}
-	seen := map[int]bool{}
-	var pairs [][2]int
-	for len(pairs)*2 < bandEvents {
-		off := (bandLo+next(bandH))*cols + 1 + next(cols-3)
-		if seen[off] || seen[off+1] {
-			continue
-		}
-		seen[off], seen[off+1] = true, true
-		pairs = append(pairs, [2]int{off, off + 1})
-	}
+	bandEvents := max(cfg.events-len(measureRows)*perRow, 8)
 	expBit := 29
-	for _, p := range pairs {
-		inject(p[0], &expBit)
-		inject(p[1], &expBit)
-		recoverSync(p[1])
-		recoverSync(p[0])
+	for pairs := 0; pairs*2 < bandEvents; {
+		off := (bandLo+next(bandH))*cols + 1 + next(cols-3)
+		if r.own[off] || r.own[off+1] {
+			continue // pairs never overlap
+		}
+		pairs++
+		for _, o := range []int{off, off + 1} {
+			if err := inject(o, &expBit); err != nil {
+				return err
+			}
+		}
+		// A recovery that fails (its neighborhood still corrupt) leaves
+		// the cell quarantined for the sweep.
+		_, _ = r.recoverCell(ctx, off+1)
+		_, _ = r.recoverCell(ctx, off)
 	}
+	failed := len(r.own) - len(r.ok)
 
 	// Sweep: pair partners that failed while their neighbor was corrupt
 	// recover synchronously once the neighborhood is clean.
-	swept := 0
-	deadline := time.Now().Add(settle)
-	for time.Now().Before(deadline) {
-		q, err := c.Quarantine(ctx)
-		if err != nil {
-			fatalf("quarantine: %v", err)
-		}
-		remaining := q.Allocations[allocName]
-		if len(remaining) == 0 {
-			break
-		}
-		progressed := false
-		for _, off := range remaining {
-			if _, err := c.Recover(ctx, allocName, off); err == nil {
-				swept++
-				progressed = true
-			}
-		}
-		if !progressed {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	swept := r.rep.swept
+	if err := r.sweep(ctx, time.Now().Add(cfg.settle)); err != nil {
+		return err
 	}
+	swept = r.rep.swept - swept
 
 	// Analytics: the band must read as spatial structure.
-	an, err := c.SpatialAnalytics(ctx)
+	an, err := call(ctx, r.f, func(c *client.Client) (*httpapi.SpatialAnalyticsReport, error) {
+		return c.SpatialAnalytics(ctx)
+	})
 	if err != nil {
-		fatalf("spatial analytics: %v", err)
+		return fmt.Errorf("spatial analytics: %w", err)
 	}
 	if len(an.Allocations) != 1 {
-		fatalf("spatial analytics reports %d allocations, want 1", len(an.Allocations))
+		return fmt.Errorf("spatial analytics reports %d allocations, want 1", len(an.Allocations))
 	}
 	ar := an.Allocations[0]
 
@@ -200,67 +154,47 @@ func runHotspotProfile(addr string, events, rows, cols int, settle time.Duration
 		}
 	}
 
-	coldMean := coldSum / float64(coldSamples)
-	warmMean := warmSum / float64(warmSamples)
+	coldMean, warmMean := cold.Mean(), warm.Mean()
 	hits, misses := an.TuneCache.Hits, an.TuneCache.Misses
 	hitRate := float64(hits) / float64(hits+misses)
 	fmt.Printf("\n== tune-cache convergence ==\n")
 	fmt.Printf("cold recoveries   %4d  mean in-engine %s (first per stripe: full tuner run)\n",
-		coldSamples, fmtDur(coldMean))
+		cold.N(), fmtDur(coldMean))
 	fmt.Printf("warm recoveries   %4d  mean in-engine %s (repeats: cached decision, tuner skipped)\n",
-		warmSamples, fmtDur(warmMean))
+		warm.N(), fmtDur(warmMean))
 	fmt.Printf("probe-skip speedup %.2fx\n", coldMean/warmMean)
 	fmt.Printf("cache: %d hits / %d misses (%.0f%% hit rate), %d expiries, %d corrections\n",
 		hits, misses, 100*hitRate, an.TuneCache.Expiries, an.TuneCache.Corrections)
 
-	// Verify the field and the contract.
-	final, err := c.Download(ctx, allocName)
+	q, err := r.verify(ctx, r.owned(nil), cfg.tol)
 	if err != nil {
-		fatalf("download: %v", err)
+		return err
 	}
-	maxRelErr, withinTol := 0.0, 0
-	for off := range injected {
-		re := bitflip.RelErr(orig[off], final[off])
-		if re <= tol {
-			withinTol++
-		}
-		maxRelErr = math.Max(maxRelErr, re)
-	}
-	q, err := c.Quarantine(ctx)
-	if err != nil {
-		fatalf("quarantine: %v", err)
-	}
-	quarantined := len(q.Allocations[allocName])
 	fmt.Printf("\n== profile \"hotspot\" results ==\n")
 	fmt.Printf("recovered in place  %6d  (%d first-attempt failures, %d recovered via post-storm sweep)\n",
-		len(injected)-quarantined, failed, swept)
-	fmt.Printf("within %.2g rel err: %d/%d (max rel err %.3g)\n", tol, withinTol, len(injected), maxRelErr)
-	fmt.Printf("quarantined at end: %d\n", quarantined)
+		q.cells-q.quarantined, failed, swept)
+	fmt.Printf("within %.2g rel err: %d/%d (max rel err %.3g)\n", cfg.tol, q.within, q.cells, q.maxRelErr)
+	fmt.Printf("quarantined at end: %d\n", q.quarantined)
 
-	if quarantined > 0 {
-		fatalf("profile hotspot: run ended with %d quarantined cells", quarantined)
+	if q.quarantined > 0 {
+		return fmt.Errorf("profile hotspot: run ended with %d quarantined cells", q.quarantined)
 	}
 	if !ar.Defined || ar.MoranI <= 0 {
-		fatalf("profile hotspot: concentrated storm produced no clustered spatial structure (Moran's I %.4f)", ar.MoranI)
+		return fmt.Errorf("profile hotspot: concentrated storm produced no clustered spatial structure (Moran's I %.4f)", ar.MoranI)
 	}
 	if len(ar.HotStripes) == 0 {
-		fatalf("profile hotspot: no stripe classified hot")
+		return errors.New("profile hotspot: no stripe classified hot")
 	}
-	hotIsHot := false
-	for _, s := range ar.HotStripes {
-		if s == hottest {
-			hotIsHot = true
-		}
-	}
-	if !hotIsHot {
-		fatalf("profile hotspot: most-stormed stripe %d not in hot set %v", hottest, ar.HotStripes)
+	if !slices.Contains(ar.HotStripes, hottest) {
+		return fmt.Errorf("profile hotspot: most-stormed stripe %d not in hot set %v", hottest, ar.HotStripes)
 	}
 	if hitRate < 0.5 {
-		fatalf("profile hotspot: cache hit rate %.0f%% — tuner never converged (is the server running with -tune-cache > 0?)", 100*hitRate)
+		return fmt.Errorf("profile hotspot: cache hit rate %.0f%% — tuner never converged (is the server running with -tune-cache > 0?)", 100*hitRate)
 	}
 	if warmMean >= coldMean {
-		fatalf("profile hotspot: no probe-skip speedup (cold %s vs warm %s)", fmtDur(coldMean), fmtDur(warmMean))
+		return fmt.Errorf("profile hotspot: no probe-skip speedup (cold %s vs warm %s)", fmtDur(coldMean), fmtDur(warmMean))
 	}
 	fmt.Printf("\nOK [profile hotspot]: %d cells, hot stripe %d detected, %.2fx probe-skip speedup, %.0f%% cache hit rate, zero lost\n",
-		len(injected), hottest, coldMean/warmMean, 100*hitRate)
+		q.cells, hottest, coldMean/warmMean, 100*hitRate)
+	return nil
 }

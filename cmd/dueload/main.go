@@ -3,50 +3,22 @@
 // own tenant: register an allocation → upload a smooth field → storm the
 // server with inject-then-ingest DUE bursts → wait for every corruption to
 // recover. It reports ingest and end-to-end recovery latency histograms,
-// recovery-quality counters, and verifies the run ends with zero
-// quarantined cells and every recovered value close to the original.
-//
-// Backpressure discipline: a 429/latched ingest is counted, never resent —
-// the server keeps the event bank-latched and redelivers it itself; the
-// settle phase proves those events were delivered late, not dropped.
+// recovery-quality counters and the server's hot-path metrics, and
+// verifies the run ends with zero quarantined cells and every recovered
+// value close to the original. Every mode drives the same client
+// lifecycle (run.go), and runs can repeat against one server.
 //
 // With -storm the clients instead share ONE tenant and ONE allocation and
 // hammer disjoint offset partitions of the same field through the NDJSON
 // stream endpoint — the same-array DUE storm that exercises the server's
-// stripe-locked RecoverBatch fast path. The run ends by scraping the
-// server's /metrics for the hot-path counters (stripe lock wait, batch
-// size histogram, coalesced recoveries).
+// stripe-locked RecoverBatch fast path.
 //
-// Usage:
-//
-// With -storm-profile {bit,burst,row,column,metadata} it runs a
-// structured-fault storm instead: one tenant, one allocation, N fault
-// events of the selected physical shape (multi-bit bursts, row wipes,
-// column failures, or descriptor corruption paired with a data DUE), every
-// corrupted cell ingested as a DUE. The run exits nonzero unless every
-// corrupted cell was recovered in place or checkpoint-restored — zero lost
-// recoveries — and, for the metadata profile, unless the server's parity
-// actually repaired descriptors without a single refusal.
-//
-// With -storm-profile predicted it scores the server's predictive
-// memory-health tier instead (the server must run with -predictor): CE
-// precursor storms are planted in DUE-designated banks and background noise
-// in the rest, the client waits for the health tiers to react — at least
-// one row must be proactively offlined BEFORE its DUE arrives — then the
-// structured DUEs land and the run reports a bank-level confusion matrix
-// (predicted = tier >= elevated, actual = bank took a DUE) plus ROC points
-// over the risk scores. The run exits nonzero unless recall >= 0.8, at
-// least one planted DUE was mitigated from the migration shadow, every
-// corruption recovered, and no critical-tier bank took an unmitigated DUE.
-//
-// With -storm-profile hotspot it scores the spatial-analytics feedback loop
-// (internal/spatial → autotune cache): DUEs concentrate in one narrow row
-// band, harsher than the background, and the run exits nonzero unless the
-// server's GET /v1/analytics/spatial classifies the stormed stripe hot
-// (with clustered global Moran's I), the tune cache converges (hit rate and
-// a measured cold-vs-warm probe-skip speedup), and zero recoveries are
-// lost. The server must run with the tune cache enabled (the duerecover
-// -tune-cache flag defaults on).
+// -storm-profile runs one single-tenant profile instead: bit, burst, row,
+// column or metadata a structured-fault storm (runStormProfile), predicted
+// the predictive memory-health tier on a -predictor server
+// (runPredictedProfile), hotspot the spatial-analytics feedback loop into
+// the tune cache (runHotspotProfile). predicted and hotspot read
+// server-wide state, so each needs a freshly started server.
 //
 // With -addrs (comma-separated node URLs) the load runs against a cluster:
 // clients spread across entry nodes and ride the 307 shard redirects; when
@@ -73,150 +45,138 @@ import (
 	"hash/fnv"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 
-	"spatialdue/internal/bitflip"
 	"spatialdue/internal/httpapi"
 	"spatialdue/internal/httpapi/client"
 	"spatialdue/internal/metrics"
-	"spatialdue/internal/service"
 	"spatialdue/internal/stats"
 )
 
+// config is one invocation's flags.
+type config struct {
+	addr                   string // first entry node; the profiles run against it
+	addrs                  []string
+	clients, events, burst int
+	pause, settle          time.Duration
+	rows, cols, span       int
+	seed                   int64
+	tol                    float64
+	storm                  bool
+	profile                string
+}
+
 func main() {
-	var (
-		addr    = flag.String("addr", "http://127.0.0.1:8080", "recovery server base URL")
-		addrs   = flag.String("addrs", "", "comma-separated cluster node base URLs: clients spread across entry nodes, ride shard redirects, fail over when a node dies, and redeliver unresolved DUEs to the promoted partner")
-		clients = flag.Int("clients", 8, "concurrent clients (one tenant each)")
-		events  = flag.Int("events", 96, "DUE events per client (capped at rows*cols)")
-		burst   = flag.Int("burst", 16, "events per back-to-back burst")
-		pause   = flag.Duration("pause", 25*time.Millisecond, "pause between bursts")
-		rows    = flag.Int("rows", 64, "field rows")
-		cols    = flag.Int("cols", 64, "field cols")
-		settle  = flag.Duration("settle", 60*time.Second, "max wait for all recoveries to land and quarantine to clear")
-		seed    = flag.Int64("seed", 1, "base random seed")
-		tol     = flag.Float64("tol", 0.01, "relative-error bound counted as a high-quality recovery")
-		storm   = flag.Bool("storm", false, "same-array storm: all clients share one tenant+allocation, partitioned offsets, NDJSON stream ingest")
-		profile = flag.String("storm-profile", "", "structured-fault storm: bit, burst, row, column, or metadata (single tenant; zero-lost-recoveries exit assertions); predicted (CE-precursor storm scoring the server's predictive-health tier: confusion matrix, ROC, proactive-offline assertions — needs a -predictor server); or hotspot (spatially concentrated storm scoring the spatial-analytics feedback loop: hot-spot detection, tune-cache convergence, probe-skip speedup)")
-		span    = flag.Int("span", 0, "storm-profile fault span: burst bit-width or row cells-per-wipe (0 = class default)")
-	)
+	var cfg config
+	flag.StringVar(&cfg.addr, "addr", "http://127.0.0.1:8080", "recovery server base URL")
+	addrs := flag.String("addrs", "", "comma-separated cluster node base URLs: clients spread across entry nodes, ride shard redirects, fail over when a node dies, and redeliver unresolved DUEs to the promoted partner")
+	flag.IntVar(&cfg.clients, "clients", 8, "concurrent clients (one tenant each)")
+	flag.IntVar(&cfg.events, "events", 96, "DUE events per client (capped at rows*cols)")
+	flag.IntVar(&cfg.burst, "burst", 16, "events per back-to-back burst")
+	flag.DurationVar(&cfg.pause, "pause", 25*time.Millisecond, "pause between bursts")
+	flag.IntVar(&cfg.rows, "rows", 64, "field rows")
+	flag.IntVar(&cfg.cols, "cols", 64, "field cols")
+	flag.DurationVar(&cfg.settle, "settle", 60*time.Second, "max wait for all recoveries to land and quarantine to clear")
+	flag.Int64Var(&cfg.seed, "seed", 1, "base random seed")
+	flag.Float64Var(&cfg.tol, "tol", 0.01, "relative-error bound counted as a high-quality recovery")
+	flag.BoolVar(&cfg.storm, "storm", false, "same-array storm: all clients share one tenant+allocation, partitioned offsets, NDJSON stream ingest")
+	flag.StringVar(&cfg.profile, "storm-profile", "", "structured-fault storm: bit, burst, row, column, or metadata (single tenant; zero-lost-recoveries exit assertions); predicted (CE-precursor storm scoring the server's predictive-health tier: confusion matrix, ROC, proactive-offline assertions — needs a -predictor server); or hotspot (spatially concentrated storm scoring the spatial-analytics feedback loop: hot-spot detection, tune-cache convergence, probe-skip speedup)")
+	flag.IntVar(&cfg.span, "span", 0, "storm-profile fault span: burst bit-width or row cells-per-wipe (0 = class default)")
 	flag.Parse()
-	if *clients < 1 || *events < 1 || *rows < 2 || *cols < 2 {
-		fatalf("need -clients >= 1, -events >= 1, -rows/-cols >= 2")
+	if err := dispatch(cfg, *addrs); err != nil {
+		fmt.Fprintf(os.Stderr, "dueload: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// dispatch checks the flags and runs the selected mode.
+func dispatch(cfg config, addrs string) error {
+	if cfg.clients < 1 || cfg.events < 1 || cfg.rows < 2 || cfg.cols < 2 {
+		return errors.New("need -clients >= 1, -events >= 1, -rows/-cols >= 2")
 	}
 	// Cluster mode: -addrs supplies the membership list; -addr becomes the
 	// first entry so setup and the metrics scrape have a starting point.
-	var addrList []string
-	if *addrs != "" {
-		for _, a := range strings.Split(*addrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrList = append(addrList, a)
-			}
+	if addrs != "" {
+		cfg.addrs = strings.FieldsFunc(addrs, func(c rune) bool { return c == ',' || unicode.IsSpace(c) })
+		if len(cfg.addrs) == 0 {
+			return errors.New("-addrs given but empty")
 		}
-		if len(addrList) == 0 {
-			fatalf("-addrs given but empty")
-		}
-		*addr = addrList[0]
+		cfg.addr = cfg.addrs[0]
 	} else {
-		addrList = []string{*addr}
+		cfg.addrs = []string{cfg.addr}
 	}
-	if *events > *rows**cols {
-		*events = *rows * *cols
-	}
+	cfg.events = min(cfg.events, cfg.rows*cfg.cols)
+	cfg.burst = max(cfg.burst, 1)
 
-	if *profile == "predicted" {
-		runPredictedProfile(*addr, *rows, *cols, *settle, *seed, *tol)
-		return
+	ctx, cancel := context.WithTimeout(context.Background(), 2*cfg.settle+5*time.Minute)
+	defer cancel()
+	switch cfg.profile {
+	case "":
+		return runClients(ctx, cfg)
+	case "predicted":
+		return runPredictedProfile(ctx, cfg)
+	case "hotspot":
+		return runHotspotProfile(ctx, cfg)
 	}
-	if *profile == "hotspot" {
-		runHotspotProfile(*addr, *events, *rows, *cols, *settle, *seed, *tol)
-		return
-	}
-	if *profile != "" {
-		runStormProfile(*addr, *profile, *events, *rows, *cols, *span, *settle, *seed, *tol)
-		return
-	}
+	return runStormProfile(ctx, cfg)
+}
 
+// runClients is the isolated-tenant and -storm mode: cfg.clients runs in
+// parallel, each through every phase, then one merged report.
+func runClients(ctx context.Context, cfg config) error {
 	mode := "isolated tenants"
-	if *storm {
+	if cfg.storm {
 		mode = "same-array storm"
 	}
 	fmt.Printf("dueload: %d clients x %d events against %s (%dx%d fields, burst %d, %s)\n",
-		*clients, *events, *addr, *rows, *cols, *burst, mode)
+		cfg.clients, cfg.events, cfg.addr, cfg.rows, cfg.cols, cfg.burst, mode)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2**settle+5*time.Minute)
-	defer cancel()
-
-	params := make([]clientParams, *clients)
-	if *storm {
+	var shared *run
+	var all []int
+	if cfg.storm {
 		// One shared tenant + allocation, registered and uploaded once up
 		// front; each client owns a disjoint partition of one shuffled offset
 		// permutation, so every ingest->outcome mapping stays exact even
 		// though all clients storm the same array.
-		const tenant, allocName = "storm", "field"
-		total := *clients * *events
-		if total > *rows**cols {
-			*events = *rows * *cols / *clients
-			total = *clients * *events
-			fmt.Printf("dueload: capping at %d events/client (field has %d elements)\n", *events, *rows**cols)
+		if cfg.clients*cfg.events > cfg.rows*cfg.cols {
+			cfg.events = cfg.rows * cfg.cols / cfg.clients
+			fmt.Printf("dueload: capping at %d events/client (field has %d elements)\n", cfg.events, cfg.rows*cfg.cols)
 		}
-		setup := newFailover(addrList, 0, tenant)
-		if err := setup.do(ctx, func(c *client.Client) error {
-			_, err := c.Register(ctx, httpapi.RegisterRequest{
-				Name: allocName, Dims: []int{*rows, *cols}, DType: "float32",
-				Policy: httpapi.PolicyInfo{Any: true, Range: &httpapi.RangeInfo{Lo: 50, Hi: 150}},
-			})
-			return err
-		}); err != nil {
-			fatalf("register storm allocation: %v", err)
+		shared = newRun(cfg.addrs, 0, "storm")
+		if _, err := shared.setup(ctx, cfg.rows, cfg.cols, "float32", cfg.seed); err != nil {
+			return fmt.Errorf("storm allocation: %w", err)
 		}
-		orig := smoothField(*rows, *cols, *seed)
-		if err := setup.do(ctx, func(c *client.Client) error {
-			return c.Upload(ctx, allocName, orig)
-		}); err != nil {
-			fatalf("upload storm field: %v", err)
-		}
-		all := distinctOffsets(total, *rows**cols, *seed)
-		for i := range params {
-			params[i] = clientParams{
-				addrs: addrList, entry: i, tenant: tenant, alloc: allocName,
-				rows: *rows, cols: *cols, orig: orig,
-				offsets: all[i**events : (i+1)**events],
-				burst:   *burst, stream: true,
-				pause: *pause, settle: *settle, seed: *seed + int64(i)*7919, tol: *tol,
-			}
-		}
-	} else {
-		for i := range params {
-			params[i] = clientParams{
-				addrs: addrList, entry: i, tenant: fmt.Sprintf("load-%02d", i), alloc: "field",
-				setup: true, rows: *rows, cols: *cols,
-				offsets: distinctOffsets(*events, *rows**cols, *seed+int64(i)*7919),
-				burst:   *burst,
-				pause:   *pause, settle: *settle, seed: *seed + int64(i)*7919, tol: *tol,
-			}
-		}
+		all = distinctOffsets(cfg.clients*cfg.events, cfg.rows*cfg.cols, cfg.seed)
 	}
 
-	reports := make([]*report, *clients)
-	errs := make([]error, *clients)
+	runs := make([]*run, cfg.clients)
+	errs := make([]error, cfg.clients)
 	var wg sync.WaitGroup
-	for i := 0; i < *clients; i++ {
+	for i := range runs {
+		seed := cfg.seed + int64(i)*7919
+		var offsets []int
+		if cfg.storm {
+			runs[i] = newRun(cfg.addrs, i, "storm")
+			runs[i].orig, runs[i].cursor = shared.orig, shared.cursor
+			offsets = all[i*cfg.events : (i+1)*cfg.events]
+		} else {
+			runs[i] = newRun(cfg.addrs, i, fmt.Sprintf("load-%02d", i))
+			offsets = distinctOffsets(cfg.events, cfg.rows*cfg.cols, seed)
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reports[i], errs[i] = runClient(ctx, params[i])
+			errs[i] = runClient(ctx, cfg, runs[i], offsets, seed)
 		}(i)
 	}
 	wg.Wait()
 
-	total := report{
-		ingest: newLatencyHist(), e2e: newLatencyHist(),
-		byCode: map[string]int{}, byMethod: map[string]int{},
-	}
+	total := newReport()
 	failedClients := 0
 	for i, err := range errs {
 		if err != nil {
@@ -224,14 +184,25 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dueload: client %d: %v\n", i, err)
 			continue
 		}
-		total.merge(reports[i])
+		total.merge(runs[i].rep)
+	}
+	if cfg.storm {
+		// Every client downloaded the one shared field at its own moment,
+		// so merged digests would depend on timing (and an even number of
+		// equal ones XOR to zero): digest one download taken after all of
+		// them returned.
+		q, err := shared.verify(ctx, nil, cfg.tol)
+		if err != nil {
+			return fmt.Errorf("storm field: %w", err)
+		}
+		total.q.sum = q.sum
 	}
 
 	fmt.Printf("\n== ingest results ==\n")
 	fmt.Printf("accepted  %6d\n", total.accepted)
 	fmt.Printf("latched   %6d  (429/503 backpressure; server-side redelivery, never resent)\n", total.latched)
 	fmt.Printf("rejected  %6d\n", total.rejected)
-	if len(addrList) > 1 {
+	if len(cfg.addrs) > 1 {
 		fmt.Printf("failovers %6d  (node rotations; %d DUEs redelivered to the promoted partner)\n",
 			total.failovers, total.redelivered)
 	}
@@ -240,85 +211,143 @@ func main() {
 	fmt.Printf("recovered %6d  (%d auto-tuned, %d via post-settle repair sweep)\n",
 		total.recovered, total.tuned, total.swept)
 	fmt.Printf("failed-attempt outcomes %d\n", total.failedOutcomes)
-	for _, kv := range sortedCounts(total.byMethod) {
-		fmt.Printf("  method %-24s %6d\n", kv.k, kv.v)
+	for _, k := range byCount(total.byMethod) {
+		fmt.Printf("  method %-24s %6d\n", k, total.byMethod[k])
 	}
-	for _, kv := range sortedCounts(total.byCode) {
-		fmt.Printf("  failure code %-24s %6d\n", kv.k, kv.v)
+	for _, k := range byCount(total.byCode) {
+		fmt.Printf("  failure code %-24s %6d\n", k, total.byCode[k])
 	}
 	fmt.Printf("within %.2g rel err: %d/%d (max rel err %.3g)\n",
-		*tol, total.withinTol, total.verified, total.maxRelErr)
-	fmt.Printf("quarantined at end: %d\n", total.quarantined)
+		cfg.tol, total.q.within, total.q.cells, total.q.maxRelErr)
+	fmt.Printf("quarantined at end: %d\n", total.q.quarantined)
 	fmt.Printf("field valbits sum: %016x  (compare across runs, e.g. -field-store=heap vs mmap)\n",
-		total.fieldSum)
+		total.q.sum)
 
 	fmt.Printf("\n== ingest latency (HTTP round trip) ==\n")
 	printHist(total.ingest)
 	fmt.Printf("\n== end-to-end recovery latency (ingest -> outcome) ==\n")
 	printHist(total.e2e)
 
-	for _, a := range addrList {
+	for _, a := range cfg.addrs {
 		printServerMetrics(a)
 	}
 
 	if failedClients > 0 {
-		fatalf("%d client(s) failed", failedClients)
+		return fmt.Errorf("%d client(s) failed", failedClients)
 	}
-	if total.quarantined > 0 {
-		fatalf("run ended with %d unresolved quarantined cells", total.quarantined)
+	if total.q.quarantined > 0 {
+		return fmt.Errorf("run ended with %d unresolved quarantined cells", total.q.quarantined)
 	}
-	if total.unresolved > 0 {
-		fatalf("%d injected DUEs never produced a successful outcome", total.unresolved)
+	// Every owned cell is recovered either from the feed or by the sweep.
+	recovered := total.recovered + total.swept
+	if unresolved := total.q.cells - recovered; unresolved > 0 {
+		return fmt.Errorf("%d injected DUEs never produced a successful outcome", unresolved)
 	}
-	fmt.Printf("\nOK: all %d injected DUEs recovered, zero quarantined cells\n",
-		total.recoveredOffsets)
+	fmt.Printf("\nOK: all %d injected DUEs recovered, zero quarantined cells\n", recovered)
+	return nil
 }
 
-type clientParams struct {
-	// addrs is the cluster entry-node list (one element outside cluster
-	// mode); entry picks this client's starting node so clients spread.
-	addrs         []string
-	entry         int
-	tenant, alloc string
-	// setup registers and uploads the allocation (isolated-tenant mode);
-	// storm mode pre-registers the shared allocation once in main.
-	setup      bool
-	rows, cols int
-	// offsets is the partition of elements this client injects and owns:
-	// outcome tracking, the repair sweep, and verification are all filtered
-	// to it, so storm clients never claim each other's recoveries.
-	offsets []int
-	// orig is the uploaded field (storm mode); nil means generate+upload.
-	orig  []float64
-	burst int
-	// stream ingests each burst through the NDJSON stream endpoint instead
-	// of one request per event.
-	stream        bool
-	pause, settle time.Duration
-	seed          int64
-	tol           float64
+// runClient drives one client's run through every phase; a storm client's
+// run arrives set up. In cluster mode (len(cfg.addrs) > 1) a redelivery
+// phase re-ingests any DUE whose first delivery died with its node.
+func runClient(ctx context.Context, cfg config, r *run, offsets []int, seed int64) error {
+	if r.orig == nil {
+		if _, err := r.setup(ctx, cfg.rows, cfg.cols, "float32", seed); err != nil {
+			return err
+		}
+	}
+	// Storm, one burst at a time: plant the whole burst's latent faults
+	// first (injection serializes against in-flight recoveries on the
+	// array's recovery lock), then blast the DUE events back-to-back so
+	// admission control — not the injector — is what gets exercised.
+	for start := 0; start < len(offsets); start += cfg.burst {
+		if start > 0 && cfg.pause > 0 {
+			time.Sleep(cfg.pause)
+		}
+		var cells []httpapi.InjectCell
+		for n := start; n < min(start+cfg.burst, len(offsets)); n++ {
+			off := offsets[n]
+			inj, err := r.inject(ctx, httpapi.InjectRequest{Offset: &off, Seed: seed + int64(n)})
+			if err != nil {
+				return fmt.Errorf("inject offset %d: %w", off, err)
+			}
+			cells = append(cells, inj...)
+		}
+		if err := r.ingest(ctx, cells, cfg.storm); err != nil {
+			return err
+		}
+	}
+
+	deadline := time.Now().Add(cfg.settle)
+	dl, cluster := deadline, len(cfg.addrs) > 1
+	if cluster {
+		// Leave budget for redelivery rounds: events queued or latched on a
+		// node that died were never journaled there, so no replica replays
+		// them — the client is the durable party and must deliver again.
+		dl = time.Now().Add(cfg.settle / 4)
+	}
+	for {
+		if err := r.settle(ctx, dl); err != nil {
+			return err
+		}
+		// Cluster redelivery: re-ingest every offset with no outcome at all
+		// against whichever node answers (the promoted partner after a
+		// kill). Offset events are node-portable, and redelivering an offset
+		// that was merely slow is harmless — prediction masks the target
+		// cell, so a duplicate recovery rewrites the same value.
+		missing := r.owned(func(off int) bool { _, ok := r.ok[off]; return !ok && !r.failed[off] })
+		if !cluster || len(missing) == 0 || !time.Now().Before(deadline) {
+			break
+		}
+		for _, off := range missing {
+			_, err := call(ctx, r.f, func(c *client.Client) (*httpapi.EventResult, error) {
+				return c.Ingest(ctx, r.event(httpapi.InjectCell{Offset: off}))
+			})
+			// A rejection mid-promotion is retried by the next round.
+			if ingestStatus(err) != httpapi.StatusRejected {
+				r.rep.redelivered++
+			}
+		}
+		if dl = time.Now().Add(time.Second); dl.After(deadline) {
+			dl = deadline
+		}
+	}
+	if err := r.sweep(ctx, deadline); err != nil {
+		return err
+	}
+
+	q, err := r.verify(ctx, r.owned(nil), cfg.tol)
+	if err != nil {
+		return err
+	}
+	r.rep.q = q
+	r.rep.failovers = r.f.moved
+	return nil
 }
 
+// report is what runClients prints: one client's counts, or their merge.
 type report struct {
 	accepted, latched, rejected int
 	recovered, tuned            int
 	failedOutcomes              int
 	byCode, byMethod            map[string]int
-	verified, withinTol         int
-	maxRelErr                   float64
-	quarantined                 int
-	unresolved                  int
-	recoveredOffsets            int
 	swept                       int
 	// redelivered counts DUEs re-ingested against a promoted partner after
 	// their first delivery died with an owner node; failovers counts node
 	// rotations the client performed.
 	redelivered, failovers int
 	ingest, e2e            *stats.Histogram
-	// fieldSum is an FNV-1a digest over the IEEE-754 valbits of every
-	// client's final downloaded field: two runs (e.g. -field-store=heap vs
-	// mmap servers) produced bit-identical fields iff the sums match.
-	fieldSum uint64
+	// q is the client's verify. Its sum digests the final field: two runs
+	// (e.g. -field-store=heap vs mmap servers) produced bit-identical
+	// fields iff the sums match.
+	q quality
+}
+
+func newReport() *report {
+	return &report{
+		ingest: newLatencyHist(), e2e: newLatencyHist(),
+		byCode: map[string]int{}, byMethod: map[string]int{},
+	}
 }
 
 // valbitsSum folds a field's exact bit patterns into an FNV-1a digest.
@@ -339,18 +368,17 @@ func (r *report) merge(o *report) {
 	r.recovered += o.recovered
 	r.tuned += o.tuned
 	r.failedOutcomes += o.failedOutcomes
-	r.verified += o.verified
-	r.withinTol += o.withinTol
-	r.quarantined += o.quarantined
-	r.unresolved += o.unresolved
-	r.recoveredOffsets += o.recoveredOffsets
+	r.q.cells += o.q.cells
+	r.q.within += o.q.within
+	r.q.quarantined += o.q.quarantined
 	r.swept += o.swept
 	r.redelivered += o.redelivered
 	r.failovers += o.failovers
-	r.maxRelErr = math.Max(r.maxRelErr, o.maxRelErr)
-	// XOR, so the digest does not depend on merge order; main merges the
-	// clients' reports by client index after all of them have returned.
-	r.fieldSum ^= o.fieldSum
+	r.q.maxRelErr = math.Max(r.q.maxRelErr, o.q.maxRelErr)
+	// Isolated clients digest distinct tenants' fields. XOR, so the digest
+	// does not depend on merge order; main merges the clients' reports by
+	// client index after all of them have returned.
+	r.q.sum ^= o.q.sum
 	for k, v := range o.byCode {
 		r.byCode[k] += v
 	}
@@ -359,337 +387,6 @@ func (r *report) merge(o *report) {
 	}
 	mergeHist(r.ingest, o.ingest)
 	mergeHist(r.e2e, o.e2e)
-}
-
-// runClient drives one tenant through the full lifecycle. In cluster mode
-// (len(p.addrs) > 1) every call goes through the failover wrapper, DUE
-// events are addressed by alloc+offset (simulated addresses are node-local
-// and do not survive a failover), and a redelivery phase re-ingests any DUE
-// whose first delivery died with its node.
-func runClient(ctx context.Context, p clientParams) (*report, error) {
-	f := newFailover(p.addrs, p.entry, p.tenant)
-	cluster := len(p.addrs) > 1
-	rep := &report{
-		ingest: newLatencyHist(), e2e: newLatencyHist(),
-		byCode: map[string]int{}, byMethod: map[string]int{},
-	}
-
-	allocName := p.alloc
-	orig := p.orig
-	if p.setup {
-		err := f.do(ctx, func(c *client.Client) error {
-			_, err := c.Register(ctx, httpapi.RegisterRequest{
-				Name: allocName, Dims: []int{p.rows, p.cols}, DType: "float32",
-				Policy: httpapi.PolicyInfo{Any: true, Range: &httpapi.RangeInfo{Lo: 50, Hi: 150}},
-			})
-			return err
-		})
-		if err != nil {
-			return rep, fmt.Errorf("register: %w", err)
-		}
-		orig = smoothField(p.rows, p.cols, p.seed)
-		if err := f.do(ctx, func(c *client.Client) error {
-			return c.Upload(ctx, allocName, orig)
-		}); err != nil {
-			return rep, fmt.Errorf("upload: %w", err)
-		}
-	}
-
-	// own filters the shared outcome feed, repair sweep, and quarantine
-	// report down to this client's offset partition.
-	own := make(map[int]bool, len(p.offsets))
-	for _, off := range p.offsets {
-		own[off] = true
-	}
-
-	// Storm, one burst at a time: plant the whole burst's latent faults
-	// first (injection serializes against in-flight recoveries on the
-	// array's recovery lock), then blast the DUE events back-to-back so
-	// admission control — not the injector — is what gets exercised.
-	// Distinct offsets keep the ingest->outcome latency map exact.
-	offsets := p.offsets
-	ingestAt := make(map[int]time.Time, len(offsets))
-	burst := p.burst
-	if burst < 1 {
-		burst = 1
-	}
-	// event builds the ingest request for one injection. Cluster runs
-	// address by alloc+offset — portable across a failover — while
-	// single-node runs keep the simulated physical-address path hot.
-	event := func(inj *httpapi.InjectReport) httpapi.EventRequest {
-		if cluster {
-			off := inj.Offset
-			return httpapi.EventRequest{Alloc: allocName, Offset: &off}
-		}
-		return httpapi.EventRequest{Addr: inj.Addr, Bit: inj.Bit}
-	}
-	for start := 0; start < len(offsets); start += burst {
-		if start > 0 && p.pause > 0 {
-			time.Sleep(p.pause)
-		}
-		end := start + burst
-		if end > len(offsets) {
-			end = len(offsets)
-		}
-		injected := make([]*httpapi.InjectReport, 0, end-start)
-		for n := start; n < end; n++ {
-			off := offsets[n]
-			var inj *httpapi.InjectReport
-			err := f.do(ctx, func(c *client.Client) error {
-				var e error
-				inj, e = c.Inject(ctx, allocName, httpapi.InjectRequest{
-					Offset: &off, Seed: p.seed + int64(n),
-				})
-				return e
-			})
-			if err != nil {
-				return rep, fmt.Errorf("inject offset %d: %w", off, err)
-			}
-			injected = append(injected, inj)
-		}
-		if p.stream {
-			// Whole burst down the NDJSON stream: the server admits the run
-			// back-to-back, which is what feeds the workers' RecoverBatch
-			// coalescing.
-			evs := make([]httpapi.EventRequest, len(injected))
-			for i, inj := range injected {
-				evs[i] = event(inj)
-			}
-			t0 := time.Now()
-			var results []httpapi.EventResult
-			err := f.do(ctx, func(c *client.Client) error {
-				var e error
-				results, e = c.IngestBatch(ctx, evs)
-				return e
-			})
-			rtt := time.Since(t0).Seconds() / float64(len(evs))
-			if err != nil {
-				return rep, fmt.Errorf("ingest stream: %w", err)
-			}
-			for i, res := range results {
-				rep.ingest.Add(rtt)
-				ingestAt[injected[i].Offset] = t0
-				switch res.Status {
-				case httpapi.StatusAccepted:
-					rep.accepted++
-				case httpapi.StatusLatched:
-					rep.latched++
-				default:
-					rep.rejected++
-					return rep, fmt.Errorf("ingest offset %d rejected: %v", injected[i].Offset, res.Error)
-				}
-			}
-			continue
-		}
-		for _, inj := range injected {
-			t0 := time.Now()
-			err := f.do(ctx, func(c *client.Client) error {
-				_, e := c.Ingest(ctx, event(inj))
-				return e
-			})
-			rep.ingest.Add(time.Since(t0).Seconds())
-			ingestAt[inj.Offset] = t0
-			switch {
-			case err == nil:
-				rep.accepted++
-			case errors.Is(err, service.ErrOverloaded), errors.Is(err, service.ErrCircuitOpen):
-				// Backpressure: the event is latched server-side and will
-				// be redelivered. Counting it is all a correct client does.
-				rep.latched++
-			default:
-				rep.rejected++
-				return rep, fmt.Errorf("ingest offset %d: %w", inj.Offset, err)
-			}
-		}
-	}
-
-	// Settle: follow the outcome feed until every injected offset has a
-	// successful recovery (latched events arrive late — that is the point).
-	// In storm mode the feed is shared by every client of the tenant, so
-	// records for offsets outside this client's partition are skipped.
-	deadline := time.Now().Add(p.settle)
-	okAt := make(map[int]bool, len(offsets))
-	failedAt := make(map[int]bool)
-	var cursor uint64
-	drainOutcomes := func(dl time.Time) error {
-		for len(okAt) < len(offsets) && time.Now().Before(dl) {
-			moves := f.moved
-			var page *httpapi.OutcomesPage
-			err := f.do(ctx, func(c *client.Client) error {
-				var e error
-				page, e = c.Outcomes(ctx, cursor, allocName, 1000)
-				return e
-			})
-			if err != nil {
-				return fmt.Errorf("outcomes: %w", err)
-			}
-			if f.moved != moves {
-				// The page came from a different node whose feed is a
-				// different sequence: drop it and restart from the head
-				// (okAt dedups records already counted).
-				cursor = 0
-				continue
-			}
-			cursor = page.Next
-			for _, rec := range page.Outcomes {
-				if !own[rec.Offset] {
-					continue
-				}
-				if rec.OK {
-					delete(failedAt, rec.Offset)
-					if okAt[rec.Offset] {
-						continue // counted before a cursor reset re-read it
-					}
-					okAt[rec.Offset] = true
-					rep.recovered++
-					rep.byMethod[rec.Method]++
-					if rec.Tuned {
-						rep.tuned++
-					}
-					if t0, seen := ingestAt[rec.Offset]; seen {
-						rep.e2e.Add(time.Unix(0, rec.UnixNano).Sub(t0).Seconds())
-					}
-				} else {
-					rep.failedOutcomes++
-					rep.byCode[rec.Code]++
-					if !okAt[rec.Offset] {
-						failedAt[rec.Offset] = true
-					}
-				}
-			}
-			if len(page.Outcomes) == 0 {
-				// Feed quiet: once every offset is either recovered or known
-				// permanently failed, stop waiting — the repair sweep below
-				// owns the failures (and needs the remaining time budget).
-				if len(okAt)+len(failedAt) >= len(offsets) {
-					return nil
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-		}
-		return nil
-	}
-	settleDL := deadline
-	if cluster {
-		// Leave budget for redelivery rounds: events queued or latched on a
-		// node that died were never journaled there, so no replica replays
-		// them — the client is the durable party and must deliver again.
-		settleDL = time.Now().Add(p.settle / 4)
-		if settleDL.After(deadline) {
-			settleDL = deadline
-		}
-	}
-	if err := drainOutcomes(settleDL); err != nil {
-		return rep, err
-	}
-	// Cluster redelivery: re-ingest every offset with no outcome at all
-	// against whichever node answers (the promoted partner after a kill).
-	// Offset events are node-portable, and redelivering an offset that was
-	// merely slow is harmless — prediction masks the target cell, so a
-	// duplicate recovery rewrites the same value.
-	unaccounted := func() int {
-		n := 0
-		for _, off := range offsets {
-			if !okAt[off] && !failedAt[off] {
-				n++
-			}
-		}
-		return n
-	}
-	for cluster && unaccounted() > 0 && time.Now().Before(deadline) {
-		for _, off := range offsets {
-			if okAt[off] || failedAt[off] {
-				continue
-			}
-			o := off
-			ierr := f.do(ctx, func(c *client.Client) error {
-				_, e := c.Ingest(ctx, httpapi.EventRequest{Alloc: allocName, Offset: &o})
-				return e
-			})
-			switch {
-			case ierr == nil,
-				errors.Is(ierr, service.ErrOverloaded),
-				errors.Is(ierr, service.ErrCircuitOpen):
-				rep.redelivered++
-			default:
-				// Mid-promotion rejection; the next round retries.
-			}
-		}
-		round := time.Now().Add(time.Second)
-		if round.After(deadline) {
-			round = deadline
-		}
-		if err := drainOutcomes(round); err != nil {
-			return rep, err
-		}
-	}
-	// Repair sweep + quarantine drain. A recovery that ran while its
-	// neighborhood was still corrupt can fail verification permanently and
-	// leave the cell quarantined; once the storm has settled and the
-	// neighbors are repaired, a synchronous re-recovery succeeds. This is
-	// the operator loop: poll /v1/quarantine, POST recover for survivors.
-	for {
-		var q *httpapi.QuarantineReport
-		err := f.do(ctx, func(c *client.Client) error {
-			var e error
-			q, e = c.Quarantine(ctx)
-			return e
-		})
-		if err != nil {
-			return rep, fmt.Errorf("quarantine: %w", err)
-		}
-		// Only this client's partition counts (and gets swept): in storm
-		// mode the quarantine report covers every client's cells.
-		ownQ := 0
-		for _, off := range q.Allocations[allocName] {
-			if own[off] {
-				ownQ++
-			}
-		}
-		rep.quarantined = ownQ
-		if ownQ == 0 || !time.Now().Before(deadline) {
-			break
-		}
-		for _, off := range q.Allocations[allocName] {
-			if !own[off] || okAt[off] {
-				continue // not ours, or transiently quarantined mid-recovery
-			}
-			o := off
-			rerr := f.do(ctx, func(c *client.Client) error {
-				_, e := c.Recover(ctx, allocName, o)
-				return e
-			})
-			if rerr == nil {
-				okAt[off] = true
-				rep.swept++
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	rep.recoveredOffsets = len(okAt)
-	rep.unresolved = len(offsets) - len(okAt)
-
-	// Verify quality: the recovered field must match the uploaded one.
-	var final []float64
-	err := f.do(ctx, func(c *client.Client) error {
-		var e error
-		final, e = c.Download(ctx, allocName)
-		return e
-	})
-	if err != nil {
-		return rep, fmt.Errorf("download: %w", err)
-	}
-	rep.failovers = f.moved
-	rep.fieldSum = valbitsSum(final)
-	for _, off := range offsets {
-		re := bitflip.RelErr(orig[off], final[off])
-		rep.verified++
-		if re <= p.tol {
-			rep.withinTol++
-		}
-		rep.maxRelErr = math.Max(rep.maxRelErr, re)
-	}
-	return rep, nil
 }
 
 // smoothField builds the uploaded test field: smooth with a seed-derived
@@ -791,28 +488,20 @@ func mergeHist(dst, src *stats.Histogram) {
 
 // printHist renders the non-empty span of a log histogram with bars.
 func printHist(h *stats.Histogram) {
-	total := h.Total() + h.Under + h.Over
-	if total == 0 {
+	if h.Total()+h.Under+h.Over == 0 {
 		fmt.Println("  (no observations)")
 		return
 	}
-	maxC := 1
-	lo, hi := -1, -1
+	lo, hi, maxC := len(h.Counts), -1, slices.Max(h.Counts)
 	for i, c := range h.Counts {
 		if c > 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-			if c > maxC {
-				maxC = c
-			}
+			lo, hi = min(lo, i), i
 		}
 	}
 	if h.Under > 0 {
 		fmt.Printf("  %12s < %-9s %6d\n", "", fmtDur(h.Edges[0]), h.Under)
 	}
-	for i := lo; i >= 0 && i <= hi; i++ {
+	for i := lo; i <= hi; i++ {
 		bar := strings.Repeat("#", int(math.Ceil(40*float64(h.Counts[i])/float64(maxC))))
 		fmt.Printf("  %9s - %-9s %6d %s\n", fmtDur(h.Edges[i]), fmtDur(h.Edges[i+1]), h.Counts[i], bar)
 	}
@@ -825,21 +514,12 @@ func fmtDur(secs float64) string {
 	return time.Duration(secs * float64(time.Second)).Round(time.Microsecond).String()
 }
 
-type kv struct {
-	k string
-	v int
-}
-
-func sortedCounts(m map[string]int) []kv {
-	out := make([]kv, 0, len(m))
-	for k, v := range m {
-		out = append(out, kv{k, v})
+// byCount lists m's keys, largest count first.
+func byCount(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].v > out[j].v })
-	return out
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dueload: "+format+"\n", args...)
-	os.Exit(1)
+	sort.Slice(keys, func(i, j int) bool { return m[keys[i]] > m[keys[j]] })
+	return keys
 }

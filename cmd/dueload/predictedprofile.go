@@ -1,15 +1,15 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"time"
 
+	"spatialdue/internal/core"
 	"spatialdue/internal/httpapi"
-	"spatialdue/internal/httpapi/client"
-	"spatialdue/internal/service"
 )
 
 // rocThresholds are the risk cutoffs the predicted profile sweeps for its
@@ -31,39 +31,31 @@ var rocThresholds = []float64{0.05, 0.15, 0.25, 0.40, 0.55, 0.70, 0.85, 0.95}
 //   - at least one row proactively offlined BEFORE its DUE was injected;
 //   - zero lost recoveries, and every DUE landing in a critical-tier bank
 //     mitigated from the migration shadow (outcome stage "offlined").
-func runPredictedProfile(addr string, rows, cols int, settle time.Duration, seed int64, tol float64) {
+//
+// Bank health is server-wide, so the server must be freshly started.
+func runPredictedProfile(ctx context.Context, cfg config) error {
 	const (
-		allocName   = "field"
 		dueBankMax  = 3  // banks designated to fail
 		stormCEs    = 36 // precursor CEs per DUE bank
 		noiseCEs    = 3  // background CEs per clean bank
 		duesPerBank = 4
 	)
-	fmt.Printf("dueload: predicted storm profile against %s (%dx%d float64 field)\n", addr, rows, cols)
+	fmt.Printf("dueload: predicted storm profile against %s (%dx%d float64 field)\n", cfg.addr, cfg.rows, cfg.cols)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*settle+5*time.Minute)
-	defer cancel()
-	c := client.New(client.Config{BaseURL: addr, Tenant: "storm-predicted"})
-
+	r := newRun([]string{cfg.addr}, 0, "storm-predicted")
+	c := r.f.c
 	rep, err := c.Health(ctx)
 	if err != nil {
-		fatalf("health: %v", err)
+		return fmt.Errorf("health: %w", err)
 	}
 	if !rep.Enabled {
-		fatalf("predicted profile needs a predictive server: run duerecover -serve -listen ... -predictor")
+		return errors.New("predicted profile needs a predictive server: run duerecover -serve -listen ... -predictor")
 	}
 	banks, rowBytes := rep.Topology.Banks, uint64(rep.Topology.RowBytes)
 
-	info, err := c.Register(ctx, httpapi.RegisterRequest{
-		Name: allocName, Dims: []int{rows, cols}, DType: "float64",
-		Policy: httpapi.PolicyInfo{Any: true, Range: &httpapi.RangeInfo{Lo: 50, Hi: 150}},
-	})
+	info, err := r.setup(ctx, cfg.rows, cfg.cols, "float64", cfg.seed)
 	if err != nil {
-		fatalf("register: %v", err)
-	}
-	orig := smoothField(rows, cols, seed)
-	if err := c.Upload(ctx, allocName, orig); err != nil {
-		fatalf("upload: %v", err)
+		return err
 	}
 
 	// Map the allocation onto DRAM rows: every full row it covers, grouped
@@ -84,31 +76,36 @@ func runPredictedProfile(addr string, rows, cols int, settle time.Duration, seed
 		}
 	}
 	if len(dueBanks) == 0 {
-		fatalf("field too small: no bank owns two full %d-byte rows (raise -rows/-cols)", rowBytes)
+		return fmt.Errorf("field too small: no bank owns two full %d-byte rows (raise -rows/-cols)", rowBytes)
 	}
 
 	// Phase 1 — CE precursors. DUE banks get the failure signature: CEs
 	// clustered on two rows, six distinct bit positions, rapid succession.
 	// Clean banks get sparse single-bit noise on distinct rows.
-	raise := func(a uint64, bit int) {
-		res, rerr := c.RaiseCE(ctx, a, bit)
-		if rerr != nil {
-			fatalf("raise CE at %#x: %v", a, rerr)
+	raise := func(a uint64, bit int) error {
+		res, err := c.RaiseCE(ctx, a, bit)
+		if err != nil {
+			return fmt.Errorf("raise CE at %#x: %w", a, err)
 		}
 		if res.Status != httpapi.StatusAccepted {
-			fatalf("CE at %#x: status %q", a, res.Status)
+			return fmt.Errorf("CE at %#x: status %q", a, res.Status)
 		}
+		return nil
 	}
 	stormBits := []int{1, 5, 9, 17, 23, 42}
 	for _, b := range dueBanks {
 		for i := 0; i < stormCEs; i++ {
 			lo := bankRows[b][i%2] // two hot rows per bank
-			raise(lo+uint64((i%16)*8), stormBits[i%len(stormBits)])
+			if err := raise(lo+uint64((i%16)*8), stormBits[i%len(stormBits)]); err != nil {
+				return err
+			}
 		}
 	}
 	for _, b := range cleanBanks {
 		for i := 0; i < noiseCEs && i < len(bankRows[b]); i++ {
-			raise(bankRows[b][i]+uint64(i*64), 3)
+			if err := raise(bankRows[b][i]+uint64(i*64), 3); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -116,7 +113,7 @@ func runPredictedProfile(addr string, rows, cols int, settle time.Duration, seed
 	// here are proactive by construction: the first DUE is injected after.
 	rep, err = c.Health(ctx)
 	if err != nil {
-		fatalf("health after storm: %v", err)
+		return fmt.Errorf("health after storm: %w", err)
 	}
 	risk := map[int]float64{}
 	tier := map[int]string{}
@@ -132,71 +129,42 @@ func runPredictedProfile(addr string, rows, cols int, settle time.Duration, seed
 	fmt.Printf("  %-5s %-9s %8s %s\n", "bank", "tier", "risk", "role")
 	for b := 0; b < banks; b++ {
 		role := "clean"
-		if containsInt(dueBanks, b) {
+		if slices.Contains(dueBanks, b) {
 			role = "DUE-designated"
 		}
 		if offlinedBefore[b] {
 			role += ", rows proactively offlined"
 		}
-		fmt.Printf("  %-5d %-9s %8.4f %s\n", b, tierName(tier[b]), risk[b], role)
+		fmt.Printf("  %-5d %-9s %8.4f %s\n", b, cmp.Or(tier[b], "none"), risk[b], role)
 	}
 
 	// Phase 3 — the DUEs land, only in the designated banks, inside the
 	// stormed (and ideally already-offlined) rows.
-	type due struct {
-		offset int
-		bank   int
-	}
-	var dues []due
-	latched := 0
+	bankOf := map[int]int{} // DUE offset -> bank
 	for _, b := range dueBanks {
 		lo := bankRows[b][0]
 		for i := 0; i < duesPerBank; i++ {
 			off := int(lo-info.Base)/8 + 3 + i*31 // spread inside the 128-element row
-			inj, ierr := c.Inject(ctx, allocName, httpapi.InjectRequest{
-				Offset: &off, Seed: seed + int64(b*100+i),
+			cells, err := r.inject(ctx, httpapi.InjectRequest{
+				Offset: &off, Seed: cfg.seed + int64(b*100+i),
 			})
-			if ierr != nil {
-				fatalf("inject bank %d: %v", b, ierr)
+			if err != nil {
+				return fmt.Errorf("inject bank %d: %w", b, err)
 			}
-			_, ierr = c.Ingest(ctx, httpapi.EventRequest{Addr: inj.Addr, Bit: inj.Bit})
-			switch {
-			case ierr == nil:
-			case errors.Is(ierr, service.ErrOverloaded), errors.Is(ierr, service.ErrCircuitOpen):
-				latched++
-			default:
-				fatalf("ingest bank %d offset %d: %v", b, off, ierr)
+			if err := r.ingest(ctx, cells, false); err != nil {
+				return fmt.Errorf("bank %d: %w", b, err)
 			}
-			dues = append(dues, due{offset: off, bank: b})
+			bankOf[off] = b
 		}
 	}
-	fmt.Printf("\ninjected %d DUEs into %d designated banks (%d latched)\n", len(dues), len(dueBanks), latched)
+	fmt.Printf("\ninjected %d DUEs into %d designated banks (%d latched)\n", len(bankOf), len(dueBanks), r.rep.latched)
 
-	// Settle: every DUE offset needs a successful outcome; remember each
-	// one's stage so mitigations (served from the migration shadow, stage
-	// "offlined") are distinguishable from ladder recoveries.
-	tracked := map[int]int{} // offset -> bank
-	for _, d := range dues {
-		tracked[d.offset] = d.bank
+	// Settle: every DUE offset needs a successful outcome, whose stage tells
+	// mitigations (served from the migration shadow) from ladder recoveries.
+	if err := r.settle(ctx, time.Now().Add(cfg.settle)); err != nil {
+		return err
 	}
-	stageAt := map[int]string{}
-	deadline := time.Now().Add(settle)
-	var cursor uint64
-	for len(stageAt) < len(tracked) && time.Now().Before(deadline) {
-		page, perr := c.Outcomes(ctx, cursor, allocName, 1000)
-		if perr != nil {
-			fatalf("outcomes: %v", perr)
-		}
-		cursor = page.Next
-		for _, rec := range page.Outcomes {
-			if _, ours := tracked[rec.Offset]; ours && rec.OK && rec.Stage != "page_offlined" {
-				stageAt[rec.Offset] = rec.Stage
-			}
-		}
-		if len(page.Outcomes) == 0 {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
+	offlined := core.StageOfflined.String()
 
 	// Grade the prediction. Predicted positive = the tier said "act" (>=
 	// elevated) before the DUEs; actual positive = the bank was designated
@@ -204,7 +172,7 @@ func runPredictedProfile(addr string, rows, cols int, settle time.Duration, seed
 	tp, fn, fp, tn := 0, 0, 0, 0
 	for b := 0; b < banks; b++ {
 		predicted := tier[b] == "elevated" || tier[b] == "critical"
-		actual := containsInt(dueBanks, b)
+		actual := slices.Contains(dueBanks, b)
 		switch {
 		case actual && predicted:
 			tp++
@@ -227,99 +195,59 @@ func runPredictedProfile(addr string, rows, cols int, settle time.Duration, seed
 	fmt.Printf("\n== ROC points (risk threshold sweep) ==\n")
 	fmt.Printf("  %-10s %6s %6s\n", "threshold", "TPR", "FPR")
 	for _, t := range rocThresholds {
-		rocTP, rocFP := 0, 0
-		for _, b := range dueBanks {
-			if risk[b] >= t {
-				rocTP++
-			}
-		}
-		for _, b := range cleanBanks {
-			if risk[b] >= t {
-				rocFP++
-			}
-		}
-		fmt.Printf("  %-10.2f %6.2f %6.2f\n", t, ratio(rocTP, len(dueBanks)), ratio(rocFP, len(cleanBanks)))
+		above := func(b int) bool { return risk[b] >= t }
+		fmt.Printf("  %-10.2f %6.2f %6.2f\n", t,
+			ratio(count(dueBanks, above), len(dueBanks)), ratio(count(cleanBanks, above), len(cleanBanks)))
 	}
 
 	// Mitigation audit: a DUE in a critical-tier bank must have been served
 	// from the migration shadow; anything less is an unmitigated hit on a
 	// bank the tier had already condemned.
-	mitigated, unmitigatedCritical, lost := 0, 0, 0
-	for off, b := range tracked {
-		stage, ok := stageAt[off]
-		if !ok {
-			lost++
-			continue
-		}
-		if stage == "offlined" {
-			mitigated++
-		} else if tier[b] == "critical" {
+	unmitigatedCritical := 0
+	for off, b := range bankOf {
+		if stage, ok := r.ok[off]; ok && stage != offlined && tier[b] == "critical" {
 			unmitigatedCritical++
 		}
 	}
-	final, err := c.Download(ctx, allocName)
+	shadow, err := r.verify(ctx, r.owned(func(off int) bool { return r.ok[off] == offlined }), cfg.tol)
 	if err != nil {
-		fatalf("download: %v", err)
+		return err
 	}
-	exact := 0
-	for off, stage := range stageAt {
-		if stage == "offlined" && math.Float64bits(final[off]) == math.Float64bits(orig[off]) {
-			exact++
-		}
-	}
+	mitigated, lost := shadow.cells, len(r.own)-len(r.ok)
 	fmt.Printf("\n== mitigation ==\n")
-	fmt.Printf("  DUEs mitigated from migration shadow  %d/%d (%d bit-exact)\n", mitigated, len(tracked), exact)
-	fmt.Printf("  recovered via prediction ladder       %d\n", len(stageAt)-mitigated)
+	fmt.Printf("  DUEs mitigated from migration shadow  %d/%d (%d bit-exact)\n", mitigated, len(r.own), shadow.exact)
+	fmt.Printf("  recovered via prediction ladder       %d\n", len(r.ok)-mitigated)
 	fmt.Printf("  lost (no successful outcome)          %d\n", lost)
 
 	if recall < 0.8 {
-		fatalf("profile predicted: recall %.2f < 0.8 at the elevated threshold", recall)
+		return fmt.Errorf("profile predicted: recall %.2f < 0.8 at the elevated threshold", recall)
 	}
-	proactive := false
-	for _, b := range dueBanks {
-		if offlinedBefore[b] {
-			proactive = true
-		}
-	}
-	if !proactive {
-		fatalf("profile predicted: no row was proactively offlined before its DUE")
+	proactive := count(dueBanks, func(b int) bool { return offlinedBefore[b] })
+	if proactive == 0 {
+		return errors.New("profile predicted: no row was proactively offlined before its DUE")
 	}
 	if mitigated == 0 {
-		fatalf("profile predicted: no DUE was served from the migration shadow")
+		return errors.New("profile predicted: no DUE was served from the migration shadow")
 	}
-	if mitigated != exact {
-		fatalf("profile predicted: %d shadow restores were not bit-exact", mitigated-exact)
+	if mitigated != shadow.exact {
+		return fmt.Errorf("profile predicted: %d shadow restores were not bit-exact", mitigated-shadow.exact)
 	}
 	if lost > 0 {
-		fatalf("profile predicted: %d DUEs never produced a successful outcome", lost)
+		return fmt.Errorf("profile predicted: %d DUEs never produced a successful outcome", lost)
 	}
 	if unmitigatedCritical > 0 {
-		fatalf("profile predicted: %d DUEs hit critical-tier banks without shadow mitigation", unmitigatedCritical)
+		return fmt.Errorf("profile predicted: %d DUEs hit critical-tier banks without shadow mitigation", unmitigatedCritical)
 	}
 	fmt.Printf("\nOK [profile predicted]: recall %.2f, %d/%d banks proactively offlined rows before their DUEs, %d/%d DUEs shadow-mitigated, zero lost\n",
-		recall, countTrue(offlinedBefore, dueBanks), len(dueBanks), mitigated, len(tracked))
+		recall, proactive, len(dueBanks), mitigated, len(r.own))
+	return nil
 }
 
-func tierName(t string) string {
-	if t == "" {
-		return "none"
-	}
-	return t
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func countTrue(m map[int]bool, keys []int) int {
+// count is how many banks satisfy keep.
+func count(banks []int, keep func(b int) bool) int {
 	n := 0
-	for _, k := range keys {
-		if m[k] {
+	for _, b := range banks {
+		if keep(b) {
 			n++
 		}
 	}

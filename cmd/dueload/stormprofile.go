@@ -4,16 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
-	"spatialdue/internal/bitflip"
-	"spatialdue/internal/core"
 	"spatialdue/internal/faultinject"
 	"spatialdue/internal/httpapi"
 	"spatialdue/internal/httpapi/client"
 	"spatialdue/internal/registry"
-	"spatialdue/internal/service"
 )
 
 // runStormProfile drives one structured-fault storm against the server and
@@ -24,227 +20,125 @@ import (
 // corruption and requires the server's parity to have repaired descriptors
 // without one refusal — a refusal would mean a recovery was (correctly)
 // blocked, but a single-bit flip must never exceed the parity.
-func runStormProfile(addr, profile string, events, rows, cols, span int, settle time.Duration, seed int64, tol float64) {
-	class, err := faultinject.ParseFaultClass(profile)
+func runStormProfile(ctx context.Context, cfg config) error {
+	class, err := faultinject.ParseFaultClass(cfg.profile)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	fmt.Printf("dueload: structured storm profile %q: %d events against %s (%dx%d field)\n",
-		profile, events, addr, rows, cols)
+		cfg.profile, cfg.events, cfg.addr, cfg.rows, cfg.cols)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 2*settle+5*time.Minute)
-	defer cancel()
-
-	const allocName = "field"
-	c := client.New(client.Config{BaseURL: addr, Tenant: "storm-" + profile})
-	if _, err := c.Register(ctx, httpapi.RegisterRequest{
-		Name: allocName, Dims: []int{rows, cols}, DType: "float32",
-		Policy: httpapi.PolicyInfo{Any: true, Range: &httpapi.RangeInfo{Lo: 50, Hi: 150}},
-	}); err != nil {
-		fatalf("register: %v", err)
-	}
-	orig := smoothField(rows, cols, seed)
-	if err := c.Upload(ctx, allocName, orig); err != nil {
-		fatalf("upload: %v", err)
+	r := newRun([]string{cfg.addr}, 0, "storm-"+cfg.profile)
+	if _, err := r.setup(ctx, cfg.rows, cfg.cols, "float32", cfg.seed); err != nil {
+		return err
 	}
 
 	// Inject event-by-event, ingesting each event's cells immediately.
 	// Events may overlap on cells (two row wipes can hit the same aligned
-	// block); the tracked set is the union, and re-ingesting a cell just
+	// block); the run owns the union, and re-ingesting a cell just
 	// triggers another recovery — the contract is per-cell, not per-event.
-	tracked := map[int]bool{}
-	totalCells, latched := 0, 0
 	// The metadata profile needs disjoint data-DUE offsets so each event's
 	// outcome is attributable; the data classes let the server's planner
 	// place cells.
-	dataOffsets := distinctOffsets(events, rows*cols, seed)
-	for n := 0; n < events; n++ {
-		var inj *httpapi.InjectReport
-		var err error
+	dataOffsets := distinctOffsets(cfg.events, cfg.rows*cfg.cols, cfg.seed)
+	for n := 0; n < cfg.events; n++ {
+		req := httpapi.InjectRequest{Seed: cfg.seed + int64(n), Class: cfg.profile, Span: cfg.span}
 		if class == faultinject.ClassMetadata {
+			req = httpapi.InjectRequest{Offset: &dataOffsets[n], Seed: cfg.seed + int64(n)}
+		}
+		cells, err := r.inject(ctx, req)
+		if err == nil && class == faultinject.ClassMetadata {
 			// A descriptor flip alone is invisible until a lookup runs, so
-			// pair it with one data DUE: plant the data fault first (while
-			// the descriptor is clean, so the planted address is right),
-			// then corrupt the descriptor, then ingest — the ingest lookup
-			// must detect and repair the descriptor before the recovery.
-			off := dataOffsets[n]
-			inj, err = c.Inject(ctx, allocName, httpapi.InjectRequest{
-				Offset: &off, Seed: seed + int64(n),
-			})
-			if err == nil {
-				descBit := (n * 7) % registry.DescriptorBits
-				_, err = c.Inject(ctx, allocName, httpapi.InjectRequest{
-					Class: "metadata", Bit: &descBit,
-				})
-			}
-		} else {
-			inj, err = c.Inject(ctx, allocName, httpapi.InjectRequest{
-				Seed: seed + int64(n), Class: profile, Span: span,
+			// it is paired with the data DUE planted above (while the
+			// descriptor was clean, so the planted address is right); the
+			// ingest lookup must detect and repair the descriptor before
+			// the recovery.
+			descBit := (n * 7) % registry.DescriptorBits
+			_, err = call(ctx, r.f, func(c *client.Client) (*httpapi.InjectReport, error) {
+				return c.Inject(ctx, allocName, httpapi.InjectRequest{Class: "metadata", Bit: &descBit})
 			})
 		}
 		if err != nil {
-			fatalf("inject event %d: %v", n, err)
+			return fmt.Errorf("inject event %d: %w", n, err)
 		}
-		cells := inj.Cells
-		if len(cells) == 0 {
-			cells = []httpapi.InjectCell{{
-				Offset: inj.Offset, Bit: inj.Bit, Addr: inj.Addr,
-				OrigBits: inj.OrigBits, CorruptedBits: inj.CorruptedBits, Orig: inj.Orig,
-			}}
-		}
-		totalCells += len(cells)
-		for _, cell := range cells {
-			tracked[cell.Offset] = true
-			_, err := c.Ingest(ctx, httpapi.EventRequest{Addr: cell.Addr, Bit: cell.Bit})
-			switch {
-			case err == nil:
-			case errors.Is(err, service.ErrOverloaded), errors.Is(err, service.ErrCircuitOpen):
-				latched++ // bank-latched server-side, redelivered late
-			default:
-				fatalf("ingest event %d offset %d: %v", n, cell.Offset, err)
-			}
+		if err := r.ingest(ctx, cells, false); err != nil {
+			return fmt.Errorf("event %d: %w", n, err)
 		}
 	}
 	fmt.Printf("injected %d events (%d cells, %d unique; %d latched)\n",
-		events, totalCells, len(tracked), latched)
+		cfg.events, r.rep.accepted+r.rep.latched, len(r.own), r.rep.latched)
 
-	// Settle on the outcome feed until every tracked cell has a successful
-	// recovery or the feed has gone quiet with only failures left.
-	deadline := time.Now().Add(settle)
-	okAt := map[int]bool{}
-	failedAt := map[int]bool{}
-	var cursor uint64
-	for len(okAt) < len(tracked) && time.Now().Before(deadline) {
-		page, err := c.Outcomes(ctx, cursor, allocName, 1000)
-		if err != nil {
-			fatalf("outcomes: %v", err)
-		}
-		cursor = page.Next
-		for _, rec := range page.Outcomes {
-			if !tracked[rec.Offset] {
-				continue
-			}
-			if rec.OK {
-				okAt[rec.Offset] = true
-				delete(failedAt, rec.Offset)
-			} else if !okAt[rec.Offset] {
-				failedAt[rec.Offset] = true
-			}
-		}
-		if len(page.Outcomes) == 0 {
-			if len(okAt)+len(failedAt) >= len(tracked) {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+	deadline := time.Now().Add(cfg.settle)
+	if err := r.settle(ctx, deadline); err != nil {
+		return err
 	}
-
-	// Repair sweep: cells that failed while their neighborhood was still
-	// corrupt usually succeed synchronously once the storm has settled.
-	needRestore := false
-	for time.Now().Before(deadline) {
-		q, err := c.Quarantine(ctx)
-		if err != nil {
-			fatalf("quarantine: %v", err)
-		}
-		remaining := q.Allocations[allocName]
-		if len(remaining) == 0 {
-			break
-		}
-		progressed := false
-		for _, off := range remaining {
-			if _, err := c.Recover(ctx, allocName, off); err == nil {
-				okAt[off] = true
-				progressed = true
-			} else if errors.Is(err, core.ErrCheckpointRestartRequired) ||
-				errors.Is(err, registry.ErrMetadataCorrupt) {
-				needRestore = true
-			}
-		}
-		if !progressed {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := r.sweep(ctx, deadline); err != nil {
+		return err
 	}
-
-	// Checkpoint restore: anything in-place recovery could not save is
-	// restored by re-uploading the original field, then a final sweep clears
-	// the quarantine flags on the now-pristine cells.
-	restored := 0
-	if len(okAt) < len(tracked) || needRestore {
-		for off := range tracked {
-			if !okAt[off] {
-				restored++
-			}
-		}
-		if err := c.Upload(ctx, allocName, orig); err != nil {
-			fatalf("checkpoint-restore upload: %v", err)
-		}
-		for attempt := 0; attempt < 50; attempt++ {
-			q, err := c.Quarantine(ctx)
-			if err != nil {
-				fatalf("quarantine after restore: %v", err)
-			}
-			remaining := q.Allocations[allocName]
-			if len(remaining) == 0 {
-				break
-			}
-			for _, off := range remaining {
-				_, _ = c.Recover(ctx, allocName, off)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-
-	// Verify: the final field must match the upload within tolerance.
-	final, err := c.Download(ctx, allocName)
+	// Quality is scored before any restore, over the cells recovered in
+	// place: the restore rewrites every cell with the upload's bits.
+	inPlace := r.owned(func(off int) bool { _, ok := r.ok[off]; return ok })
+	q, err := r.verify(ctx, inPlace, cfg.tol)
 	if err != nil {
-		fatalf("download: %v", err)
+		return err
 	}
-	maxRelErr, withinTol := 0.0, 0
-	for off := range tracked {
-		re := bitflip.RelErr(orig[off], final[off])
-		if re <= tol {
-			withinTol++
+	quarantined, restored := q.quarantined, 0
+	if len(inPlace) < len(r.own) || quarantined > 0 {
+		rest := r.owned(func(off int) bool { _, ok := r.ok[off]; return !ok })
+		if err := r.restore(ctx, time.Now().Add(cfg.settle)); err != nil {
+			return fmt.Errorf("checkpoint-restore %w", err)
 		}
-		maxRelErr = math.Max(maxRelErr, re)
+		after, err := r.verify(ctx, rest, cfg.tol)
+		if err != nil {
+			return err
+		}
+		quarantined, restored = after.quarantined, after.exact
 	}
 
-	q, err := c.Quarantine(ctx)
-	if err != nil {
-		fatalf("quarantine: %v", err)
-	}
-	quarantined := len(q.Allocations[allocName])
-
-	fmt.Printf("\n== profile %q results ==\n", profile)
-	fmt.Printf("recovered in place    %6d\n", len(okAt))
+	fmt.Printf("\n== profile %q results ==\n", cfg.profile)
+	fmt.Printf("recovered in place    %6d\n", len(inPlace))
 	fmt.Printf("checkpoint-restored   %6d\n", restored)
-	fmt.Printf("within %.2g rel err: %d/%d (max rel err %.3g)\n", tol, withinTol, len(tracked), maxRelErr)
+	fmt.Printf("within %.2g rel err: %d/%d (max rel err %.3g)\n", cfg.tol, q.within, q.cells, q.maxRelErr)
 	fmt.Printf("quarantined at end: %d\n", quarantined)
 
 	if class == faultinject.ClassMetadata {
-		vals, err := scrapeMetrics(addr)
+		vals, err := scrapeMetrics(cfg.addr)
 		if err != nil {
-			fatalf("profile metadata: %v", err)
+			return fmt.Errorf("profile metadata: %v", err)
 		}
 		repairs, refusals := vals["spatialdue_descriptor_repairs_total"], vals["spatialdue_descriptor_refusals_total"]
 		fmt.Printf("descriptor repairs %g, refusals %g\n", repairs, refusals)
 		if repairs < 1 {
-			fatalf("profile metadata: server parity never repaired a descriptor")
+			return errors.New("profile metadata: server parity never repaired a descriptor")
 		}
 		if refusals > 0 {
-			fatalf("profile metadata: %g descriptor refusals — single-bit corruption must stay within parity", refusals)
+			return fmt.Errorf("profile metadata: %g descriptor refusals — single-bit corruption must stay within parity", refusals)
 		}
 	}
-	if lost := len(tracked) - len(okAt) - restored; lost > 0 {
-		fatalf("profile %s: %d cells neither recovered nor checkpoint-restored", profile, lost)
+	if lost := len(r.own) - len(inPlace) - restored; lost > 0 {
+		return fmt.Errorf("profile %s: %d cells neither recovered nor checkpoint-restored", cfg.profile, lost)
 	}
 	if quarantined > 0 {
-		fatalf("profile %s: run ended with %d quarantined cells", profile, quarantined)
+		return fmt.Errorf("profile %s: run ended with %d quarantined cells", cfg.profile, quarantined)
 	}
 	// Quality stays a report, not an exit assertion: a degraded-stencil
 	// recovery beside a wiped row is correct even when it misses the 1%
 	// band — zero lost recoveries is the contract, precision is the metric.
 	fmt.Printf("\nOK [profile %s]: %d cells across %d events, %d recovered in place, %d checkpoint-restored, zero lost\n",
-		profile, len(tracked), events, len(okAt), restored)
+		cfg.profile, len(r.own), cfg.events, len(inPlace), restored)
+	return nil
+}
+
+// restore is the checkpoint fallback for cells in-place recovery could not
+// save: upload the original field again, sweep the quarantine flags an
+// upload leaves set (each sweep recovery re-predicts its cell), then
+// upload once more, so every cell holds the checkpoint's bits.
+func (r *run) restore(ctx context.Context, dl time.Time) error {
+	if err := r.upload(ctx); err != nil {
+		return err
+	}
+	if err := r.sweep(ctx, dl); err != nil {
+		return err
+	}
+	return r.upload(ctx)
 }
