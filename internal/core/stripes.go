@@ -174,6 +174,10 @@ func (e *Engine) StripeSpan(arr *ndarray.Array, s int) (lo, hi int) {
 	return e.stateFor(arr).stripeSpan(s)
 }
 
+// StripeOf returns the stripe that owns element off of arr: with
+// WithStripeLock, the one lock a single-cell write needs.
+func (e *Engine) StripeOf(arr *ndarray.Array, off int) int { return e.stateFor(arr).stripeOf(off) }
+
 // WithStripeLock runs f holding exactly stripe s's lock, which by the
 // ownership argument above grants exclusive access to the elements in
 // StripeSpan(arr, s). f must not block on external I/O.

@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -313,5 +314,227 @@ func TestFieldTransfersDoNotMaterializeTheField(t *testing.T) {
 	sameBits(t, got, vals)
 	if down >= 8*n+1<<20 {
 		t.Errorf("an 8 MiB download allocated %d bytes, want under the field's size + 1 MiB", down)
+	}
+}
+
+// hitServer is an httptest server that counts the requests it serves per
+// path and answers each with handle.
+type hitServer struct {
+	*httptest.Server
+	mu   sync.Mutex
+	hits map[string]int
+}
+
+func newHitServer(t *testing.T, handle http.HandlerFunc) *hitServer {
+	hs := &hitServer{hits: map[string]int{}}
+	hs.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hs.mu.Lock()
+		hs.hits[r.URL.Path]++
+		hs.mu.Unlock()
+		handle(w, r)
+	}))
+	t.Cleanup(hs.Close)
+	return hs
+}
+
+// take returns the hits on path since the last take.
+func (hs *hitServer) take(path string) int {
+	hs.mu.Lock()
+	defer hs.mu.Unlock()
+	n := hs.hits[path]
+	delete(hs.hits, path)
+	return n
+}
+
+// forwardTo answers every /v1 request with a 307 to target's same route,
+// as a node that does not own the tenant does; other routes get 200 {}.
+func forwardTo(target func() string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !strings.HasPrefix(r.URL.Path, "/v1/") {
+			_, _ = io.WriteString(w, "{}")
+			return
+		}
+		w.Header().Set(httpapi.ForwardHopsHeader, "1")
+		http.Redirect(w, r, target()+r.URL.RequestURI(), http.StatusTemporaryRedirect)
+	}
+}
+
+// serveOK answers every request 200 with an empty JSON object.
+func serveOK(w http.ResponseWriter, r *http.Request) {
+	_, _ = io.Copy(io.Discard, r.Body)
+	_, _ = io.WriteString(w, "{}")
+}
+
+const listRoute = "/v1/allocations"
+
+// hintedPair is an entry node that forwards to owner, and a client of
+// entry that has already learned the owner.
+func hintedPair(t *testing.T, owner http.HandlerFunc) (entry, own *hitServer, c *Client) {
+	own = newHitServer(t, owner)
+	entry = newHitServer(t, forwardTo(func() string { return own.URL }))
+	c = newClient(entry.Server)
+	if _, err := c.Allocations(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if entry.take(listRoute) != 1 || own.take(listRoute) != 1 {
+		t.Fatal("the first call did not go entry -> owner")
+	}
+	return entry, own, c
+}
+
+func TestOwnerHintSkipsTheForward(t *testing.T) {
+	entry, own, c := hintedPair(t, serveOK)
+	ctx := context.Background()
+	for range 3 {
+		if _, err := c.Allocations(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := entry.take(listRoute); n != 0 {
+		t.Errorf("entry node saw %d forwarded calls after the owner was learned, want 0", n)
+	}
+	if n := own.take(listRoute); n != 3 {
+		t.Errorf("owner saw %d calls, want 3", n)
+	}
+	// Node-local routes name the node they ask: always BaseURL.
+	if _, err := c.Metrics(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ready(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if entry.take("/metrics") != 1 || entry.take("/readyz") != 1 || own.take("/metrics") != 0 || own.take("/readyz") != 0 {
+		t.Error("Metrics or Ready did not go to BaseURL")
+	}
+}
+
+// A batch ingest picks its node like every other call.
+func TestOwnerHintCoversIngestBatch(t *testing.T) {
+	entry, own, c := hintedPair(t, func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		_, _ = io.WriteString(w, `{"status":"accepted"}`+"\n")
+	})
+	res, err := c.IngestBatch(context.Background(), []httpapi.EventRequest{{Alloc: "grid"}})
+	if err != nil || len(res) != 1 {
+		t.Fatalf("IngestBatch = %+v, %v", res, err)
+	}
+	if entry.take("/v1/events/stream") != 0 || own.take("/v1/events/stream") != 1 {
+		t.Error("IngestBatch did not go straight to the owner")
+	}
+}
+
+// A transport error, a 503 or a forward loop at the owner drops the hint:
+// the next call asks BaseURL again. The failed call itself is not re-sent.
+func TestOwnerHintDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		serve http.HandlerFunc
+	}{
+		{"transport error", func(w http.ResponseWriter, r *http.Request) {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err == nil {
+				conn.Close()
+			}
+		}},
+		{"503", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			_ = json.NewEncoder(w).Encode(httpapi.ErrorBody{Error: httpapi.ErrorDetail{Code: httpapi.CodeDraining}})
+		}},
+		{"508 forward_loop", func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusLoopDetected)
+			_ = json.NewEncoder(w).Encode(httpapi.ErrorBody{Error: httpapi.ErrorDetail{Code: httpapi.CodeForwardLoop}})
+		}},
+		{"redirect loop", func(w http.ResponseWriter, r *http.Request) {
+			http.Redirect(w, r, "http://"+r.Host+r.URL.RequestURI(), http.StatusTemporaryRedirect)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var broken atomic.Bool
+			entry, own, c := hintedPair(t, func(w http.ResponseWriter, r *http.Request) {
+				if broken.Load() {
+					tc.serve(w, r)
+					return
+				}
+				serveOK(w, r)
+			})
+			broken.Store(true)
+			ctx := context.Background()
+			o := 3
+			if _, err := c.Ingest(ctx, httpapi.EventRequest{Alloc: "grid", Offset: &o}); err == nil {
+				t.Fatal("Ingest to a broken owner succeeded")
+			}
+			if n := entry.take("/v1/events"); n != 0 {
+				t.Errorf("the failed Ingest was re-sent through BaseURL (%d times)", n)
+			}
+			if n := own.take("/v1/events"); n < 1 || (tc.name != "redirect loop" && n != 1) {
+				t.Errorf("owner saw the Ingest %d times, want once", n)
+			}
+			broken.Store(false)
+			if _, err := c.Allocations(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if entry.take(listRoute) != 1 {
+				t.Error("the call after the failure did not go to BaseURL")
+			}
+		})
+	}
+}
+
+// A 307 from the hinted node re-targets the hint at where the chain ends.
+func TestOwnerHintRetargets(t *testing.T) {
+	newOwner := newHitServer(t, serveOK)
+	var moved atomic.Bool
+	var old *hitServer
+	old = newHitServer(t, func(w http.ResponseWriter, r *http.Request) {
+		if moved.Load() {
+			forwardTo(func() string { return newOwner.URL })(w, r)
+			return
+		}
+		serveOK(w, r)
+	})
+	entry := newHitServer(t, forwardTo(func() string { return old.URL }))
+	c := newClient(entry.Server)
+	ctx := context.Background()
+	if _, err := c.Allocations(ctx); err != nil {
+		t.Fatal(err)
+	}
+	moved.Store(true)
+	for range 3 {
+		if _, err := c.Allocations(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e, o, n := entry.take(listRoute), old.take(listRoute), newOwner.take(listRoute); e != 1 || o != 2 || n != 3 {
+		t.Errorf("entry/old/new owner saw %d/%d/%d calls, want 1/2/3", e, o, n)
+	}
+}
+
+// Many goroutines share one client while the owner keeps failing and
+// recovering; run under -race.
+func TestOwnerHintConcurrent(t *testing.T) {
+	var calls atomic.Int64
+	own := newHitServer(t, func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1)%5 == 0 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			_, _ = io.WriteString(w, "{}")
+			return
+		}
+		serveOK(w, r)
+	})
+	entry := newHitServer(t, forwardTo(func() string { return own.URL }))
+	c := New(Config{BaseURL: entry.URL, Tenant: "t", MaxRetries: -1})
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				_, _ = c.Allocations(context.Background())
+			}
+		}()
+	}
+	wg.Wait()
+	if e, o := entry.take(listRoute), own.take(listRoute); o != 400 || e < 1 || e >= 400 {
+		t.Errorf("entry saw %d and owner %d of 400 calls; want every call at the owner, a few through the entry", e, o)
 	}
 }
