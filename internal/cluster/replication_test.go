@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -211,5 +212,70 @@ func TestSessionStartsFromSnapshot(t *testing.T) {
 	s.enqueueControl(func() outMsg { return outMsg{h: frameHeader{Type: frameField, Tenant: "t", Alloc: "grid"}} })
 	if len(s.outbox) != 1 {
 		t.Errorf("outbox holds %d frames inside a session, want 1", len(s.outbox))
+	}
+}
+
+// A session that ends because the outbox lost frames still delivers the
+// teardown it took from the outbox, whether it holds it in hand or in its
+// unwritten batch: no later session can recover it, and a snapshot carries
+// no absence. The partner stalls the session on a snapshot field bigger
+// than the loopback socket buffers while the outbox fills behind it.
+func TestResyncDeliversTakenTeardown(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		lose func(s *sender) // runs after the teardown is queued
+	}{
+		// The outbox overflows behind the teardown: the session sees the
+		// flag with the teardown in hand.
+		{"overflow", func(s *sender) {
+			for s.push(outMsg{h: frameHeader{Type: frameField, Tenant: "t", Alloc: "grid"}}) {
+			}
+		}},
+		// A record past a gap follows the teardown: the session sees the
+		// gap with the teardown in its batch.
+		{"gap", func(s *sender) {
+			s.outbox <- outMsg{h: frameHeader{Type: frameJrec, Seq: 2}, payload: []byte(`{}`)}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			jpath := filepath.Join(t.TempDir(), "journal.jsonl")
+			if err := os.WriteFile(jpath, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ln := listen(t)
+			began := make(chan struct{})
+			big := make([]byte, 32<<20)
+			s := newSender("a", NodeInfo{Name: "b", Repl: ln.Addr().String()}, jpath, func() []snapshotItem {
+				close(began)
+				return []snapshotItem{{tenant: "t", name: "grid", dims: []int{len(big) / 8}, dtype: "float64", payload: big}}
+			})
+			go s.run()
+			defer s.Stop()
+			conn, err := ln.Accept()
+			_ = ln.Close() // the session that follows finds no partner
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if h, _, err := readFrame(conn); err != nil || h.Type != frameHello {
+				t.Fatalf("hello: %+v, %v", h, err)
+			}
+			if _, err := conn.Write(legacyFrame(frameHeader{Type: frameWelcome}, nil)); err != nil {
+				t.Fatal(err)
+			}
+			<-began
+			s.enqueueTeardown(outMsg{h: frameHeader{Type: frameUnreg, Tenant: "t", Alloc: "gone"}})
+			tc.lose(s)
+			for {
+				h, _, err := readFrame(conn)
+				if err != nil {
+					t.Fatalf("the session ended without sending the teardown: %v", err)
+				}
+				if h.Type == frameUnreg && h.Alloc == "gone" {
+					return
+				}
+			}
+		})
 	}
 }

@@ -517,3 +517,25 @@ func TestStreamBatchLongerThanWindow(t *testing.T) {
 		t.Fatalf("%d planted faults never discovered", got)
 	}
 }
+
+// Forwarded is the one rule for which routes a cluster node shard-routes
+// and the SDK's owner hint may redirect: tenant routes, not the node-local
+// ones nor the cluster status.
+func TestForwardedRoutes(t *testing.T) {
+	for path, want := range map[string]bool{
+		"/v1/events":           true,
+		"/v1/events/stream":    true,
+		"/v1/allocations/grid": true,
+		"/v1/outcomes":         true,
+		"/v1/cluster/status":   false,
+		"/v1/cluster/status/x": true,
+		"/metrics":             false,
+		"/readyz":              false,
+		"/healthz":             false,
+		"/v1":                  false,
+	} {
+		if got := httpapi.Forwarded(path); got != want {
+			t.Errorf("Forwarded(%q) = %v, want %v", path, got, want)
+		}
+	}
+}

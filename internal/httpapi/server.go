@@ -337,6 +337,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// Forwarded reports whether a cluster node shard-routes requests for the
+// URL path: every /v1 route but the cluster status. The SDK's owner hint
+// applies to exactly these routes.
+func Forwarded(path string) bool {
+	return strings.HasPrefix(path, "/v1/") && path != "/v1/cluster/status"
+}
+
 // forward applies shard routing in cluster mode: a /v1 request for a tenant
 // another node owns is answered with 307 to that node (tenant and trace
 // headers travel with the redirect — the SDK re-asserts them), incrementing
@@ -345,8 +352,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the response. Cluster status is always answered locally — it is how peers
 // and operators ask "who do YOU think you are".
 func (s *Server) forward(w http.ResponseWriter, r *http.Request) bool {
-	if s.cfg.Cluster == nil || !strings.HasPrefix(r.URL.Path, "/v1/") ||
-		r.URL.Path == "/v1/cluster/status" {
+	if s.cfg.Cluster == nil || !Forwarded(r.URL.Path) {
 		return false
 	}
 	tenant, err := s.tenant(r)
