@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 
 	"spatialdue/internal/jsonwire"
@@ -163,28 +162,6 @@ func writeFrame(w io.Writer, h frameHeader, payload []byte) error {
 		return fmt.Errorf("cluster: write %s frame: %w", h.Type, err)
 	}
 	return nil
-}
-
-// float64sToBytes encodes a field as little-endian float64 bits — the same
-// layout the HTTP upload path uses, so replicated fields are bit-exact.
-func float64sToBytes(vals []float64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	return buf
-}
-
-// bytesToFloat64s decodes a field payload; errors on ragged lengths.
-func bytesToFloat64s(buf []byte) ([]float64, error) {
-	if len(buf)%8 != 0 {
-		return nil, fmt.Errorf("cluster: field payload length %d not a multiple of 8", len(buf))
-	}
-	vals := make([]float64, len(buf)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return vals, nil
 }
 
 // readControlFrame reads a frame that carries no payload (hello, welcome,

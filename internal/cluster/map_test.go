@@ -175,19 +175,3 @@ func TestFrameTornAndGarbage(t *testing.T) {
 		t.Error("oversized payload length accepted")
 	}
 }
-
-func TestFieldPayloadRoundTrip(t *testing.T) {
-	vals := []float64{0, 1.5, -2.25, 3e300}
-	got, err := bytesToFloat64s(float64sToBytes(vals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Errorf("value %d: %v != %v", i, got[i], vals[i])
-		}
-	}
-	if _, err := bytesToFloat64s(make([]byte, 12)); err == nil {
-		t.Error("ragged field payload accepted")
-	}
-}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,7 +19,6 @@ import (
 
 	"spatialdue/internal/core"
 	"spatialdue/internal/httpapi"
-	"spatialdue/internal/ndarray"
 	"spatialdue/internal/registry"
 	"spatialdue/internal/service"
 )
@@ -493,26 +493,14 @@ func (n *Node) FieldUploaded(a *registry.Allocation) {
 	})
 }
 
-// fieldPayload serializes a field to the wire format (little-endian
-// float64s) under stripe locks: on little-endian hosts each stripe is a
-// straight memcpy out of the array's byte view, one stripe lock at a time,
-// so capturing a 1 GiB field never stalls recoveries behind a full-array
-// lock. The portable fallback snapshots under the array lock and marshals.
+// fieldPayload captures a field in the wire format with the codec a
+// download uses, one stripe lock at a time, so capturing a 1 GiB field
+// never stalls recoveries behind a full-array lock. The payload is the one
+// whole-field buffer; WriteField fills it through a one-stripe scratch.
 func (n *Node) fieldPayload(a *registry.Allocation) []byte {
-	arr := a.Array
-	if view, ok := ndarray.ByteView(arr); ok {
-		buf := make([]byte, arr.Len()*8)
-		_ = n.eng.ForEachStripeLocked(arr, func(lo, hi int) error {
-			copy(buf[lo*8:hi*8], view[lo*8:hi*8])
-			return nil
-		})
-		return buf
-	}
-	var vals []float64
-	n.eng.WithArrayLock(arr, func() {
-		vals = append([]float64(nil), arr.Data()...)
-	})
-	return float64sToBytes(vals)
+	buf := bytes.NewBuffer(make([]byte, 0, a.Array.Len()*8))
+	_ = httpapi.WriteField(n.eng, a.Array, buf) // a bytes.Buffer write never fails
+	return buf.Bytes()
 }
 
 // AllocUnregistered implements httpapi.Cluster: stream a teardown to the

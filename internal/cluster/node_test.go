@@ -261,7 +261,7 @@ func TestPromotionReplaysDanglingIntent(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, frameHeader{Type: frameField, Tenant: ta, Alloc: "grid"}, float64sToBytes(vals)); err != nil {
+	if err := writeFrame(conn, frameHeader{Type: frameField, Tenant: ta, Alloc: "grid"}, fieldBytes(vals)); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFrame(conn, frameHeader{Type: frameJrec, Seq: 1}, lines[0]); err != nil {

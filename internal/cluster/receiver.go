@@ -10,10 +10,10 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"spatialdue/internal/bitflip"
+	"spatialdue/internal/httpapi"
 	"spatialdue/internal/journal"
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
@@ -31,7 +31,7 @@ type replicaState struct {
 	mu      sync.Mutex
 	log     *journal.Log
 	count   uint64 // intact records durably in the replica file
-	intents map[uint64]journal.Intent
+	intents journal.OpenIntents
 	dec     journal.Decoder // decodes both the file at open and the live stream
 	conn    net.Conn        // active replication conn from the owner, if any
 }
@@ -48,9 +48,8 @@ func (n *Node) replicaFor(owner string) (*replicaState, error) {
 		return st, nil
 	}
 	st := &replicaState{
-		owner:   owner,
-		path:    filepath.Join(n.cfg.DataDir, "replica-"+owner+".jsonl"),
-		intents: make(map[uint64]journal.Intent),
+		owner: owner,
+		path:  filepath.Join(n.cfg.DataDir, "replica-"+owner+".jsonl"),
 	}
 	if err := st.open(); err != nil {
 		return nil, err
@@ -68,18 +67,12 @@ func (st *replicaState) open() error {
 	}
 	st.log = lg
 	st.count = 0
-	st.intents = make(map[uint64]journal.Intent)
+	st.intents = journal.OpenIntents{}
 	return journal.Records(st.path, func(seq uint64, line []byte) error {
 		st.count = seq
-		rec, err := st.dec.Decode(line)
-		if err != nil {
-			return nil // foreign record kinds replicate fine; they just don't replay
-		}
-		if rec.Kind == journal.KindIntent {
-			st.intents[rec.Intent.ID] = rec.Intent
-		} else {
-			delete(st.intents, rec.Outcome.ID)
-		}
+		if rec, err := st.dec.Decode(line); err == nil {
+			st.intents.Apply(rec)
+		} // foreign record kinds replicate fine; they just don't replay
 		return nil
 	})
 }
@@ -248,31 +241,20 @@ func (n *Node) applyAlloc(h frameHeader) error {
 }
 
 // applyField overwrites the replica array with the owner's field snapshot,
-// bit-exactly, under the array's stripe locks.
+// bit-exactly, with the codec an upload uses: stripe by stripe, each under
+// its own lock, then the statistics of the stripes it committed are
+// re-snapshotted — all of them, as the length is checked first.
 func (n *Node) applyField(h frameHeader, payload []byte) error {
 	a, ok := n.eng.Table().ByTenantName(h.Tenant, h.Alloc)
 	if !ok {
 		return nil // alloc frame lost to a reconnect; next snapshot repairs
 	}
-	if len(payload)%8 != 0 || len(payload)/8 != a.Array.Len() {
+	if len(payload) != a.Array.Len()*8 {
 		return fmt.Errorf("field %q/%q: %d bytes for %d cells", h.Tenant, h.Alloc, len(payload), a.Array.Len())
 	}
-	if view, ok := ndarray.ByteView(a.Array); ok {
-		// Zero-copy apply: the wire payload is already the host byte layout.
-		n.eng.WithArrayLock(a.Array, func() {
-			copy(view, payload)
-		})
-	} else {
-		vals, err := bytesToFloat64s(payload)
-		if err != nil {
-			return err
-		}
-		n.eng.WithArrayLock(a.Array, func() {
-			copy(a.Array.Data(), vals)
-		})
-	}
-	n.eng.FieldUpdated(a.Array)
-	return nil
+	committed, err := httpapi.ReadField(n.eng, a.Array, bytes.NewReader(payload))
+	n.eng.FieldUpdatedStripes(a.Array, committed)
+	return err
 }
 
 // applyUnreg mirrors an owner-side teardown.
@@ -291,18 +273,16 @@ func (n *Node) applyRecord(st *replicaState, line []byte) {
 	if err != nil {
 		return
 	}
+	intent, closed := st.intents.Apply(rec)
 	if rec.Kind == journal.KindIntent {
 		in := rec.Intent
-		st.intents[in.ID] = in
 		if a, ok := n.eng.Table().ByTenantName(in.Tenant, in.Alloc); ok {
 			n.eng.MarkCorrupt(a, in.Offset)
 		}
 		return
 	}
 	out := rec.Outcome
-	intent, tracked := st.intents[out.ID]
-	delete(st.intents, out.ID)
-	if !tracked || !out.OK {
+	if !closed || !out.OK {
 		return
 	}
 	if a, ok := n.eng.Table().ByTenantName(intent.Tenant, intent.Alloc); ok {
@@ -321,12 +301,7 @@ func (n *Node) applyRecord(st *replicaState, line []byte) {
 func (st *replicaState) danglingIntents() []journal.Intent {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]journal.Intent, 0, len(st.intents))
-	for _, in := range st.intents {
-		out = append(out, in)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return st.intents.List()
 }
 
 // policyFromWire rebuilds a registry.Policy from its wire form.

@@ -9,11 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"spatialdue/internal/httpapi"
 	"spatialdue/internal/httpapi/client"
+	"spatialdue/internal/journal"
 )
 
 // fieldBits copies an allocation's cells as IEEE-754 bits under the array
@@ -277,5 +279,66 @@ func TestResyncDeliversTakenTeardown(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplicaWorkListMatchesReplay reads one journal file both ways: the
+// replica's promotion work-list, rebuilt when the replica file is opened,
+// must equal the dangling intents OpenRecovery hands a restarting node —
+// the same intents in the same order, torn tail repaired by both.
+func TestReplicaWorkListMatchesReplay(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.jsonl")
+	rec, _, err := journal.OpenRecovery(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	for i := 0; i < 12; i++ {
+		id, err := rec.Begin("ten", "grid", 0, 10*i, float64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	// Close out of order: successes, failures, and an intent left open at
+	// each end and in the middle.
+	for _, i := range []int{5, 1, 10, 3, 2, 8, 7} {
+		if err := rec.FinishValue(ids[i], i%2 == 0, "", math.Float64bits(float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = f.WriteString(`{"k":"outcome","o":{"id":`) // torn: neither side may count it
+	_ = f.Close()
+	replica := filepath.Join(dir, "replica-a.jsonl")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(replica, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := &replicaState{owner: "a", path: replica}
+	if err := st.open(); err != nil {
+		t.Fatal(err)
+	}
+	defer st.log.Close()
+	reopened, dangling, err := journal.OpenRecovery(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+
+	work := st.danglingIntents()
+	if len(dangling) != 5 || !slices.Equal(work, dangling) {
+		t.Errorf("replica work-list %+v\nreplay dangling %+v", work, dangling)
 	}
 }

@@ -84,7 +84,7 @@ func rampField(n int, shift float64) []byte {
 	for i := range vals {
 		vals[i] = shift + math.Sqrt(float64(i))
 	}
-	return float64sToBytes(vals)
+	return fieldBytes(vals)
 }
 
 // TestReplicationWireGolden pins the exact bytes an owner sends its partner

@@ -138,35 +138,11 @@ func (ss *stripeSet) stripeSpan(s int) (lo, hi int) {
 	return lo, (s + 1) * ss.rows * ss.rowLen
 }
 
-// ForEachStripeLocked calls f once per stripe with that stripe's element
-// range [lo, hi), holding ONLY that stripe's lock during the call. This is
-// the streaming-I/O primitive behind chunked field upload/download: an
-// element in stripe t is only ever recovered under locks t-1..t+1, and its
-// whole read/write set lies inside those stripes, so any recovery touching
-// stripe s's data necessarily holds lock s — holding lock s alone therefore
-// gives exclusive ownership of stripe s's elements. Iteration is ascending
-// and single-lock, so it composes deadlock-free with the globally ordered
-// range acquisitions. f must not block on external I/O while called (stage
-// through a scratch buffer instead); a non-nil error stops the walk and is
-// returned.
-func (e *Engine) ForEachStripeLocked(arr *ndarray.Array, f func(lo, hi int) error) error {
-	for s, n := 0, e.NumStripes(arr); s < n; s++ {
-		st := e.lock(arr, s, s)
-		lo, hi := st.stripeSpan(s)
-		err := f(lo, hi)
-		st.release(s, s)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // NumStripes returns the number of lock stripes of an array. Together with
 // StripeSpan and WithStripeLock it lets callers interleave external I/O with
 // stripe-exclusive access (stage into a scratch buffer outside the lock,
-// memcpy inside it) — the pattern the streaming field handlers use, since
-// ForEachStripeLocked forbids blocking I/O inside the callback.
+// memcpy inside it) — the pattern the field codec uses for uploads,
+// downloads and replication.
 func (e *Engine) NumStripes(arr *ndarray.Array) int { return e.stateFor(arr).n }
 
 // StripeSpan returns the half-open element range [lo, hi) owned by stripe s.
@@ -178,9 +154,13 @@ func (e *Engine) StripeSpan(arr *ndarray.Array, s int) (lo, hi int) {
 // WithStripeLock, the one lock a single-cell write needs.
 func (e *Engine) StripeOf(arr *ndarray.Array, off int) int { return e.stateFor(arr).stripeOf(off) }
 
-// WithStripeLock runs f holding exactly stripe s's lock, which by the
-// ownership argument above grants exclusive access to the elements in
-// StripeSpan(arr, s). f must not block on external I/O.
+// WithStripeLock runs f holding exactly stripe s's lock, which grants
+// exclusive access to the elements in StripeSpan(arr, s): an element in
+// stripe t is only ever recovered under locks t-1..t+1, and its whole
+// read/write set lies inside those stripes, so any recovery touching stripe
+// s's data necessarily holds lock s. One lock at a time composes
+// deadlock-free with the globally ordered range acquisitions. f must not
+// block on external I/O.
 func (e *Engine) WithStripeLock(arr *ndarray.Array, s int, f func()) {
 	st := e.lock(arr, s, s)
 	defer st.release(s, s)

@@ -539,3 +539,53 @@ func TestForwardedRoutes(t *testing.T) {
 		}
 	}
 }
+
+// TestElementReportsQuarantine checks GET .../element answers the
+// quarantine bit of exactly the cell asked for: a quarantined cell reads
+// true, its neighbours (in the same bitmap word and across a word boundary)
+// read false, and a cleared cell reads false again.
+func TestElementReportsQuarantine(t *testing.T) {
+	eng := core.NewEngine(core.Options{Seed: 7})
+	_, base, shutdown := startServer(t, eng, httpapi.ServerConfig{
+		Service: service.Config{Workers: 1, QueueDepth: 8},
+	})
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	ctx := context.Background()
+	c := client.New(client.Config{BaseURL: base, Tenant: "t1"})
+	if _, err := c.Register(ctx, httpapi.RegisterRequest{
+		Name: "field", Dims: []int{16, 16}, DType: "float64", Policy: httpapi.PolicyInfo{Any: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Upload(ctx, "field", smoothField(16, 16)); err != nil {
+		t.Fatal(err)
+	}
+	a, ok := eng.Table().ByTenantName("t1", "field")
+	if !ok {
+		t.Fatal("field not registered")
+	}
+	quarantined := map[int]bool{5: true, 63: true, 64: true}
+	for off := range quarantined {
+		eng.MarkCorrupt(a, off)
+	}
+	check := func() {
+		t.Helper()
+		for _, off := range []int{0, 4, 5, 6, 62, 63, 64, 65, 255} {
+			el, err := c.Element(ctx, "field", off)
+			if err != nil {
+				t.Fatalf("element %d: %v", off, err)
+			}
+			if el.Quarantined != quarantined[off] {
+				t.Errorf("element %d quarantined = %v, want %v", off, el.Quarantined, quarantined[off])
+			}
+		}
+	}
+	check()
+	eng.ClearCorrupt(a, 63)
+	delete(quarantined, 63)
+	check()
+}

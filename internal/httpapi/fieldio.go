@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"spatialdue/internal/core"
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/ndarray/mmapstore"
 )
@@ -99,77 +100,84 @@ func elementCount(dims []int) (int, error) {
 	return n, nil
 }
 
-// streamUploadLocked copies exactly Len*8 body bytes into the array, one
-// stripe at a time: each stripe's bytes are staged into scratch from the
-// network with no locks held, then committed under only that stripe's lock
-// (which owns the stripe's elements — see core.WithStripeLock). A slow
-// client therefore never stalls recoveries, and peak extra memory is one
-// stripe, not one field. committed lists the stripes actually overwritten,
-// in order: a failed upload that returns a non-empty list left the array
-// partially overwritten, and the caller must re-snapshot statistics,
-// invalidate exactly those stripes' cached tuning decisions, and
-// re-replicate exactly as for a successful one.
-func (s *Server) streamUploadLocked(a *ndarray.Array, body io.Reader) (committed []int, err error) {
+// The field wire format is the array's elements in offset order, 8 bytes
+// each, little-endian float64 bits: the body of an upload and a download,
+// and the payload of a replication field frame. ReadField and WriteField
+// are its one codec. Each moves a field one stripe at a time through a
+// scratch buffer, holding only that stripe's lock (which owns the stripe's
+// elements — see core.WithStripeLock) and no lock while the bytes cross
+// the reader or writer, so a slow peer never stalls recoveries and the
+// extra memory is one stripe, not one field.
+
+// ReadField reads exactly Len*8 bytes from r into a, committing each stripe
+// under its lock once its bytes have all arrived. committed lists the
+// stripes overwritten, in order; a short or failing r returns an error
+// after committing exactly the stripes it delivered in full. A caller
+// whose list is non-empty must treat the field as changed, whether or not
+// err is nil: pass the list to core.FieldUpdatedStripes, and re-replicate.
+func ReadField(eng *core.Engine, a *ndarray.Array, r io.Reader) (committed []int, err error) {
 	var scratch []byte
-	n := s.eng.NumStripes(a)
-	for st := 0; st < n; st++ {
-		lo, hi := s.eng.StripeSpan(a, st)
-		need := (hi - lo) * 8
-		if cap(scratch) < need {
-			scratch = make([]byte, need)
-		}
-		buf := scratch[:need]
-		if _, err := io.ReadFull(body, buf); err != nil {
+	for st, n := 0, eng.NumStripes(a); st < n; st++ {
+		lo, hi := eng.StripeSpan(a, st)
+		buf := stripeBuf(&scratch, lo, hi)
+		if _, err := io.ReadFull(r, buf); err != nil {
 			return committed, fmt.Errorf("read body at element %d: %w", lo, err)
 		}
-		s.eng.WithStripeLock(a, st, func() {
-			if view, ok := ndarray.ByteView(a); ok {
-				copy(view[lo*8:hi*8], buf)
-				return
-			}
-			data := a.Data()
-			for i := lo; i < hi; i++ {
-				data[i] = math.Float64frombits(
-					binary.LittleEndian.Uint64(buf[(i-lo)*8:]))
-			}
-		})
+		eng.WithStripeLock(a, st, func() { copyStripe(a, lo, hi, buf, true) })
 		committed = append(committed, st)
 	}
 	return committed, nil
 }
 
-// streamDownload writes the field to w one stripe at a time: each stripe is
-// copied out to scratch under only its own lock, then written to the client
-// with no locks held. The result is stripe-consistent — each stripe is an
-// atomic snapshot, but stripes are captured at slightly different instants;
-// with no recoveries in flight (the quiesced case every verification run
-// uses) it is a bit-exact point-in-time image.
-func (s *Server) streamDownload(a *ndarray.Array, w io.Writer) error {
+// WriteField writes a's Len*8 wire bytes to w. Each stripe is an atomic
+// snapshot, but stripes are captured at slightly different instants; with
+// no recoveries in flight (the quiesced case every verification run uses)
+// the result is a bit-exact point-in-time image.
+func WriteField(eng *core.Engine, a *ndarray.Array, w io.Writer) error {
 	var scratch []byte
-	n := s.eng.NumStripes(a)
-	for st := 0; st < n; st++ {
-		lo, hi := s.eng.StripeSpan(a, st)
-		need := (hi - lo) * 8
-		if cap(scratch) < need {
-			scratch = make([]byte, need)
-		}
-		buf := scratch[:need]
-		s.eng.WithStripeLock(a, st, func() {
-			if view, ok := ndarray.ByteView(a); ok {
-				copy(buf, view[lo*8:hi*8])
-				return
-			}
-			data := a.Data()
-			for i := lo; i < hi; i++ {
-				binary.LittleEndian.PutUint64(buf[(i-lo)*8:],
-					math.Float64bits(data[i]))
-			}
-		})
+	for st, n := 0, eng.NumStripes(a); st < n; st++ {
+		lo, hi := eng.StripeSpan(a, st)
+		buf := stripeBuf(&scratch, lo, hi)
+		eng.WithStripeLock(a, st, func() { copyStripe(a, lo, hi, buf, false) })
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// stripeBuf returns *scratch sized to the wire bytes of elements [lo, hi),
+// growing it when it is too small.
+func stripeBuf(scratch *[]byte, lo, hi int) []byte {
+	need := (hi - lo) * 8
+	if cap(*scratch) < need {
+		*scratch = make([]byte, need)
+	}
+	return (*scratch)[:need]
+}
+
+// copyStripe moves elements [lo, hi) of a between the array and buf, their
+// wire bytes: into the array when load, out of it otherwise. On a
+// little-endian host the array's memory already is the wire format and the
+// move is one copy; elsewhere each element is converted. The caller holds
+// the stripe's lock.
+func copyStripe(a *ndarray.Array, lo, hi int, buf []byte, load bool) {
+	if view, ok := ndarray.ByteView(a); ok {
+		if load {
+			copy(view[lo*8:hi*8], buf)
+		} else {
+			copy(buf, view[lo*8:hi*8])
+		}
+		return
+	}
+	data := a.Data()[lo:hi]
+	for i := range data {
+		if load {
+			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
+		} else {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(data[i]))
+		}
+	}
 }
 
 // isBodyTooLarge reports whether err is http.MaxBytesReader tripping.

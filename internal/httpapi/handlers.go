@@ -99,15 +99,35 @@ func (s *Server) allocInfo(a *registry.Allocation) AllocationInfo {
 	}
 }
 
-// lookupTenantAlloc resolves {name} inside the request tenant. The error is
-// already wire-mapped (404 not_registered).
-func (s *Server) lookupTenantAlloc(r *http.Request, tenant string) (*registry.Allocation, error) {
-	name := r.PathValue("name")
-	a, ok := s.eng.Table().ByTenantName(tenant, name)
-	if !ok {
-		return nil, fmt.Errorf("%w: allocation %q in tenant %q", registry.ErrNotRegistered, name, tenant)
+// tenantScoped adapts a handler that serves inside the request's tenant:
+// the tenant header is resolved and validated, or the request is answered
+// 400, before the handler runs or reads any body. The adapters are built
+// once, in routes; a request allocates nothing in them.
+func (s *Server) tenantScoped(h func(http.ResponseWriter, *http.Request, string)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		tenant, err := s.tenant(r)
+		if err != nil {
+			writeBadRequest(w, "%v", err)
+			return
+		}
+		h(w, r, tenant)
 	}
-	return a, nil
+}
+
+// allocScoped adapts a handler that serves one allocation: {name} is
+// resolved inside the request's tenant, or the request is answered 404
+// not_registered. Another tenant's allocation of the same name reads as
+// absent.
+func (s *Server) allocScoped(h func(http.ResponseWriter, *http.Request, *registry.Allocation)) http.HandlerFunc {
+	return s.tenantScoped(func(w http.ResponseWriter, r *http.Request, tenant string) {
+		name := r.PathValue("name")
+		a, ok := s.eng.Table().ByTenantName(tenant, name)
+		if !ok {
+			writeError(w, fmt.Errorf("%w: allocation %q in tenant %q", registry.ErrNotRegistered, name, tenant))
+			return
+		}
+		h(w, r, a)
+	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -205,12 +225,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	return mw.Err()
 }
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
+func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request, tenant string) {
 	var req RegisterRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeBadRequest(w, "decode register request: %v", err)
@@ -241,7 +256,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	// Cap before allocating: a registration must never materialize storage
 	// (heap slice or backing file) larger than the server will accept.
-	if max := int(s.cfg.MaxBodyBytes / 8); els > max {
+	if max := int(maxBodyBytes / 8); els > max {
 		writeBadRequest(w, "allocation of %d elements exceeds the %d-element cap", els, max)
 		return
 	}
@@ -275,12 +290,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, s.allocInfo(a))
 }
 
-func (s *Server) handleListAllocations(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
+func (s *Server) handleListAllocations(w http.ResponseWriter, r *http.Request, tenant string) {
 	out := AllocationList{Allocations: []AllocationInfo{}}
 	for _, a := range s.eng.Table().TenantAllocations(tenant) {
 		out.Allocations = append(out.Allocations, s.allocInfo(a))
@@ -288,31 +298,11 @@ func (s *Server) handleListAllocations(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleGetAllocation(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
-	a, err := s.lookupTenantAlloc(r, tenant)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleGetAllocation(w http.ResponseWriter, r *http.Request, a *registry.Allocation) {
 	writeJSON(w, http.StatusOK, s.allocInfo(a))
 }
 
-func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
-	a, err := s.lookupTenantAlloc(r, tenant)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request, a *registry.Allocation) {
 	// Size gate BEFORE buffering a single byte: the wire format is always 8
 	// bytes per element (little-endian float64), so the exact body size is
 	// known from the registration. An oversized declared body is 413, an
@@ -370,7 +360,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		// stripes keep running; none ever observes a half-written stripe.
 		body = http.MaxBytesReader(w, r.Body, want)
 	}
-	committed, err := s.streamUploadLocked(a.Array, body)
+	committed, err := ReadField(s.eng, a.Array, body)
 	if len(committed) > 0 {
 		// The field changed — fully, or partially when the client died
 		// mid-body. Either way the live bytes are new: re-snapshot the
@@ -392,37 +382,17 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
-	a, err := s.lookupTenantAlloc(r, tenant)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleDownload(w http.ResponseWriter, r *http.Request, a *registry.Allocation) {
 	// Sectioned streaming: each stripe is copied out under only its own
 	// lock and written with no locks held, so a slow client never blocks
 	// recoveries and the server never materializes the whole field.
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(a.Array.Len()*8))
 	w.WriteHeader(http.StatusOK)
-	_ = s.streamDownload(a.Array, w)
+	_ = WriteField(s.eng, a.Array, w)
 }
 
-func (s *Server) handleElement(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
-	a, err := s.lookupTenantAlloc(r, tenant)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleElement(w http.ResponseWriter, r *http.Request, a *registry.Allocation) {
 	off, err := strconv.Atoi(r.URL.Query().Get("offset"))
 	if err != nil || off < 0 || off >= a.Array.Len() {
 		writeBadRequest(w, "offset must be in [0, %d)", a.Array.Len())
@@ -433,34 +403,19 @@ func (s *Server) handleElement(w http.ResponseWriter, r *http.Request) {
 		v = a.Array.AtOffset(off)
 	})
 	st := ElementState{
-		Offset:    off,
-		Coords:    a.Array.Coords(off),
-		ValueBits: float64Bits(v),
-		Addr:      a.AddrOf(off),
+		Offset:      off,
+		Coords:      a.Array.Coords(off),
+		ValueBits:   float64Bits(v),
+		Addr:        a.AddrOf(off),
+		Quarantined: s.eng.IsQuarantined(a, off),
 	}
 	if !math.IsNaN(v) && !math.IsInf(v, 0) {
 		st.Value = &v
 	}
-	for _, q := range s.eng.Quarantined(a) {
-		if q == off {
-			st.Quarantined = true
-			break
-		}
-	}
 	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
-	a, err := s.lookupTenantAlloc(r, tenant)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleInject(w http.ResponseWriter, r *http.Request, a *registry.Allocation) {
 	req := InjectRequest{}
 	if r.ContentLength != 0 {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -556,17 +511,7 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
-	a, err := s.lookupTenantAlloc(r, tenant)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request, a *registry.Allocation) {
 	// Name-addressed recoveries repair through the descriptor's geometry, so
 	// parity-verify it first: a silently corrupted Base or DType would
 	// misdirect the repair to the wrong physical cell. Reconstructable damage
@@ -706,12 +651,7 @@ func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string) Event
 	}
 }
 
-func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
+func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request, tenant string) {
 	bp := getBuf()
 	ev, err := decodeEventBody(r.Body, bp)
 	if err != nil {
@@ -783,12 +723,7 @@ const streamWindow = 64
 // any of its results are written — so a same-array storm lands in the
 // recovery queue as one contiguous run. Per-event backpressure is reported
 // inline instead of failing the stream.
-func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
+func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request, tenant string) {
 	// Results are flushed window by window while later lines are still
 	// unread; without full duplex the HTTP/1 server discards the rest of
 	// the body at the first flush and batches past one window lose lines.
@@ -841,12 +776,7 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	emit()
 }
 
-func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
+func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request, tenant string) {
 	q := r.URL.Query()
 	var since uint64
 	if v := q.Get("since"); v != "" {
@@ -872,12 +802,7 @@ func (s *Server) handleOutcomes(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, bp)
 }
 
-func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
+func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request, tenant string) {
 	rep := QuarantineReport{Allocations: map[string][]int{}}
 	for _, a := range s.eng.Table().TenantAllocations(tenant) {
 		offs := s.eng.Quarantined(a)
@@ -895,12 +820,7 @@ func (s *Server) handleQuarantine(w http.ResponseWriter, r *http.Request) {
 // predictor disabled the report is {"enabled": false}. Bank state is
 // machine-wide (banks interleave every tenant's allocations); the offlined
 // rows' allocation names are filtered to the requesting tenant.
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
+func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request, tenant string) {
 	if s.health == nil {
 		writeJSON(w, http.StatusOK, HealthReport{})
 		return
@@ -944,18 +864,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // with the allocation's tenant, so they appear here too; engine-internal
 // traces with no tenant (FTI repair sweeps) are only visible to the default
 // tenant.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
+func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request, tenant string) {
 	col := s.eng.Tracer()
 	rep := TracesReport{TotalCollected: col.Finished(), Traces: []trace.Summary{}}
 	for _, sum := range col.Top() {
 		owner := sum.Tenant
 		if owner == "" {
-			owner = s.cfg.DefaultTenant
+			owner = DefaultTenant
 		}
 		if owner == tenant {
 			rep.Traces = append(rep.Traces, sum)
@@ -971,12 +886,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // recoveries, alongside the engine-wide tune-cache counters the hot-spot
 // feedback drives. An allocation with no recoveries yet is omitted (its
 // statistics are all undefined).
-func (s *Server) handleSpatialAnalytics(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
+func (s *Server) handleSpatialAnalytics(w http.ResponseWriter, r *http.Request, tenant string) {
 	rep := SpatialAnalyticsReport{Allocations: []SpatialAllocReport{}}
 	for _, a := range s.eng.Table().TenantAllocations(tenant) {
 		sr := s.eng.SpatialReport(a.Array)
@@ -1001,17 +911,7 @@ func (s *Server) handleSpatialAnalytics(w http.ResponseWriter, r *http.Request) 
 // shared statistics (the state-leak fix — before Unprotect existed these
 // grew forever). Refused with 409 while recoveries hold the array's
 // stripes; the client retries after in-flight work drains.
-func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
-	tenant, terr := s.tenant(r)
-	if terr != nil {
-		writeBadRequest(w, "%v", terr)
-		return
-	}
-	a, err := s.lookupTenantAlloc(r, tenant)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request, a *registry.Allocation) {
 	if err := s.eng.Unprotect(a); err != nil {
 		writeError(w, err)
 		return
@@ -1027,7 +927,7 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 	s.svc.ForgetBreaker(a.QualifiedName())
 	s.uploads.Delete(a.ID)
 	if s.cfg.Cluster != nil {
-		s.cfg.Cluster.AllocUnregistered(tenant, a.Name)
+		s.cfg.Cluster.AllocUnregistered(a.Tenant, a.Name)
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -20,9 +20,6 @@ type outcomeRing struct {
 }
 
 func newOutcomeRing(capacity int) *outcomeRing {
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	return &outcomeRing{cap: capacity, next: 1, first: 1}
 }
 

@@ -56,24 +56,10 @@ type ServerConfig struct {
 	// (default 8). More banks latch more backpressured events before
 	// overflow spills to the redelivery queue; none are ever dropped.
 	Banks int
-	// OutcomeBuffer is how many finished recoveries the outcome feed keeps
-	// (default 4096). It decides only how far a poller may fall behind
-	// before it sees Dropped, and the memory held (192 B a record, grown
-	// on demand); storing and polling cost the same at any size.
-	OutcomeBuffer int
 	// RedeliverEvery is the period of the background loop that redelivers
 	// bank-latched events when the pool has capacity (default 25ms;
 	// negative disables, leaving redelivery to worker-completion hooks).
 	RedeliverEvery time.Duration
-	// DefaultTenant is the namespace for requests without a tenant header
-	// (default "default").
-	DefaultTenant string
-	// MaxBodyBytes caps request bodies, notably field uploads
-	// (default 256 MiB).
-	MaxBodyBytes int64
-	// DrainTimeout bounds each stage of graceful shutdown: HTTP in-flight
-	// drain, latched-event settling, and the service drain (default 30s).
-	DrainTimeout time.Duration
 	// EnableInject exposes POST /v1/allocations/{name}/inject — the fault
 	// injection endpoint the load generator and tests drive. Off by
 	// default: a production deployment must not let clients corrupt state.
@@ -96,6 +82,20 @@ type ServerConfig struct {
 	// Required when FieldStore is "mmap"; ignored for "heap".
 	DataDir string
 }
+
+const (
+	// outcomeBuffer is how many finished recoveries the outcome feed keeps.
+	// It decides only how far a poller may fall behind before it sees
+	// Dropped, and the memory held (192 B a record, grown on demand);
+	// storing and polling cost the same at any size.
+	outcomeBuffer = 4096
+	// maxBodyBytes caps request bodies, notably field uploads, and so the
+	// size of a registration.
+	maxBodyBytes = 256 << 20
+	// drainTimeout bounds each stage of graceful shutdown: HTTP in-flight
+	// drain, latched-event settling, and the service drain.
+	drainTimeout = 30 * time.Second
+)
 
 // Server is the networked recovery front end. Create with NewServer, serve
 // with Run (graceful) or mount it as an http.Handler, and stop with Close.
@@ -136,15 +136,6 @@ func NewServer(eng *core.Engine, cfg ServerConfig) (*Server, error) {
 	if cfg.RedeliverEvery == 0 {
 		cfg.RedeliverEvery = 25 * time.Millisecond
 	}
-	if cfg.DefaultTenant == "" {
-		cfg.DefaultTenant = DefaultTenant
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 256 << 20
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 30 * time.Second
-	}
 	switch cfg.FieldStore {
 	case "", FieldStoreHeap:
 		cfg.FieldStore = FieldStoreHeap
@@ -160,7 +151,7 @@ func NewServer(eng *core.Engine, cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		eng:      eng,
-		outcomes: newOutcomeRing(cfg.OutcomeBuffer),
+		outcomes: newOutcomeRing(outcomeBuffer),
 		stopTick: make(chan struct{}),
 		tickDone: make(chan struct{}),
 	}
@@ -304,24 +295,25 @@ func (s *Server) routes() {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 
-	mux.HandleFunc("POST /v1/allocations", s.handleRegister)
-	mux.HandleFunc("GET /v1/allocations", s.handleListAllocations)
-	mux.HandleFunc("GET /v1/allocations/{name}", s.handleGetAllocation)
-	mux.HandleFunc("DELETE /v1/allocations/{name}", s.handleUnregister)
-	mux.HandleFunc("PUT /v1/allocations/{name}/data", s.handleUpload)
-	mux.HandleFunc("GET /v1/allocations/{name}/data", s.handleDownload)
-	mux.HandleFunc("GET /v1/allocations/{name}/element", s.handleElement)
-	mux.HandleFunc("POST /v1/allocations/{name}/recover", s.handleRecover)
+	tenant, alloc := s.tenantScoped, s.allocScoped
+	mux.HandleFunc("POST /v1/allocations", tenant(s.handleRegister))
+	mux.HandleFunc("GET /v1/allocations", tenant(s.handleListAllocations))
+	mux.HandleFunc("GET /v1/allocations/{name}", alloc(s.handleGetAllocation))
+	mux.HandleFunc("DELETE /v1/allocations/{name}", alloc(s.handleUnregister))
+	mux.HandleFunc("PUT /v1/allocations/{name}/data", alloc(s.handleUpload))
+	mux.HandleFunc("GET /v1/allocations/{name}/data", alloc(s.handleDownload))
+	mux.HandleFunc("GET /v1/allocations/{name}/element", alloc(s.handleElement))
+	mux.HandleFunc("POST /v1/allocations/{name}/recover", alloc(s.handleRecover))
 	if s.cfg.EnableInject {
-		mux.HandleFunc("POST /v1/allocations/{name}/inject", s.handleInject)
+		mux.HandleFunc("POST /v1/allocations/{name}/inject", alloc(s.handleInject))
 	}
-	mux.HandleFunc("POST /v1/events", s.handleEvent)
-	mux.HandleFunc("POST /v1/events/stream", s.handleEventStream)
-	mux.HandleFunc("GET /v1/outcomes", s.handleOutcomes)
-	mux.HandleFunc("GET /v1/quarantine", s.handleQuarantine)
-	mux.HandleFunc("GET /v1/health", s.handleHealth)
-	mux.HandleFunc("GET /v1/traces", s.handleTraces)
-	mux.HandleFunc("GET /v1/analytics/spatial", s.handleSpatialAnalytics)
+	mux.HandleFunc("POST /v1/events", tenant(s.handleEvent))
+	mux.HandleFunc("POST /v1/events/stream", tenant(s.handleEventStream))
+	mux.HandleFunc("GET /v1/outcomes", tenant(s.handleOutcomes))
+	mux.HandleFunc("GET /v1/quarantine", tenant(s.handleQuarantine))
+	mux.HandleFunc("GET /v1/health", tenant(s.handleHealth))
+	mux.HandleFunc("GET /v1/traces", tenant(s.handleTraces))
+	mux.HandleFunc("GET /v1/analytics/spatial", tenant(s.handleSpatialAnalytics))
 	if s.cfg.Cluster != nil {
 		mux.HandleFunc("GET /v1/cluster/status", s.handleClusterStatus)
 	}
@@ -330,7 +322,7 @@ func (s *Server) routes() {
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if s.forward(w, r) {
 		return
 	}
@@ -381,7 +373,7 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request) bool {
 // Run serves on l until ctx is cancelled, then shuts down in strict order:
 //
 //  1. the listener stops accepting and in-flight requests drain (bounded
-//     by DrainTimeout); /readyz flips to 503 immediately so load
+//     by drainTimeout); /readyz flips to 503 immediately so load
 //     balancers stop routing here;
 //  2. bank-latched events get a bounded window to redeliver into the pool
 //     (backpressured-at-burst means delivered-late, not lost);
@@ -408,7 +400,7 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 	}
 
 	s.draining.Store(true)
-	shCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+	shCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	err := hs.Shutdown(shCtx)
 	<-serveErr // Serve has returned ErrServerClosed
@@ -458,7 +450,7 @@ var tenantPattern = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 func (s *Server) tenant(r *http.Request) (string, error) {
 	t := r.Header.Get(TenantHeader)
 	if t == "" {
-		return s.cfg.DefaultTenant, nil
+		return DefaultTenant, nil
 	}
 	if !tenantPattern.MatchString(t) {
 		return "", fmt.Errorf("invalid %s %q: want 1-64 chars of [A-Za-z0-9._-]", TenantHeader, t)

@@ -245,3 +245,35 @@ func TestRecoveryJournalTornIntent(t *testing.T) {
 		t.Errorf("unfinished = %v, want only the intact intent 1", unfinished)
 	}
 }
+
+// TestOpenIntents checks the fold a replay and a replica share: an intent
+// opens, its outcome closes it and hands it back, an outcome for an intent
+// the set never held closes nothing, and the set lists in ID order.
+func TestOpenIntents(t *testing.T) {
+	var s OpenIntents
+	if got := s.List(); len(got) != 0 {
+		t.Fatalf("zero set lists %v", got)
+	}
+	for _, id := range []uint64{7, 2, 9, 4} {
+		if _, ok := s.Apply(Record{Kind: KindIntent, Intent: Intent{ID: id, Alloc: "a", Offset: int(id)}}); ok {
+			t.Errorf("intent %d reported closing something", id)
+		}
+	}
+	closed, ok := s.Apply(Record{Kind: KindOutcome, Outcome: Outcome{ID: 9, OK: true}})
+	if !ok || closed.ID != 9 || closed.Offset != 9 {
+		t.Errorf("outcome 9 closed %+v, %v", closed, ok)
+	}
+	if _, ok := s.Apply(Record{Kind: KindOutcome, Outcome: Outcome{ID: 9}}); ok {
+		t.Error("a second outcome for 9 closed it again")
+	}
+	if _, ok := s.Apply(Record{Kind: KindOutcome, Outcome: Outcome{ID: 100}}); ok {
+		t.Error("an outcome for an unknown intent closed something")
+	}
+	var ids []uint64
+	for _, in := range s.List() {
+		ids = append(ids, in.ID)
+	}
+	if want := []uint64{2, 4, 7}; !slices.Equal(ids, want) {
+		t.Errorf("open intents %v, want %v", ids, want)
+	}
+}

@@ -165,7 +165,7 @@ type Recovery struct {
 // the old ones; IDs continue from the highest seen. The file is read once:
 // the replay's scan also finds the torn tail the log truncates.
 func OpenRecovery(path string, sync bool) (*Recovery, []Intent, error) {
-	dangling := map[uint64]Intent{}
+	var dangling OpenIntents
 	var maxID, seq uint64
 	var dec Decoder
 	intact, err := scanFile(path, func(line []byte) error {
@@ -174,12 +174,10 @@ func OpenRecovery(path string, sync bool) (*Recovery, []Intent, error) {
 		if err != nil {
 			return err
 		}
+		dangling.Apply(rec)
 		id := rec.Intent.ID
-		if rec.Kind == KindIntent {
-			dangling[id] = rec.Intent
-		} else {
+		if rec.Kind == KindOutcome {
 			id = rec.Outcome.ID
-			delete(dangling, id)
 		}
 		maxID = max(maxID, id)
 		return nil
@@ -191,12 +189,41 @@ func OpenRecovery(path string, sync bool) (*Recovery, []Intent, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	unfinished := make([]Intent, 0, len(dangling))
-	for _, in := range dangling {
-		unfinished = append(unfinished, in)
+	return &Recovery{log: log, nextID: maxID + 1, seq: seq}, dangling.List(), nil
+}
+
+// OpenIntents is the set of journaled intents still waiting for their
+// outcome, folded record by record: an intent opens, its outcome closes it.
+// It is what a restarted service replays and a promoted partner re-runs.
+// The zero value is an empty set; it is not safe for concurrent use.
+type OpenIntents struct {
+	open map[uint64]Intent
+}
+
+// Apply folds one record into the set. An outcome closes its intent and
+// returns it; ok is false for an intent, and for an outcome whose intent
+// the set does not hold.
+func (s *OpenIntents) Apply(rec Record) (closed Intent, ok bool) {
+	if rec.Kind == KindIntent {
+		if s.open == nil {
+			s.open = make(map[uint64]Intent)
+		}
+		s.open[rec.Intent.ID] = rec.Intent
+		return Intent{}, false
 	}
-	slices.SortFunc(unfinished, func(a, b Intent) int { return cmp.Compare(a.ID, b.ID) })
-	return &Recovery{log: log, nextID: maxID + 1, seq: seq}, unfinished, nil
+	closed, ok = s.open[rec.Outcome.ID]
+	delete(s.open, rec.Outcome.ID)
+	return closed, ok
+}
+
+// List returns the open intents in ID order.
+func (s *OpenIntents) List() []Intent {
+	out := make([]Intent, 0, len(s.open))
+	for _, in := range s.open {
+		out = append(out, in)
+	}
+	slices.SortFunc(out, func(a, b Intent) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // SetSink installs (or clears, with nil) the replication sink. Records
