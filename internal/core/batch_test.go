@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -15,7 +16,12 @@ import (
 // batchFixture builds one engine over a tall smooth field (many stripes)
 // with the given recovery policy.
 func batchFixture(seed int64, policy registry.Policy) (*Engine, *ndarray.Array, *registry.Allocation) {
-	eng := NewEngine(Options{Seed: seed})
+	return batchFixtureOpts(Options{Seed: seed}, policy)
+}
+
+// batchFixtureOpts is batchFixture with the engine options spelled out.
+func batchFixtureOpts(opts Options, policy registry.Policy) (*Engine, *ndarray.Array, *registry.Allocation) {
+	eng := NewEngine(opts)
 	a := ndarray.New(120, 24)
 	a.FillFunc(func(idx []int) float64 {
 		return 30 + 5*math.Sin(float64(idx[0])/5) + 3*math.Cos(float64(idx[1])/4)
@@ -52,7 +58,8 @@ func stormOffsets(a *ndarray.Array) []int {
 // TestRecoverBatchMatchesSequential proves the equivalence contract: for
 // pre-quarantined offsets, RecoverBatch produces bit-identical array
 // contents, values, and outcome metadata to recovering the same offsets
-// sequentially in submission order.
+// sequentially in submission order. It holds with the tune cache off (0,
+// the library default) and on (8, what bench/ and duerecover run).
 func TestRecoverBatchMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -63,43 +70,48 @@ func TestRecoverBatchMatchesSequential(t *testing.T) {
 		{"recover-any", registry.RecoverAny()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			engSeq, aSeq, allocSeq := batchFixture(42, tc.policy)
-			engBat, aBat, allocBat := batchFixture(42, tc.policy)
-			offs := stormOffsets(aSeq)
-			corruptAndMark(engSeq, allocSeq, offs)
-			corruptAndMark(engBat, allocBat, offs)
+			for _, tune := range []int{0, 8} {
+				t.Run(fmt.Sprintf("tune%d", tune), func(t *testing.T) {
+					opts := Options{Seed: 42, TuneCacheBlock: tune}
+					engSeq, aSeq, allocSeq := batchFixtureOpts(opts, tc.policy)
+					engBat, aBat, allocBat := batchFixtureOpts(opts, tc.policy)
+					offs := stormOffsets(aSeq)
+					corruptAndMark(engSeq, allocSeq, offs)
+					corruptAndMark(engBat, allocBat, offs)
 
-			outs := make([]Outcome, len(offs))
-			errs := make([]error, len(offs))
-			for i, off := range offs {
-				outs[i], errs[i] = engSeq.RecoverElement(allocSeq, off)
-			}
-			results := engBat.RecoverBatch(context.Background(), allocBat, offs)
+					outs := make([]Outcome, len(offs))
+					errs := make([]error, len(offs))
+					for i, off := range offs {
+						outs[i], errs[i] = engSeq.RecoverElement(allocSeq, off)
+					}
+					results := engBat.RecoverBatch(context.Background(), allocBat, offs)
 
-			for i := range offs {
-				r := results[i]
-				if (errs[i] == nil) != (r.Err == nil) {
-					t.Fatalf("member %d: sequential err %v, batch err %v", i, errs[i], r.Err)
-				}
-				if errs[i] != nil {
-					continue
-				}
-				if r.Outcome.Method != outs[i].Method || r.Outcome.Stage != outs[i].Stage || r.Outcome.Tuned != outs[i].Tuned {
-					t.Errorf("member %d: batch outcome %+v, sequential %+v", i, r.Outcome, outs[i])
-				}
-				if math.Float64bits(r.Outcome.New) != math.Float64bits(outs[i].New) {
-					t.Errorf("member %d: batch value %x, sequential %x",
-						i, math.Float64bits(r.Outcome.New), math.Float64bits(outs[i].New))
-				}
-			}
-			for off := 0; off < aSeq.Len(); off++ {
-				if math.Float64bits(aSeq.AtOffset(off)) != math.Float64bits(aBat.AtOffset(off)) {
-					t.Fatalf("array diverges at offset %d: sequential %x, batch %x",
-						off, math.Float64bits(aSeq.AtOffset(off)), math.Float64bits(aBat.AtOffset(off)))
-				}
-			}
-			if n := engBat.QuarantineCount(); n != engSeq.QuarantineCount() {
-				t.Errorf("quarantine count %d, sequential %d", n, engSeq.QuarantineCount())
+					for i := range offs {
+						r := results[i]
+						if (errs[i] == nil) != (r.Err == nil) {
+							t.Fatalf("member %d: sequential err %v, batch err %v", i, errs[i], r.Err)
+						}
+						if errs[i] != nil {
+							continue
+						}
+						if r.Outcome.Method != outs[i].Method || r.Outcome.Stage != outs[i].Stage || r.Outcome.Tuned != outs[i].Tuned {
+							t.Errorf("member %d: batch outcome %+v, sequential %+v", i, r.Outcome, outs[i])
+						}
+						if math.Float64bits(r.Outcome.New) != math.Float64bits(outs[i].New) {
+							t.Errorf("member %d: batch value %x, sequential %x",
+								i, math.Float64bits(r.Outcome.New), math.Float64bits(outs[i].New))
+						}
+					}
+					for off := 0; off < aSeq.Len(); off++ {
+						if math.Float64bits(aSeq.AtOffset(off)) != math.Float64bits(aBat.AtOffset(off)) {
+							t.Fatalf("array diverges at offset %d: sequential %x, batch %x",
+								off, math.Float64bits(aSeq.AtOffset(off)), math.Float64bits(aBat.AtOffset(off)))
+						}
+					}
+					if n := engBat.QuarantineCount(); n != engSeq.QuarantineCount() {
+						t.Errorf("quarantine count %d, sequential %d", n, engSeq.QuarantineCount())
+					}
+				})
 			}
 		})
 	}
