@@ -85,7 +85,7 @@ func startServer(t *testing.T, predictor bool) string {
 	srv, err := httpapi.NewServer(eng, httpapi.ServerConfig{
 		Service:      service.Config{Workers: 2, QueueDepth: 64, Seed: 1},
 		EnableInject: true,
-		Predictor:    httpapi.PredictorConfig{Enable: predictor},
+		Predictor:    predictor,
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)

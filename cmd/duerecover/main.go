@@ -71,7 +71,6 @@ func main() {
 		events   = flag.Int("events", 200, "serve: number of MCA events to stream (0 = until signalled)")
 		rate     = flag.Float64("rate", 100, "serve: event rate per second (0 = as fast as possible)")
 
-		frontier  = flag.Bool("frontier-batch", false, "order batched cluster recoveries frontier-inward (survives row/block wipes; trades bit-identical batch/sequential equivalence)")
 		tuneCache = flag.Int("tune-cache", 8, "cache RECOVER_ANY tuning decisions per lock stripe, adaptively re-tuned in spatial hot spots (0 disables; the value is an enable switch — regions are always lock stripes)")
 
 		listen       = flag.String("listen", "", "serve: run the networked HTTP recovery API on this address (e.g. :8080) instead of the synthetic storm")
@@ -85,20 +84,9 @@ func main() {
 		enableInject = flag.Bool("enable-inject", true, "listen: expose the fault-injection endpoint (disable for production shapes)")
 		traceTop     = flag.Int("trace-top", 0, "dump the N slowest recovery traces (per-stage spans) on exit (0 disables)")
 
-		predictorOn  = flag.Bool("predictor", false, "listen: enable the predictive memory-health tier (CE ingestion, GET /v1/health, proactive scrub/checkpoint/row-offline actions)")
-		predWindow   = flag.Int("predictor-window", 0, "predictor: per-bank CE scoring window in observations (0 = default 128)")
-		predWatch    = flag.Float64("predictor-watch", 0, "predictor: watch-tier risk threshold (0 = default 0.25)")
-		predElevated = flag.Float64("predictor-elevated", 0, "predictor: elevated-tier risk threshold (0 = default 0.55)")
-		predCritical = flag.Float64("predictor-critical", 0, "predictor: critical-tier risk threshold (0 = default 0.85)")
-		predRowCEs   = flag.Int("predictor-row-ces", 0, "predictor: cumulative per-row CE count nominating a row for proactive offline (0 = default 6)")
+		predictorOn = flag.Bool("predictor", false, "listen: enable the predictive memory-health tier (CE ingestion, GET /v1/health, proactive scrub/checkpoint/row-offline actions)")
 	)
 	flag.Parse()
-
-	predCfg := httpapi.PredictorConfig{
-		Enable: *predictorOn, Window: *predWindow,
-		Watch: *predWatch, Elevated: *predElevated, Critical: *predCritical,
-		RowOfflineCEs: *predRowCEs,
-	}
 
 	var scale sdrbench.Scale
 	switch *scaleFlag {
@@ -139,7 +127,7 @@ func main() {
 	}
 
 	eng := spatialdue.NewEngine(spatialdue.Options{
-		Seed: *seed, FrontierBatch: *frontier, TuneCacheBlock: *tuneCache,
+		Seed: *seed, TuneCacheBlock: *tuneCache,
 	})
 
 	if *serve && *listen != "" && *clusterCfg != "" {
@@ -148,7 +136,7 @@ func main() {
 			dataDir: *dataDir, heartbeat: *heartbeat, budget: *hbBudget,
 			inject: *enableInject, workers: *workers, queue: *queue,
 			deadline: *deadline, batchMax: *batchMax, seed: *seed,
-			predictor: predCfg, fieldStore: *fieldStore,
+			predictor: *predictorOn, fieldStore: *fieldStore,
 		})
 		dumpTraces(eng, *traceTop)
 		return
@@ -159,7 +147,7 @@ func main() {
 			addr: *listen, metricsAddr: *metricsAddr, inject: *enableInject,
 			workers: *workers, queue: *queue, deadline: *deadline,
 			batchMax: *batchMax, journal: *jpath, seed: *seed,
-			predictor: predCfg, fieldStore: *fieldStore, dataDir: *dataDir,
+			predictor: *predictorOn, fieldStore: *fieldStore, dataDir: *dataDir,
 		})
 		dumpTraces(eng, *traceTop)
 		return
@@ -257,7 +245,7 @@ type listenOptions struct {
 	batchMax          int
 	journal           string
 	seed              int64
-	predictor         httpapi.PredictorConfig
+	predictor         bool
 	fieldStore        string
 	dataDir           string
 }
@@ -271,7 +259,7 @@ type clusterOptions struct {
 	deadline           time.Duration
 	batchMax           int
 	seed               int64
-	predictor          httpapi.PredictorConfig
+	predictor          bool
 	fieldStore         string
 }
 
@@ -416,7 +404,7 @@ func runListen(eng *spatialdue.Engine, ds *sdrbench.Dataset, policy spatialdue.P
 	defer stop()
 	fmt.Printf("recovery API on http://%s (dataset %s pre-registered as %q in tenant %q, inject=%v, field-store=%s)\n",
 		l.Addr(), ds, ds.Name, httpapi.DefaultTenant, opt.inject, opt.fieldStore)
-	if opt.predictor.Enable {
+	if opt.predictor {
 		fmt.Printf("predictive health tier enabled (CE ingest via POST /v1/events kind=ce, report on GET /v1/health)\n")
 	}
 	if err := srv.Run(ctx, l); err != nil {

@@ -30,16 +30,16 @@ import (
 // batch starts — which is how the service uses it: every ingested event is
 // MarkCorrupt'ed at intake — RecoverBatch produces bit-identical array
 // contents, outcomes, and method choices to recovering the same offsets
-// sequentially with RecoverElement in submission order. Within a cluster,
-// members run sequentially in submission order with pre-assigned
-// deterministic seeds; across clusters, no recovery can observe another's
-// writes, mask changes, or tune-cache entries, and the shared statistics
-// are frozen for the duration (exclusions all happen up front; repaired
-// cells are not re-admitted until FieldUpdated). For offsets NOT
-// pre-quarantined the batch is deliberately not order-equivalent: it
-// quarantines all members before recovering any, so early members never
-// read later members' corrupt values — strictly safer than the sequential
-// interleaving.
+// sequentially with RecoverElement in submission order, under every engine
+// option: the contract has no exception. Within a cluster, members run
+// sequentially in submission order with pre-assigned deterministic seeds;
+// across clusters, no recovery can observe another's writes, mask changes,
+// or tune-cache entries, and the shared statistics are frozen for the
+// duration (exclusions all happen up front; repaired cells are not
+// re-admitted until FieldUpdated). For offsets NOT pre-quarantined the batch
+// is deliberately not order-equivalent: it quarantines all members before
+// recovering any, so early members never read later members' corrupt values
+// — strictly safer than the sequential interleaving.
 //
 // Quarantine release stays per-member (not coalesced): a later member of a
 // cluster must see its earlier neighbors already repaired and released,
@@ -89,18 +89,15 @@ func (e *Engine) BatchStats() (calls, members int64, buckets [len(batchSizeBucke
 // cluster climbs keep running in the background, abort at the next
 // cooperative checkpoint, and leave those elements quarantined (a climb
 // that completes after abandonment is still counted and audited).
-func (e *Engine) RecoverBatch(ctx context.Context, alloc *registry.Allocation, offsets []int) []BatchResult {
-	return e.RecoverBatchTraced(ctx, alloc, offsets, nil)
-}
-
-// RecoverBatchTraced is RecoverBatch with caller-supplied traces, indexed
-// like offsets. A nil slice (or nil member) makes the engine mint and finish
-// its own trace for that member; caller-supplied traces are annotated but
-// left unfinished, so the caller can append its own post-recovery spans
-// (journal finish) before handing them to the collector. Members of one
-// stripe cluster share the cluster's single lock acquisition, stamped into
-// every member's trace as a stripe_wait span of identical duration.
-func (e *Engine) RecoverBatchTraced(ctx context.Context, alloc *registry.Allocation, offsets []int, traces []*trace.Trace) []BatchResult {
+//
+// traces, when given, are indexed like offsets. A missing (or nil) member
+// makes the engine mint and finish its own trace for that member;
+// caller-supplied traces are annotated but left unfinished, so the caller
+// can append its own post-recovery spans (journal finish) before handing
+// them to the collector. Members of one stripe cluster share the cluster's
+// single lock acquisition, stamped into every member's trace as a
+// stripe_wait span of identical duration.
+func (e *Engine) RecoverBatch(ctx context.Context, alloc *registry.Allocation, offsets []int, traces ...*trace.Trace) []BatchResult {
 	results := make([]BatchResult, len(offsets))
 	for i, off := range offsets {
 		results[i].Offset = off
@@ -170,7 +167,6 @@ func (e *Engine) RecoverBatchTraced(ctx context.Context, alloc *registry.Allocat
 			k, _ := slices.BinarySearch(starts, st.stripeOf(m.off)+1)
 			c := &clusters[k-1]
 			c.members = append(c.members, *m)
-			c.frontier = e.opts.FrontierBatch
 		}
 	}
 	e.run(ctx, &t, st, clusters, results)

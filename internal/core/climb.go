@@ -72,9 +72,8 @@ type member struct {
 // cluster is a set of members recovered sequentially under one stripe-range
 // acquisition and one prediction environment.
 type cluster struct {
-	members  []member
-	held     bool // the caller holds every stripe of the live record (burst)
-	frontier bool // reorder pending members frontier-inward (Options.FrontierBatch)
+	members []member
+	held    bool // the caller holds every stripe of the live record (burst)
 }
 
 // recoverOne recovers a cluster of one: RecoverElementCtx and FTI repairs.
@@ -199,33 +198,13 @@ func (e *Engine) climb(ctx context.Context, t *target, st *arrayState, c *cluste
 	// One Env for the whole cluster: the mask is live, the shared statistics
 	// are frozen, and the scratch buffers amortize across members. It is born
 	// with the first member's seed (seeding costs more than the rest of a
-	// fixed-method climb); later members, and a frontier pick that need not
-	// be members[0], reseed it to their private random stream.
+	// fixed-method climb); later members reseed it to their private random
+	// stream.
 	env := e.envFor(t.arr, st, c.members[0].seed)
 	for n := range c.members {
+		m := &c.members[n]
 		if n > 0 {
 			clk = time.Now()
-		}
-		if c.frontier && n < len(c.members)-1 {
-			// Of the still-pending members, recover the one with the most
-			// healthy face neighbors next. Earlier repairs release
-			// quarantine, so interior cells gain healthy neighbors as the
-			// frontier advances; ties keep submission order. Each member
-			// keeps its own pre-assigned seed.
-			best, bestN := n, frontierHealthy(env, t.arr, c.members[n].off)
-			for j := n + 1; j < len(c.members); j++ {
-				if hn := frontierHealthy(env, t.arr, c.members[j].off); hn > bestN {
-					best, bestN = j, hn
-				}
-			}
-			if best != n {
-				picked := c.members[best]
-				copy(c.members[n+1:best+1], c.members[n:best])
-				c.members[n] = picked
-			}
-		}
-		m := &c.members[n]
-		if n > 0 || c.frontier {
 			env.Reseed(m.seed)
 		}
 		res, err := e.reconstruct(ctx, t, st, m, env, clk)
@@ -286,8 +265,7 @@ func (e *Engine) finish(t *target, st *arrayState, m *member, res ladderResult, 
 }
 
 // frontierHealthy counts the healthy (in-bounds, unquarantined) face
-// neighbors of the element at off — the ordering key of FrontierBatch and of
-// the burst seed pass.
+// neighbors of the element at off — the ordering key of the burst seed pass.
 func frontierHealthy(env *predict.Env, arr *ndarray.Array, off int) int {
 	n := 0
 	faceNeighbors(arr, off, func(noff int) {

@@ -61,20 +61,13 @@ type Options struct {
 	// faults with MarkCorrupt (the fault-injection harness does exactly
 	// that to exercise double faults).
 	StageHook func(StageEvent)
-	// TuneCacheBlock enables region-level memoization of RECOVER_ANY
-	// tuning decisions: one tuner run serves every corruption inside a
-	// TuneCacheBlock^d region of the same array. Zero disables caching
-	// (every corruption re-tunes, as in the paper).
+	// TuneCacheBlock, when positive, enables memoization of RECOVER_ANY
+	// tuning decisions: one tuner run serves every corruption inside the
+	// same lock stripe of an array (see newTuneCache). The value is only a
+	// switch; zero disables caching (every corruption re-tunes, as in the
+	// paper). RecoverBatch stays bit-identical to sequential recovery
+	// either way.
 	TuneCacheBlock int
-	// FrontierBatch orders the members of each batch-recovery stripe
-	// cluster frontier-inward: at every step the pending member with the
-	// most healthy (unquarantined) face neighbors recovers next, so cells
-	// on the edge of a structured wipe repair first and re-enter the
-	// stencils of the interior cells that follow. Off by default because it
-	// deliberately trades away the batch/sequential bit-identity contract
-	// (members no longer run in submission order) for survival of row- and
-	// column-shaped faults.
-	FrontierBatch bool
 	// Seed makes the Random method and tuning deterministic.
 	Seed int64
 }
@@ -303,13 +296,6 @@ func (e *Engine) WithArrayLock(arr *ndarray.Array, f func()) {
 // allocation and repairs the affected element (Section 3.3). An
 // unregistered address yields ErrCheckpointRestartRequired.
 func (e *Engine) RecoverAddress(addr uint64) (Outcome, error) {
-	return e.RecoverAddressCtx(context.Background(), addr)
-}
-
-// RecoverAddressCtx is RecoverAddress with a context governing the whole
-// recovery (lock wait, prediction, verification, ladder climb); see
-// RecoverElementCtx for the deadline semantics.
-func (e *Engine) RecoverAddressCtx(ctx context.Context, addr uint64) (Outcome, error) {
 	alloc, off, err := e.table.Lookup(addr)
 	if err != nil {
 		e.finish(&target{name: fmt.Sprintf("addr %#x", addr)}, nil, &member{off: -1}, ladderResult{}, err, nil)
@@ -318,7 +304,8 @@ func (e *Engine) RecoverAddressCtx(ctx context.Context, addr uint64) (Outcome, e
 		// (the HTTP layer maps it to 422, not 404).
 		return Outcome{}, fmt.Errorf("%w: %w", ErrCheckpointRestartRequired, err)
 	}
-	return e.RecoverElementCtx(ctx, alloc, off)
+	t := allocTarget(alloc)
+	return e.recoverOne(context.Background(), &t, off)
 }
 
 // RecoverElement reconstructs the element at linear offset off of a

@@ -215,7 +215,7 @@ func (s *pipelineScenario) element(name, alloc string, off int) {
 
 func (s *pipelineScenario) batch(name, alloc string, offs []int, traces []*trace.Trace) {
 	st := goldenStep{Name: name}
-	for _, r := range s.eng.RecoverBatchTraced(context.Background(), s.allocs[alloc], offs, traces) {
+	for _, r := range s.eng.RecoverBatch(context.Background(), s.allocs[alloc], offs, traces...) {
 		st.Outcomes = append(st.Outcomes, outcomeOf(r.Outcome, r.Offset, r.Err))
 	}
 	for _, tr := range traces {
@@ -577,20 +577,19 @@ func runPipelineScenario(t *testing.T, opts Options) goldenRecord {
 }
 
 // pipelineGoldenConfigs are the option sets the scenario runs under: the
-// paper's re-tune-every-time engine, the stripe-granular tune cache, and the
-// cache plus frontier-inward batch ordering.
+// paper's re-tune-every-time engine and the stripe-granular tune cache.
 var pipelineGoldenConfigs = []struct {
 	name string
 	opts Options
 }{
 	{"block0", Options{Seed: 17}},
 	{"block8", Options{Seed: 17, TuneCacheBlock: 8}},
-	{"block8-frontier", Options{Seed: 17, TuneCacheBlock: 8, FrontierBatch: true}},
 }
 
 // TestPipelineGolden replays one seeded scenario through every entry point
-// (RecoverAddress, RecoverElement/Ctx, RecoverBatch/Traced, RecoverBurst,
-// FTIRepairer, StageHook-forced climbs to restore and exhaustion) and
+// (RecoverAddress, RecoverElement/Ctx, RecoverBatch with and without traces,
+// RecoverBurst, FTIRepairer, StageHook-forced climbs to restore and
+// exhaustion) and
 // compares everything observable — values as bits, outcomes, error strings,
 // audit entries, counters, spatial sums, quarantine, span sets — against the
 // record generated at the commit before the paths were unified.

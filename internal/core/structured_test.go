@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"testing"
 
 	"spatialdue/internal/bitflip"
@@ -9,55 +8,9 @@ import (
 	"spatialdue/internal/registry"
 )
 
-// Structured-fault survival at the engine level: frontier-inward batch
-// ordering over block wipes, and the interaction between mass quarantine
-// (a whole stripe dead) and the shared-statistics rebuild of FieldUpdated.
-
-func TestRecoverBatchFrontierOrdersWipeInward(t *testing.T) {
-	// A 3x3 block wipe. The center cell has zero healthy face neighbors at
-	// submission time; under FrontierBatch the corners (2 healthy
-	// neighbors) and edges recover first, releasing quarantine, so by the
-	// time the center runs its whole neighborhood is trustworthy again.
-	eng := NewEngine(Options{Seed: 11, FrontierBatch: true})
-	a := smoothArray(32, 32)
-	alloc := eng.Protect("g", a, bitflip.Float32, registry.RecoverWith(predict.MethodLorenzo1))
-
-	var offsets []int
-	orig := map[int]float64{}
-	for di := -1; di <= 1; di++ {
-		for dj := -1; dj <= 1; dj++ {
-			off := a.Offset(15+di, 15+dj)
-			orig[off] = a.AtOffset(off)
-			a.SetOffset(off, 1e30)
-			eng.MarkCorrupt(alloc, off)
-		}
-	}
-	// Submit center first — the worst possible order — so the test fails
-	// if the frontier reordering ever regresses to submission order while
-	// the option is set.
-	center := a.Offset(15, 15)
-	offsets = append(offsets, center)
-	for off := range orig {
-		if off != center {
-			offsets = append(offsets, off)
-		}
-	}
-
-	results := eng.RecoverBatch(context.Background(), alloc, offsets)
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("offset %d: %v", r.Offset, r.Err)
-		}
-	}
-	for off, want := range orig {
-		if re := bitflip.RelErr(want, a.AtOffset(off)); re > 0.05 {
-			t.Errorf("offset %d: rel err %v after frontier batch", off, re)
-		}
-	}
-	if n := len(eng.Quarantined(alloc)); n != 0 {
-		t.Errorf("%d cells still quarantined", n)
-	}
-}
+// Structured-fault survival at the engine level: the interaction between
+// mass quarantine (a whole stripe dead) and the shared-statistics rebuild of
+// FieldUpdated.
 
 func TestFieldUpdatedReadmitsMassQuarantinedStripe(t *testing.T) {
 	// A row failure takes out an entire stripe (with default options a

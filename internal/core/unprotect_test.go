@@ -324,7 +324,7 @@ func TestBatchMembersShareStripeWaitSpan(t *testing.T) {
 	for _, off := range offs {
 		a.SetOffset(off, math.Inf(1))
 	}
-	for _, r := range eng.RecoverBatchTraced(context.Background(), alloc, offs, trs) {
+	for _, r := range eng.RecoverBatch(context.Background(), alloc, offs, trs...) {
 		if r.Err != nil {
 			t.Fatalf("batch member %d: %v", r.Offset, r.Err)
 		}

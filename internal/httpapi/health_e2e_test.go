@@ -24,7 +24,7 @@ func TestPredictiveHealthOverHTTP(t *testing.T) {
 
 	eng := core.NewEngine(core.Options{Seed: 7})
 	_, base, shutdown := startServer(t, eng, httpapi.ServerConfig{
-		Predictor: httpapi.PredictorConfig{Enable: true, RowOfflineCEs: 4},
+		Predictor: true,
 	})
 	defer func() {
 		if err := shutdown(); err != nil {

@@ -55,7 +55,7 @@ func metricsScenario(t *testing.T) (*httpapi.Server, string) {
 		EnableInject:   true,
 		RedeliverEvery: -1,
 		Cluster:        stubCluster{},
-		Predictor:      httpapi.PredictorConfig{Enable: true},
+		Predictor:      true,
 		Service: service.Config{
 			Workers: 1, QueueDepth: 8, Seed: 1,
 			BreakerThreshold: 2, BreakerCooldown: time.Hour,

@@ -24,27 +24,6 @@ import (
 	"spatialdue/internal/service"
 )
 
-// PredictorConfig enables and tunes the predictive memory-health tier.
-// When enabled, the server decodes every corrected error into bank/row
-// coordinates, scores per-bank failure risk, and executes the tiered
-// action matrix (scrub, checkpoint shrink + re-replication, proactive row
-// migration); GET /v1/health and the spatialdue_predictor_* metrics expose
-// the state. Zero fields take the predictor package defaults.
-type PredictorConfig struct {
-	// Enable turns the tier on.
-	Enable bool
-	// Window is the per-bank scoring window in CE observations.
-	Window int
-	// Watch, Elevated, Critical are the risk tier thresholds.
-	Watch, Elevated, Critical float64
-	// CkptCost, BaseMTBF, RateInflation parameterize the elevated tier's
-	// Young-interval recomputation.
-	CkptCost, BaseMTBF, RateInflation float64
-	// RowOfflineCEs is the cumulative per-row CE count nominating a row
-	// for critical-tier migration.
-	RowOfflineCEs int
-}
-
 // ServerConfig parameterizes a Server. Zero values select the documented
 // defaults.
 type ServerConfig struct {
@@ -69,9 +48,14 @@ type ServerConfig struct {
 	// registrations/uploads/unregistrations replicate to the partner, and
 	// GET /v1/cluster/status plus replication metrics are exposed.
 	Cluster Cluster
-	// Predictor configures the predictive memory-health tier. In cluster
-	// mode its elevated-tier re-replication is wired to the partner sink.
-	Predictor PredictorConfig
+	// Predictor turns on the predictive memory-health tier, with the
+	// predictor package's thresholds and costs. The server decodes every
+	// corrected error into bank/row coordinates, scores per-bank failure
+	// risk, and executes the tiered action matrix (scrub, checkpoint shrink
+	// + re-replication, proactive row migration); GET /v1/health and the
+	// spatialdue_predictor_* metrics expose the state. In cluster mode the
+	// elevated tier's re-replication is wired to the partner sink.
+	Predictor bool
 	// FieldStore selects the storage backing for fields registered through
 	// the API: "heap" (default) keeps today's Go slices; "mmap" backs each
 	// field with a file under DataDir/fields/<tenant>/<name>.field, mapped
@@ -104,7 +88,7 @@ type Server struct {
 	eng      *core.Engine
 	svc      *service.Service
 	machine  *mca.Machine
-	health   *predictor.Manager // nil unless cfg.Predictor.Enable
+	health   *predictor.Manager // nil unless cfg.Predictor
 	outcomes *outcomeRing
 	mux      *http.ServeMux
 
@@ -169,8 +153,7 @@ func NewServer(eng *core.Engine, cfg ServerConfig) (*Server, error) {
 	topo := mca.DefaultTopology
 	topo.Banks = cfg.Banks
 	s.machine.SetTopology(topo)
-	if cfg.Predictor.Enable {
-		pc := cfg.Predictor
+	if cfg.Predictor {
 		var replicate func(*registry.Allocation, []float64)
 		if cfg.Cluster != nil {
 			// The cluster captures its own stripe-consistent snapshot;
@@ -180,18 +163,10 @@ func NewServer(eng *core.Engine, cfg ServerConfig) (*Server, error) {
 			}
 		}
 		mgr, err := predictor.NewManager(predictor.ManagerConfig{
-			Predictor: predictor.Config{
-				Window: pc.Window,
-				Watch:  pc.Watch, Elevated: pc.Elevated, Critical: pc.Critical,
-			},
-			Machine:       s.machine,
-			Engine:        eng,
-			CkptCost:      pc.CkptCost,
-			BaseMTBF:      pc.BaseMTBF,
-			RateInflation: pc.RateInflation,
-			RowOfflineCEs: pc.RowOfflineCEs,
-			Replicate:     replicate,
-			OnAction:      s.onHealthAction,
+			Machine:   s.machine,
+			Engine:    eng,
+			Replicate: replicate,
+			OnAction:  s.onHealthAction,
 		})
 		if err != nil {
 			return nil, err

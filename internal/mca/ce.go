@@ -1,34 +1,22 @@
 package mca
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
 
-// Corrected-error (CE) handling. Real memory-resilience stacks watch the
-// *corrected* error rate per physical page: a page whose ECC corrections
-// keep recurring is likely to produce an uncorrectable error soon, so the
-// OS migrates its data and offlines it ("predictive page offlining"). This
-// complements the paper's DUE recovery — recovery handles the errors that
-// slip through, offlining reduces how many do.
-
-// PageSize is the granularity CE statistics are tracked at.
-const PageSize = 4096
-
-// CEPolicy configures the corrected-error watcher.
-type CEPolicy struct {
-	// OfflineThreshold is the CE count per page that triggers offlining
-	// (0 disables). Real kernels default to dozens per day; simulations
-	// use small numbers.
-	OfflineThreshold int
-}
+// Corrected-error (CE) handling. A DRAM bank or row whose ECC corrections
+// keep recurring is likely to produce an uncorrectable error soon. Every CE
+// is decoded into bank/row/column coordinates and handed to the observer —
+// the predictive-health tier — which may scrub a bank or migrate and offline
+// a row (OfflineRow). This complements the paper's DUE recovery: recovery
+// handles the errors that slip through, offlining reduces how many do.
 
 // CEObservation is one structured corrected-error report: the address
 // decoded into DRAM (bank, row, column) coordinates plus the corrected bit
 // position. This is what the predictive-health tier consumes — per-bank
 // CE rate, distinct-bit fan-out, and row/column clustering are all derived
-// from streams of these observations, not from the latched per-page counts.
+// from streams of these observations.
 type CEObservation struct {
 	// Seq is the machine-global CE sequence number — a logical clock that
 	// makes replayed streams deterministic (no wall-clock dependence).
@@ -41,16 +29,9 @@ type CEObservation struct {
 	Bit int
 }
 
-// ceState tracks per-page corrected-error counts and the structured
-// observation stream.
+// ceState holds the structured observation stream and the retired rows.
 type ceState struct {
-	mu      sync.Mutex
-	policy  CEPolicy
-	counts  map[uint64]int // page number -> CE count
-	offline map[uint64]bool
-	// onOffline is invoked (outside the lock) when a page crosses the
-	// threshold.
-	onOffline func(page uint64)
+	mu sync.Mutex
 
 	// Structured observation stream (predictive-health tier).
 	topo       Topology
@@ -64,19 +45,6 @@ type ceState struct {
 	// offRows are rows retired by proactive migration: the predictor copied
 	// their data out and asked the machine to stop serving them.
 	offRows map[RowKey]bool
-}
-
-// SetCEPolicy installs the corrected-error policy and an optional callback
-// invoked when a page is offlined. It replaces any previous policy.
-func (m *Machine) SetCEPolicy(p CEPolicy, onOffline func(pageAddr uint64)) {
-	m.ce.mu.Lock()
-	defer m.ce.mu.Unlock()
-	m.ce.policy = p
-	m.ce.onOffline = onOffline
-	if m.ce.counts == nil {
-		m.ce.counts = map[uint64]int{}
-		m.ce.offline = map[uint64]bool{}
-	}
 }
 
 // SetTopology installs the DRAM address topology used to decode CE
@@ -117,57 +85,34 @@ func (m *Machine) CEQueueRequeued() int {
 }
 
 // RaiseMemoryCE reports a corrected memory error at addr. CEs do not
-// interrupt the application; they update telemetry and may trigger
-// predictive offlining.
+// interrupt the application; they are counted and reach the observer.
 func (m *Machine) RaiseMemoryCE(addr uint64) {
 	m.RaiseMemoryCEAt(addr, -1)
 }
 
 // RaiseMemoryCEAt reports a corrected memory error at addr with the
-// corrected bit position (bit < 0 when unknown). Besides the per-page
-// telemetry, the error is decoded through the machine's Topology into a
-// CEObservation and delivered to the registered observer.
+// corrected bit position (bit < 0 when unknown). The error is counted
+// (Stats) and, when an observer is registered, decoded through the
+// machine's Topology into a CEObservation and delivered to it.
 func (m *Machine) RaiseMemoryCEAt(addr uint64, bit int) {
 	m.mu.Lock()
 	m.raisedCE++
 	m.mu.Unlock()
 
 	m.ce.mu.Lock()
-	if m.ce.counts == nil {
-		m.ce.counts = map[uint64]int{}
-		m.ce.offline = map[uint64]bool{}
-	}
-	page := addr / PageSize
-	m.ce.counts[page]++
-	trigger := false
-	if th := m.ce.policy.OfflineThreshold; th > 0 && !m.ce.offline[page] && m.ce.counts[page] >= th {
-		m.ce.offline[page] = true
-		trigger = true
-	}
-	cb := m.ce.onOffline
-
-	var o CEObservation
 	obsFn := m.ce.obs
-	if obsFn != nil {
-		m.ce.seq++
-		bank, row, col := m.ce.topo.Decode(addr)
-		o = CEObservation{Seq: m.ce.seq, Addr: addr, Bank: bank, Row: row, Col: col, Bit: bit}
-	}
-	m.ce.mu.Unlock()
-
-	if trigger && cb != nil {
-		cb(page * PageSize)
-	}
 	if obsFn == nil {
+		m.ce.mu.Unlock()
 		return
 	}
+	m.ce.seq++
+	bank, row, col := m.ce.topo.Decode(addr)
 
-	// Deliver in order. Attribution (bank/row/col/bit) was decoded above,
-	// at raise time, and the full observation rides the queue — a requeued
+	// Deliver in order. Attribution (bank/row/col/bit) is decoded here, at
+	// raise time, and the full observation rides the queue — a requeued
 	// event is redelivered verbatim, not reconstructed from whatever the
 	// registers hold by then.
-	m.ce.mu.Lock()
-	m.ce.queue = append(m.ce.queue, o)
+	m.ce.queue = append(m.ce.queue, CEObservation{Seq: m.ce.seq, Addr: addr, Bank: bank, Row: row, Col: col, Bit: bit})
 	if m.ce.delivering {
 		// An outer RaiseMemoryCEAt is mid-delivery (this raise came from
 		// inside the observer). It will drain this observation.
@@ -187,32 +132,6 @@ func (m *Machine) RaiseMemoryCEAt(addr uint64, bit int) {
 	m.ce.qhead = 0
 	m.ce.delivering = false
 	m.ce.mu.Unlock()
-}
-
-// PageOfflined reports whether the page containing addr has been offlined.
-func (m *Machine) PageOfflined(addr uint64) bool {
-	m.ce.mu.Lock()
-	defer m.ce.mu.Unlock()
-	return m.ce.offline[addr/PageSize]
-}
-
-// CECount returns the corrected-error count of the page containing addr.
-func (m *Machine) CECount(addr uint64) int {
-	m.ce.mu.Lock()
-	defer m.ce.mu.Unlock()
-	return m.ce.counts[addr/PageSize]
-}
-
-// OfflinedPages returns the base addresses of all offlined pages, sorted.
-func (m *Machine) OfflinedPages() []uint64 {
-	m.ce.mu.Lock()
-	defer m.ce.mu.Unlock()
-	out := make([]uint64, 0, len(m.ce.offline))
-	for page := range m.ce.offline {
-		out = append(out, page*PageSize)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // OfflineRow retires one DRAM row: the caller (the predictive-health
@@ -306,16 +225,4 @@ func (m *Machine) ScrubBank(bank int) (found int, err error) {
 		}
 		m.drainPending()
 	}
-}
-
-// CEReport summarizes corrected-error telemetry for diagnostics.
-func (m *Machine) CEReport() string {
-	m.ce.mu.Lock()
-	defer m.ce.mu.Unlock()
-	total := 0
-	for _, n := range m.ce.counts {
-		total += n
-	}
-	return fmt.Sprintf("corrected errors: %d across %d pages, %d pages offlined",
-		total, len(m.ce.counts), len(m.ce.offline))
 }

@@ -126,8 +126,8 @@ type Allocation struct {
 	Policy Policy
 
 	// seal is the Reed-Solomon parity block protecting the descriptor
-	// fields above (see seal.go). Written at registration and migration,
-	// consulted by every verified lookup.
+	// fields above (see seal.go). Written at registration, consulted by
+	// every verified lookup.
 	seal *descriptorSeal
 }
 
@@ -352,32 +352,6 @@ func (t *Table) Tenants() []string {
 		}
 	}
 	return out
-}
-
-// Migrate moves an allocation to a fresh base address — what the OS does
-// when the page offliner (see internal/mca's CE policy) retires physical
-// pages under live data. The allocation keeps its identity, array, and
-// policy; only the address range changes, and the old range is never
-// reused, so stale addresses fail Lookup instead of resolving wrongly.
-func (t *Table) Migrate(id int) (*Allocation, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, a := range t.allocs {
-		if a.ID != id {
-			continue
-		}
-		base := (t.nextTop + pageSize - 1) / pageSize * pageSize
-		a.Base = base
-		t.nextTop = a.End() + guardGap
-		// The base legitimately changed: re-seal so parity covers the new
-		// descriptor instead of flagging the migration as corruption.
-		a.seal = sealDescriptor(encodeDescriptor(fieldsOf(a)))
-		// Keep the slice sorted by base: the migrated allocation now has
-		// the highest base, so move it to the end.
-		t.allocs = append(append(t.allocs[:i], t.allocs[i+1:]...), a)
-		return a, nil
-	}
-	return nil, fmt.Errorf("%w: id %d", ErrNotRegistered, id)
 }
 
 // Lookup relates a simulated physical address to the allocation covering it

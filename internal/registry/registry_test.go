@@ -209,53 +209,6 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func TestMigrate(t *testing.T) {
-	tab, a1, a2 := newTestTable(t)
-	oldBase := a1.Base
-	oldAddr := a1.AddrOf(5)
-	mig, err := tab.Migrate(a1.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mig != a1 {
-		t.Error("Migrate returned a different allocation")
-	}
-	if a1.Base == oldBase || a1.Base%4096 != 0 {
-		t.Errorf("new base %#x invalid (old %#x)", a1.Base, oldBase)
-	}
-	if a1.Base < a2.End() {
-		t.Error("migrated range overlaps the other allocation")
-	}
-	// Old address must no longer resolve; new one must.
-	if _, _, err := tab.Lookup(oldAddr); !errors.Is(err, ErrNotRegistered) {
-		t.Errorf("stale address still resolves: %v", err)
-	}
-	got, off, err := tab.Lookup(a1.AddrOf(5))
-	if err != nil || got != a1 || off != 5 {
-		t.Errorf("post-migration Lookup = %v, %d, %v", got, off, err)
-	}
-	// The other allocation is untouched.
-	if _, _, err := tab.Lookup(a2.AddrOf(3)); err != nil {
-		t.Errorf("unrelated allocation broken: %v", err)
-	}
-	if _, err := tab.Migrate(999); !errors.Is(err, ErrNotRegistered) {
-		t.Errorf("Migrate(999) error = %v", err)
-	}
-}
-
-func TestMigratePreservesAddressOrder(t *testing.T) {
-	tab, a1, _ := newTestTable(t)
-	if _, err := tab.Migrate(a1.ID); err != nil {
-		t.Fatal(err)
-	}
-	snap := tab.Allocations()
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1].Base > snap[i].Base {
-			t.Fatal("allocations no longer sorted by base after Migrate")
-		}
-	}
-}
-
 func TestRegisterTenantScopesNames(t *testing.T) {
 	tab := NewTable()
 	a1, err := tab.RegisterTenant("alice", "field", ndarray.New(4, 4), bitflip.Float64, RecoverAny())

@@ -114,19 +114,6 @@ func TestUnrecoverableDescriptorRefused(t *testing.T) {
 	}
 }
 
-func TestMigrateResealsDescriptor(t *testing.T) {
-	tab, a := sealTestAlloc(t)
-	if _, err := tab.Migrate(a.ID); err != nil {
-		t.Fatalf("migrate: %v", err)
-	}
-	if err := tab.VerifyDescriptor(a); err != nil {
-		t.Fatalf("verify after migrate: %v (migration must re-seal, not look corrupt)", err)
-	}
-	if _, repairs, _ := tab.DescriptorStats(); repairs != 0 {
-		t.Errorf("repairs = %d after clean migrate, want 0", repairs)
-	}
-}
-
 func TestVerifyAllSweep(t *testing.T) {
 	tab, a := sealTestAlloc(t)
 	arr2 := ndarray.New(4, 4)

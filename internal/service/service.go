@@ -401,23 +401,17 @@ func (s *Service) AttachMCA(m *mca.Machine) {
 func (s *Service) SubmitAddress(addr uint64) error {
 	alloc, off, err := s.eng.Table().Lookup(addr)
 	if err != nil {
-		s.mu.Lock()
-		s.stats.Submitted++
-		s.mu.Unlock()
 		// Double-wrap: registry.ErrMetadataCorrupt must stay matchable so
 		// the HTTP layer maps corrupt-descriptor refusals to 422, not 404.
-		return fmt.Errorf("%w: %w", core.ErrCheckpointRestartRequired, err)
+		err = fmt.Errorf("%w: %w", core.ErrCheckpointRestartRequired, err)
 	}
-	return s.submit(alloc, addr, off, false)
+	return s.submit(alloc, addr, off, false, err)
 }
 
 // Submit admits a recovery for a known allocation element (detector paths
 // that localize corruption without a physical address).
 func (s *Service) Submit(alloc *registry.Allocation, off int) error {
-	if off < 0 || off >= alloc.Array.Len() {
-		return fmt.Errorf("%w: offset %d out of range", core.ErrCheckpointRestartRequired, off)
-	}
-	return s.submit(alloc, alloc.AddrOf(off), off, false)
+	return s.submit(alloc, 0, off, false, nil)
 }
 
 // SubmitReplayed admits a recovery replayed from a replicated journal — the
@@ -428,31 +422,38 @@ func (s *Service) Submit(alloc *registry.Allocation, off int) error {
 // the same admission errors as Submit (retry ErrOverloaded with backoff:
 // promotion replay must not drop intents just because a storm is running).
 func (s *Service) SubmitReplayed(alloc *registry.Allocation, addr uint64, off int) error {
-	if off < 0 || off >= alloc.Array.Len() {
-		return fmt.Errorf("%w: offset %d out of range", core.ErrCheckpointRestartRequired, off)
-	}
-	if addr == 0 {
-		addr = alloc.AddrOf(off)
-	}
-	return s.submit(alloc, addr, off, true)
+	return s.submit(alloc, addr, off, true, nil)
 }
 
-func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, replayed bool) error {
+// submit is every entry point's admission path. It counts each attempt once,
+// so Stats.Submitted sees rejections too: a target the entry point could not
+// resolve (err), an offset outside the array, a stopped service, a full
+// queue. addr 0 means the element's own address.
+func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, replayed bool, err error) error {
+	if err == nil && (off < 0 || off >= alloc.Array.Len()) {
+		err = fmt.Errorf("%w: offset %d out of range", core.ErrCheckpointRestartRequired, off)
+	}
 	// Admission control: reserve a queue slot or reject immediately —
 	// never block the deliverer.
 	s.mu.Lock()
 	s.stats.Submitted++
-	if s.stopped {
-		s.mu.Unlock()
-		return ErrStopped
-	}
-	if s.pendingN >= s.cfg.QueueDepth {
+	switch {
+	case err != nil:
+	case s.stopped:
+		err = ErrStopped
+	case s.pendingN >= s.cfg.QueueDepth:
 		s.stats.Rejected++
-		s.mu.Unlock()
-		return ErrOverloaded
+		err = ErrOverloaded
+	default:
+		s.pendingN++
 	}
-	s.pendingN++
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	if addr == 0 {
+		addr = alloc.AddrOf(off)
+	}
 
 	release := func() {
 		s.mu.Lock()
@@ -802,7 +803,7 @@ func (s *Service) processBatch(ts []task) {
 		if s.cfg.Deadline > 0 {
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
 		}
-		rs = s.eng.RecoverBatchTraced(ctx, ts[0].alloc, offs, traces)
+		rs = s.eng.RecoverBatch(ctx, ts[0].alloc, offs, traces...)
 		cancel()
 	})
 

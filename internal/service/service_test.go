@@ -38,6 +38,38 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// TestSubmitCountsEveryAttempt: Stats.Submitted counts all submission
+// attempts, so an out-of-range offset raises it by one through every entry
+// point while Accepted stays put.
+func TestSubmitCountsEveryAttempt(t *testing.T) {
+	eng := core.NewEngine(core.Options{Seed: 1})
+	a := smoothArray(8, 8)
+	alloc := eng.Protect("grid", a, bitflip.Float32, registry.RecoverWith(predict.MethodAverage))
+	svc, err := New(eng, Config{Workers: 1, QueueDepth: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, tc := range []struct {
+		name   string
+		submit func() error
+	}{
+		{"Submit", func() error { return svc.Submit(alloc, a.Len()) }},
+		{"SubmitReplayed", func() error { return svc.SubmitReplayed(alloc, 0, -1) }},
+		{"SubmitAddress", func() error { return svc.SubmitAddress(1) }},
+	} {
+		before := svc.Stats()
+		if err := tc.submit(); !errors.Is(err, core.ErrCheckpointRestartRequired) {
+			t.Fatalf("%s: err = %v, want ErrCheckpointRestartRequired", tc.name, err)
+		}
+		after := svc.Stats()
+		if after.Submitted != before.Submitted+1 || after.Accepted != before.Accepted {
+			t.Errorf("%s: Submitted %d -> %d, Accepted %d -> %d; want +1 and unchanged",
+				tc.name, before.Submitted, after.Submitted, before.Accepted, after.Accepted)
+		}
+	}
+}
+
 func TestServiceRecoversSubmittedDUEs(t *testing.T) {
 	eng := core.NewEngine(core.Options{Seed: 1})
 	a := smoothArray(32, 32)
