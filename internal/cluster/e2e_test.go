@@ -5,6 +5,8 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,12 +134,19 @@ func TestKillOwnerMidStormBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Node a's recoveries are slowed at every ladder-stage entry so the kill
-	// below lands with phase-2 work genuinely in flight: intents journaled
-	// and replicated, outcomes not yet produced — the dangling state the
-	// partner must replay. The hook changes pacing only, never values.
+	// Once phase 2 starts, node a's recoveries park at their first ladder
+	// stage until the hook is released, so the kill below lands with
+	// phase-2 work genuinely in flight: intents journaled and replicated,
+	// outcomes not yet produced — the dangling state the partner must
+	// replay. The hook changes pacing only, never values.
+	var park atomic.Bool
+	release := make(chan struct{})
 	na := startNodeEngine(t, "a", m, httpA, replA, 25*time.Millisecond, 150*time.Millisecond,
-		core.Options{Seed: 7, StageHook: func(core.StageEvent) { time.Sleep(20 * time.Millisecond) }})
+		core.Options{Seed: 7, StageHook: func(core.StageEvent) {
+			if park.Load() {
+				<-release
+			}
+		}})
 	nb := startNode(t, "b", m, httpB, replB, 25*time.Millisecond, 150*time.Millisecond)
 	ta, tb := tenantOwnedBy(m, "a"), tenantOwnedBy(m, "b")
 
@@ -216,17 +225,31 @@ func TestKillOwnerMidStormBitIdentical(t *testing.T) {
 
 	// Storm phase 2: report the remaining DUEs and kill the owner with the
 	// storm in flight. No drain, no flush — whatever the partner has is all
-	// that survives.
+	// that survives. A single ingest returns only once its recovery does,
+	// and the parked hook holds those, so the ingests go out from
+	// goroutines; the node dies under them.
 	for _, off := range batch2 {
 		o, b := off, 62
 		if _, err := ca.Inject(ctx, "grid", httpapi.InjectRequest{Offset: &o, Bit: &b}); err != nil {
 			t.Fatalf("inject %d: %v", off, err)
 		}
-		if _, err := ca.Ingest(ctx, httpapi.EventRequest{Alloc: "grid", Offset: &o}); err != nil {
-			t.Fatalf("ingest %d: %v", off, err)
-		}
 	}
+	park.Store(true)
+	var ingests sync.WaitGroup
+	for _, off := range batch2 {
+		o := off
+		ingests.Add(1)
+		go func() {
+			defer ingests.Done()
+			_, _ = ca.Ingest(ctx, httpapi.EventRequest{Alloc: "grid", Offset: &o})
+		}()
+	}
+	waitFor(t, 10*time.Second, "an open intent for grid on the partner", func() bool {
+		return openIntents(nb.node, "a", ta, "grid") > 0
+	})
 	na.node.Kill()
+	close(release)
+	ingests.Wait()
 
 	waitFor(t, 10*time.Second, "partner promotion", func() bool {
 		cs := nb.node.Status()
@@ -250,7 +273,7 @@ func TestKillOwnerMidStormBitIdentical(t *testing.T) {
 	})
 
 	// The promotion must have actually replayed replicated intents — the
-	// stage-hook pacing guarantees the kill caught phase-2 work in flight.
+	// parked stage hook guarantees the kill caught phase-2 work in flight.
 	outs, err := ca.Outcomes(ctx, 0, "grid", 200)
 	if err != nil {
 		t.Fatalf("outcomes: %v", err)
@@ -322,6 +345,24 @@ func TestKillOwnerMidStormBitIdentical(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("promoted readyz = %d, want 503", resp.StatusCode)
 	}
+}
+
+// openIntents counts the intents for tenant/alloc that n's replica of
+// owner's journal holds open.
+func openIntents(n *Node, owner, tenant, alloc string) int {
+	n.mu.Lock()
+	st := n.replicas[owner]
+	n.mu.Unlock()
+	if st == nil {
+		return 0
+	}
+	count := 0
+	for _, in := range st.danglingIntents() {
+		if in.Tenant == tenant && in.Alloc == alloc {
+			count++
+		}
+	}
+	return count
 }
 
 // TestRejoinCatchUp: after a kill and promotion, a fresh node at the dead

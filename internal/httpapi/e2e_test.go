@@ -6,6 +6,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,11 +188,18 @@ func TestOverloadLatchesAndRedelivers(t *testing.T) {
 	const events = 24
 	vals := smoothField(rows, cols)
 
+	// The backlog is built deterministically: the first event's recovery
+	// parks the only worker token at its first ladder stage until release
+	// closes, the second event fills the one-slot queue, and every later
+	// one finds the queue full.
+	parked, release := make(chan struct{}), make(chan struct{})
+	var parkOnce sync.Once
 	eng := core.NewEngine(core.Options{
 		Seed: 7,
-		// Slow every ladder stage down so a burst of events outruns the
-		// one-worker pool deterministically.
-		StageHook: func(core.StageEvent) { time.Sleep(10 * time.Millisecond) },
+		StageHook: func(core.StageEvent) {
+			parkOnce.Do(func() { close(parked) })
+			<-release
+		},
 	})
 	srv, base, shutdown := startServer(t, eng, httpapi.ServerConfig{
 		EnableInject:   true,
@@ -229,8 +237,17 @@ func TestOverloadLatchesAndRedelivers(t *testing.T) {
 		injected[n] = inj
 	}
 
+	// A single ingest returns once its recovery does, so the first one goes
+	// out from a goroutine and holds the token until the hook is released.
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Ingest(ctx, httpapi.EventRequest{Addr: injected[0].Addr, Bit: injected[0].Bit})
+		first <- err
+	}()
+	<-parked
+
 	accepted, latched := 0, 0
-	for n, inj := range injected {
+	for n, inj := range injected[1:] {
 		res, err := c.Ingest(ctx, httpapi.EventRequest{Addr: inj.Addr, Bit: inj.Bit})
 		switch {
 		case err == nil:
@@ -246,9 +263,14 @@ func TestOverloadLatchesAndRedelivers(t *testing.T) {
 				t.Fatalf("overloaded ingest error = %#v, want 429 latched", err)
 			}
 		default:
-			t.Fatalf("ingest %d: unexpected error %v", n, err)
+			t.Fatalf("ingest %d: unexpected error %v", n+1, err)
 		}
 	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("ingest 0: unexpected error %v", err)
+	}
+	accepted++
 	if latched == 0 {
 		t.Fatalf("no backpressure with 1-worker/1-queue server and %d-event burst (accepted %d)", events, accepted)
 	}

@@ -566,7 +566,13 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request, a *regist
 // submission path picks it up even when the event latches and is redelivered
 // later — the trace then spans the latched wait too. Terminal rejections
 // unstage it.
-func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string) EventResult {
+//
+// runHere marks the staging for a single POST /v1/events: when the service
+// has a free worker token and an empty queue, the recovery runs on this
+// goroutine and its outcome is recorded before ingestOne returns. The
+// recovery never sees the request's context, so a client hang-up cannot
+// cancel it.
+func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string, runHere bool) EventResult {
 	reject := func(err error) EventResult {
 		s.evRejected.Add(1)
 		return EventResult{Status: StatusRejected,
@@ -621,9 +627,11 @@ func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string) Event
 	}
 
 	// Stage the trace before raising: the MCA delivery path cannot carry
-	// it, so the service claims it by address at submission time.
+	// it, so the service claims it by address at submission time. A single
+	// event's staging also carries the run-here mark, cleared once the
+	// raise returns, so only this delivery may run on this goroutine.
 	tr := trace.WithID(traceID)
-	s.svc.StageTrace(addr, tr)
+	s.svc.StageTrace(addr, tr, runHere)
 
 	// A planted latent fault at this address is discovered by the access
 	// (Plant + Touch, the injector path); otherwise the event is an
@@ -631,6 +639,9 @@ func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string) Event
 	faulted, err := s.machine.Touch(addr, size)
 	if !faulted {
 		err = s.machine.RaiseMemoryDUE(addr, ev.Bit)
+	}
+	if runHere {
+		s.svc.EndRunHere(addr, tr)
 	}
 	switch {
 	case err == nil:
@@ -660,7 +671,7 @@ func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request, tenant stri
 		return
 	}
 	tid, _ := trace.ParseTraceparent(r.Header.Get(TraceparentHeader))
-	res := s.ingestOne(tenant, ev, tid)
+	res := s.ingestOne(tenant, ev, tid, true)
 	status := http.StatusAccepted
 	if res.Status != StatusAccepted {
 		// EventResult serializes its ErrorDetail under the same "error" key
@@ -765,7 +776,9 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request, tenan
 				Error: &ErrorDetail{Code: CodeBadRequest, Message: fmt.Sprintf("line %d: %v", n+1, err)}}
 		} else {
 			// Stream lines carry no per-event traceparent; IDs are minted.
-			res = s.ingestOne(tenant, ev, "")
+			// They are queued, never run here, so a window's lines reach
+			// the workers together and coalesce into batches.
+			res = s.ingestOne(tenant, ev, "", false)
 		}
 		window = append(window, res)
 		n++

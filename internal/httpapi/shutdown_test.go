@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -71,9 +72,21 @@ func TestGracefulShutdownDrainsJournal(t *testing.T) {
 		}
 		injected[n] = inj
 	}
-	accepted, latched := 0, 0
+	// A single ingest that runs on its request goroutine returns only once
+	// its recovery does, so the events go out together: the rest queue or
+	// latch behind the one that holds the only worker token.
+	errs := make([]error, events)
+	var wg sync.WaitGroup
 	for n, inj := range injected {
-		_, err := c.Ingest(cctx, httpapi.EventRequest{Addr: inj.Addr, Bit: inj.Bit})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[n] = c.Ingest(cctx, httpapi.EventRequest{Addr: inj.Addr, Bit: inj.Bit})
+		}()
+	}
+	wg.Wait()
+	accepted, latched := 0, 0
+	for n, err := range errs {
 		switch {
 		case err == nil:
 			accepted++

@@ -8,9 +8,11 @@ import (
 	"spatialdue/internal/bitflip"
 	"spatialdue/internal/core"
 	"spatialdue/internal/faultinject"
+	"spatialdue/internal/mca"
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
+	"spatialdue/internal/trace"
 )
 
 // newCrashEnv builds a fresh engine over arr registered as "grid" — the
@@ -35,14 +37,22 @@ func TestCrashReplayEveryPoint(t *testing.T) {
 		submitCrashes bool
 		// wantReplay: the intent is dangling after the crash.
 		wantReplay bool
+		// runHere: the DUE is a marked MCA delivery that runs on the
+		// submitting goroutine, so the crash has fired when it returns.
+		runHere bool
 	}{
 		{point: "journal/intent-written", submitCrashes: true, wantReplay: true},
 		{point: "service/recovery-done", wantReplay: true},
+		{point: "service/recovery-done", wantReplay: true, runHere: true},
 		{point: "journal/outcome-unwritten", wantReplay: true},
 		{point: "journal/outcome-written", wantReplay: false},
 	}
 	for _, tc := range cases {
-		t.Run(tc.point, func(t *testing.T) {
+		name := tc.point
+		if tc.runHere {
+			name += "/run-here"
+		}
+		t.Run(name, func(t *testing.T) {
 			defer faultinject.DisarmCrashes()
 			jpath := filepath.Join(t.TempDir(), "recovery.jsonl")
 			arr := smoothArray(16, 16)
@@ -61,7 +71,18 @@ func TestCrashReplayEveryPoint(t *testing.T) {
 			arr.SetOffset(off, math.NaN())
 			faultinject.ArmCrash(tc.point)
 
-			if tc.submitCrashes {
+			switch {
+			case tc.runHere:
+				m := mca.New(1)
+				svc1.AttachMCA(m)
+				svc1.StageTrace(alloc1.AddrOf(off), trace.New(), true)
+				if err := m.RaiseMemoryDUE(alloc1.AddrOf(off), 0); err != nil {
+					t.Fatal(err)
+				}
+				if point, crashed := svc1.Crashed(); !crashed || point != tc.point {
+					t.Fatalf("after the run-here delivery: crashed=%v at %q, want %q", crashed, point, tc.point)
+				}
+			case tc.submitCrashes:
 				func() {
 					defer func() {
 						r := recover()
@@ -74,7 +95,7 @@ func TestCrashReplayEveryPoint(t *testing.T) {
 					}()
 					_ = svc1.Submit(alloc1, off)
 				}()
-			} else {
+			default:
 				if err := svc1.Submit(alloc1, off); err != nil {
 					t.Fatal(err)
 				}

@@ -2,10 +2,16 @@
 // front end — the intake layer a fleet-scale deployment puts between MCA
 // event streams and the reconstruction math:
 //
-//   - a bounded worker pool with admission control: past a configurable
-//     queue depth, new DUEs are rejected with ErrOverloaded instead of
-//     blocking MCA delivery (the machine keeps the record latched and the
-//     service redelivers once capacity frees up);
+//   - admission control: past a configurable queue depth, new DUEs are
+//     rejected with ErrOverloaded instead of blocking MCA delivery (the
+//     machine keeps the record latched and the service redelivers once
+//     capacity frees up), and at most Config.Workers recoveries run at
+//     once. An MCA delivery whose address the caller staged with the
+//     run-here mark (the HTTP front end's single POST /v1/events) runs to
+//     its outcome on the delivering goroutine when a worker token is free
+//     and nothing is queued; every other submission is queued for the
+//     worker goroutines, which coalesce backed-up same-allocation runs
+//     into batches;
 //   - a per-recovery context deadline plumbed through the engine's
 //     escalation ladder, so a stuck predictor or checkpoint restore cannot
 //     wedge a worker;
@@ -59,7 +65,8 @@ var ErrCircuitOpen = errors.New("service: circuit open")
 // Config parameterizes a Service. Zero values select the documented
 // defaults; negative values disable where noted.
 type Config struct {
-	// Workers is the recovery pool size (default 4).
+	// Workers bounds concurrent recoveries, pool and run-here together
+	// (default 4).
 	Workers int
 	// QueueDepth bounds queued-but-unstarted recoveries; submissions past
 	// it get ErrOverloaded (default 64).
@@ -174,8 +181,17 @@ type task struct {
 	replayed  bool
 	probe     bool
 	tr        *trace.Trace
-	enqueued  time.Time // when the task entered the queue (queue_wait span)
+	enqueued  time.Time // when the task was admitted (queue_wait span)
 }
+
+// intake is where a submission came from; it decides the admission tail.
+type intake uint8
+
+const (
+	intakeDirect   intake = iota // Submit, SubmitAddress: queued
+	intakeReplay                 // SubmitReplayed: queued, marked Replayed
+	intakeDelivery               // an MCA delivery: runs here when its staging is marked
+)
 
 // Service is the resilient recovery front end. Create with New, launch
 // workers with Start, stop with Drain/Close.
@@ -185,15 +201,18 @@ type Service struct {
 	jr  *journal.Recovery
 
 	queue chan task
-	wg    sync.WaitGroup
+	// tokens holds one entry per running recovery, pool or run-here; its
+	// capacity is Config.Workers.
+	tokens chan struct{}
+	wg     sync.WaitGroup // pool workers and run-here recoveries
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
 	mu       sync.Mutex
 	breakers map[string]*breaker
-	pendingN int
-	busyN    int
+	pendingN int // reserved admission slots: in admission, queued, or taken but not started
+	queuedN  int // queued tasks not yet started (run-here waits for 0)
 	stopped  bool
 	started  bool
 	crashed  string // crash point, when a simulated crash killed the service
@@ -207,7 +226,14 @@ type Service struct {
 	// circuit-open event stays staged, and the redelivered submission claims
 	// it, so the trace spans the latched wait.
 	stagedMu sync.Mutex
-	staged   map[uint64]*trace.Trace
+	staged   map[uint64]staging
+}
+
+// staging is one staged trace; runHere marks the synchronous delivery of a
+// single event until its stager clears the mark.
+type staging struct {
+	tr      *trace.Trace
+	runHere bool
 }
 
 // stagedTraceCap bounds the staged-trace map: past it new stagings are
@@ -216,17 +242,32 @@ type Service struct {
 const stagedTraceCap = 4096
 
 // StageTrace associates tr with a faulting address about to be raised
-// through the MCA machine. The next submission for addr claims it.
-func (s *Service) StageTrace(addr uint64, tr *trace.Trace) {
+// through the MCA machine. The next submission for addr claims it. runHere
+// marks the raise as the synchronous delivery of a single event: an MCA
+// delivery that claims a marked staging runs its recovery on the
+// delivering goroutine when a worker token is free and nothing is queued.
+// The stager clears the mark with EndRunHere once its raise returns.
+func (s *Service) StageTrace(addr uint64, tr *trace.Trace, runHere bool) {
 	if tr == nil {
 		return
 	}
 	s.stagedMu.Lock()
 	if s.staged == nil {
-		s.staged = map[uint64]*trace.Trace{}
+		s.staged = map[uint64]staging{}
 	}
 	if len(s.staged) < stagedTraceCap {
-		s.staged[addr] = tr
+		s.staged[addr] = staging{tr: tr, runHere: runHere}
+	}
+	s.stagedMu.Unlock()
+}
+
+// EndRunHere clears the run-here mark of tr's staging at addr, if it is
+// still staged: an event that latched keeps its trace for the redelivery,
+// and the redelivery is queued.
+func (s *Service) EndRunHere(addr uint64, tr *trace.Trace) {
+	s.stagedMu.Lock()
+	if st, ok := s.staged[addr]; ok && st.tr == tr {
+		s.staged[addr] = staging{tr: tr}
 	}
 	s.stagedMu.Unlock()
 }
@@ -235,22 +276,20 @@ func (s *Service) StageTrace(addr uint64, tr *trace.Trace) {
 // The HTTP front end calls it when an event is terminally rejected, so the
 // staged map does not accumulate traces for recoveries that will never run.
 func (s *Service) UnstageTrace(addr uint64) *trace.Trace {
-	s.stagedMu.Lock()
-	tr := s.staged[addr]
-	delete(s.staged, addr)
-	s.stagedMu.Unlock()
+	tr, _ := s.claimTrace(addr)
 	return tr
 }
 
-// claimTrace hands the staged trace for addr to an admitted submission.
-func (s *Service) claimTrace(addr uint64) *trace.Trace {
+// claimTrace hands the staged trace for addr, and its run-here mark, to an
+// admitted submission.
+func (s *Service) claimTrace(addr uint64) (*trace.Trace, bool) {
 	s.stagedMu.Lock()
-	tr := s.staged[addr]
-	if tr != nil {
+	st, ok := s.staged[addr]
+	if ok {
 		delete(s.staged, addr)
 	}
 	s.stagedMu.Unlock()
-	return tr
+	return st.tr, st.runHere
 }
 
 // New creates a service over eng. When cfg.JournalPath is set, the journal
@@ -300,6 +339,7 @@ func New(eng *core.Engine, cfg Config) (*Service, error) {
 	s := &Service{
 		eng:      eng,
 		cfg:      cfg,
+		tokens:   make(chan struct{}, cfg.Workers),
 		breakers: map[string]*breaker{},
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 	}
@@ -352,6 +392,7 @@ func (s *Service) replay(in journal.Intent) {
 	tr.SetReplayed()
 	s.mu.Lock()
 	s.pendingN++
+	s.queuedN++
 	s.stats.Replayed++
 	s.queue <- task{
 		alloc: alloc, addr: in.Addr, off: in.Offset, detected: in.Detected,
@@ -375,9 +416,12 @@ func (s *Service) Start() {
 	}
 }
 
-// AttachMCA registers the service as a machine-check handler. Delivery is
-// non-blocking: the handler only admits the event into the queue (nil means
-// accepted, not recovered). An ErrOverloaded rejection leaves the record
+// AttachMCA registers the service as a machine-check handler. nil means
+// accepted. A delivery whose address was staged with the run-here mark
+// (StageTrace) runs its recovery to the outcome before the handler returns
+// when a worker token is free and nothing is queued; every other delivery
+// — latched and overflowed redeliveries included — is queued and never
+// blocks the deliverer. An ErrOverloaded rejection leaves the record
 // latched in its bank, and the service calls RedeliverLatched whenever a
 // worker frees capacity, so overflowed events are delivered late rather
 // than dropped.
@@ -389,7 +433,7 @@ func (s *Service) AttachMCA(m *mca.Machine) {
 		if !ev.IsDUE() {
 			return fmt.Errorf("service: not a recoverable DUE: %v", ev)
 		}
-		return s.SubmitAddress(ev.Addr)
+		return s.submitAddress(ev.Addr, intakeDelivery)
 	})
 }
 
@@ -399,19 +443,23 @@ func (s *Service) AttachMCA(m *mca.Machine) {
 // ErrCheckpointRestartRequired) when the allocation is degraded, and
 // ErrCheckpointRestartRequired when the address is not registered.
 func (s *Service) SubmitAddress(addr uint64) error {
+	return s.submitAddress(addr, intakeDirect)
+}
+
+func (s *Service) submitAddress(addr uint64, from intake) error {
 	alloc, off, err := s.eng.Table().Lookup(addr)
 	if err != nil {
 		// Double-wrap: registry.ErrMetadataCorrupt must stay matchable so
 		// the HTTP layer maps corrupt-descriptor refusals to 422, not 404.
 		err = fmt.Errorf("%w: %w", core.ErrCheckpointRestartRequired, err)
 	}
-	return s.submit(alloc, addr, off, false, err)
+	return s.submit(alloc, addr, off, from, err)
 }
 
 // Submit admits a recovery for a known allocation element (detector paths
 // that localize corruption without a physical address).
 func (s *Service) Submit(alloc *registry.Allocation, off int) error {
-	return s.submit(alloc, 0, off, false, nil)
+	return s.submit(alloc, 0, off, intakeDirect, nil)
 }
 
 // SubmitReplayed admits a recovery replayed from a replicated journal — the
@@ -422,14 +470,18 @@ func (s *Service) Submit(alloc *registry.Allocation, off int) error {
 // the same admission errors as Submit (retry ErrOverloaded with backoff:
 // promotion replay must not drop intents just because a storm is running).
 func (s *Service) SubmitReplayed(alloc *registry.Allocation, addr uint64, off int) error {
-	return s.submit(alloc, addr, off, true, nil)
+	return s.submit(alloc, addr, off, intakeReplay, nil)
 }
 
-// submit is every entry point's admission path. It counts each attempt once,
-// so Stats.Submitted sees rejections too: a target the entry point could not
-// resolve (err), an offset outside the array, a stopped service, a full
-// queue. addr 0 means the element's own address.
-func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, replayed bool, err error) error {
+// submit is every entry point's admission path. Its prologue counts each
+// attempt once, so Stats.Submitted sees rejections too: a target the entry
+// point could not resolve (err), an offset outside the array, a stopped
+// service, a full queue. It then reserves a slot, asks the breaker, claims
+// the trace, quarantines at intake and writes the journal intent. One of two
+// tails follows: run-here, for a delivery that claimed a run-here mark while
+// a worker token is free and nothing is queued, or the queue. addr 0 means
+// the element's own address.
+func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, from intake, err error) error {
 	if err == nil && (off < 0 || off >= alloc.Array.Len()) {
 		err = fmt.Errorf("%w: offset %d out of range", core.ErrCheckpointRestartRequired, off)
 	}
@@ -482,10 +534,11 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 	// Claim the ingest-staged trace (HTTP traceparent), or mint one. This
 	// happens only after the overloaded/breaker rejections above, so a
 	// latched event's trace stays staged for redelivery.
-	tr := s.claimTrace(addr)
+	tr, marked := s.claimTrace(addr)
 	if tr == nil {
 		tr = trace.New()
 	}
+	replayed := from == intakeReplay
 	if replayed {
 		tr.SetReplayed()
 	}
@@ -543,9 +596,41 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 	if replayed {
 		s.stats.Replayed++
 	}
-	s.queue <- t // cannot block: slot reserved above
+	here := from == intakeDelivery && marked && s.queuedN == 0 && s.tryToken()
+	if here {
+		// The slot only covered admission; the token bounds the recovery,
+		// and Drain waits for it like for a worker.
+		s.pendingN--
+		s.wg.Add(1)
+	} else {
+		s.queuedN++
+		s.queue <- t // cannot block: slot reserved above
+	}
 	s.mu.Unlock()
+	if here {
+		s.runHere(t)
+	}
 	return nil
+}
+
+// runHere is the run-here tail: the submitting goroutine, holding a worker
+// token, takes t to its outcome.
+func (s *Service) runHere(t task) {
+	defer func() {
+		<-s.tokens
+		s.wg.Done()
+	}()
+	s.run([]task{t})
+}
+
+// tryToken takes a worker token if one is free, without blocking.
+func (s *Service) tryToken() bool {
+	select {
+	case s.tokens <- struct{}{}:
+		return true
+	default:
+		return false
+	}
 }
 
 // breakerFor returns (creating on demand) the allocation's breaker, or nil
@@ -610,16 +695,15 @@ func (s *Service) worker() {
 		if !ok {
 			return
 		}
+		s.tokens <- struct{}{} // waits while run-here recoveries hold every token
 		// Opportunistic batching: when the queue is backed up (a DUE storm),
 		// drain additional queued tasks without blocking and coalesce
 		// same-allocation runs into one RecoverBatch call. The budget leaves
-		// one queued task behind for every worker that is not currently
-		// mid-recovery: batching must never serialize work an available peer
-		// could run in parallel, and a worker never waits for a batch to
-		// fill.
+		// one queued task behind for every token no recovery holds: batching
+		// must never serialize work an available peer could run in parallel,
+		// and a worker never waits for a batch to fill.
 		s.mu.Lock()
-		s.busyN++
-		spare := s.cfg.Workers - s.busyN
+		spare := s.cfg.Workers - len(s.tokens)
 		budget := s.pendingN - 1 - spare // queued beyond t and the spares' share
 		s.mu.Unlock()
 		if budget > s.cfg.BatchMax-1 {
@@ -642,61 +726,67 @@ func (s *Service) worker() {
 		}
 		s.mu.Lock()
 		s.pendingN -= len(ts)
-		dead := s.crashed != ""
+		s.queuedN -= len(ts)
 		s.mu.Unlock()
-		// Queue wait ends here, for the whole drained set at once. Recorded
-		// exactly once per task: transient members a batch later hands to the
-		// sequential retry path must not observe it again.
-		for i := range ts {
-			if !ts[i].enqueued.IsZero() {
-				ts[i].tr.Observe(trace.StageQueueWait, ts[i].enqueued)
-			}
-		}
-		if dead {
-			// Simulated process death: queued work is lost with the
-			// process (the journal has its intents).
-			continue
-		}
-		// Elements the predictive-health tier migrated before their DUE are
-		// served from the shadow — no ladder, no stripe contention, and the
-		// restored value is bit-exact by construction.
-		if s.cfg.Shadow != nil {
-			kept := ts[:0]
-			for _, tt := range ts {
-				if s.shadowRestore(tt) {
-					continue
-				}
-				kept = append(kept, tt)
-			}
-			ts = kept
-		}
-		// Group the drained tasks by allocation, preserving submission order
-		// within each group; singleton groups take the sequential path.
-		groups := make([][]task, 0, 1)
-		groupOf := make(map[*registry.Allocation]int, 1)
-		for _, tt := range ts {
-			gi, ok := groupOf[tt.alloc]
-			if !ok {
-				gi = len(groups)
-				groupOf[tt.alloc] = gi
-				groups = append(groups, nil)
-			}
-			groups[gi] = append(groups[gi], tt)
-		}
-		for _, g := range groups {
-			if s.isCrashed() {
-				break
-			}
-			if len(g) == 1 {
-				s.process(g[0])
-			} else {
-				s.processBatch(g)
-			}
-		}
-		s.mu.Lock()
-		s.busyN--
-		s.mu.Unlock()
+		s.run(ts)
+		<-s.tokens
 		s.maybeRedeliver()
+	}
+}
+
+// run takes tasks that hold one worker token, from a worker's drained set
+// or a run-here submission, to their outcomes.
+func (s *Service) run(ts []task) {
+	// Queue wait ends here, for the whole set at once. Recorded exactly once
+	// per task: transient members a batch later hands to the sequential
+	// retry path must not observe it again.
+	for i := range ts {
+		ts[i].tr.Observe(trace.StageQueueWait, ts[i].enqueued)
+	}
+	if s.isCrashed() {
+		// Simulated process death: queued work is lost with the process
+		// (the journal has its intents).
+		return
+	}
+	// Elements the predictive-health tier migrated before their DUE are
+	// served from the shadow — no ladder, no stripe contention, and the
+	// restored value is bit-exact by construction.
+	if s.cfg.Shadow != nil {
+		kept := ts[:0]
+		for _, tt := range ts {
+			if s.shadowRestore(tt) {
+				continue
+			}
+			kept = append(kept, tt)
+		}
+		ts = kept
+	}
+	if len(ts) == 1 {
+		s.process(ts[0])
+		return
+	}
+	// Group the tasks by allocation, preserving submission order within
+	// each group; singleton groups take the sequential path.
+	groups := make([][]task, 0, 1)
+	groupOf := make(map[*registry.Allocation]int, 1)
+	for _, tt := range ts {
+		gi, ok := groupOf[tt.alloc]
+		if !ok {
+			gi = len(groups)
+			groupOf[tt.alloc] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], tt)
+	}
+	for _, g := range groups {
+		if s.isCrashed() {
+			break
+		}
+		if len(g) == 1 {
+			s.process(g[0])
+		} else {
+			s.processBatch(g)
+		}
 	}
 }
 

@@ -253,7 +253,7 @@ func TestStagedTraceClaimedBySubmit(t *testing.T) {
 	const id = "4bf92f3577b34da6a3ce929d0e0e4736"
 	off := a.Offset(6, 6)
 	a.SetOffset(off, math.NaN())
-	svc.StageTrace(alloc.AddrOf(off), trace.WithID(id))
+	svc.StageTrace(alloc.AddrOf(off), trace.WithID(id), false)
 	if err := svc.Submit(alloc, off); err != nil {
 		t.Fatal(err)
 	}
