@@ -52,7 +52,6 @@ import (
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
 	"spatialdue/internal/service"
-	"spatialdue/internal/tradeoff"
 )
 
 // Array is a dense, row-major, N-dimensional float64 array — the container
@@ -241,26 +240,6 @@ type AuditEntry = core.AuditEntry
 // see Engine.RecoverBurst.
 type BurstOutcome = core.BurstOutcome
 
-// TradeoffParams parameterizes the end-to-end recovery-strategy simulator
-// that quantifies Section 4.5's checkpoint-restart comparison.
-type TradeoffParams = tradeoff.Params
-
-// TradeoffStrategy selects a recovery discipline for the simulator.
-type TradeoffStrategy = tradeoff.Strategy
-
-// Recovery-strategy constants for SimulateTradeoff.
-const (
-	StrategyCheckpointRestart = tradeoff.CheckpointRestart
-	StrategyForwardRecovery   = tradeoff.ForwardRecovery
-	StrategyComputeThrough    = tradeoff.ComputeThrough
-)
-
-// SimulateTradeoff runs one execution timeline under Poisson faults and
-// returns its outcome (see cmd/duetradeoff for a complete comparison).
-func SimulateTradeoff(p TradeoffParams, s TradeoffStrategy, seed int64) tradeoff.Outcome {
-	return tradeoff.Simulate(p, s, seed)
-}
-
 // MetricsHandler serves an engine's recovery counters in the Prometheus
 // text exposition format — mount it on /metrics to observe a protected
 // application's recovery activity.
@@ -320,28 +299,10 @@ var ErrRecoveryAbandoned = core.ErrRecoveryAbandoned
 // off the neighbor spread); the escalation ladder tries the next rung.
 var ErrVerifyFailed = core.ErrVerifyFailed
 
-// HTTPServer is the networked recovery front end: per-tenant allocation
-// registration, field upload/download, streaming DUE/MCE ingestion into a
-// RecoveryService, recovery-outcome and quarantine queries, health and
-// metrics endpoints. See cmd/duerecover -serve -listen for the deployment
-// shape and cmd/dueload for a load generator driving it.
-type HTTPServer = httpapi.Server
-
-// HTTPServerConfig parameterizes an HTTPServer.
-type HTTPServerConfig = httpapi.ServerConfig
-
-// NewHTTPServer builds the full networked pipeline over an engine: a
-// recovery service (from cfg.Service), an ingestion MCA whose banks latch
-// backpressured events for redelivery, and the HTTP surface. Serve with
-// HTTPServer.Run (graceful drain on context cancellation) or mount it as an
-// http.Handler.
-func NewHTTPServer(e *Engine, cfg HTTPServerConfig) (*HTTPServer, error) {
-	return httpapi.NewServer(e, cfg)
-}
-
-// HTTPClient is the typed client SDK for an HTTPServer. Error responses map
-// back to the package sentinels: errors.Is(err, ErrOverloaded) works across
-// the wire exactly as in-process.
+// HTTPClient is the typed client SDK for the networked recovery server
+// (cmd/duerecover -serve -listen). Error responses map back to the package
+// sentinels: errors.Is(err, ErrOverloaded) works across the wire exactly as
+// in-process.
 type HTTPClient = client.Client
 
 // HTTPClientConfig parameterizes an HTTPClient.

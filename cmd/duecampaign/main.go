@@ -57,16 +57,11 @@ func main() {
 	cfg.AutotuneTrials = *autotrials
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	switch *scaleFlag {
-	case "tiny":
-		cfg.Scale = sdrbench.ScaleTiny
-	case "small":
-		cfg.Scale = sdrbench.ScaleSmall
-	case "medium":
-		cfg.Scale = sdrbench.ScaleMedium
-	default:
-		fatalf("unknown -scale %q (want tiny, small, or medium)", *scaleFlag)
+	scale, err := sdrbench.ParseScale(*scaleFlag)
+	if err != nil {
+		fatalf("%v", err)
 	}
+	cfg.Scale = scale
 	cfg.DataDir = *dataDir
 	fclass, err := faultinject.ParseFaultClass(*faultFlag)
 	if err != nil {

@@ -12,11 +12,9 @@
 package main
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,16 +35,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var scale sdrbench.Scale
-	switch *scaleFlag {
-	case "tiny":
-		scale = sdrbench.ScaleTiny
-	case "small":
-		scale = sdrbench.ScaleSmall
-	case "medium":
-		scale = sdrbench.ScaleMedium
-	default:
-		fatalf("unknown -scale %q", *scaleFlag)
+	scale, err := sdrbench.ParseScale(*scaleFlag)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	switch {
@@ -114,32 +105,16 @@ func dumpDataset(spec, out string, scale sdrbench.Scale) {
 	if len(parts) != 2 {
 		fatalf("-dump wants APP/NAME, got %q", spec)
 	}
-	var app sdrbench.App
-	found := false
-	for _, a := range sdrbench.Apps() {
-		if strings.EqualFold(a.String(), parts[0]) {
-			app, found = a, true
-			break
-		}
-	}
-	if !found {
-		fatalf("unknown application %q", parts[0])
+	app, err := sdrbench.ParseApp(parts[0])
+	if err != nil {
+		fatalf("%v", err)
 	}
 	if out == "" {
 		out = parts[1] + ".f32"
 	}
 	ds := sdrbench.Generate(app, parts[1], scale)
-	f, err := os.Create(out)
-	if err != nil {
-		fatalf("create: %v", err)
-	}
-	defer f.Close()
-	buf := make([]byte, 4)
-	for _, v := range ds.Array.Data() {
-		binary.LittleEndian.PutUint32(buf, math.Float32bits(float32(v)))
-		if _, err := f.Write(buf); err != nil {
-			fatalf("write: %v", err)
-		}
+	if err := sdrbench.WriteRaw(ds, out); err != nil {
+		fatalf("write: %v", err)
 	}
 	fmt.Printf("wrote %s: %s, %d float32 values\n", out, ds.Array, ds.Array.Len())
 }

@@ -32,16 +32,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var scale sdrbench.Scale
-	switch *scaleFlag {
-	case "tiny":
-		scale = sdrbench.ScaleTiny
-	case "small":
-		scale = sdrbench.ScaleSmall
-	case "medium":
-		scale = sdrbench.ScaleMedium
-	default:
-		fmt.Fprintf(os.Stderr, "dueoverhead: unknown -scale %q\n", *scaleFlag)
+	scale, err := sdrbench.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dueoverhead: %v\n", err)
 		os.Exit(1)
 	}
 

@@ -66,7 +66,6 @@ func main() {
 		workers  = flag.Int("workers", 4, "serve: recovery pool size")
 		queue    = flag.Int("queue", 64, "serve: admission queue depth")
 		deadline = flag.Duration("deadline", 2*time.Second, "serve: per-recovery deadline (negative disables)")
-		batchMax = flag.Int("batch-max", 16, "serve: max queued same-allocation recoveries coalesced per RecoverBatch call (1 disables)")
 		jpath    = flag.String("journal", "", "serve: crash-safe recovery journal path (empty disables)")
 		events   = flag.Int("events", 200, "serve: number of MCA events to stream (0 = until signalled)")
 		rate     = flag.Float64("rate", 100, "serve: event rate per second (0 = as fast as possible)")
@@ -88,32 +87,18 @@ func main() {
 	)
 	flag.Parse()
 
-	var scale sdrbench.Scale
-	switch *scaleFlag {
-	case "tiny":
-		scale = sdrbench.ScaleTiny
-	case "small":
-		scale = sdrbench.ScaleSmall
-	case "medium":
-		scale = sdrbench.ScaleMedium
-	default:
-		fatalf("unknown -scale %q", *scaleFlag)
+	scale, err := sdrbench.ParseScale(*scaleFlag)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	parts := strings.SplitN(*dataset, "/", 2)
 	if len(parts) != 2 {
 		fatalf("-dataset wants APP/NAME, got %q", *dataset)
 	}
-	var app sdrbench.App
-	found := false
-	for _, a := range sdrbench.Apps() {
-		if strings.EqualFold(a.String(), parts[0]) {
-			app, found = a, true
-			break
-		}
-	}
-	if !found {
-		fatalf("unknown application %q", parts[0])
+	app, err := sdrbench.ParseApp(parts[0])
+	if err != nil {
+		fatalf("%v", err)
 	}
 	ds := sdrbench.Generate(app, parts[1], scale)
 
@@ -135,7 +120,7 @@ func main() {
 			addr: *listen, config: *clusterCfg, node: *clusterNode,
 			dataDir: *dataDir, heartbeat: *heartbeat, budget: *hbBudget,
 			inject: *enableInject, workers: *workers, queue: *queue,
-			deadline: *deadline, batchMax: *batchMax, seed: *seed,
+			deadline: *deadline, seed: *seed,
 			predictor: *predictorOn, fieldStore: *fieldStore,
 		})
 		dumpTraces(eng, *traceTop)
@@ -146,7 +131,7 @@ func main() {
 		runListen(eng, ds, policy, listenOptions{
 			addr: *listen, metricsAddr: *metricsAddr, inject: *enableInject,
 			workers: *workers, queue: *queue, deadline: *deadline,
-			batchMax: *batchMax, journal: *jpath, seed: *seed,
+			journal: *jpath, seed: *seed,
 			predictor: *predictorOn, fieldStore: *fieldStore, dataDir: *dataDir,
 		})
 		dumpTraces(eng, *traceTop)
@@ -158,7 +143,7 @@ func main() {
 	if *serve {
 		runServe(eng, alloc, ds, serveOptions{
 			workers: *workers, queue: *queue, deadline: *deadline,
-			batchMax: *batchMax, journal: *jpath, events: *events,
+			journal: *jpath, events: *events,
 			rate: *rate, seed: *seed, metricsAddr: *metricsAddr,
 		})
 		dumpTraces(eng, *traceTop)
@@ -229,7 +214,6 @@ func dumpTraces(eng *spatialdue.Engine, n int) {
 type serveOptions struct {
 	workers, queue int
 	deadline       time.Duration
-	batchMax       int
 	journal        string
 	events         int
 	rate           float64
@@ -242,7 +226,6 @@ type listenOptions struct {
 	inject            bool
 	workers, queue    int
 	deadline          time.Duration
-	batchMax          int
 	journal           string
 	seed              int64
 	predictor         bool
@@ -257,7 +240,6 @@ type clusterOptions struct {
 	inject             bool
 	workers, queue     int
 	deadline           time.Duration
-	batchMax           int
 	seed               int64
 	predictor          bool
 	fieldStore         string
@@ -296,7 +278,7 @@ func runCluster(eng *spatialdue.Engine, opt clusterOptions) {
 		Server: httpapi.ServerConfig{
 			Service: service.Config{
 				Workers: opt.workers, QueueDepth: opt.queue, Deadline: opt.deadline,
-				BatchMax: opt.batchMax, JournalSync: true, Seed: opt.seed,
+				JournalSync: true, Seed: opt.seed,
 			},
 			EnableInject: opt.inject,
 			Predictor:    opt.predictor,
@@ -370,7 +352,7 @@ func runListen(eng *spatialdue.Engine, ds *sdrbench.Dataset, policy spatialdue.P
 	srv, err := httpapi.NewServer(eng, httpapi.ServerConfig{
 		Service: service.Config{
 			Workers: opt.workers, QueueDepth: opt.queue, Deadline: opt.deadline,
-			BatchMax: opt.batchMax, JournalPath: opt.journal, JournalSync: true,
+			JournalPath: opt.journal, JournalSync: true,
 			Seed: opt.seed,
 		},
 		EnableInject: opt.inject,
@@ -423,7 +405,7 @@ func runListen(eng *spatialdue.Engine, ds *sdrbench.Dataset, policy spatialdue.P
 func runServe(eng *spatialdue.Engine, alloc *spatialdue.Allocation, ds *sdrbench.Dataset, opt serveOptions) {
 	svc, err := spatialdue.NewRecoveryService(eng, spatialdue.ServiceConfig{
 		Workers: opt.workers, QueueDepth: opt.queue, Deadline: opt.deadline,
-		BatchMax: opt.batchMax, JournalPath: opt.journal, JournalSync: true,
+		JournalPath: opt.journal, JournalSync: true,
 		Seed: opt.seed,
 	})
 	if err != nil {

@@ -73,7 +73,7 @@ type CacheStats struct {
 	Coalesced int
 	// Expiries are TTL-expired hits that became misses.
 	Expiries int
-	// Invalidations counts entries dropped by Invalidate/InvalidateRegions.
+	// Invalidations counts entries dropped by InvalidateRegions.
 	Invalidations int
 	// Corrections counts Update calls that replaced a different cached
 	// method — the stale-entry fix path.
@@ -83,10 +83,7 @@ type CacheStats struct {
 type cacheEntry struct {
 	method predict.Method
 	scores []Score
-	// confidence is the chosen method's leave-one-out hit rate at tune
-	// time (the per-region confidence surfaced to analytics consumers).
-	confidence float64
-	uses       int
+	uses   int
 }
 
 // flight is one in-progress tune; followers block on done.
@@ -235,14 +232,7 @@ func applyBias(res Result, pol Policy) predict.Method {
 }
 
 func newEntry(chosen predict.Method, scores []Score) *cacheEntry {
-	e := &cacheEntry{method: chosen, scores: scores}
-	for _, sc := range scores {
-		if sc.Method == chosen {
-			e.confidence = sc.HitRate()
-			break
-		}
-	}
-	return e
+	return &cacheEntry{method: chosen, scores: scores}
 }
 
 // Update replaces idx's region entry with a freshly observed winner — the
@@ -257,27 +247,6 @@ func (c *Cache) Update(idx []int, winner predict.Method, scores []Score) {
 	}
 	c.entries[region] = newEntry(winner, scores)
 	c.mu.Unlock()
-}
-
-// Confidence returns the cached entry's leave-one-out hit rate for idx's
-// region (ok=false when the region has no entry).
-func (c *Cache) Confidence(idx []int) (float64, bool) {
-	region := c.Region(idx)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[region]; ok {
-		return e.confidence, true
-	}
-	return 0, false
-}
-
-// Invalidate drops every cached decision (call when the protected data
-// changes character, e.g. after a full-field re-upload). Counters survive.
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Invalidations += len(c.entries)
-	c.entries = map[int]*cacheEntry{}
 }
 
 // InvalidateRegions drops only the listed regions' decisions — the

@@ -33,21 +33,6 @@ func TestCacheHitsSameRegion(t *testing.T) {
 	}
 }
 
-func TestCacheInvalidate(t *testing.T) {
-	a := planeArray(16, 16)
-	env := predict.NewEnv(a, 1)
-	c := NewCache(8)
-	cfg := DefaultConfig()
-	if _, _, err := c.Select(env, []int{4, 4}, cfg); err != nil {
-		t.Fatal(err)
-	}
-	c.Invalidate()
-	_, cached, err := c.Select(env, []int{4, 4}, cfg)
-	if err != nil || cached {
-		t.Errorf("post-invalidate select cached=%v err=%v", cached, err)
-	}
-}
-
 func TestCacheMatchesUncachedChoice(t *testing.T) {
 	a := planeArray(24, 24)
 	env := predict.NewEnv(a, 1)

@@ -24,13 +24,16 @@ import (
 	"spatialdue/internal/sdrbench"
 )
 
-// defaultRelErrClamp bounds individual relative errors when summing, so a
-// handful of wild reconstructions cannot dominate mean statistics.
-const defaultRelErrClamp = 1e3
+// relErrClamp bounds individual relative errors when summing, so a handful
+// of wild reconstructions cannot dominate mean statistics. Failed
+// predictions are charged at the clamp.
+const relErrClamp = 1e3
 
-// defaultReservoirCap bounds the per-(method, app) sample kept for
-// quantiles.
-const defaultReservoirCap = 4096
+// reservoirCap bounds the per-(method, app) sample kept for quantiles.
+const reservoirCap = 4096
+
+// autotuneK is the tuner's neighborhood radius (paper: 3).
+const autotuneK = 3
 
 // Config parameterizes a campaign.
 type Config struct {
@@ -43,8 +46,6 @@ type Config struct {
 	// AutotuneTrials is how many of each dataset's trials additionally run
 	// the auto-tuner (Figures 8 and 9). Zero disables tuning.
 	AutotuneTrials int
-	// AutotuneK is the tuner's neighborhood radius (paper: 3).
-	AutotuneK int
 	// AutotuneMaxProbes caps tuner probes per trial (0 = no cap).
 	AutotuneMaxProbes int
 	// Tolerance is the tuner's scoring bound (paper: 0.01).
@@ -56,7 +57,7 @@ type Config struct {
 	// Apps restricts the applications (empty = all five).
 	Apps []sdrbench.App
 	// DataDir, when set, runs the campaign on real SDRBench dumps loaded
-	// from DataDir/manifest.json (see sdrbench.LoadDir) instead of the
+	// from DataDir/manifest.json (sdrbench.LoadManifest) instead of the
 	// synthetic generators. Scale and Apps are ignored in that mode.
 	DataDir string
 	// Seed makes the whole campaign reproducible.
@@ -65,13 +66,6 @@ type Config struct {
 	Workers int
 	// Progress, when non-nil, receives one line per completed dataset.
 	Progress func(string)
-	// RelErrClamp bounds individual relative errors when summing (0 selects
-	// the default 1e3). Large journaled campaigns can lower it to tighten
-	// mean statistics against outliers.
-	RelErrClamp float64
-	// ReservoirCap bounds the per-(method, app) quantile sample (0 selects
-	// the default 4096). Lower it to bound memory on very large campaigns.
-	ReservoirCap int
 	// FaultClass selects the injected fault shape (default ClassBit, the
 	// paper's one-element one-bit model). Structured data classes plan one
 	// physical event per trial — a multi-bit burst, a row wipe, or a column
@@ -83,13 +77,6 @@ type Config struct {
 	// FaultSpan parameterizes FaultClass: adjacent-bit width for ClassBurst,
 	// cells-per-wipe for ClassRow (0 selects the class defaults).
 	FaultSpan int
-	// ResumeJournal, when set, is a crash-safe campaign checkpoint
-	// (internal/journal): every completed dataset's results are appended to
-	// it, and a rerun with an identical configuration skips those datasets
-	// and merges the journaled results instead of recomputing them. A
-	// journal written under a different configuration is ignored and
-	// overwritten.
-	ResumeJournal string
 }
 
 // DefaultConfig returns a configuration that reproduces the paper's shape
@@ -99,7 +86,6 @@ func DefaultConfig() Config {
 		Scale:             sdrbench.ScaleSmall,
 		Trials:            1500,
 		AutotuneTrials:    200,
-		AutotuneK:         3,
 		AutotuneMaxProbes: 48,
 		Tolerance:         0.01,
 		Thresholds:        []float64{0.01, 0.05, 0.10},
@@ -122,12 +108,10 @@ type Cell struct {
 	// Sample is a deterministic reservoir of relative errors for quantiles.
 	Sample []float64
 	seen   int
-	clamp  float64
-	rcap   int
 }
 
-func newCell(nThresh int, clamp float64, rcap int) *Cell {
-	return &Cell{Hits: make([]int, nThresh), clamp: clamp, rcap: rcap}
+func newCell(nThresh int) *Cell {
+	return &Cell{Hits: make([]int, nThresh)}
 }
 
 func (c *Cell) add(re float64, thresholds []float64, rng *splitmix) {
@@ -136,22 +120,22 @@ func (c *Cell) add(re float64, thresholds []float64, rng *splitmix) {
 		// No usable prediction (or a NaN reconstruction, equally unusable):
 		// count a failure and charge the clamp value.
 		c.Failures++
-		re = c.clamp
+		re = relErrClamp
 	}
 	for i, t := range thresholds {
 		if re <= t {
 			c.Hits[i]++
 		}
 	}
-	if re > c.clamp {
-		re = c.clamp
+	if re > relErrClamp {
+		re = relErrClamp
 	}
 	c.SumRelErr += re
 	// Reservoir sampling (Algorithm R) with a deterministic generator.
 	c.seen++
-	if len(c.Sample) < c.rcap {
+	if len(c.Sample) < reservoirCap {
 		c.Sample = append(c.Sample, re)
-	} else if j := int(rng.next() % uint64(c.seen)); j < c.rcap {
+	} else if j := int(rng.next() % uint64(c.seen)); j < reservoirCap {
 		c.Sample[j] = re
 	}
 }
@@ -166,8 +150,8 @@ func (c *Cell) merge(o *Cell) {
 	c.seen += o.seen
 	// Keep merge deterministic: concatenate then truncate.
 	c.Sample = append(c.Sample, o.Sample...)
-	if len(c.Sample) > c.rcap {
-		c.Sample = c.Sample[:c.rcap]
+	if len(c.Sample) > reservoirCap {
+		c.Sample = c.Sample[:reservoirCap]
 	}
 }
 
@@ -278,14 +262,9 @@ func (r *Results) appIndex(app sdrbench.App) int {
 	return -1
 }
 
-// pooledCell merges one method's cells across every application, keeping
-// the campaign's aggregation parameters (clamp, reservoir cap).
+// pooledCell merges one method's cells across every application.
 func (r *Results) pooledCell(mi int) *Cell {
-	clamp, rcap := float64(defaultRelErrClamp), defaultReservoirCap
-	if cs := r.PerMethodApp[mi]; len(cs) > 0 && cs[0].rcap > 0 {
-		clamp, rcap = cs[0].clamp, cs[0].rcap
-	}
-	pooled := newCell(len(r.Thresholds), clamp, rcap)
+	pooled := newCell(len(r.Thresholds))
 	for _, c := range r.PerMethodApp[mi] {
 		pooled.merge(c)
 	}
@@ -329,17 +308,8 @@ func Run(cfg Config) (*Results, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.AutotuneK <= 0 {
-		cfg.AutotuneK = 3
-	}
 	if cfg.Tolerance <= 0 {
 		cfg.Tolerance = 0.01
-	}
-	if cfg.RelErrClamp <= 0 {
-		cfg.RelErrClamp = defaultRelErrClamp
-	}
-	if cfg.ReservoirCap <= 0 {
-		cfg.ReservoirCap = defaultReservoirCap
 	}
 
 	res := &Results{
@@ -351,7 +321,7 @@ func Run(cfg Config) (*Results, error) {
 	for mi := range cfg.Methods {
 		res.PerMethodApp[mi] = make([]*Cell, len(cfg.Apps))
 		for ai := range cfg.Apps {
-			res.PerMethodApp[mi][ai] = newCell(len(cfg.Thresholds), cfg.RelErrClamp, cfg.ReservoirCap)
+			res.PerMethodApp[mi][ai] = newCell(len(cfg.Thresholds))
 		}
 	}
 	if cfg.AutotuneTrials > 0 {
@@ -396,7 +366,7 @@ func Run(cfg Config) (*Results, error) {
 		for mi := range cfg.Methods {
 			res.PerMethodApp[mi] = make([]*Cell, len(apps))
 			for ai := range apps {
-				res.PerMethodApp[mi][ai] = newCell(len(cfg.Thresholds), cfg.RelErrClamp, cfg.ReservoirCap)
+				res.PerMethodApp[mi][ai] = newCell(len(cfg.Thresholds))
 			}
 		}
 		if res.Autotune != nil {
@@ -413,19 +383,6 @@ func Run(cfg Config) (*Results, error) {
 		}
 	}
 
-	// Checkpoint/resume: with a journal attached, datasets completed by a
-	// previous (possibly crashed) run under an identical configuration are
-	// merged from the journal instead of recomputed.
-	var resume *resumeState
-	if cfg.ResumeJournal != "" {
-		var err error
-		resume, err = openResume(cfg.ResumeJournal, cfg)
-		if err != nil {
-			return nil, err
-		}
-		defer resume.close()
-	}
-
 	var (
 		wg    sync.WaitGroup
 		errMu sync.Mutex
@@ -436,27 +393,8 @@ func Run(cfg Config) (*Results, error) {
 	// associative, so a fold in completion order would let scheduling decide
 	// the last ulp of SumRelErr and reruns of one configuration would differ.
 	done := make([]*datasetResult, len(jobs))
-	finish := func(i int, dr *datasetResult, suffix string) {
-		done[i] = dr
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("%s/%s %s (%d trials)", jobs[i].app, dr.info.Name, suffix, cfg.Trials))
-		}
-	}
-	fail := func(err error) {
-		errMu.Lock()
-		if first == nil {
-			first = err
-		}
-		errMu.Unlock()
-	}
 	sem := make(chan struct{}, cfg.Workers)
 	for i, j := range jobs {
-		if resume != nil {
-			if dr, ok := resume.lookup(j.app, j.name, cfg); ok {
-				finish(i, dr, "resumed from journal")
-				continue
-			}
-		}
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(i int, j job) {
@@ -464,16 +402,17 @@ func Run(cfg Config) (*Results, error) {
 			defer func() { <-sem }()
 			dr, err := runDatasetSafe(cfg, j.app, j.name, j.load)
 			if err != nil {
-				fail(err)
+				errMu.Lock()
+				if first == nil {
+					first = err
+				}
+				errMu.Unlock()
 				return
 			}
-			if resume != nil {
-				if err := resume.record(j.app, j.name, dr); err != nil {
-					fail(err)
-					return
-				}
+			done[i] = dr
+			if cfg.Progress != nil {
+				cfg.Progress(fmt.Sprintf("%s/%s done (%d trials)", j.app, dr.info.Name, cfg.Trials))
 			}
-			finish(i, dr, "done")
 		}(i, j)
 	}
 	wg.Wait()
@@ -570,7 +509,7 @@ func runDataset(cfg Config, app sdrbench.App, name string, load func() (*sdrbenc
 
 	dr := &datasetResult{cells: make([]*Cell, len(cfg.Methods))}
 	for i := range dr.cells {
-		dr.cells[i] = newCell(len(cfg.Thresholds), cfg.RelErrClamp, cfg.ReservoirCap)
+		dr.cells[i] = newCell(len(cfg.Thresholds))
 	}
 	min, max := arr.MinMax()
 	dr.info = DatasetInfo{
@@ -580,7 +519,7 @@ func runDataset(cfg Config, app sdrbench.App, name string, load func() (*sdrbenc
 	}
 
 	tuneCfg := autotune.Config{
-		K:         cfg.AutotuneK,
+		K:         autotuneK,
 		Tolerance: cfg.Tolerance,
 		Methods:   cfg.Methods,
 		MaxProbes: cfg.AutotuneMaxProbes,

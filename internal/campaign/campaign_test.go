@@ -295,7 +295,7 @@ func TestPaperConclusionLorenzoMedianBelow1Percent(t *testing.T) {
 	}
 	for mi, m := range res.Methods {
 		if m == predict.MethodLorenzo1 {
-			if med := res.MedianRelErrPooled(mi); med >= 0.01 {
+			if med := res.pooledCell(mi).MedianRelErr(); med >= 0.01 {
 				t.Errorf("Lorenzo pooled median rel err = %v, want < 1%%", med)
 			}
 			return

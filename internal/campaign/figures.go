@@ -300,12 +300,6 @@ func (r *Results) WriteQuantilesCSV(w io.Writer) error {
 	return report.CSV(w, headers, rows)
 }
 
-// MedianRelErrPooled returns the pooled median relative error of a method —
-// the statistic behind the paper's headline Lorenzo claim.
-func (r *Results) MedianRelErrPooled(mi int) float64 {
-	return r.pooledCell(mi).MedianRelErr()
-}
-
 func dimsString(dims []int) string {
 	s := ""
 	for i, d := range dims {

@@ -273,11 +273,11 @@ func runSpatialField(cfg SpatialStudyConfig, name string, rate float64) spatialF
 	score := func(m predict.Method, orig float64) (re float64, ok bool) {
 		got, err := predict.New(m).Predict(env, idx)
 		if err != nil {
-			return relErrClampDefault, false
+			return relErrClamp, false
 		}
 		re = bitflip.RelErr(orig, got)
-		if math.IsNaN(re) || re > relErrClampDefault {
-			re = relErrClampDefault
+		if math.IsNaN(re) || re > relErrClamp {
+			re = relErrClamp
 		}
 		return re, true
 	}
@@ -365,10 +365,6 @@ func runSpatialField(cfg SpatialStudyConfig, name string, rate float64) spatialF
 	fr.hotStripes = len(rep.HotStripes)
 	return fr
 }
-
-// relErrClampDefault mirrors the campaign's relative-error clamp for failed
-// or wild predictions.
-const relErrClampDefault = 1e3
 
 // minEvidence is how many within-tolerance probes the fixed-K winner needs
 // before the guided arm trusts the local ranking without escalating.

@@ -358,19 +358,6 @@ func (e *Engine) FTIRepairer() fti.RepairFunc {
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// InvalidateTuneCache drops cached tuning decisions for an array (call
-// after the protected data changes character). A nil array drops all.
-// Lifetime hit/miss counters survive — only the decisions are dropped.
-func (e *Engine) InvalidateTuneCache(arr *ndarray.Array) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for a, st := range e.arrays {
-		if arr == nil || a == arr {
-			st.cache.Invalidate()
-		}
-	}
-}
-
 // TuneCacheCounters returns tune-cache lifetime counters summed across
 // every protected array (exported as spatialdue_tune_cache_*).
 func (e *Engine) TuneCacheCounters() autotune.CacheStats {

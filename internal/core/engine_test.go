@@ -266,29 +266,3 @@ func TestTuneCacheSpeedsRepeatRecoveries(t *testing.T) {
 		t.Error("cached recovery inaccurate")
 	}
 }
-
-func TestInvalidateTuneCache(t *testing.T) {
-	eng := NewEngine(Options{Seed: 8, TuneCacheBlock: 8})
-	a := smoothArray(16, 16)
-	alloc := eng.Protect("g", a, bitflip.Float32, registry.RecoverAny())
-	off := a.Offset(8, 8)
-	a.SetOffset(off, math.NaN())
-	if _, err := eng.RecoverElement(alloc, off); err != nil {
-		t.Fatal(err)
-	}
-	eng.InvalidateTuneCache(a)
-	a.SetOffset(off, math.NaN())
-	if _, err := eng.RecoverElement(alloc, off); err != nil {
-		t.Fatal(err)
-	}
-	// Counters survive invalidation (only decisions are dropped), so the
-	// same cache shows both tuner runs: one before, one re-tune after.
-	hits, misses := eng.stateFor(a).cache.Stats()
-	if hits != 0 || misses != 2 {
-		t.Errorf("stats after invalidation = %d/%d, want 0 hits, 2 misses", hits, misses)
-	}
-	if inv := eng.stateFor(a).cache.Counters().Invalidations; inv != 1 {
-		t.Errorf("invalidations = %d, want 1", inv)
-	}
-	eng.InvalidateTuneCache(nil) // drop-all path must not panic
-}

@@ -25,9 +25,9 @@ type Detector interface {
 }
 
 // RangeDetector flags elements outside a plausible value interval. The
-// interval is either supplied from domain knowledge or learned from a clean
-// reference snapshot (Fit), expanded by a relative margin so legitimate
-// evolution between time steps does not trip it.
+// interval comes from domain knowledge (or a clean snapshot's MinMax),
+// expanded by a relative margin so legitimate evolution between time steps
+// does not trip it.
 type RangeDetector struct {
 	// Lo and Hi bound plausible values.
 	Lo, Hi float64
@@ -37,11 +37,6 @@ type RangeDetector struct {
 
 // Name implements Detector.
 func (*RangeDetector) Name() string { return "range" }
-
-// Fit learns the interval from a clean snapshot.
-func (r *RangeDetector) Fit(a *ndarray.Array) {
-	r.Lo, r.Hi = a.MinMax()
-}
 
 // Scan implements Detector.
 func (r *RangeDetector) Scan(a *ndarray.Array) []int {

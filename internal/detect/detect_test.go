@@ -19,7 +19,7 @@ func smoothGrid(ny, nx int) *ndarray.Array {
 func TestRangeDetectorFitAndFlag(t *testing.T) {
 	a := smoothGrid(20, 20)
 	var d RangeDetector
-	d.Fit(a)
+	d.Lo, d.Hi = a.MinMax() // the clean snapshot's interval
 	if got := d.Scan(a); len(got) != 0 {
 		t.Fatalf("clean scan flagged %d elements", len(got))
 	}
@@ -34,7 +34,7 @@ func TestRangeDetectorFitAndFlag(t *testing.T) {
 func TestRangeDetectorMargin(t *testing.T) {
 	a := smoothGrid(10, 10)
 	var d RangeDetector
-	d.Fit(a)
+	d.Lo, d.Hi = a.MinMax() // the clean snapshot's interval
 	d.Margin = 0.5
 	// A value slightly above the max must survive with a margin.
 	_, max := a.MinMax()
@@ -47,7 +47,7 @@ func TestRangeDetectorMargin(t *testing.T) {
 func TestRangeDetectorFlagsNaN(t *testing.T) {
 	a := smoothGrid(10, 10)
 	var d RangeDetector
-	d.Fit(a)
+	d.Lo, d.Hi = a.MinMax() // the clean snapshot's interval
 	a.SetOffset(7, math.NaN())
 	if got := d.Scan(a); len(got) != 1 || got[0] != 7 {
 		t.Errorf("NaN scan = %v", got)

@@ -14,32 +14,12 @@ import (
 // time the ladder enters a stage, the hook may trigger another fault
 // somewhere else in the array, up to a budget, and report it via
 // Engine.MarkCorrupt. Deterministic per seed, like the Injector.
-//
-// The budget is denominated in corrupted cells, not in trigger calls: a
-// structured secondary fault (TriggerStructured) that wipes a whole span
-// consumes one budget unit per cell it corrupts, so "budget 8" bounds the
-// total damage regardless of fault shape. Single-bit Trigger costs exactly
-// one unit, preserving the original budget semantics.
 type Chaos struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	dtype  bitflip.DType
 	arr    *ndarray.Array
 	budget int
-	events int
-	fired  []FiredTrial
-}
-
-// FiredTrial is one applied secondary fault cell, labeled with the fault
-// class of the event that produced it — the "one trial is not one bit"
-// accounting handle. Cells of one structured event share an Event index.
-type FiredTrial struct {
-	Trial
-	// Class is the physical shape of the fault event this cell belongs to.
-	Class FaultClass
-	// Event numbers the trigger call (0-based) that produced this cell, so
-	// callers can group the cells of one structured fault back together.
-	Event int
 }
 
 // NewChaos creates a secondary-fault injector against arr that will corrupt
@@ -68,77 +48,9 @@ func (c *Chaos) Trigger(exclude ...int) (Trial, bool) {
 		t.Corrupted = bitflip.Flip(t.Orig, c.dtype, t.Bit)
 		c.budget--
 		c.arr.SetOffset(t.Offset, t.Corrupted)
-		c.fired = append(c.fired, FiredTrial{Trial: t, Class: ClassBit, Event: c.events})
-		c.events++
 		return t, true
 	}
 	return Trial{}, false
-}
-
-// TriggerStructured applies one structured secondary fault of the given
-// class (span as in PlanStructured), skipping events that would touch any
-// excluded offset, and spends one budget unit per corrupted cell. It returns
-// the applied cells and true, or nil and false when the remaining budget
-// cannot cover the event, the class has no array plan (ClassMetadata), or no
-// eligible placement exists.
-func (c *Chaos) TriggerStructured(class FaultClass, span int, exclude ...int) ([]Trial, bool) {
-	if class == ClassMetadata {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.budget <= 0 {
-		return nil, false
-	}
-	in := &Injector{rng: c.rng, dtype: c.dtype}
-	for attempt := 0; attempt < 64; attempt++ {
-		st := in.PlanOneStructured(c.arr, class, span)
-		if len(st.Cells) > c.budget {
-			return nil, false // a smaller retry would sample the same shape
-		}
-		hit := false
-		for _, cell := range st.Cells {
-			if chaosExcluded(cell.Offset, exclude) {
-				hit = true
-				break
-			}
-		}
-		if hit {
-			continue
-		}
-		c.budget -= len(st.Cells)
-		for _, cell := range st.Cells {
-			c.arr.SetOffset(cell.Offset, cell.Corrupted)
-			c.fired = append(c.fired, FiredTrial{Trial: cell, Class: class, Event: c.events})
-		}
-		c.events++
-		return append([]Trial(nil), st.Cells...), true
-	}
-	return nil, false
-}
-
-// Fired returns every secondary fault cell applied so far, labeled with its
-// fault class. Callers that previously assumed one entry == one bit must
-// group by Event (or sum cells) instead: a structured trigger contributes
-// several entries.
-func (c *Chaos) Fired() []FiredTrial {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]FiredTrial(nil), c.fired...)
-}
-
-// FiredCells returns the total number of corrupted cells (== budget spent).
-func (c *Chaos) FiredCells() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.fired)
-}
-
-// Remaining returns the unspent fault budget, in cells.
-func (c *Chaos) Remaining() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.budget
 }
 
 func chaosExcluded(off int, exclude []int) bool {

@@ -67,12 +67,6 @@ func ParseFaultClass(s string) (FaultClass, error) {
 	return 0, fmt.Errorf("faultinject: unknown fault class %q", s)
 }
 
-// DataClasses returns the classes that corrupt array data (everything but
-// metadata), in flag order — the campaign axis.
-func DataClasses() []FaultClass {
-	return []FaultClass{ClassBit, ClassBurst, ClassRow, ClassColumn}
-}
-
 // StructuredTrial is one planned structured fault: a single physical event
 // that corrupts one or more cells.
 type StructuredTrial struct {

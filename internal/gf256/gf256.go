@@ -36,26 +36,12 @@ func init() {
 	}
 }
 
-// Add returns a + b (= a - b) in GF(2^8).
-func Add(a, b byte) byte { return a ^ b }
-
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {
 	if a == 0 || b == 0 {
 		return 0
 	}
 	return expTable[logTable[a]+logTable[b]]
-}
-
-// Div returns a / b; it panics on division by zero.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf256: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	return expTable[logTable[a]-logTable[b]+255]
 }
 
 // Inv returns the multiplicative inverse of a; it panics on zero.
@@ -83,15 +69,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]byte, rows*cols)}
 }
 
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Vandermonde returns the rows x cols matrix with entry (r, c) = (2^r)^c.
 // Because the nodes 2^r are distinct for r < 255, every square submatrix
 // built from distinct rows is invertible.
@@ -110,12 +87,6 @@ func Vandermonde(rows, cols int) *Matrix {
 	}
 	return m
 }
-
-// Rows and Cols return the dimensions.
-func (m *Matrix) Rows() int { return m.rows }
-
-// Cols returns the column count.
-func (m *Matrix) Cols() int { return m.cols }
 
 // At returns entry (r, c).
 func (m *Matrix) At(r, c int) byte { return m.data[r*m.cols+c] }

@@ -32,12 +32,6 @@ func NewCodec(k, m int) (*Codec, error) {
 	return &Codec{k: k, m: m, enc: v.Mul(topInv)}, nil
 }
 
-// DataShards returns k.
-func (c *Codec) DataShards() int { return c.k }
-
-// ParityShards returns m.
-func (c *Codec) ParityShards() int { return c.m }
-
 // Encode computes the m parity shards for k equal-length data shards.
 func (c *Codec) Encode(data [][]byte) ([][]byte, error) {
 	if err := c.checkShards(data); err != nil {

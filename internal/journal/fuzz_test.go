@@ -35,7 +35,7 @@ func FuzzTornTailRepair(f *testing.F) {
 			t.Fatalf("open fresh log: %v", err)
 		}
 		for i := 0; i < n; i++ {
-			if err := lg.Append(rec{I: i}); err != nil {
+			if err := appendJSON(lg, rec{I: i}); err != nil {
 				t.Fatalf("append %d: %v", i, err)
 			}
 		}
@@ -60,7 +60,7 @@ func FuzzTornTailRepair(f *testing.F) {
 			return
 		}
 		const sentinel = 1 << 20
-		if err := lg.Append(rec{I: sentinel}); err != nil {
+		if err := appendJSON(lg, rec{I: sentinel}); err != nil {
 			t.Fatalf("append after repair: %v", err)
 		}
 		if err := lg.Close(); err != nil {

@@ -1,5 +1,5 @@
 // Package journal provides the crash-safe write-ahead journal behind the
-// resilient recovery service (and the campaign driver's checkpoint/resume).
+// resilient recovery service.
 //
 // The durability model is the classic WAL one: before any recovery work
 // begins, an *intent* record (allocation, offset, faulting address, detected
@@ -76,21 +76,6 @@ func openLog(path string, sync bool, intact int64) (*Log, error) {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
 	return &Log{f: f, path: path, sync: sync}, nil
-}
-
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
-
-// Append marshals v as one JSON line and appends it. The write is a single
-// write(2) call (line assembled in memory first), so concurrent appenders
-// never interleave bytes; with sync enabled the line is fsynced before
-// Append returns.
-func (l *Log) Append(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("journal: marshal: %w", err)
-	}
-	return l.AppendLine(data)
 }
 
 // AppendLine appends one pre-marshaled record line (JSON, no trailing

@@ -10,6 +10,15 @@ import (
 	"testing"
 )
 
+// appendJSON marshals v and appends it as one record line.
+func appendJSON(l *Log, v any) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return l.AppendLine(data)
+}
+
 // TestLogAppendScanRoundTrip includes a record several times the scan's
 // read buffer, which reaches the callback whole, between ordinary ones.
 func TestLogAppendScanRoundTrip(t *testing.T) {
@@ -25,14 +34,14 @@ func TestLogAppendScanRoundTrip(t *testing.T) {
 	long := strings.Repeat("0123456789", 20_000)
 	want := []rec{{0, "x"}, {1, long}, {2, "x"}, {3, long + "y"}, {4, "x"}}
 	for _, r := range want {
-		if err := l.Append(r); err != nil {
+		if err := appendJSON(l, r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(rec{}); err == nil {
+	if err := appendJSON(l, rec{}); err == nil {
 		t.Error("append after Close succeeded")
 	}
 

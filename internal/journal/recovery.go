@@ -243,9 +243,6 @@ func (r *Recovery) Seq() uint64 {
 	return r.seq
 }
 
-// Path returns the journal file's path.
-func (r *Recovery) Path() string { return r.log.Path() }
-
 // append encodes rec into the reused line buffer, appends it under the
 // sequence lock (so sequence numbers assigned here always match line order
 // in the file), and feeds the sink. The log's own mutex already serializes

@@ -40,7 +40,6 @@ type ceState struct {
 	queue      []CEObservation // FIFO of observations awaiting delivery
 	qhead      int
 	delivering bool
-	requeued   int // observations queued because delivery was in progress
 
 	// offRows are rows retired by proactive migration: the predictor copied
 	// their data out and asked the machine to stop serving them.
@@ -76,22 +75,9 @@ func (m *Machine) SetCEObserver(fn func(CEObservation)) {
 	m.ce.obs = fn
 }
 
-// CEQueueRequeued reports how many CE observations were queued because an
-// earlier observation was mid-delivery (the CE analogue of bank overflow).
-func (m *Machine) CEQueueRequeued() int {
-	m.ce.mu.Lock()
-	defer m.ce.mu.Unlock()
-	return m.ce.requeued
-}
-
-// RaiseMemoryCE reports a corrected memory error at addr. CEs do not
-// interrupt the application; they are counted and reach the observer.
-func (m *Machine) RaiseMemoryCE(addr uint64) {
-	m.RaiseMemoryCEAt(addr, -1)
-}
-
 // RaiseMemoryCEAt reports a corrected memory error at addr with the
-// corrected bit position (bit < 0 when unknown). The error is counted
+// corrected bit position (bit < 0 when unknown). CEs do not interrupt the
+// application. The error is counted
 // (Stats) and, when an observer is registered, decoded through the
 // machine's Topology into a CEObservation and delivered to it.
 func (m *Machine) RaiseMemoryCEAt(addr uint64, bit int) {
@@ -116,7 +102,6 @@ func (m *Machine) RaiseMemoryCEAt(addr uint64, bit int) {
 	if m.ce.delivering {
 		// An outer RaiseMemoryCEAt is mid-delivery (this raise came from
 		// inside the observer). It will drain this observation.
-		m.ce.requeued++
 		m.ce.mu.Unlock()
 		return
 	}

@@ -323,7 +323,7 @@ func (m *Machine) raise(addr uint64, bit int, code uint64, over bool) (delivered
 // hardware would have left. Delivery failures (no handler succeeded) leave
 // the record latched in its bank, as for any raise, and draining continues;
 // an event that cannot even be assigned a bank is re-queued and draining
-// stops until the next raise or explicit Redeliver.
+// stops until the next raise or RedeliverLatched call.
 func (m *Machine) drainPending() {
 	for {
 		m.mu.Lock()
@@ -359,14 +359,6 @@ func (m *Machine) PendingOverflow() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.pending)
-}
-
-// Redeliver retries delivery of queued overflow events (normally automatic
-// after every Touch/Scrub/RaiseMemoryDUE; exposed for handlers that freed a
-// bank asynchronously).
-func (m *Machine) Redeliver() error {
-	m.drainPending()
-	return nil
 }
 
 // RedeliverLatched re-runs the handler chain for every bank whose record

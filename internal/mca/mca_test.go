@@ -168,8 +168,8 @@ func TestStats(t *testing.T) {
 	if due != 3 || ce != 0 {
 		t.Errorf("Stats = %d, %d", due, ce)
 	}
-	m.RaiseMemoryCE(0x1000)
-	m.RaiseMemoryCE(0x1FFF)
+	m.RaiseMemoryCEAt(0x1000, -1)
+	m.RaiseMemoryCEAt(0x1FFF, -1)
 	m.RaiseMemoryCEAt(0x2000, 3)
 	due, ce, _ = m.Stats()
 	if due != 3 || ce != 3 {

@@ -197,20 +197,6 @@ func (a *Array) CoordsInto(dst []int, off int) {
 	}
 }
 
-// InBounds reports whether idx is a valid index (correct arity, all
-// coordinates in range).
-func (a *Array) InBounds(idx ...int) bool {
-	if len(idx) != len(a.dims) {
-		return false
-	}
-	for d, i := range idx {
-		if i < 0 || i >= a.dims[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // At returns the element at the given multi-dimensional index.
 func (a *Array) At(idx ...int) float64 { return a.data[a.Offset(idx...)] }
 
@@ -236,15 +222,6 @@ func (a *Array) Clone() *Array {
 		dims:    a.dims,
 		strides: a.strides,
 	}
-}
-
-// CopyFrom copies the contents of src, which must have identical dimensions.
-func (a *Array) CopyFrom(src *Array) error {
-	if !SameShape(a, src) {
-		return fmt.Errorf("%w: shape mismatch %v vs %v", ErrShape, a.dims, src.dims)
-	}
-	copy(a.data, src.data)
-	return nil
 }
 
 // SameShape reports whether two arrays have identical dimensions.
@@ -314,17 +291,6 @@ func (a *Array) Mean() float64 {
 	return sum / float64(len(a.data))
 }
 
-// Std returns the population standard deviation of all elements.
-func (a *Array) Std() float64 {
-	m := a.Mean()
-	ss := 0.0
-	for _, v := range a.data {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(a.data)))
-}
-
 // ApproxEqual reports whether the two arrays have the same shape and every
 // pair of elements differs by at most tol (absolute). NaNs compare equal to
 // NaNs.
@@ -342,21 +308,6 @@ func ApproxEqual(a, b *Array, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// ClampIndex copies idx into dst with each coordinate clamped into bounds.
-// dst and idx may alias.
-func (a *Array) ClampIndex(dst, idx []int) {
-	for d := range a.dims {
-		i := idx[d]
-		if i < 0 {
-			i = 0
-		}
-		if i >= a.dims[d] {
-			i = a.dims[d] - 1
-		}
-		dst[d] = i
-	}
 }
 
 // PatchBounds returns the inclusive coordinate range [lo, hi] that the patch

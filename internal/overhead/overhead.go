@@ -30,10 +30,6 @@ type Timing struct {
 	Calls int
 }
 
-// PerCallMillis returns the per-call cost in milliseconds (the unit the
-// paper reports).
-func (t Timing) PerCallMillis() float64 { return float64(t.PerCall.Nanoseconds()) / 1e6 }
-
 // Config controls a measurement run.
 type Config struct {
 	// MinIters is the minimum loop count per method (paper: 10).

@@ -51,13 +51,6 @@ func TestMeasureAutotune(t *testing.T) {
 	}
 }
 
-func TestPerCallMillis(t *testing.T) {
-	tm := Timing{PerCall: 1500 * time.Microsecond}
-	if tm.PerCallMillis() != 1.5 {
-		t.Errorf("PerCallMillis = %v", tm.PerCallMillis())
-	}
-}
-
 func TestFormatMillis(t *testing.T) {
 	cases := []struct {
 		d    time.Duration

@@ -213,9 +213,6 @@ func NewEnv(a *ndarray.Array, seed int64) *Env {
 // this: both are fed from the quarantine set).
 func (e *Env) SetShared(s *SharedStats) { e.shared = s }
 
-// Shared returns the attached SharedStats, or nil.
-func (e *Env) Shared() *SharedStats { return e.shared }
-
 // Reseed resets the random source to the same deterministic stream
 // NewEnv(a, seed) would produce. Batch recovery shares one Env across
 // members and reseeds per member so each reconstruction draws exactly the
@@ -355,13 +352,6 @@ func (e *Env) HasMask() bool { return e.haveMask }
 // must not be modified afterwards (see the Env contract above).
 func (e *Env) Precompute() { e.mom = NewMoments(e.A) }
 
-// HasMoments reports whether Precompute has run.
-func (e *Env) HasMoments() bool { return e.mom != nil }
-
-// InvalidateMoments drops the moment cache (used by tests and by callers
-// that mutate the array).
-func (e *Env) InvalidateMoments() { e.mom = nil }
-
 // Predictor reconstructs the value at a corrupted index from its spatial
 // neighbors. Implementations must not read the element at idx.
 type Predictor interface {
@@ -497,14 +487,4 @@ func HeadlineMethods() []Method {
 		ms[i] = Method(i)
 	}
 	return ms
-}
-
-// HeadlinePredictors instantiates every headline method.
-func HeadlinePredictors() []Predictor {
-	ms := HeadlineMethods()
-	ps := make([]Predictor, len(ms))
-	for i, m := range ms {
-		ps[i] = New(m)
-	}
-	return ps
 }

@@ -329,7 +329,7 @@ func TestMomentsPathMatchesFullScan(t *testing.T) {
 	slow := NewEnv(a, 1)
 	fast := NewEnv(a, 1)
 	fast.Precompute()
-	if !fast.HasMoments() || slow.HasMoments() {
+	if fast.mom == nil || slow.mom != nil {
 		t.Fatal("Precompute flag wrong")
 	}
 	p := GlobalRegression{}
@@ -342,16 +342,6 @@ func TestMomentsPathMatchesFullScan(t *testing.T) {
 		if math.Abs(vSlow-vFast) > 1e-6*(math.Abs(vSlow)+1) {
 			t.Errorf("idx %v: scan %v != moments %v", idx, vSlow, vFast)
 		}
-	}
-}
-
-func TestInvalidateMoments(t *testing.T) {
-	a := fill([]int{5, 5}, func(idx []int) float64 { return float64(idx[0]) })
-	env := NewEnv(a, 1)
-	env.Precompute()
-	env.InvalidateMoments()
-	if env.HasMoments() {
-		t.Error("InvalidateMoments did not clear the cache")
 	}
 }
 
@@ -512,10 +502,9 @@ func TestHeadlineSetup(t *testing.T) {
 	if len(ms) != NumMethods || NumMethods != 10 {
 		t.Fatalf("HeadlineMethods has %d entries, NumMethods=%d", len(ms), NumMethods)
 	}
-	ps := HeadlinePredictors()
-	for i, p := range ps {
-		if p.Name() != ms[i].String() {
-			t.Errorf("predictor %d name %q != method %q", i, p.Name(), ms[i].String())
+	for i, m := range ms {
+		if p := New(m); p.Name() != m.String() {
+			t.Errorf("predictor %d name %q != method %q", i, p.Name(), m.String())
 		}
 	}
 	// Figure order per the paper.

@@ -253,18 +253,6 @@ func rangeExcluding(data []float64, excl []int) (lo, hi float64) {
 	return w.span()
 }
 
-// AddElement folds the element at off (with its currently stored value)
-// into the moments — an O(p^2) update replacing a full rescan.
-func (m *Moments) AddElement(a *ndarray.Array, off int) {
-	m.AddElementValue(a, off, a.AtOffset(off))
-}
-
-// SubElement removes the element at off (with its currently stored value)
-// from the moments. It must run before the stored value changes.
-func (m *Moments) SubElement(a *ndarray.Array, off int) {
-	m.SubElementValue(a, off, a.AtOffset(off))
-}
-
 // AddElementValue folds the element at off with an explicit value v (the
 // value the caller knows was, or should be, accumulated — e.g. a snapshot
 // value when the live cell has since been corrupted).

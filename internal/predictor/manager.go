@@ -53,30 +53,31 @@ type Action struct {
 	Detail string
 }
 
+// The manager's action constants.
+const (
+	// ckptCost and baseMTBF parameterize Young's model for the elevated
+	// response, in seconds.
+	ckptCost = 60
+	baseMTBF = 86400
+	// rateInflation scales how aggressively risk inflates the assumed
+	// failure rate: rate = (1 + rateInflation·risk) / baseMTBF, so a
+	// risk-1.0 bank assumes failures 51× the base rate.
+	rateInflation = 50
+	// rowOfflineCEs is the cumulative per-row CE count that nominates a row
+	// for critical-tier migration.
+	rowOfflineCEs = 6
+	// maxRowsPerBank caps rows offlined per bank.
+	maxRowsPerBank = 4
+)
+
 // ManagerConfig parameterizes a Manager.
 type ManagerConfig struct {
-	// Predictor configures the scoring model. Manager installs its own
-	// OnTier hook; a caller-provided one is invoked after the actions run.
-	Predictor Config
 	// Machine is the MCA whose CE stream feeds the predictor and whose
 	// rows the critical tier offlines. Required.
 	Machine *mca.Machine
 	// Engine owns the allocations whose data the critical tier migrates.
 	// Required.
 	Engine *core.Engine
-	// CkptCost and BaseMTBF parameterize Young's model for the elevated
-	// response (defaults 60 s and 86400 s).
-	CkptCost float64
-	BaseMTBF float64
-	// RateInflation scales how aggressively risk inflates the assumed
-	// failure rate: rate = (1 + RateInflation·risk) / BaseMTBF
-	// (default 50 — a risk-1.0 bank assumes failures 51× the base rate).
-	RateInflation float64
-	// RowOfflineCEs is the cumulative per-row CE count that nominates a
-	// row for critical-tier migration (default 6).
-	RowOfflineCEs int
-	// MaxRowsPerBank caps rows offlined per bank (default 4).
-	MaxRowsPerBank int
 	// Replicate, when set, receives a snapshot of each at-risk allocation
 	// on the elevated transition — wire it to the cluster's FieldUploaded
 	// sink for partner re-replication. Called without locks held.
@@ -84,25 +85,6 @@ type ManagerConfig struct {
 	// OnAction, when set, observes every executed action (the HTTP layer
 	// feeds these into the outcome stream as page_offlined records).
 	OnAction func(Action)
-}
-
-func (c ManagerConfig) withDefaults() ManagerConfig {
-	if c.CkptCost <= 0 {
-		c.CkptCost = 60
-	}
-	if c.BaseMTBF <= 0 {
-		c.BaseMTBF = 86400
-	}
-	if c.RateInflation <= 0 {
-		c.RateInflation = 50
-	}
-	if c.RowOfflineCEs <= 0 {
-		c.RowOfflineCEs = 6
-	}
-	if c.MaxRowsPerBank <= 0 {
-		c.MaxRowsPerBank = 4
-	}
-	return c
 }
 
 // OfflinedRow records one proactive row migration.
@@ -135,7 +117,6 @@ type Manager struct {
 // NewManager creates a Manager and its Predictor. Call Observe with the
 // machine's CE observations (Machine.SetCEObserver(mgr.Observe)).
 func NewManager(cfg ManagerConfig) (*Manager, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Machine == nil || cfg.Engine == nil {
 		return nil, fmt.Errorf("predictor: ManagerConfig requires Machine and Engine")
 	}
@@ -145,15 +126,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		byID:    map[int]*registry.Allocation{},
 		actions: map[ActionKind]int{},
 	}
-	pcfg := cfg.Predictor
-	userHook := pcfg.OnTier
-	pcfg.OnTier = func(tc TierChange) {
-		m.onTier(tc)
-		if userHook != nil {
-			userHook(tc)
-		}
-	}
-	m.pred = New(pcfg)
+	m.pred = New(Config{OnTier: m.onTier})
 	return m, nil
 }
 
@@ -199,8 +172,8 @@ func (m *Manager) actScrub(tc TierChange) {
 // bank has demanded. The interval is advisory: it is exported via
 // /v1/health and the ckpt_interval gauge for the checkpoint driver.
 func (m *Manager) actCkptShrink(tc TierChange) {
-	rate := (1 + m.cfg.RateInflation*tc.Risk) / m.cfg.BaseMTBF
-	iv := fti.Young{CkptCost: m.cfg.CkptCost}.Recompute(rate)
+	rate := (1 + rateInflation*tc.Risk) / baseMTBF
+	iv := fti.Young{CkptCost: ckptCost}.Recompute(rate)
 	m.mu.Lock()
 	if m.interval == 0 || iv < m.interval {
 		m.interval = iv
@@ -208,7 +181,7 @@ func (m *Manager) actCkptShrink(tc TierChange) {
 	m.mu.Unlock()
 	m.record(Action{
 		Kind: ActionCkptShrink, Bank: tc.Bank, Row: -1, Tier: tc.To, Risk: tc.Risk,
-		Detail: fmt.Sprintf("checkpoint interval -> %.1fs (rate x%.1f)", iv, 1+m.cfg.RateInflation*tc.Risk),
+		Detail: fmt.Sprintf("checkpoint interval -> %.1fs (rate x%.1f)", iv, 1+rateInflation*tc.Risk),
 	})
 }
 
@@ -241,14 +214,14 @@ func (m *Manager) actReplicate(tc TierChange) {
 // row so its planted faults are gone and later DUEs there are served from
 // the shadow.
 func (m *Manager) actOffline(tc TierChange) {
-	rows := m.pred.HotRows(tc.Bank, m.cfg.RowOfflineCEs)
+	rows := m.pred.HotRows(tc.Bank, rowOfflineCEs)
 	if len(rows) == 0 {
 		// Risk went critical before any single row crossed the nomination
 		// bar: take the hottest rows we have.
 		rows = m.pred.HotRows(tc.Bank, 1)
 	}
-	if len(rows) > m.cfg.MaxRowsPerBank {
-		rows = rows[:m.cfg.MaxRowsPerBank]
+	if len(rows) > maxRowsPerBank {
+		rows = rows[:maxRowsPerBank]
 	}
 	for _, key := range rows {
 		m.offlineRow(key, tc)

@@ -37,9 +37,8 @@ func newStormRig(t *testing.T) *stormRig {
 	rig.alloc = rig.eng.Protect("field", arr, bitflip.Float64, registry.RecoverWith(predict.MethodAverage))
 
 	mgr, err := NewManager(ManagerConfig{
-		Machine:       rig.machine,
-		Engine:        rig.eng,
-		RowOfflineCEs: 4,
+		Machine: rig.machine,
+		Engine:  rig.eng,
 		Replicate: func(a *registry.Allocation, vals []float64) {
 			rig.repls = append(rig.repls, a.QualifiedName())
 			if len(vals) != a.Array.Len() {

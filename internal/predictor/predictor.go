@@ -22,7 +22,6 @@
 package predictor
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
@@ -73,83 +72,60 @@ func ParseTier(s string) (Tier, error) {
 	return TierNone, fmt.Errorf("predictor: unknown tier %q", s)
 }
 
-// Weights are the logistic model coefficients. Each feature is normalized
+// weights are the logistic model coefficients. Each feature is normalized
 // to [0, 1] before weighting, so a coefficient reads directly as "how many
 // logits a saturated feature contributes".
-type Weights struct {
-	// Bias is the intercept (negative: a silent bank scores near zero).
-	Bias float64
-	// Fill weights window occupancy (CE count / window size) — the raw
+type weights struct {
+	// bias is the intercept (negative: a silent bank scores near zero).
+	bias float64
+	// fill weights window occupancy (CE count / window size) — the raw
 	// rate signal.
-	Fill float64
-	// Fanout weights distinct corrected bit positions in the window,
+	fill float64
+	// fanout weights distinct corrected bit positions in the window,
 	// saturating at 8 — the strongest single predictor in Yu et al.
-	Fanout float64
-	// RowCluster weights 1 - distinctRows/count: CEs piling onto few rows.
-	RowCluster float64
-	// ColCluster weights 1 - distinctCols/count: CEs sharing columns.
-	ColCluster float64
-	// Rate weights the bank's share of recent machine-wide CE traffic
+	fanout float64
+	// rowCluster weights 1 - distinctRows/count: CEs piling onto few rows.
+	rowCluster float64
+	// colCluster weights 1 - distinctCols/count: CEs sharing columns.
+	colCluster float64
+	// rate weights the bank's share of recent machine-wide CE traffic
 	// (window count / global sequence span of the window).
-	Rate float64
-	// Age weights time since the bank's first CE, in global sequence
-	// ticks, saturating at AgeScale — repeat offenders outrank newcomers.
-	Age float64
+	rate float64
+	// age weights time since the bank's first CE, in global sequence
+	// ticks, saturating at ageScale — repeat offenders outrank newcomers.
+	age float64
 }
 
-// DefaultWeights is the calibrated default model (see score_test.go for
-// the scenarios that pin it down).
-var DefaultWeights = Weights{
-	Bias:       -4.0,
-	Fill:       3.0,
-	Fanout:     3.0,
-	RowCluster: 2.0,
-	ColCluster: 1.0,
-	Rate:       1.5,
-	Age:        1.0,
+// model is the calibrated model (see score_test.go for the scenarios that
+// pin it down).
+var model = weights{
+	bias:       -4.0,
+	fill:       3.0,
+	fanout:     3.0,
+	rowCluster: 2.0,
+	colCluster: 1.0,
+	rate:       1.5,
+	age:        1.0,
 }
 
-// Config parameterizes a Predictor. Zero values select defaults.
+const (
+	// window is the per-bank sliding window length in observations.
+	window = 128
+	// watchRisk, elevatedRisk and criticalRisk are the risk thresholds of
+	// the tiers.
+	watchRisk    = 0.25
+	elevatedRisk = 0.55
+	criticalRisk = 0.85
+	// ageScale is the sequence span at which the age feature saturates.
+	ageScale = 256
+)
+
+// Config parameterizes a Predictor.
 type Config struct {
-	// Window is the per-bank sliding window length in observations
-	// (default 128).
-	Window int
-	// Watch, Elevated, Critical are the risk thresholds for the tiers
-	// (defaults 0.25, 0.55, 0.85). Each must exceed the previous.
-	Watch, Elevated, Critical float64
-	// Weights are the logistic coefficients (default DefaultWeights; set
-	// WeightsSet to use an explicit zero weight).
-	Weights    Weights
-	WeightsSet bool
-	// AgeScale is the sequence span at which the age feature saturates
-	// (default 256).
-	AgeScale float64
 	// OnTier, when set, receives every tier transition. Called on the
 	// observing goroutine with no predictor locks held; it may call back
 	// into the predictor.
 	OnTier func(TierChange)
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 128
-	}
-	if c.Watch <= 0 {
-		c.Watch = 0.25
-	}
-	if c.Elevated <= 0 {
-		c.Elevated = 0.55
-	}
-	if c.Critical <= 0 {
-		c.Critical = 0.85
-	}
-	if !c.WeightsSet && c.Weights == (Weights{}) {
-		c.Weights = DefaultWeights
-	}
-	if c.AgeScale <= 0 {
-		c.AgeScale = 256
-	}
-	return c
 }
 
 // TierChange reports one bank crossing a tier boundary.
@@ -183,37 +159,26 @@ type bankState struct {
 	colSeen map[int]struct{}
 }
 
-// rowState accumulates per-row statistics (cumulative, not windowed): row
-// migration targets the rows that keep hurting.
-type rowState struct {
-	count    int
-	bitMask  uint64
-	firstSeq uint64
-	lastSeq  uint64
-}
-
 // Predictor maintains per-bank and per-row CE feature state and scores
 // bank failure risk. Safe for concurrent use; Observe is the hot path.
 type Predictor struct {
 	mu    sync.Mutex
 	cfg   Config
 	banks map[int]*bankState
-	rows  map[mca.RowKey]*rowState
-	seq   uint64 // highest observation sequence seen
+	// rows counts cumulative CEs per row (not windowed): migration
+	// targets the rows that keep hurting.
+	rows  map[mca.RowKey]int
 	total uint64 // observations consumed
 }
 
 // New creates a Predictor.
 func New(cfg Config) *Predictor {
 	return &Predictor{
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		banks: map[int]*bankState{},
-		rows:  map[mca.RowKey]*rowState{},
+		rows:  map[mca.RowKey]int{},
 	}
 }
-
-// Config returns the effective (defaulted) configuration.
-func (p *Predictor) Config() Config { return p.cfg }
 
 // Observe consumes one structured CE observation: updates the bank's
 // sliding window and the row accumulator, rescores the bank, and fires
@@ -221,13 +186,10 @@ func (p *Predictor) Config() Config { return p.cfg }
 func (p *Predictor) Observe(o mca.CEObservation) {
 	p.mu.Lock()
 	p.total++
-	if o.Seq > p.seq {
-		p.seq = o.Seq
-	}
 	b := p.banks[o.Bank]
 	if b == nil {
 		b = &bankState{
-			ring:    make([]obsRec, p.cfg.Window),
+			ring:    make([]obsRec, window),
 			rowSeen: make(map[int]struct{}, 16),
 			colSeen: make(map[int]struct{}, 32),
 		}
@@ -242,21 +204,11 @@ func (p *Predictor) Observe(o mca.CEObservation) {
 		b.n++
 	}
 
-	key := mca.RowKey{Bank: o.Bank, Row: o.Row}
-	r := p.rows[key]
-	if r == nil {
-		r = &rowState{firstSeq: o.Seq}
-		p.rows[key] = r
-	}
-	r.count++
-	r.lastSeq = o.Seq
-	if o.Bit >= 0 && o.Bit < 64 {
-		r.bitMask |= 1 << uint(o.Bit)
-	}
+	p.rows[mca.RowKey{Bank: o.Bank, Row: o.Row}]++
 
 	b.risk = p.scoreLocked(b)
 	old := b.tier
-	b.tier = p.tierOf(b.risk)
+	b.tier = tierOf(b.risk)
 	var change TierChange
 	fire := b.tier != old && p.cfg.OnTier != nil
 	if fire {
@@ -303,7 +255,7 @@ func (p *Predictor) scoreLocked(b *bankState) float64 {
 		}
 	}
 
-	w := p.cfg.Weights
+	w := model
 	fill := float64(n) / float64(len(b.ring))
 	fanout := float64(bits.OnesCount64(bitMask)) / 8
 	if fanout > 1 {
@@ -321,28 +273,27 @@ func (p *Predictor) scoreLocked(b *bankState) float64 {
 		rate = 1
 	}
 	// Age is measured to the window's newest observation (== the global
-	// sequence at live-scoring time), not to p.seq: scoring must depend
-	// only on bank-local state so a snapshot restore recomputes the exact
-	// same float.
-	age := float64(newest-b.firstSeq) / p.cfg.AgeScale
+	// sequence at live-scoring time), so scoring depends only on bank-local
+	// state.
+	age := float64(newest-b.firstSeq) / ageScale
 	if age > 1 {
 		age = 1
 	}
 
-	z := w.Bias + w.Fill*fill + w.Fanout*fanout +
-		w.RowCluster*rowCluster + w.ColCluster*colCluster +
-		w.Rate*rate + w.Age*age
+	z := w.bias + w.fill*fill + w.fanout*fanout +
+		w.rowCluster*rowCluster + w.colCluster*colCluster +
+		w.rate*rate + w.age*age
 	return 1 / (1 + math.Exp(-z))
 }
 
 // tierOf maps a risk score to a tier.
-func (p *Predictor) tierOf(risk float64) Tier {
+func tierOf(risk float64) Tier {
 	switch {
-	case risk >= p.cfg.Critical:
+	case risk >= criticalRisk:
 		return TierCritical
-	case risk >= p.cfg.Elevated:
+	case risk >= elevatedRisk:
 		return TierElevated
-	case risk >= p.cfg.Watch:
+	case risk >= watchRisk:
 		return TierWatch
 	}
 	return TierNone
@@ -409,9 +360,9 @@ func (p *Predictor) HotRows(bank, minCEs int) []mca.RowKey {
 		count int
 	}
 	var hots []hot
-	for key, r := range p.rows {
-		if key.Bank == bank && r.count >= minCEs {
-			hots = append(hots, hot{key, r.count})
+	for key, count := range p.rows {
+		if key.Bank == bank && count >= minCEs {
+			hots = append(hots, hot{key, count})
 		}
 	}
 	sort.Slice(hots, func(i, j int) bool {
@@ -432,115 +383,4 @@ func (p *Predictor) Total() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.total
-}
-
-// --- Snapshot / restore -------------------------------------------------
-//
-// The predictor's state must survive restarts bit-stably: risk scores are
-// recomputed from restored integer state (counts, masks, sequences), so a
-// snapshot plus a replay of the CE journal since the snapshot yields
-// exactly the scores of an uninterrupted run. Only integers cross the
-// serialization boundary — no floats to round-trip.
-
-type bankSnap struct {
-	Bank     int      `json:"bank"`
-	FirstSeq uint64   `json:"first_seq"`
-	Ring     []obsNap `json:"ring"` // oldest → newest
-}
-
-type obsNap struct {
-	Row int    `json:"row"`
-	Col int    `json:"col"`
-	Bit int    `json:"bit"`
-	Seq uint64 `json:"seq"`
-}
-
-type rowSnap struct {
-	Bank     int    `json:"bank"`
-	Row      int    `json:"row"`
-	Count    int    `json:"count"`
-	BitMask  uint64 `json:"bit_mask"`
-	FirstSeq uint64 `json:"first_seq"`
-	LastSeq  uint64 `json:"last_seq"`
-}
-
-type snapshot struct {
-	Window int        `json:"window"`
-	Seq    uint64     `json:"seq"`
-	Total  uint64     `json:"total"`
-	Banks  []bankSnap `json:"banks"`
-	Rows   []rowSnap  `json:"rows"`
-}
-
-// Snapshot serializes the predictor's feature state (deterministic: banks
-// and rows sorted, ring unrolled oldest-first).
-func (p *Predictor) Snapshot() ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	snap := snapshot{Window: p.cfg.Window, Seq: p.seq, Total: p.total}
-	for bank, b := range p.banks {
-		bs := bankSnap{Bank: bank, FirstSeq: b.firstSeq, Ring: make([]obsNap, 0, b.n)}
-		for i := b.n - 1; i >= 0; i-- { // oldest first
-			rec := &b.ring[(b.head-1-i+2*len(b.ring))%len(b.ring)]
-			bs.Ring = append(bs.Ring, obsNap{Row: rec.row, Col: rec.col, Bit: rec.bit, Seq: rec.seq})
-		}
-		snap.Banks = append(snap.Banks, bs)
-	}
-	sort.Slice(snap.Banks, func(i, j int) bool { return snap.Banks[i].Bank < snap.Banks[j].Bank })
-	for key, r := range p.rows {
-		snap.Rows = append(snap.Rows, rowSnap{
-			Bank: key.Bank, Row: key.Row, Count: r.count,
-			BitMask: r.bitMask, FirstSeq: r.firstSeq, LastSeq: r.lastSeq,
-		})
-	}
-	sort.Slice(snap.Rows, func(i, j int) bool {
-		if snap.Rows[i].Bank != snap.Rows[j].Bank {
-			return snap.Rows[i].Bank < snap.Rows[j].Bank
-		}
-		return snap.Rows[i].Row < snap.Rows[j].Row
-	})
-	return json.Marshal(snap)
-}
-
-// Restore replaces the predictor's state with a snapshot. Risk scores and
-// tiers are recomputed from the restored state; no tier callbacks fire
-// (the actions already ran in the process that took the snapshot).
-func (p *Predictor) Restore(data []byte) error {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return fmt.Errorf("predictor: restore: %w", err)
-	}
-	if snap.Window != p.cfg.Window {
-		return fmt.Errorf("predictor: restore: snapshot window %d != configured %d", snap.Window, p.cfg.Window)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.seq = snap.Seq
-	p.total = snap.Total
-	p.banks = make(map[int]*bankState, len(snap.Banks))
-	for _, bs := range snap.Banks {
-		b := &bankState{
-			ring:     make([]obsRec, p.cfg.Window),
-			firstSeq: bs.FirstSeq,
-			rowSeen:  make(map[int]struct{}, 16),
-			colSeen:  make(map[int]struct{}, 32),
-		}
-		for _, o := range bs.Ring {
-			b.ring[b.head] = obsRec{row: o.Row, col: o.Col, bit: o.Bit, seq: o.Seq}
-			b.head = (b.head + 1) % len(b.ring)
-			if b.n < len(b.ring) {
-				b.n++
-			}
-		}
-		b.risk = p.scoreLocked(b)
-		b.tier = p.tierOf(b.risk)
-		p.banks[bs.Bank] = b
-	}
-	p.rows = make(map[mca.RowKey]*rowState, len(snap.Rows))
-	for _, rs := range snap.Rows {
-		p.rows[mca.RowKey{Bank: rs.Bank, Row: rs.Row}] = &rowState{
-			count: rs.Count, bitMask: rs.BitMask, firstSeq: rs.FirstSeq, lastSeq: rs.LastSeq,
-		}
-	}
-	return nil
 }

@@ -165,19 +165,19 @@ func TestParseTier(t *testing.T) {
 }
 
 func TestWindowSlides(t *testing.T) {
-	p := New(Config{Window: 8})
+	p := New(Config{})
 	g := &obsGen{}
 	// Fill the window with a hot pattern, then push it out with benign
 	// single-row, single-bit observations: risk must decay.
 	bits := []int{1, 5, 9, 17}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < window; i++ {
 		p.Observe(g.at(0, i%2, i%4, bits[i%4]))
 	}
 	hot, _ := p.BankRisk(0)
 	for i := 0; i < 200; i++ {
 		p.Observe(g.at(1, i, i, 0)) // stretch the global span
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < window; i++ {
 		p.Observe(g.at(0, 40+i, 3, 2))
 	}
 	cooled, _ := p.BankRisk(0)

@@ -245,21 +245,6 @@ func (t *Table) registerLocked(tenant, name string, arr *ndarray.Array, dtype bi
 	return a
 }
 
-// RegisterDims is Register with an explicit dimension check, mirroring the
-// paper's FTI_Protect(id, ptr, 3D, dtype, N, N, N, method) signature.
-func (t *Table) RegisterDims(name string, arr *ndarray.Array, dtype bitflip.DType, policy Policy, dims ...int) (*Allocation, error) {
-	ad := arr.Dims()
-	if len(dims) != len(ad) {
-		return nil, fmt.Errorf("%w: declared %d-D but array is %d-D", ErrDims, len(dims), len(ad))
-	}
-	for i := range dims {
-		if dims[i] != ad[i] {
-			return nil, fmt.Errorf("%w: declared %v but array is %v", ErrDims, dims, ad)
-		}
-	}
-	return t.Register(name, arr, dtype, policy), nil
-}
-
 // Unregister removes an allocation by ID. Its address range is never reused.
 func (t *Table) Unregister(id int) bool {
 	t.mu.Lock()
@@ -288,30 +273,6 @@ func (t *Table) Allocations() []*Allocation {
 	return append([]*Allocation(nil), t.allocs...)
 }
 
-// ByID returns the allocation with the given ID.
-func (t *Table) ByID(id int) (*Allocation, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, a := range t.allocs {
-		if a.ID == id {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
-// ByName returns the first allocation registered under name.
-func (t *Table) ByName(name string) (*Allocation, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, a := range t.allocs {
-		if a.Name == name {
-			return a, true
-		}
-	}
-	return nil, false
-}
-
 // ByTenantName returns the tenant's allocation registered under name.
 func (t *Table) ByTenantName(tenant, name string) (*Allocation, bool) {
 	t.mu.RLock()
@@ -333,22 +294,6 @@ func (t *Table) TenantAllocations(tenant string) []*Allocation {
 	for _, a := range t.allocs {
 		if a.Tenant == tenant {
 			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Tenants returns the distinct tenant namespaces with registered
-// allocations, in first-registration order.
-func (t *Table) Tenants() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range t.allocs {
-		if !seen[a.Tenant] {
-			seen[a.Tenant] = true
-			out = append(out, a.Tenant)
 		}
 	}
 	return out
@@ -508,27 +453,6 @@ func (t *Table) VerifyDescriptor(a *Allocation) error {
 		sort.Slice(t.allocs, func(i, j int) bool { return t.allocs[i].Base < t.allocs[j].Base })
 	}
 	return err
-}
-
-// VerifyAll sweeps every descriptor (the operator "scrub" path), repairing
-// what the parity allows. It returns the number repaired and the first
-// refusal, if any.
-func (t *Table) VerifyAll() (repaired int, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, a := range t.allocs {
-		rep, verr := t.verifyLocked(a)
-		if rep {
-			repaired++
-		}
-		if verr != nil && err == nil {
-			err = verr
-		}
-	}
-	if repaired > 0 {
-		sort.Slice(t.allocs, func(i, j int) bool { return t.allocs[i].Base < t.allocs[j].Base })
-	}
-	return repaired, err
 }
 
 // DescriptorStats reports lifetime descriptor-parity accounting:

@@ -109,22 +109,6 @@ func TestUnregister(t *testing.T) {
 	}
 }
 
-func TestByIDByName(t *testing.T) {
-	tab, a1, a2 := newTestTable(t)
-	if got, ok := tab.ByID(a2.ID); !ok || got != a2 {
-		t.Error("ByID failed")
-	}
-	if _, ok := tab.ByID(999); ok {
-		t.Error("ByID(999) found something")
-	}
-	if got, ok := tab.ByName("grid3d"); !ok || got != a1 {
-		t.Error("ByName failed")
-	}
-	if _, ok := tab.ByName("nope"); ok {
-		t.Error("ByName(nope) found something")
-	}
-}
-
 func TestAllocationsSnapshot(t *testing.T) {
 	tab, _, _ := newTestTable(t)
 	snap := tab.Allocations()
@@ -133,20 +117,6 @@ func TestAllocationsSnapshot(t *testing.T) {
 	}
 	if snap[0].Base > snap[1].Base {
 		t.Error("snapshot not in address order")
-	}
-}
-
-func TestRegisterDims(t *testing.T) {
-	tab := NewTable()
-	arr := ndarray.New(3, 4)
-	if _, err := tab.RegisterDims("x", arr, bitflip.Float32, RecoverAny(), 3, 4); err != nil {
-		t.Fatalf("matching dims rejected: %v", err)
-	}
-	if _, err := tab.RegisterDims("x", arr, bitflip.Float32, RecoverAny(), 4, 3); !errors.Is(err, ErrDims) {
-		t.Errorf("mismatched dims error = %v, want ErrDims", err)
-	}
-	if _, err := tab.RegisterDims("x", arr, bitflip.Float32, RecoverAny(), 12); !errors.Is(err, ErrDims) {
-		t.Errorf("wrong arity error = %v, want ErrDims", err)
 	}
 }
 
@@ -261,15 +231,8 @@ func TestTenantAllocationsAndTenants(t *testing.T) {
 	if got := tab.TenantAllocations("bob"); len(got) != 1 || got[0].Name != "u" {
 		t.Errorf("bob allocations = %v", got)
 	}
-	tenants := tab.Tenants()
-	want := []string{"alice", "bob", ""}
-	if len(tenants) != len(want) {
-		t.Fatalf("Tenants() = %v, want %v", tenants, want)
-	}
-	for i := range want {
-		if tenants[i] != want[i] {
-			t.Errorf("Tenants()[%d] = %q, want %q", i, tenants[i], want[i])
-		}
+	if got := tab.TenantAllocations(""); len(got) != 1 || got[0].Name != "w" {
+		t.Errorf("unnamed-namespace allocations = %v", got)
 	}
 	// Address lookup stays global: bob's allocation resolves by raw address
 	// regardless of namespace.

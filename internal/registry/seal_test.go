@@ -114,28 +114,6 @@ func TestUnrecoverableDescriptorRefused(t *testing.T) {
 	}
 }
 
-func TestVerifyAllSweep(t *testing.T) {
-	tab, a := sealTestAlloc(t)
-	arr2 := ndarray.New(4, 4)
-	b, err := tab.RegisterTenant("acme", "other", arr2, bitflip.Float64, RecoverAny())
-	if err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	if err := tab.CorruptDescriptor(a.ID, 5); err != nil {
-		t.Fatalf("corrupt: %v", err)
-	}
-	if err := tab.CorruptDescriptor(b.ID, 40); err != nil {
-		t.Fatalf("corrupt: %v", err)
-	}
-	repaired, err := tab.VerifyAll()
-	if err != nil {
-		t.Fatalf("verify all: %v", err)
-	}
-	if repaired != 2 {
-		t.Errorf("repaired = %d, want 2", repaired)
-	}
-}
-
 // FuzzDescriptorSealRoundTrip corrupts arbitrary byte positions of a sealed
 // descriptor encoding and checks the invariant the recovery path depends
 // on: verification either returns the bit-exact original encoding or

@@ -1,6 +1,7 @@
 package sdrbench
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -48,12 +49,9 @@ type Manifest struct {
 	Datasets []ManifestEntry `json:"datasets"`
 }
 
-// ParseApp resolves an application name case-insensitively.
-func ParseApp(s string) (App, error) { return parseApp(s) }
-
 // LoadEntry loads one manifest entry with paths resolved relative to dir.
 func LoadEntry(dir string, e ManifestEntry) (*Dataset, error) {
-	app, err := parseApp(e.App)
+	app, err := ParseApp(e.App)
 	if err != nil {
 		return nil, err
 	}
@@ -62,35 +60,6 @@ func LoadEntry(dir string, e ManifestEntry) (*Dataset, error) {
 		dtype = bitflip.Float64
 	}
 	return LoadRaw(app, e.Name, filepath.Join(dir, e.File), dtype, e.Dims...)
-}
-
-// parseApp resolves an application name case-insensitively.
-func parseApp(s string) (App, error) {
-	for _, app := range Apps() {
-		if equalFold(app.String(), s) {
-			return app, nil
-		}
-	}
-	return 0, fmt.Errorf("sdrbench: unknown application %q", s)
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // LoadRaw reads a bare little-endian array file into a Dataset.
@@ -141,7 +110,7 @@ func LoadManifest(path string) (*Manifest, error) {
 		if e.Name == "" || e.File == "" || len(e.Dims) == 0 {
 			return nil, fmt.Errorf("sdrbench: manifest entry %d incomplete (need app, name, file, dims)", i)
 		}
-		if _, err := parseApp(e.App); err != nil {
+		if _, err := ParseApp(e.App); err != nil {
 			return nil, fmt.Errorf("sdrbench: manifest entry %d: %w", i, err)
 		}
 		switch e.DType {
@@ -153,52 +122,34 @@ func LoadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// LoadDir loads every dataset listed in dir/manifest.json. File paths are
-// resolved relative to dir.
-func LoadDir(dir string) ([]*Dataset, error) {
-	m, err := LoadManifest(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Dataset, 0, len(m.Datasets))
-	for _, e := range m.Datasets {
-		ds, err := LoadEntry(dir, e)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ds)
-	}
-	return out, nil
-}
-
 // WriteRaw dumps a dataset back to a bare little-endian file in its
-// declared dtype (the inverse of LoadRaw; used by cmd/duegen -dump and by
-// round-trip tests).
-func WriteRaw(ds *Dataset, path string) error {
+// declared dtype (the inverse of LoadRaw; used by cmd/duegen -dump and
+// -export). It reports success only once every byte is flushed and the
+// file is closed.
+func WriteRaw(ds *Dataset, path string) (err error) {
+	if ds.DType != bitflip.Float32 && ds.DType != bitflip.Float64 {
+		return fmt.Errorf("sdrbench: unsupported dtype %v", ds.DType)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	switch ds.DType {
-	case bitflip.Float32:
-		buf := make([]byte, 4)
-		for _, v := range ds.Array.Data() {
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	w := bufio.NewWriter(f)
+	buf := make([]byte, ds.DType.Size())
+	for _, v := range ds.Array.Data() {
+		if ds.DType == bitflip.Float32 {
 			binary.LittleEndian.PutUint32(buf, math.Float32bits(float32(v)))
-			if _, err := f.Write(buf); err != nil {
-				return err
-			}
-		}
-	case bitflip.Float64:
-		buf := make([]byte, 8)
-		for _, v := range ds.Array.Data() {
+		} else {
 			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
-			if _, err := f.Write(buf); err != nil {
-				return err
-			}
 		}
-	default:
-		return fmt.Errorf("sdrbench: unsupported dtype %v", ds.DType)
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
 	}
-	return nil
+	return w.Flush()
 }

@@ -1,8 +1,10 @@
 package sdrbench
 
 import (
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,46 +53,54 @@ func TestLoadRawSizeMismatch(t *testing.T) {
 	}
 }
 
-func writeManifestDir(t *testing.T) string {
-	t.Helper()
+// TestLoadDir loads a raw-dump directory the way campaign -data does,
+// LoadManifest then LoadEntry per dataset, and checks both dtypes bit for
+// bit against what WriteRaw dumped.
+func TestLoadDir(t *testing.T) {
 	dir := t.TempDir()
-	ds1 := Generate(Isabel, "Pf48", ScaleTiny)
-	ds2 := Generate(HACC, "xx", ScaleTiny)
-	if err := WriteRaw(ds1, filepath.Join(dir, "Pf48.f32")); err != nil {
+	f32 := Generate(Isabel, "Pf48", ScaleTiny)
+	f64 := Generate(HACC, "xx", ScaleTiny)
+	f64.DType = bitflip.Float64
+	for i, v := range f64.Array.Data() {
+		// Values no float32 can hold, so a float32 detour would show.
+		f64.Array.Data()[i] = v + math.Pi*1e-9*float64(i)
+	}
+	if err := WriteRaw(f32, filepath.Join(dir, "Pf48.f32")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteRaw(ds2, filepath.Join(dir, "xx.f32")); err != nil {
+	if err := WriteRaw(f64, filepath.Join(dir, "xx.f64")); err != nil {
 		t.Fatal(err)
 	}
 	manifest := `{"datasets":[
 		{"app":"isabel","name":"Pf48","file":"Pf48.f32","dims":[10,25,25]},
-		{"app":"HACC","name":"xx","file":"xx.f32","dims":[4096],"dtype":"float32"}
+		{"app":"HACC","name":"xx","file":"xx.f64","dims":[4096],"dtype":"float64"}
 	]}`
 	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return dir
-}
-
-func TestLoadDir(t *testing.T) {
-	dir := writeManifestDir(t)
-	dss, err := LoadDir(dir)
+	m, err := LoadManifest(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dss) != 2 {
-		t.Fatalf("loaded %d datasets", len(dss))
+	if len(m.Datasets) != 2 {
+		t.Fatalf("manifest lists %d datasets, want 2", len(m.Datasets))
 	}
-	if dss[0].App != Isabel || dss[0].Array.NumDims() != 3 {
-		t.Errorf("first dataset = %v", dss[0])
-	}
-	if dss[1].App != HACC || dss[1].Array.Len() != 4096 {
-		t.Errorf("second dataset = %v", dss[1])
-	}
-	// Content matches the generator output it was dumped from.
-	want := Generate(Isabel, "Pf48", ScaleTiny)
-	if !ndarray.ApproxEqual(dss[0].Array, want.Array, 0) {
-		t.Error("loaded content differs from dumped content")
+	for i, want := range []*Dataset{f32, f64} {
+		got, err := LoadEntry(dir, m.Datasets[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.App != want.App || got.Name != want.Name || got.DType != want.DType {
+			t.Errorf("entry %d = %v %v, want %v %v", i, got, got.DType, want, want.DType)
+		}
+		if !slices.Equal(got.Array.Dims(), want.Array.Dims()) {
+			t.Errorf("entry %d dims %v, want %v", i, got.Array.Dims(), want.Array.Dims())
+		}
+		for k, v := range want.Array.Data() {
+			if g := got.Array.Data()[k]; math.Float64bits(g) != math.Float64bits(v) {
+				t.Fatalf("entry %d element %d = %v, want %v bit for bit", i, k, g, v)
+			}
+		}
 	}
 }
 
@@ -125,13 +135,35 @@ func TestLoadManifestValidation(t *testing.T) {
 }
 
 func TestParseApp(t *testing.T) {
-	for _, s := range []string{"nyx", "NYX", "Nyx"} {
-		app, err := parseApp(s)
-		if err != nil || app != Nyx {
-			t.Errorf("parseApp(%q) = %v, %v", s, app, err)
+	app := func(s string) (int, error) { a, err := ParseApp(s); return int(a), err }
+	scale := func(s string) (int, error) { sc, err := ParseScale(s); return int(sc), err }
+	for _, c := range []struct {
+		parse func(string) (int, error)
+		in    string
+		want  int // -1: the name is rejected
+	}{
+		{app, "nyx", int(Nyx)},
+		{app, "NYX", int(Nyx)},
+		{app, "Nyx", int(Nyx)},
+		{app, "isabel", int(Isabel)},
+		{app, "hurricane", -1},
+		{app, "", -1},
+		{scale, "tiny", int(ScaleTiny)},
+		{scale, "small", int(ScaleSmall)},
+		{scale, "medium", int(ScaleMedium)},
+		{scale, "large", -1},
+		{scale, "Tiny", -1},
+		{scale, "", -1},
+	} {
+		got, err := c.parse(c.in)
+		if c.want < 0 {
+			if err == nil {
+				t.Errorf("%q accepted as %d", c.in, got)
+			}
+			continue
 		}
-	}
-	if _, err := parseApp("hurricane"); err == nil {
-		t.Error("unknown app accepted")
+		if err != nil || got != c.want {
+			t.Errorf("%q = %d, %v; want %d", c.in, got, err, c.want)
+		}
 	}
 }

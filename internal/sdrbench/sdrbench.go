@@ -33,6 +33,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"strings"
 
 	"spatialdue/internal/bitflip"
 	"spatialdue/internal/ndarray"
@@ -78,6 +79,16 @@ func (a App) String() string {
 // Apps returns all applications in Table 2 order.
 func Apps() []App { return []App{Nyx, CESM, Miranda, HACC, Isabel} }
 
+// ParseApp resolves an application name case-insensitively.
+func ParseApp(s string) (App, error) {
+	for _, app := range Apps() {
+		if strings.EqualFold(app.String(), s) {
+			return app, nil
+		}
+	}
+	return 0, fmt.Errorf("sdrbench: unknown application %q", s)
+}
+
 // Scale selects dataset grid sizes. Campaign accuracy statistics are nearly
 // scale-invariant (the generators hold per-cell smoothness fixed); larger
 // scales mostly increase runtime realism for the overhead experiments.
@@ -91,6 +102,19 @@ const (
 	// ScaleMedium is for the overhead experiments (~10^5-10^6 elements).
 	ScaleMedium
 )
+
+// ParseScale resolves a scale name: tiny, small or medium.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "tiny":
+		return ScaleTiny, nil
+	case "small":
+		return ScaleSmall, nil
+	case "medium":
+		return ScaleMedium, nil
+	}
+	return 0, fmt.Errorf("sdrbench: unknown scale %q (want tiny, small, or medium)", s)
+}
 
 // dims returns the grid dimensions for an application at a scale.
 func (s Scale) dims(app App) []int {
@@ -336,12 +360,6 @@ func seedFor(app App, name string) int64 {
 // Generate builds the named dataset at the given scale. It panics if the
 // name is not one of Names(app).
 func Generate(app App, name string, scale Scale) *Dataset {
-	return generateSeeded(app, name, scale, 0)
-}
-
-// generateSeeded is Generate with a seed offset, giving independent but
-// same-flavored realizations of a field (used by Series).
-func generateSeeded(app App, name string, scale Scale, seedOffset int64) *Dataset {
 	found := false
 	for _, n := range Names(app) {
 		if n == name {
@@ -352,7 +370,7 @@ func generateSeeded(app App, name string, scale Scale, seedOffset int64) *Datase
 	if !found {
 		panic(fmt.Sprintf("sdrbench: unknown dataset %s/%s", app, name))
 	}
-	rng := rand.New(rand.NewSource(seedFor(app, name) + seedOffset))
+	rng := rand.New(rand.NewSource(seedFor(app, name)))
 	dims := scale.dims(app)
 	a := ndarray.New(dims...)
 	switch app {
@@ -369,26 +387,6 @@ func generateSeeded(app App, name string, scale Scale, seedOffset int64) *Datase
 	}
 	roundToFloat32(a)
 	return &Dataset{App: app, Name: name, DType: bitflip.Float32, Array: a}
-}
-
-// GenerateApp builds every dataset of one application.
-func GenerateApp(app App, scale Scale) []*Dataset {
-	names := Names(app)
-	out := make([]*Dataset, 0, len(names))
-	for _, n := range names {
-		out = append(out, Generate(app, n, scale))
-	}
-	return out
-}
-
-// GenerateAll builds all 111 datasets. Prefer streaming with Names +
-// Generate when memory matters.
-func GenerateAll(scale Scale) []*Dataset {
-	var out []*Dataset
-	for _, app := range Apps() {
-		out = append(out, GenerateApp(app, scale)...)
-	}
-	return out
 }
 
 // roundToFloat32 snaps every value to its float32 representation, matching

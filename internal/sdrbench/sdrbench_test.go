@@ -130,15 +130,6 @@ func TestValuesFinite(t *testing.T) {
 	}
 }
 
-func TestGenerateAppAndAll(t *testing.T) {
-	if got := len(GenerateApp(HACC, ScaleTiny)); got != 6 {
-		t.Errorf("GenerateApp(HACC) = %d datasets", got)
-	}
-	if got := len(GenerateAll(ScaleTiny)); got != 111 {
-		t.Errorf("GenerateAll = %d datasets, want 111", got)
-	}
-}
-
 func TestSparseFieldsHaveZeros(t *testing.T) {
 	// Sparse CESM fields and ISABEL hydrometeor fields must have a
 	// substantial exact-zero fraction; smooth fields must not.

@@ -154,14 +154,6 @@ func (a *Analytics) Accumulate(s int, residual float64, verifyFails, depth int, 
 	a.mu.Unlock()
 }
 
-// Stripes returns the stripe count.
-func (a *Analytics) Stripes() int {
-	if a == nil {
-		return 0
-	}
-	return len(a.stripes)
-}
-
 // intensity is stripe i's error-intensity score: mean residual plus the
 // verify-failure and escalation-depth rates, each normalized per recovery.
 // Stripes with no recoveries score zero — absence of errors is the coldest
@@ -333,9 +325,7 @@ func (a *Analytics) Heat(s int) Heat {
 	return HeatNeutral
 }
 
-// GStar returns stripe s's local z-score (0, false when undefined).
-func (a *Analytics) GStar(s int) (float64, bool) { return a.gStar(s) }
-
+// gStar returns stripe s's local z-score (0, false when undefined).
 func (a *Analytics) gStar(s int) (float64, bool) {
 	if a == nil {
 		return 0, false

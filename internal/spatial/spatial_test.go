@@ -149,14 +149,14 @@ func TestReportAlternatingDispersed(t *testing.T) {
 	}
 }
 
-// TestGStarMatchesReport: the cache-policy fast path (GStar/Heat) must agree
+// TestGStarMatchesReport: the cache-policy fast path (gStar/Heat) must agree
 // with the full report's per-stripe values.
 func TestGStarMatchesReport(t *testing.T) {
 	a := New(8, 0)
 	feedHotBand(a)
 	rep := a.Report()
 	for s := 0; s < 8; s++ {
-		z, ok := a.GStar(s)
+		z, ok := a.gStar(s)
 		if !ok {
 			t.Fatalf("GStar(%d) undefined", s)
 		}
@@ -173,9 +173,6 @@ func TestGStarMatchesReport(t *testing.T) {
 func TestAccumulateEdgeCases(t *testing.T) {
 	var nilA *Analytics
 	nilA.Accumulate(0, 0.1, 0, 0, predict.MethodZero, true) // must not panic
-	if nilA.Stripes() != 0 {
-		t.Errorf("nil Stripes() = %d", nilA.Stripes())
-	}
 
 	a := New(4, 0)
 	a.Accumulate(-5, 0.1, 0, 1, predict.MethodZero, true) // clamps to 0

@@ -57,12 +57,6 @@ func (s *Summary) Var() float64 {
 // Std returns the population standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
-// Min returns the smallest observation (0 for an empty summary).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 for an empty summary).
-func (s *Summary) Max() float64 { return s.max }
-
 // String implements fmt.Stringer.
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g",

@@ -10,7 +10,7 @@ func TestSummaryBasics(t *testing.T) {
 	for _, x := range []float64{1, 2, 3, 4} {
 		s.Add(x)
 	}
-	if s.N() != 4 || s.Mean() != 2.5 || s.Min() != 1 || s.Max() != 4 {
+	if s.N() != 4 || s.Mean() != 2.5 || s.min != 1 || s.max != 4 {
 		t.Errorf("Summary = %v", s.String())
 	}
 	if math.Abs(s.Var()-1.25) > 1e-12 {
@@ -31,7 +31,7 @@ func TestSummaryEmpty(t *testing.T) {
 func TestSummarySingle(t *testing.T) {
 	var s Summary
 	s.Add(7)
-	if s.Min() != 7 || s.Max() != 7 || s.Mean() != 7 || s.Std() != 0 {
+	if s.min != 7 || s.max != 7 || s.Mean() != 7 || s.Std() != 0 {
 		t.Error("single-observation summary wrong")
 	}
 }
@@ -40,7 +40,7 @@ func TestSummaryNegativeValues(t *testing.T) {
 	var s Summary
 	s.Add(-5)
 	s.Add(5)
-	if s.Mean() != 0 || s.Min() != -5 || s.Max() != 5 {
+	if s.Mean() != 0 || s.min != -5 || s.max != 5 {
 		t.Error("negative handling wrong")
 	}
 }
