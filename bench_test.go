@@ -34,6 +34,7 @@ import (
 	"spatialdue/internal/campaign"
 	"spatialdue/internal/core"
 	"spatialdue/internal/gf256"
+	"spatialdue/internal/ndarray"
 	"spatialdue/internal/overhead"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
@@ -173,8 +174,7 @@ func BenchmarkFigure10MethodOverhead(b *testing.B) {
 	}
 	b.Run("Autotuning", func(b *testing.B) {
 		env := predict.NewEnv(ds.Array, 1)
-		env.Range()
-		env.Precompute()
+		env.SetShared(preparedStats(ds.Array))
 		rng := rand.New(rand.NewSource(3))
 		idx := make([]int, ds.Array.NumDims())
 		cfg := autotune.Config{K: 3, Tolerance: 0.01, MaxProbes: 48}
@@ -227,7 +227,7 @@ func BenchmarkAblationAutotuneK(b *testing.B) {
 		k := k
 		b.Run(fmt.Sprintf("K%d", k), func(b *testing.B) {
 			env := predict.NewEnv(ds.Array, 1)
-			env.Precompute()
+			env.SetShared(preparedStats(ds.Array))
 			rng := rand.New(rand.NewSource(5))
 			idx := make([]int, 3)
 			cfg := autotune.Config{K: k, Tolerance: 0.01, MaxProbes: 64}
@@ -259,9 +259,17 @@ func BenchmarkAblationLocalRegressionRadius(b *testing.B) {
 	}
 }
 
+// preparedStats returns shared statistics for a with the O(N) build done, so
+// a benchmark times only what the engine repeats per recovery.
+func preparedStats(a *ndarray.Array) *predict.SharedStats {
+	s := predict.NewSharedStats(a)
+	s.Prepare()
+	return s
+}
+
 func BenchmarkAblationMomentsVsScan(b *testing.B) {
-	// The O(1) moments cache versus the honest O(N) scan for global
-	// regression (the engine uses the scan; campaigns use the cache).
+	// The O(1) shared moments versus the honest O(N) scan for global
+	// regression.
 	ds := sdrbench.Generate(sdrbench.Isabel, "Pf48", sdrbench.ScaleTiny)
 	idx := []int{5, 12, 12}
 	b.Run("scan", func(b *testing.B) {
@@ -273,7 +281,7 @@ func BenchmarkAblationMomentsVsScan(b *testing.B) {
 	})
 	b.Run("moments", func(b *testing.B) {
 		env := predict.NewEnv(ds.Array, 1)
-		env.Precompute()
+		env.SetShared(preparedStats(ds.Array))
 		p := predict.GlobalRegression{}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -82,7 +82,6 @@ type CacheStats struct {
 
 type cacheEntry struct {
 	method predict.Method
-	scores []Score
 	uses   int
 }
 
@@ -203,7 +202,7 @@ func (c *Cache) tune(env *predict.Env, idx []int, cfg Config, region int, pol Po
 		return 0, err
 	}
 	chosen := applyBias(res, pol)
-	c.entries[region] = newEntry(chosen, res.Scores)
+	c.entries[region] = &cacheEntry{method: chosen}
 	c.stats.Misses++
 	c.mu.Unlock()
 
@@ -231,21 +230,17 @@ func applyBias(res Result, pol Policy) predict.Method {
 	return res.Best
 }
 
-func newEntry(chosen predict.Method, scores []Score) *cacheEntry {
-	return &cacheEntry{method: chosen, scores: scores}
-}
-
 // Update replaces idx's region entry with a freshly observed winner — the
 // stale-entry fix: when a cached method fails verification and the ladder's
 // fresh tune finds a different winner, the engine publishes that winner here
 // so the region's next recovery does not repeat the failure.
-func (c *Cache) Update(idx []int, winner predict.Method, scores []Score) {
+func (c *Cache) Update(idx []int, winner predict.Method) {
 	region := c.Region(idx)
 	c.mu.Lock()
 	if old, ok := c.entries[region]; ok && old.method != winner {
 		c.stats.Corrections++
 	}
-	c.entries[region] = newEntry(winner, scores)
+	c.entries[region] = &cacheEntry{method: winner}
 	c.mu.Unlock()
 }
 

@@ -19,13 +19,8 @@ func TestSelectAllProbelessErrNoProbes(t *testing.T) {
 	// Mask everything except one probe (4,5): the probe is collected, but
 	// its own stencil inputs — including the quarantined target (4,4) —
 	// are all masked, so stencil methods cannot predict it.
-	var masked []int
-	for off := 0; off < a.Len(); off++ {
-		if off != a.Offset(4, 5) {
-			masked = append(masked, off)
-		}
-	}
-	env.Mask(masked...)
+	probe := a.Offset(4, 5)
+	env.SetMaskFunc(func(off int) bool { return off != probe })
 	_, err := Select(env, []int{4, 4}, Config{K: 1, Tolerance: 0.01,
 		Methods: []predict.Method{predict.MethodAverage, predict.MethodLorenzo1}})
 	if !errors.Is(err, ErrNoProbes) {
@@ -72,9 +67,7 @@ func TestCacheUpdateCorrectsStaleEntry(t *testing.T) {
 	if _, _, err := c.Select(env, []int{4, 4}, cfg); err != nil {
 		t.Fatal(err)
 	}
-	c.Update([]int{4, 7}, predict.MethodLagrange, []Score{
-		{Method: predict.MethodLagrange, Hits: 9, Probes: 10, MeanRelErr: 0.001},
-	})
+	c.Update([]int{4, 7}, predict.MethodLagrange)
 	m, cached, err := c.Select(env, []int{4, 4}, cfg)
 	if err != nil || !cached || m != predict.MethodLagrange {
 		t.Fatalf("post-update select = %v cached=%v err=%v, want Lagrange hit", m, cached, err)

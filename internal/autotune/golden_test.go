@@ -172,7 +172,9 @@ func goldenRun(a *ndarray.Array, site goldenSite, install func(env *predict.Env,
 	return out
 }
 
-func maskByOffsets(env *predict.Env, offs []int) { env.Mask(offs...) }
+func maskByOffsets(env *predict.Env, offs []int) {
+	env.SetMaskFunc(func(off int) bool { return slices.Contains(offs, off) })
+}
 
 func TestSelectGolden(t *testing.T) {
 	fields := goldenFields()
@@ -236,10 +238,7 @@ func TestSelectGolden(t *testing.T) {
 // goldenMaskModes are the ways a caller can hide the masked neighbours from
 // an Env; every one must reproduce the same golden record.
 var goldenMaskModes = map[string]func(env *predict.Env, offs []int){
-	"offsets": maskByOffsets,
-	"predicate": func(env *predict.Env, offs []int) {
-		env.SetMaskFunc(func(off int) bool { return slices.Contains(offs, off) })
-	},
+	"predicate": maskByOffsets,
 	"enumerable": func(env *predict.Env, offs []int) {
 		m := slices.Clone(offs)
 		slices.Sort(m)

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 
@@ -499,7 +500,6 @@ func runDataset(cfg Config, app sdrbench.App, name string, load func() (*sdrbenc
 	seed := seedFor(cfg.Seed, app, name)
 
 	env := predict.NewEnv(arr, seed)
-	env.Precompute() // O(1) global regression per trial; array stays pristine
 
 	inj := faultinject.New(seed+1, ds.DType)
 	preds := make([]predict.Predictor, len(cfg.Methods))
@@ -582,7 +582,10 @@ func runDataset(cfg Config, app sdrbench.App, name string, load func() (*sdrbenc
 
 	if cfg.FaultClass == faultinject.ClassBit {
 		// The paper's model, byte-for-byte: Plan keeps the injector's draw
-		// sequence identical to historical campaigns.
+		// sequence identical to historical campaigns. The array stays
+		// pristine, so shared statistics make global regression O(1) per
+		// trial.
+		env.SetShared(predict.NewSharedStats(arr))
 		for ti, t := range inj.Plan(arr, cfg.Trials) {
 			evalCell(t.Offset, t.Orig)
 			if dr.autotune != nil && ti < cfg.AutotuneTrials {
@@ -592,12 +595,17 @@ func runDataset(cfg Config, app sdrbench.App, name string, load func() (*sdrbenc
 		return dr, nil
 	}
 	// Structured classes: one physical event per trial, possibly many cells.
-	// Every cell of the event is masked for the event's whole evaluation, so
-	// a wiped cell's prediction can only draw on survivors — the degraded
-	// stencils, not the doomed neighbors, carry the score.
+	// Every cell of the event, and no other, is masked for the event's whole
+	// evaluation, so a wiped cell's prediction can only draw on survivors —
+	// the degraded stencils, not the doomed neighbors, carry the score.
+	// Global regression scans honestly: shared statistics would have to
+	// exclude each event's cells.
 	for ti, st := range inj.PlanStructured(arr, cfg.FaultClass, cfg.Trials, cfg.FaultSpan) {
-		offs := st.Offsets()
-		env.Mask(offs...)
+		offs := st.Offsets() // ascending
+		env.SetMaskFunc(func(off int) bool {
+			_, wiped := slices.BinarySearch(offs, off)
+			return wiped
+		})
 		for ci, cell := range st.Cells {
 			evalCell(cell.Offset, cell.Orig)
 			// Tune once per event (its first cell), mirroring the per-trial
@@ -606,7 +614,7 @@ func runDataset(cfg Config, app sdrbench.App, name string, load func() (*sdrbenc
 				tuneCell()
 			}
 		}
-		env.Allow(offs...)
+		env.SetMaskSource(nil)
 	}
 	return dr, nil
 }

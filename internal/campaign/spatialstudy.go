@@ -180,7 +180,6 @@ func runSpatialField(cfg SpatialStudyConfig, name string, rate float64) spatialF
 	rows, cells := dims[0], arr.Len()
 	seed := seedFor(cfg.Seed, sdrbench.CESM, name)
 	env := predict.NewEnv(arr, seed)
-	env.Precompute()
 
 	// Stripes partition the row dimension, as in the engine; ~16 stripes
 	// give G* room to resolve a band against the background.
@@ -258,8 +257,7 @@ func runSpatialField(cfg SpatialStudyConfig, name string, rate float64) spatialF
 		seen[off] = true
 		offs = append(offs, off)
 	}
-	env.Mask(offs...)
-	defer env.Allow(offs...)
+	env.SetMaskFunc(func(off int) bool { return seen[off] })
 	// Shuffle so band and background reconstructions interleave: the guided
 	// arm's analytics warm up the way the engine's do, mid-storm.
 	for i := len(offs) - 1; i > 0; i-- {

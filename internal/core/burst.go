@@ -124,6 +124,16 @@ func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstO
 	// reads the live mask.
 	buf := make([]int, 2*len(work))
 	keys, pending := buf[:len(work)], buf[len(work):] // pending indexes work
+	// A seeded cell (keys[w] < 0) stays quarantined until verified, but it
+	// holds an estimate trustworthy enough to feed later stencils: the burst
+	// reads through a mask of the quarantined cells not yet seeded.
+	env.SetMaskFunc(func(off int) bool {
+		if !st.quarantine.Masked(off) {
+			return false
+		}
+		w, burst := slices.BinarySearch(work, off)
+		return !burst || keys[w] >= 0
+	})
 	for w, off := range work {
 		keys[w], pending[w] = frontierHealthy(env, arr, off), w
 	}
@@ -155,7 +165,6 @@ func (e *Engine) RecoverBurst(alloc *registry.Allocation, offsets []int) (BurstO
 			v = mean
 		}
 		arr.SetOffset(off, v)
-		env.Allow(off) // seeded: trustworthy enough to feed later stencils
 		faceNeighbors(arr, off, func(noff int) {
 			if j, ok := slices.BinarySearch(work, noff); ok && keys[j] >= 0 {
 				keys[j]++

@@ -70,6 +70,8 @@ func (e *Engine) recoverBurstRef(alloc *registry.Allocation, offsets []int) (Bur
 	st.quarantineCells(work...)
 
 	env := e.envFor(arr, st, e.nextSeed())
+	seeded := make(map[int]bool, len(work))
+	env.SetMaskFunc(func(off int) bool { return !seeded[off] && st.quarantine.Masked(off) })
 
 	// Mean over the healthy cells only — quarantined ones (the burst, plus
 	// anything reported by MarkCorrupt) may hold NaN or garbage. Used as a
@@ -128,7 +130,7 @@ func (e *Engine) recoverBurstRef(alloc *registry.Allocation, offsets []int) (Bur
 			v = healthyMean
 		}
 		arr.SetOffset(off, v)
-		env.Allow(off) // seeded: trustworthy enough to feed later stencils
+		seeded[off] = true // trustworthy enough to feed later stencils
 		pending = pending[1:]
 	}
 

@@ -301,7 +301,7 @@ func (e *Engine) reconstruct(ctx context.Context, t *target, st *arrayState, m *
 					// verified. Publish it so the region's next recovery
 					// hits the corrected entry instead of re-walking the
 					// ladder.
-					st.cache.Update(idx, res.Best, res.Scores)
+					st.cache.Update(idx, res.Best)
 				}
 				return succeed(StageTune, res.Best, true, v)
 			}
@@ -334,7 +334,7 @@ func (e *Engine) reconstruct(ctx context.Context, t *target, st *arrayState, m *
 				if cachingOn {
 					// Same correction as the tune rung: the alternate that
 					// finally verified is the region's best current answer.
-					st.cache.Update(idx, sc.Method, ranked)
+					st.cache.Update(idx, sc.Method)
 				}
 				return succeed(StageAlternate, sc.Method, true, v)
 			}

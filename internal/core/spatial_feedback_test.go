@@ -35,8 +35,7 @@ func TestStaleCacheCorrectedAfterVerifyFailure(t *testing.T) {
 	// Poison the region with a stale decision: MethodZero reconstructs 0,
 	// which the (50, 150) range verification always rejects.
 	c := eng.stateFor(a).cache
-	c.Update([]int{5, 5}, predict.MethodZero,
-		[]autotune.Score{{Method: predict.MethodZero, Hits: 0, Probes: 5, MeanRelErr: 1}})
+	c.Update([]int{5, 5}, predict.MethodZero)
 
 	off1 := a.Offset(5, 5)
 	a.SetOffset(off1, math.NaN())

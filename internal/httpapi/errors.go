@@ -20,7 +20,6 @@ const (
 	CodeBadRequest        = "bad_request"
 	CodeNotRegistered     = "not_registered"
 	CodeNameTaken         = "name_taken"
-	CodeBadDims           = "bad_dims"
 	CodeOverloaded        = "overloaded"
 	CodeVerifyFailed      = "verify_failed"
 	CodeMetadataCorrupt   = "metadata_corrupt"
@@ -34,7 +33,7 @@ const (
 	CodeInternal          = "internal"
 )
 
-var codes = []string{CodeBadRequest, CodeNotRegistered, CodeNameTaken, CodeBadDims,
+var codes = []string{CodeBadRequest, CodeNotRegistered, CodeNameTaken,
 	CodeOverloaded, CodeVerifyFailed, CodeMetadataCorrupt, CodeAbandoned, CodeCircuitOpen,
 	CodeCheckpointRestart, CodeDraining, CodeRecoveriesBusy, CodeForwardLoop,
 	CodePayloadTooLarge, CodeInternal}
@@ -112,7 +111,6 @@ var mappings = []mapping{
 	{CodeCircuitOpen, http.StatusServiceUnavailable, true, []error{service.ErrCircuitOpen, core.ErrCheckpointRestartRequired}},
 	{CodeNameTaken, http.StatusConflict, false, []error{registry.ErrNameTaken}},
 	{CodeRecoveriesBusy, http.StatusConflict, true, []error{core.ErrRecoveriesInFlight}},
-	{CodeBadDims, http.StatusBadRequest, false, []error{registry.ErrDims}},
 	// Before not_registered and checkpoint_restart: a corrupt-beyond-parity
 	// descriptor refusal wraps ErrCheckpointRestartRequired on the recovery
 	// path, but the caller must see that the metadata — not the data — is

@@ -64,13 +64,6 @@ func TestErrorMappingTable(t *testing.T) {
 			wantIs:     []error{registry.ErrNameTaken},
 		},
 		{
-			name:       "dimension mismatch",
-			err:        fmt.Errorf("%w: want 2D", registry.ErrDims),
-			wantCode:   CodeBadDims,
-			wantStatus: http.StatusBadRequest,
-			wantIs:     []error{registry.ErrDims},
-		},
-		{
 			name:       "recovery abandoned",
 			err:        fmt.Errorf("%w: deadline", core.ErrRecoveryAbandoned),
 			wantCode:   CodeAbandoned,
@@ -130,7 +123,7 @@ func TestErrorMappingTable(t *testing.T) {
 			// ... and no others from the table.
 			all := []error{
 				service.ErrOverloaded, service.ErrCircuitOpen, service.ErrStopped,
-				registry.ErrNotRegistered, registry.ErrNameTaken, registry.ErrDims,
+				registry.ErrNotRegistered, registry.ErrNameTaken,
 				core.ErrRecoveryAbandoned, core.ErrVerifyFailed, core.ErrCheckpointRestartRequired,
 			}
 			for _, sentinel := range all {

@@ -102,9 +102,11 @@ func MeasureAutotune(ds *sdrbench.Dataset, methods []predict.Method, cfg Config)
 		cfg.TuneK = 3
 	}
 	env := predict.NewEnv(ds.Array, cfg.Seed)
-	env.Range()
-	env.Precompute() // tuning probes global regression many times; the
-	// engine amortizes this exactly once per allocation
+	// Tuning probes global regression many times; the engine amortizes
+	// these statistics exactly once per allocation.
+	shared := predict.NewSharedStats(ds.Array)
+	shared.Prepare()
+	env.SetShared(shared)
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	idx := make([]int, ds.Array.NumDims())
 	tcfg := autotune.Config{K: cfg.TuneK, Tolerance: 0.01, Methods: methods, MaxProbes: cfg.TuneMaxProbes}

@@ -18,7 +18,7 @@ func allocField() (*Env, []int) {
 		return 30 + 5*math.Sin(float64(idx[0])/5) + 3*math.Cos(float64(idx[1])/4)
 	})
 	env := NewEnv(a, 1)
-	env.Mask(a.Offset(32, 32))
+	maskOffsets(env, a.Offset(32, 32))
 	return env, []int{32, 32}
 }
 
@@ -52,8 +52,7 @@ func TestLagrangeZeroAllocs(t *testing.T) {
 	})
 	// Near-boundary fallback: node search runs but still reuses scratch.
 	edge := []int{1, 5}
-	env.Allow(env.A.Offset(32, 32))
-	env.Mask(env.A.Offset(edge[0], edge[1]))
+	maskOffsets(env, env.A.Offset(edge[0], edge[1]))
 	assertZeroAllocs(t, "Lagrange fallback", func() {
 		if _, err := p.Predict(env, edge); err != nil {
 			t.Fatal(err)
@@ -75,16 +74,16 @@ func TestSimpleKernelsZeroAllocs(t *testing.T) {
 
 // TestLocalRegressionZeroAllocs covers the three ways the kernel learns what
 // it must not read: no mask at all, an enumerable source (the engine's
-// quarantine view) and Mask offsets (asked per cell).
+// quarantine view) and a bare predicate (asked per cell).
 func TestLocalRegressionZeroAllocs(t *testing.T) {
 	p := LocalRegression{Radius: 3}
 	env, idx := kernelBenchEnv()
 	plain := NewEnv(env.A, 1)
-	offsets, _ := allocField()
+	predicate, _ := allocField()
 	for name, c := range map[string]struct {
 		env *Env
 		idx []int
-	}{"no mask": {plain, idx}, "enumerable": {env, idx}, "offsets": {offsets, []int{32, 32}}} {
+	}{"no mask": {plain, idx}, "enumerable": {env, idx}, "predicate": {predicate, []int{32, 32}}} {
 		c := c
 		assertZeroAllocs(t, p.Name()+", "+name, func() {
 			if _, err := p.Predict(c.env, c.idx); err != nil {

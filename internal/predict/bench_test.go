@@ -11,7 +11,7 @@ func benchEnv() (*Env, []int) {
 		return 30 + 5*math.Sin(float64(idx[0])/5) + 3*math.Cos(float64(idx[1])/4)
 	})
 	env := NewEnv(a, 1)
-	env.Mask(a.Offset(32, 32))
+	maskOffsets(env, a.Offset(32, 32))
 	return env, []int{32, 32}
 }
 

@@ -3,6 +3,7 @@ package predict
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"spatialdue/internal/ndarray"
@@ -16,16 +17,31 @@ import (
 
 // maskRow quarantines all of row r in a 2-D array.
 func maskRow(env *Env, a *ndarray.Array, r int) {
+	var offs []int
 	for c := 0; c < a.Dim(1); c++ {
-		env.Mask(a.Offset(r, c))
+		offs = append(offs, a.Offset(r, c))
 	}
+	maskOffsets(env, offs...)
 }
 
 // maskCol quarantines all of column c in a 2-D array.
 func maskCol(env *Env, a *ndarray.Array, c int) {
+	var offs []int
 	for r := 0; r < a.Dim(0); r++ {
-		env.Mask(a.Offset(r, c))
+		offs = append(offs, a.Offset(r, c))
 	}
+	maskOffsets(env, offs...)
+}
+
+// maskAllBut quarantines every cell of a except those at keep.
+func maskAllBut(env *Env, a *ndarray.Array, keep ...int) {
+	var offs []int
+	for off := 0; off < a.Len(); off++ {
+		if !slices.Contains(keep, off) {
+			offs = append(offs, off)
+		}
+	}
+	maskOffsets(env, offs...)
 }
 
 func TestLorenzoDegradesAcrossRowWipe(t *testing.T) {
@@ -63,11 +79,7 @@ func TestLorenzoDegradedStillRefusesWhenSurrounded(t *testing.T) {
 	// no degraded stencil exists either, and the predictor must say so.
 	a := fill([]int{5, 5}, func(idx []int) float64 { return 1 })
 	env := envFor(a)
-	for off := 0; off < a.Len(); off++ {
-		if off != a.Offset(2, 2) {
-			env.Mask(off)
-		}
-	}
+	maskAllBut(env, a, a.Offset(2, 2))
 	if _, err := (Lorenzo{Layers: 1}).Predict(env, []int{2, 2}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v, want ErrUnsupported", err)
 	}
@@ -110,11 +122,7 @@ func TestLagrangeShrinksToNearestNeighbor(t *testing.T) {
 	// bottom out at k=1, a nearest-neighbor copy, rather than refuse.
 	a := fill([]int{4, 4}, func(idx []int) float64 { return float64(idx[0]*4 + idx[1]) })
 	env := envFor(a)
-	for off := 0; off < a.Len(); off++ {
-		if off != a.Offset(0, 0) && off != a.Offset(0, 1) {
-			env.Mask(off)
-		}
-	}
+	maskAllBut(env, a, a.Offset(0, 0), a.Offset(0, 1))
 	got, err := (Lagrange{Offsets: []int{-2, -1, 1}}).Predict(env, []int{0, 0})
 	if err != nil {
 		t.Fatalf("shrunk predict: %v", err)
@@ -127,11 +135,7 @@ func TestLagrangeShrinksToNearestNeighbor(t *testing.T) {
 func TestLagrangeDegradedRefusesWhenIsolated(t *testing.T) {
 	a := fill([]int{4, 4}, func(idx []int) float64 { return 1 })
 	env := envFor(a)
-	for off := 0; off < a.Len(); off++ {
-		if off != a.Offset(2, 2) {
-			env.Mask(off)
-		}
-	}
+	maskAllBut(env, a, a.Offset(2, 2))
 	if _, err := (Lagrange{Offsets: []int{-2, -1, 1}}).Predict(env, []int{2, 2}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v, want ErrUnsupported", err)
 	}

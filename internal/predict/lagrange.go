@@ -101,7 +101,7 @@ func lagUsable(env *Env, a *ndarray.Array, nb []int, base, o, dimSz, axis int) b
 	if p < 0 || p >= dimSz {
 		return false
 	}
-	if !env.HasMask() {
+	if env.mask == nil {
 		return true
 	}
 	nb[axis] = p

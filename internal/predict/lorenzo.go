@@ -168,7 +168,7 @@ func (l Lorenzo) Predict(env *Env, idx []int) (float64, error) {
 				dir[t] = +1
 			}
 		}
-		if !env.HasMask() {
+		if env.mask == nil {
 			v, _ := lorenzoSweep(env, a, idx, dir, s, nb, coef, maxs, d, false)
 			return v, nil
 		}

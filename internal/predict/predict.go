@@ -43,29 +43,19 @@ const MaxStencilReach = 8
 
 // Env bundles a dataset with the per-dataset state the predictors need:
 // the value range (for the Random method), a deterministic random source,
-// and an optional cache of global regression moments.
-//
-// Env snapshots dataset-wide statistics at creation time. The fault
-// injection campaigns keep the underlying array pristine (they never write
-// the corrupted value into it; predictors are forbidden from reading the
-// target element anyway), which keeps the cached statistics exact. Code that
-// recovers a genuinely corrupted in-place array (internal/core) must create
-// the Env after the corruption and must not call Precompute, so that global
-// regression performs an honest full scan that skips the corrupted element.
+// an optional mask of cells that must not be read, and optional shared
+// array-wide statistics (SetShared).
 type Env struct {
 	A   *ndarray.Array
 	Rng *rand.Rand
 
 	rangeOK  bool
 	min, max float64
-	mom      *Moments // non-nil after Precompute
 
-	// Mask state: offsets whose stored values are known-garbage (e.g.
-	// quarantined multi-DUE neighbors) and must not feed any stencil.
-	masked   map[int]bool
-	allowed  map[int]bool // overrides masked and mask (seeded cells)
-	mask     MaskSource   // live source (engine quarantine set)
-	haveMask bool
+	// mask, when set, holds the offsets whose stored values are
+	// known-garbage (e.g. quarantined multi-DUE neighbors) and must not
+	// feed any stencil.
+	mask MaskSource
 
 	// shared, when set, supplies the array-wide statistics (value range,
 	// global-regression moments) from an engine-maintained SharedStats
@@ -199,8 +189,8 @@ func (e *Env) Probes(idx []int, k int) (offs, coord []int) {
 }
 
 // NewEnv wraps a dataset with a deterministic random source. Dataset-wide
-// statistics (the value range, the regression moments) are computed lazily
-// or on request, so predictors that do not need them stay O(1).
+// statistics (the value range, the regression fit) are computed lazily, so
+// predictors that do not need them stay O(1).
 func NewEnv(a *ndarray.Array, seed int64) *Env {
 	return &Env{A: a, Rng: rand.New(rand.NewSource(seed))}
 }
@@ -227,7 +217,7 @@ func (e *Env) Range() (min, max float64) {
 		return e.shared.Range()
 	}
 	if !e.rangeOK {
-		if e.haveMask {
+		if e.mask != nil {
 			e.min, e.max = math.NaN(), math.NaN()
 			for off := 0; off < e.A.Len(); off++ {
 				if e.Masked(off) {
@@ -252,39 +242,11 @@ func (e *Env) Range() (min, max float64) {
 	return e.min, e.max
 }
 
-// Mask marks offsets as unusable: no predictor will read their stored
-// values. Used by the recovery engine to keep quarantined (corrupt but not
-// yet repaired) cells out of every stencil, so a multi-element burst never
-// feeds known-garbage neighbors into a reconstruction.
-func (e *Env) Mask(offs ...int) {
-	if e.masked == nil {
-		e.masked = map[int]bool{}
-	}
-	for _, off := range offs {
-		e.masked[off] = true
-	}
-	e.haveMask = true
-	e.rangeOK = false
-}
-
-// Allow marks offsets as readable again even if Mask or the mask predicate
-// covers them — used by burst recovery once a cell has been seeded with a
-// provisional estimate and may participate in refining its neighbors.
-func (e *Env) Allow(offs ...int) {
-	if e.allowed == nil {
-		e.allowed = map[int]bool{}
-	}
-	for _, off := range offs {
-		e.allowed[off] = true
-	}
-	e.rangeOK = false
-}
-
-// SetMaskFunc installs a live mask predicate (in addition to any offsets
-// passed to Mask). The contract, for the predicate and for SetMaskSource
-// alike: nothing is cached across predictions, probes, methods or ladder
-// rungs, so a cell the source reports masked before a prediction starts is
-// never read by that prediction. Within one prediction the small-stencil
+// SetMaskFunc installs a live mask predicate; nil removes the mask. The
+// contract, for the predicate and for SetMaskSource alike: nothing is cached
+// across predictions, probes, methods or ladder rungs, so a cell the source
+// reports masked before a prediction starts is never read by that
+// prediction. Within one prediction the small-stencil
 // methods ask before every read; LocalRegression asks once, after it starts
 // and before it reads anything (per cell of its patch for a bare predicate).
 // Reports are not ordered against array reads, so per-read freshness was
@@ -301,56 +263,27 @@ func (e *Env) SetMaskFunc(fn func(off int) bool) {
 // SetMaskSource installs a live mask that can also enumerate a range (the
 // recovery engine wires one array's view of its quarantine set here, so
 // cells reported corrupt *while a recovery is in flight* are masked from the
-// next prediction on). It replaces any predicate or source installed before;
-// see SetMaskFunc for the freshness contract.
+// next prediction on). It replaces any predicate or source installed before,
+// and nil removes the mask; see SetMaskFunc for the freshness contract.
 func (e *Env) SetMaskSource(src MaskSource) {
 	e.mask = src
-	e.haveMask = e.haveMask || src != nil
 	e.rangeOK = false
 }
 
-// Masked reports whether the value stored at off must not be used. Without
-// Mask/Allow overrides (every engine recovery but a burst, whose seed pass
-// allows cells back) it is the source's answer alone.
-func (e *Env) Masked(off int) bool {
-	if e.masked != nil || e.allowed != nil {
-		if e.allowed[off] {
-			return false
-		}
-		if e.masked[off] {
-			return true
-		}
-	}
-	return e.mask != nil && e.mask.Masked(off)
-}
+// Masked reports whether the value stored at off must not be used.
+func (e *Env) Masked(off int) bool { return e.mask != nil && e.mask.Masked(off) }
 
 // appendMaskedIn is the per-prediction form of Masked: it appends to dst, in
 // ascending order, the offsets in [lo, hi] for which Masked is true right
 // now. It reports ok=false when that takes asking Masked per offset — a bare
-// predicate, Mask/Allow overrides in play, or a source that declined (the
-// span costs more than limit queries) — which the caller then does over the
-// offsets it actually reads.
+// predicate, or a source that declined (the span costs more than limit
+// queries) — which the caller then does over the offsets it actually reads.
 func (e *Env) appendMaskedIn(dst []int, lo, hi, limit int) (out []int, ok bool) {
-	switch {
-	case !e.haveMask:
-		return dst, true
-	case len(e.masked) > 0 || len(e.allowed) > 0:
-		return dst, false
-	case e.mask == nil:
+	if e.mask == nil {
 		return dst, true
 	}
 	return e.mask.AppendMasked(dst, lo, hi, limit)
 }
-
-// HasMask reports whether any mask state is installed (used to decide
-// whether precomputed global-regression moments are still trustworthy).
-func (e *Env) HasMask() bool { return e.haveMask }
-
-// Precompute builds the global regression moment cache in a single O(N)
-// pass, turning every subsequent GlobalRegression prediction into O(1) work.
-// It must only be called while the array holds pristine data, and the array
-// must not be modified afterwards (see the Env contract above).
-func (e *Env) Precompute() { e.mom = NewMoments(e.A) }
 
 // Predictor reconstructs the value at a corrupted index from its spatial
 // neighbors. Implementations must not read the element at idx.

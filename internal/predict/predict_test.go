@@ -19,6 +19,13 @@ func fill(dims []int, f func(idx []int) float64) *ndarray.Array {
 
 func envFor(a *ndarray.Array) *Env { return NewEnv(a, 1) }
 
+// maskOffsets hides exactly offs from env's stencils, through a bare
+// predicate (asked per cell).
+func maskOffsets(env *Env, offs ...int) {
+	set := newSetMask(offs...)
+	env.SetMaskFunc(func(off int) bool { return set.offs[off] })
+}
+
 func predictAt(t *testing.T, p Predictor, a *ndarray.Array, idx ...int) float64 {
 	t.Helper()
 	v, err := p.Predict(envFor(a), idx)
@@ -321,17 +328,14 @@ func TestGlobalRegressionExcludesCorruptedValue(t *testing.T) {
 }
 
 func TestMomentsPathMatchesFullScan(t *testing.T) {
-	// The O(1) moments downdate must agree with the honest O(N) scan.
+	// The O(1) shared-moments downdate must agree with the honest O(N) scan.
 	rng := rand.New(rand.NewSource(9))
 	a := fill([]int{12, 13}, func(idx []int) float64 {
 		return 5 + 0.3*float64(idx[0]) - 0.7*float64(idx[1]) + rng.NormFloat64()
 	})
 	slow := NewEnv(a, 1)
 	fast := NewEnv(a, 1)
-	fast.Precompute()
-	if fast.mom == nil || slow.mom != nil {
-		t.Fatal("Precompute flag wrong")
-	}
+	fast.SetShared(NewSharedStats(a))
 	p := GlobalRegression{}
 	for _, idx := range [][]int{{0, 0}, {5, 6}, {11, 12}, {3, 9}} {
 		vSlow, err1 := p.Predict(slow, idx)
@@ -466,6 +470,11 @@ func TestLagrangeWeightsSumToOne(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// solveSym is solveSymInto with scratch of its own.
+func solveSym(a, b []float64, n int) ([]float64, bool) {
+	return solveSymInto(make([]float64, n*n), make([]float64, n), a, b, n)
 }
 
 func TestSolveSym(t *testing.T) {

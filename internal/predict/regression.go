@@ -34,13 +34,6 @@ type Moments struct {
 	phiBuf []float64 // scratch for AddElement/SubElement
 }
 
-// NewMoments scans the array once and accumulates the full-dataset moments.
-func NewMoments(a *ndarray.Array) *Moments {
-	m := newMoments(a)
-	m.accumulate(a.Data(), nil)
-	return m
-}
-
 // newMoments returns empty moments for an array of a's shape.
 func newMoments(a *ndarray.Array) *Moments {
 	d := a.NumDims()
@@ -63,7 +56,7 @@ func newMoments(a *ndarray.Array) *Moments {
 // shape, in offset order — leaving out the cells at the offsets excl (in
 // range, ascending, no duplicates). It returns the minimum and maximum of the
 // cells it took, NaN cells aside: (NaN, NaN) when there is no such cell. It
-// is the one array-wide scan behind both NewMoments and SharedStats.
+// is the one array-wide scan behind SharedStats.
 //
 // The result is, bit for bit, what adding the cells one by one in offset
 // order gives (Moments.add, which the incremental updates still use and a
@@ -290,37 +283,13 @@ func (m *Moments) add(phi []float64, v float64, sign float64) {
 	}
 }
 
-// PredictExcluding solves the least-squares fit over every element except
-// idx and evaluates the fitted plane at idx. The array must hold the same
-// data it held when the moments were built.
-func (m *Moments) PredictExcluding(a *ndarray.Array, idx []int) (float64, error) {
-	phi := make([]float64, m.p)
-	m.features(idx, phi)
-	v := a.At(idx...)
-
-	// Copy and downdate the normal equations by the excluded row.
-	xtx := append([]float64(nil), m.xtx...)
-	xtv := append([]float64(nil), m.xtv...)
-	for i := 0; i < m.p; i++ {
-		for j := 0; j < m.p; j++ {
-			xtx[i*m.p+j] -= phi[i] * phi[j]
-		}
-		xtv[i] -= phi[i] * v
-	}
-	beta, ok := solveSym(xtx, xtv, m.p)
-	if !ok {
-		return 0, ErrUnsupported
-	}
-	return dot(beta, phi), nil
-}
-
 // GlobalRegression implements Section 3.4.6. Unlike SZ, which fits
 // regressions per block, this reconstruction uses the full dataset (which
 // the paper notes hampers its accuracy via long-range correlations, and
 // makes it by far the most expensive method at recovery time — Figure 10).
 //
-// When the Env carries precomputed moments the prediction is O(1); without
-// them the predictor performs the honest O(N) scan the paper measures.
+// When the Env carries SharedStats the prediction is O(1); without them the
+// predictor performs the honest O(N) scan the paper measures.
 type GlobalRegression struct{}
 
 // Name implements Predictor.
@@ -334,11 +303,6 @@ func (GlobalRegression) Predict(env *Env, idx []int) (float64, error) {
 	// mask, so no rescan is needed even with masked cells in play.
 	if env.shared != nil {
 		return env.shared.PredictExcluding(idx)
-	}
-	// Precomputed moments include every element; with quarantined cells in
-	// play they are no longer trustworthy, so fall back to the honest scan.
-	if env.mom != nil && !env.HasMask() {
-		return env.mom.PredictExcluding(a, idx)
 	}
 	// Full scan, skipping the corrupted element.
 	d := a.NumDims()
@@ -447,7 +411,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	}
 
 	// One mask query for the whole prediction; per cell when the mask cannot
-	// enumerate (a bare predicate, Mask/Allow overrides, a span too wide).
+	// enumerate (a bare predicate, a span too wide).
 	excl, enumerated := env.appendMaskedIn(env.sc.excluded[:0], first, last, n)
 	if !enumerated {
 		excl = excl[:0]
@@ -564,16 +528,12 @@ func axisSums(a *ndarray.Array, idx []int, r, t int) (n, sum, sq int) {
 	return hi - lo + 1, sum, sq
 }
 
-// solveSym solves the n x n linear system A x = b (A row-major, symmetric
+// solveSymInto solves the n x n linear system A x = b (A row-major, symmetric
 // positive semi-definite normal equations) by Gaussian elimination with
-// partial pivoting. It reports ok=false for singular systems.
-func solveSym(a, b []float64, n int) ([]float64, bool) {
-	return solveSymInto(make([]float64, n*n), make([]float64, n), a, b, n)
-}
-
-// solveSymInto is solveSym with caller-provided scratch: m (n*n) and x (n)
-// receive working copies of a and b, so a and b are left untouched and no
-// allocation occurs. The solution is returned in x.
+// partial pivoting. It reports ok=false for singular systems. m (n*n) and x
+// (n) are caller-provided scratch that receive working copies of a and b, so
+// a and b are left untouched and no allocation occurs. The solution is
+// returned in x.
 func solveSymInto(m, x, a, b []float64, n int) ([]float64, bool) {
 	copy(m, a)
 	copy(x, b)

@@ -152,15 +152,6 @@ var refMaskModes = []struct {
 		set.decline = true
 		env.SetMaskSource(set)
 	}},
-	{"offsets", func(env *Env, offs []int) { env.Mask(offs...) }},
-	{"enumerable+allow", func(env *Env, offs []int) {
-		// An Allow override on top of a source: the first masked offset is
-		// readable again (burst seeding does this).
-		env.SetMaskSource(newSetMask(offs...))
-		if len(offs) > 0 {
-			env.Allow(offs[0])
-		}
-	}},
 }
 
 // TestLocalRegressionMatchesReference is the differential test behind the

@@ -16,10 +16,10 @@ import (
 )
 
 // updateGolden regenerates testdata/shared_golden.json from whatever
-// SharedStats and NewMoments do now. The committed file was generated by the
-// per-cell CoordsInto/features/add loop, before the row-walk build landed, so
-// it pins that loop's statistics bit for bit; only regenerate it for a change
-// that is meant to move them.
+// SharedStats and the moments walk do now. The committed file was generated
+// by the per-cell CoordsInto/features/add loop, before the row-walk build
+// landed, so it pins that loop's statistics bit for bit; only regenerate it
+// for a change that is meant to move them.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/shared_golden.json from the current SharedStats")
 
 const sharedGoldenPath = "testdata/shared_golden.json"
@@ -229,7 +229,9 @@ func runSharedGoldenCase(c sharedGoldenSpec) sharedGoldenCase {
 		out.Steps = append(out.Steps, st)
 	}
 
-	record("moments", NewMoments(a), nil, false)
+	mom := newMoments(a)
+	mom.accumulate(a.Data(), nil)
+	record("moments", mom, nil, false)
 
 	s := NewSharedStats(a)
 	s.Exclude(excl...)

@@ -180,12 +180,13 @@ func TestSharedBuildMatchesReference(t *testing.T) {
 		}
 	}
 
-	// NewMoments reads the live array through the same walk.
+	// The walk over the live array, with nothing excluded.
 	a := field([]int{9, 31, 12})
-	got := NewMoments(a)
+	got := newMoments(a)
+	got.accumulate(a.Data(), nil)
 	want := sharedBuildRef(a, a.Data(), nil)
 	if got.n != want.n || !sameBits(got.xtx, want.xtx) || !sameBits(got.xtv, want.xtv) {
-		t.Errorf("NewMoments = %+v, reference %+v", got, want)
+		t.Errorf("accumulate = %+v, reference %+v", got, want)
 	}
 }
 

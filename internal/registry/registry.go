@@ -31,10 +31,6 @@ import (
 // address — the caller must fall back to checkpoint-restart.
 var ErrNotRegistered = errors.New("registry: address not registered")
 
-// ErrDims is returned when the registered dimensions disagree with the
-// array being protected.
-var ErrDims = errors.New("registry: dimension mismatch")
-
 // ErrNameTaken is returned by RegisterTenant when the tenant already has an
 // allocation registered under the requested name. Tenant-scoped names must
 // be unique so that remote clients can address allocations by name alone.

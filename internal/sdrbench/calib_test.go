@@ -46,7 +46,6 @@ func TestCalibTextureRatios(t *testing.T) {
 			addNoise(a, rng, cfg.noise)
 		}
 		env := predict.NewEnv(a, 1)
-		env.Precompute()
 		line := fmt.Sprintf("tau=%.2f sharp=%.1f noise=%.4f:", cfg.tau, cfg.sharp, cfg.noise)
 		for _, m := range []predict.Method{predict.MethodPreceding, predict.MethodAverage, predict.MethodLorenzo1, predict.MethodQuadratic, predict.MethodLocalLinReg, predict.MethodLagrange} {
 			p := predict.New(m)
