@@ -245,8 +245,9 @@ type BurstOutcome = core.BurstOutcome
 // application's recovery activity.
 func MetricsHandler(e *Engine) http.Handler { return metrics.Handler(e.WriteMetrics) }
 
-// RecoveryService is the resilient long-running recovery front end: a
-// bounded worker pool with admission control, per-recovery deadlines, retry
+// RecoveryService is the resilient long-running recovery front end:
+// recoveries run on their submitters, a bounded number at once, behind
+// admission control, with per-recovery deadlines, retry
 // with jittered backoff, per-allocation circuit breakers, and an optional
 // crash-safe write-ahead journal that replays unfinished recoveries after a
 // restart. See cmd/duerecover -serve for a complete deployment shape.
@@ -274,7 +275,7 @@ const (
 // NewRecoveryService creates a recovery service over an engine. With
 // ServiceConfig.JournalPath set, unfinished intents from a previous run are
 // re-quarantined and replayed; register allocations (under stable names)
-// before calling. Call Start to launch the pool and Drain/Close to stop.
+// before calling. Call Start to run the replay and Drain/Close to stop.
 func NewRecoveryService(e *Engine, cfg ServiceConfig) (*RecoveryService, error) {
 	return service.New(e, cfg)
 }

@@ -10,8 +10,9 @@
 //	           [-trials 5] [-seed 1] [-scale small]
 //
 // With -serve it instead runs the resilient recovery service: MCA events
-// stream through admission control, a write-ahead journal, and a bounded
-// worker pool, and SIGTERM/SIGINT drains gracefully:
+// stream through admission control and a write-ahead journal, each
+// recovering on the goroutine that delivered it with at most -workers
+// recoveries at once, and SIGTERM/SIGINT drains gracefully:
 //
 //	duerecover -serve [-workers 4] [-queue 64] [-deadline 2s]
 //	           [-journal recovery.jsonl] [-events 200] [-rate 100]
@@ -23,7 +24,7 @@
 // /metrics, /readyz) in front of the same resilient service. The demo
 // dataset is pre-registered in the default tenant. SIGTERM/SIGINT shuts
 // down gracefully: the listener stops accepting, in-flight requests and
-// bank-latched events drain, then the recovery pool drains:
+// bank-latched events drain, then the recovery service drains:
 //
 //	duerecover -serve -listen :8080 [-enable-inject=false] [-journal ...]
 package main
@@ -63,8 +64,8 @@ func main() {
 		scaleFlag = flag.String("scale", "small", "dataset scale: tiny, small, medium")
 
 		serve    = flag.Bool("serve", false, "run the resilient recovery service instead of one-shot trials")
-		workers  = flag.Int("workers", 4, "serve: recovery pool size")
-		queue    = flag.Int("queue", 64, "serve: admission queue depth")
+		workers  = flag.Int("workers", 4, "serve: how many recoveries run at once (each on the goroutine that delivered it)")
+		queue    = flag.Int("queue", 64, "serve: admission bound: recoveries admitted but not yet started; past it events are rejected and stay bank-latched")
 		deadline = flag.Duration("deadline", 2*time.Second, "serve: per-recovery deadline (negative disables)")
 		jpath    = flag.String("journal", "", "serve: crash-safe recovery journal path (empty disables)")
 		events   = flag.Int("events", 200, "serve: number of MCA events to stream (0 = until signalled)")
@@ -399,9 +400,10 @@ func runListen(eng *spatialdue.Engine, ds *sdrbench.Dataset, policy spatialdue.P
 }
 
 // runServe is the deployment shape of the resilient recovery service:
-// intake → journal → bounded pool → engine, with graceful drain on
-// SIGTERM/SIGINT. A stream of simulated MCA events (planted faults
-// discovered by demand accesses) drives the pipeline.
+// intake → journal → engine, at most -workers recoveries at once, with
+// graceful drain on SIGTERM/SIGINT. A stream of simulated MCA events
+// (planted faults discovered by demand accesses) drives the pipeline; each
+// recovers before its Touch returns.
 func runServe(eng *spatialdue.Engine, alloc *spatialdue.Allocation, ds *sdrbench.Dataset, opt serveOptions) {
 	svc, err := spatialdue.NewRecoveryService(eng, spatialdue.ServiceConfig{
 		Workers: opt.workers, QueueDepth: opt.queue, Deadline: opt.deadline,
@@ -475,8 +477,9 @@ stream:
 		addr := alloc.AddrOf(trial.Offset)
 		machine.Plant(addr, trial.Bit)
 		if _, err := machine.Touch(addr, ds.DType.Size()); err != nil {
-			// Rejected delivery (queue full): the bank keeps the record
-			// latched and the service redelivers when capacity frees up.
+			// Rejected delivery (admission bound reached): the bank keeps
+			// the record latched and the service redelivers when capacity
+			// frees up.
 			overloaded++
 		}
 		sent++

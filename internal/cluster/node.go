@@ -185,7 +185,7 @@ func (n *Node) Serve(ctx context.Context, httpLn, replLn net.Listener) error {
 	return n.srv.Close(shCtx)
 }
 
-// Kill simulates abrupt node death: queued recoveries drop, journal writes
+// Kill simulates abrupt node death: admitted recoveries drop, journal writes
 // stop, listeners close, in-flight HTTP connections abort. Nothing drains
 // and nothing is flushed — the partner must survive on what replication
 // already delivered.

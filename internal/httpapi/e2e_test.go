@@ -189,9 +189,10 @@ func TestOverloadLatchesAndRedelivers(t *testing.T) {
 	vals := smoothField(rows, cols)
 
 	// The backlog is built deterministically: the first event's recovery
-	// parks the only worker token at its first ladder stage until release
-	// closes, the second event fills the one-slot queue, and every later
-	// one finds the queue full.
+	// parks the only token at its first ladder stage until release closes
+	// (no deadline abandons it), one later event takes the one admission
+	// slot and waits for the token, and every other one finds the admission
+	// bound reached.
 	parked, release := make(chan struct{}), make(chan struct{})
 	var parkOnce sync.Once
 	eng := core.NewEngine(core.Options{
@@ -204,7 +205,7 @@ func TestOverloadLatchesAndRedelivers(t *testing.T) {
 	srv, base, shutdown := startServer(t, eng, httpapi.ServerConfig{
 		EnableInject:   true,
 		RedeliverEvery: 5 * time.Millisecond,
-		Service:        service.Config{Workers: 1, QueueDepth: 1},
+		Service:        service.Config{Workers: 1, QueueDepth: 1, Deadline: -1},
 	})
 	defer func() {
 		if err := shutdown(); err != nil {
@@ -213,7 +214,12 @@ func TestOverloadLatchesAndRedelivers(t *testing.T) {
 	}()
 
 	ctx := context.Background()
-	c := client.New(client.Config{BaseURL: base, Tenant: "storm"})
+	// The concurrent ingests below dial connections the transport may
+	// never use; net/http's graceful shutdown counts a new connection as
+	// idle only after 5 s, so the test closes them before the server stops.
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	c := client.New(client.Config{BaseURL: base, Tenant: "storm", HTTPClient: &http.Client{Transport: transport}})
 	if _, err := c.Register(ctx, httpapi.RegisterRequest{
 		Name: "field", Dims: []int{rows, cols}, DType: "float32",
 		Policy: httpapi.PolicyInfo{Any: true, Range: &httpapi.RangeInfo{Lo: 50, Hi: 150}},
@@ -237,42 +243,56 @@ func TestOverloadLatchesAndRedelivers(t *testing.T) {
 		injected[n] = inj
 	}
 
-	// A single ingest returns once its recovery does, so the first one goes
-	// out from a goroutine and holds the token until the hook is released.
-	first := make(chan error, 1)
-	go func() {
-		_, err := c.Ingest(ctx, httpapi.EventRequest{Addr: injected[0].Addr, Bit: injected[0].Bit})
-		first <- err
-	}()
+	// A single ingest returns once its recovery does, so every ingest goes
+	// out from a goroutine of its own. The first holds the token until the
+	// hook is released; of the rest, one is admitted and blocks with it,
+	// and the others come back while the token is still parked: latched,
+	// or accepted when every bank was mid-redelivery and the MCA queued the
+	// event as an overflow.
+	type ingested struct {
+		n   int
+		res *httpapi.EventResult
+		err error
+	}
+	done := make(chan ingested, events)
+	ingest := func(n int) {
+		res, err := c.Ingest(ctx, httpapi.EventRequest{Addr: injected[n].Addr, Bit: injected[n].Bit})
+		done <- ingested{n, res, err}
+	}
+	go ingest(0)
 	<-parked
+	for n := 1; n < events; n++ {
+		go ingest(n)
+	}
 
 	accepted, latched := 0, 0
-	for n, inj := range injected[1:] {
-		res, err := c.Ingest(ctx, httpapi.EventRequest{Addr: inj.Addr, Bit: inj.Bit})
+	check := func(in ingested) {
 		switch {
-		case err == nil:
+		case in.err == nil:
 			accepted++
-		case errors.Is(err, service.ErrOverloaded):
+		case errors.Is(in.err, service.ErrOverloaded):
 			// The sentinel survived the wire; the event stays latched.
 			latched++
-			if res == nil || res.Status != httpapi.StatusLatched {
-				t.Fatalf("overloaded ingest result = %+v, want latched", res)
+			if in.res == nil || in.res.Status != httpapi.StatusLatched {
+				t.Fatalf("overloaded ingest result = %+v, want latched", in.res)
 			}
 			var apiErr *httpapi.Error
-			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusTooManyRequests || !apiErr.Latched {
-				t.Fatalf("overloaded ingest error = %#v, want 429 latched", err)
+			if !errors.As(in.err, &apiErr) || apiErr.Status != http.StatusTooManyRequests || !apiErr.Latched {
+				t.Fatalf("overloaded ingest error = %#v, want 429 latched", in.err)
 			}
 		default:
-			t.Fatalf("ingest %d: unexpected error %v", n+1, err)
+			t.Fatalf("ingest %d: unexpected error %v", in.n, in.err)
 		}
 	}
-	close(release)
-	if err := <-first; err != nil {
-		t.Fatalf("ingest 0: unexpected error %v", err)
+	for accepted+latched < events-2 {
+		check(<-done)
 	}
-	accepted++
-	if latched == 0 {
-		t.Fatalf("no backpressure with 1-worker/1-queue server and %d-event burst (accepted %d)", events, accepted)
+	if q := srv.Service().QueueLen(); q != 1 || latched == 0 {
+		t.Fatalf("with the token parked: %d latched, %d waiting for the token; want some latched and 1 waiting", latched, q)
+	}
+	close(release)
+	for accepted+latched < events {
+		check(<-done)
 	}
 	t.Logf("burst: %d accepted, %d latched (429)", accepted, latched)
 

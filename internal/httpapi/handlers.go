@@ -144,7 +144,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		Ready:         !s.draining.Load(),
 		Draining:      s.draining.Load(),
 		QueueDepth:    s.svc.QueueLen(),
-		QueueCapacity: s.queueCapacity(),
+		QueueCapacity: s.svc.Config().QueueDepth,
 		Quarantined:   s.eng.QuarantineCount(),
 		Breakers:      breakers,
 		Recovered:     st.Recovered,
@@ -186,15 +186,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // peers probe it to detect promotion, operators to see who owns what.
 func (s *Server) handleClusterStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.cfg.Cluster.Status())
-}
-
-// queueCapacity reports the configured admission bound (the service
-// applies the same default).
-func (s *Server) queueCapacity() int {
-	if s.cfg.Service.QueueDepth > 0 {
-		return s.cfg.Service.QueueDepth
-	}
-	return 64
 }
 
 // WriteMetrics writes the server's whole /metrics page in the Prometheus
@@ -557,8 +548,8 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request, a *regist
 
 // ingestOne admits one event: resolve it inside the tenant, raise the MCE,
 // and classify the delivery outcome. The MCA keeps undeliverable records
-// latched in their banks; the redelivery loop and worker-completion hooks
-// re-run them, so "latched" means delayed, never dropped.
+// latched in their banks; the redelivery loop and token releases re-run
+// them, so "latched" means delayed, never dropped.
 //
 // traceID, when non-empty (a validated traceparent trace-id), names the
 // recovery's trace; otherwise one is minted. The trace is staged on the
@@ -567,12 +558,10 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request, a *regist
 // later — the trace then spans the latched wait too. Terminal rejections
 // unstage it.
 //
-// runHere marks the staging for a single POST /v1/events: when the service
-// has a free worker token and an empty queue, the recovery runs on this
-// goroutine and its outcome is recorded before ingestOne returns. The
-// recovery never sees the request's context, so a client hang-up cannot
-// cancel it.
-func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string, runHere bool) EventResult {
+// An admitted recovery joins w, which the caller runs with
+// service.RunWindow. It never sees the request's context, so a client
+// hang-up cannot cancel it.
+func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string, w *service.Window) EventResult {
 	reject := func(err error) EventResult {
 		s.evRejected.Add(1)
 		return EventResult{Status: StatusRejected,
@@ -627,11 +616,11 @@ func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string, runHe
 	}
 
 	// Stage the trace before raising: the MCA delivery path cannot carry
-	// it, so the service claims it by address at submission time. A single
-	// event's staging also carries the run-here mark, cleared once the
-	// raise returns, so only this delivery may run on this goroutine.
+	// it, so the service claims it by address at submission time. The
+	// staging also carries w until the raise returns, so only this delivery
+	// joins the window.
 	tr := trace.WithID(traceID)
-	s.svc.StageTrace(addr, tr, runHere)
+	s.svc.StageTrace(addr, tr, w)
 
 	// A planted latent fault at this address is discovered by the access
 	// (Plant + Touch, the injector path); otherwise the event is an
@@ -640,9 +629,7 @@ func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string, runHe
 	if !faulted {
 		err = s.machine.RaiseMemoryDUE(addr, ev.Bit)
 	}
-	if runHere {
-		s.svc.EndRunHere(addr, tr)
-	}
+	s.svc.EndWindow(addr, tr)
 	switch {
 	case err == nil:
 		s.evAccepted.Add(1)
@@ -671,7 +658,11 @@ func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request, tenant stri
 		return
 	}
 	tid, _ := trace.ParseTraceparent(r.Header.Get(TraceparentHeader))
-	res := s.ingestOne(tenant, ev, tid, true)
+	// A single event is a window of one: the bank frees before the
+	// recovery runs, and the reply goes out after it.
+	var win service.Window
+	res := s.ingestOne(tenant, ev, tid, &win)
+	s.svc.RunWindow(&win)
 	status := http.StatusAccepted
 	if res.Status != StatusAccepted {
 		// EventResult serializes its ErrorDetail under the same "error" key
@@ -720,20 +711,18 @@ func fill(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// streamWindow is the NDJSON ingest window: events are parsed and admitted
-// in runs of this many lines before their results are encoded and flushed.
-// Back-to-back admission packs a storm's events into the recovery queue
-// together, which is what lets the service workers drain them into
-// coalesced RecoverBatch calls instead of interleaving one event per
-// worker wakeup.
+// streamWindow is how many NDJSON results are encoded and flushed at a
+// time. The handler's admitted recoveries always run before a flush, so
+// every result line it writes is for a recovery that has finished or was
+// not admitted.
 const streamWindow = 64
 
 // handleEventStream ingests an NDJSON batch: one EventRequest per line in,
-// one EventResult per line out, in order. Lines are admitted in
-// streamWindow-sized windows — all submissions for a window happen before
-// any of its results are written — so a same-array storm lands in the
-// recovery queue as one contiguous run. Per-event backpressure is reported
-// inline instead of failing the stream.
+// one EventResult per line out, in order. Admitted lines join the stream's
+// service window, which the handler runs every BatchMax admitted lines and
+// before each flush of streamWindow results, so a same-array storm reaches
+// the engine as coalesced RecoverBatch calls on this goroutine. Per-event
+// backpressure is reported inline instead of failing the stream.
 func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request, tenant string) {
 	// Results are flushed window by window while later lines are still
 	// unread; without full duplex the HTTP/1 server discards the rest of
@@ -750,16 +739,19 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request, tenan
 	defer putBuf(out)
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(*lines, 1<<20)
+	batchMax := s.svc.Config().BatchMax
+	var win service.Window
 	n := 0
-	window := make([]EventResult, 0, streamWindow)
+	results := make([]EventResult, 0, streamWindow)
 	emit := func() {
+		s.svc.RunWindow(&win)
 		buf := (*out)[:0]
-		for i := range window {
-			buf = append(window[i].AppendJSON(buf, true), '\n')
+		for i := range results {
+			buf = append(results[i].AppendJSON(buf, true), '\n')
 		}
 		*out = buf
 		_, _ = w.Write(buf) // a failed write means the client went away
-		window = window[:0]
+		results = results[:0]
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -776,13 +768,14 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request, tenan
 				Error: &ErrorDetail{Code: CodeBadRequest, Message: fmt.Sprintf("line %d: %v", n+1, err)}}
 		} else {
 			// Stream lines carry no per-event traceparent; IDs are minted.
-			// They are queued, never run here, so a window's lines reach
-			// the workers together and coalesce into batches.
-			res = s.ingestOne(tenant, ev, "", false)
+			res = s.ingestOne(tenant, ev, "", &win)
+			if win.Len() >= batchMax {
+				s.svc.RunWindow(&win)
+			}
 		}
-		window = append(window, res)
+		results = append(results, res)
 		n++
-		if len(window) == streamWindow {
+		if len(results) == streamWindow {
 			emit()
 		}
 	}

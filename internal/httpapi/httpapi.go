@@ -3,15 +3,15 @@
 // protected allocations into per-tenant registry namespaces, upload field
 // data, and stream DUE/MCE events at the server; events flow through the
 // simulated machine-check architecture into the resilient recovery service
-// (admission control, write-ahead journal, bounded worker pool, circuit
-// breakers) exactly as local submissions do, and recovery outcomes are
+// (admission control, write-ahead journal, a bounded number of concurrent
+// recoveries, circuit breakers) exactly as local submissions do, and recovery outcomes are
 // queryable per tenant.
 //
 // Backpressure maps onto HTTP semantics:
 //
 //   - service.ErrOverloaded        → 429 Too Many Requests + Retry-After;
 //     the event record stays latched in its MCA bank and is redelivered
-//     server-side once a worker frees capacity — a 429 means "delivered
+//     server-side once a recovery token frees — a 429 means "delivered
 //     late", never "dropped";
 //   - service.ErrCircuitOpen       → 503 + code "circuit_open";
 //   - core.ErrCheckpointRestartRequired → 503 + code
@@ -195,7 +195,7 @@ func decodeEventRequestFast(b []byte) (ev EventRequest, rest []byte, ok bool) {
 
 // Event ingestion statuses.
 const (
-	// StatusAccepted: the event was admitted into the recovery pool.
+	// StatusAccepted: the event was admitted for recovery.
 	StatusAccepted = "accepted"
 	// StatusLatched: admission was rejected (overload / open breaker) but
 	// the record remains latched in its MCA bank; the server redelivers it

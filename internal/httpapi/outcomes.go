@@ -5,7 +5,7 @@ import "sync"
 // outcomeRing is a bounded, seq-stamped buffer of finished recoveries that
 // remote clients poll as a feed. Writers never block: past capacity the
 // oldest records fall off and a slow poller observes Dropped instead of
-// wedging the worker pool.
+// wedging the goroutines that run recoveries.
 //
 // The record with sequence number seq lives in buf[(seq-1)%cap]. buf grows
 // by append until it holds cap records and is overwritten in place from

@@ -27,8 +27,8 @@ import (
 // ServerConfig parameterizes a Server. Zero values select the documented
 // defaults.
 type ServerConfig struct {
-	// Service configures the underlying recovery service (worker pool,
-	// admission queue, deadlines, breakers, journal). OnOutcome is chained:
+	// Service configures the underlying recovery service (recovery tokens,
+	// admission bound, deadlines, breakers, journal). OnOutcome is chained:
 	// the server's outcome feed sees every result, then the caller's hook.
 	Service service.Config
 	// Banks is the simulated MCA bank count for the ingestion path
@@ -36,8 +36,8 @@ type ServerConfig struct {
 	// overflow spills to the redelivery queue; none are ever dropped.
 	Banks int
 	// RedeliverEvery is the period of the background loop that redelivers
-	// bank-latched events when the pool has capacity (default 25ms;
-	// negative disables, leaving redelivery to worker-completion hooks).
+	// bank-latched events when the service has capacity (default 25ms;
+	// negative disables, leaving redelivery to recovery-token releases).
 	RedeliverEvery time.Duration
 	// EnableInject exposes POST /v1/allocations/{name}/inject — the fault
 	// injection endpoint the load generator and tests drive. Off by
@@ -234,9 +234,9 @@ func splitQualified(qn string) (tenant, name string) {
 }
 
 // redeliverLoop periodically pulls backpressured events out of their
-// latched banks while the pool has capacity. Worker completions also
-// trigger redelivery; this loop covers the pool-went-idle case (e.g. every
-// worker freed up before the next completion hook fired, or a breaker
+// latched banks while the service has capacity. Every recovery-token
+// release also triggers redelivery; this loop covers the idle case (e.g.
+// the last release came while another redelivery was running, or a breaker
 // half-opened with no traffic to carry the probe).
 func (s *Server) redeliverLoop() {
 	defer close(s.tickDone)
@@ -350,9 +350,9 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request) bool {
 //  1. the listener stops accepting and in-flight requests drain (bounded
 //     by drainTimeout); /readyz flips to 503 immediately so load
 //     balancers stop routing here;
-//  2. bank-latched events get a bounded window to redeliver into the pool
+//  2. bank-latched events get a bounded time to redeliver and recover
 //     (backpressured-at-burst means delivered-late, not lost);
-//  3. the recovery service drains: queued recoveries complete, their
+//  3. the recovery service drains: admitted recoveries complete, their
 //     journal outcomes are written, and the journal closes.
 //
 // A journaled intent therefore always reaches its outcome record before
@@ -385,8 +385,9 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 	return err
 }
 
-// Close stops the background redelivery loop, lets latched events settle
-// into the pool, and drains the recovery service. Safe to call once, after
+// Close stops the background redelivery loop, lets latched events
+// redeliver (each recovers on the goroutine delivering it), and drains the
+// recovery service. Safe to call once, after
 // which submissions fail with service.ErrStopped.
 func (s *Server) Close(ctx context.Context) error {
 	s.draining.Store(true)
@@ -396,9 +397,9 @@ func (s *Server) Close(ctx context.Context) error {
 		close(s.stopTick)
 	}
 	<-s.tickDone
-	// Settle window: redeliver latched/overflowed events while the pool
-	// still accepts work, so backpressured events become journaled intents
-	// (and then drained recoveries) instead of dying with the banks.
+	// Settle: redeliver latched/overflowed events while the service still
+	// accepts work, so backpressured events become journaled recoveries
+	// instead of dying with the banks.
 	for {
 		if len(s.machine.LatchedBanks()) == 0 && s.machine.PendingOverflow() == 0 {
 			break
@@ -409,7 +410,7 @@ func (s *Server) Close(ctx context.Context) error {
 		}
 		select {
 		case <-ctx.Done():
-			// Latched events that never found pool capacity stay behind —
+			// Latched events that never found capacity stay behind —
 			// the bounded-drain contract; the client already saw 429/latched.
 			return s.svc.Drain(ctx)
 		case <-time.After(2 * time.Millisecond):

@@ -17,12 +17,16 @@ import (
 // the given stage hook, and plants one fault at offset off.
 func runHereServer(t *testing.T, hook func(core.StageEvent), off int) (*httpapi.Server, *client.Client, *httpapi.InjectReport, func() error) {
 	t.Helper()
+	return windowServer(t, hook, httpapi.ServerConfig{Service: service.Config{Workers: 2, QueueDepth: 8}}, off)
+}
+
+// windowServer is runHereServer with the server configuration spelled out.
+func windowServer(t *testing.T, hook func(core.StageEvent), cfg httpapi.ServerConfig, off int) (*httpapi.Server, *client.Client, *httpapi.InjectReport, func() error) {
+	t.Helper()
 	const rows, cols = 16, 16
 	eng := core.NewEngine(core.Options{Seed: 9, StageHook: hook})
-	srv, base, shutdown := startServer(t, eng, httpapi.ServerConfig{
-		EnableInject: true,
-		Service:      service.Config{Workers: 2, QueueDepth: 8},
-	})
+	cfg.EnableInject = true
+	srv, base, shutdown := startServer(t, eng, cfg)
 	ctx := context.Background()
 	c := client.New(client.Config{BaseURL: base, Tenant: "here"})
 	if _, err := c.Register(ctx, httpapi.RegisterRequest{
@@ -41,10 +45,10 @@ func runHereServer(t *testing.T, hook func(core.StageEvent), off int) (*httpapi.
 	return srv, c, inj, shutdown
 }
 
-// TestSingleEventOutcomeBeforeReply: on an idle server a single POST
-// /v1/events runs on its request goroutine, so its outcome is in the feed
-// when the 202 arrives. The slow ladder stage keeps a queued recovery from
-// finishing before the reply could.
+// TestSingleEventOutcomeBeforeReply: a single POST /v1/events runs on its
+// request goroutine, so its outcome is in the feed when the 202 arrives.
+// The slow ladder stage keeps a recovery run anywhere else from finishing
+// before the reply could.
 func TestSingleEventOutcomeBeforeReply(t *testing.T) {
 	srv, c, inj, shutdown := runHereServer(t, func(core.StageEvent) { time.Sleep(20 * time.Millisecond) }, 117)
 	defer func() {
@@ -120,5 +124,83 @@ func TestClientHangUpDoesNotAbandonRecovery(t *testing.T) {
 	}
 	if q, err := c.Quarantine(ctx); err != nil || q.Total != 0 {
 		t.Errorf("quarantine = %+v, %v; want empty", q, err)
+	}
+}
+
+// TestTickerOffRedeliversOnRelease: with the redelivery ticker off, an
+// event latched while the only token is held recovers once the holders
+// finish: every token release redelivers latched events.
+func TestTickerOffRedeliversOnRelease(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hook := func(core.StageEvent) {
+		once.Do(func() { close(parked) })
+		<-release
+	}
+	srv, c, inj, shutdown := windowServer(t, hook, httpapi.ServerConfig{
+		RedeliverEvery: -1,
+		Service:        service.Config{Workers: 1, QueueDepth: 1},
+	}, 17)
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	ctx := context.Background()
+	var offs []int
+	var evs []httpapi.EventRequest
+	for _, off := range []int{17, 119, 221} {
+		if off != inj.Offset {
+			var err error
+			if inj, err = c.Inject(ctx, "field", httpapi.InjectRequest{Offset: &off}); err != nil {
+				t.Fatalf("inject %d: %v", off, err)
+			}
+		}
+		offs = append(offs, off)
+		evs = append(evs, httpapi.EventRequest{Addr: inj.Addr, Bit: inj.Bit})
+	}
+
+	// The first event's recovery holds the only token; the second is
+	// admitted and waits for it; the third finds the bound reached.
+	ingested := make(chan error, 2)
+	go func() { _, err := c.Ingest(ctx, evs[0]); ingested <- err }()
+	<-parked
+	go func() { _, err := c.Ingest(ctx, evs[1]); ingested <- err }()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Service().QueueLen() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("second event never waited for the token")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if res, err := c.Ingest(ctx, evs[2]); !errors.Is(err, service.ErrOverloaded) || res.Status != httpapi.StatusLatched {
+		t.Fatalf("third ingest = %+v, %v; want latched", res, err)
+	}
+
+	close(release)
+	for range 2 {
+		if err := <-ingested; err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending := map[int]bool{offs[0]: true, offs[1]: true, offs[2]: true}
+	var cursor uint64
+	for len(pending) > 0 && time.Now().Before(deadline) {
+		page, err := c.Outcomes(ctx, cursor, "field", 10)
+		if err != nil {
+			t.Fatalf("outcomes: %v", err)
+		}
+		cursor = page.Next
+		for _, rec := range page.Outcomes {
+			if rec.OK {
+				delete(pending, rec.Offset)
+			}
+		}
+		if len(page.Outcomes) == 0 {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	if len(pending) > 0 {
+		t.Fatalf("offsets %v never recovered with the ticker off", pending)
 	}
 }

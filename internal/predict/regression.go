@@ -17,12 +17,12 @@ import (
 // the corrupted element; local regression (3.4.7) fits over a patch of
 // Radius layers in every dimension around it, again excluding it.
 
-// Moments accumulates the sufficient statistics of the least-squares fit
+// moments accumulates the sufficient statistics of the least-squares fit
 // (the normal-equation matrix X'X and vector X'v) over an entire array so
 // that "fit excluding one element" becomes an O(1) rank-1 downdate instead
 // of an O(N) scan. Coordinates are centered at the array midpoint to keep
 // the normal equations well conditioned on large grids.
-type Moments struct {
+type moments struct {
 	p      int       // number of features: 1 + NumDims
 	xtx    []float64 // p*p, row-major
 	xtv    []float64 // p
@@ -35,9 +35,9 @@ type Moments struct {
 }
 
 // newMoments returns empty moments for an array of a's shape.
-func newMoments(a *ndarray.Array) *Moments {
+func newMoments(a *ndarray.Array) *moments {
 	d := a.NumDims()
-	m := &Moments{
+	m := &moments{
 		p:      d + 1,
 		xtx:    make([]float64, (d+1)*(d+1)),
 		xtv:    make([]float64, d+1),
@@ -59,7 +59,7 @@ func newMoments(a *ndarray.Array) *Moments {
 // is the one array-wide scan behind SharedStats.
 //
 // The result is, bit for bit, what adding the cells one by one in offset
-// order gives (Moments.add, which the incremental updates still use and a
+// order gives (moments.add, which the incremental updates still use and a
 // test-only reference loop replays over whole arrays). The two halves of the
 // normal equations get there differently:
 //
@@ -83,7 +83,7 @@ func newMoments(a *ndarray.Array) *Moments {
 // last coordinate are constant along a row and advance as an odometer, the
 // last one counts up from the row's start. With the excluded offsets sorted,
 // a row is runs of cells between them, and a row without one a single run.
-func (m *Moments) accumulate(data []float64, excl []int) (lo, hi float64) {
+func (m *moments) accumulate(data []float64, excl []int) (lo, hi float64) {
 	p, d, n := m.p, m.p-1, len(data)
 	rowLen := m.shape[d-1]
 	cLast := m.center[d-1]
@@ -246,19 +246,19 @@ func rangeExcluding(data []float64, excl []int) (lo, hi float64) {
 	return w.span()
 }
 
-// AddElementValue folds the element at off with an explicit value v (the
+// addElementValue folds the element at off with an explicit value v (the
 // value the caller knows was, or should be, accumulated — e.g. a snapshot
 // value when the live cell has since been corrupted).
-func (m *Moments) AddElementValue(a *ndarray.Array, off int, v float64) {
+func (m *moments) addElementValue(a *ndarray.Array, off int, v float64) {
 	m.updateElement(a, off, v, +1)
 }
 
-// SubElementValue removes the element at off with an explicit value v.
-func (m *Moments) SubElementValue(a *ndarray.Array, off int, v float64) {
+// subElementValue removes the element at off with an explicit value v.
+func (m *moments) subElementValue(a *ndarray.Array, off int, v float64) {
 	m.updateElement(a, off, v, -1)
 }
 
-func (m *Moments) updateElement(a *ndarray.Array, off int, v, sign float64) {
+func (m *moments) updateElement(a *ndarray.Array, off int, v, sign float64) {
 	a.CoordsInto(m.idxBuf, off)
 	m.features(m.idxBuf, m.phiBuf)
 	m.add(m.phiBuf, v, sign)
@@ -266,7 +266,7 @@ func (m *Moments) updateElement(a *ndarray.Array, off int, v, sign float64) {
 }
 
 // features writes the feature vector [1, x_0-c_0, ...] for idx into dst.
-func (m *Moments) features(idx []int, dst []float64) {
+func (m *moments) features(idx []int, dst []float64) {
 	dst[0] = 1
 	for t := 0; t < m.p-1; t++ {
 		dst[t+1] = float64(idx[t]) - m.center[t]
@@ -274,7 +274,7 @@ func (m *Moments) features(idx []int, dst []float64) {
 }
 
 // add accumulates (sign=+1) or removes (sign=-1) one observation.
-func (m *Moments) add(phi []float64, v float64, sign float64) {
+func (m *moments) add(phi []float64, v float64, sign float64) {
 	for i := 0; i < m.p; i++ {
 		for j := 0; j < m.p; j++ {
 			m.xtx[i*m.p+j] += sign * phi[i] * phi[j]

@@ -10,7 +10,7 @@ import (
 )
 
 // SharedStats is the engine-maintained, array-wide statistical state the
-// global-coupled predictors need: the least-squares Moments behind
+// global-coupled predictors need: the least-squares moments behind
 // GlobalRegression and the dataset (min, max) behind Random. A recovery that
 // creates a fresh Env per element pays an O(N) array scan for either; the
 // shared state is built once per field version and then maintained
@@ -48,7 +48,7 @@ type SharedStats struct {
 	built    bool      // moments+range computed over snap
 	excluded map[int]struct{}
 
-	mom *Moments
+	mom *moments
 
 	// Range over the non-excluded snapshot cells. rangeDirty is set when an
 	// excluded cell was the current argmin/argmax (recomputing requires a
@@ -109,7 +109,7 @@ func (s *SharedStats) Exclude(offs ...int) {
 			continue // the lazy build will skip it
 		}
 		v := s.snap[off]
-		s.mom.SubElementValue(s.a, off, v)
+		s.mom.subElementValue(s.a, off, v)
 		if s.rangeOK && !s.rangeDirty && !math.IsNaN(v) {
 			if v <= s.min || v >= s.max {
 				s.rangeDirty = true
@@ -145,7 +145,7 @@ func (s *SharedStats) Readmit(off int) {
 		return // the lazy build will include it
 	}
 	v := s.snap[off]
-	s.mom.AddElementValue(s.a, off, v)
+	s.mom.addElementValue(s.a, off, v)
 	if s.rangeOK && !s.rangeDirty && !math.IsNaN(v) {
 		if math.IsNaN(s.min) {
 			s.min, s.max = v, v
@@ -206,7 +206,7 @@ func (s *SharedStats) Prepare() {
 }
 
 // build computes moments and range over the snapshot, skipping excluded
-// cells, in one pass (Moments.accumulate). Caller holds mu.
+// cells, in one pass (moments.accumulate). Caller holds mu.
 func (s *SharedStats) build() {
 	if s.built {
 		return

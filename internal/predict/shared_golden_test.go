@@ -209,7 +209,7 @@ func runSharedGoldenCase(c sharedGoldenSpec) sharedGoldenCase {
 	}
 
 	out := sharedGoldenCase{Name: c.name()}
-	record := func(step string, m *Moments, s *SharedStats, predict bool) {
+	record := func(step string, m *moments, s *SharedStats, predict bool) {
 		st := sharedGoldenStep{Step: step, N: m.n, XtX: goldenBitsOf(m.xtx), XtV: goldenBitsOf(m.xtv)}
 		if s != nil {
 			lo, hi := s.Range()

@@ -11,10 +11,10 @@ import (
 )
 
 // sharedBuildRef is SharedStats.build as it was before the row walk: every
-// cell a map look-up, a CoordsInto, a features call and a Moments.add that
+// cell a map look-up, a CoordsInto, a features call and a moments.add that
 // accumulates X'X beside X'v. Test-only; the one implementation in non-test
-// code is Moments.accumulate.
-func sharedBuildRef(a *ndarray.Array, snap []float64, excluded map[int]struct{}) *Moments {
+// code is moments.accumulate.
+func sharedBuildRef(a *ndarray.Array, snap []float64, excluded map[int]struct{}) *moments {
 	m := newMoments(a)
 	idx := make([]int, a.NumDims())
 	phi := make([]float64, m.p)

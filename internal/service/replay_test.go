@@ -3,6 +3,7 @@ package service
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"spatialdue/internal/bitflip"
@@ -28,38 +29,51 @@ func newCrashEnv(arr *ndarray.Array) (*core.Engine, *registry.Allocation) {
 // TestCrashReplayEveryPoint injects a simulated process death at every
 // journal/service crash point and verifies the WAL contract: a quarantined
 // offset is never lost — on restart, every unfinished intent is replayed
-// (re-quarantined before the pool starts, recovered after).
+// (re-quarantined before Start, recovered after).
 func TestCrashReplayEveryPoint(t *testing.T) {
 	cases := []struct {
 		point string
-		// submitCrashes: the crash fires synchronously on the submitting
-		// goroutine (intake-side point) rather than in a worker.
+		// submitCrashes: the crash fires inside admission, before the
+		// submission could return.
 		submitCrashes bool
-		// wantReplay: the intent is dangling after the crash.
+		// wantReplay: the intents are dangling after the crash.
 		wantReplay bool
-		// runHere: the DUE is a marked MCA delivery that runs on the
-		// submitting goroutine, so the crash has fired when it returns.
+		// runHere: the DUE is an MCA delivery, which runs on the
+		// delivering goroutine, so the crash has fired when it returns.
 		runHere bool
+		// window: three DUEs are delivered into one window and the crash
+		// fires at the first one's outcome, so the later ones never run.
+		window bool
 	}{
 		{point: "journal/intent-written", submitCrashes: true, wantReplay: true},
 		{point: "service/recovery-done", wantReplay: true},
 		{point: "service/recovery-done", wantReplay: true, runHere: true},
+		{point: "service/recovery-done", wantReplay: true, window: true},
 		{point: "journal/outcome-unwritten", wantReplay: true},
 		{point: "journal/outcome-written", wantReplay: false},
 	}
 	for _, tc := range cases {
 		name := tc.point
-		if tc.runHere {
+		switch {
+		case tc.runHere:
 			name += "/run-here"
+		case tc.window:
+			name += "/mid-window"
 		}
 		t.Run(name, func(t *testing.T) {
 			defer faultinject.DisarmCrashes()
 			jpath := filepath.Join(t.TempDir(), "recovery.jsonl")
 			arr := smoothArray(16, 16)
-			off := arr.Offset(8, 8)
-			orig := arr.AtOffset(off)
+			offs := []int{arr.Offset(8, 8)}
+			if tc.window {
+				offs = []int{arr.Offset(4, 4), arr.Offset(8, 8), arr.Offset(12, 12)}
+			}
+			orig := map[int]float64{}
+			for _, off := range offs {
+				orig[off] = arr.AtOffset(off)
+			}
 
-			// --- first life: submit one DUE, die at the armed crash point.
+			// --- first life: submit the DUEs, die at the armed crash point.
 			eng1, alloc1 := newCrashEnv(arr)
 			svc1, err := New(eng1, Config{
 				Workers: 1, JournalPath: jpath, JournalSync: true, Seed: 22,
@@ -68,19 +82,29 @@ func TestCrashReplayEveryPoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			svc1.Start()
-			arr.SetOffset(off, math.NaN())
+			for _, off := range offs {
+				arr.SetOffset(off, math.NaN())
+			}
 			faultinject.ArmCrash(tc.point)
 
 			switch {
-			case tc.runHere:
+			case tc.runHere, tc.window:
 				m := mca.New(1)
 				svc1.AttachMCA(m)
-				svc1.StageTrace(alloc1.AddrOf(off), trace.New(), true)
-				if err := m.RaiseMemoryDUE(alloc1.AddrOf(off), 0); err != nil {
-					t.Fatal(err)
+				var w *Window
+				if tc.window {
+					w = new(Window)
 				}
-				if point, crashed := svc1.Crashed(); !crashed || point != tc.point {
-					t.Fatalf("after the run-here delivery: crashed=%v at %q, want %q", crashed, point, tc.point)
+				for _, off := range offs {
+					addr, tr := alloc1.AddrOf(off), trace.New()
+					svc1.StageTrace(addr, tr, w)
+					if err := m.RaiseMemoryDUE(addr, 0); err != nil {
+						t.Fatal(err)
+					}
+					svc1.EndWindow(addr, tr)
+				}
+				if w != nil {
+					svc1.RunWindow(w)
 				}
 			case tc.submitCrashes:
 				func() {
@@ -93,18 +117,17 @@ func TestCrashReplayEveryPoint(t *testing.T) {
 							panic(r)
 						}
 					}()
-					_ = svc1.Submit(alloc1, off)
+					_ = svc1.Submit(alloc1, offs[0])
 				}()
 			default:
-				if err := svc1.Submit(alloc1, off); err != nil {
+				if err := svc1.Submit(alloc1, offs[0]); err != nil {
 					t.Fatal(err)
 				}
-				waitFor(t, "worker to hit the crash point", func() bool {
-					_, crashed := svc1.Crashed()
-					return crashed
-				})
-				if point, _ := svc1.Crashed(); point != tc.point {
-					t.Fatalf("crashed at %q, want %q", point, tc.point)
+			}
+			if !tc.submitCrashes {
+				// Every recovery ran on this goroutine: the crash has fired.
+				if point, crashed := svc1.Crashed(); !crashed || point != tc.point {
+					t.Fatalf("crashed=%v at %q, want %q", crashed, point, tc.point)
 				}
 			}
 			// The dead service is abandoned, like the process it models: no
@@ -121,30 +144,32 @@ func TestCrashReplayEveryPoint(t *testing.T) {
 			}
 			replayed := svc2.Stats().Replayed
 			if tc.wantReplay {
-				if replayed != 1 {
-					t.Fatalf("Replayed = %d, want 1", replayed)
+				if replayed != uint64(len(offs)) {
+					t.Fatalf("Replayed = %d, want %d", replayed, len(offs))
 				}
-				// Before the pool even starts, the replayed offset must be
-				// back in quarantine — the crash may have left the cell
-				// corrupt, and nothing may trust it.
-				if q := eng2.Quarantined(alloc2); len(q) != 1 || q[0] != off {
-					t.Fatalf("quarantine after replay = %v, want [%d]", q, off)
+				// Before Start runs the replay, the replayed offsets must be
+				// back in quarantine — the crash may have left the cells
+				// corrupt, and nothing may trust them.
+				if q := eng2.Quarantined(alloc2); !slices.Equal(q, offs) {
+					t.Fatalf("quarantine after replay = %v, want %v", q, offs)
 				}
 			} else if replayed != 0 {
 				t.Fatalf("Replayed = %d, want 0 (outcome was durable)", replayed)
 			}
 
 			svc2.Start()
-			if tc.wantReplay {
-				waitFor(t, "replayed recovery to complete", func() bool {
-					return svc2.Stats().Recovered == 1
-				})
-			}
 			if err := svc2.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := arr.AtOffset(off); bitflip.RelErr(orig, got) > 0.05 {
-				t.Errorf("element after replay = %v, true %v", got, orig)
+			if tc.wantReplay {
+				if got := svc2.Stats().Recovered; got != uint64(len(offs)) {
+					t.Fatalf("Close returned after %d replayed recoveries, want %d", got, len(offs))
+				}
+			}
+			for _, off := range offs {
+				if got := arr.AtOffset(off); bitflip.RelErr(orig[off], got) > 0.05 {
+					t.Errorf("element %d after replay = %v, true %v", off, got, orig[off])
+				}
 			}
 			if n := eng2.QuarantineCount(); n != 0 {
 				t.Errorf("quarantine not empty after replay: %d", n)
@@ -167,7 +192,7 @@ func TestCrashReplayEveryPoint(t *testing.T) {
 }
 
 // TestCrashedServiceRefusesWork: after a simulated crash the service
-// behaves like a dead process — submissions fail, queued work is dropped,
+// behaves like a dead process — submissions fail, admitted work is dropped,
 // and Drain does not touch the journal.
 func TestCrashedServiceRefusesWork(t *testing.T) {
 	defer faultinject.DisarmCrashes()

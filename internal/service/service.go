@@ -2,19 +2,18 @@
 // front end — the intake layer a fleet-scale deployment puts between MCA
 // event streams and the reconstruction math:
 //
-//   - admission control: past a configurable queue depth, new DUEs are
-//     rejected with ErrOverloaded instead of blocking MCA delivery (the
-//     machine keeps the record latched and the service redelivers once
-//     capacity frees up), and at most Config.Workers recoveries run at
-//     once. An MCA delivery whose address the caller staged with the
-//     run-here mark (the HTTP front end's single POST /v1/events) runs to
-//     its outcome on the delivering goroutine when a worker token is free
-//     and nothing is queued; every other submission is queued for the
-//     worker goroutines, which coalesce backed-up same-allocation runs
-//     into batches;
+//   - admission control: past a configurable depth of admitted-but-unstarted
+//     recoveries, new DUEs are rejected with ErrOverloaded instead of
+//     blocking MCA delivery (the machine keeps the record latched and the
+//     service redelivers once capacity frees up). There is no queue and no
+//     worker pool: every admitted recovery runs on the goroutine that
+//     submitted it, holding one of Config.Workers tokens, so at most that
+//     many run at once. A caller that stages a Window (the HTTP front end's
+//     ingest handlers) collects its admitted recoveries there and runs them
+//     itself, coalescing same-allocation runs into batches;
 //   - a per-recovery context deadline plumbed through the engine's
 //     escalation ladder, so a stuck predictor or checkpoint restore cannot
-//     wedge a worker;
+//     hold a token forever;
 //   - retry with jittered exponential backoff for transient failures
 //     (abandoned/timed-out climbs), while permanent failures
 //     (ErrCheckpointRestartRequired) fail fast;
@@ -37,6 +36,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spatialdue/internal/core"
@@ -49,8 +49,8 @@ import (
 )
 
 // ErrOverloaded is returned by Submit/SubmitAddress when the admission
-// queue is full. The event is NOT accepted: an MCA delivering it keeps the
-// record latched, and the service redelivers once a worker frees up.
+// bound is reached. The event is NOT accepted: an MCA delivering it keeps
+// the record latched, and the service redelivers once a token frees up.
 var ErrOverloaded = errors.New("service: overloaded: recovery queue full")
 
 // ErrStopped is returned by submissions after Drain/Close (or a simulated
@@ -65,11 +65,12 @@ var ErrCircuitOpen = errors.New("service: circuit open")
 // Config parameterizes a Service. Zero values select the documented
 // defaults; negative values disable where noted.
 type Config struct {
-	// Workers bounds concurrent recoveries, pool and run-here together
+	// Workers is the number of tokens: how many recoveries run at once
 	// (default 4).
 	Workers int
-	// QueueDepth bounds queued-but-unstarted recoveries; submissions past
-	// it get ErrOverloaded (default 64).
+	// QueueDepth bounds admitted-but-unstarted recoveries (window members
+	// not yet run, plus callers waiting for a token); submissions past it
+	// get ErrOverloaded (default 64).
 	QueueDepth int
 	// Deadline bounds each recovery attempt end to end: lock wait, ladder
 	// climb, verification. Default 2s; negative disables deadlines.
@@ -88,10 +89,8 @@ type Config struct {
 	// BreakerCooldown is how long a tripped breaker stays open before
 	// admitting a probe recovery (default 5s).
 	BreakerCooldown time.Duration
-	// BatchMax caps how many queued same-allocation recoveries a worker
-	// coalesces into one core.RecoverBatch call (default 16; 1 disables
-	// batching). Batching only engages when the queue is backed up — a
-	// worker never waits for a batch to fill.
+	// BatchMax caps how many of a window's same-allocation recoveries run
+	// as one core.RecoverBatch call (default 16; 1 disables batching).
 	BatchMax int
 	// JournalPath, when set, enables the crash-safe recovery journal.
 	JournalPath string
@@ -103,8 +102,8 @@ type Config struct {
 	JournalSink journal.Sink
 	// Seed makes retry jitter deterministic.
 	Seed int64
-	// OnOutcome, when set, receives every finished recovery (called from
-	// worker goroutines; must not block for long).
+	// OnOutcome, when set, receives every finished recovery (called on the
+	// goroutine that ran it; must not block for long).
 	OnOutcome func(Result)
 	// Shadow, when set, is consulted before any engine recovery: elements
 	// the predictive-health tier proactively migrated are restored
@@ -170,7 +169,7 @@ type Stats struct {
 	ShadowRestored uint64
 }
 
-// task is one queued recovery.
+// task is one admitted recovery.
 type task struct {
 	alloc     *registry.Allocation
 	addr      uint64
@@ -184,37 +183,47 @@ type task struct {
 	enqueued  time.Time // when the task was admitted (queue_wait span)
 }
 
-// intake is where a submission came from; it decides the admission tail.
-type intake uint8
+// A Window holds the admitted recoveries one goroutine will run itself.
+// A caller stages its events' traces with the window (StageTrace); each
+// MCA delivery that claims such a staging is admitted into the window and
+// returns at once, so the bank frees before the recovery runs. The owner
+// then runs the window with RunWindow, and must do so: its members count
+// against QueueDepth, and Drain waits for them, until they have run. The
+// zero Window is empty and ready to use.
+type Window struct {
+	mu    sync.Mutex
+	tasks []task
+}
 
-const (
-	intakeDirect   intake = iota // Submit, SubmitAddress: queued
-	intakeReplay                 // SubmitReplayed: queued, marked Replayed
-	intakeDelivery               // an MCA delivery: runs here when its staging is marked
-)
+// Len reports how many admitted recoveries wait in w.
+func (w *Window) Len() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.tasks)
+}
 
-// Service is the resilient recovery front end. Create with New, launch
-// workers with Start, stop with Drain/Close.
+// Service is the resilient recovery front end. Create with New, run the
+// journal replay with Start, stop with Drain/Close.
 type Service struct {
 	eng *core.Engine
 	cfg Config
 	jr  *journal.Recovery
 
-	queue chan task
-	// tokens holds one entry per running recovery, pool or run-here; its
-	// capacity is Config.Workers.
+	// tokens holds one entry per running recovery set; its capacity is
+	// Config.Workers.
 	tokens chan struct{}
-	wg     sync.WaitGroup // pool workers and run-here recoveries
+	wg     sync.WaitGroup // admitted tasks not yet run
+	// redelivering keeps RedeliverLatched single-flight.
+	redelivering atomic.Bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
 	mu       sync.Mutex
 	breakers map[string]*breaker
-	pendingN int // reserved admission slots: in admission, queued, or taken but not started
-	queuedN  int // queued tasks not yet started (run-here waits for 0)
+	pendingN int    // reserved admission slots: admitted tasks not yet started
+	replay   []task // journal replay window, run by Start
 	stopped  bool
-	started  bool
 	crashed  string // crash point, when a simulated crash killed the service
 	stats    Stats
 	machine  *mca.Machine
@@ -229,11 +238,11 @@ type Service struct {
 	staged   map[uint64]staging
 }
 
-// staging is one staged trace; runHere marks the synchronous delivery of a
-// single event until its stager clears the mark.
+// staging is one staged trace, and the window its stager collects
+// admitted recoveries in, until the stager ends the window's claim.
 type staging struct {
-	tr      *trace.Trace
-	runHere bool
+	tr  *trace.Trace
+	win *Window
 }
 
 // stagedTraceCap bounds the staged-trace map: past it new stagings are
@@ -242,12 +251,11 @@ type staging struct {
 const stagedTraceCap = 4096
 
 // StageTrace associates tr with a faulting address about to be raised
-// through the MCA machine. The next submission for addr claims it. runHere
-// marks the raise as the synchronous delivery of a single event: an MCA
-// delivery that claims a marked staging runs its recovery on the
-// delivering goroutine when a worker token is free and nothing is queued.
-// The stager clears the mark with EndRunHere once its raise returns.
-func (s *Service) StageTrace(addr uint64, tr *trace.Trace, runHere bool) {
+// through the MCA machine. The next submission for addr claims it. With a
+// non-nil w, that submission joins w instead of running. The stager ends
+// w's claim with EndWindow once its raise returns, so a later redelivery
+// of a latched event runs on its own goroutine.
+func (s *Service) StageTrace(addr uint64, tr *trace.Trace, w *Window) {
 	if tr == nil {
 		return
 	}
@@ -256,15 +264,15 @@ func (s *Service) StageTrace(addr uint64, tr *trace.Trace, runHere bool) {
 		s.staged = map[uint64]staging{}
 	}
 	if len(s.staged) < stagedTraceCap {
-		s.staged[addr] = staging{tr: tr, runHere: runHere}
+		s.staged[addr] = staging{tr: tr, win: w}
 	}
 	s.stagedMu.Unlock()
 }
 
-// EndRunHere clears the run-here mark of tr's staging at addr, if it is
-// still staged: an event that latched keeps its trace for the redelivery,
-// and the redelivery is queued.
-func (s *Service) EndRunHere(addr uint64, tr *trace.Trace) {
+// EndWindow clears the window of tr's staging at addr, if it is still
+// staged: an event that latched keeps its trace for the redelivery, which
+// runs where it is delivered.
+func (s *Service) EndWindow(addr uint64, tr *trace.Trace) {
 	s.stagedMu.Lock()
 	if st, ok := s.staged[addr]; ok && st.tr == tr {
 		s.staged[addr] = staging{tr: tr}
@@ -276,28 +284,27 @@ func (s *Service) EndRunHere(addr uint64, tr *trace.Trace) {
 // The HTTP front end calls it when an event is terminally rejected, so the
 // staged map does not accumulate traces for recoveries that will never run.
 func (s *Service) UnstageTrace(addr uint64) *trace.Trace {
-	tr, _ := s.claimTrace(addr)
-	return tr
+	return s.claimTrace(addr).tr
 }
 
-// claimTrace hands the staged trace for addr, and its run-here mark, to an
-// admitted submission.
-func (s *Service) claimTrace(addr uint64) (*trace.Trace, bool) {
+// claimTrace hands the staging for addr to an admitted submission.
+func (s *Service) claimTrace(addr uint64) staging {
 	s.stagedMu.Lock()
 	st, ok := s.staged[addr]
 	if ok {
 		delete(s.staged, addr)
 	}
 	s.stagedMu.Unlock()
-	return st.tr, st.runHere
+	return st
 }
 
 // New creates a service over eng. When cfg.JournalPath is set, the journal
 // is opened and every unfinished intent from a previous run is replayed:
-// its offset is re-quarantined immediately and a recovery task is enqueued
-// (counted in Stats.Replayed). Allocations must therefore be registered —
-// under the same names — before New is called. Workers do not run until
-// Start, so callers may inspect the replayed state first.
+// its offset is re-quarantined immediately and its recovery joins the
+// replay window (counted in Stats.Replayed). Allocations must therefore be
+// registered — under the same names — before New is called. The replay
+// window does not run until Start, so callers may inspect the replayed
+// state first.
 func New(eng *core.Engine, cfg Config) (*Service, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("service: nil engine")
@@ -344,7 +351,6 @@ func New(eng *core.Engine, cfg Config) (*Service, error) {
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 	}
 
-	var unfinished []journal.Intent
 	if cfg.JournalPath != "" {
 		jr, dangling, err := journal.OpenRecovery(cfg.JournalPath, cfg.JournalSync)
 		if err != nil {
@@ -356,19 +362,20 @@ func New(eng *core.Engine, cfg Config) (*Service, error) {
 			jr.SetSink(cfg.JournalSink)
 		}
 		s.jr = jr
-		unfinished = dangling
-	}
-	// Queue capacity covers the admission bound plus every replayed intent,
-	// so replay enqueues can never block.
-	s.queue = make(chan task, cfg.QueueDepth+len(unfinished))
-	for _, in := range unfinished {
-		s.replay(in)
+		for _, in := range dangling {
+			s.replayIntent(in)
+		}
 	}
 	return s, nil
 }
 
-// replay re-quarantines and resubmits one unfinished journal intent.
-func (s *Service) replay(in journal.Intent) {
+// Config returns the configuration the service runs with, defaults
+// applied.
+func (s *Service) Config() Config { return s.cfg }
+
+// replayIntent re-quarantines one unfinished journal intent and adds its
+// recovery to the replay window.
+func (s *Service) replayIntent(in journal.Intent) {
 	alloc, ok := s.eng.Table().ByTenantName(in.Tenant, in.Alloc)
 	if !ok || in.Offset < 0 || in.Offset >= alloc.Array.Len() {
 		// The allocation vanished across the restart: the intent can never
@@ -385,46 +392,41 @@ func (s *Service) replay(in journal.Intent) {
 		_ = s.jr.Finish(in.ID, false, fmt.Sprintf("refused on replay: %v", err))
 		return
 	}
-	// Re-quarantine first: even before the pool touches the task, no
-	// stencil may trust the possibly-corrupt cell the crash left behind.
+	// Re-quarantine first: even before Start runs the replay, no stencil
+	// may trust the possibly-corrupt cell the crash left behind.
 	s.eng.MarkCorrupt(alloc, in.Offset)
 	tr := trace.New()
 	tr.SetReplayed()
-	s.mu.Lock()
 	s.pendingN++
-	s.queuedN++
 	s.stats.Replayed++
-	s.queue <- task{
+	s.replay = append(s.replay, task{
 		alloc: alloc, addr: in.Addr, off: in.Offset, detected: in.Detected,
 		id: in.ID, journaled: true, replayed: true,
 		tr: tr, enqueued: time.Now(),
-	}
-	s.mu.Unlock()
+	})
 }
 
-// Start launches the worker pool. Idempotent.
+// Start runs the journal replay window New built, on a goroutine of its
+// own; Drain waits for it. Idempotent.
 func (s *Service) Start() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.started || s.stopped {
+	if s.stopped || len(s.replay) == 0 {
 		return
 	}
-	s.started = true
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	ts := s.replay
+	s.replay = nil
+	s.wg.Add(len(ts))
+	go s.runTasks(ts)
 }
 
 // AttachMCA registers the service as a machine-check handler. nil means
-// accepted. A delivery whose address was staged with the run-here mark
-// (StageTrace) runs its recovery to the outcome before the handler returns
-// when a worker token is free and nothing is queued; every other delivery
-// — latched and overflowed redeliveries included — is queued and never
-// blocks the deliverer. An ErrOverloaded rejection leaves the record
-// latched in its bank, and the service calls RedeliverLatched whenever a
-// worker frees capacity, so overflowed events are delivered late rather
-// than dropped.
+// accepted. A delivery whose address was staged with a window (StageTrace)
+// joins the window and returns at once; every other delivery — latched and
+// overflowed redeliveries included — runs its recovery before the handler
+// returns. An ErrOverloaded rejection leaves the record latched in its
+// bank, and the service calls RedeliverLatched whenever a token frees, so
+// overflowed events are delivered late rather than dropped.
 func (s *Service) AttachMCA(m *mca.Machine) {
 	s.mu.Lock()
 	s.machine = m
@@ -433,33 +435,30 @@ func (s *Service) AttachMCA(m *mca.Machine) {
 		if !ev.IsDUE() {
 			return fmt.Errorf("service: not a recoverable DUE: %v", ev)
 		}
-		return s.submitAddress(ev.Addr, intakeDelivery)
+		return s.SubmitAddress(ev.Addr)
 	})
 }
 
-// SubmitAddress admits the DUE at a faulting physical address. It returns
-// nil when the recovery was accepted (it completes asynchronously),
-// ErrOverloaded when the queue is full, ErrCircuitOpen (wrapping
-// ErrCheckpointRestartRequired) when the allocation is degraded, and
-// ErrCheckpointRestartRequired when the address is not registered.
+// SubmitAddress admits the DUE at a faulting physical address and, unless
+// its staging carries a window, runs it before returning. It returns nil
+// when the recovery was accepted, ErrOverloaded when the admission bound
+// is reached, ErrCircuitOpen (wrapping ErrCheckpointRestartRequired) when
+// the allocation is degraded, and ErrCheckpointRestartRequired when the
+// address is not registered. The recovery's own result goes to OnOutcome.
 func (s *Service) SubmitAddress(addr uint64) error {
-	return s.submitAddress(addr, intakeDirect)
-}
-
-func (s *Service) submitAddress(addr uint64, from intake) error {
 	alloc, off, err := s.eng.Table().Lookup(addr)
 	if err != nil {
 		// Double-wrap: registry.ErrMetadataCorrupt must stay matchable so
 		// the HTTP layer maps corrupt-descriptor refusals to 422, not 404.
 		err = fmt.Errorf("%w: %w", core.ErrCheckpointRestartRequired, err)
 	}
-	return s.submit(alloc, addr, off, from, err)
+	return s.submit(alloc, addr, off, false, err)
 }
 
-// Submit admits a recovery for a known allocation element (detector paths
-// that localize corruption without a physical address).
+// Submit admits and runs a recovery for a known allocation element
+// (detector paths that localize corruption without a physical address).
 func (s *Service) Submit(alloc *registry.Allocation, off int) error {
-	return s.submit(alloc, 0, off, intakeDirect, nil)
+	return s.submit(alloc, 0, off, false, nil)
 }
 
 // SubmitReplayed admits a recovery replayed from a replicated journal — the
@@ -470,23 +469,22 @@ func (s *Service) Submit(alloc *registry.Allocation, off int) error {
 // the same admission errors as Submit (retry ErrOverloaded with backoff:
 // promotion replay must not drop intents just because a storm is running).
 func (s *Service) SubmitReplayed(alloc *registry.Allocation, addr uint64, off int) error {
-	return s.submit(alloc, addr, off, intakeReplay, nil)
+	return s.submit(alloc, addr, off, true, nil)
 }
 
 // submit is every entry point's admission path. Its prologue counts each
 // attempt once, so Stats.Submitted sees rejections too: a target the entry
 // point could not resolve (err), an offset outside the array, a stopped
-// service, a full queue. It then reserves a slot, asks the breaker, claims
-// the trace, quarantines at intake and writes the journal intent. One of two
-// tails follows: run-here, for a delivery that claimed a run-here mark while
-// a worker token is free and nothing is queued, or the queue. addr 0 means
-// the element's own address.
-func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, from intake, err error) error {
+// service, a full admission bound. It then reserves a slot, asks the
+// breaker, claims the trace, quarantines at intake and writes the journal
+// intent. The admitted task joins the window its staging carries, or runs
+// here. addr 0 means the element's own address.
+func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, replayed bool, err error) error {
 	if err == nil && (off < 0 || off >= alloc.Array.Len()) {
 		err = fmt.Errorf("%w: offset %d out of range", core.ErrCheckpointRestartRequired, off)
 	}
-	// Admission control: reserve a queue slot or reject immediately —
-	// never block the deliverer.
+	// Admission control: reserve a slot or reject immediately — never block
+	// the deliverer.
 	s.mu.Lock()
 	s.stats.Submitted++
 	switch {
@@ -514,7 +512,7 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, from 
 	}
 
 	// Circuit breaker: a degraded allocation goes straight to
-	// checkpoint-restart without consuming pool time. Breakers are keyed by
+	// checkpoint-restart without taking a token. Breakers are keyed by
 	// tenant-qualified name so same-named allocations of different tenants
 	// trip independently.
 	probe := false
@@ -534,17 +532,17 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, from 
 	// Claim the ingest-staged trace (HTTP traceparent), or mint one. This
 	// happens only after the overloaded/breaker rejections above, so a
 	// latched event's trace stays staged for redelivery.
-	tr, marked := s.claimTrace(addr)
+	st := s.claimTrace(addr)
+	tr := st.tr
 	if tr == nil {
 		tr = trace.New()
 	}
-	replayed := from == intakeReplay
 	if replayed {
 		tr.SetReplayed()
 	}
 
 	// Quarantine at intake: from this moment the corrupt cell is masked
-	// out of every stencil, even while the task waits in the queue. Record
+	// out of every stencil, even while the task waits in a window. Record
 	// whether the cell was already quarantined (a redelivered or duplicate
 	// report): the rejection paths below must restore the pre-submit state,
 	// not clear a quarantine some earlier submission still owns.
@@ -564,8 +562,8 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, from 
 		id, err := s.jr.Begin(alloc.Tenant, alloc.Name, addr, off, detected)
 		tr.Observe(trace.StageJournalBegin, t0)
 		if err != nil {
-			// Rejected submission: no task will ever be enqueued, so leaving
-			// the element quarantined would mask it forever with nothing
+			// Rejected submission: no task will ever run, so leaving the
+			// element quarantined would mask it forever with nothing
 			// scheduled to repair it.
 			unquarantine()
 			release()
@@ -596,41 +594,68 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, from 
 	if replayed {
 		s.stats.Replayed++
 	}
-	here := from == intakeDelivery && marked && s.queuedN == 0 && s.tryToken()
-	if here {
-		// The slot only covered admission; the token bounds the recovery,
-		// and Drain waits for it like for a worker.
-		s.pendingN--
-		s.wg.Add(1)
-	} else {
-		s.queuedN++
-		s.queue <- t // cannot block: slot reserved above
-	}
+	s.wg.Add(1)
 	s.mu.Unlock()
-	if here {
-		s.runHere(t)
+
+	if w := st.win; w != nil {
+		w.mu.Lock()
+		w.tasks = append(w.tasks, t)
+		w.mu.Unlock()
+		return nil
 	}
+	s.runTasks([]task{t})
 	return nil
 }
 
-// runHere is the run-here tail: the submitting goroutine, holding a worker
-// token, takes t to its outcome.
-func (s *Service) runHere(t task) {
-	defer func() {
-		<-s.tokens
-		s.wg.Done()
-	}()
-	s.run([]task{t})
+// RunWindow runs the recoveries admitted into w on the calling goroutine
+// and empties w. An empty window returns at once.
+func (s *Service) RunWindow(w *Window) {
+	w.mu.Lock()
+	ts := w.tasks
+	w.tasks = nil
+	w.mu.Unlock()
+	s.runTasks(ts)
 }
 
-// tryToken takes a worker token if one is free, without blocking.
-func (s *Service) tryToken() bool {
-	select {
-	case s.tokens <- struct{}{}:
-		return true
-	default:
-		return false
+// runTasks takes admitted tasks to their outcomes on the calling
+// goroutine: it waits for a token, runs the tasks in same-allocation runs
+// of at most BatchMax, and releases the token, which triggers one
+// redelivery of latched events.
+func (s *Service) runTasks(ts []task) {
+	if len(ts) == 0 {
+		return
 	}
+	s.tokens <- struct{}{}
+	s.mu.Lock()
+	s.pendingN -= len(ts)
+	s.mu.Unlock()
+	for rest := ts; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && n < s.cfg.BatchMax && rest[n].alloc == rest[0].alloc {
+			n++
+		}
+		s.run(rest[:n])
+		rest = rest[n:]
+	}
+	<-s.tokens
+	s.wg.Add(-len(ts))
+	s.redeliver()
+}
+
+// redeliver pulls back MCA events whose delivery failed while the service
+// was overloaded, now that a token freed. It is single-flight: a call that
+// finds another in progress returns, and the RedeliverEvery ticker of the
+// HTTP front end covers an idle service.
+func (s *Service) redeliver() {
+	s.mu.Lock()
+	m := s.machine
+	room := s.pendingN < s.cfg.QueueDepth && !s.stopped
+	s.mu.Unlock()
+	if m == nil || !room || !s.redelivering.CompareAndSwap(false, true) {
+		return
+	}
+	defer s.redelivering.Store(false)
+	m.RedeliverLatched()
 }
 
 // breakerFor returns (creating on demand) the allocation's breaker, or nil
@@ -688,63 +713,17 @@ func (s *Service) BreakerStates() map[string]BreakerState {
 	return out
 }
 
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		t, ok := <-s.queue
-		if !ok {
-			return
-		}
-		s.tokens <- struct{}{} // waits while run-here recoveries hold every token
-		// Opportunistic batching: when the queue is backed up (a DUE storm),
-		// drain additional queued tasks without blocking and coalesce
-		// same-allocation runs into one RecoverBatch call. The budget leaves
-		// one queued task behind for every token no recovery holds: batching
-		// must never serialize work an available peer could run in parallel,
-		// and a worker never waits for a batch to fill.
-		s.mu.Lock()
-		spare := s.cfg.Workers - len(s.tokens)
-		budget := s.pendingN - 1 - spare // queued beyond t and the spares' share
-		s.mu.Unlock()
-		if budget > s.cfg.BatchMax-1 {
-			budget = s.cfg.BatchMax - 1
-		}
-		ts := []task{t}
-		if s.cfg.BatchMax > 1 {
-		drain:
-			for len(ts) <= budget {
-				select {
-				case t2, ok := <-s.queue:
-					if !ok {
-						break drain
-					}
-					ts = append(ts, t2)
-				default:
-					break drain
-				}
-			}
-		}
-		s.mu.Lock()
-		s.pendingN -= len(ts)
-		s.queuedN -= len(ts)
-		s.mu.Unlock()
-		s.run(ts)
-		<-s.tokens
-		s.maybeRedeliver()
-	}
-}
-
-// run takes tasks that hold one worker token, from a worker's drained set
-// or a run-here submission, to their outcomes.
+// run takes a same-allocation run of tasks, whose caller holds a token, to
+// their outcomes.
 func (s *Service) run(ts []task) {
-	// Queue wait ends here, for the whole set at once. Recorded exactly once
-	// per task: transient members a batch later hands to the sequential
-	// retry path must not observe it again.
+	// Queue wait ends here. Recorded exactly once per task: transient
+	// members a batch later hands to the sequential retry path must not
+	// observe it again.
 	for i := range ts {
 		ts[i].tr.Observe(trace.StageQueueWait, ts[i].enqueued)
 	}
 	if s.isCrashed() {
-		// Simulated process death: queued work is lost with the process
+		// Simulated process death: admitted work is lost with the process
 		// (the journal has its intents).
 		return
 	}
@@ -754,39 +733,18 @@ func (s *Service) run(ts []task) {
 	if s.cfg.Shadow != nil {
 		kept := ts[:0]
 		for _, tt := range ts {
-			if s.shadowRestore(tt) {
-				continue
+			if !s.shadowRestore(tt) {
+				kept = append(kept, tt)
 			}
-			kept = append(kept, tt)
 		}
 		ts = kept
 	}
-	if len(ts) == 1 {
+	switch len(ts) {
+	case 0:
+	case 1:
 		s.process(ts[0])
-		return
-	}
-	// Group the tasks by allocation, preserving submission order within
-	// each group; singleton groups take the sequential path.
-	groups := make([][]task, 0, 1)
-	groupOf := make(map[*registry.Allocation]int, 1)
-	for _, tt := range ts {
-		gi, ok := groupOf[tt.alloc]
-		if !ok {
-			gi = len(groups)
-			groupOf[tt.alloc] = gi
-			groups = append(groups, nil)
-		}
-		groups[gi] = append(groups[gi], tt)
-	}
-	for _, g := range groups {
-		if s.isCrashed() {
-			break
-		}
-		if len(g) == 1 {
-			s.process(g[0])
-		} else {
-			s.processBatch(g)
-		}
+	default:
+		s.processBatch(ts)
 	}
 }
 
@@ -812,15 +770,7 @@ func (s *Service) shadowRestore(t task) bool {
 // attempts, jittered backoff on transient failures, breaker and journal
 // bookkeeping.
 func (s *Service) process(t task) {
-	defer func() {
-		if r := recover(); r != nil {
-			if point, ok := faultinject.IsCrash(r); ok {
-				s.die(point)
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer s.survive()
 
 	var (
 		out      core.Outcome
@@ -857,7 +807,7 @@ func (s *Service) process(t task) {
 	s.finishTask(t, out, err, attempts)
 }
 
-// processBatch runs a same-allocation group of queued recoveries through
+// processBatch runs a same-allocation run of a window's recoveries through
 // the engine's coalesced fast path. Every member is already quarantined
 // (MarkCorrupt at intake), so RecoverBatch is bit-identical to processing
 // the group sequentially in submission order — see core/batch.go. Members
@@ -866,15 +816,7 @@ func (s *Service) process(t task) {
 // its own deadline and backoff before any journal or breaker bookkeeping
 // happens for them.
 func (s *Service) processBatch(ts []task) {
-	defer func() {
-		if r := recover(); r != nil {
-			if point, ok := faultinject.IsCrash(r); ok {
-				s.die(point)
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer s.survive()
 
 	offs := make([]int, len(ts))
 	traces := make([]*trace.Trace, len(ts))
@@ -984,6 +926,18 @@ func (s *Service) finishTask(t task, out core.Outcome, err error, attempts int) 
 	}
 }
 
+// survive turns the panic of an armed crash point into the simulated death
+// of the service; any other panic propagates.
+func (s *Service) survive() {
+	if r := recover(); r != nil {
+		point, ok := faultinject.IsCrash(r)
+		if !ok {
+			panic(r)
+		}
+		s.die(point)
+	}
+}
+
 // transient reports whether a recovery error is worth retrying: abandoned
 // (timed-out) climbs are; ladder exhaustion and unregistered addresses are
 // permanent.
@@ -1005,20 +959,8 @@ func (s *Service) backoff(n int) time.Duration {
 	return d/2 + j
 }
 
-// maybeRedeliver pulls back MCA events whose delivery failed while the
-// service was overloaded, now that a worker freed capacity.
-func (s *Service) maybeRedeliver() {
-	s.mu.Lock()
-	m := s.machine
-	room := s.pendingN < s.cfg.QueueDepth && !s.stopped
-	s.mu.Unlock()
-	if m != nil && room {
-		m.RedeliverLatched()
-	}
-}
-
 // die freezes the service in response to an armed crash point: submissions
-// fail, queued tasks are dropped, and no further journal records are
+// fail, admitted tasks are dropped, and no further journal records are
 // written — the closest a test can get to kill -9 without losing the
 // process.
 func (s *Service) die(point string) {
@@ -1031,20 +973,12 @@ func (s *Service) die(point string) {
 }
 
 // Kill simulates abrupt process death (kill -9): submissions fail
-// immediately, queued tasks are dropped, and no further journal records are
-// written — not even close-outs. Unlike Drain nothing is flushed or closed
-// cleanly; the journal file is left exactly as the "dead" process had it,
-// which is what a cluster partner replaying the replicated journal must
-// cope with. Worker goroutines drain out on their own.
-func (s *Service) Kill() {
-	s.die("killed")
-	s.mu.Lock()
-	if s.started {
-		s.started = false
-		close(s.queue)
-	}
-	s.mu.Unlock()
-}
+// immediately, admitted tasks are dropped, and no further journal records
+// are written — not even close-outs. Unlike Drain nothing is flushed or
+// closed cleanly; the journal file is left exactly as the "dead" process
+// had it, which is what a cluster partner replaying the replicated journal
+// must cope with.
+func (s *Service) Kill() { s.die("killed") }
 
 func (s *Service) isCrashed() bool {
 	s.mu.Lock()
@@ -1060,7 +994,9 @@ func (s *Service) Crashed() (point string, crashed bool) {
 	return s.crashed, s.crashed != ""
 }
 
-// QueueLen returns the number of queued-but-unstarted recoveries.
+// QueueLen returns the number of admitted-but-unstarted recoveries: window
+// members not yet run, plus callers waiting for a token. QueueDepth bounds
+// it.
 func (s *Service) QueueLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1075,17 +1011,12 @@ func (s *Service) Stats() Stats {
 }
 
 // Drain gracefully shuts the service down: intake stops (submissions get
-// ErrStopped), queued recoveries complete, workers exit, and the journal
-// is closed. The context bounds the wait.
+// ErrStopped), every admitted recovery completes — window members not yet
+// run and a started replay included — and the journal is closed. The
+// context bounds the wait.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.stopped {
-		s.stopped = true
-	}
-	if s.started {
-		s.started = false
-		close(s.queue)
-	}
+	s.stopped = true
 	s.mu.Unlock()
 
 	done := make(chan struct{})

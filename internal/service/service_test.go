@@ -121,9 +121,10 @@ func TestServiceRecoversSubmittedDUEs(t *testing.T) {
 }
 
 // TestOverloadRejectsNotBlocks is the overload acceptance scenario: with
-// every worker wedged and the queue full, further MCA events must be
-// rejected with ErrOverloaded (delivery stays non-blocking, the record
-// stays latched in its bank) and be redelivered once capacity frees up.
+// every token wedged and the admission bound reached, further MCA events
+// must be rejected with ErrOverloaded (delivery stays non-blocking, the
+// record stays latched in its bank) and be redelivered once capacity frees
+// up.
 func TestOverloadRejectsNotBlocks(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan string, 2)
@@ -152,30 +153,33 @@ func TestOverloadRejectsNotBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Start()
 	machine := mca.New(2)
 	svc.AttachMCA(machine)
 
-	// Wedge both workers.
-	aA.SetOffset(aA.Offset(8, 8), math.NaN())
-	aB.SetOffset(aB.Offset(8, 8), math.NaN())
-	if err := svc.Submit(allocA, aA.Offset(8, 8)); err != nil {
-		t.Fatal(err)
+	// Submissions run on their callers, so each goes out from a goroutine.
+	var wg sync.WaitGroup
+	submit := func(alloc *registry.Allocation, off int) {
+		alloc.Array.SetOffset(off, math.NaN())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := svc.Submit(alloc, off); err != nil {
+				t.Errorf("submit %s/%d: %v", alloc.Name, off, err)
+			}
+		}()
 	}
-	if err := svc.Submit(allocB, aB.Offset(8, 8)); err != nil {
-		t.Fatal(err)
-	}
+
+	// Wedge both tokens.
+	submit(allocA, aA.Offset(8, 8))
+	submit(allocB, aB.Offset(8, 8))
 	<-started
 	<-started
 
-	// Fill the queue to its admission bound.
+	// Fill the admission bound with callers waiting for a token.
 	for i := 0; i < depth; i++ {
-		off := aC.Offset(4+i, 4)
-		aC.SetOffset(off, math.NaN())
-		if err := svc.Submit(allocC, off); err != nil {
-			t.Fatalf("queued submit %d: %v", i, err)
-		}
+		submit(allocC, aC.Offset(4+i, 4))
 	}
+	waitFor(t, "the admission bound to fill", func() bool { return svc.QueueLen() == depth })
 
 	// Past the bound: direct submission is rejected, not blocked.
 	if err := svc.Submit(allocC, aC.Offset(12, 12)); !errors.Is(err, ErrOverloaded) {
@@ -195,8 +199,10 @@ func TestOverloadRejectsNotBlocks(t *testing.T) {
 		t.Fatalf("latched banks = %v, want exactly one", latched)
 	}
 
-	// Free the pool: everything accepted or latched must eventually recover.
+	// Free the tokens: everything accepted or latched must eventually
+	// recover.
 	close(gate)
+	wg.Wait()
 	waitFor(t, "all recoveries to complete", func() bool {
 		return svc.Stats().Recovered == 5
 	})
@@ -219,7 +225,7 @@ func TestOverloadRejectsNotBlocks(t *testing.T) {
 }
 
 // TestDeadlineUnwedgesWorker: a stuck predictor (simulated by a sleeping
-// stage hook) must not wedge the single worker — the recovery is abandoned
+// stage hook) must not hold the only token for good — the recovery is abandoned
 // at its deadline and the next task (on another allocation) completes.
 func TestDeadlineUnwedgesWorker(t *testing.T) {
 	const stall = 400 * time.Millisecond
@@ -558,28 +564,34 @@ func TestServiceMetricsExport(t *testing.T) {
 	}
 }
 
-// TestDrainBounded: Drain respects its context when a worker is wedged
+// TestDrainBounded: Drain respects its context when a recovery is wedged
 // beyond the deadline machinery (deadlines disabled).
 func TestDrainBounded(t *testing.T) {
-	gate := make(chan struct{})
-	eng := core.NewEngine(core.Options{Seed: 16, StageHook: func(core.StageEvent) { <-gate }})
+	gate, wedged := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	eng := core.NewEngine(core.Options{Seed: 16, StageHook: func(core.StageEvent) {
+		once.Do(func() { close(wedged) })
+		<-gate
+	}})
 	a := smoothArray(16, 16)
 	alloc := eng.Protect("grid", a, bitflip.Float32, registry.RecoverWith(predict.MethodAverage))
 	svc, err := New(eng, Config{Workers: 1, Deadline: -1, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc.Start()
 	a.SetOffset(a.Offset(8, 8), math.NaN())
-	if err := svc.Submit(alloc, a.Offset(8, 8)); err != nil {
-		t.Fatal(err)
-	}
+	submitted := make(chan error, 1)
+	go func() { submitted <- svc.Submit(alloc, a.Offset(8, 8)) }()
+	<-wedged
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if err := svc.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("bounded drain = %v, want deadline exceeded", err)
 	}
 	close(gate)
+	if err := <-submitted; err != nil {
+		t.Fatal(err)
+	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}

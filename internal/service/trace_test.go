@@ -72,10 +72,12 @@ func TestJournalFailureKeepsPriorQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Not started: the first submission parks in the queue, keeping its
+	// The first submission joins a window that has not run yet, keeping its
 	// quarantine claim alive while the duplicate is rejected.
 	off := a.Offset(4, 4)
 	a.SetOffset(off, math.NaN())
+	var w Window
+	svc.StageTrace(alloc.AddrOf(off), trace.New(), &w)
 	if err := svc.Submit(alloc, off); err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +92,14 @@ func TestJournalFailureKeepsPriorQuarantine(t *testing.T) {
 	if n := eng.QuarantineCount(); n != 1 {
 		t.Fatalf("rejected duplicate changed quarantine state: %d quarantined, want 1", n)
 	}
-	svc.Start()
+	svc.RunWindow(&w)
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestStoppedRaceUnquarantinesAndClosesIntent exercises the second leak
-// path: a Drain slips in between the journal intent write and the enqueue
+// path: a Drain slips in between the journal intent write and the admission
 // re-check. The rejected submission must restore quarantine state AND
 // close out the dangling journal intent so a restart does not replay a
 // recovery that was never admitted.
@@ -253,7 +255,7 @@ func TestStagedTraceClaimedBySubmit(t *testing.T) {
 	const id = "4bf92f3577b34da6a3ce929d0e0e4736"
 	off := a.Offset(6, 6)
 	a.SetOffset(off, math.NaN())
-	svc.StageTrace(alloc.AddrOf(off), trace.WithID(id), false)
+	svc.StageTrace(alloc.AddrOf(off), trace.WithID(id), nil)
 	if err := svc.Submit(alloc, off); err != nil {
 		t.Fatal(err)
 	}
