@@ -712,9 +712,8 @@ func fill(r io.Reader, buf []byte) ([]byte, error) {
 }
 
 // streamWindow is how many NDJSON results are encoded and flushed at a
-// time. The handler's admitted recoveries always run before a flush, so
-// every result line it writes is for a recovery that has finished or was
-// not admitted.
+// time. The handler runs its service window before each flush, so the
+// recoveries its admitted lines report have run by then.
 const streamWindow = 64
 
 // handleEventStream ingests an NDJSON batch: one EventRequest per line in,

@@ -5,12 +5,12 @@
 //   - admission control: past a configurable depth of admitted-but-unstarted
 //     recoveries, new DUEs are rejected with ErrOverloaded instead of
 //     blocking MCA delivery (the machine keeps the record latched and the
-//     service redelivers once capacity frees up). There is no queue and no
-//     worker pool: every admitted recovery runs on the goroutine that
-//     submitted it, holding one of Config.Workers tokens, so at most that
-//     many run at once. A caller that stages a Window (the HTTP front end's
-//     ingest handlers) collects its admitted recoveries there and runs them
-//     itself, coalescing same-allocation runs into batches;
+//     service redelivers once capacity frees up). Every admitted recovery
+//     runs on the goroutine that submitted it, holding one of
+//     Config.Workers tokens, so at most that many run at once. A caller
+//     that stages a Window (the HTTP front end's ingest handlers) collects
+//     its admitted recoveries there and runs them itself, coalescing
+//     same-allocation runs into batches;
 //   - a per-recovery context deadline plumbed through the engine's
 //     escalation ladder, so a stuck predictor or checkpoint restore cannot
 //     hold a token forever;
