@@ -617,8 +617,8 @@ func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string, w *se
 
 	// Stage the trace before raising: the MCA delivery path cannot carry
 	// it, so the service claims it by address at submission time. The
-	// staging also carries w until the raise returns, so only this delivery
-	// joins the window.
+	// staging also carries w, and ending it once the raise returns keeps a
+	// later redelivery of a latched event out of the window.
 	tr := trace.WithID(traceID)
 	s.svc.StageTrace(addr, tr, w)
 
@@ -629,7 +629,7 @@ func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string, w *se
 	if !faulted {
 		err = s.machine.RaiseMemoryDUE(addr, ev.Bit)
 	}
-	s.svc.EndWindow(addr, tr)
+	w.EndStaging()
 	switch {
 	case err == nil:
 		s.evAccepted.Add(1)

@@ -101,7 +101,9 @@ func TestCrashReplayEveryPoint(t *testing.T) {
 					if err := m.RaiseMemoryDUE(addr, 0); err != nil {
 						t.Fatal(err)
 					}
-					svc1.EndWindow(addr, tr)
+					if w != nil {
+						w.EndStaging()
+					}
 				}
 				if w != nil {
 					svc1.RunWindow(w)

@@ -184,15 +184,38 @@ type task struct {
 }
 
 // A Window holds the admitted recoveries one goroutine will run itself.
-// A caller stages its events' traces with the window (StageTrace); each
-// MCA delivery that claims such a staging is admitted into the window and
-// returns at once, so the bank frees before the recovery runs. The owner
-// then runs the window with RunWindow, and must do so: its members count
-// against QueueDepth, and Drain waits for them, until they have run. The
-// zero Window is empty and ready to use.
+// Its owner stages each event's trace with the window (StageTrace), raises
+// the event, and ends the staging (EndStaging); an MCA delivery that claims
+// the staging in between is admitted into the window and returns at once,
+// so the bank frees before the recovery runs. The owner then runs the
+// window with RunWindow, and must do so: its members count against
+// QueueDepth, and Drain waits for them, until they have run. The zero
+// Window is empty and ready to use.
 type Window struct {
 	mu    sync.Mutex
+	open  *trace.Trace // the staged trace whose delivery may still join
 	tasks []task
+}
+
+// EndStaging ends the window's claim on the trace last staged with it: a
+// submission that claims that staging later (the redelivery of an event
+// that latched) runs where it is submitted instead of joining the window.
+func (w *Window) EndStaging() {
+	w.mu.Lock()
+	w.open = nil
+	w.mu.Unlock()
+}
+
+// join adds t to w if t's trace is still the one staged with w; it reports
+// whether it did.
+func (w *Window) join(t task) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.open != t.tr {
+		return false
+	}
+	w.tasks = append(w.tasks, t)
+	return true
 }
 
 // Len reports how many admitted recoveries wait in w.
@@ -239,7 +262,7 @@ type Service struct {
 }
 
 // staging is one staged trace, and the window its stager collects
-// admitted recoveries in, until the stager ends the window's claim.
+// admitted recoveries in.
 type staging struct {
 	tr  *trace.Trace
 	win *Window
@@ -252,12 +275,16 @@ const stagedTraceCap = 4096
 
 // StageTrace associates tr with a faulting address about to be raised
 // through the MCA machine. The next submission for addr claims it. With a
-// non-nil w, that submission joins w instead of running. The stager ends
-// w's claim with EndWindow once its raise returns, so a later redelivery
-// of a latched event runs on its own goroutine.
+// non-nil w, that submission joins w instead of running, unless the stager
+// has called w.EndStaging since.
 func (s *Service) StageTrace(addr uint64, tr *trace.Trace, w *Window) {
 	if tr == nil {
 		return
+	}
+	if w != nil {
+		w.mu.Lock()
+		w.open = tr
+		w.mu.Unlock()
 	}
 	s.stagedMu.Lock()
 	if s.staged == nil {
@@ -265,17 +292,6 @@ func (s *Service) StageTrace(addr uint64, tr *trace.Trace, w *Window) {
 	}
 	if len(s.staged) < stagedTraceCap {
 		s.staged[addr] = staging{tr: tr, win: w}
-	}
-	s.stagedMu.Unlock()
-}
-
-// EndWindow clears the window of tr's staging at addr, if it is still
-// staged: an event that latched keeps its trace for the redelivery, which
-// runs where it is delivered.
-func (s *Service) EndWindow(addr uint64, tr *trace.Trace) {
-	s.stagedMu.Lock()
-	if st, ok := s.staged[addr]; ok && st.tr == tr {
-		s.staged[addr] = staging{tr: tr}
 	}
 	s.stagedMu.Unlock()
 }
@@ -597,10 +613,7 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	if w := st.win; w != nil {
-		w.mu.Lock()
-		w.tasks = append(w.tasks, t)
-		w.mu.Unlock()
+	if st.win != nil && st.win.join(t) {
 		return nil
 	}
 	s.runTasks([]task{t})

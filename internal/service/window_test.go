@@ -81,14 +81,16 @@ func newRunHereEnv(t *testing.T, hook func(core.StageEvent), cfg Config) *runHer
 
 // deliver corrupts offset off of the grid and raises its DUE the way the
 // HTTP front end does: its trace staged with window w (nil: no window), the
-// window's claim ended when the raise returns.
+// staging ended when the raise returns.
 func (e *runHereEnv) deliver(off int, w *Window) (*trace.Trace, error) {
 	e.alloc.Array.SetOffset(off, math.NaN())
 	addr := e.alloc.AddrOf(off)
 	tr := trace.New()
 	e.svc.StageTrace(addr, tr, w)
 	err := e.m.RaiseMemoryDUE(addr, 0)
-	e.svc.EndWindow(addr, tr)
+	if w != nil {
+		w.EndStaging()
+	}
 	return tr, err
 }
 
@@ -156,6 +158,29 @@ func TestRunHereOutcomeBeforeReturn(t *testing.T) {
 	}
 	if n := queueWaits(wtr); n != 1 || w.Len() != 0 || e.svc.QueueLen() != 0 {
 		t.Errorf("after RunWindow: %d queue_wait spans, window %d, queue %d; want 1, 0, 0", n, w.Len(), e.svc.QueueLen())
+	}
+	if err := e.svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEndedStagingRunsOnClaimer: a submission that claims a window's
+// staging after the stager ended it — the redelivery of an event that
+// latched — runs on its own goroutine instead of joining the window, whose
+// owner may have run it for the last time.
+func TestEndedStagingRunsOnClaimer(t *testing.T) {
+	e := newRunHereEnv(t, nil, Config{Workers: 1})
+	off := e.alloc.Array.Offset(8, 8)
+	e.alloc.Array.SetOffset(off, math.NaN())
+	var w Window
+	tr := trace.New()
+	e.svc.StageTrace(e.alloc.AddrOf(off), tr, &w)
+	w.EndStaging()
+	if err := e.svc.Submit(e.alloc, off); err != nil {
+		t.Fatal(err)
+	}
+	if out := e.outcomes(); len(out) != 1 || out[0].Err != nil || out[0].TraceID != tr.ID() || w.Len() != 0 {
+		t.Fatalf("after the claim: outcomes %+v, window %d; want the recovery run here with the staged trace, window empty", out, w.Len())
 	}
 	if err := e.svc.Close(); err != nil {
 		t.Fatal(err)
