@@ -17,6 +17,10 @@ func benchEnv() (*Env, []int) {
 
 func benchPredictor(b *testing.B, p Predictor) {
 	env, idx := benchEnv()
+	benchPredictorAt(b, p, env, idx)
+}
+
+func benchPredictorAt(b *testing.B, p Predictor, env *Env, idx []int) {
 	if _, err := p.Predict(env, idx); err != nil { // warm scratch + memo
 		b.Fatal(err)
 	}
@@ -29,7 +33,16 @@ func benchPredictor(b *testing.B, p Predictor) {
 	}
 }
 
-func BenchmarkLorenzo1Kernel(b *testing.B) { benchPredictor(b, Lorenzo{Layers: 1}) }
+// BenchmarkLorenzo1Kernel times the paper's best method on benchEnv's 2-D
+// site and on kernelBenchEnv's 3-D one.
+func BenchmarkLorenzo1Kernel(b *testing.B) {
+	b.Run("2D", func(b *testing.B) { benchPredictor(b, Lorenzo{Layers: 1}) })
+	b.Run("3D", func(b *testing.B) {
+		env, idx := kernelBenchEnv()
+		benchPredictorAt(b, Lorenzo{Layers: 1}, env, idx)
+	})
+}
+
 func BenchmarkLorenzo3Kernel(b *testing.B) { benchPredictor(b, Lorenzo{Layers: 3}) }
 func BenchmarkLagrangeKernel(b *testing.B) {
 	benchPredictor(b, Lagrange{Offsets: []int{-2, -1, 1}})

@@ -79,50 +79,73 @@ func binom(n int) []int {
 	return row
 }
 
-// lorenzoSweep evaluates the stencil at idx under orientation dir, with a
-// per-dimension layer count maxs (maxs[t] = 0 drops dimension t from the
-// stencil entirely — the degraded cross-dimension fallback; the uniform
-// case maxs[t] = L for all t is the classic L-layer predictor, because
-// C(L, 0) = 1 makes dropped dimensions contribute a neutral factor). With
-// check set it only tests whether every cell read is unmasked, returning
-// (0, ok). s and nb are caller scratch of length d.
-func lorenzoSweep(env *Env, a *ndarray.Array, idx, dir, s, nb, coef, maxs []int, d int, check bool) (float64, bool) {
+// lorenzoSweep evaluates the stencil at the target offset base under
+// orientation dir, with a per-dimension layer count maxs (maxs[t] = 0 drops
+// dimension t from the stencil entirely — the degraded cross-dimension
+// fallback; the uniform case maxs[t] = L for all t is the classic L-layer
+// predictor, because C(L, 0) = 1 makes dropped dimensions contribute a
+// neutral factor). The cells s of prod_t {0..maxs[t]} \ {0} come in odometer
+// order, each cell's offset kept by stride arithmetic as the odometer turns.
+// With check set it only asks the mask whether every cell is usable,
+// returning (0, ok) at the first that is not, and reads nothing.
+func lorenzoSweep(env *Env, base int, dir, maxs, coef []int, check bool) (float64, bool) {
+	if check && env.mask == nil {
+		return 0, true
+	}
+	a := env.A
+	data := a.Data()
+	s := env.ints(slotLorS)
 	for t := range s {
 		s[t] = 0
 	}
-	sum := 0.0
+	sum, lastNaN := 0.0, 0.0
+	off := base
 	for {
-		// Enumerate s in prod_t {0..maxs[t]} \ {0} with an odometer; the
-		// all-zero vector is skipped by incrementing before the first use.
-		t := d - 1
-		for t >= 0 {
-			s[t]++
-			if s[t] <= maxs[t] {
+		// The all-zero s is skipped by incrementing before the first use.
+		t := len(s) - 1
+		for ; t >= 0; t-- {
+			step := dir[t] * a.Stride(t)
+			if s[t] < maxs[t] {
+				s[t]++
+				off += step
 				break
 			}
+			off -= s[t] * step
 			s[t] = 0
-			t--
 		}
 		if t < 0 {
-			return sum, true // wrapped around: enumeration complete
+			break // wrapped around: enumeration complete
+		}
+		if check {
+			if env.Masked(off) {
+				return 0, false
+			}
+			continue
 		}
 		// Coefficient c(s) = -prod_t (-1)^(s_t) C(L, s_t).
 		c := -1
-		for u := 0; u < d; u++ {
-			c *= coef[s[u]]
-			if s[u]%2 == 1 {
+		for _, st := range s {
+			c *= coef[st]
+			if st%2 == 1 {
 				c = -c
 			}
-			nb[u] = idx[u] + dir[u]*s[u]
 		}
-		off := a.Offset(nb...)
-		if check && env.Masked(off) {
-			return 0, false
+		term := float64(c) * data[off]
+		if term != term {
+			lastNaN = term
 		}
-		if !check {
-			sum += float64(c) * a.AtOffset(off)
-		}
+		sum += term
 	}
+	if lastNaN != lastNaN {
+		// Which NaN an add of two NaNs yields is the operand the compiler
+		// makes its destination. The sweep with a variadic Offset per cell
+		// that this one replaced kept the sum in memory, so the term was the
+		// destination and a sum ended on its last NaN term; here the sum
+		// stays in a register and keeps its first. Ending on the last NaN
+		// term keeps the bits.
+		return lastNaN, true
+	}
+	return sum, true
 }
 
 // Predict implements Predictor.
@@ -152,29 +175,19 @@ func (l Lorenzo) Predict(env *Env, idx []int) (float64, error) {
 		}
 	}
 
+	base := a.Offset(idx...)
 	coef := binom(L)
-	s := env.ints(slotLorS)
-	nb := env.ints(slotLorNb)
 	dir := env.ints(slotLorDir)
 	maxs := env.ints(slotLorMaxs)
 
 	if boundsOK {
 		for t := 0; t < d; t++ {
 			maxs[t] = L
-			// Default orientation: preceding wherever it fits.
-			if canNeg[t] {
-				dir[t] = -1
-			} else {
-				dir[t] = +1
-			}
 		}
-		if env.mask == nil {
-			v, _ := lorenzoSweep(env, a, idx, dir, s, nb, coef, maxs, d, false)
-			return v, nil
-		}
-		// With quarantined cells in play, search the 2^d orientations (the
-		// preferred all-upwind stencil first) for one whose cells are all
-		// usable.
+		// Search the 2^d orientations, the preferred all-upwind stencil
+		// first, for one whose cells are all usable. The first orientation
+		// that fits the bounds is the default one — preceding wherever it
+		// fits — and without a mask it is the answer.
 		for flips := 0; flips < 1<<d; flips++ {
 			ok := true
 			for t := 0; t < d; t++ {
@@ -194,13 +207,13 @@ func (l Lorenzo) Predict(env *Env, idx []int) (float64, error) {
 			if !ok {
 				continue
 			}
-			if _, clean := lorenzoSweep(env, a, idx, dir, s, nb, coef, maxs, d, true); clean {
-				v, _ := lorenzoSweep(env, a, idx, dir, s, nb, coef, maxs, d, false)
+			if _, clean := lorenzoSweep(env, base, dir, maxs, coef, true); clean {
+				v, _ := lorenzoSweep(env, base, dir, maxs, coef, false)
 				return v, nil
 			}
 		}
 	}
-	return l.predictDegraded(env, a, idx, s, nb, dir, maxs, L, d, boundsOK)
+	return l.predictDegraded(env, a, idx, base, dir, maxs, L, d, boundsOK)
 }
 
 // predictDegraded is the structured-fault fallback: when the full L-layer
@@ -213,7 +226,7 @@ func (l Lorenzo) Predict(env *Env, idx []int) (float64, error) {
 // the full inclusion-exclusion stencil can never do because it always reads
 // in-row neighbors. Every candidate stays within MaxStencilReach (layer
 // counts only shrink), so the stripe-independence invariant holds.
-func (l Lorenzo) predictDegraded(env *Env, a *ndarray.Array, idx []int, s, nb, dir, maxs []int, L, d int, triedFull bool) (float64, error) {
+func (l Lorenzo) predictDegraded(env *Env, a *ndarray.Array, idx []int, base int, dir, maxs []int, L, d int, triedFull bool) (float64, error) {
 	for dl := L; dl >= 1; dl-- {
 		coef := binom(dl)
 		for size := d; size >= 1; size-- {
@@ -266,8 +279,8 @@ func (l Lorenzo) predictDegraded(env *Env, a *ndarray.Array, idx []int, s, nb, d
 					if !ok {
 						continue
 					}
-					if _, clean := lorenzoSweep(env, a, idx, dir, s, nb, coef, maxs, d, true); clean {
-						v, _ := lorenzoSweep(env, a, idx, dir, s, nb, coef, maxs, d, false)
+					if _, clean := lorenzoSweep(env, base, dir, maxs, coef, true); clean {
+						v, _ := lorenzoSweep(env, base, dir, maxs, coef, false)
 						return v, nil
 					}
 				}

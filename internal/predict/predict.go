@@ -105,13 +105,16 @@ type scratch struct {
 // The coordinate-scratch slots of scratch.ints.
 const (
 	slotLorS     = iota // Lorenzo odometer
-	slotLorNb           // Lorenzo neighbor index
 	slotLorDir          // Lorenzo orientation
 	slotLorMaxs         // Lorenzo per-dimension layer counts
 	slotAutoIdx         // LorenzoAuto probe coordinates
 	slotLagNb           // Lagrange neighbor index
 	slotAvgNb           // Average neighbor index
 	slotRegIdx          // GlobalRegression scan coordinates
+	slotRegLo           // LocalRegression box: lower bounds
+	slotRegHi           // LocalRegression box: upper bounds
+	slotRegSum          // LocalRegression box: coordinate sums
+	slotRegCur          // LocalRegression row odometer
 	slotPatchCur        // ndarray.PatchRows odometer (see Env.PatchRows)
 	slotProbeIdx        // autotune probe coordinates (see Env.Probes)
 	numIntSlots

@@ -387,26 +387,34 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	skip := a.Offset(idx...)
 	phi, xtx, xtv, solveM, solveX := env.fitScratch(p)
 
-	// The clipped box: its cell count and the linear span it lies in.
+	// The clipped box, once per prediction: its bounds, its cell count and
+	// the linear span it lies in.
+	lo, hi := env.ints(slotRegLo), env.ints(slotRegHi)
 	n, first, last := 1, 0, 0
 	for t := 0; t < d; t++ {
-		lo, hi := a.PatchBounds(idx, r, t)
-		n *= hi - lo + 1
-		first += lo * a.Stride(t)
-		last += hi * a.Stride(t)
+		lo[t], hi[t] = a.PatchBounds(idx, r, t)
+		n *= hi[t] - lo[t] + 1
+		first += lo[t] * a.Stride(t)
+		last += hi[t] * a.Stride(t)
 	}
 
 	// X'X over the whole box (upper triangle). With n_t cells, coordinate
 	// sum S_t and sum of squares Q_t along dimension t, and n cells in all:
 	// n, S_t*n/n_t, Q_t*n/n_t and S_s*S_t*n/(n_s*n_t).
 	xtx[0] = float64(n)
+	sums := env.ints(slotRegSum)
 	for t := 0; t < d; t++ {
-		nT, sT, qT := axisSums(a, idx, r, t)
+		nT, sT, qT := hi[t]-lo[t]+1, 0, 0
+		for x := lo[t] - idx[t]; x <= hi[t]-idx[t]; x++ {
+			sT += x
+			qT += x * x
+		}
+		sums[t] = sT
 		xtx[t+1] = float64(sT * (n / nT))
 		xtx[(t+1)*p+t+1] = float64(qT * (n / nT))
 		for s := 0; s < t; s++ {
-			nS, sS, _ := axisSums(a, idx, r, s)
-			xtx[(s+1)*p+t+1] = float64(sS * sT * (n / nT / nS))
+			nS := hi[s] - lo[s] + 1
+			xtx[(s+1)*p+t+1] = float64(sums[s] * sT * (n / nT / nS))
 		}
 	}
 
@@ -434,70 +442,96 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	}
 	phi[0] = 1
 	data := a.Data()
-	// X'v entries 0, 1, 2 and d (the last coordinate's, the one that varies
-	// along a row) accumulate in registers for the whole walk: up to 3-D
-	// that is every entry, one pass per run of cells (31 % faster on
-	// BenchmarkLocalRegressionKernel than a pass per entry). An entry a
-	// lower-dimensional fit lacks is a dummy that is never stored.
-	var a0, a1, a2, ax float64
+	// The walk visits the box's rows in row-major order. The last two
+	// leading dimensions, A and B, are nested loops and the dimensions
+	// before them (from 4-D on) an odometer outside those loops; a dimension
+	// the array lacks is a loop that runs once with a zero feature. X'v
+	// entries 0, A's, B's and the last coordinate's accumulate in registers
+	// for the whole walk, one pass per run of cells: up to 3-D that is every
+	// entry. An entry a lower-dimensional fit lacks is a dummy that is never
+	// stored.
+	nOut := max(d-3, 0)
+	out := env.ints(slotRegCur)[:nOut]
+	copy(out, lo)
+	base := lo[d-1] // the offset of the outer index's first row, A and B aside
+	for t := range out {
+		base += lo[t] * a.Stride(t)
+	}
+	var loA, hiA, stA, cA, loB, hiB, stB, cB int
+	if d > 2 {
+		loA, hiA, stA, cA = lo[d-3], hi[d-3], a.Stride(d-3), idx[d-3]
+	}
+	if d > 1 {
+		loB, hiB, stB, cB = lo[d-2], hi[d-2], a.Stride(d-2), idx[d-2]
+	}
+	rowLen := hi[d-1] - lo[d-1] + 1
+	x0 := lo[d-1] - idx[d-1] // the last coordinate of a row's first cell
+	var a0, aA, aB, ax float64
 	k := 0 // excl[k:] are the excluded offsets not yet passed
-	rows := env.PatchRows(idx, r)
-	for rows.Next() {
-		// Coordinates are centered at idx; all but the last are constant
-		// along a row.
-		for t := 0; t < d-1; t++ {
-			phi[t+1] = float64(rows.Cur[t] - idx[t])
+	for {
+		// Coordinates are centered at idx.
+		for t, c := range out {
+			phi[t+1] = float64(c - idx[t])
 		}
-		var f1, f2 float64
-		if d > 1 {
-			f1 = phi[1]
-		}
-		if d > 2 {
-			f2 = phi[2]
-		}
-		// xAt0 is the last coordinate a cell at offset 0 would have.
-		xAt0 := rows.Cur[d-1] - idx[d-1] - rows.Off
-		for off, end := rows.Off, rows.Off+rows.Len; off < end; off++ {
-			for k < len(excl) && excl[k] < off {
-				k++ // inside the span but outside the patch
-			}
-			stop := end
-			if k < len(excl) && excl[k] < end {
-				stop = excl[k]
-			}
-			x := float64(xAt0 + off)
-			for _, v := range data[off:stop] {
-				a0 += v
-				a1 += f1 * v
-				a2 += f2 * v
-				ax += x * v
-				x++
-			}
-			for t := 3; t < d; t++ {
-				acc, f := xtv[t], phi[t]
-				for _, v := range data[off:stop] {
-					acc += f * v
-				}
-				xtv[t] = acc
-			}
-			if off = stop; off < end {
-				// The excluded cell ending the run leaves the fit.
-				n--
-				phi[d] = float64(xAt0 + off)
-				for i := 0; i < p; i++ {
-					for j := i; j < p; j++ {
-						xtx[i*p+j] -= phi[i] * phi[j]
+		for iA := loA; iA <= hiA; iA++ {
+			fA := float64(iA - cA)
+			for iB := loB; iB <= hiB; iB++ {
+				fB := float64(iB - cB)
+				row := base + iA*stA + iB*stB
+				for off, end := row, row+rowLen; off < end; off++ {
+					for k < len(excl) && excl[k] < off {
+						k++ // inside the span but outside the box
+					}
+					stop := end
+					if k < len(excl) && excl[k] < end {
+						stop = excl[k]
+					}
+					x := float64(x0 + off - row)
+					for _, v := range data[off:stop] {
+						a0 += v
+						aA += fA * v
+						aB += fB * v
+						ax += x * v
+						x++
+					}
+					if nOut > 0 {
+						addOuter(xtv[1:nOut+1], phi[1:nOut+1], data[off:stop])
+					}
+					if off = stop; off < end {
+						// The excluded cell ending the run leaves the fit.
+						n--
+						if d > 2 {
+							phi[d-2] = fA
+						}
+						if d > 1 {
+							phi[d-1] = fB
+						}
+						phi[d] = float64(x0 + off - row)
+						downdate(xtx, phi)
 					}
 				}
 			}
 		}
+		t := nOut - 1
+		for ; t >= 0; t-- {
+			if out[t] < hi[t] {
+				out[t]++
+				base += a.Stride(t)
+				break
+			}
+			base -= (out[t] - lo[t]) * a.Stride(t)
+			out[t] = lo[t]
+		}
+		if t < 0 {
+			break
+		}
 	}
 	xtv[0] = a0
-	if d > 1 {
-		xtv[1] = a1
-	}
 	if d > 2 {
-		xtv[2] = a2
+		xtv[d-2] = aA
+	}
+	if d > 1 {
+		xtv[d-1] = aB
 	}
 	xtv[d] = ax
 	if n < p {
@@ -516,16 +550,32 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	return beta[0], nil
 }
 
-// axisSums returns, for dimension t of the patch of radius r around idx
-// clipped to a, the number of coordinates it covers and the sum and sum of
-// squares of those coordinates relative to idx[t].
-func axisSums(a *ndarray.Array, idx []int, r, t int) (n, sum, sq int) {
-	lo, hi := a.PatchBounds(idx, r, t)
-	for x := lo - idx[t]; x <= hi-idx[t]; x++ {
-		sum += x
-		sq += x * x
+// addOuter adds one run of a row's cells to the X'v entries of
+// LocalRegression's outer coordinates (from 4-D on), xtv[t] += phi[t]*v cell
+// by cell. It and downdate stay out of line: inlined into the walk they cost
+// its loops registers, and BenchmarkLocalRegressionKernel about 10 %.
+//
+//go:noinline
+func addOuter(xtv, phi, run []float64) {
+	for t, f := range phi {
+		acc := xtv[t]
+		for _, v := range run {
+			acc += f * v
+		}
+		xtv[t] = acc
 	}
-	return hi - lo + 1, sum, sq
+}
+
+// downdate takes the cell with features phi out of the upper triangle of X'X.
+//
+//go:noinline
+func downdate(xtx, phi []float64) {
+	p := len(phi)
+	for i := 0; i < p; i++ {
+		for j := i; j < p; j++ {
+			xtx[i*p+j] -= phi[i] * phi[j]
+		}
+	}
 }
 
 // solveSymInto solves the n x n linear system A x = b (A row-major, symmetric
