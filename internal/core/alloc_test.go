@@ -46,6 +46,23 @@ func TestRecoveryAllocations(t *testing.T) {
 		t.Errorf("RecoverElement: %v allocs, want <= 6", n)
 	}
 
+	// The same recovery entered by address, as an MCE handler does: the
+	// registry's descriptor check on the lookup adds nothing.
+	eng, alloc = mk()
+	addr := alloc.AddrOf(off)
+	byAddr := func() {
+		alloc.Array.SetOffset(off, math.NaN())
+		if _, err := eng.RecoverAddress(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		byAddr()
+	}
+	if n := testing.AllocsPerRun(200, byAddr); n > 6 {
+		t.Errorf("RecoverAddress: %v allocs, want <= 6", n)
+	}
+
 	eng, alloc = mk()
 	offs := make([]int, 16)
 	for i := range offs {

@@ -360,19 +360,34 @@ func (t *Table) lookupRepairing(addr uint64) (*Allocation, int, error) {
 
 // descriptorCleanLocked is the pure (non-repairing) parity check: it
 // re-encodes the live descriptor and compares per-shard CRCs against the
-// seal. Caller holds t.mu (read or write).
+// seal. It runs on every lookup, so it allocates nothing: the encoding goes
+// to a stack buffer (only names too long for it reach the heap), and each
+// shard of splitShards is CRC'd byte by byte straight from the encoding.
+// Caller holds t.mu (read or write).
 func (t *Table) descriptorCleanLocked(a *Allocation) bool {
 	t.descVerifies.Add(1)
 	if a.seal == nil {
 		return false
 	}
-	enc := encodeDescriptor(fieldsOf(a))
+	var dims [sealMaxDims]int
+	var buf [256]byte
+	enc := appendDescriptor(buf[:0], fieldsInto(a, dims[:0]))
 	if len(enc) != a.seal.encLen {
 		return false
 	}
 	sz := shardSize(len(enc))
-	for i, sh := range splitShards(enc, sz) {
-		if crc32.ChecksumIEEE(sh) != a.seal.crcs[i] {
+	for i := 0; i < sealK; i++ {
+		// crc32.ChecksumIEEE's table walk; the library's own entry point
+		// would move the shard it is handed to the heap.
+		crc := ^uint32(0)
+		for j := 0; j < sz; j++ {
+			var v byte // the padding past the encoding's end
+			if b := j*sealK + i; b < len(enc) {
+				v = enc[b]
+			}
+			crc = crc32.IEEETable[byte(crc)^v] ^ crc>>8
+		}
+		if ^crc != a.seal.crcs[i] {
 			return false
 		}
 	}

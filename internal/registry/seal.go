@@ -74,12 +74,19 @@ type descriptorFields struct {
 }
 
 // fieldsOf snapshots an allocation's protected fields.
-func fieldsOf(a *Allocation) descriptorFields {
+func fieldsOf(a *Allocation) descriptorFields { return fieldsInto(a, nil) }
+
+// fieldsInto is fieldsOf with the dimensions appended to dims, so that a
+// caller with a buffer of its own snapshots without allocating.
+func fieldsInto(a *Allocation, dims []int) descriptorFields {
+	for t := 0; t < a.Array.NumDims(); t++ {
+		dims = append(dims, a.Array.Dim(t))
+	}
 	return descriptorFields{
 		ID:     a.ID,
 		Base:   a.Base,
 		DType:  a.DType,
-		Dims:   a.Array.Dims(),
+		Dims:   dims,
 		Policy: a.Policy,
 		Name:   a.Name,
 		Tenant: a.Tenant,
@@ -89,7 +96,11 @@ func fieldsOf(a *Allocation) descriptorFields {
 // encodeDescriptor serializes the protected fields into the canonical
 // fixed-layout byte encoding the parity covers.
 func encodeDescriptor(f descriptorFields) []byte {
-	buf := make([]byte, 0, 64+len(f.Name)+len(f.Tenant))
+	return appendDescriptor(make([]byte, 0, 64+len(f.Name)+len(f.Tenant)), f)
+}
+
+// appendDescriptor appends f's canonical encoding to buf.
+func appendDescriptor(buf []byte, f descriptorFields) []byte {
 	buf = append(buf, sealVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(f.ID)))
 	buf = binary.LittleEndian.AppendUint64(buf, f.Base)
