@@ -16,6 +16,7 @@ import (
 
 	"spatialdue/internal/bitflip"
 	"spatialdue/internal/faultinject"
+	"spatialdue/internal/mca"
 	"spatialdue/internal/metrics"
 	"spatialdue/internal/ndarray/mmapstore"
 	"spatialdue/internal/predict"
@@ -630,6 +631,12 @@ func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string, w *se
 		err = s.machine.RaiseMemoryDUE(addr, ev.Bit)
 	}
 	w.EndStaging()
+	if errors.Is(err, mca.ErrQueued) {
+		// Every bank's record was mid-delivery, so the event waits on the
+		// MCA's overflow queue for the next drain: backpressure, as for a
+		// full admission bound.
+		err = fmt.Errorf("%w: %w", service.ErrOverloaded, err)
+	}
 	switch {
 	case err == nil:
 		s.evAccepted.Add(1)

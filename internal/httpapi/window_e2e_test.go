@@ -3,6 +3,7 @@ package httpapi_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"spatialdue/internal/core"
 	"spatialdue/internal/httpapi"
 	"spatialdue/internal/httpapi/client"
+	"spatialdue/internal/journal"
 	"spatialdue/internal/service"
 )
 
@@ -202,5 +204,133 @@ func TestTickerOffRedeliversOnRelease(t *testing.T) {
 	}
 	if len(pending) > 0 {
 		t.Fatalf("offsets %v never recovered with the ticker off", pending)
+	}
+}
+
+// TestQueuedRaiseAnswersLatched: an event that finds every bank's record
+// mid-delivery waits on the MCA's overflow queue. No handler has seen it, so
+// the ingest answers latched (429, do not resend), not accepted; once the
+// banks free, the event recovers exactly once, with one journal intent and
+// one outcome.
+func TestQueuedRaiseAnswersLatched(t *testing.T) {
+	// One bank: the 16x16 field is a single lock stripe, so a second
+	// recovery parked inside its handler would wait for the first's stripe
+	// rather than its ladder stage.
+	const banks = 1
+	release := make(chan struct{})
+	parked := make(chan struct{}, banks)
+	hook := func(core.StageEvent) {
+		select {
+		case <-release:
+			return
+		default:
+		}
+		parked <- struct{}{}
+		<-release
+	}
+	jpath := filepath.Join(t.TempDir(), "journal")
+	srv, c, inj, shutdown := windowServer(t, hook, httpapi.ServerConfig{
+		Banks:          banks,
+		RedeliverEvery: -1,
+		Service:        service.Config{Workers: banks, QueueDepth: banks, Deadline: -1, JournalPath: jpath},
+	}, 17)
+	stopped := false
+	defer func() {
+		if !stopped {
+			_ = shutdown()
+		}
+	}()
+	unpark := sync.OnceFunc(func() { close(release) })
+	defer unpark() // before the shutdown above, which waits for the parked recovery
+	ctx := context.Background()
+	reports := []*httpapi.InjectReport{inj}
+	for _, off := range []int{119, 221}[:banks] {
+		r, err := c.Inject(ctx, "field", httpapi.InjectRequest{Offset: &off})
+		if err != nil {
+			t.Fatalf("inject %d: %v", off, err)
+		}
+		reports = append(reports, r)
+	}
+
+	// A fault discovered by a demand access outside any request latches the
+	// bank and recovers inside its handler, parked at its first ladder
+	// stage, so the bank stays mid-delivery.
+	touched := make(chan error, banks)
+	for _, r := range reports[:banks] {
+		go func() {
+			_, err := srv.Machine().Touch(r.Addr, 4)
+			touched <- err
+		}()
+	}
+	for range banks {
+		<-parked
+	}
+	queued := reports[banks]
+	res, err := c.Ingest(ctx, httpapi.EventRequest{Addr: queued.Addr, Bit: queued.Bit})
+	var apiErr *httpapi.Error
+	if !errors.Is(err, service.ErrOverloaded) || !errors.As(err, &apiErr) || !apiErr.Latched || res == nil || res.Status != httpapi.StatusLatched {
+		t.Fatalf("ingest behind busy banks = %+v, %v; want latched", res, err)
+	}
+	if n := srv.Machine().PendingOverflow(); n != 1 {
+		t.Fatalf("%d events on the overflow queue, want 1", n)
+	}
+
+	unpark()
+	for range banks {
+		if err := <-touched; err != nil {
+			t.Fatalf("parked delivery: %v", err)
+		}
+	}
+	oks := map[int]int{}
+	deadline := time.Now().Add(10 * time.Second)
+	var cursor uint64
+	for oks[queued.Offset] == 0 && time.Now().Before(deadline) {
+		page, err := c.Outcomes(ctx, cursor, "field", 10)
+		if err != nil {
+			t.Fatalf("outcomes: %v", err)
+		}
+		cursor = page.Next
+		for _, rec := range page.Outcomes {
+			if rec.OK {
+				oks[rec.Offset]++
+			}
+		}
+		if len(page.Outcomes) == 0 {
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	stopped = true
+	if err := shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	for _, r := range reports {
+		if oks[r.Offset] != 1 {
+			t.Errorf("offset %d: %d ok outcomes, want 1", r.Offset, oks[r.Offset])
+		}
+	}
+
+	intents, outcomes := map[int]int{}, map[int]int{}
+	offOf := map[uint64]int{}
+	if err := journal.Scan(jpath, func(line []byte) error {
+		rec, err := journal.DecodeRecord(line)
+		if err != nil {
+			return err
+		}
+		switch rec.Kind {
+		case journal.KindIntent:
+			offOf[rec.Intent.ID] = rec.Intent.Offset
+			intents[rec.Intent.Offset]++
+		case journal.KindOutcome:
+			if rec.Outcome.OK {
+				outcomes[offOf[rec.Outcome.ID]]++
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("scan journal: %v", err)
+	}
+	if intents[queued.Offset] != 1 || outcomes[queued.Offset] != 1 {
+		t.Errorf("journal: %d intents and %d ok outcomes for the queued event, want 1 and 1",
+			intents[queued.Offset], outcomes[queued.Offset])
 	}
 }

@@ -205,9 +205,9 @@ func (m *Machine) ScrubBank(bank int) (found int, err error) {
 			return found, err
 		}
 		found++
-		if _, e := m.raise(hit.addr, hit.bit, CodeMemScrub, false); e != nil && err == nil {
+		if _, e := m.raise(queued{addr: hit.addr, bit: hit.bit, code: CodeMemScrub}, false); e != nil && err == nil {
 			err = e
 		}
-		m.drainPending()
+		m.drainPending(0)
 	}
 }

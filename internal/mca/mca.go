@@ -108,6 +108,13 @@ type Handler func(Event) error
 // the simulated equivalent of an unhandled MCE crashing the application.
 var ErrNoHandler = errors.New("mca: unhandled machine-check exception")
 
+// ErrQueued is returned by RaiseMemoryDUE and Touch when the new DUE found
+// every bank's record mid-delivery and still waits on the overflow queue
+// when the call returns: no handler has seen it yet. A later drain (the
+// next raise, or RedeliverLatched) delivers it, so the raiser must not
+// raise it again.
+var ErrQueued = errors.New("mca: DUE queued behind banks mid-delivery")
+
 // latent is a planted-but-undiscovered memory fault.
 type latent struct {
 	addr uint64
@@ -124,6 +131,9 @@ type queued struct {
 	addr uint64
 	bit  int
 	code uint64
+	// ticket names a new event queued by raise (0 for a displaced record),
+	// so its raiser can tell whether it is still waiting.
+	ticket uint64
 }
 
 // Machine is a simulated machine-check architecture: a set of banks, a list
@@ -138,6 +148,7 @@ type Machine struct {
 	nextBank int
 	latents  []latent
 	pending  []queued // overflowed events awaiting redelivery
+	tickets  uint64   // the last queued event's ticket
 	handlers []Handler
 	// counters
 	raisedDUE, raisedCE, overflows int
@@ -202,9 +213,7 @@ func (m *Machine) Touch(addr uint64, size int) (faulted bool, err error) {
 	if hit == nil {
 		return false, nil
 	}
-	_, err = m.raise(hit.addr, hit.bit, CodeMemRead, false)
-	m.drainPending()
-	return true, err
+	return true, m.raiseAndDrain(queued{addr: hit.addr, bit: hit.bit, code: CodeMemRead})
 }
 
 // Scrub runs one patrol-scrubber pass over [lo, hi): every latent fault in
@@ -227,31 +236,54 @@ func (m *Machine) Scrub(lo, hi uint64) (found int, err error) {
 			return found, err
 		}
 		found++
-		if _, e := m.raise(hit.addr, hit.bit, CodeMemScrub, false); e != nil && err == nil {
+		if _, e := m.raise(queued{addr: hit.addr, bit: hit.bit, code: CodeMemScrub}, false); e != nil && err == nil {
 			err = e
 		}
-		m.drainPending()
+		m.drainPending(0)
 	}
 }
 
 // RaiseMemoryDUE latches and delivers an uncorrectable memory error at addr
 // immediately (bypassing the latent list) — the path used when a detector
 // outside the MCA localizes corruption and wants identical delivery
-// semantics. A DUE raised while every bank is busy (e.g. from inside a
-// handler recovering an earlier DUE) is queued and redelivered once a bank
-// frees up; nil then means "accepted", not yet "recovered".
+// semantics. A DUE raised while every bank's record is being delivered (e.g.
+// from inside a handler recovering an earlier DUE) is queued and delivered
+// once a bank frees up; if it is still queued when the call returns, the
+// call returns ErrQueued.
 func (m *Machine) RaiseMemoryDUE(addr uint64, bit int) error {
-	_, err := m.raise(addr, bit, CodeMemRead, false)
-	m.drainPending()
-	return err
+	return m.raiseAndDrain(queued{addr: addr, bit: bit, code: CodeMemRead})
+}
+
+// raiseAndDrain raises one new event, drains the overflow queue, and reports
+// the event's fate: the handler chain's answer when the raise or this drain
+// delivered it, ErrQueued while it still waits on the queue, and nil when
+// another drain took it off the queue.
+func (m *Machine) raiseAndDrain(ev queued) error {
+	ticket, err := m.raise(ev, false)
+	if ticket == 0 {
+		m.drainPending(0)
+		return err
+	}
+	if delivered, err := m.drainPending(ticket); delivered {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, q := range m.pending {
+		if q.ticket == ticket {
+			return ErrQueued
+		}
+	}
+	return nil
 }
 
 // raise latches one error record and delivers it through the handler chain.
 // over forces the overflow bit (set on redeliveries of displaced records,
-// matching what the register held when the record was displaced). delivered
-// is false when the event was queued instead (all banks held records being
-// delivered right now).
-func (m *Machine) raise(addr uint64, bit int, code uint64, over bool) (delivered bool, err error) {
+// matching what the register held when the record was displaced). ticket is
+// nonzero when the event was queued instead (all banks held records being
+// delivered right now): the event's ticket, assigned on its first queueing.
+func (m *Machine) raise(ev queued, over bool) (ticket uint64, err error) {
+	addr, bit, code := ev.addr, ev.bit, ev.code
 	m.mu.Lock()
 	// Scan for a bank with no valid record, starting at the rotation point.
 	bank := -1
@@ -278,9 +310,13 @@ func (m *Machine) raise(addr uint64, bit int, code uint64, over bool) (delivered
 			// The latched record is mid-delivery (this raise came from
 			// inside a handler). Don't clobber registers the handler may
 			// still read — queue the NEW event for redelivery.
-			m.pending = append(m.pending, queued{addr: addr, bit: bit, code: code})
+			if ev.ticket == 0 {
+				m.tickets++
+				ev.ticket = m.tickets
+			}
+			m.pending = append(m.pending, ev)
 			m.mu.Unlock()
-			return false, nil
+			return ev.ticket, nil
 		}
 		// Stale record from a failed delivery: displace it to the queue and
 		// latch the new error, which inherits the overflow bit.
@@ -299,12 +335,12 @@ func (m *Machine) raise(addr uint64, bit int, code uint64, over bool) (delivered
 	handlers := append([]Handler(nil), m.handlers...)
 	m.mu.Unlock()
 
-	ev := Event{Bank: bank, Status: status, Addr: addr, Misc: uint64(bit), Kind: KindMemDUE}
+	mce := Event{Bank: bank, Status: status, Addr: addr, Misc: uint64(bit), Kind: KindMemDUE}
 	var firstErr error
 	for _, h := range handlers {
-		if err := h(ev); err == nil {
+		if err := h(mce); err == nil {
 			m.clearBank(bank)
-			return true, nil
+			return 0, nil
 		} else if firstErr == nil {
 			firstErr = err
 		}
@@ -315,7 +351,7 @@ func (m *Machine) raise(addr uint64, bit int, code uint64, over bool) (delivered
 	if firstErr == nil {
 		firstErr = ErrNoHandler
 	}
-	return true, firstErr
+	return 0, firstErr
 }
 
 // drainPending redelivers queued overflow events while banks are available.
@@ -323,13 +359,15 @@ func (m *Machine) raise(addr uint64, bit int, code uint64, over bool) (delivered
 // hardware would have left. Delivery failures (no handler succeeded) leave
 // the record latched in its bank, as for any raise, and draining continues;
 // an event that cannot even be assigned a bank is re-queued and draining
-// stops until the next raise or RedeliverLatched call.
-func (m *Machine) drainPending() {
+// stops until the next raise or RedeliverLatched call. When this drain
+// delivers the event with ticket own (0: none), it reports that and the
+// handler chain's answer.
+func (m *Machine) drainPending(own uint64) (ownDelivered bool, ownErr error) {
 	for {
 		m.mu.Lock()
 		if len(m.pending) == 0 {
 			m.mu.Unlock()
-			return
+			return ownDelivered, ownErr
 		}
 		// Only pop when a bank is free — redelivery into a full machine
 		// would just re-queue (and re-count an overflow that already
@@ -343,13 +381,17 @@ func (m *Machine) drainPending() {
 		}
 		if !free {
 			m.mu.Unlock()
-			return
+			return ownDelivered, ownErr
 		}
 		q := m.pending[0]
 		m.pending = m.pending[1:]
 		m.mu.Unlock()
-		if delivered, _ := m.raise(q.addr, q.bit, q.code, true); !delivered {
-			return
+		ticket, err := m.raise(q, true)
+		if ticket != 0 {
+			return ownDelivered, ownErr
+		}
+		if own != 0 && q.ticket == own {
+			ownDelivered, ownErr = true, err
 		}
 	}
 }
@@ -407,7 +449,7 @@ func (m *Machine) RedeliverLatched() int {
 		}
 	}
 	if delivered > 0 {
-		m.drainPending()
+		m.drainPending(0)
 	}
 	return delivered
 }

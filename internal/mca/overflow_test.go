@@ -1,6 +1,9 @@
 package mca
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // TestNestedDUEQueuedAndRedelivered models the double-fault case the
 // redelivery queue exists for: a second DUE arrives while the handler is
@@ -15,9 +18,10 @@ func TestNestedDUEQueuedAndRedelivered(t *testing.T) {
 		events = append(events, ev)
 		if ev.Addr == 0xA {
 			// Mid-recovery of the first DUE, a second one strikes. The only
-			// bank is mid-delivery, so this must queue, not clobber.
-			if err := m.RaiseMemoryDUE(0xB, 3); err != nil {
-				t.Errorf("nested raise = %v, want accepted", err)
+			// bank is mid-delivery, so this must queue, not clobber, and say
+			// so: no handler has seen the event yet.
+			if err := m.RaiseMemoryDUE(0xB, 3); !errors.Is(err, ErrQueued) {
+				t.Errorf("nested raise = %v, want ErrQueued", err)
 			}
 			if n := m.PendingOverflow(); n != 1 {
 				t.Errorf("PendingOverflow mid-recovery = %d, want 1", n)
@@ -93,5 +97,29 @@ func TestDisplacedRecordRedelivered(t *testing.T) {
 	}
 	if m.PendingOverflow() != 0 {
 		t.Error("queue not drained")
+	}
+}
+
+// TestTouchReportsQueued: a demand access that discovers a fault while the
+// only bank is mid-delivery reports the fault and ErrQueued, and the event
+// is delivered once the bank frees.
+func TestTouchReportsQueued(t *testing.T) {
+	m := New(1)
+	m.Plant(0x20, 1)
+	var got []uint64
+	m.Handle(func(ev Event) error {
+		got = append(got, ev.Addr)
+		if ev.Addr == 0x10 {
+			if faulted, err := m.Touch(0x20, 8); !faulted || !errors.Is(err, ErrQueued) {
+				t.Errorf("Touch mid-delivery = %v, %v; want true, ErrQueued", faulted, err)
+			}
+		}
+		return nil
+	})
+	if err := m.RaiseMemoryDUE(0x10, 0); err != nil {
+		t.Fatalf("first raise = %v", err)
+	}
+	if len(got) != 2 || got[1] != 0x20 {
+		t.Fatalf("delivered %#x, want 0x10 then the queued 0x20", got)
 	}
 }
