@@ -347,9 +347,10 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request) bool {
 
 // Run serves on l until ctx is cancelled, then shuts down in strict order:
 //
-//  1. the listener stops accepting and in-flight requests drain (bounded
-//     by drainTimeout); /readyz flips to 503 immediately so load
-//     balancers stop routing here;
+//  1. the listener stops accepting, connections that never sent a request
+//     close, and in-flight requests drain (bounded by drainTimeout);
+//     /readyz flips to 503 immediately so load balancers stop routing
+//     here;
 //  2. bank-latched events get a bounded time to redeliver and recover
 //     (backpressured-at-burst means delivered-late, not lost);
 //  3. the recovery service drains: admitted recoveries complete, their
@@ -359,7 +360,8 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request) bool {
 // Run returns, or — if the process is killed mid-drain — replays on the
 // next start.
 func (s *Server) Run(ctx context.Context, l net.Listener) error {
-	hs := &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second}
+	var silent silentConns
+	hs := &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second, ConnState: silent.track}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(l) }()
 
@@ -375,6 +377,7 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 	}
 
 	s.draining.Store(true)
+	silent.closeAll()
 	shCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	err := hs.Shutdown(shCtx)
@@ -383,6 +386,45 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 		err = cerr
 	}
 	return err
+}
+
+// silentConns tracks the connections that have not sent a request yet.
+// http.Server.Shutdown counts such a connection as idle only after 5 s, so a
+// graceful stop would wait that long for every connection a client dialled
+// and never used; Run closes them itself once draining starts.
+type silentConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{}
+	draining bool
+}
+
+// track is the http.Server's ConnState hook.
+func (sc *silentConns) track(c net.Conn, st http.ConnState) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	switch {
+	case st != http.StateNew:
+		delete(sc.conns, c)
+	case sc.draining:
+		c.Close()
+	default:
+		if sc.conns == nil {
+			sc.conns = map[net.Conn]struct{}{}
+		}
+		sc.conns[c] = struct{}{}
+	}
+}
+
+// closeAll closes every connection still silent, and from now on every new
+// one as it arrives.
+func (sc *silentConns) closeAll() {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.draining = true
+	for c := range sc.conns {
+		c.Close()
+	}
+	clear(sc.conns)
 }
 
 // Close stops the background redelivery loop, lets latched events

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -135,5 +136,80 @@ func TestGracefulShutdownDrainsJournal(t *testing.T) {
 	// Post-drain submissions are refused, not silently dropped.
 	if _, err := c.Ingest(cctx, httpapi.EventRequest{Addr: injected[0].Addr}); err == nil {
 		t.Fatal("ingest after shutdown succeeded")
+	}
+}
+
+// TestShutdownClosesSilentConnections: a connection that was dialled and
+// never sent a request does not hold up a graceful stop (net/http alone
+// would wait 5 s for it), while a request in flight when the stop begins
+// still completes.
+func TestShutdownClosesSilentConnections(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	eng := core.NewEngine(core.Options{Seed: 9, StageHook: func(core.StageEvent) {
+		once.Do(func() { close(parked) })
+		<-release
+	}})
+	srv, err := httpapi.NewServer(eng, httpapi.ServerConfig{EnableInject: true})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- srv.Run(ctx, l) }()
+
+	cctx := context.Background()
+	c := client.New(client.Config{BaseURL: "http://" + l.Addr().String(), Tenant: "silent"})
+	if _, err := c.Register(cctx, httpapi.RegisterRequest{
+		Name: "field", Dims: []int{16, 16}, DType: "float32", Policy: httpapi.PolicyInfo{Any: true},
+	}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	if err := c.Upload(cctx, "field", smoothField(16, 16)); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	off := 17
+	inj, err := c.Inject(cctx, "field", httpapi.InjectRequest{Offset: &off})
+	if err != nil {
+		t.Fatalf("inject: %v", err)
+	}
+
+	// The silent connection is dialled before the ingest's, so the server
+	// has accepted it by the time it serves the ingest.
+	silent, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer silent.Close()
+	fresh := client.New(client.Config{BaseURL: "http://" + l.Addr().String(), Tenant: "silent",
+		HTTPClient: &http.Client{Transport: &http.Transport{}}})
+	ingested := make(chan error, 1)
+	go func() {
+		_, err := fresh.Ingest(cctx, httpapi.EventRequest{Addr: inj.Addr, Bit: inj.Bit})
+		ingested <- err
+	}()
+	<-parked
+
+	start := time.Now()
+	cancel()
+	time.AfterFunc(50*time.Millisecond, func() { close(release) })
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return")
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("graceful stop took %v with a silent connection open, want well under 1 s", took)
+	}
+	if err := <-ingested; err != nil {
+		t.Errorf("in-flight ingest: %v", err)
 	}
 }
