@@ -86,12 +86,9 @@ func binom(n int) []int {
 // predictor, because C(L, 0) = 1 makes dropped dimensions contribute a
 // neutral factor). The cells s of prod_t {0..maxs[t]} \ {0} come in odometer
 // order, each cell's offset kept by stride arithmetic as the odometer turns.
-// With check set it only asks the mask whether every cell is usable,
-// returning (0, ok) at the first that is not, and reads nothing.
-func lorenzoSweep(env *Env, base int, dir, maxs, coef []int, check bool) (float64, bool) {
-	if check && env.mask == nil {
-		return 0, true
-	}
+// With a mask installed each cell is asked about before it is read; the
+// first masked one ends the sweep with ok = false.
+func lorenzoSweep(env *Env, base int, dir, maxs, coef []int) (v float64, ok bool) {
 	a := env.A
 	data := a.Data()
 	s := env.ints(slotLorS)
@@ -116,11 +113,8 @@ func lorenzoSweep(env *Env, base int, dir, maxs, coef []int, check bool) (float6
 		if t < 0 {
 			break // wrapped around: enumeration complete
 		}
-		if check {
-			if env.Masked(off) {
-				return 0, false
-			}
-			continue
+		if env.mask != nil && env.mask.Masked(off) {
+			return 0, false
 		}
 		// Coefficient c(s) = -prod_t (-1)^(s_t) C(L, s_t).
 		c := -1
@@ -207,8 +201,7 @@ func (l Lorenzo) Predict(env *Env, idx []int) (float64, error) {
 			if !ok {
 				continue
 			}
-			if _, clean := lorenzoSweep(env, base, dir, maxs, coef, true); clean {
-				v, _ := lorenzoSweep(env, base, dir, maxs, coef, false)
+			if v, ok := lorenzoSweep(env, base, dir, maxs, coef); ok {
 				return v, nil
 			}
 		}
@@ -279,8 +272,7 @@ func (l Lorenzo) predictDegraded(env *Env, a *ndarray.Array, idx []int, base int
 					if !ok {
 						continue
 					}
-					if _, clean := lorenzoSweep(env, base, dir, maxs, coef, true); clean {
-						v, _ := lorenzoSweep(env, base, dir, maxs, coef, false)
+					if v, ok := lorenzoSweep(env, base, dir, maxs, coef); ok {
 						return v, nil
 					}
 				}

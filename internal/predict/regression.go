@@ -497,18 +497,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 					if nOut > 0 {
 						addOuter(xtv[1:nOut+1], phi[1:nOut+1], data[off:stop])
 					}
-					if off = stop; off < end {
-						// The excluded cell ending the run leaves the fit.
-						n--
-						if d > 2 {
-							phi[d-2] = fA
-						}
-						if d > 1 {
-							phi[d-1] = fB
-						}
-						phi[d] = float64(x0 + off - row)
-						downdate(xtx, phi)
-					}
+					off = stop // steps over the excluded cell that ended the run
 				}
 			}
 		}
@@ -534,6 +523,29 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 		xtv[d-1] = aB
 	}
 	xtv[d] = ax
+	// Each excluded cell of the box leaves the fit: one rank-1 term off X'X,
+	// in integers, so exact in any order.
+	cur := env.ints(slotRegCur)
+	for _, off := range excl {
+		if off < first || off > last {
+			continue
+		}
+		a.CoordsInto(cur, off)
+		inBox := true
+		for t, c := range cur {
+			inBox = inBox && c >= lo[t] && c <= hi[t]
+			phi[t+1] = float64(c - idx[t])
+		}
+		if !inBox {
+			continue
+		}
+		n--
+		for i := 0; i < p; i++ {
+			for j := i; j < p; j++ {
+				xtx[i*p+j] -= phi[i] * phi[j]
+			}
+		}
+	}
 	if n < p {
 		return 0, ErrUnsupported
 	}
@@ -552,10 +564,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 
 // addOuter adds one run of a row's cells to the X'v entries of
 // LocalRegression's outer coordinates (from 4-D on), xtv[t] += phi[t]*v cell
-// by cell. It and downdate stay out of line: inlined into the walk they cost
-// its loops registers, and BenchmarkLocalRegressionKernel about 10 %.
-//
-//go:noinline
+// by cell.
 func addOuter(xtv, phi, run []float64) {
 	for t, f := range phi {
 		acc := xtv[t]
@@ -563,18 +572,6 @@ func addOuter(xtv, phi, run []float64) {
 			acc += f * v
 		}
 		xtv[t] = acc
-	}
-}
-
-// downdate takes the cell with features phi out of the upper triangle of X'X.
-//
-//go:noinline
-func downdate(xtx, phi []float64) {
-	p := len(phi)
-	for i := 0; i < p; i++ {
-		for j := i; j < p; j++ {
-			xtx[i*p+j] -= phi[i] * phi[j]
-		}
 	}
 }
 
