@@ -400,21 +400,33 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 
 	// X'X over the whole box (upper triangle). With n_t cells, coordinate
 	// sum S_t and sum of squares Q_t along dimension t, and n cells in all:
-	// n, S_t*n/n_t, Q_t*n/n_t and S_s*S_t*n/(n_s*n_t).
+	// n, S_t*n/n_t, Q_t*n/n_t and S_s*S_t*n/(n_s*n_t), the quotients taken
+	// as products of the other extents.
 	xtx[0] = float64(n)
 	sums := env.ints(slotRegSum)
 	for t := 0; t < d; t++ {
-		nT, sT, qT := hi[t]-lo[t]+1, 0, 0
+		sT, qT := 0, 0
 		for x := lo[t] - idx[t]; x <= hi[t]-idx[t]; x++ {
 			sT += x
 			qT += x * x
 		}
 		sums[t] = sT
-		xtx[t+1] = float64(sT * (n / nT))
-		xtx[(t+1)*p+t+1] = float64(qT * (n / nT))
+		rest := 1 // n/n_t
+		for u := 0; u < d; u++ {
+			if u != t {
+				rest *= hi[u] - lo[u] + 1
+			}
+		}
+		xtx[t+1] = float64(sT * rest)
+		xtx[(t+1)*p+t+1] = float64(qT * rest)
 		for s := 0; s < t; s++ {
-			nS := hi[s] - lo[s] + 1
-			xtx[(s+1)*p+t+1] = float64(sums[s] * sT * (n / nT / nS))
+			rest := 1 // n/(n_s*n_t)
+			for u := 0; u < d; u++ {
+				if u != s && u != t {
+					rest *= hi[u] - lo[u] + 1
+				}
+			}
+			xtx[(s+1)*p+t+1] = float64(sums[s] * sT * rest)
 		}
 	}
 
@@ -435,6 +447,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	if i, found := slices.BinarySearch(excl, skip); !found {
 		excl = slices.Insert(excl, i, skip)
 	}
+	excl = append(excl, math.MaxInt) // a sentinel past every run
 	env.sc.excluded = excl
 
 	for i := range xtv {
@@ -475,17 +488,14 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 		}
 		for iA := loA; iA <= hiA; iA++ {
 			fA := float64(iA - cA)
-			for iB := loB; iB <= hiB; iB++ {
+			row := base + iA*stA + loB*stB
+			for iB := loB; iB <= hiB; iB, row = iB+1, row+stB {
 				fB := float64(iB - cB)
-				row := base + iA*stA + iB*stB
 				for off, end := row, row+rowLen; off < end; off++ {
-					for k < len(excl) && excl[k] < off {
+					for excl[k] < off {
 						k++ // inside the span but outside the box
 					}
-					stop := end
-					if k < len(excl) && excl[k] < end {
-						stop = excl[k]
-					}
+					stop := min(end, excl[k])
 					x := float64(x0 + off - row)
 					for _, v := range data[off:stop] {
 						a0 += v
@@ -524,20 +534,24 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	}
 	xtv[d] = ax
 	// Each excluded cell of the box leaves the fit: one rank-1 term off X'X,
-	// in integers, so exact in any order.
+	// in integers, so exact in any order. The target's features are zero
+	// but the intercept's; any other cell's come from its coordinates.
 	cur := env.ints(slotRegCur)
 	for _, off := range excl {
 		if off < first || off > last {
 			continue
 		}
-		a.CoordsInto(cur, off)
-		inBox := true
-		for t, c := range cur {
-			inBox = inBox && c >= lo[t] && c <= hi[t]
-			phi[t+1] = float64(c - idx[t])
-		}
-		if !inBox {
-			continue
+		clear(phi[1:])
+		if off != skip {
+			a.CoordsInto(cur, off)
+			inBox := true
+			for t, c := range cur {
+				inBox = inBox && c >= lo[t] && c <= hi[t]
+				phi[t+1] = float64(c - idx[t])
+			}
+			if !inBox {
+				continue
+			}
 		}
 		n--
 		for i := 0; i < p; i++ {
