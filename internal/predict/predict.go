@@ -104,20 +104,30 @@ type scratch struct {
 
 // The coordinate-scratch slots of scratch.ints.
 const (
-	slotLorS     = iota // Lorenzo odometer
-	slotLorDir          // Lorenzo orientation
-	slotLorMaxs         // Lorenzo per-dimension layer counts
-	slotAutoIdx         // LorenzoAuto probe coordinates
-	slotLagNb           // Lagrange neighbor index
-	slotAvgNb           // Average neighbor index
-	slotRegIdx          // GlobalRegression scan coordinates
-	slotRegLo           // LocalRegression box: lower bounds
-	slotRegHi           // LocalRegression box: upper bounds
-	slotRegSum          // LocalRegression box: coordinate sums
-	slotRegCur          // LocalRegression row odometer
-	slotPatchCur        // ndarray.PatchRows odometer (see Env.PatchRows)
-	slotProbeIdx        // autotune probe coordinates (see Env.Probes)
+	// The running kernel's four buffers: the kernels that predict one cell
+	// never call one another, so they share them (their names below).
+	slotKernel0 = iota
+	slotKernel1
+	slotKernel2
+	slotKernel3
+	slotAutoIdx  // LorenzoAuto probe coordinates, held while it calls Lorenzo
+	slotPatchCur // ndarray.PatchRows odometer (see Env.PatchRows)
+	slotProbeIdx // autotune probe coordinates (see Env.Probes)
 	numIntSlots
+)
+
+// The kernels' names for their shared slots.
+const (
+	slotLorS    = slotKernel0 // Lorenzo odometer
+	slotLorDir  = slotKernel1 // Lorenzo orientation
+	slotLorMaxs = slotKernel2 // Lorenzo per-dimension layer counts
+	slotLagNb   = slotKernel0 // Lagrange neighbor index
+	slotAvgNb   = slotKernel0 // Average neighbor index
+	slotRegIdx  = slotKernel0 // GlobalRegression scan coordinates
+	slotRegLo   = slotKernel0 // LocalRegression box: lower bounds
+	slotRegHi   = slotKernel1 // LocalRegression box: upper bounds
+	slotRegSum  = slotKernel2 // LocalRegression box: coordinate sums
+	slotRegCur  = slotKernel3 // LocalRegression outer odometer, then coordinates
 )
 
 // ints returns coordinate-scratch slot `slot`: NumDims ints, private to the
