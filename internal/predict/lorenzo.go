@@ -131,12 +131,10 @@ func lorenzoSweep(env *Env, base int, dir, maxs, coef []int) (v float64, ok bool
 		sum += term
 	}
 	if lastNaN != lastNaN {
-		// Which NaN an add of two NaNs yields is the operand the compiler
-		// makes its destination. The sweep with a variadic Offset per cell
-		// that this one replaced kept the sum in memory, so the term was the
-		// destination and a sum ended on its last NaN term; here the sum
-		// stays in a register and keeps its first. Ending on the last NaN
-		// term keeps the bits.
+		// A NaN sum is the last NaN term, the bits recorded results pin
+		// (TestLorenzoMatchesReference): which NaN an add of two NaNs yields
+		// is whichever operand the compiler makes its destination, and with
+		// the sum in a register that is the sum's first NaN.
 		return lastNaN, true
 	}
 	return sum, true

@@ -504,8 +504,12 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 						ax += x * v
 						x++
 					}
-					if nOut > 0 {
-						addOuter(xtv[1:nOut+1], phi[1:nOut+1], data[off:stop])
+					for t := 1; t <= nOut; t++ {
+						acc, f := xtv[t], phi[t]
+						for _, v := range data[off:stop] {
+							acc += f * v
+						}
+						xtv[t] = acc
 					}
 					off = stop // steps over the excluded cell that ended the run
 				}
@@ -574,19 +578,6 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	}
 	// The patch is centered at idx, so the prediction is the intercept.
 	return beta[0], nil
-}
-
-// addOuter adds one run of a row's cells to the X'v entries of
-// LocalRegression's outer coordinates (from 4-D on), xtv[t] += phi[t]*v cell
-// by cell.
-func addOuter(xtv, phi, run []float64) {
-	for t, f := range phi {
-		acc := xtv[t]
-		for _, v := range run {
-			acc += f * v
-		}
-		xtv[t] = acc
-	}
 }
 
 // solveSymInto solves the n x n linear system A x = b (A row-major, symmetric
