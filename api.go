@@ -44,14 +44,11 @@ import (
 	"spatialdue/internal/core"
 	"spatialdue/internal/detect"
 	"spatialdue/internal/fti"
-	"spatialdue/internal/httpapi"
-	"spatialdue/internal/httpapi/client"
 	"spatialdue/internal/mca"
 	"spatialdue/internal/metrics"
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
-	"spatialdue/internal/service"
 )
 
 // Array is a dense, row-major, N-dimensional float64 array — the container
@@ -112,11 +109,6 @@ func RecoverAny() Policy { return registry.RecoverAny() }
 // RecoverWith fixes the recovery method from domain knowledge.
 func RecoverWith(m Method) Policy { return registry.RecoverWith(m) }
 
-// ValueRange bounds the physically plausible values of an allocation; see
-// Policy.WithRange. Reconstructions outside the range are rejected by the
-// recovery supervisor and escalate instead of entering application state.
-type ValueRange = registry.ValueRange
-
 // Allocation describes one protected memory region.
 type Allocation = registry.Allocation
 
@@ -127,26 +119,6 @@ type Options = core.Options
 // Engine is the recovery engine: registry lookup, method dispatch,
 // auto-tuning, in-place reconstruction.
 type Engine = core.Engine
-
-// Outcome describes a completed localized recovery.
-type Outcome = core.Outcome
-
-// Stage identifies a rung of the recovery escalation ladder: primary →
-// tune → alternate → restore → exhausted.
-type Stage = core.Stage
-
-// The escalation-ladder rungs.
-const (
-	StagePrimary   = core.StagePrimary
-	StageTune      = core.StageTune
-	StageAlternate = core.StageAlternate
-	StageRestore   = core.StageRestore
-	StageExhausted = core.StageExhausted
-)
-
-// StageEvent describes one ladder-stage entry during a recovery; see
-// Options.StageHook.
-type StageEvent = core.StageEvent
 
 // NewEngine creates a recovery engine with its own allocation registry.
 func NewEngine(opts Options) *Engine { return core.NewEngine(opts) }
@@ -178,9 +150,6 @@ func Autotune(arr *Array, seed int64, k int, tol float64, idx ...int) (Method, e
 // MCA is the simulated machine-check architecture (Section 3.1's first
 // detection path).
 type MCA = mca.Machine
-
-// MCEvent is a delivered machine-check event.
-type MCEvent = mca.Event
 
 // NewMCA creates a simulated machine-check architecture with n report
 // banks. Attach an engine with Engine.AttachMCA to recover DUEs in place.
@@ -231,88 +200,7 @@ func CheckpointRecoverAny() CheckpointPolicy { return CheckpointPolicy{Any: true
 // CheckpointRecoverWith fixes the checkpoint-library recovery method.
 func CheckpointRecoverWith(m Method) CheckpointPolicy { return CheckpointPolicy{Method: m} }
 
-// AuditEntry is one recorded recovery event; see Engine.Audit and
-// Engine.WriteMetrics for observability.
-type AuditEntry = core.AuditEntry
-
-// BurstOutcome describes a completed multi-element (cache-line / DRAM
-// burst) recovery — an extension beyond the paper's single-element scope;
-// see Engine.RecoverBurst.
-type BurstOutcome = core.BurstOutcome
-
 // MetricsHandler serves an engine's recovery counters in the Prometheus
 // text exposition format — mount it on /metrics to observe a protected
 // application's recovery activity.
 func MetricsHandler(e *Engine) http.Handler { return metrics.Handler(e.WriteMetrics) }
-
-// RecoveryService is the resilient long-running recovery front end:
-// recoveries run on their submitters, a bounded number at once, behind
-// admission control, with per-recovery deadlines, retry
-// with jittered backoff, per-allocation circuit breakers, and an optional
-// crash-safe write-ahead journal that replays unfinished recoveries after a
-// restart. See cmd/duerecover -serve for a complete deployment shape.
-type RecoveryService = service.Service
-
-// ServiceConfig parameterizes a RecoveryService.
-type ServiceConfig = service.Config
-
-// ServiceResult reports one finished recovery (ServiceConfig.OnOutcome).
-type ServiceResult = service.Result
-
-// ServiceStats are a RecoveryService's lifetime counters.
-type ServiceStats = service.Stats
-
-// BreakerState is the observable state of an allocation's circuit breaker.
-type BreakerState = service.BreakerState
-
-// Circuit breaker states.
-const (
-	BreakerClosed   = service.BreakerClosed
-	BreakerOpen     = service.BreakerOpen
-	BreakerHalfOpen = service.BreakerHalfOpen
-)
-
-// NewRecoveryService creates a recovery service over an engine. With
-// ServiceConfig.JournalPath set, unfinished intents from a previous run are
-// re-quarantined and replayed; register allocations (under stable names)
-// before calling. Call Start to run the replay and Drain/Close to stop.
-func NewRecoveryService(e *Engine, cfg ServiceConfig) (*RecoveryService, error) {
-	return service.New(e, cfg)
-}
-
-// ErrOverloaded rejects submissions past the service's admission bound; an
-// MCA delivering the event keeps it latched for redelivery.
-var ErrOverloaded = service.ErrOverloaded
-
-// ErrCircuitOpen (wrapping ErrCheckpointRestartRequired) rejects
-// submissions for an allocation degraded by its circuit breaker.
-var ErrCircuitOpen = service.ErrCircuitOpen
-
-// ErrServiceStopped rejects submissions after Drain/Close.
-var ErrServiceStopped = service.ErrStopped
-
-// ErrRecoveryAbandoned marks a recovery abandoned at its context deadline;
-// the element stays quarantined and the service retries with backoff.
-var ErrRecoveryAbandoned = core.ErrRecoveryAbandoned
-
-// ErrVerifyFailed marks a reconstruction rejected by plausibility
-// verification (non-finite, outside the registered ValueRange, or wildly
-// off the neighbor spread); the escalation ladder tries the next rung.
-var ErrVerifyFailed = core.ErrVerifyFailed
-
-// HTTPClient is the typed client SDK for the networked recovery server
-// (cmd/duerecover -serve -listen). Error responses map back to the package
-// sentinels: errors.Is(err, ErrOverloaded) works across the wire exactly as
-// in-process.
-type HTTPClient = client.Client
-
-// HTTPClientConfig parameterizes an HTTPClient.
-type HTTPClientConfig = client.Config
-
-// NewHTTPClient returns a client for the recovery server at
-// cfg.BaseURL, scoped to cfg.Tenant.
-func NewHTTPClient(cfg HTTPClientConfig) *HTTPClient { return client.New(cfg) }
-
-// HTTPError is a decoded server error (status, machine-readable code, and
-// the Latched backpressure marker).
-type HTTPError = httpapi.Error

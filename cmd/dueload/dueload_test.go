@@ -77,7 +77,7 @@ func hasLine(out, prefix string) bool {
 }
 
 // startServer serves an in-process recovery server the way duerecover
-// -serve -listen does (fault injection on, tune cache on), optionally with
+// -listen does (fault injection on, tune cache on), optionally with
 // the predictive health tier, and returns its base URL.
 func startServer(t *testing.T, predictor bool) string {
 	t.Helper()

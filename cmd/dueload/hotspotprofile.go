@@ -29,8 +29,8 @@ import (
 //     swept synchronously once its neighborhood is clean, the quarantine
 //     ends empty, and the field matches the upload within tolerance.
 //
-// The server must run with the tune cache enabled (duerecover -serve
-// -listen ...; the -tune-cache flag defaults on), and be freshly started:
+// The server must run with the tune cache enabled (duerecover -listen ...;
+// the -tune-cache flag defaults on), and be freshly started:
 // the cache counters and the spatial statistics are server-wide.
 func runHotspotProfile(ctx context.Context, cfg config) error {
 	rows, cols := cfg.rows, cfg.cols

@@ -1,6 +1,6 @@
 // Command dueload is a load generator for the networked recovery server
-// (duerecover -serve -listen). It runs N concurrent clients, each in its
-// own tenant: register an allocation → upload a smooth field → storm the
+// (duerecover -listen). It runs N concurrent clients, each in its own
+// tenant: register an allocation → upload a smooth field → storm the
 // server with inject-then-ingest DUE bursts → wait for every corruption to
 // recover. It reports ingest and end-to-end recovery latency histograms,
 // recovery-quality counters and the server's hot-path metrics, and

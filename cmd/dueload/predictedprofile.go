@@ -49,7 +49,7 @@ func runPredictedProfile(ctx context.Context, cfg config) error {
 		return fmt.Errorf("health: %w", err)
 	}
 	if !rep.Enabled {
-		return errors.New("predicted profile needs a predictive server: run duerecover -serve -listen ... -predictor")
+		return errors.New("predicted profile needs a predictive server: run duerecover -listen ... -predictor")
 	}
 	banks, rowBytes := rep.Topology.Banks, uint64(rep.Topology.RowBytes)
 

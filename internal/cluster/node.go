@@ -56,8 +56,7 @@ type Node struct {
 	sender     *sender
 	senderUp   atomic.Bool
 
-	hs     *http.Server
-	replLn net.Listener
+	replLn net.Listener // set by Serve
 
 	mu           sync.Mutex
 	replicas     map[string]*replicaState
@@ -126,31 +125,38 @@ func New(eng *core.Engine, cfg Config) (*Node, error) {
 func (n *Node) Server() *httpapi.Server { return n.srv }
 
 // Serve runs the node on the two listeners until ctx is cancelled or the
-// node is killed. The node drives its own http.Server so Kill can abort
-// accepted connections without a drain.
+// node is killed. The HTTP side is the embedded server's Run, serving the
+// node's start-up gate in front of the API.
 //
 // Start-up order: serve HTTP (status only) and accept replication, ask the
 // partner whether it promoted over us, decide the role, open every route,
 // then start the sender and the heartbeats. Serving before asking lets two
 // nodes started together answer each other's probe at once.
+//
+// Stop order: replication stops (listener, replica connections, sender),
+// then Run's graceful sequence runs — so a cluster node stops exactly as a
+// single server does, and its journal closes with every intent resolved.
 func (n *Node) Serve(ctx context.Context, httpLn, replLn net.Listener) error {
 	n.mu.Lock()
-	if n.killed || n.hs != nil {
+	if n.killed || n.replLn != nil {
 		n.mu.Unlock()
 		return fmt.Errorf("cluster: node %q already served or killed", n.cfg.Self)
 	}
-	n.hs = &http.Server{Handler: n}
 	n.replLn = replLn
 	n.mu.Unlock()
 
-	go func() { _ = n.hs.Serve(httpLn) }()
+	// Run stops when runCtx ends, after replication has stopped.
+	runCtx, stopRun := context.WithCancel(context.WithoutCancel(ctx))
+	defer stopRun()
+	served := make(chan error, 1)
+	go func() { served <- n.srv.RunHandler(runCtx, httpLn, n) }()
 	go n.acceptLoop(replLn)
 	n.decideRole()
 
 	n.mu.Lock()
 	if n.killed {
 		n.mu.Unlock()
-		return nil // killed mid-probe; Kill tore everything down
+		return <-served // killed mid-probe; Kill aborted Run
 	}
 	// Under mu, so Kill either sees the sender up and stops it, or has
 	// already marked the node killed.
@@ -166,23 +172,35 @@ func (n *Node) Serve(ctx context.Context, httpLn, replLn net.Listener) error {
 	select {
 	case <-ctx.Done():
 	case <-n.stop:
+	case err := <-served:
+		// The HTTP listener failed and Run tore the server down.
+		n.stopReplication()
+		return err
 	}
 	n.mu.Lock()
 	killed := n.killed
 	n.mu.Unlock()
-	if killed {
-		return nil // Kill already tore everything down, nothing to drain
+	if !killed {
+		n.stopReplication()
+		stopRun()
 	}
+	return <-served // after Kill, Run returns at once: nothing drains
+}
+
+// stopReplication ends the heartbeats, closes the replication listener and
+// the replica connections, and stops the sender.
+func (n *Node) stopReplication() {
 	n.stopOnce.Do(func() { close(n.stop) })
-	_ = replLn.Close()
+	n.mu.Lock()
+	replLn := n.replLn
+	n.mu.Unlock()
+	if replLn != nil {
+		_ = replLn.Close()
+	}
 	n.closeReplicaConns()
 	if n.sender != nil && n.senderUp.Load() {
 		n.sender.Stop()
 	}
-	shCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = n.hs.Shutdown(shCtx)
-	return n.srv.Close(shCtx)
 }
 
 // Kill simulates abrupt node death: admitted recoveries drop, journal writes
@@ -196,21 +214,11 @@ func (n *Node) Kill() {
 		return
 	}
 	n.killed = true
-	hs, replLn := n.hs, n.replLn
 	n.mu.Unlock()
 
 	n.srv.Service().Kill()
-	if hs != nil {
-		_ = hs.Close()
-	}
-	if replLn != nil {
-		_ = replLn.Close()
-	}
-	n.closeReplicaConns()
-	if n.sender != nil && n.senderUp.Load() {
-		n.sender.Stop()
-	}
-	n.stopOnce.Do(func() { close(n.stop) })
+	n.srv.Abort()
+	n.stopReplication()
 }
 
 func (n *Node) closeReplicaConns() {

@@ -1,0 +1,112 @@
+package cluster
+
+import (
+	"context"
+	"net"
+	"net/http"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"spatialdue/internal/core"
+	"spatialdue/internal/httpapi"
+	"spatialdue/internal/httpapi/client"
+	"spatialdue/internal/journal"
+)
+
+// TestGracefulStopWithSilentConnection: a node stopped by cancelling its
+// context while a client holds a connection it never sent a request on
+// stops at once, through the server's own stop sequence, and its journal
+// reopens with the one recovery it ran resolved. net/http alone would wait
+// 5 s for the silent connection.
+func TestGracefulStopWithSilentConnection(t *testing.T) {
+	httpLn, replLn := listen(t), listen(t)
+	m, err := NewMap([]NodeInfo{
+		{Name: "solo", URL: "http://" + httpLn.Addr().String(), Repl: replLn.Addr().String()},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	n, err := New(core.NewEngine(core.Options{Seed: 7}), Config{
+		Self: "solo", Map: m, DataDir: dir, Server: testServerConfig(),
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- n.Serve(ctx, httpLn, replLn) }()
+	tn := &testNode{node: n, base: "http://" + httpLn.Addr().String()}
+	tn.waitHealthy(t)
+
+	cctx := context.Background()
+	c := client.New(client.Config{BaseURL: tn.base, Tenant: "quiet"})
+	if _, err := c.Register(cctx, httpapi.RegisterRequest{
+		Name: "grid", Dims: []int{8, 8}, DType: "float64", Policy: httpapi.PolicyInfo{Any: true},
+	}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	vals := make([]float64, 64)
+	for i := range vals {
+		vals[i] = float64(i/8) + 2*float64(i%8)
+	}
+	if err := c.Upload(cctx, "grid", vals); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	off := 27
+	if _, err := c.Inject(cctx, "grid", httpapi.InjectRequest{Offset: &off}); err != nil {
+		t.Fatalf("inject: %v", err)
+	}
+	res, err := c.Ingest(cctx, httpapi.EventRequest{Alloc: "grid", Offset: &off})
+	if err != nil || res.Status != httpapi.StatusAccepted {
+		t.Fatalf("ingest = %+v, %v", res, err)
+	}
+	page, err := c.Outcomes(cctx, 0, "grid", 10)
+	if err != nil || len(page.Outcomes) != 1 || !page.Outcomes[0].OK {
+		t.Fatalf("outcomes = %+v, %v (want one OK recovery)", page, err)
+	}
+
+	// The server accepts connections in order, so once a request on a
+	// connection dialled later is answered, the silent one is accepted.
+	silent, err := net.Dial("tcp", httpLn.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer silent.Close()
+	fresh := &http.Client{Transport: &http.Transport{}}
+	resp, err := fresh.Get(tn.base + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz: %v", err)
+	}
+	resp.Body.Close()
+	fresh.CloseIdleConnections()
+
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Serve did not return")
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("graceful stop took %v with a silent connection open, want under 1 s", took)
+	}
+
+	jpath := filepath.Join(dir, "journal.jsonl")
+	if recs, err := journal.CountRecords(jpath); err != nil || recs != 2 {
+		t.Errorf("journal holds %d records (err %v), want the recovery's intent and outcome", recs, err)
+	}
+	jr, dangling, err := journal.OpenRecovery(jpath, false)
+	if err != nil {
+		t.Fatalf("reopen journal: %v", err)
+	}
+	defer jr.Close()
+	if len(dangling) != 0 {
+		t.Errorf("%d dangling intents after a graceful stop: %+v", len(dangling), dangling)
+	}
+}

@@ -96,6 +96,12 @@ type Server struct {
 	stopTick chan struct{}
 	tickDone chan struct{}
 
+	// runMu guards hs, the http.Server of the Run in progress, against
+	// Abort, which closes abort and then hs.
+	runMu sync.Mutex
+	hs    *http.Server
+	abort chan struct{}
+
 	// uploads holds one mutex per allocation ID (see uploadLock): field
 	// uploads serialize per allocation so concurrent PUTs cannot commit an
 	// interleaved stripe-wise mix of two payloads.
@@ -138,6 +144,7 @@ func NewServer(eng *core.Engine, cfg ServerConfig) (*Server, error) {
 		outcomes: newOutcomeRing(outcomeBuffer),
 		stopTick: make(chan struct{}),
 		tickDone: make(chan struct{}),
+		abort:    make(chan struct{}),
 	}
 	userHook := cfg.Service.OnOutcome
 	cfg.Service.OnOutcome = func(res service.Result) {
@@ -358,21 +365,42 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request) bool {
 //
 // A journaled intent therefore always reaches its outcome record before
 // Run returns, or — if the process is killed mid-drain — replays on the
-// next start.
+// next start. Abort ends Run at once instead.
 func (s *Server) Run(ctx context.Context, l net.Listener) error {
+	return s.RunHandler(ctx, l, s)
+}
+
+// RunHandler is Run serving h instead of s: h fronts the server (a cluster
+// node holds every route behind its start-up probe) and hands its requests
+// on to s. The stop sequence is Run's.
+func (s *Server) RunHandler(ctx context.Context, l net.Listener, h http.Handler) error {
 	var silent silentConns
-	hs := &http.Server{Handler: s, ReadHeaderTimeout: 10 * time.Second, ConnState: silent.track}
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, ConnState: silent.track}
+	s.runMu.Lock()
+	if s.aborted() {
+		s.runMu.Unlock()
+		_ = l.Close()
+		return nil
+	}
+	s.hs = hs
+	s.runMu.Unlock()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(l) }()
 
 	select {
 	case err := <-serveErr:
+		if s.aborted() {
+			return nil
+		}
 		// The listener failed on its own; still tear the pipeline down.
 		cerr := s.Close(context.Background())
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
 			return err
 		}
 		return cerr
+	case <-s.abort:
+		<-serveErr // Abort closed hs
+		return nil
 	case <-ctx.Done():
 	}
 
@@ -382,10 +410,40 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 	defer cancel()
 	err := hs.Shutdown(shCtx)
 	<-serveErr // Serve has returned ErrServerClosed
+	if s.aborted() {
+		return nil
+	}
 	if cerr := s.Close(shCtx); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// Abort stops serving at once, as a crash would: Run's listener and every
+// connection close, in-flight requests included, and Run returns nil
+// without settling latched events or draining the service. A Run not yet
+// started returns at once. Kill the service first to drop its admitted
+// recoveries too.
+func (s *Server) Abort() {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if s.aborted() {
+		return
+	}
+	close(s.abort)
+	if s.hs != nil {
+		_ = s.hs.Close()
+	}
+}
+
+// aborted reports whether Abort has been called.
+func (s *Server) aborted() bool {
+	select {
+	case <-s.abort:
+		return true
+	default:
+		return false
+	}
 }
 
 // silentConns tracks the connections that have not sent a request yet.
