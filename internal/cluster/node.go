@@ -133,9 +133,12 @@ func (n *Node) Server() *httpapi.Server { return n.srv }
 // then start the sender and the heartbeats. Serving before asking lets two
 // nodes started together answer each other's probe at once.
 //
-// Stop order: replication stops (listener, replica connections, sender),
-// then Run's graceful sequence runs — so a cluster node stops exactly as a
-// single server does, and its journal closes with every intent resolved.
+// Stop order: the heartbeats stop, then Run's graceful sequence runs — so a
+// cluster node stops exactly as a single server does, and its journal closes
+// with every intent resolved — then the sender delivers the journal up to
+// its last record (bounded by httpapi.DrainTimeout), so the partner's replica
+// holds the outcomes the drain journaled, and only then do the replication
+// listener and the replica connections close.
 func (n *Node) Serve(ctx context.Context, httpLn, replLn net.Listener) error {
 	n.mu.Lock()
 	if n.killed || n.replLn != nil {
@@ -145,7 +148,7 @@ func (n *Node) Serve(ctx context.Context, httpLn, replLn net.Listener) error {
 	n.replLn = replLn
 	n.mu.Unlock()
 
-	// Run stops when runCtx ends, after replication has stopped.
+	// Run stops when runCtx ends, after the heartbeats have stopped.
 	runCtx, stopRun := context.WithCancel(context.WithoutCancel(ctx))
 	defer stopRun()
 	served := make(chan error, 1)
@@ -180,11 +183,17 @@ func (n *Node) Serve(ctx context.Context, httpLn, replLn net.Listener) error {
 	n.mu.Lock()
 	killed := n.killed
 	n.mu.Unlock()
-	if !killed {
-		n.stopReplication()
-		stopRun()
+	if killed {
+		return <-served // after Kill, Run returns at once: nothing drains
 	}
-	return <-served // after Kill, Run returns at once: nothing drains
+	n.stopOnce.Do(func() { close(n.stop) })
+	stopRun()
+	err := <-served
+	if n.sender != nil && n.senderUp.Load() {
+		n.sender.deliver(httpapi.DrainTimeout)
+	}
+	n.stopReplication()
+	return err
 }
 
 // stopReplication ends the heartbeats, closes the replication listener and

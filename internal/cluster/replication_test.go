@@ -342,3 +342,77 @@ func TestReplicaWorkListMatchesReplay(t *testing.T) {
 		t.Errorf("replica work-list %+v\nreplay dangling %+v", work, dangling)
 	}
 }
+
+// TestRecoverReplicatesToPartner: an explicit /recover on the owner is an
+// ordinary journaled recovery, so its intent and outcome stream to the
+// partner. The partner's replica field must end holding the owner's
+// recovered bits, and its replica journal the intent, closed by an
+// outcome carrying those bits.
+func TestRecoverReplicatesToPartner(t *testing.T) {
+	httpA, replA := listen(t), listen(t)
+	httpB, replB := listen(t), listen(t)
+	m, err := NewMap([]NodeInfo{
+		{Name: "a", URL: "http://" + httpA.Addr().String(), Repl: replA.Addr().String()},
+		{Name: "b", URL: "http://" + httpB.Addr().String(), Repl: replB.Addr().String()},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	na := startNode(t, "a", m, httpA, replA, 25*time.Millisecond, time.Hour)
+	nb := startNode(t, "b", m, httpB, replB, 25*time.Millisecond, time.Hour)
+	ta := tenantOwnedBy(m, "a")
+
+	ctx := context.Background()
+	ca := client.New(client.Config{BaseURL: na.base, Tenant: ta})
+	if _, err := ca.Register(ctx, httpapi.RegisterRequest{
+		Name: "grid", Dims: []int{e2eRows, e2eCols}, DType: "float64",
+		Policy: httpapi.PolicyInfo{Method: "Lorenzo 1-Layer"},
+	}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	if err := ca.Upload(ctx, "grid", e2eField(0)); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	waitFor(t, 10*time.Second, "partner catch-up", func() bool {
+		_, ok := fieldBits(nb, ta, "grid")
+		return ok && na.node.Status().ReplicationLag == 0
+	})
+
+	off, bit := e2eOffsets()[5], 62
+	if _, err := ca.Inject(ctx, "grid", httpapi.InjectRequest{Offset: &off, Bit: &bit}); err != nil {
+		t.Fatalf("inject: %v", err)
+	}
+	rep, err := ca.Recover(ctx, "grid", off)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	want := math.Float64bits(rep.New)
+	if own, _ := fieldBits(na, ta, "grid"); own[off] != want {
+		t.Fatalf("owner cell %d = %x, report says %x", off, own[off], want)
+	}
+	waitFor(t, 10*time.Second, "the partner's replica of the recovered cell", func() bool {
+		bits, ok := fieldBits(nb, ta, "grid")
+		return ok && bits[off] == want
+	})
+
+	var open journal.OpenIntents
+	closed := 0
+	if err := journal.Records(nb.node.replicaPath(), func(_ uint64, line []byte) error {
+		rec, err := journal.DecodeRecord(line)
+		if err != nil {
+			return err
+		}
+		if in, ok := open.Apply(rec); ok && in.Tenant == ta && in.Alloc == "grid" && in.Offset == off {
+			if !rec.Outcome.OK || rec.Outcome.NewBits != want {
+				t.Errorf("replica outcome = %+v, want ok with bits %x", rec.Outcome, want)
+			}
+			closed++
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("read replica journal: %v", err)
+	}
+	if closed != 1 || len(open.List()) != 0 {
+		t.Errorf("replica journal closed %d intents for cell %d and holds %d open, want 1 and 0", closed, off, len(open.List()))
+	}
+}

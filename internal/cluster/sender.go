@@ -242,6 +242,21 @@ func (s *sender) Stop() {
 	<-s.done
 }
 
+// deliver waits until the partner has acknowledged every journal record
+// handed to the sink so far, the session is down, or timeout passes.
+func (s *sender) deliver(timeout time.Duration) {
+	last := s.lastAssigned.Load()
+	for deadline := time.Now().Add(timeout); s.lastAcked.Load() < last && time.Now().Before(deadline); {
+		s.mu.Lock()
+		up := s.conn != nil && s.downSince.IsZero()
+		s.mu.Unlock()
+		if !up || s.stopped() {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func (s *sender) stopped() bool {
 	select {
 	case <-s.stop:
@@ -386,7 +401,8 @@ func (s *sender) session(conn net.Conn) error {
 	s.markUp(conn)
 
 	// Ack reader: a tiny goroutine per session; exits when the conn closes.
-	// Acks are cumulative, so it keeps the highest.
+	// Acks are cumulative, so it keeps the highest. A partner that closed
+	// the connection is down even while the session has nothing to write.
 	ackDone := make(chan struct{})
 	go func() {
 		defer close(ackDone)
@@ -394,6 +410,9 @@ func (s *sender) session(conn net.Conn) error {
 		for {
 			h, err := readControlFrame(r)
 			if err != nil {
+				if !s.stopped() {
+					s.noteDown()
+				}
 				return
 			}
 			if h.Type == frameAck {

@@ -5,6 +5,8 @@ import (
 	"net"
 	"net/http"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,5 +110,109 @@ func TestGracefulStopWithSilentConnection(t *testing.T) {
 	defer jr.Close()
 	if len(dangling) != 0 {
 		t.Errorf("%d dangling intents after a graceful stop: %+v", len(dangling), dangling)
+	}
+}
+
+// TestGracefulStopReplicatesDrainedOutcomes: outcomes the owner journals
+// while its graceful stop drains reach the partner before replication
+// closes. Five recoveries are parked at their first ladder stage (their
+// intents journaled and replicated) when the owner is cancelled; once the
+// owner has stopped serving HTTP the recoveries are let go. The partner's
+// replica must then hold no dangling intent and the owner's five values bit
+// for bit.
+func TestGracefulStopReplicatesDrainedOutcomes(t *testing.T) {
+	httpA, replA := listen(t), listen(t)
+	httpB, replB := listen(t), listen(t)
+	m, err := NewMap([]NodeInfo{
+		{Name: "a", URL: "http://" + httpA.Addr().String(), Repl: replA.Addr().String()},
+		{Name: "b", URL: "http://" + httpB.Addr().String(), Repl: replB.Addr().String()},
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var park atomic.Bool
+	release := make(chan struct{})
+	na := startNodeEngine(t, "a", m, httpA, replA, 25*time.Millisecond, time.Hour,
+		core.Options{Seed: 7, StageHook: func(core.StageEvent) {
+			if park.Load() {
+				<-release
+			}
+		}})
+	nb := startNode(t, "b", m, httpB, replB, 25*time.Millisecond, time.Hour)
+	ta := tenantOwnedBy(m, "a")
+
+	ctx := context.Background()
+	ca := client.New(client.Config{BaseURL: na.base, Tenant: ta})
+	if _, err := ca.Register(ctx, httpapi.RegisterRequest{
+		Name: "grid", Dims: []int{e2eRows, e2eCols}, DType: "float64",
+		Policy: httpapi.PolicyInfo{Method: "Lorenzo 1-Layer"},
+	}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	if err := ca.Upload(ctx, "grid", e2eField(0)); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	waitFor(t, 10*time.Second, "partner catch-up", func() bool {
+		_, ok := fieldBits(nb, ta, "grid")
+		return ok && na.node.Status().ReplicationLag == 0
+	})
+
+	// Inject takes the whole array lock, which a parked recovery's stripes
+	// would block: every cell is corrupted before the first recovery parks.
+	offsets := e2eOffsets()[:5]
+	for _, off := range offsets {
+		o, b := off, 62
+		if _, err := ca.Inject(ctx, "grid", httpapi.InjectRequest{Offset: &o, Bit: &b}); err != nil {
+			t.Fatalf("inject %d: %v", off, err)
+		}
+	}
+	park.Store(true)
+	var wg sync.WaitGroup
+	for _, off := range offsets {
+		o := off
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, err := ca.Ingest(ctx, httpapi.EventRequest{Alloc: "grid", Offset: &o}); err != nil || res.Status != httpapi.StatusAccepted {
+				t.Errorf("ingest %d = %+v, %v", o, res, err)
+			}
+		}()
+	}
+	waitFor(t, 10*time.Second, "five intents on the partner", func() bool {
+		return openIntents(nb.node, "a", ta, "grid") == len(offsets)
+	})
+
+	na.cancel()
+	waitFor(t, 10*time.Second, "the owner to stop serving HTTP", func() bool {
+		c, err := net.Dial("tcp", httpA.Addr().String())
+		if err == nil {
+			c.Close()
+		}
+		return err != nil
+	})
+	close(release)
+	select {
+	case err := <-na.done:
+		na.done <- err // for the cleanup
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("owner did not stop")
+	}
+	wg.Wait()
+
+	if n := openIntents(nb.node, "a", ta, "grid"); n != 0 {
+		t.Errorf("partner's replica holds %d dangling intents after the owner's graceful stop, want 0", n)
+	}
+	own, _ := fieldBits(na, ta, "grid")
+	rep, ok := fieldBits(nb, ta, "grid")
+	if !ok {
+		t.Fatal("partner lost the replica")
+	}
+	for _, off := range offsets {
+		if rep[off] != own[off] {
+			t.Errorf("cell %d: partner %x != owner %x", off, rep[off], own[off])
+		}
 	}
 }

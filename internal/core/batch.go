@@ -53,7 +53,8 @@ type BatchResult struct {
 	// Outcome is the completed recovery (zero when Err != nil).
 	Outcome Outcome
 	// Err is the member's failure, if any: the same errors (and error
-	// wrapping) RecoverElementCtx would return for that offset.
+	// wrapping) RecoverElement returns for that offset, or
+	// ErrRecoveryAbandoned when the context expired first.
 	Err error
 }
 
@@ -83,12 +84,17 @@ func (e *Engine) BatchStats() (calls, members int64, buckets [len(batchSizeBucke
 
 // RecoverBatch recovers every element in offsets (all inside alloc's array)
 // and returns one result per member, in input order. Members in
-// non-conflicting stripe clusters recover concurrently. The context governs
-// the whole batch with RecoverElementCtx semantics: when it expires,
-// unfinished members report ErrRecoveryAbandoned immediately while their
-// cluster climbs keep running in the background, abort at the next
-// cooperative checkpoint, and leave those elements quarantined (a climb
-// that completes after abandonment is still counted and audited).
+// non-conflicting stripe clusters recover concurrently. It is the engine's
+// only entry that runs under a deadline: when the context expires, the call
+// returns at once with ErrRecoveryAbandoned for the unfinished members —
+// even if a predictor or checkpoint restore is wedged — so a bounded worker
+// pool can give up on a stuck recovery without leaking its worker. The
+// abandoned cluster climbs keep running in the background holding their
+// stripes: each aborts at its next cooperative checkpoint (every
+// ladder-stage entry and every attempt), restores the pre-recovery value,
+// leaves the element quarantined, and only then releases the stripes, so no
+// concurrent recovery ever observes a half-finished repair. A climb that
+// completes after abandonment is still counted and audited.
 //
 // traces, when given, are indexed like offsets. A missing (or nil) member
 // makes the engine mint and finish its own trace for that member;
@@ -97,6 +103,12 @@ func (e *Engine) BatchStats() (calls, members int64, buckets [len(batchSizeBucke
 // them to the collector. Members of one stripe cluster share the cluster's
 // single lock acquisition, stamped into every member's trace as a
 // stripe_wait span of identical duration.
+//
+// The spatialdue_batch_size histogram counts the calls that batch: every
+// call of two or more members, and a call of one whose context cannot end.
+// A call of one under a context that can end (a deadline, a cancel) is a
+// single bounded recovery — the service's per-event attempt — and is left
+// out.
 func (e *Engine) RecoverBatch(ctx context.Context, alloc *registry.Allocation, offsets []int, traces ...*trace.Trace) []BatchResult {
 	results := make([]BatchResult, len(offsets))
 	for i, off := range offsets {
@@ -105,7 +117,9 @@ func (e *Engine) RecoverBatch(ctx context.Context, alloc *registry.Allocation, o
 	if len(offsets) == 0 {
 		return results
 	}
-	e.observeBatch(len(offsets))
+	if len(offsets) > 1 || ctx.Done() == nil {
+		e.observeBatch(len(offsets))
+	}
 	t := allocTarget(alloc)
 	st := e.record(&t)
 
@@ -148,7 +162,7 @@ func (e *Engine) RecoverBatch(ctx context.Context, alloc *registry.Allocation, o
 	// their three-stripe lock ranges overlap, i.e. their stripes are within
 	// 2 of each other. starts holds the first stripe of each cluster, over
 	// the sorted distinct stripes hit.
-	hit := make([]int, len(valid))
+	hit := valid // the offsets are not needed again: reuse their slice
 	for i, off := range valid {
 		hit[i] = st.stripeOf(off)
 	}

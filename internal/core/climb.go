@@ -76,37 +76,14 @@ type cluster struct {
 	held    bool // the caller holds every stripe of the live record (burst)
 }
 
-// recoverOne recovers a cluster of one: RecoverElementCtx and FTI repairs.
-func (e *Engine) recoverOne(ctx context.Context, t *target, off int) (Outcome, error) {
-	// A context-carried trace (the service path) is finished by its owner
-	// after journal completion; otherwise the engine mints and finishes one
-	// itself, so direct RecoverElement calls feed the histograms too.
-	tr, external := trace.FromContext(ctx)
-	if !external {
-		tr = trace.GetPooled()
-	}
-	m := [1]member{{off: off, seed: e.nextSeed(), tr: tr, owned: !external}}
-	if ctx.Done() != nil {
-		// Cancelable: the climb runs behind the collector and may outlive
-		// this call, so it gets its own copies, in one heap object (which
-		// also keeps the inline path's target and member on the stack).
-		own := &struct {
-			t target
-			c [1]cluster
-			m [1]member
-		}{t: *t, m: m}
-		own.c[0].members = own.m[:]
-		res := [1]BatchResult{{Offset: off}}
-		e.run(ctx, &own.t, e.record(t), own.c[:], res[:])
-		return res[0].Outcome, res[0].Err
-	}
-	// An engine-minted trace was just born; its birth instant doubles as the
-	// stripe-wait origin, saving a clock read on the hot path.
-	t0 := tr.Born()
-	if external {
-		t0 = time.Now()
-	}
-	e.climb(ctx, t, e.record(t), &cluster{members: m[:]}, t0, nil)
+// recoverOne recovers a cluster of one without a deadline: RecoverAddress,
+// RecoverElement and FTI repairs. The engine mints and finishes the trace,
+// so these calls feed the histograms too; its birth instant doubles as the
+// stripe-wait origin, saving a clock read on the hot path.
+func (e *Engine) recoverOne(t *target, off int) (Outcome, error) {
+	tr := trace.GetPooled()
+	m := [1]member{{off: off, seed: e.nextSeed(), tr: tr, owned: true}}
+	e.climb(context.Background(), t, e.record(t), &cluster{members: m[:]}, tr.Born(), nil)
 	return m[0].out, m[0].err
 }
 

@@ -305,30 +305,17 @@ func (e *Engine) RecoverAddress(addr uint64) (Outcome, error) {
 		return Outcome{}, fmt.Errorf("%w: %w", ErrCheckpointRestartRequired, err)
 	}
 	t := allocTarget(alloc)
-	return e.recoverOne(context.Background(), &t, off)
+	return e.recoverOne(&t, off)
 }
 
 // RecoverElement reconstructs the element at linear offset off of a
 // registered allocation according to its recovery policy, verifies the
 // reconstruction (escalating through the recovery ladder on failure),
-// writes the value in place, and reports the outcome.
+// writes the value in place, and reports the outcome. It runs without a
+// deadline; RecoverBatch is the entry that runs under one.
 func (e *Engine) RecoverElement(alloc *registry.Allocation, off int) (Outcome, error) {
-	return e.RecoverElementCtx(context.Background(), alloc, off)
-}
-
-// RecoverElementCtx is RecoverElement under a context. When the context
-// expires the call returns ErrRecoveryAbandoned immediately — even if a
-// predictor or checkpoint restore is wedged — so a bounded worker pool can
-// give up on a stuck recovery without leaking its worker. The abandoned
-// climb keeps running in the background holding the array's recovery lock:
-// it aborts at its next cooperative checkpoint (every ladder-stage entry and
-// every attempt), restores the pre-recovery value, leaves the element
-// quarantined, and only then releases the lock, so no concurrent recovery
-// ever observes a half-finished repair. A recovery that completes after
-// abandonment is still counted and audited.
-func (e *Engine) RecoverElementCtx(ctx context.Context, alloc *registry.Allocation, off int) (Outcome, error) {
 	t := allocTarget(alloc)
-	return e.recoverOne(ctx, &t, off)
+	return e.recoverOne(&t, off)
 }
 
 // MethodCounts returns the lifetime count of successful recoveries per
@@ -351,7 +338,7 @@ func (e *Engine) FTIRepairer() fti.RepairFunc {
 	return func(ds *fti.Dataset, off int) (float64, error) {
 		t := target{arr: ds.Array, name: "fti:" + ds.Name,
 			policy: registry.Policy{Any: ds.Policy.Any, Method: ds.Policy.Method}}
-		out, err := e.recoverOne(context.Background(), &t, off)
+		out, err := e.recoverOne(&t, off)
 		return out.New, err
 	}
 }

@@ -347,15 +347,19 @@ func runPipelineScenario(t *testing.T, opts Options) goldenRecord {
 	s.element("element/fix/out-of-range", "fix", fix.Len())
 	s.element("element/fix/negative", "fix", -3)
 
-	// --- RecoverElementCtx under a cancelable (never cancelled) context:
+	// --- RecoverBatch of one under a cancelable (never cancelled) context:
 	// the climb runs behind the abandonment collector. ---
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	one := func(alloc *registry.Allocation, off int) (Outcome, error) {
+		r := eng.RecoverBatch(ctx, alloc, []int{off})[0]
+		return r.Outcome, r.Err
+	}
 	s.corrupt("fix", math.NaN(), fix.Offset(40, 10))
-	out, err = eng.RecoverElementCtx(ctx, fixA, fix.Offset(40, 10))
+	out, err = one(fixA, fix.Offset(40, 10))
 	s.step(goldenStep{Name: "elementctx/fix", Outcomes: []goldenOutcome{outcomeOf(out, fix.Offset(40, 10), err)}}, false)
 	s.corrupt("any", math.NaN(), anyF.Offset(33, 7))
-	out, err = eng.RecoverElementCtx(ctx, s.allocs["any"], anyF.Offset(33, 7))
+	out, err = one(s.allocs["any"], anyF.Offset(33, 7))
 	s.step(goldenStep{Name: "elementctx/any", Outcomes: []goldenOutcome{outcomeOf(out, anyF.Offset(33, 7), err)}}, false)
 
 	// --- RecoverElement, RECOVER_ANY: two in one stripe (a tune-cache hit
@@ -587,7 +591,8 @@ var pipelineGoldenConfigs = []struct {
 }
 
 // TestPipelineGolden replays one seeded scenario through every entry point
-// (RecoverAddress, RecoverElement/Ctx, RecoverBatch with and without traces,
+// (RecoverAddress, RecoverElement, RecoverBatch of one under a cancelable
+// context, RecoverBatch with and without traces,
 // RecoverBurst, FTIRepairer, StageHook-forced climbs to restore and
 // exhaustion) and
 // compares everything observable — values as bits, outcomes, error strings,

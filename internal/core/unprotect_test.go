@@ -129,8 +129,7 @@ func TestRecoveryAfterUnprotectRefused(t *testing.T) {
 	refused("RecoverElement", err)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = eng.RecoverElementCtx(ctx, alloc, off)
-	refused("RecoverElementCtx", err)
+	refused("RecoverBatch of one", eng.RecoverBatch(ctx, alloc, []int{off})[0].Err)
 	for _, r := range eng.RecoverBatch(context.Background(), alloc, []int{off, off + 1}) {
 		refused("RecoverBatch", r.Err)
 	}

@@ -392,7 +392,12 @@ func (c *Client) Inject(ctx context.Context, name string, req httpapi.InjectRequ
 	return &out, nil
 }
 
-// Recover runs one synchronous recovery and returns its report.
+// Recover runs one synchronous recovery of the element at offset and
+// returns its report. The server treats it as an ordinary recovery: it is
+// journaled, replicated to a cluster partner and reported on the outcome
+// feed, and refused like an event (ErrOverloaded, ErrCircuitOpen, a
+// draining server), but never latched: a refused recovery did not run, and
+// the caller decides whether to call again.
 func (c *Client) Recover(ctx context.Context, name string, offset int) (*httpapi.RecoverReport, error) {
 	var out httpapi.RecoverReport
 	err := c.do(ctx, http.MethodPost, "/v1/allocations/"+url.PathEscape(name)+"/recover",

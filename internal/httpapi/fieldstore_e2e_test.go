@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -11,10 +12,18 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
+	"spatialdue/internal/bitflip"
 	"spatialdue/internal/core"
+	"spatialdue/internal/faultinject"
 	"spatialdue/internal/httpapi"
 	"spatialdue/internal/httpapi/client"
+	"spatialdue/internal/journal"
+	"spatialdue/internal/ndarray"
+	"spatialdue/internal/ndarray/mmapstore"
+	"spatialdue/internal/predict"
+	"spatialdue/internal/registry"
 	"spatialdue/internal/service"
 )
 
@@ -442,4 +451,115 @@ func TestFailedRegisterLeavesNoOrphanFile(t *testing.T) {
 		t.Fatalf("download: %v", err)
 	}
 	valbitsEqual(t, got, vals, "field after duplicate register")
+}
+
+// TestRecoverReplaysAfterCrashOnMmap: an explicit /recover is journaled like
+// an event. The process dies between the in-place write and the journaled
+// outcome; a server restarted over the same data dir re-registers the
+// persisted field before it starts, and its journal replay must
+// re-quarantine the cell, recover it to the value the dead process wrote,
+// and leave the journal closed.
+func TestRecoverReplaysAfterCrashOnMmap(t *testing.T) {
+	const rows, cols, off, bit = 16, 16, 119, 62
+	dataDir := t.TempDir()
+	jpath := filepath.Join(dataDir, "journal.jsonl")
+	cfg := httpapi.ServerConfig{
+		EnableInject: true,
+		Service:      service.Config{Workers: 1, QueueDepth: 4, JournalPath: jpath},
+		FieldStore:   httpapi.FieldStoreMmap,
+		DataDir:      dataDir,
+	}
+	ctx := context.Background()
+
+	// First life: the /recover dies at the armed crash point.
+	defer faultinject.DisarmCrashes()
+	_, base1, shutdown1 := startServer(t, core.NewEngine(core.Options{Seed: 7}), cfg)
+	c1 := client.New(client.Config{BaseURL: base1, Tenant: "t1"})
+	if _, err := c1.Register(ctx, httpapi.RegisterRequest{
+		Name: "f", Dims: []int{rows, cols}, DType: "float64",
+		Policy: httpapi.PolicyInfo{Method: "Lorenzo 1-Layer"},
+	}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	if err := c1.Upload(ctx, "f", smoothField(rows, cols)); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	o, b := off, bit
+	if _, err := c1.Inject(ctx, "f", httpapi.InjectRequest{Offset: &o, Bit: &b}); err != nil {
+		t.Fatalf("inject: %v", err)
+	}
+	faultinject.ArmCrash("service/recovery-done")
+	if _, err := c1.Recover(ctx, "f", off); !errors.Is(err, service.ErrStopped) {
+		t.Fatalf("recover through a crash: err = %v, want the service stopped", err)
+	}
+	written, err := c1.Element(ctx, "f", off)
+	if err != nil {
+		t.Fatalf("element after the crash: %v", err)
+	}
+	if err := shutdown1(); err != nil {
+		t.Fatalf("shutdown server 1: %v", err)
+	}
+
+	// Second life: the field is remapped and registered before the server
+	// (and its journal replay) starts; the replay parks at its first ladder
+	// stage so the re-quarantine can be observed.
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	eng2 := core.NewEngine(core.Options{Seed: 7, StageHook: func(core.StageEvent) {
+		once.Do(func() { close(parked); <-release })
+	}})
+	st, err := mmapstore.OpenOrCreate(httpapi.FieldPath(dataDir, "t1", "f"), rows*cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := ndarray.NewWithBacking(st, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := eng2.ProtectTenant("t1", "f", arr, bitflip.Float64, registry.RecoverWith(predict.MethodLorenzo1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2, base2, shutdown2 := startServer(t, eng2, cfg)
+	<-parked
+	if !eng2.IsQuarantined(alloc, off) {
+		t.Error("replay did not re-quarantine the cell")
+	}
+	close(release)
+	c2 := client.New(client.Config{BaseURL: base2, Tenant: "t1"})
+	var rec *httpapi.OutcomeRecord
+	for deadline := time.Now().Add(10 * time.Second); rec == nil; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no replayed outcome")
+		}
+		page, err := c2.Outcomes(ctx, 0, "f", 0)
+		if err != nil {
+			t.Fatalf("outcomes: %v", err)
+		}
+		for i := range page.Outcomes {
+			if page.Outcomes[i].Offset == off && page.Outcomes[i].Replayed {
+				rec = &page.Outcomes[i]
+			}
+		}
+	}
+	if !rec.OK || rec.NewBits != written.ValueBits {
+		t.Errorf("replayed outcome = %+v, want ok with the bits %x the dead process wrote", rec, written.ValueBits)
+	}
+	if got := srv2.Service().Stats().Replayed; got != 1 {
+		t.Errorf("Replayed = %d, want 1", got)
+	}
+	if eng2.IsQuarantined(alloc, off) {
+		t.Error("cell still quarantined after the replayed recovery")
+	}
+	if err := shutdown2(); err != nil {
+		t.Fatalf("shutdown server 2: %v", err)
+	}
+	jr, dangling, err := journal.OpenRecovery(jpath, false)
+	if err != nil {
+		t.Fatalf("reopen journal: %v", err)
+	}
+	defer jr.Close()
+	if len(dangling) != 0 {
+		t.Errorf("%d dangling intents after the replay: %+v", len(dangling), dangling)
+	}
 }

@@ -521,20 +521,28 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request, a *regist
 		writeBadRequest(w, "offset must be in [0, %d)", a.Array.Len())
 		return
 	}
-	// Synchronous recoveries are traced too: the handler owns the trace
-	// (the engine sees it in the context and leaves finishing to us), so the
-	// spans cover exactly the in-engine work this endpoint times.
+	if s.draining.Load() {
+		writeError(w, fmt.Errorf("%w: draining", service.ErrStopped))
+		return
+	}
+	// An explicit recovery is an ordinary submission: admitted, journaled,
+	// replicated and fed to the outcome stream like an event, and refused
+	// with 429/503 like one. It runs here, and the service finishes its
+	// trace.
 	tr := trace.New()
 	if id, ok := trace.ParseTraceparent(r.Header.Get(TraceparentHeader)); ok {
 		tr = trace.WithID(id)
 	}
 	start := time.Now()
-	out, err := s.eng.RecoverElementCtx(trace.NewContext(r.Context(), tr), a, req.Offset)
-	s.eng.Tracer().Finish(tr)
+	res, err := s.svc.Recover(a, req.Offset, tr)
+	if err == nil {
+		err = res.Err
+	}
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	out := res.Outcome
 	writeJSON(w, http.StatusOK, RecoverReport{
 		Offset:         out.Offset,
 		Method:         out.Method.String(),

@@ -76,10 +76,12 @@ const (
 	// maxBodyBytes caps request bodies, notably field uploads, and so the
 	// size of a registration.
 	maxBodyBytes = 256 << 20
-	// drainTimeout bounds each stage of graceful shutdown: HTTP in-flight
-	// drain, latched-event settling, and the service drain.
-	drainTimeout = 30 * time.Second
 )
+
+// DrainTimeout bounds each stage of graceful shutdown: HTTP in-flight drain,
+// latched-event settling, and the service drain (and, on a cluster node,
+// replication's delivery of what the drain journaled).
+const DrainTimeout = 30 * time.Second
 
 // Server is the networked recovery front end. Create with NewServer, serve
 // with Run (graceful) or mount it as an http.Handler, and stop with Close.
@@ -355,7 +357,7 @@ func (s *Server) forward(w http.ResponseWriter, r *http.Request) bool {
 // Run serves on l until ctx is cancelled, then shuts down in strict order:
 //
 //  1. the listener stops accepting, connections that never sent a request
-//     close, and in-flight requests drain (bounded by drainTimeout);
+//     close, and in-flight requests drain (bounded by DrainTimeout);
 //     /readyz flips to 503 immediately so load balancers stop routing
 //     here;
 //  2. bank-latched events get a bounded time to redeliver and recover
@@ -406,7 +408,7 @@ func (s *Server) RunHandler(ctx context.Context, l net.Listener, h http.Handler)
 
 	s.draining.Store(true)
 	silent.closeAll()
-	shCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	shCtx, cancel := context.WithTimeout(context.Background(), DrainTimeout)
 	defer cancel()
 	err := hs.Shutdown(shCtx)
 	<-serveErr // Serve has returned ErrServerClosed

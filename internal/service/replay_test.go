@@ -119,10 +119,10 @@ func TestCrashReplayEveryPoint(t *testing.T) {
 							panic(r)
 						}
 					}()
-					_ = svc1.Submit(alloc1, offs[0])
+					_ = admit(svc1, alloc1, offs[0])
 				}()
 			default:
-				if err := svc1.Submit(alloc1, offs[0]); err != nil {
+				if err := admit(svc1, alloc1, offs[0]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -210,12 +210,12 @@ func TestCrashedServiceRefusesWork(t *testing.T) {
 	off := arr.Offset(4, 4)
 	arr.SetOffset(off, math.NaN())
 	faultinject.ArmCrash("service/recovery-done")
-	if err := svc.Submit(alloc, off); err != nil {
+	if err := admit(svc, alloc, off); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "crash", func() bool { _, c := svc.Crashed(); return c })
 
-	if err := svc.Submit(alloc, arr.Offset(5, 5)); err == nil {
+	if err := admit(svc, alloc, arr.Offset(5, 5)); err == nil {
 		t.Error("submit to crashed service succeeded")
 	}
 	if err := svc.Close(); err != nil {
@@ -252,7 +252,7 @@ func TestReplayOrphanedAllocation(t *testing.T) {
 	arr.SetOffset(off, math.NaN())
 	defer faultinject.DisarmCrashes()
 	faultinject.ArmCrash("journal/outcome-unwritten")
-	if err := svc.Submit(alloc, off); err != nil {
+	if err := admit(svc, alloc, off); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "crash", func() bool { _, c := svc.Crashed(); return c })

@@ -48,8 +48,8 @@ import (
 	"spatialdue/internal/trace"
 )
 
-// ErrOverloaded is returned by Submit/SubmitAddress when the admission
-// bound is reached. The event is NOT accepted: an MCA delivering it keeps
+// ErrOverloaded is returned by every submission when the admission bound is
+// reached. The event is NOT accepted: an MCA delivering it keeps
 // the record latched, and the service redelivers once a token frees up.
 var ErrOverloaded = errors.New("service: overloaded: recovery queue full")
 
@@ -123,7 +123,7 @@ type ShadowSource interface {
 // Result reports one finished (or terminally failed) recovery.
 type Result struct {
 	// Alloc and Offset identify the repaired element; Addr is the faulting
-	// address as submitted (0 for direct Submit calls on offset). Tenant is
+	// address as submitted (the element's own for Recover). Tenant is
 	// the registry namespace of the allocation (empty outside the networked
 	// front end).
 	Alloc  string
@@ -157,8 +157,8 @@ type Stats struct {
 	Recovered, Failed, Abandoned uint64
 	// Retries counts backoff retries across all recoveries.
 	Retries uint64
-	// Batched counts recoveries that went through the coalesced
-	// core.RecoverBatch fast path (a subset of Recovered+Failed).
+	// Batched counts recoveries whose first attempt was a run of two or
+	// more members in one core.RecoverBatch (a subset of Recovered+Failed).
 	Batched uint64
 	// Replayed counts journal intents resubmitted on restart.
 	Replayed uint64
@@ -181,6 +181,7 @@ type task struct {
 	probe     bool
 	tr        *trace.Trace
 	enqueued  time.Time // when the task was admitted (queue_wait span)
+	res       *Result   // where finishTask also writes the Result (Recover)
 }
 
 // A Window holds the admitted recoveries one goroutine will run itself.
@@ -468,13 +469,28 @@ func (s *Service) SubmitAddress(addr uint64) error {
 		// the HTTP layer maps corrupt-descriptor refusals to 422, not 404.
 		err = fmt.Errorf("%w: %w", core.ErrCheckpointRestartRequired, err)
 	}
-	return s.submit(alloc, addr, off, false, err)
+	return s.submit(alloc, addr, off, false, nil, nil, err)
 }
 
-// Submit admits and runs a recovery for a known allocation element
-// (detector paths that localize corruption without a physical address).
-func (s *Service) Submit(alloc *registry.Allocation, off int) error {
-	return s.submit(alloc, 0, off, false, nil)
+// Recover admits and runs one recovery of a known allocation element on
+// the calling goroutine (the HTTP front end's explicit /recover, detector
+// paths that localize corruption without a physical address). It is an
+// ordinary submission: a token, QueueDepth, the breaker, the journal intent
+// and outcome, the outcome feed. tr, when non-nil, is the recovery's trace;
+// otherwise one is minted. The error is the admission refusal
+// (ErrOverloaded, ErrCircuitOpen, ErrStopped, an offset out of range, a
+// journal intent that failed). An admitted recovery returns its Result,
+// with its trace finished and its own error in Result.Err — ErrStopped when
+// a crash dropped it.
+func (s *Service) Recover(alloc *registry.Allocation, off int, tr *trace.Trace) (Result, error) {
+	var res Result
+	if err := s.submit(alloc, 0, off, false, tr, &res, nil); err != nil {
+		return Result{}, err
+	}
+	if res.Attempts == 0 {
+		res = Result{Alloc: alloc.Name, Tenant: alloc.Tenant, Offset: off, Err: ErrStopped}
+	}
+	return res, nil
 }
 
 // SubmitReplayed admits a recovery replayed from a replicated journal — the
@@ -482,20 +498,21 @@ func (s *Service) Submit(alloc *registry.Allocation, off int) error {
 // another node; this node journals a fresh local intent for it, quarantines
 // the offset, and runs it through the normal pipeline. The recovery is
 // marked Replayed in its Result and counted in Stats.Replayed. Callers see
-// the same admission errors as Submit (retry ErrOverloaded with backoff:
+// the same admission errors as Recover (retry ErrOverloaded with backoff:
 // promotion replay must not drop intents just because a storm is running).
 func (s *Service) SubmitReplayed(alloc *registry.Allocation, addr uint64, off int) error {
-	return s.submit(alloc, addr, off, true, nil)
+	return s.submit(alloc, addr, off, true, nil, nil, nil)
 }
 
 // submit is every entry point's admission path. Its prologue counts each
 // attempt once, so Stats.Submitted sees rejections too: a target the entry
 // point could not resolve (err), an offset outside the array, a stopped
 // service, a full admission bound. It then reserves a slot, asks the
-// breaker, claims the trace, quarantines at intake and writes the journal
-// intent. The admitted task joins the window its staging carries, or runs
-// here. addr 0 means the element's own address.
-func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, replayed bool, err error) error {
+// breaker, claims the trace (unless tr is given), quarantines at intake and
+// writes the journal intent. The admitted task joins the window its staging
+// carries, or runs here, its Result also written to res when non-nil. addr
+// 0 means the element's own address.
+func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, replayed bool, tr *trace.Trace, res *Result, err error) error {
 	if err == nil && (off < 0 || off >= alloc.Array.Len()) {
 		err = fmt.Errorf("%w: offset %d out of range", core.ErrCheckpointRestartRequired, off)
 	}
@@ -548,8 +565,11 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 	// Claim the ingest-staged trace (HTTP traceparent), or mint one. This
 	// happens only after the overloaded/breaker rejections above, so a
 	// latched event's trace stays staged for redelivery.
-	st := s.claimTrace(addr)
-	tr := st.tr
+	var st staging
+	if tr == nil {
+		st = s.claimTrace(addr)
+		tr = st.tr
+	}
 	if tr == nil {
 		tr = trace.New()
 	}
@@ -572,7 +592,7 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 	}
 
 	// Write-ahead intent: durable before any work begins.
-	t := task{alloc: alloc, addr: addr, off: off, detected: detected, probe: probe, replayed: replayed, tr: tr}
+	t := task{alloc: alloc, addr: addr, off: off, detected: detected, probe: probe, replayed: replayed, tr: tr, res: res}
 	if s.jr != nil {
 		t0 := time.Now()
 		id, err := s.jr.Begin(alloc.Tenant, alloc.Name, addr, off, detected)
@@ -727,11 +747,17 @@ func (s *Service) BreakerStates() map[string]BreakerState {
 }
 
 // run takes a same-allocation run of tasks, whose caller holds a token, to
-// their outcomes.
+// their outcomes: one attempt loop for every run. The first attempt is one
+// RecoverBatch under one deadline. Every member is already quarantined
+// (MarkCorrupt at intake), so the batch is bit-identical to recovering the
+// run sequentially in submission order — see core/batch.go. Each member
+// that comes back transient (abandoned by the deadline) retries alone, a
+// RecoverBatch of one under its own deadline after a jittered backoff, up
+// to MaxRetries times: every member has the same budget, and the batched
+// attempt counts as its first.
 func (s *Service) run(ts []task) {
-	// Queue wait ends here. Recorded exactly once per task: transient
-	// members a batch later hands to the sequential retry path must not
-	// observe it again.
+	defer s.survive()
+	// Queue wait ends here, once per task.
 	for i := range ts {
 		ts[i].tr.Observe(trace.StageQueueWait, ts[i].enqueued)
 	}
@@ -752,13 +778,39 @@ func (s *Service) run(ts []task) {
 		}
 		ts = kept
 	}
-	switch len(ts) {
-	case 0:
-	case 1:
-		s.process(ts[0])
-	default:
-		s.processBatch(ts)
+	if len(ts) == 0 {
+		return
 	}
+	stage := "single"
+	if len(ts) > 1 {
+		stage = "batch"
+		s.mu.Lock()
+		s.stats.Batched += uint64(len(ts))
+		s.mu.Unlock()
+	}
+	// Goroutine labels make CPU profiles attributable: samples inside the
+	// ladder show up under their allocation and pipeline stage. One label
+	// set per run; the lead member's trace ID names it in profiles (member
+	// IDs are in the outcome feed).
+	pprof.Do(context.Background(), pprof.Labels(
+		"alloc", ts[0].alloc.QualifiedName(), "stage", stage, "trace", ts[0].tr.ID(),
+	), func(base context.Context) {
+		for i, r := range s.attempt(base, ts) {
+			attempts := 1
+			for r.Err != nil && transient(r.Err) && attempts <= s.cfg.MaxRetries && !s.isCrashed() {
+				s.mu.Lock()
+				s.stats.Retries++
+				s.mu.Unlock()
+				time.Sleep(s.backoff(attempts))
+				attempts++
+				r = s.attempt(base, ts[i:i+1])[0]
+			}
+			if s.isCrashed() {
+				return
+			}
+			s.finishTask(ts[i], r.Outcome, r.Err, attempts)
+		}
+	})
 }
 
 // shadowRestore serves one task from the migration shadow if it holds the
@@ -779,99 +831,25 @@ func (s *Service) shadowRestore(t task) bool {
 	return true
 }
 
-// process runs one recovery to its terminal outcome: deadline-bounded
-// attempts, jittered backoff on transient failures, breaker and journal
-// bookkeeping.
-func (s *Service) process(t task) {
-	defer s.survive()
-
-	var (
-		out      core.Outcome
-		err      error
-		attempts int
-	)
-	// Goroutine labels make CPU profiles attributable: samples inside the
-	// ladder show up under their allocation and pipeline stage. The context
-	// carries the task's trace so the engine records spans into it (and
-	// leaves finishing it to finishTask, after the journal write).
-	base := trace.NewContext(context.Background(), t.tr)
-	pprof.Do(base, pprof.Labels(
-		"alloc", t.alloc.QualifiedName(), "stage", "single", "trace", t.tr.ID(),
-	), func(base context.Context) {
-		for {
-			attempts++
-			ctx := base
-			cancel := func() {}
-			if s.cfg.Deadline > 0 {
-				ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
-			}
-			out, err = s.eng.RecoverElementCtx(ctx, t.alloc, t.off)
-			cancel()
-			if err == nil || !transient(err) || attempts > s.cfg.MaxRetries {
-				return
-			}
-			s.mu.Lock()
-			s.stats.Retries++
-			s.mu.Unlock()
-			time.Sleep(s.backoff(attempts))
-		}
-	})
-
-	s.finishTask(t, out, err, attempts)
-}
-
-// processBatch runs a same-allocation run of a window's recoveries through
-// the engine's coalesced fast path. Every member is already quarantined
-// (MarkCorrupt at intake), so RecoverBatch is bit-identical to processing
-// the group sequentially in submission order — see core/batch.go. Members
-// that come back transient (abandoned by the shared batch deadline) are
-// handed whole to the sequential retry path, which re-attempts them with
-// its own deadline and backoff before any journal or breaker bookkeeping
-// happens for them.
-func (s *Service) processBatch(ts []task) {
-	defer s.survive()
-
-	offs := make([]int, len(ts))
-	traces := make([]*trace.Trace, len(ts))
-	for i, t := range ts {
-		offs[i] = t.off
-		traces[i] = t.tr
+// attempt is one RecoverBatch of ts under one deadline. The engine records
+// spans into the tasks' traces and leaves finishing them to finishTask,
+// after the journal write.
+func (s *Service) attempt(base context.Context, ts []task) []core.BatchResult {
+	// RecoverBatch keeps neither slice, so a run of up to the default
+	// BatchMax builds them on the stack.
+	var offBuf [16]int
+	var trBuf [16]*trace.Trace
+	offs, traces := offBuf[:0], trBuf[:0]
+	for _, t := range ts {
+		offs, traces = append(offs, t.off), append(traces, t.tr)
 	}
-	var rs []core.BatchResult
-	pprof.Do(context.Background(), pprof.Labels(
-		// One label set per batch; the lead member's trace ID names the
-		// cluster in profiles (member IDs are in the outcome feed).
-		"alloc", ts[0].alloc.QualifiedName(), "stage", "batch", "trace", ts[0].tr.ID(),
-	), func(base context.Context) {
-		ctx := base
-		cancel := func() {}
-		if s.cfg.Deadline > 0 {
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.Deadline)
-		}
-		rs = s.eng.RecoverBatch(ctx, ts[0].alloc, offs, traces...)
-		cancel()
-	})
-
-	s.mu.Lock()
-	s.stats.Batched += uint64(len(ts))
-	s.mu.Unlock()
-
-	for i, r := range rs {
-		if s.isCrashed() {
-			return
-		}
-		if r.Err != nil && transient(r.Err) && s.cfg.MaxRetries > 0 {
-			// Transient member: the batch attempt does not count against the
-			// retry budget; the sequential path owns all of its bookkeeping.
-			s.mu.Lock()
-			s.stats.Retries++
-			s.mu.Unlock()
-			time.Sleep(s.backoff(1))
-			s.process(ts[i])
-			continue
-		}
-		s.finishTask(ts[i], r.Outcome, r.Err, 1)
+	ctx := base
+	if s.cfg.Deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(base, s.cfg.Deadline)
+		defer cancel()
 	}
+	return s.eng.RecoverBatch(ctx, ts[0].alloc, offs, traces...)
 }
 
 // finishTask applies the terminal bookkeeping for one recovery: breaker
@@ -930,12 +908,16 @@ func (s *Service) finishTask(t task, out core.Outcome, err error, attempts int) 
 	t.tr.SetOutcome(err == nil, detail)
 	s.eng.Tracer().Finish(t.tr)
 
+	r := Result{
+		Alloc: t.alloc.Name, Tenant: t.alloc.Tenant, Offset: t.off, Addr: t.addr,
+		Outcome: out, Err: err, Attempts: attempts,
+		Replayed: t.replayed, Probe: t.probe, TraceID: t.tr.ID(),
+	}
+	if t.res != nil {
+		*t.res = r
+	}
 	if s.cfg.OnOutcome != nil {
-		s.cfg.OnOutcome(Result{
-			Alloc: t.alloc.Name, Tenant: t.alloc.Tenant, Offset: t.off, Addr: t.addr,
-			Outcome: out, Err: err, Attempts: attempts,
-			Replayed: t.replayed, Probe: t.probe, TraceID: t.tr.ID(),
-		})
+		s.cfg.OnOutcome(r)
 	}
 }
 

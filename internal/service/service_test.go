@@ -38,6 +38,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// admit runs one recovery through Recover and returns only its admission
+// error, as the event paths report it; the outcome goes to OnOutcome.
+func admit(svc *Service, alloc *registry.Allocation, off int) error {
+	_, err := svc.Recover(alloc, off, nil)
+	return err
+}
+
 // TestSubmitCountsEveryAttempt: Stats.Submitted counts all submission
 // attempts, so an out-of-range offset raises it by one through every entry
 // point while Accepted stays put.
@@ -54,7 +61,7 @@ func TestSubmitCountsEveryAttempt(t *testing.T) {
 		name   string
 		submit func() error
 	}{
-		{"Submit", func() error { return svc.Submit(alloc, a.Len()) }},
+		{"Recover", func() error { return admit(svc, alloc, a.Len()) }},
 		{"SubmitReplayed", func() error { return svc.SubmitReplayed(alloc, 0, -1) }},
 		{"SubmitAddress", func() error { return svc.SubmitAddress(1) }},
 	} {
@@ -91,7 +98,7 @@ func TestServiceRecoversSubmittedDUEs(t *testing.T) {
 	for _, off := range offs {
 		orig[off] = a.AtOffset(off)
 		a.SetOffset(off, math.NaN())
-		if err := svc.Submit(alloc, off); err != nil {
+		if err := admit(svc, alloc, off); err != nil {
 			t.Fatalf("submit %d: %v", off, err)
 		}
 	}
@@ -115,7 +122,7 @@ func TestServiceRecoversSubmittedDUEs(t *testing.T) {
 	if n := eng.QuarantineCount(); n != 0 {
 		t.Errorf("quarantine not empty after drain: %d", n)
 	}
-	if err := svc.Submit(alloc, offs[0]); !errors.Is(err, ErrStopped) {
+	if err := admit(svc, alloc, offs[0]); !errors.Is(err, ErrStopped) {
 		t.Errorf("submit after Close = %v, want ErrStopped", err)
 	}
 }
@@ -163,7 +170,7 @@ func TestOverloadRejectsNotBlocks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := svc.Submit(alloc, off); err != nil {
+			if err := admit(svc, alloc, off); err != nil {
 				t.Errorf("submit %s/%d: %v", alloc.Name, off, err)
 			}
 		}()
@@ -182,7 +189,7 @@ func TestOverloadRejectsNotBlocks(t *testing.T) {
 	waitFor(t, "the admission bound to fill", func() bool { return svc.QueueLen() == depth })
 
 	// Past the bound: direct submission is rejected, not blocked.
-	if err := svc.Submit(allocC, aC.Offset(12, 12)); !errors.Is(err, ErrOverloaded) {
+	if err := admit(svc, allocC, aC.Offset(12, 12)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit past bound = %v, want ErrOverloaded", err)
 	}
 
@@ -254,10 +261,10 @@ func TestDeadlineUnwedgesWorker(t *testing.T) {
 	aS.SetOffset(offS, math.NaN())
 	origF := aF.AtOffset(offF)
 	aF.SetOffset(offF, math.NaN())
-	if err := svc.Submit(allocS, offS); err != nil {
+	if err := admit(svc, allocS, offS); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Submit(allocF, offF); err != nil {
+	if err := admit(svc, allocF, offF); err != nil {
 		t.Fatal(err)
 	}
 
@@ -321,7 +328,7 @@ func TestRetryBackoffRecovers(t *testing.T) {
 	off := a.Offset(8, 8)
 	orig := a.AtOffset(off)
 	a.SetOffset(off, math.NaN())
-	if err := svc.Submit(alloc, off); err != nil {
+	if err := admit(svc, alloc, off); err != nil {
 		t.Fatal(err)
 	}
 	r := <-done
@@ -369,7 +376,7 @@ func TestBreakerTripsAndProbes(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		off := a.Offset(4+i, 4)
 		a.SetOffset(off, math.NaN())
-		if err := svc.Submit(alloc, off); err != nil {
+		if err := admit(svc, alloc, off); err != nil {
 			t.Fatal(err)
 		}
 		r := <-done
@@ -380,7 +387,7 @@ func TestBreakerTripsAndProbes(t *testing.T) {
 	waitFor(t, "breaker to open", func() bool { return svc.BreakerState("flaky") == BreakerOpen })
 
 	// Degraded: submissions go straight to checkpoint-restart.
-	err = svc.Submit(alloc, a.Offset(10, 10))
+	err = admit(svc, alloc, a.Offset(10, 10))
 	if !errors.Is(err, ErrCircuitOpen) || !errors.Is(err, core.ErrCheckpointRestartRequired) {
 		t.Fatalf("degraded submit = %v, want ErrCircuitOpen wrapping checkpoint-restart", err)
 	}
@@ -396,7 +403,7 @@ func TestBreakerTripsAndProbes(t *testing.T) {
 	off := a.Offset(12, 5)
 	orig := a.AtOffset(off)
 	a.SetOffset(off, math.NaN())
-	if err := svc.Submit(alloc, off); err != nil {
+	if err := admit(svc, alloc, off); err != nil {
 		t.Fatalf("probe submit: %v", err)
 	}
 	r := <-done
@@ -414,7 +421,7 @@ func TestBreakerTripsAndProbes(t *testing.T) {
 	// Normal service resumed.
 	off2 := a.Offset(3, 12)
 	a.SetOffset(off2, math.NaN())
-	if err := svc.Submit(alloc, off2); err != nil {
+	if err := admit(svc, alloc, off2); err != nil {
 		t.Fatalf("post-probe submit: %v", err)
 	}
 	if r := <-done; r.Err != nil {
@@ -444,7 +451,7 @@ func TestFailedProbeReopensBreaker(t *testing.T) {
 	svc.Start()
 
 	a.SetOffset(a.Offset(4, 4), math.NaN())
-	if err := svc.Submit(alloc, a.Offset(4, 4)); err != nil {
+	if err := admit(svc, alloc, a.Offset(4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -452,7 +459,7 @@ func TestFailedProbeReopensBreaker(t *testing.T) {
 
 	time.Sleep(30 * time.Millisecond)
 	a.SetOffset(a.Offset(5, 5), math.NaN())
-	if err := svc.Submit(alloc, a.Offset(5, 5)); err != nil {
+	if err := admit(svc, alloc, a.Offset(5, 5)); err != nil {
 		t.Fatalf("probe submit: %v", err)
 	}
 	r := <-done
@@ -496,7 +503,7 @@ func TestServiceHammerAtAdmissionLimit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perSubmitter; i++ {
 				off := (g*perSubmitter + i) * 13 % a.Len()
-				switch err := svc.Submit(alloc, off); {
+				switch err := admit(svc, alloc, off); {
 				case err == nil:
 					mu.Lock()
 					accepted++
@@ -541,7 +548,7 @@ func TestServiceMetricsExport(t *testing.T) {
 	}
 	svc.Start()
 	a.SetOffset(a.Offset(8, 8), math.NaN())
-	if err := svc.Submit(alloc, a.Offset(8, 8)); err != nil {
+	if err := admit(svc, alloc, a.Offset(8, 8)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "recovery", func() bool { return svc.Stats().Recovered == 1 })
@@ -581,7 +588,7 @@ func TestDrainBounded(t *testing.T) {
 	}
 	a.SetOffset(a.Offset(8, 8), math.NaN())
 	submitted := make(chan error, 1)
-	go func() { submitted <- svc.Submit(alloc, a.Offset(8, 8)) }()
+	go func() { submitted <- admit(svc, alloc, a.Offset(8, 8)) }()
 	<-wedged
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()

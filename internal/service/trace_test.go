@@ -38,7 +38,7 @@ func TestJournalFailureUnquarantines(t *testing.T) {
 	a.SetOffset(off, math.NaN())
 
 	faultinject.ArmError("journal/append")
-	if err := svc.Submit(alloc, off); err == nil || !strings.Contains(err.Error(), "journal intent") {
+	if err := admit(svc, alloc, off); err == nil || !strings.Contains(err.Error(), "journal intent") {
 		t.Fatalf("submit with failing journal: err = %v, want journal intent error", err)
 	}
 	if n := eng.QuarantineCount(); n != 0 {
@@ -47,7 +47,7 @@ func TestJournalFailureUnquarantines(t *testing.T) {
 
 	// The cell is still corrupt and must remain recoverable: a later
 	// (journal-healthy) submission repairs it.
-	if err := svc.Submit(alloc, off); err != nil {
+	if err := admit(svc, alloc, off); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "recovery after journal recovery", func() bool {
@@ -78,7 +78,7 @@ func TestJournalFailureKeepsPriorQuarantine(t *testing.T) {
 	a.SetOffset(off, math.NaN())
 	var w Window
 	svc.StageTrace(alloc.AddrOf(off), trace.New(), &w)
-	if err := svc.Submit(alloc, off); err != nil {
+	if err := admit(svc, alloc, off); err != nil {
 		t.Fatal(err)
 	}
 	if n := eng.QuarantineCount(); n != 1 {
@@ -86,7 +86,7 @@ func TestJournalFailureKeepsPriorQuarantine(t *testing.T) {
 	}
 
 	faultinject.ArmError("journal/append")
-	if err := svc.Submit(alloc, off); err == nil {
+	if err := admit(svc, alloc, off); err == nil {
 		t.Fatal("duplicate submit with failing journal succeeded")
 	}
 	if n := eng.QuarantineCount(); n != 1 {
@@ -124,7 +124,7 @@ func TestStoppedRaceUnquarantinesAndClosesIntent(t *testing.T) {
 	})
 	off := a.Offset(8, 8)
 	a.SetOffset(off, math.NaN())
-	if err := svc.Submit(alloc, off); err != ErrStopped {
+	if err := admit(svc, alloc, off); err != ErrStopped {
 		t.Fatalf("submit racing drain: err = %v, want ErrStopped", err)
 	}
 	if n := eng.QuarantineCount(); n != 0 {
@@ -175,7 +175,7 @@ func TestOutcomeCarriesCompleteSpanChain(t *testing.T) {
 	offs := []int{a.Offset(5, 5), a.Offset(12, 20), a.Offset(25, 7)}
 	for _, off := range offs {
 		a.SetOffset(off, math.NaN())
-		if err := svc.Submit(alloc, off); err != nil {
+		if err := admit(svc, alloc, off); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +256,7 @@ func TestStagedTraceClaimedBySubmit(t *testing.T) {
 	off := a.Offset(6, 6)
 	a.SetOffset(off, math.NaN())
 	svc.StageTrace(alloc.AddrOf(off), trace.WithID(id), nil)
-	if err := svc.Submit(alloc, off); err != nil {
+	if err := admit(svc, alloc, off); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Close(); err != nil {

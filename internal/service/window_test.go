@@ -6,7 +6,9 @@ import (
 	"math"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"spatialdue/internal/bitflip"
 	"spatialdue/internal/core"
@@ -176,7 +178,7 @@ func TestEndedStagingRunsOnClaimer(t *testing.T) {
 	tr := trace.New()
 	e.svc.StageTrace(e.alloc.AddrOf(off), tr, &w)
 	w.EndStaging()
-	if err := e.svc.Submit(e.alloc, off); err != nil {
+	if err := admit(e.svc, e.alloc, off); err != nil {
 		t.Fatal(err)
 	}
 	if out := e.outcomes(); len(out) != 1 || out[0].Err != nil || out[0].TraceID != tr.ID() || w.Len() != 0 {
@@ -253,7 +255,7 @@ func TestRunHereSharesWorkerTokens(t *testing.T) {
 	// window's run; its delivery itself returned at once.
 	off := a.Offset(90, 8)
 	a.SetOffset(off, math.NaN())
-	async(func() error { return e.svc.Submit(e.alloc, off) })
+	async(func() error { return admit(e.svc, e.alloc, off) })
 	var w Window
 	for _, row := range []int{130, 170} {
 		if _, err := e.deliver(a.Offset(row, 8), &w); err != nil {
@@ -432,5 +434,44 @@ func assertConverged(t *testing.T, jpath string) {
 	defer jr.Close()
 	if len(dangling) != 0 {
 		t.Errorf("journal holds %d dangling intents after Drain, want 0", len(dangling))
+	}
+}
+
+// TestBatchMembersRetryAloneWithFullBudget: a run's batched first attempt
+// counts against every member's retry budget. Two members of one stripe
+// cluster batch; the batch is abandoned once (its first ladder stage stalls
+// past the deadline), and each member retries alone and recovers on its
+// second attempt.
+func TestBatchMembersRetryAloneWithFullBudget(t *testing.T) {
+	const deadline = 200 * time.Millisecond
+	var stalled atomic.Bool
+	e := newRunHereEnv(t, func(core.StageEvent) {
+		if stalled.CompareAndSwap(false, true) {
+			time.Sleep(deadline + deadline/2)
+		}
+	}, Config{Workers: 1, Deadline: deadline})
+	var w Window
+	offs := []int{e.alloc.Array.Offset(10, 8), e.alloc.Array.Offset(11, 8)}
+	for _, off := range offs {
+		if _, err := e.deliver(off, &w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.svc.RunWindow(&w)
+	out := e.outcomes()
+	if len(out) != len(offs) {
+		t.Fatalf("%d outcomes, want %d", len(out), len(offs))
+	}
+	for i, r := range out {
+		if r.Offset != offs[i] || r.Err != nil || r.Attempts != 2 {
+			t.Errorf("outcome %d = offset %d, err %v, %d attempts; want a clean recovery of %d on attempt 2",
+				i, r.Offset, r.Err, r.Attempts, offs[i])
+		}
+	}
+	if st := e.svc.Stats(); st.Retries != 2 || st.Batched != 2 || st.Recovered != 2 {
+		t.Errorf("stats = %+v, want 2 retries, 2 batched, 2 recovered", st)
+	}
+	if err := e.svc.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,8 +1,8 @@
 // Package trace is the per-recovery tracing substrate: one Trace is minted
 // when a recovery enters the pipeline (service intake, journal replay, or a
-// W3C traceparent header on HTTP ingest) and carried by context through the
-// queue, the stripe locks, and the escalation ladder to its terminal
-// outcome. Along the way each pipeline stage records a monotonic-clock span
+// W3C traceparent header on HTTP ingest) and handed to the engine with the
+// recovery, through the queue, the stripe locks, and the escalation ladder
+// to its terminal outcome. Along the way each pipeline stage records a monotonic-clock span
 // (queue wait, stripe-lock wait, per-rung predict/verify, checkpoint
 // restore, journal begin/finish), so a slow recovery can be attributed to
 // the stage that actually spent the time — the paper's Section 5.4 runtime
@@ -20,7 +20,6 @@
 package trace
 
 import (
-	"context"
 	cryptorand "crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
@@ -315,20 +314,6 @@ func (t *Trace) Total() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
-}
-
-// ctxKey carries a *Trace through a context.
-type ctxKey struct{}
-
-// NewContext returns ctx carrying t.
-func NewContext(ctx context.Context, t *Trace) context.Context {
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// FromContext extracts the trace carried by ctx, if any.
-func FromContext(ctx context.Context) (*Trace, bool) {
-	t, ok := ctx.Value(ctxKey{}).(*Trace)
-	return t, ok && t != nil
 }
 
 // ParseTraceparent extracts the trace-id from a W3C traceparent header

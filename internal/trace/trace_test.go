@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -93,21 +92,6 @@ func TestNilTraceIsSafe(t *testing.T) {
 		t.Fatalf("nil Summary() = %+v", got)
 	}
 	NewCollector(0).Finish(tr) // must not panic
-}
-
-func TestContextRoundTrip(t *testing.T) {
-	tr := New()
-	ctx := NewContext(context.Background(), tr)
-	got, ok := FromContext(ctx)
-	if !ok || got != tr {
-		t.Fatal("FromContext did not return the stored trace")
-	}
-	if _, ok := FromContext(context.Background()); ok {
-		t.Fatal("FromContext on empty context reported ok")
-	}
-	if _, ok := FromContext(NewContext(context.Background(), nil)); ok {
-		t.Fatal("FromContext with nil trace reported ok")
-	}
 }
 
 func TestCollectorFinishIsIdempotent(t *testing.T) {
