@@ -256,8 +256,8 @@ func (e *Engine) Unprotect(alloc *registry.Allocation) error {
 }
 
 // AttachMCA registers the engine as a machine-check handler: uncorrectable
-// memory errors with a valid address are recovered in place; anything else
-// is declined so the machine can escalate.
+// memory errors with a valid address are recovered in place; anything else,
+// failed recoveries included, is declined and stays latched in its bank.
 func (e *Engine) AttachMCA(m *mca.Machine) {
 	m.Handle(func(ev mca.Event) error {
 		if !ev.IsDUE() {
@@ -282,9 +282,10 @@ func (e *Engine) AttachCheckpoints(w *fti.World, rank int) {
 // WithArrayLock runs f while holding every region stripe of arr,
 // serializing f against every in-flight recovery on the array. External
 // mutators of protected data — a network front end accepting field uploads
-// or injecting test faults — must use it: predictors and verification scan
-// the raw array, so an unsynchronized write races with a concurrent ladder
-// climb. After replacing the array's contents wholesale, follow up with
+// or injecting structured faults — must use it, or WithStripeLock for one
+// cell: predictors and verification scan the raw array, so an
+// unsynchronized write races with a concurrent ladder climb. After
+// replacing the array's contents wholesale, follow up with
 // FieldUpdated so the shared recovery statistics are rebuilt.
 func (e *Engine) WithArrayLock(arr *ndarray.Array, f func()) {
 	st := e.lockAll(arr)

@@ -391,7 +391,7 @@ func (s *Server) handleElement(w http.ResponseWriter, r *http.Request, a *regist
 		return
 	}
 	var v float64
-	s.eng.WithArrayLock(a.Array, func() {
+	s.eng.WithStripeLock(a.Array, s.eng.StripeOf(a.Array, off), func() {
 		v = a.Array.AtOffset(off)
 	})
 	st := ElementState{
@@ -487,7 +487,7 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request, a *registr
 		return
 	}
 	var orig, corrupted float64
-	s.eng.WithArrayLock(a.Array, func() {
+	s.eng.WithStripeLock(a.Array, s.eng.StripeOf(a.Array, off), func() {
 		orig = a.Array.AtOffset(off)
 		corrupted = bitflip.Flip(orig, a.DType, bit)
 		a.Array.SetOffset(off, corrupted)
@@ -556,16 +556,17 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request, a *regist
 }
 
 // ingestOne admits one event: resolve it inside the tenant, raise the MCE,
-// and classify the delivery outcome. The MCA keeps undeliverable records
-// latched in their banks; the redelivery loop and token releases re-run
-// them, so "latched" means delayed, never dropped.
+// and classify the delivery outcome by whether the MCA still holds the
+// record. The service's handler consumes an admitted event and an event it
+// refuses for good ("rejected"); a backpressured event stays latched in its
+// bank, or queued behind banks mid-delivery, and the redelivery loop and
+// token releases re-run it until it recovers, so "latched" means delayed,
+// never dropped.
 //
 // traceID, when non-empty (a validated traceparent trace-id), names the
-// recovery's trace; otherwise one is minted. The trace is staged on the
-// service keyed by faulting address before the MCE is raised, so the
-// submission path picks it up even when the event latches and is redelivered
-// later — the trace then spans the latched wait too. Terminal rejections
-// unstage it.
+// recovery's trace; otherwise one is minted. The trace rides in the MCA
+// record with the event (service.Ingest), so a redelivered event keeps it
+// and the trace spans the latched wait too.
 //
 // An admitted recovery joins w, which the caller runs with
 // service.RunWindow. It never sees the request's context, so a client
@@ -624,44 +625,32 @@ func (s *Server) ingestOne(tenant string, ev EventRequest, traceID string, w *se
 		return EventResult{Status: StatusAccepted}
 	}
 
-	// Stage the trace before raising: the MCA delivery path cannot carry
-	// it, so the service claims it by address at submission time. The
-	// staging also carries w, and ending it once the raise returns keeps a
-	// later redelivery of a latched event out of the window.
-	tr := trace.WithID(traceID)
-	s.svc.StageTrace(addr, tr, w)
-
-	// A planted latent fault at this address is discovered by the access
-	// (Plant + Touch, the injector path); otherwise the event is an
-	// externally reported DUE and is raised directly.
-	faulted, err := s.machine.Touch(addr, size)
-	if !faulted {
-		err = s.machine.RaiseMemoryDUE(addr, ev.Bit)
-	}
+	// The event's trace and window ride in its MCA record. Only a delivery
+	// made before the raise returns joins w: ending the staging then keeps
+	// a later redelivery of a latched event out of the window. A planted
+	// latent fault at this address is discovered by the access (the
+	// injector path); otherwise the event is an externally reported DUE.
+	in := w.Stage(traceID)
+	err := s.machine.TouchOrRaise(addr, size, ev.Bit, in)
 	w.EndStaging()
-	if errors.Is(err, mca.ErrQueued) {
+	tid := in.Trace().ID()
+	switch {
+	case err == nil:
+		s.evAccepted.Add(1)
+		return EventResult{Status: StatusAccepted, TraceID: tid}
+	case errors.Is(err, mca.ErrRejected):
+		return reject(err)
+	case errors.Is(err, mca.ErrQueued):
 		// Every bank's record was mid-delivery, so the event waits on the
 		// MCA's overflow queue for the next drain: backpressure, as for a
 		// full admission bound.
 		err = fmt.Errorf("%w: %w", service.ErrOverloaded, err)
 	}
-	switch {
-	case err == nil:
-		s.evAccepted.Add(1)
-		return EventResult{Status: StatusAccepted, TraceID: tr.ID()}
-	case errors.Is(err, service.ErrOverloaded), errors.Is(err, service.ErrCircuitOpen):
-		// Delivery failed but the record is latched in its bank; the
-		// server redelivers once capacity frees (or the breaker admits a
-		// probe). The client must not resend. The trace stays staged so the
-		// redelivered submission claims it — its queue span covers the
-		// latched wait.
-		s.evLatched.Add(1)
-		return EventResult{Status: StatusLatched, TraceID: tr.ID(),
-			Error: &ErrorDetail{Code: CodeFor(err), Message: err.Error(), Latched: true}}
-	default:
-		s.svc.UnstageTrace(addr)
-		return reject(err)
-	}
+	// The MCA still holds the record and redelivers it once capacity frees
+	// (or the breaker admits a probe). The client must not resend.
+	s.evLatched.Add(1)
+	return EventResult{Status: StatusLatched, TraceID: tid,
+		Error: &ErrorDetail{Code: CodeFor(err), Message: err.Error(), Latched: true}}
 }
 
 func (s *Server) handleEvent(w http.ResponseWriter, r *http.Request, tenant string) {

@@ -189,25 +189,8 @@ func (m *Machine) ScrubBank(bank int) (found int, err error) {
 	m.ce.mu.Lock()
 	topo := m.ce.topo.normalized()
 	m.ce.mu.Unlock()
-	for {
-		m.mu.Lock()
-		var hit *latent
-		for i := range m.latents {
-			if b, _, _ := topo.Decode(m.latents[i].addr); b == bank {
-				l := m.latents[i]
-				m.latents = append(m.latents[:i], m.latents[i+1:]...)
-				hit = &l
-				break
-			}
-		}
-		m.mu.Unlock()
-		if hit == nil {
-			return found, err
-		}
-		found++
-		if _, e := m.raise(queued{addr: hit.addr, bit: hit.bit, code: CodeMemScrub}, false); e != nil && err == nil {
-			err = e
-		}
-		m.drainPending(0)
-	}
+	return m.scrub(func(a uint64) bool {
+		b, _, _ := topo.Decode(a)
+		return b == bank
+	})
 }

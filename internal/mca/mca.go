@@ -84,6 +84,10 @@ type Event struct {
 	// which real hardware would not report — consumers other than tests
 	// must not rely on it; StatusMiscV is left clear).
 	Misc uint64
+	// Data is the opaque value the raiser attached to the event
+	// (TouchOrRaise). Like Misc it is no register real hardware has: the
+	// machine never reads it, only latches and queues it with the record.
+	Data any
 	// Kind is the decoded error class.
 	Kind Kind
 }
@@ -99,21 +103,38 @@ func (e Event) String() string {
 	return fmt.Sprintf("MCE bank=%d kind=%v addr=%#x status=%#x", e.Bank, e.Kind, e.Addr, e.Status)
 }
 
-// Handler consumes machine-check events. Returning an error aborts delivery
-// to later handlers and is reported to the raiser (modeling a kernel that
-// panics when no recovery is possible).
+// Handler consumes machine-check events. Handlers run in registration order
+// until one returns nil (handled) or an error marked with Reject; either
+// consumes the record and clears its bank. Any other error declines: the
+// next handler is tried, and when none handles the event its record stays
+// latched for RedeliverLatched and the first error is reported to the raiser
+// (modeling a kernel that panics when no recovery is possible).
 type Handler func(Event) error
 
 // ErrNoHandler is returned by Raise* when no handler consumed a DUE —
 // the simulated equivalent of an unhandled MCE crashing the application.
 var ErrNoHandler = errors.New("mca: unhandled machine-check exception")
 
-// ErrQueued is returned by RaiseMemoryDUE and Touch when the new DUE found
-// every bank's record mid-delivery and still waits on the overflow queue
-// when the call returns: no handler has seen it yet. A later drain (the
-// next raise, or RedeliverLatched) delivers it, so the raiser must not
-// raise it again.
+// ErrQueued is returned by RaiseMemoryDUE, Touch and TouchOrRaise when the
+// new DUE found every bank's record mid-delivery and still waits on the
+// overflow queue when the call returns: no handler has seen it yet. A later
+// drain (the next raise, or RedeliverLatched) delivers it, so the raiser
+// must not raise it again.
 var ErrQueued = errors.New("mca: DUE queued behind banks mid-delivery")
+
+// ErrRejected marks a handler's final refusal of an event (see Reject).
+var ErrRejected = errors.New("mca: event rejected")
+
+// Reject marks err as a final refusal: the machine consumes the record,
+// clearing its bank so the event is never redelivered, and reports err to
+// the raiser. The marked error keeps err's message and matches both err
+// and ErrRejected.
+func Reject(err error) error { return rejected{err} }
+
+type rejected struct{ err error }
+
+func (r rejected) Error() string   { return r.err.Error() }
+func (r rejected) Unwrap() []error { return []error{ErrRejected, r.err} }
 
 // latent is a planted-but-undiscovered memory fault.
 type latent struct {
@@ -131,6 +152,7 @@ type queued struct {
 	addr uint64
 	bit  int
 	code uint64
+	data any
 	// ticket names a new event queued by raise (0 for a displaced record),
 	// so its raiser can tell whether it is still waiting.
 	ticket uint64
@@ -144,6 +166,7 @@ type Machine struct {
 	banks    []uint64 // latched MCi_STATUS per bank
 	addrs    []uint64 // latched MCi_ADDR per bank
 	miscs    []uint64 // latched MCi_MISC per bank
+	datas    []any    // the raiser's value per bank (Event.Data)
 	inflight []bool   // bank record is currently being delivered to handlers
 	nextBank int
 	latents  []latent
@@ -166,12 +189,12 @@ func New(banks int) *Machine {
 		banks:    make([]uint64, banks),
 		addrs:    make([]uint64, banks),
 		miscs:    make([]uint64, banks),
+		datas:    make([]any, banks),
 		inflight: make([]bool, banks),
 	}
 }
 
-// Handle registers an exception handler. Handlers run in registration order
-// until one returns nil (handled).
+// Handle registers an exception handler (see Handler for the order).
 func (m *Machine) Handle(h Handler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -195,48 +218,65 @@ func (m *Machine) PendingFaults() int {
 	return len(m.latents)
 }
 
+// takeLatent removes and returns the first latent fault whose address
+// match accepts.
+func (m *Machine) takeLatent(match func(addr uint64) bool) (latent, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, l := range m.latents {
+		if match(l.addr) {
+			m.latents = append(m.latents[:i], m.latents[i+1:]...)
+			return l, true
+		}
+	}
+	return latent{}, false
+}
+
+// inRange matches addresses in [lo, hi).
+func inRange(lo, hi uint64) func(uint64) bool {
+	return func(a uint64) bool { return a >= lo && a < hi }
+}
+
 // Touch models a demand access to [addr, addr+size): if a latent fault lies
 // in the range, it is consumed and an MCE is raised synchronously (the
 // return value is the handler outcome). With no fault it returns (false, nil).
 func (m *Machine) Touch(addr uint64, size int) (faulted bool, err error) {
-	m.mu.Lock()
-	var hit *latent
-	for i := range m.latents {
-		if m.latents[i].addr >= addr && m.latents[i].addr < addr+uint64(size) {
-			l := m.latents[i]
-			m.latents = append(m.latents[:i], m.latents[i+1:]...)
-			hit = &l
-			break
-		}
-	}
-	m.mu.Unlock()
-	if hit == nil {
+	l, ok := m.takeLatent(inRange(addr, addr+uint64(size)))
+	if !ok {
 		return false, nil
 	}
-	return true, m.raiseAndDrain(queued{addr: hit.addr, bit: hit.bit, code: CodeMemRead})
+	return true, m.raiseAndDrain(queued{addr: l.addr, bit: l.bit, code: CodeMemRead})
+}
+
+// TouchOrRaise reports a DUE at addr carrying data (Event.Data). A latent
+// fault in [addr, addr+size) is discovered by the access, as Touch does;
+// otherwise the error is raised as RaiseMemoryDUE does, with bit as its
+// flipped bit. It returns what RaiseMemoryDUE returns.
+func (m *Machine) TouchOrRaise(addr uint64, size, bit int, data any) error {
+	ev := queued{addr: addr, bit: bit, code: CodeMemRead, data: data}
+	if l, ok := m.takeLatent(inRange(addr, addr+uint64(size))); ok {
+		ev.addr, ev.bit = l.addr, l.bit
+	}
+	return m.raiseAndDrain(ev)
 }
 
 // Scrub runs one patrol-scrubber pass over [lo, hi): every latent fault in
 // the range is discovered and raised. It returns the number of faults found
 // and the first handler error.
 func (m *Machine) Scrub(lo, hi uint64) (found int, err error) {
+	return m.scrub(inRange(lo, hi))
+}
+
+// scrub discovers and raises, with the patrol-scrub error code, every
+// latent fault whose address match accepts.
+func (m *Machine) scrub(match func(addr uint64) bool) (found int, err error) {
 	for {
-		m.mu.Lock()
-		var hit *latent
-		for i := range m.latents {
-			if m.latents[i].addr >= lo && m.latents[i].addr < hi {
-				l := m.latents[i]
-				m.latents = append(m.latents[:i], m.latents[i+1:]...)
-				hit = &l
-				break
-			}
-		}
-		m.mu.Unlock()
-		if hit == nil {
+		l, ok := m.takeLatent(match)
+		if !ok {
 			return found, err
 		}
 		found++
-		if _, e := m.raise(queued{addr: hit.addr, bit: hit.bit, code: CodeMemScrub}, false); e != nil && err == nil {
+		if _, e := m.raise(queued{addr: l.addr, bit: l.bit, code: CodeMemScrub}, false); e != nil && err == nil {
 			err = e
 		}
 		m.drainPending(0)
@@ -283,7 +323,6 @@ func (m *Machine) raiseAndDrain(ev queued) error {
 // nonzero when the event was queued instead (all banks held records being
 // delivered right now): the event's ticket, assigned on its first queueing.
 func (m *Machine) raise(ev queued, over bool) (ticket uint64, err error) {
-	addr, bit, code := ev.addr, ev.bit, ev.code
 	m.mu.Lock()
 	// Scan for a bank with no valid record, starting at the rotation point.
 	bank := -1
@@ -294,7 +333,7 @@ func (m *Machine) raise(ev queued, over bool) (ticket uint64, err error) {
 			break
 		}
 	}
-	status := StatusVal | StatusUC | StatusEN | StatusAddrV | code
+	status := StatusVal | StatusUC | StatusEN | StatusAddrV | ev.code
 	if over {
 		status |= StatusOver
 	}
@@ -328,36 +367,46 @@ func (m *Machine) raise(ev queued, over bool) (ticket uint64, err error) {
 		m.nextBank = (bank + 1) % len(m.banks)
 	}
 	m.banks[bank] = status
-	m.addrs[bank] = addr
-	m.miscs[bank] = uint64(bit)
+	m.addrs[bank] = ev.addr
+	m.miscs[bank] = uint64(ev.bit)
+	m.datas[bank] = ev.data
 	m.inflight[bank] = true
 	m.raisedDUE++
 	handlers := append([]Handler(nil), m.handlers...)
 	m.mu.Unlock()
 
-	mce := Event{Bank: bank, Status: status, Addr: addr, Misc: uint64(bit), Kind: KindMemDUE}
-	var firstErr error
-	for _, h := range handlers {
-		if err := h(mce); err == nil {
-			m.clearBank(bank)
-			return 0, nil
-		} else if firstErr == nil {
-			firstErr = err
+	return 0, m.deliver(handlers, Event{Bank: bank, Status: status, Addr: ev.addr,
+		Misc: uint64(ev.bit), Data: ev.data, Kind: KindMemDUE})
+}
+
+// deliver runs a latched record through the handler chain. A handler that
+// handles the event or rejects it (Reject) consumes the record: its bank is
+// cleared. When every handler declines, the record stays latched for later
+// inspection and redelivery. It returns the handler chain's answer: nil
+// when handled, the rejection, or the first decline (ErrNoHandler when
+// there is no handler).
+func (m *Machine) deliver(handlers []Handler, ev Event) error {
+	err := ErrNoHandler
+	for i, h := range handlers {
+		e := h(ev)
+		if e == nil || errors.Is(e, ErrRejected) {
+			m.clearBank(ev.Bank)
+			return e
+		}
+		if i == 0 {
+			err = e
 		}
 	}
 	m.mu.Lock()
-	m.inflight[bank] = false // record stays latched for later inspection
+	m.inflight[ev.Bank] = false
 	m.mu.Unlock()
-	if firstErr == nil {
-		firstErr = ErrNoHandler
-	}
-	return 0, firstErr
+	return err
 }
 
 // drainPending redelivers queued overflow events while banks are available.
 // Redelivered events carry the overflow bit, preserving the one trace real
-// hardware would have left. Delivery failures (no handler succeeded) leave
-// the record latched in its bank, as for any raise, and draining continues;
+// hardware would have left. Declined deliveries leave the record latched in
+// its bank, as for any raise, and draining continues;
 // an event that cannot even be assigned a bank is re-queued and draining
 // stops until the next raise or RedeliverLatched call. When this drain
 // delivers the event with ticket own (0: none), it reports that and the
@@ -404,58 +453,39 @@ func (m *Machine) PendingOverflow() int {
 }
 
 // RedeliverLatched re-runs the handler chain for every bank whose record
-// was latched by a *failed* delivery — the shape a backpressuring consumer
-// produces: an admission-controlled recovery service that rejects a DUE
+// was latched by a declined delivery — the shape a backpressuring consumer
+// produces: an admission-controlled recovery service that declines a DUE
 // with its queue full returns an error from the handler, the record stays
 // latched, and the service calls RedeliverLatched once capacity frees up.
-// Banks that deliver successfully are cleared (and the overflow queue
-// drained into them); banks that fail again stay latched for the next
-// round. It returns the number of events successfully redelivered.
+// Banks whose record is consumed (handled or rejected) are cleared, and the
+// overflow queue is then drained into free banks; banks declined again stay
+// latched for the next round. It returns the number of events successfully
+// redelivered.
 func (m *Machine) RedeliverLatched() int {
 	m.mu.Lock()
-	type latched struct {
-		bank   int
-		status uint64
-		addr   uint64
-		misc   uint64
-	}
-	var records []latched
+	var events []Event
 	for b := range m.banks {
 		if m.banks[b]&StatusVal != 0 && !m.inflight[b] {
 			m.inflight[b] = true
-			records = append(records, latched{bank: b, status: m.banks[b], addr: m.addrs[b], misc: m.miscs[b]})
+			events = append(events, Event{Bank: b, Status: m.banks[b], Addr: m.addrs[b],
+				Misc: m.miscs[b], Data: m.datas[b], Kind: KindMemDUE})
 		}
 	}
 	handlers := append([]Handler(nil), m.handlers...)
 	m.mu.Unlock()
 
 	delivered := 0
-	for _, rec := range records {
-		ev := Event{Bank: rec.bank, Status: rec.status, Addr: rec.addr, Misc: rec.misc, Kind: KindMemDUE}
-		handled := false
-		for _, h := range handlers {
-			if err := h(ev); err == nil {
-				handled = true
-				break
-			}
-		}
-		if handled {
-			m.clearBank(rec.bank)
+	for _, ev := range events {
+		if m.deliver(handlers, ev) == nil {
 			delivered++
-		} else {
-			m.mu.Lock()
-			m.inflight[rec.bank] = false
-			m.mu.Unlock()
 		}
 	}
-	if delivered > 0 {
-		m.drainPending(0)
-	}
+	m.drainPending(0)
 	return delivered
 }
 
 // LatchedBanks returns the indices of banks holding a valid, undelivered
-// error record (delivery failed; awaiting RedeliverLatched).
+// error record (every handler declined it; awaiting RedeliverLatched).
 func (m *Machine) LatchedBanks() []int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -474,6 +504,7 @@ func (m *Machine) clearBank(bank int) {
 	m.banks[bank] = 0
 	m.addrs[bank] = 0
 	m.miscs[bank] = 0
+	m.datas[bank] = nil
 	m.inflight[bank] = false
 }
 

@@ -311,8 +311,8 @@ func (m *Manager) offlineRow(key mca.RowKey, tc TierChange) {
 
 // Restore serves one element from the migration shadow: if (alloc, off)
 // was proactively copied out, the pre-fault value is written back under
-// the array lock, the quarantine entry cleared, and (old, new, true)
-// returned. It implements the service layer's ShadowSource.
+// the element's stripe lock, the quarantine entry cleared, and (old, new,
+// true) returned. It implements the service layer's ShadowSource.
 func (m *Manager) Restore(alloc *registry.Allocation, off int) (old, new float64, ok bool) {
 	m.mu.Lock()
 	bits, ok := m.shadow[alloc.ID][off]
@@ -321,7 +321,8 @@ func (m *Manager) Restore(alloc *registry.Allocation, off int) (old, new float64
 		return 0, 0, false
 	}
 	val := math.Float64frombits(bits)
-	m.cfg.Engine.WithArrayLock(alloc.Array, func() {
+	eng := m.cfg.Engine
+	eng.WithStripeLock(alloc.Array, eng.StripeOf(alloc.Array, off), func() {
 		old = alloc.Array.AtOffset(off)
 		alloc.Array.SetOffset(off, val)
 	})

@@ -13,7 +13,6 @@ import (
 	"spatialdue/internal/ndarray"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
-	"spatialdue/internal/trace"
 )
 
 // newCrashEnv builds a fresh engine over arr registered as "grid" — the
@@ -91,23 +90,20 @@ func TestCrashReplayEveryPoint(t *testing.T) {
 			case tc.runHere, tc.window:
 				m := mca.New(1)
 				svc1.AttachMCA(m)
-				var w *Window
-				if tc.window {
-					w = new(Window)
-				}
+				// Run-here deliveries are staged and ended before the raise,
+				// so they run on this goroutine; the window's join it.
+				var w Window
 				for _, off := range offs {
-					addr, tr := alloc1.AddrOf(off), trace.New()
-					svc1.StageTrace(addr, tr, w)
-					if err := m.RaiseMemoryDUE(addr, 0); err != nil {
-						t.Fatal(err)
-					}
-					if w != nil {
+					in := w.Stage("")
+					if !tc.window {
 						w.EndStaging()
 					}
+					if err := m.TouchOrRaise(alloc1.AddrOf(off), 4, 0, in); err != nil {
+						t.Fatal(err)
+					}
+					w.EndStaging()
 				}
-				if w != nil {
-					svc1.RunWindow(w)
-				}
+				svc1.RunWindow(&w)
 			case tc.submitCrashes:
 				func() {
 					defer func() {

@@ -5,12 +5,14 @@
 //   - admission control: past a configurable depth of admitted-but-unstarted
 //     recoveries, new DUEs are rejected with ErrOverloaded instead of
 //     blocking MCA delivery (the machine keeps the record latched and the
-//     service redelivers once capacity frees up). Every admitted recovery
-//     runs on the goroutine that submitted it, holding one of
-//     Config.Workers tokens, so at most that many run at once. A caller
-//     that stages a Window (the HTTP front end's ingest handlers) collects
-//     its admitted recoveries there and runs them itself, coalescing
-//     same-allocation runs into batches;
+//     service redelivers once capacity frees up; an open breaker declines
+//     the same way, and every other refusal consumes the record). Every
+//     admitted recovery runs on the goroutine that submitted it, holding one
+//     of Config.Workers tokens, so at most that many run at once. A caller
+//     that raises its events carrying an Ingest staged with a Window (the
+//     HTTP front end's ingest handlers) collects its admitted recoveries
+//     there and runs them itself, coalescing same-allocation runs into
+//     batches;
 //   - a per-recovery context deadline plumbed through the engine's
 //     escalation ladder, so a stuck predictor or checkpoint restore cannot
 //     hold a token forever;
@@ -59,7 +61,8 @@ var ErrStopped = errors.New("service: stopped")
 
 // ErrCircuitOpen is returned (wrapping ErrCheckpointRestartRequired) when
 // the target allocation's circuit breaker is open: the allocation is
-// degraded to checkpoint-restart until a probe recovery succeeds.
+// degraded to checkpoint-restart until a probe recovery succeeds. Like
+// ErrOverloaded it leaves an MCA delivery's record latched.
 var ErrCircuitOpen = errors.New("service: circuit open")
 
 // Config parameterizes a Service. Zero values select the documented
@@ -114,8 +117,9 @@ type Config struct {
 
 // ShadowSource serves exact pre-fault copies of proactively migrated
 // elements (see internal/predictor.Manager). Restore writes the value back
-// under the array lock, clears quarantine, and reports (old, new, true) on
-// a hit; a miss returns ok == false and the recovery proceeds normally.
+// under the element's stripe lock, clears quarantine, and reports (old,
+// new, true) on a hit; a miss returns ok == false and the recovery proceeds
+// normally.
 type ShadowSource interface {
 	Restore(alloc *registry.Allocation, off int) (old, new float64, ok bool)
 }
@@ -185,34 +189,59 @@ type task struct {
 }
 
 // A Window holds the admitted recoveries one goroutine will run itself.
-// Its owner stages each event's trace with the window (StageTrace), raises
-// the event, and ends the staging (EndStaging); an MCA delivery that claims
-// the staging in between is admitted into the window and returns at once,
-// so the bank frees before the recovery runs. The owner then runs the
-// window with RunWindow, and must do so: its members count against
-// QueueDepth, and Drain waits for them, until they have run. The zero
-// Window is empty and ready to use.
+// Its owner stages each event with the window (Stage), raises it through
+// the MCA carrying the returned Ingest, and ends the staging (EndStaging);
+// a delivery of that record in between is admitted into the window and
+// returns at once, so the bank frees before the recovery runs. The owner
+// then runs the window with RunWindow, and must do so: its members count
+// against QueueDepth, and Drain waits for them, until they have run. The
+// zero Window is empty and ready to use.
 type Window struct {
 	mu    sync.Mutex
-	open  *trace.Trace // the staged trace whose delivery may still join
+	open  *Ingest // the staged event whose delivery may still join
 	tasks []task
 }
 
-// EndStaging ends the window's claim on the trace last staged with it: a
-// submission that claims that staging later (the redelivery of an event
-// that latched) runs where it is submitted instead of joining the window.
+// An Ingest is what one ingested event's MCA record carries (mca.Event.Data)
+// to the service's handler: the event's trace, and the window its delivery
+// joins until the stager ends the staging. A redelivery of a record that
+// latched carries the same Ingest, so the trace spans the latched wait. The
+// trace lives inside the Ingest: one allocation per event.
+type Ingest struct {
+	tr  trace.Trace
+	win *Window
+}
+
+// Trace returns the event's trace.
+func (in *Ingest) Trace() *trace.Trace { return &in.tr }
+
+// Stage mints the Ingest for one event about to be raised, its trace
+// carrying id (a fresh ID when empty), and lets that event's delivery join
+// w until EndStaging.
+func (w *Window) Stage(id string) *Ingest {
+	in := &Ingest{win: w}
+	in.tr.Init(id)
+	w.mu.Lock()
+	w.open = in
+	w.mu.Unlock()
+	return in
+}
+
+// EndStaging ends the window's claim on the event last staged with it: a
+// delivery of that event later (the redelivery of a record that latched)
+// runs where it is delivered instead of joining the window.
 func (w *Window) EndStaging() {
 	w.mu.Lock()
 	w.open = nil
 	w.mu.Unlock()
 }
 
-// join adds t to w if t's trace is still the one staged with w; it reports
+// join adds t to w if in is still the event staged with w; it reports
 // whether it did.
-func (w *Window) join(t task) bool {
+func (w *Window) join(in *Ingest, t task) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.open != t.tr {
+	if w.open != in {
 		return false
 	}
 	w.tasks = append(w.tasks, t)
@@ -251,68 +280,6 @@ type Service struct {
 	crashed  string // crash point, when a simulated crash killed the service
 	stats    Stats
 	machine  *mca.Machine
-
-	// Traces staged by faulting address before the event enters the MCA
-	// delivery path (the HTTP front end parses traceparent headers there).
-	// Staging by address — rather than threading tokens through the MCA
-	// simulator — lets a trace survive bank latching: an overloaded or
-	// circuit-open event stays staged, and the redelivered submission claims
-	// it, so the trace spans the latched wait.
-	stagedMu sync.Mutex
-	staged   map[uint64]staging
-}
-
-// staging is one staged trace, and the window its stager collects
-// admitted recoveries in.
-type staging struct {
-	tr  *trace.Trace
-	win *Window
-}
-
-// stagedTraceCap bounds the staged-trace map: past it new stagings are
-// dropped (those recoveries run untraced-by-ingest and mint their own IDs),
-// so a storm of latched events cannot grow memory without bound.
-const stagedTraceCap = 4096
-
-// StageTrace associates tr with a faulting address about to be raised
-// through the MCA machine. The next submission for addr claims it. With a
-// non-nil w, that submission joins w instead of running, unless the stager
-// has called w.EndStaging since.
-func (s *Service) StageTrace(addr uint64, tr *trace.Trace, w *Window) {
-	if tr == nil {
-		return
-	}
-	if w != nil {
-		w.mu.Lock()
-		w.open = tr
-		w.mu.Unlock()
-	}
-	s.stagedMu.Lock()
-	if s.staged == nil {
-		s.staged = map[uint64]staging{}
-	}
-	if len(s.staged) < stagedTraceCap {
-		s.staged[addr] = staging{tr: tr, win: w}
-	}
-	s.stagedMu.Unlock()
-}
-
-// UnstageTrace removes and returns the trace staged for addr (nil if none).
-// The HTTP front end calls it when an event is terminally rejected, so the
-// staged map does not accumulate traces for recoveries that will never run.
-func (s *Service) UnstageTrace(addr uint64) *trace.Trace {
-	return s.claimTrace(addr).tr
-}
-
-// claimTrace hands the staging for addr to an admitted submission.
-func (s *Service) claimTrace(addr uint64) staging {
-	s.stagedMu.Lock()
-	st, ok := s.staged[addr]
-	if ok {
-		delete(s.staged, addr)
-	}
-	s.stagedMu.Unlock()
-	return st
 }
 
 // New creates a service over eng. When cfg.JournalPath is set, the journal
@@ -437,13 +404,16 @@ func (s *Service) Start() {
 	go s.runTasks(ts)
 }
 
-// AttachMCA registers the service as a machine-check handler. nil means
-// accepted. A delivery whose address was staged with a window (StageTrace)
-// joins the window and returns at once; every other delivery — latched and
-// overflowed redeliveries included — runs its recovery before the handler
-// returns. An ErrOverloaded rejection leaves the record latched in its
-// bank, and the service calls RedeliverLatched whenever a token frees, so
-// overflowed events are delivered late rather than dropped.
+// AttachMCA registers the service as a machine-check handler. A delivery
+// whose record carries an Ingest (Window.Stage) recovers under the Ingest's
+// trace, and while the Ingest is staged with its window it joins the window
+// and returns at once; every other delivery — latched and overflowed
+// redeliveries included — runs its recovery before the handler returns.
+// The handler is the one place that decides latching: the backpressure
+// refusals ErrOverloaded and ErrCircuitOpen decline the event, which stays
+// latched in its bank until the service calls RedeliverLatched (whenever a
+// token frees); every other refusal is final (mca.Reject), so the machine
+// clears the bank and the event is never redelivered.
 func (s *Service) AttachMCA(m *mca.Machine) {
 	s.mu.Lock()
 	s.machine = m
@@ -452,24 +422,40 @@ func (s *Service) AttachMCA(m *mca.Machine) {
 		if !ev.IsDUE() {
 			return fmt.Errorf("service: not a recoverable DUE: %v", ev)
 		}
-		return s.SubmitAddress(ev.Addr)
+		in, _ := ev.Data.(*Ingest)
+		err := s.submitAddress(ev.Addr, in)
+		if err != nil && !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrCircuitOpen) {
+			return mca.Reject(err)
+		}
+		return err
 	})
 }
 
-// SubmitAddress admits the DUE at a faulting physical address and, unless
-// its staging carries a window, runs it before returning. It returns nil
-// when the recovery was accepted, ErrOverloaded when the admission bound
-// is reached, ErrCircuitOpen (wrapping ErrCheckpointRestartRequired) when
-// the allocation is degraded, and ErrCheckpointRestartRequired when the
-// address is not registered. The recovery's own result goes to OnOutcome.
-func (s *Service) SubmitAddress(addr uint64) error {
+// SubmitAddress admits the DUE at a faulting physical address and runs it
+// before returning. It returns nil when the recovery was accepted,
+// ErrOverloaded when the admission bound is reached, ErrCircuitOpen
+// (wrapping ErrCheckpointRestartRequired) when the allocation is degraded,
+// and ErrCheckpointRestartRequired when the address is not registered. The
+// recovery's own result goes to OnOutcome.
+func (s *Service) SubmitAddress(addr uint64) error { return s.submitAddress(addr, nil) }
+
+// submitAddress is SubmitAddress for a delivery carrying in (nil: none).
+func (s *Service) submitAddress(addr uint64, in *Ingest) error {
 	alloc, off, err := s.eng.Table().Lookup(addr)
 	if err != nil {
 		// Double-wrap: registry.ErrMetadataCorrupt must stay matchable so
 		// the HTTP layer maps corrupt-descriptor refusals to 422, not 404.
 		err = fmt.Errorf("%w: %w", core.ErrCheckpointRestartRequired, err)
 	}
-	return s.submit(alloc, addr, off, false, nil, nil, err)
+	var tr *trace.Trace
+	if in != nil {
+		tr = &in.tr
+	}
+	t, err := s.submit(alloc, addr, off, false, tr, err)
+	if err == nil && (in == nil || !in.win.join(in, t)) {
+		s.runTasks([]task{t})
+	}
+	return err
 }
 
 // Recover admits and runs one recovery of a known allocation element on
@@ -483,36 +469,41 @@ func (s *Service) SubmitAddress(addr uint64) error {
 // with its trace finished and its own error in Result.Err — ErrStopped when
 // a crash dropped it.
 func (s *Service) Recover(alloc *registry.Allocation, off int, tr *trace.Trace) (Result, error) {
-	var res Result
-	if err := s.submit(alloc, 0, off, false, tr, &res, nil); err != nil {
+	t, err := s.submit(alloc, 0, off, false, tr, nil)
+	if err != nil {
 		return Result{}, err
 	}
-	if res.Attempts == 0 {
-		res = Result{Alloc: alloc.Name, Tenant: alloc.Tenant, Offset: off, Err: ErrStopped}
-	}
+	res := Result{Alloc: alloc.Name, Tenant: alloc.Tenant, Offset: off, Err: ErrStopped}
+	t.res = &res
+	s.runTasks([]task{t})
 	return res, nil
 }
 
 // SubmitReplayed admits a recovery replayed from a replicated journal — the
-// cross-node analogue of the restart replay in New. The intent originated on
-// another node; this node journals a fresh local intent for it, quarantines
-// the offset, and runs it through the normal pipeline. The recovery is
-// marked Replayed in its Result and counted in Stats.Replayed. Callers see
-// the same admission errors as Recover (retry ErrOverloaded with backoff:
-// promotion replay must not drop intents just because a storm is running).
+// cross-node analogue of the restart replay in New — and runs it before
+// returning. The intent originated on another node; this node journals a
+// fresh local intent for it, quarantines the offset, and runs it through
+// the normal pipeline. The recovery is marked Replayed in its Result and
+// counted in Stats.Replayed. Callers see the same admission errors as
+// Recover (retry ErrOverloaded with backoff: promotion replay must not drop
+// intents just because a storm is running).
 func (s *Service) SubmitReplayed(alloc *registry.Allocation, addr uint64, off int) error {
-	return s.submit(alloc, addr, off, true, nil, nil, nil)
+	t, err := s.submit(alloc, addr, off, true, nil, nil)
+	if err == nil {
+		s.runTasks([]task{t})
+	}
+	return err
 }
 
 // submit is every entry point's admission path. Its prologue counts each
 // attempt once, so Stats.Submitted sees rejections too: a target the entry
 // point could not resolve (err), an offset outside the array, a stopped
 // service, a full admission bound. It then reserves a slot, asks the
-// breaker, claims the trace (unless tr is given), quarantines at intake and
-// writes the journal intent. The admitted task joins the window its staging
-// carries, or runs here, its Result also written to res when non-nil. addr
-// 0 means the element's own address.
-func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, replayed bool, tr *trace.Trace, res *Result, err error) error {
+// breaker, quarantines at intake and writes the journal intent, and returns
+// the admitted task, which the caller runs or adds to a window. tr, when
+// non-nil, is the recovery's trace; otherwise one is minted. addr 0 means
+// the element's own address.
+func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, replayed bool, tr *trace.Trace, err error) (task, error) {
 	if err == nil && (off < 0 || off >= alloc.Array.Len()) {
 		err = fmt.Errorf("%w: offset %d out of range", core.ErrCheckpointRestartRequired, off)
 	}
@@ -532,7 +523,7 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 	}
 	s.mu.Unlock()
 	if err != nil {
-		return err
+		return task{}, err
 	}
 	if addr == 0 {
 		addr = alloc.AddrOf(off)
@@ -557,19 +548,11 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 			s.mu.Lock()
 			s.stats.BreakerRejected++
 			s.mu.Unlock()
-			return fmt.Errorf("%w: allocation %q degraded to checkpoint-restart: %w",
+			return task{}, fmt.Errorf("%w: allocation %q degraded to checkpoint-restart: %w",
 				ErrCircuitOpen, alloc.QualifiedName(), core.ErrCheckpointRestartRequired)
 		}
 	}
 
-	// Claim the ingest-staged trace (HTTP traceparent), or mint one. This
-	// happens only after the overloaded/breaker rejections above, so a
-	// latched event's trace stays staged for redelivery.
-	var st staging
-	if tr == nil {
-		st = s.claimTrace(addr)
-		tr = st.tr
-	}
 	if tr == nil {
 		tr = trace.New()
 	}
@@ -592,7 +575,7 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 	}
 
 	// Write-ahead intent: durable before any work begins.
-	t := task{alloc: alloc, addr: addr, off: off, detected: detected, probe: probe, replayed: replayed, tr: tr, res: res}
+	t := task{alloc: alloc, addr: addr, off: off, detected: detected, probe: probe, replayed: replayed, tr: tr}
 	if s.jr != nil {
 		t0 := time.Now()
 		id, err := s.jr.Begin(alloc.Tenant, alloc.Name, addr, off, detected)
@@ -603,7 +586,7 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 			// scheduled to repair it.
 			unquarantine()
 			release()
-			return fmt.Errorf("service: journal intent: %w", err)
+			return task{}, fmt.Errorf("service: journal intent: %w", err)
 		}
 		t.id, t.journaled = id, true
 	}
@@ -623,7 +606,7 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 		if t.journaled {
 			_ = s.jr.Finish(t.id, false, "rejected: service stopped")
 		}
-		return ErrStopped
+		return task{}, ErrStopped
 	}
 	t.enqueued = time.Now()
 	s.stats.Accepted++
@@ -632,12 +615,7 @@ func (s *Service) submit(alloc *registry.Allocation, addr uint64, off int, repla
 	}
 	s.wg.Add(1)
 	s.mu.Unlock()
-
-	if st.win != nil && st.win.join(t) {
-		return nil
-	}
-	s.runTasks([]task{t})
-	return nil
+	return t, nil
 }
 
 // RunWindow runs the recoveries admitted into w on the calling goroutine

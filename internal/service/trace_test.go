@@ -11,6 +11,7 @@ import (
 	"spatialdue/internal/core"
 	"spatialdue/internal/faultinject"
 	"spatialdue/internal/journal"
+	"spatialdue/internal/mca"
 	"spatialdue/internal/predict"
 	"spatialdue/internal/registry"
 	"spatialdue/internal/trace"
@@ -76,9 +77,12 @@ func TestJournalFailureKeepsPriorQuarantine(t *testing.T) {
 	// quarantine claim alive while the duplicate is rejected.
 	off := a.Offset(4, 4)
 	a.SetOffset(off, math.NaN())
+	m := mca.New(1)
+	svc.AttachMCA(m)
 	var w Window
-	svc.StageTrace(alloc.AddrOf(off), trace.New(), &w)
-	if err := admit(svc, alloc, off); err != nil {
+	err = m.TouchOrRaise(alloc.AddrOf(off), 4, 0, w.Stage(""))
+	w.EndStaging()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := eng.QuarantineCount(); n != 1 {
@@ -233,9 +237,9 @@ func TestOutcomeCarriesCompleteSpanChain(t *testing.T) {
 	}
 }
 
-// TestStagedTraceClaimedBySubmit: a trace staged by address (the HTTP
-// ingest path) must be adopted by the matching submission and reported in
-// its outcome.
+// TestStagedTraceClaimedBySubmit: the trace an event's MCA record carries
+// (the HTTP ingest path) must be adopted by the submission its delivery
+// makes and reported in its outcome, and the delivery consumes the record.
 func TestStagedTraceClaimedBySubmit(t *testing.T) {
 	eng := core.NewEngine(core.Options{Seed: 39})
 	a := smoothArray(16, 16)
@@ -251,12 +255,16 @@ func TestStagedTraceClaimedBySubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc.Start()
+	m := mca.New(1)
+	svc.AttachMCA(m)
 
 	const id = "4bf92f3577b34da6a3ce929d0e0e4736"
 	off := a.Offset(6, 6)
 	a.SetOffset(off, math.NaN())
-	svc.StageTrace(alloc.AddrOf(off), trace.WithID(id), nil)
-	if err := admit(svc, alloc, off); err != nil {
+	var w Window
+	in := w.Stage(id)
+	w.EndStaging()
+	if err := m.TouchOrRaise(alloc.AddrOf(off), 4, 0, in); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Close(); err != nil {
@@ -267,7 +275,7 @@ func TestStagedTraceClaimedBySubmit(t *testing.T) {
 	if len(results) != 1 || results[0].TraceID != id {
 		t.Fatalf("results = %+v, want one outcome carrying trace %s", results, id)
 	}
-	if svc.UnstageTrace(alloc.AddrOf(off)) != nil {
-		t.Error("claimed trace still staged after submit")
+	if status, _, _ := m.ReadBank(0); status != 0 {
+		t.Error("claimed record still latched after submit")
 	}
 }

@@ -82,18 +82,22 @@ func newRunHereEnv(t *testing.T, hook func(core.StageEvent), cfg Config) *runHer
 }
 
 // deliver corrupts offset off of the grid and raises its DUE the way the
-// HTTP front end does: its trace staged with window w (nil: no window), the
-// staging ended when the raise returns.
+// HTTP front end does: its record carries an Ingest staged with window w,
+// the staging ended when the raise returns. With w nil the staging ends
+// before the raise, so the delivery runs where it is made.
 func (e *runHereEnv) deliver(off int, w *Window) (*trace.Trace, error) {
 	e.alloc.Array.SetOffset(off, math.NaN())
-	addr := e.alloc.AddrOf(off)
-	tr := trace.New()
-	e.svc.StageTrace(addr, tr, w)
-	err := e.m.RaiseMemoryDUE(addr, 0)
-	if w != nil {
+	here := w == nil
+	if here {
+		w = new(Window)
+	}
+	in := w.Stage("")
+	if here {
 		w.EndStaging()
 	}
-	return tr, err
+	err := e.m.TouchOrRaise(e.alloc.AddrOf(off), e.alloc.DType.Size(), 0, in)
+	w.EndStaging()
+	return in.Trace(), err
 }
 
 func (e *runHereEnv) outcomes() []Result {
@@ -166,19 +170,19 @@ func TestRunHereOutcomeBeforeReturn(t *testing.T) {
 	}
 }
 
-// TestEndedStagingRunsOnClaimer: a submission that claims a window's
-// staging after the stager ended it — the redelivery of an event that
-// latched — runs on its own goroutine instead of joining the window, whose
-// owner may have run it for the last time.
+// TestEndedStagingRunsOnClaimer: a delivery of a staged event after the
+// stager ended the staging — the redelivery of an event that latched —
+// runs on the delivering goroutine under the event's trace instead of
+// joining the window, whose owner may have run it for the last time.
 func TestEndedStagingRunsOnClaimer(t *testing.T) {
 	e := newRunHereEnv(t, nil, Config{Workers: 1})
 	off := e.alloc.Array.Offset(8, 8)
 	e.alloc.Array.SetOffset(off, math.NaN())
 	var w Window
-	tr := trace.New()
-	e.svc.StageTrace(e.alloc.AddrOf(off), tr, &w)
+	in := w.Stage("")
+	tr := in.Trace()
 	w.EndStaging()
-	if err := admit(e.svc, e.alloc, off); err != nil {
+	if err := e.m.TouchOrRaise(e.alloc.AddrOf(off), e.alloc.DType.Size(), 0, in); err != nil {
 		t.Fatal(err)
 	}
 	if out := e.outcomes(); len(out) != 1 || out[0].Err != nil || out[0].TraceID != tr.ID() || w.Len() != 0 {

@@ -153,11 +153,18 @@ func Recycle(t *Trace) {
 // WithID mints a trace carrying an externally supplied (e.g. W3C
 // traceparent) trace ID.
 func WithID(id string) *Trace {
-	t := New()
+	t := new(Trace)
+	t.Init(id)
+	return t
+}
+
+// Init mints t in place, as WithID does: for a trace embedded in a larger
+// per-event value, allocated with it.
+func (t *Trace) Init(id string) {
+	reset(t)
 	if id != "" {
 		t.id = id
 	}
-	return t
 }
 
 // Born returns the trace's birth instant (monotonic). born is immutable
