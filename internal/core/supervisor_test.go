@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -117,45 +119,69 @@ func TestChaosBurstWithSecondaryFault(t *testing.T) {
 // TestEscalationRestoreStage drives the ladder all the way to the
 // checkpoint rung: both neighbors of the corrupted element are quarantined,
 // so no predictor and no tuner probe can run, and the value must come back
-// from the attached checkpoint world.
+// from the attached checkpoint world — from the local blob, or from the
+// partner copy when the local blob no longer passes its CRC.
 func TestEscalationRestoreStage(t *testing.T) {
-	a := ndarray.New(3)
-	a.SetOffset(0, 10)
-	a.SetOffset(1, 20)
-	a.SetOffset(2, 30)
+	for _, tc := range []struct {
+		name      string
+		level     fti.Level
+		corruptL1 bool
+	}{
+		{"L1 checkpoint", fti.L1, false},
+		{"L2 checkpoint with the L1 file corrupted", fti.L2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := ndarray.New(3)
+			a.SetOffset(0, 10)
+			a.SetOffset(1, 20)
+			a.SetOffset(2, 30)
 
-	w, err := fti.NewWorld(t.TempDir(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Rank(0).Protect(0, "line", a, bitflip.Float64, fti.RecoveryPolicy{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Checkpoint(1, fti.L1); err != nil {
-		t.Fatal(err)
-	}
+			dir := t.TempDir()
+			w, err := fti.NewWorld(dir, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Rank(0).Protect(0, "line", a, bitflip.Float64, fti.RecoveryPolicy{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Checkpoint(1, tc.level); err != nil {
+				t.Fatal(err)
+			}
+			if tc.corruptL1 {
+				path := filepath.Join(dir, "rank000", "ckpt000001.fti")
+				blob, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob[len(blob)/2] ^= 0xff
+				if err := os.WriteFile(path, blob, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	eng := NewEngine(Options{Seed: 1})
-	eng.AttachCheckpoints(w, 0)
-	alloc := eng.Protect("line", a, bitflip.Float64, registry.RecoverWith(predict.MethodAverage))
+			eng := NewEngine(Options{Seed: 1})
+			eng.AttachCheckpoints(w, 0)
+			alloc := eng.Protect("line", a, bitflip.Float64, registry.RecoverWith(predict.MethodAverage))
 
-	// Double fault: both neighbors corrupt, then the middle element dies.
-	eng.MarkCorrupt(alloc, 0)
-	eng.MarkCorrupt(alloc, 2)
-	a.SetOffset(1, math.NaN())
+			// Double fault: both neighbors corrupt, then the middle element dies.
+			eng.MarkCorrupt(alloc, 0)
+			eng.MarkCorrupt(alloc, 2)
+			a.SetOffset(1, math.NaN())
 
-	out, err := eng.RecoverElement(alloc, 1)
-	if err != nil {
-		t.Fatalf("restore-stage recovery failed: %v", err)
-	}
-	if out.Stage != StageRestore {
-		t.Errorf("Stage = %v, want restore", out.Stage)
-	}
-	if out.New != 20 || a.AtOffset(1) != 20 {
-		t.Errorf("restored value = %v, want 20 (checkpointed)", out.New)
-	}
-	if esc := eng.Escalations(); esc[StageRestore] != 1 {
-		t.Errorf("restore stage entries = %d, want 1", esc[StageRestore])
+			out, err := eng.RecoverElement(alloc, 1)
+			if err != nil {
+				t.Fatalf("restore-stage recovery failed: %v", err)
+			}
+			if out.Stage != StageRestore {
+				t.Errorf("Stage = %v, want restore", out.Stage)
+			}
+			if out.New != 20 || a.AtOffset(1) != 20 {
+				t.Errorf("restored value = %v, want 20 (checkpointed)", out.New)
+			}
+			if esc := eng.Escalations(); esc[StageRestore] != 1 {
+				t.Errorf("restore stage entries = %d, want 1", esc[StageRestore])
+			}
+		})
 	}
 }
 

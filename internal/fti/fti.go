@@ -49,7 +49,8 @@ const (
 	L1 Level = 1 + iota
 	// L2 adds a partner copy.
 	L2
-	// L3 adds an XOR parity block across ranks.
+	// L3 adds Reed-Solomon parity blocks across ranks (internal/gf256;
+	// SetParityShards sets how many).
 	L3
 	// L4 writes to the simulated parallel file system.
 	L4
@@ -168,8 +169,26 @@ func ckptFile(ckptID int) string      { return fmt.Sprintf("ckpt%06d.fti", ckptI
 func partnerFile(ckptID, of int) string {
 	return fmt.Sprintf("ckpt%06d.partner%03d.fti", ckptID, of)
 }
-func parityFile(ckptID, shard int) string {
-	return fmt.Sprintf("ckpt%06d.parity%03d", ckptID, shard)
+
+// copies lists the full copies of a rank's blob by the level that adds
+// them, in the order Checkpoint writes them and the restore paths read them.
+var copies = [...]Level{L1, L2, L4}
+
+// blobPath returns the file that holds rank i's blob of checkpoint ckptID
+// at level l: L1 on its own storage, L2 on its partner's, L4 on the PFS.
+func (w *World) blobPath(ckptID, i int, l Level) string {
+	switch l {
+	case L1:
+		return filepath.Join(w.rankDir(i), ckptFile(ckptID))
+	case L2:
+		return filepath.Join(w.rankDir(w.partner(i)), partnerFile(ckptID, i))
+	}
+	return filepath.Join(w.pfsDir(), fmt.Sprintf("rank%03d.%s", i, ckptFile(ckptID)))
+}
+
+// parityPath returns the file that holds L3 parity shard j of ckptID.
+func (w *World) parityPath(ckptID, j int) string {
+	return filepath.Join(w.pfsDir(), fmt.Sprintf("ckpt%06d.parity%03d", ckptID, j))
 }
 
 // Protect registers a buffer for checkpointing and forward recovery — the
@@ -274,7 +293,7 @@ func (w *World) Checkpoint(ckptID int, level Level) error {
 	// they are only ever taken from immutable sources — never from a live
 	// mmap backing file, which in-place recovery writes keep mutating.
 	for i := range w.ranks {
-		if err := atomicWrite(filepath.Join(w.rankDir(i), ckptFile(ckptID)), blobs[i]); err != nil {
+		if err := atomicWrite(w.blobPath(ckptID, i, L1), blobs[i]); err != nil {
 			return err
 		}
 	}
@@ -285,8 +304,7 @@ func (w *World) Checkpoint(ckptID int, level Level) error {
 	// once.
 	if level >= L2 {
 		for i := range w.ranks {
-			p := w.partner(i)
-			if err := atomicWrite(filepath.Join(w.rankDir(p), partnerFile(ckptID, i)), blobs[i]); err != nil {
+			if err := atomicWrite(w.blobPath(ckptID, i, L2), blobs[i]); err != nil {
 				return err
 			}
 		}
@@ -307,7 +325,7 @@ func (w *World) Checkpoint(ckptID int, level Level) error {
 			return fmt.Errorf("fti: parity encode: %w", err)
 		}
 		for j, p := range parity {
-			if err := atomicWrite(filepath.Join(w.pfsDir(), parityFile(ckptID, j)), p); err != nil {
+			if err := atomicWrite(w.parityPath(ckptID, j), p); err != nil {
 				return err
 			}
 		}
@@ -320,9 +338,7 @@ func (w *World) Checkpoint(ckptID int, level Level) error {
 	// copy or L3 parity.
 	if level >= L4 {
 		for i := range w.ranks {
-			src := filepath.Join(w.rankDir(i), ckptFile(ckptID))
-			dst := filepath.Join(w.pfsDir(), fmt.Sprintf("rank%03d.%s", i, ckptFile(ckptID)))
-			if err := linkOrCopy(src, dst, blobs[i]); err != nil {
+			if err := linkOrCopy(w.blobPath(ckptID, i, L1), w.blobPath(ckptID, i, L4), blobs[i]); err != nil {
 				return err
 			}
 		}
@@ -352,11 +368,10 @@ func (w *World) LoseRank(i int) error {
 }
 
 // Restart restores every rank's protected arrays from the most recent
-// checkpoint, using the cheapest level that still has INTACT data: local
-// file, partner copy, PFS copy, then Reed-Solomon reconstruction. Every
-// candidate blob is CRC-verified before use, so a latently corrupted copy
-// reads as missing and the restore falls through to the next level instead
-// of failing on it. It returns the level used.
+// checkpoint, using the cheapest level that still has INTACT data (see
+// surviving), and returns the level used. It is all or nothing: every
+// rank's blob is checked against its protected set before any array is
+// written, so a refused restart leaves memory as it was.
 func (w *World) Restart() (Level, error) {
 	w.mu.Lock()
 	ckptID := w.ckptID
@@ -364,86 +379,75 @@ func (w *World) Restart() (Level, error) {
 	if ckptID == 0 {
 		return 0, ErrNoCheckpoint
 	}
-
-	blobs := make([][]byte, len(w.ranks))
-	var missing []int
-	used := L1
-	for i := range w.ranks {
-		if b, err := os.ReadFile(filepath.Join(w.rankDir(i), ckptFile(ckptID))); err == nil && blobOK(b) {
-			blobs[i] = b
-			continue
-		}
-		// L2: partner copy lives on partner(i)'s storage.
-		if b, err := os.ReadFile(filepath.Join(w.rankDir(w.partner(i)), partnerFile(ckptID, i))); err == nil && blobOK(b) {
-			blobs[i] = b
-			if used < L2 {
-				used = L2
-			}
-			continue
-		}
-		// L4: PFS copy. A hard link of the L1 blob, so L1 corruption (as
-		// opposed to deletion) reappears here and blobOK skips it too —
-		// reconstruction from independent-byte parity is what's left.
-		if b, err := os.ReadFile(filepath.Join(w.pfsDir(), fmt.Sprintf("rank%03d.%s", i, ckptFile(ckptID)))); err == nil && blobOK(b) {
-			blobs[i] = b
-			if used < L4 {
-				used = L4
-			}
-			continue
-		}
-		missing = append(missing, i)
+	blobs, used, err := w.surviving(ckptID, -1)
+	if err != nil {
+		return 0, err
 	}
-	if len(missing) > 0 {
-		// L3: rebuild the missing blobs from Reed-Solomon parity. Load
-		// whatever parity shards exist for this checkpoint.
-		w.mu.Lock()
-		m := w.parity
-		w.mu.Unlock()
-		var parity [][]byte
-		for j := 0; j < m; j++ {
-			p, err := os.ReadFile(filepath.Join(w.pfsDir(), parityFile(ckptID, j)))
-			if err != nil {
-				p = nil // that parity shard is gone too
-			}
-			parity = append(parity, p)
-		}
-		codec, err := gf256.NewCodec(len(w.ranks), m)
-		if err != nil {
-			return 0, fmt.Errorf("%w: %d ranks unrecoverable and no parity codec: %v", ErrNoCheckpoint, len(missing), err)
-		}
-		// Shards must be padded to the encode-time size, which the parity
-		// blocks carry (a missing blob may have been the longest one).
-		shards := append(padShards(blobs), parity...)
-		size := 0
-		for _, s := range shards {
-			if len(s) > size {
-				size = len(s)
-			}
-		}
-		for i, s := range shards {
-			if s != nil && len(s) < size {
-				p := make([]byte, size)
-				copy(p, s)
-				shards[i] = p
-			}
-		}
-		if err := codec.Reconstruct(shards); err != nil {
-			return 0, fmt.Errorf("%w: ranks %v unrecoverable: %v", ErrNoCheckpoint, missing, err)
-		}
-		for _, i := range missing {
-			blobs[i] = shards[i] // decodeInto trims via the length header
-		}
-		if used < L3 {
-			used = L3
-		}
-	}
-
-	for i, r := range w.ranks {
-		if err := r.decodeInto(blobs[i], ckptID); err != nil {
-			return 0, fmt.Errorf("fti: restoring rank %d: %w", i, err)
-		}
+	if err := restore(w.ranks, blobs, ckptID); err != nil {
+		return 0, err
 	}
 	return used, nil
+}
+
+// surviving finds intact blobs of checkpoint ckptID, indexed by rank: rank's
+// alone, or every rank's when rank < 0. Each rank's full copies are tried in
+// the order Checkpoint writes them (local, partner, PFS), and a copy counts
+// only if it passes blobOK, so a latently corrupted copy reads as missing.
+// Blobs with no intact copy are rebuilt once from Reed-Solomon parity; only
+// then are the other ranks' blobs read. used is the highest level reached.
+func (w *World) surviving(ckptID, rank int) (blobs [][]byte, used Level, err error) {
+	blobs, used = make([][]byte, len(w.ranks)), L1
+	read := func(i int) bool {
+		for _, l := range copies {
+			if b, err := os.ReadFile(w.blobPath(ckptID, i, l)); err == nil && blobOK(b) {
+				blobs[i], used = b, max(used, l)
+				return true
+			}
+		}
+		return false
+	}
+	var missing []int
+	for i := range w.ranks {
+		if (rank < 0 || i == rank) && !read(i) {
+			missing = append(missing, i)
+		}
+	}
+	if len(missing) == 0 {
+		return blobs, used, nil
+	}
+	// L3: Reed-Solomon rebuild needs the other ranks' blobs as well; a
+	// single-rank search reads them only now.
+	for i := range w.ranks {
+		if rank >= 0 && i != rank {
+			read(i)
+		}
+	}
+	w.mu.Lock()
+	m := w.parity
+	w.mu.Unlock()
+	codec, err := gf256.NewCodec(len(w.ranks), m)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: ranks %v unrecoverable: %v", ErrNoCheckpoint, missing, err)
+	}
+	shards := append(blobs[:len(blobs):len(blobs)], make([][]byte, m)...)
+	for j := range m {
+		if p, err := os.ReadFile(w.parityPath(ckptID, j)); err == nil {
+			shards[len(w.ranks)+j] = p
+		}
+	}
+	// Pad to the encode-time size, which the parity shards carry (a
+	// missing blob may have been the longest one).
+	shards = padShards(shards)
+	if err := codec.Reconstruct(shards); err != nil {
+		return nil, 0, fmt.Errorf("%w: ranks %v unrecoverable: %v", ErrNoCheckpoint, missing, err)
+	}
+	for _, i := range missing {
+		if !blobOK(shards[i]) {
+			return nil, 0, fmt.Errorf("%w: rank %d rebuilt from parity fails its CRC", ErrNoCheckpoint, i)
+		}
+		blobs[i] = shards[i] // the walk trims the padding via the length header
+	}
+	return blobs, max(used, L3), nil
 }
 
 // atomicWrite writes data to path via a temp file + rename so that a crash
@@ -460,7 +464,7 @@ func atomicWrite(path string, data []byte) error {
 // the inode turns the L4 fan-out into a metadata operation. Sound only
 // because the source blob is write-once (atomicWrite renames a fresh temp
 // file into place and nothing ever mutates it; a later checkpoint of the
-// same id is refused) and because Restart CRC-verifies every candidate, so
+// same id is refused) and because every restore CRC-verifies each copy, so
 // inode-shared corruption falls through to levels with independent bytes
 // (L2 copies, L3 parity). Where the filesystem refuses links (or dst
 // already exists from a retried level), it falls back to an atomic byte

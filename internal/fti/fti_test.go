@@ -211,7 +211,7 @@ func TestL3ParityRecovery(t *testing.T) {
 	}
 	want := grids[2].Clone()
 	// Lose rank 2's storage AND its partner copy (which lives on rank 3):
-	// only XOR parity can rebuild it.
+	// only Reed-Solomon parity can rebuild it.
 	_ = w.LoseRank(2)
 	_ = os.Remove(filepath.Join(w.dir, "rank003", partnerFile(1, 2)))
 	grids[2].Fill(0)
@@ -552,5 +552,36 @@ func TestCorruptL1AndPartnerReconstructsFromParity(t *testing.T) {
 	}
 	if !ndarray.ApproxEqual(grids[2], want, 0) {
 		t.Error("corrupt rank not reconstructed from parity")
+	}
+}
+
+// TestRestartIsAllOrNothing: a Restart refused for one rank writes no
+// array on any rank, so the world is never left with arrays from mixed
+// timesteps.
+func TestRestartIsAllOrNothing(t *testing.T) {
+	w := testWorld(t, 2)
+	grids := protectGrids(t, w, 4)
+	if err := w.Checkpoint(1, L1); err != nil {
+		t.Fatal(err)
+	}
+	// Rank 0 moves past the checkpoint; rank 1 re-protects a new shape.
+	grids[0].Fill(-7)
+	_ = w.Rank(1).Unprotect(0)
+	g1 := ndarray.New(2, 8)
+	g1.Fill(3)
+	if err := w.Rank(1).Protect(0, "grid", g1, bitflip.Float32, RecoveryPolicy{}); err != nil {
+		t.Fatal(err)
+	}
+	before0, before1 := grids[0].Clone(), g1.Clone()
+	if _, err := w.Restart(); err == nil {
+		t.Fatal("Restart accepted a mismatched shape")
+	}
+	for i, pair := range [][2]*ndarray.Array{{grids[0], before0}, {g1, before1}} {
+		for off := 0; off < pair[0].Len(); off++ {
+			if math.Float64bits(pair[0].AtOffset(off)) != math.Float64bits(pair[1].AtOffset(off)) {
+				t.Fatalf("rank %d offset %d changed by a refused Restart: %v, was %v",
+					i, off, pair[0].AtOffset(off), pair[1].AtOffset(off))
+			}
+		}
 	}
 }

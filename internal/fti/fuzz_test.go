@@ -2,6 +2,9 @@ package fti
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"spatialdue/internal/bitflip"
@@ -55,10 +58,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 			}
 			return
 		}
-		// Rejected: the protected array may have been partially written —
-		// FTI semantics allow that only when decode reports failure, in
-		// which case Restart tries the next level. Nothing to assert
-		// beyond "no panic", but check the error is not hiding a success.
+		// Rejected: decodeInto checks every header before it writes, so
+		// the array is as it was. (Restart never reaches a decode failure
+		// by level: it picks each rank's copy by CRC first, then decodes.)
+		// Nothing to assert beyond "no panic", but check the error is not
+		// hiding a success.
 		if bytes.Equal(blob, mustEncode(t, rank)) && ndarray.ApproxEqual(grid, before, 0) {
 			t.Fatalf("decoder rejected its own valid encoding: %v", err)
 		}
@@ -93,6 +97,57 @@ func FuzzReconstructTrim(f *testing.F) {
 		}
 		if grid.At(3, 3) != 15 {
 			t.Fatalf("restored value wrong: %v", grid.At(3, 3))
+		}
+	})
+}
+
+// FuzzRestoreElement installs a mutated blob as rank 0's only copy of the
+// checkpoint and reads one element through the restore rung. RestoreElement
+// must never panic, must accept exactly the blobs decodeInto accepts, and
+// on an accepted blob must return the value decodeInto restores there.
+func FuzzRestoreElement(f *testing.F) {
+	rank, grid := fuzzRank(f)
+	valid, err := rank.encode(1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, uint8(5))
+	f.Add(valid[:len(valid)/2], uint8(0))
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x10
+	f.Add(flipped, uint8(15))
+	// The same id checkpointed as 2x8: the CRC holds, the dims do not.
+	other, _ := fuzzRank(f)
+	_ = other.Unprotect(0)
+	if err := other.Protect(0, "g", ndarray.New(2, 8), bitflip.Float32, RecoveryPolicy{}); err != nil {
+		f.Fatal(err)
+	}
+	reshaped, err := other.encode(1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(reshaped, uint8(9))
+
+	// One world for every input: each input overwrites the only copy,
+	// RestoreElement writes no array, and decodeInto writes refGrid only
+	// from a blob it accepts whole.
+	w := rank.world
+	if err := w.Checkpoint(1, L1); err != nil {
+		f.Fatal(err)
+	}
+	ref, refGrid := fuzzRank(f)
+	f.Fuzz(func(t *testing.T, blob []byte, off uint8) {
+		if err := os.WriteFile(filepath.Join(w.rankDir(0), ckptFile(1)), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		o := int(off) % grid.Len()
+		got, restoreErr := w.RestoreElement(0, grid, o)
+		decodeErr := ref.decodeInto(blob, 1)
+		if (restoreErr == nil) != (decodeErr == nil) {
+			t.Fatalf("RestoreElement error %v, decodeInto error %v", restoreErr, decodeErr)
+		}
+		if decodeErr == nil && math.Float64bits(got) != math.Float64bits(refGrid.AtOffset(o)) {
+			t.Fatalf("RestoreElement = %v, decodeInto restored %v at offset %d", got, refGrid.AtOffset(o), o)
 		}
 	})
 }

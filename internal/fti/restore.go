@@ -1,25 +1,21 @@
 package fti
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"math"
-	"os"
-	"path/filepath"
 
-	"spatialdue/internal/gf256"
 	"spatialdue/internal/ndarray"
 )
 
 // Element restore is the checkpoint rung of the recovery supervisor's
 // escalation ladder: when every prediction-based reconstruction of one
 // element fails verification, the element's value is re-read from the
-// newest surviving checkpoint — local file, partner copy, PFS copy, or
-// Reed-Solomon reconstruction, in that order — without disturbing the rest
-// of the in-memory state. This trades temporal staleness (the checkpoint is
+// newest surviving checkpoint without disturbing the rest of the in-memory
+// state. It finds the rank's blob the way Restart does (surviving: local,
+// partner, PFS, then Reed-Solomon parity, each copy CRC-checked) and reads
+// it through the same walk, so it serves a value only from a checkpoint
+// Restart would accept. This trades temporal staleness (the checkpoint is
 // from an earlier timestep) for spatial independence: the restored value
 // cannot be polluted by the corrupted neighborhood.
 
@@ -34,190 +30,32 @@ func (w *World) RestoreElement(rank int, arr *ndarray.Array, off int) (float64, 
 	if rank < 0 || rank >= len(w.ranks) {
 		return 0, fmt.Errorf("%w: no rank %d", ErrElementUnavailable, rank)
 	}
-	r := w.ranks[rank]
-	r.mu.Lock()
-	dsID := -1
-	for _, id := range r.order {
-		if r.datasets[id].Array == arr {
-			dsID = id
-			break
-		}
-	}
-	r.mu.Unlock()
-	if dsID < 0 {
-		return 0, fmt.Errorf("%w: array not protected on rank %d", ErrElementUnavailable, rank)
-	}
 	if off < 0 || off >= arr.Len() {
 		return 0, fmt.Errorf("%w: offset %d out of range", ErrElementUnavailable, off)
 	}
-
 	w.mu.Lock()
 	ckptID := w.ckptID
 	w.mu.Unlock()
 	if ckptID == 0 {
 		return 0, ErrNoCheckpoint
 	}
-
-	blob, err := w.survivingBlob(ckptID, rank)
+	blobs, _, err := w.surviving(ckptID, rank)
 	if err != nil {
 		return 0, err
 	}
-	return extractElement(blob, rank, ckptID, dsID, off)
-}
 
-// survivingBlob loads rank i's checkpoint blob from the cheapest level that
-// still has it: local, partner copy, PFS copy, then Reed-Solomon
-// reconstruction from the other ranks plus parity.
-func (w *World) survivingBlob(ckptID, i int) ([]byte, error) {
-	if b, err := os.ReadFile(filepath.Join(w.rankDir(i), ckptFile(ckptID))); err == nil {
-		return b, nil
-	}
-	if b, err := os.ReadFile(filepath.Join(w.rankDir(w.partner(i)), partnerFile(ckptID, i))); err == nil {
-		return b, nil
-	}
-	if b, err := os.ReadFile(filepath.Join(w.pfsDir(), fmt.Sprintf("rank%03d.%s", i, ckptFile(ckptID)))); err == nil {
-		return b, nil
-	}
-
-	// L3: rebuild just this rank's blob from the others plus parity.
-	blobs := make([][]byte, len(w.ranks))
-	for j := range w.ranks {
-		if j == i {
-			continue
+	r := w.ranks[rank]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var v float64
+	found := false
+	err = r.walk(blobs[rank], ckptID, func(ds *Dataset, e entry) {
+		if ds.Array == arr && !found {
+			v, found = math.Float64frombits(binary.LittleEndian.Uint64(e.data[8*off:])), true
 		}
-		if b, err := w.survivingPeerBlob(ckptID, j); err == nil {
-			blobs[j] = b
-		}
+	})
+	if err == nil && !found {
+		err = fmt.Errorf("%w: array not protected on rank %d", ErrElementUnavailable, rank)
 	}
-	w.mu.Lock()
-	m := w.parity
-	w.mu.Unlock()
-	var parity [][]byte
-	for j := 0; j < m; j++ {
-		p, err := os.ReadFile(filepath.Join(w.pfsDir(), parityFile(ckptID, j)))
-		if err != nil {
-			p = nil
-		}
-		parity = append(parity, p)
-	}
-	codec, err := gf256.NewCodec(len(w.ranks), m)
-	if err != nil {
-		return nil, fmt.Errorf("%w: rank %d blob lost and no parity codec: %v", ErrNoCheckpoint, i, err)
-	}
-	shards := append(padShards(blobs), parity...)
-	size := 0
-	for _, s := range shards {
-		if len(s) > size {
-			size = len(s)
-		}
-	}
-	for j, s := range shards {
-		if s != nil && len(s) < size {
-			p := make([]byte, size)
-			copy(p, s)
-			shards[j] = p
-		}
-	}
-	if err := codec.Reconstruct(shards); err != nil {
-		return nil, fmt.Errorf("%w: rank %d blob unrecoverable: %v", ErrNoCheckpoint, i, err)
-	}
-	return shards[i], nil
-}
-
-// survivingPeerBlob is survivingBlob without the recursive parity step
-// (peers that need parity themselves are left missing for Reconstruct).
-func (w *World) survivingPeerBlob(ckptID, i int) ([]byte, error) {
-	if b, err := os.ReadFile(filepath.Join(w.rankDir(i), ckptFile(ckptID))); err == nil {
-		return b, nil
-	}
-	if b, err := os.ReadFile(filepath.Join(w.rankDir(w.partner(i)), partnerFile(ckptID, i))); err == nil {
-		return b, nil
-	}
-	return os.ReadFile(filepath.Join(w.pfsDir(), fmt.Sprintf("rank%03d.%s", i, ckptFile(ckptID))))
-}
-
-// extractElement walks a checkpoint blob and returns element off of dataset
-// dsID without decoding the other datasets' payloads.
-func extractElement(blob []byte, rankID, ckptID, dsID, off int) (float64, error) {
-	if len(blob) < len(magic)+8 {
-		return 0, fmt.Errorf("fti: checkpoint too short (%d bytes)", len(blob))
-	}
-	if !bytes.Equal(blob[:8], magic[:]) {
-		return 0, fmt.Errorf("fti: bad checkpoint magic")
-	}
-	total := binary.LittleEndian.Uint64(blob[8:16])
-	if total < 16 || total > uint64(len(blob)) {
-		return 0, fmt.Errorf("fti: bad checkpoint length %d (blob %d)", total, len(blob))
-	}
-	blob = blob[:total] // trim parity padding
-	body, crcBytes := blob[:len(blob)-4], blob[len(blob)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(crcBytes) {
-		return 0, fmt.Errorf("fti: checkpoint CRC mismatch")
-	}
-
-	rd := bytes.NewReader(body[16:])
-	rank, err := readU32(rd)
-	if err != nil {
-		return 0, err
-	}
-	if int(rank) != rankID {
-		return 0, fmt.Errorf("fti: checkpoint is for rank %d, not %d", rank, rankID)
-	}
-	ckpt, err := readU32(rd)
-	if err != nil {
-		return 0, err
-	}
-	if int(ckpt) != ckptID {
-		return 0, fmt.Errorf("fti: checkpoint id %d, want %d", ckpt, ckptID)
-	}
-	n, err := readU32(rd)
-	if err != nil {
-		return 0, err
-	}
-	for d := 0; d < int(n); d++ {
-		id, err := readI32(rd)
-		if err != nil {
-			return 0, err
-		}
-		nameLen, err := readU16(rd)
-		if err != nil {
-			return 0, err
-		}
-		if _, err := rd.Seek(int64(nameLen)+2, io.SeekCurrent); err != nil { // name + dtype + any
-			return 0, err
-		}
-		if _, err := readI32(rd); err != nil { // method
-			return 0, err
-		}
-		ndims, err := rd.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		count := 1
-		for t := 0; t < int(ndims); t++ {
-			dim, err := readU32(rd)
-			if err != nil {
-				return 0, err
-			}
-			count *= int(dim)
-		}
-		if int(id) != dsID {
-			if _, err := rd.Seek(int64(count)*8, io.SeekCurrent); err != nil {
-				return 0, err
-			}
-			continue
-		}
-		if off >= count {
-			return 0, fmt.Errorf("%w: offset %d beyond checkpointed count %d", ErrElementUnavailable, off, count)
-		}
-		if _, err := rd.Seek(int64(off)*8, io.SeekCurrent); err != nil {
-			return 0, err
-		}
-		var scratch [8]byte
-		if _, err := io.ReadFull(rd, scratch[:]); err != nil {
-			return 0, fmt.Errorf("fti: truncated dataset %d: %w", dsID, err)
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(scratch[:])), nil
-	}
-	return 0, fmt.Errorf("%w: dataset %d not in checkpoint", ErrElementUnavailable, dsID)
+	return v, err
 }

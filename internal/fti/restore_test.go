@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"spatialdue/internal/bitflip"
@@ -137,4 +138,104 @@ func TestRestoreElementErrors(t *testing.T) {
 	if _, err := w.RestoreElement(1, grids[1], 0); err == nil {
 		t.Error("restore with all copies lost succeeded")
 	}
+}
+
+// TestRestoreElementCorruptL1FromPartner: a latently corrupted L1 blob
+// fails its CRC, and the element comes from the partner copy, as Restart's
+// rank does in TestCorruptL1FallsBackToPartner.
+func TestRestoreElementCorruptL1FromPartner(t *testing.T) {
+	w := testWorld(t, 3)
+	grids := protectGrids(t, w, 4)
+	if err := w.Checkpoint(1, L2); err != nil {
+		t.Fatal(err)
+	}
+	corruptFile(t, filepath.Join(w.rankDir(1), ckptFile(1)))
+	off := grids[1].Offset(2, 1)
+	got, err := w.RestoreElement(1, grids[1], off)
+	if err != nil {
+		t.Fatalf("restore over a corrupt L1 blob: %v", err)
+	}
+	if want := float64(1000 + 2*4 + 1); got != want {
+		t.Errorf("RestoreElement = %v, want %v", got, want)
+	}
+}
+
+// TestRestoreElementCorruptL1AndPartnerFromParity: the setup of
+// TestCorruptL1AndPartnerReconstructsFromParity. The PFS copy shares the
+// corrupt L1 inode, so only Reed-Solomon parity still holds the element.
+func TestRestoreElementCorruptL1AndPartnerFromParity(t *testing.T) {
+	w := testWorld(t, 3)
+	grids := protectGrids(t, w, 4)
+	if err := w.Checkpoint(1, L4); err != nil {
+		t.Fatal(err)
+	}
+	corruptFile(t, filepath.Join(w.rankDir(2), ckptFile(1)))
+	corruptFile(t, filepath.Join(w.rankDir(w.partner(2)), partnerFile(1, 2)))
+	off := grids[2].Offset(3, 2)
+	got, err := w.RestoreElement(2, grids[2], off)
+	if err != nil {
+		t.Fatalf("restore over corrupt L1+L2 copies: %v", err)
+	}
+	if want := float64(2000 + 3*4 + 2); got != want {
+		t.Errorf("RestoreElement = %v, want %v", got, want)
+	}
+}
+
+// TestRestoreElementRefusesMismatchedShape: an array re-protected as 8x8
+// over a 4x4 checkpoint must not be served the old layout's cell (a
+// misdirected repair); the refusal is the one Restart gives.
+func TestRestoreElementRefusesMismatchedShape(t *testing.T) {
+	w := testWorld(t, 1)
+	protectGrids(t, w, 4)
+	if err := w.Checkpoint(1, L1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Rank(0).Unprotect(0); err != nil {
+		t.Fatal(err)
+	}
+	g := ndarray.New(8, 8)
+	if err := w.Rank(0).Protect(0, "grid", g, bitflip.Float32, RecoveryPolicy{Any: true}); err != nil {
+		t.Fatal(err)
+	}
+	_, restartErr := w.Restart()
+	if restartErr == nil {
+		t.Fatal("Restart accepted a mismatched shape")
+	}
+	v, err := w.RestoreElement(0, g, g.Offset(0, 5))
+	if err == nil {
+		t.Fatalf("RestoreElement served %v from a mismatched checkpoint", v)
+	}
+	if err.Error() != restartErr.Error() {
+		t.Errorf("RestoreElement error %q, Restart error %q", err, restartErr)
+	}
+}
+
+// TestRestoreElementConcurrentWithRestart: restore-rung reads on every rank
+// race whole-world restarts, which hold every rank's lock at once.
+func TestRestoreElementConcurrentWithRestart(t *testing.T) {
+	w := testWorld(t, 3)
+	grids := protectGrids(t, w, 4)
+	if err := w.Checkpoint(1, L2); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := range grids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; k < 50; k++ {
+				off := k % grids[i].Len()
+				if v, err := w.RestoreElement(i, grids[i], off); err != nil || v != float64(i*1000+off) {
+					t.Errorf("rank %d offset %d: RestoreElement = %v, %v", i, off, v, err)
+					return
+				}
+			}
+		}(i)
+	}
+	for k := 0; k < 20; k++ {
+		if _, err := w.Restart(); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
 }
