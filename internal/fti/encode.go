@@ -41,6 +41,8 @@ func (r *Rank) encode(ckptID int) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
+	// The exact blob size: magic, blobLen, three header words and the CRC,
+	// plus per dataset 13 fixed header bytes, the name, dims and data.
 	size := 16 + 12 + 4
 	for _, id := range r.order {
 		ds := r.datasets[id]
