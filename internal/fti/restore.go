@@ -50,7 +50,7 @@ func (w *World) RestoreElement(rank int, arr *ndarray.Array, off int) (float64, 
 	var v float64
 	found := false
 	err = r.walk(blobs[rank], ckptID, func(ds *Dataset, e entry) {
-		if ds.Array == arr && !found {
+		if ds.Array == arr {
 			v, found = math.Float64frombits(binary.LittleEndian.Uint64(e.data[8*off:])), true
 		}
 	})
