@@ -20,8 +20,9 @@ import (
 
 // updateGolden regenerates testdata/select_golden.json from whatever Select
 // does now. The committed file was generated before the row-walk regression
-// kernel landed, so it pins the old kernel's tuner results bit for bit; only
-// regenerate it for a change that is meant to move them.
+// kernel landed, and its K = 5 and MaxProbes = 48 sites before the probe
+// loop's fixed costs were cut, so it pins the older code's tuner results bit
+// for bit; only regenerate it for a change that is meant to move them.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/select_golden.json from the current Select")
 
 const goldenPath = "testdata/select_golden.json"
@@ -36,12 +37,14 @@ type goldenScore struct {
 }
 
 type goldenSite struct {
-	Field  string        `json:"field"`
-	Idx    []int         `json:"idx"`
-	Masked []int         `json:"masked,omitempty"` // pre-quarantined neighbour offsets (NaN-poisoned)
-	Err    string        `json:"err,omitempty"`
-	Best   int           `json:"best"`
-	Scores []goldenScore `json:"scores"`
+	Field     string        `json:"field"`
+	Idx       []int         `json:"idx"`
+	Masked    []int         `json:"masked,omitempty"`     // pre-quarantined neighbour offsets (NaN-poisoned)
+	K         int           `json:"k,omitempty"`          // 0: DefaultConfig's
+	MaxProbes int           `json:"max_probes,omitempty"` // 0: uncapped
+	Err       string        `json:"err,omitempty"`
+	Best      int           `json:"best"`
+	Scores    []goldenScore `json:"scores"`
 }
 
 // goldenFields are the three arrays the golden sites live on: the lib_any
@@ -133,6 +136,19 @@ func goldenPlan(fields map[string]*ndarray.Array) []goldenSite {
 		nbs := [][]int{shift(idx, 1), shift(idx, -2), shift(idx, 3)}
 		add(f1, idx, nbs[:1+i]...)
 	}
+
+	// The two other configurations the code tunes with, over every fourth
+	// site above (corners, clipped, interior and masked sites of every
+	// field): K = 5, the engine's hot-stripe re-tune (DefaultConfig's K plus
+	// core's hotWidenK), and MaxProbes = 48, campaign.DefaultConfig's cap.
+	base := len(plan)
+	for _, cfg := range []struct{ k, maxProbes int }{{5, 0}, {0, 48}} {
+		for i := 0; i < base; i += 4 {
+			s := plan[i]
+			s.K, s.MaxProbes = cfg.k, cfg.maxProbes
+			plan = append(plan, s)
+		}
+	}
 	return plan
 }
 
@@ -158,8 +174,13 @@ func goldenRun(a *ndarray.Array, site goldenSite, install func(env *predict.Env,
 	if len(site.Masked) > 0 {
 		install(env, site.Masked)
 	}
-	res, err := Select(env, site.Idx, DefaultConfig())
-	out := goldenSite{Field: site.Field, Idx: site.Idx, Masked: site.Masked, Best: int(res.Best)}
+	cfg := DefaultConfig()
+	if site.K > 0 {
+		cfg.K = site.K
+	}
+	cfg.MaxProbes = site.MaxProbes
+	res, err := Select(env, site.Idx, cfg)
+	out := goldenSite{Field: site.Field, Idx: site.Idx, Masked: site.Masked, K: site.K, MaxProbes: site.MaxProbes, Best: int(res.Best)}
 	if err != nil {
 		out.Err = err.Error()
 	}
