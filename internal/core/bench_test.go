@@ -29,7 +29,10 @@ func benchEngine(b *testing.B, ny, nx int) (*Engine, *ndarray.Array, *registry.A
 // RecoverBatch call over 16 co-located members, Contended8 drives
 // 8 goroutines against one array with stripe-disjoint row bands, and
 // Burst16 is one 16-cell RecoverBurst: a row wipe on CESM/FLDS and a 4x4
-// block in one plane of Miranda/density, both at ScaleSmall.
+// block in one plane of Miranda/density, both at ScaleSmall. Any is one
+// RECOVER_ANY recovery — an uncached tuner run through the array's real
+// quarantine set, then the winner's prediction — at an interior cell of
+// CESM/FLDS (2-D) and of ISABEL/Pf48 (3-D, the bench's lib_any field).
 func BenchmarkRecoveryHotPath(b *testing.B) {
 	b.Run("Single", func(b *testing.B) {
 		eng, a, alloc := benchEngine(b, 256, 64)
@@ -135,6 +138,34 @@ func BenchmarkRecoveryHotPath(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(b.N)*float64(len(cells))/b.Elapsed().Seconds(), "cells/s")
+			})
+		}
+	})
+	b.Run("Any", func(b *testing.B) {
+		for _, c := range []struct {
+			name string
+			ds   *sdrbench.Dataset
+			idx  []int
+		}{
+			{"2D", sdrbench.Generate(sdrbench.CESM, "FLDS", sdrbench.ScaleSmall), []int{45, 90}},
+			{"3D", sdrbench.Generate(sdrbench.Isabel, "Pf48", sdrbench.ScaleSmall), []int{10, 25, 25}},
+		} {
+			b.Run(c.name, func(b *testing.B) {
+				a := c.ds.Array
+				eng := NewEngine(Options{Seed: 7})
+				alloc := eng.Protect(c.ds.Name, a, c.ds.DType, registry.RecoverAny())
+				off := a.Offset(c.idx...)
+				orig := a.AtOffset(off)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					a.SetOffset(off, math.NaN())
+					out, err := eng.RecoverElement(alloc, off)
+					if err != nil || !out.Tuned {
+						b.Fatalf("RecoverElement: tuned %v, %v", out.Tuned, err)
+					}
+					a.SetOffset(off, orig)
+				}
 			})
 		}
 	})
