@@ -35,27 +35,38 @@ import (
 // resolves it.
 
 // quarantine is one array's quarantine set, a part of its arrayState: one
-// bit per element and the number of bits set. It is the predict.MaskSource
-// of every Env built for the array. Readers take no lock — Masked is one
-// atomic load — and an atomic load sees the set as it stands at the call,
-// which is all the freshness contract asks. Writers flip bits with
-// compare-and-swap loops: a word can straddle a stripe boundary, and
-// MarkCorrupt/ClearCorrupt hold no stripe at all. The count moves only when
-// a swap actually flips a bit, so it is exact whenever no write is in
-// flight.
+// bit per element, the number of bits set in each block of blockWords words,
+// and the number set in all. It is the predict.MaskSource of every Env built
+// for the array. Readers take no lock — Masked is one atomic load — and an
+// atomic load sees the set as it stands at the call, which is all the
+// freshness contract asks. Writers flip bits with compare-and-swap loops: a
+// word can straddle a stripe boundary, and MarkCorrupt/ClearCorrupt hold no
+// stripe at all. The counts move only when a swap actually flips a bit, and
+// after it, so they are exact whenever no write is in flight, and a block
+// whose count reads zero held no bit that a finished add set.
 type quarantine struct {
-	words []atomic.Uint64
-	count atomic.Int64
+	words  []atomic.Uint64
+	blocks []atomic.Int32 // bits set per block of blockWords words
+	count  atomic.Int64
 }
 
+// blockWords is the number of bitmap words one block count covers: one
+// 64-byte cache line, 512 cells.
+const blockWords = 8
+
 // init sizes an empty set for an array of cells elements.
-func (q *quarantine) init(cells int) { q.words = make([]atomic.Uint64, (cells+63)/64) }
+func (q *quarantine) init(cells int) {
+	n := (cells + 63) / 64
+	q.words = make([]atomic.Uint64, n)
+	q.blocks = make([]atomic.Int32, (n+blockWords-1)/blockWords)
+}
 
 // add quarantines off (0 <= off < cells).
 func (q *quarantine) add(off int) {
 	w, bit := &q.words[off>>6], uint64(1)<<(off&63)
 	for old := w.Load(); old&bit == 0; old = w.Load() {
 		if w.CompareAndSwap(old, old|bit) {
+			q.blocks[off>>6/blockWords].Add(1)
 			q.count.Add(1)
 			return
 		}
@@ -67,6 +78,7 @@ func (q *quarantine) remove(off int) {
 	w, bit := &q.words[off>>6], uint64(1)<<(off&63)
 	for old := w.Load(); old&bit != 0; old = w.Load() {
 		if w.CompareAndSwap(old, old&^bit) {
+			q.blocks[off>>6/blockWords].Add(-1)
 			q.count.Add(-1)
 			return
 		}
@@ -80,44 +92,45 @@ func (q *quarantine) Masked(off int) bool {
 	return w < uint(len(q.words)) && q.words[w].Load()&(1<<(uint(off)&63)) != 0
 }
 
-// AppendMasked implements predict.MaskSource: it reads the words [lo, hi]
-// covers and nothing else, so its cost is the span's, whatever the size of
-// the set. It declines only when the span covers more words than limit —
-// a patch far narrower than its linear span, such as a 3-D patch in a large
-// array — where limit per-cell Masked loads are the cheaper answer.
+// AppendMasked implements predict.MaskSource. It reads the block counts
+// [lo, hi] covers, and the words of [lo, hi] only in blocks whose count is
+// not zero, so its cost follows the set bits near the span, not the span's
+// length. It declines, with dst as it came, only when it would read more
+// than limit counts or more than limit words — a span with many set bits,
+// or one far longer than the patch it stands for — where limit per-cell
+// Masked loads are the cheaper answer.
 func (q *quarantine) AppendMasked(dst []int, lo, hi, limit int) ([]int, bool) {
 	lo, hi = max(lo, 0), min(hi, 64*len(q.words)-1)
 	if lo > hi {
 		return dst, true
 	}
 	first, last := lo>>6, hi>>6
-	if last-first >= limit {
+	if last/blockWords-first/blockWords >= limit {
 		return dst, false
 	}
-	words := q.words[first : last+1]
-	for i := 0; i < len(words); i++ {
-		// Skip empty words four at a time: most of a patch's span is clean.
-		for ; i+4 <= len(words); i += 4 {
-			g := words[i : i+4 : i+4]
-			if g[0].Load()|g[1].Load()|g[2].Load()|g[3].Load() != 0 {
-				break
-			}
-		}
-		if i == len(words) {
-			break
-		}
-		set := words[i].Load()
-		if set == 0 {
+	n0, loaded := len(dst), 0
+	blocks := q.blocks[first/blockWords : last/blockWords+1]
+	for b := range blocks {
+		if blocks[b].Load() == 0 {
 			continue
 		}
-		if i == 0 {
-			set &= ^uint64(0) << (lo & 63)
+		w0 := (first/blockWords + b) * blockWords
+		w1 := min(w0+blockWords-1, last)
+		w0 = max(w0, first)
+		if loaded += w1 - w0 + 1; loaded > limit {
+			return dst[:n0], false
 		}
-		if i == len(words)-1 {
-			set &= ^uint64(0) >> (63 - hi&63)
-		}
-		for w := (first + i) << 6; set != 0; set &= set - 1 {
-			dst = append(dst, w|bits.TrailingZeros64(set))
+		for w := w0; w <= w1; w++ {
+			set := q.words[w].Load()
+			if w == first {
+				set &= ^uint64(0) << (lo & 63)
+			}
+			if w == last {
+				set &= ^uint64(0) >> (63 - hi&63)
+			}
+			for base := w << 6; set != 0; set &= set - 1 {
+				dst = append(dst, base|bits.TrailingZeros64(set))
+			}
 		}
 	}
 	return dst, true
