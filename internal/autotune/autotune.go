@@ -99,10 +99,10 @@ func Select(env *predict.Env, idx []int, cfg Config) (Result, error) {
 
 	a := env.A
 
-	// Probe offsets and the probe-coordinate buffer are Env scratch, reused
-	// by every Select on this Env; only the scores, which the caller keeps,
-	// are allocated here.
-	probes, probeIdx := env.Probes(idx, cfg.K)
+	// Probe offsets and the probe walk's buffers are Env scratch, reused by
+	// every Select on this Env; only the scores, which the caller keeps, are
+	// allocated here.
+	probes, walk := env.Probes(idx, cfg.K)
 	if len(probes) == 0 {
 		return Result{}, ErrNoProbes
 	}
@@ -115,8 +115,8 @@ func Select(env *predict.Env, idx []int, cfg Config) (Result, error) {
 		probes = kept
 	}
 
-	// Probes outside, methods inside: a probe's coordinates are computed once
-	// and its neighbourhood stays cached for all candidates. Each method still
+	// Probes outside, methods inside: a probe's coordinates come once from
+	// the walk and its neighbourhood stays cached for all candidates. Each method still
 	// sees the probes in row-major order, so its error sum (kept in MeanRelErr
 	// until the division below) rounds as in a method-by-method sweep, and
 	// Random, the one method that draws, draws in the same order.
@@ -125,7 +125,7 @@ func Select(env *predict.Env, idx []int, cfg Config) (Result, error) {
 		scores[mi].Method = m
 	}
 	for _, off := range probes {
-		a.CoordsInto(probeIdx, off)
+		probeIdx := walk.Coords(off)
 		want := a.AtOffset(off)
 		for mi, m := range methods {
 			got, err := predict.New(m).Predict(env, probeIdx)

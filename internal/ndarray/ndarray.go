@@ -175,6 +175,22 @@ func (a *Array) TryOffset(idx ...int) (int, error) {
 	return off, nil
 }
 
+// OffsetOK is Offset for a hot loop: it inlines, and it reports a bad index
+// with ok = false instead of building an error, so a caller that must panic
+// as Offset does calls Offset then, off the hot path.
+func (a *Array) OffsetOK(idx []int) (off int, ok bool) {
+	if len(idx) != len(a.dims) {
+		return 0, false
+	}
+	for d, i := range idx {
+		if uint(i) >= uint(a.dims[d]) {
+			return 0, false
+		}
+		off += i * a.strides[d]
+	}
+	return off, true
+}
+
 // Coords converts a linear offset into a freshly allocated index vector.
 func (a *Array) Coords(off int) []int {
 	idx := make([]int, len(a.dims))

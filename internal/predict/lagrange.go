@@ -1,10 +1,6 @@
 package predict
 
-import (
-	"sync"
-
-	"spatialdue/internal/ndarray"
-)
+import "sync"
 
 // Lagrange implements Section 3.4.8: Lagrange polynomial interpolation
 // through k data points around the corrupted element along the slowest
@@ -93,21 +89,15 @@ func computeLagrangeWeights(nodes []int) []float64 {
 	return w
 }
 
-// lagUsable reports whether node offset o along the given axis (relative to
-// coordinate base = idx[axis]) is in bounds and not quarantined. nb is
-// coordinate scratch equal to idx; nb[axis] is restored before returning.
-func lagUsable(env *Env, a *ndarray.Array, nb []int, base, o, dimSz, axis int) bool {
+// lagUsable reports whether the node o cells along an axis from the target —
+// at coordinate base+o of the axis's dimSz, and at offset center+o*stride —
+// is in bounds and not quarantined.
+func lagUsable(env *Env, center, stride, base, o, dimSz int) bool {
 	p := base + o
 	if p < 0 || p >= dimSz {
 		return false
 	}
-	if env.mask == nil {
-		return true
-	}
-	nb[axis] = p
-	masked := env.Masked(a.Offset(nb...))
-	nb[axis] = base
-	return !masked
+	return !env.Masked(center + o*stride)
 }
 
 // Predict implements Predictor.
@@ -116,8 +106,10 @@ func (l Lagrange) Predict(env *Env, idx []int) (float64, error) {
 	if len(l.Offsets) == 0 {
 		return 0, ErrUnsupported
 	}
-	nb := env.ints(slotLagNb)
-	copy(nb, idx)
+	center, ok := a.OffsetOK(idx)
+	if !ok {
+		center = a.Offset(idx...) // panics with the index's error
+	}
 
 	// Structured-fault degradation ladder: the paper's interpolation along
 	// dimension 0 first (the primary path, bit-identical to the original
@@ -127,17 +119,23 @@ func (l Lagrange) Predict(env *Env, idx []int) (float64, error) {
 	// (k-1 down to 1, a nearest-neighbor copy) across all dimensions.
 	for k := len(l.Offsets); k >= 1; k-- {
 		for axis := 0; axis < a.NumDims(); axis++ {
-			nodes := l.fitNodes(env, a, nb, idx[axis], a.Dim(axis), axis, k)
+			stride := a.Stride(axis)
+			nodes := l.fitNodes(env, center, stride, idx[axis], a.Dim(axis), k)
 			if nodes == nil {
 				continue
 			}
 			w := lagrangeWeights(nodes)
-			sum := 0.0
+			sum, lastNaN := 0.0, 0.0
 			for r, off := range nodes {
-				nb[axis] = idx[axis] + off
-				sum += w[r] * a.At(nb...)
+				term := w[r] * a.AtOffset(center+off*stride)
+				if term != term {
+					lastNaN = term
+				}
+				sum += term
 			}
-			nb[axis] = idx[axis]
+			if lastNaN != lastNaN {
+				return lastNaN, nil // a NaN sum is the last NaN term, as in lorenzoSweep
+			}
 			return sum, nil
 		}
 	}
@@ -148,13 +146,13 @@ func (l Lagrange) Predict(env *Env, idx []int) (float64, error) {
 // bounds and unmasked) when shifted by base = idx[axis]: the configured
 // offsets, their mirror image (both only at full k), or the nearest k usable
 // non-zero offsets within MaxStencilReach. Returns nil if fewer than k
-// candidates exist (dimension too small or too quarantined). nb is
-// coordinate scratch (nb[axis] is used and restored).
-func (l Lagrange) fitNodes(env *Env, a *ndarray.Array, nb []int, base, dimSz, axis, k int) []int {
+// candidates exist (dimension too small or too quarantined). center is the
+// target's offset and stride the axis's.
+func (l Lagrange) fitNodes(env *Env, center, stride, base, dimSz, k int) []int {
 	if k == len(l.Offsets) {
 		ok := true
 		for _, o := range l.Offsets {
-			if !lagUsable(env, a, nb, base, o, dimSz, axis) {
+			if !lagUsable(env, center, stride, base, o, dimSz) {
 				ok = false
 				break
 			}
@@ -168,7 +166,7 @@ func (l Lagrange) fitNodes(env *Env, a *ndarray.Array, nb []int, base, dimSz, ax
 		}
 		ok = true
 		for _, o := range mir {
-			if !lagUsable(env, a, nb, base, o, dimSz, axis) {
+			if !lagUsable(env, center, stride, base, o, dimSz) {
 				ok = false
 				break
 			}
@@ -188,7 +186,7 @@ func (l Lagrange) fitNodes(env *Env, a *ndarray.Array, nb []int, base, dimSz, ax
 	nodes := intBuf(&env.sc.lagNodes, k)[:0]
 	for dist := 1; len(nodes) < k && dist < limit; dist++ {
 		for _, o := range [2]int{-dist, +dist} {
-			if lagUsable(env, a, nb, base, o, dimSz, axis) {
+			if lagUsable(env, center, stride, base, o, dimSz) {
 				nodes = append(nodes, o)
 				if len(nodes) == k {
 					break

@@ -167,7 +167,10 @@ func (l Lorenzo) Predict(env *Env, idx []int) (float64, error) {
 		}
 	}
 
-	base := a.Offset(idx...)
+	base, ok := a.OffsetOK(idx)
+	if !ok {
+		base = a.Offset(idx...) // panics with the index's error
+	}
 	coef := binom(L)
 	dir := env.ints(slotLorDir)
 	maxs := env.ints(slotLorMaxs)

@@ -100,6 +100,11 @@ type scratch struct {
 	excluded []int     // LocalRegression: offsets in the patch it must not read
 	probes   []int     // autotune: probe offsets (see Env.Probes)
 	fit      []float64 // regression working set (see Env.fitScratch)
+
+	// boxOK reports that LocalRegression's memo — the closed-form X'X of the
+	// box whose clip extents relative to its centre are in slots
+	// slotBoxLo/slotBoxHi, kept in the fit slab — holds a value.
+	boxOK bool
 }
 
 // The coordinate-scratch slots of scratch.ints.
@@ -112,7 +117,10 @@ const (
 	slotKernel3
 	slotAutoIdx  // LorenzoAuto probe coordinates, held while it calls Lorenzo
 	slotPatchCur // ndarray.PatchRows odometer (see Env.PatchRows)
-	slotProbeIdx // autotune probe coordinates (see Env.Probes)
+	slotProbeIdx // autotune probe coordinates (see ProbeWalk)
+	slotProbeRow // autotune probe row walk odometer (see ProbeWalk)
+	slotBoxLo    // LocalRegression memo key: lower clip extents
+	slotBoxHi    // LocalRegression memo key: upper clip extents
 	numIntSlots
 )
 
@@ -121,8 +129,6 @@ const (
 	slotLorS    = slotKernel0 // Lorenzo odometer
 	slotLorDir  = slotKernel1 // Lorenzo orientation
 	slotLorMaxs = slotKernel2 // Lorenzo per-dimension layer counts
-	slotLagNb   = slotKernel0 // Lagrange neighbor index
-	slotAvgNb   = slotKernel0 // Average neighbor index
 	slotRegIdx  = slotKernel0 // GlobalRegression scan coordinates
 	slotRegLo   = slotKernel0 // LocalRegression box: lower bounds
 	slotRegHi   = slotKernel1 // LocalRegression box: upper bounds
@@ -136,23 +142,25 @@ func (e *Env) ints(slot int) []int {
 	d := e.A.NumDims()
 	if len(e.sc.ints) != numIntSlots*d {
 		e.sc.ints = make([]int, numIntSlots*d)
+		e.sc.boxOK = false
 	}
 	return e.sc.ints[slot*d : (slot+1)*d : (slot+1)*d]
 }
 
 // fitScratch returns the working set of a least-squares fit with p features
 // — the feature vector, the normal equations X'X (p*p, row-major) and X'v,
-// and solveSymInto's two buffers — carved from one allocation.
-func (e *Env) fitScratch(p int) (phi, xtx, xtv, solveM, solveX []float64) {
-	if n := 2*p*p + 3*p; len(e.sc.fit) != n {
+// which solveSymInPlace consumes, and LocalRegression's memoized box X'X
+// (p*p) — carved from one allocation.
+func (e *Env) fitScratch(p int) (phi, xtx, xtv, box []float64) {
+	if n := 2*p*p + 2*p; len(e.sc.fit) != n {
 		e.sc.fit = make([]float64, n)
+		e.sc.boxOK = false
 	}
 	buf := e.sc.fit
 	phi, buf = buf[:p:p], buf[p:]
 	xtx, buf = buf[:p*p:p*p], buf[p*p:]
-	xtv, buf = buf[:p:p], buf[p:]
-	solveM, solveX = buf[:p*p:p*p], buf[p*p:]
-	return phi, xtx, xtv, solveM, solveX
+	xtv, box = buf[:p:p], buf[p:]
+	return phi, xtx, xtv, box
 }
 
 // intBuf returns *buf resized (reallocating only on growth) to n elements.
@@ -174,11 +182,11 @@ func (e *Env) PatchRows(idx []int, radius int) ndarray.PatchRows {
 // Probes collects the leave-one-out probe points of the auto-tuner around
 // idx: the offsets of every cell within Chebyshev distance k except idx
 // itself and masked cells (they hold garbage and can be neither probes nor
-// stencil inputs), in row-major order. Both results are Env scratch, valid
-// until the next Probes call and touched by no predictor: offs may be
-// thinned in place, and coord is NumDims ints for the coordinates of the
-// probe being predicted.
-func (e *Env) Probes(idx []int, k int) (offs, coord []int) {
+// stencil inputs), in row-major order. offs is Env scratch, valid until the
+// next Probes call and touched by no predictor; it may be thinned in place.
+// walk gives the coordinates of the probes in turn. idx must stay unmodified
+// while walk is in use.
+func (e *Env) Probes(idx []int, k int) (offs []int, walk ProbeWalk) {
 	skip := e.A.Offset(idx...)
 	cells := 1
 	for d := range idx {
@@ -198,7 +206,33 @@ func (e *Env) Probes(idx []int, k int) (offs, coord []int) {
 		}
 	}
 	e.sc.probes = offs
-	return offs, e.ints(slotProbeIdx)
+	walk = ProbeWalk{rows: e.A.PatchRows(idx, k, e.ints(slotProbeRow)), idx: e.ints(slotProbeIdx)}
+	if walk.rows.Next() {
+		copy(walk.idx, walk.rows.Cur)
+	}
+	return offs, walk
+}
+
+// ProbeWalk turns the probe offsets of one Probes call, taken in ascending
+// order, into coordinates: a row walk over the probe box that moves on only
+// when a probe lies past its row, so a probe costs no division.
+type ProbeWalk struct {
+	rows ndarray.PatchRows
+	idx  []int // Env scratch: the coordinates Coords returns
+}
+
+// Coords returns the coordinates of off, a cell of the probe box at or past
+// the last one asked for. The slice is Env scratch that the next call
+// overwrites; no predictor writes it.
+func (w *ProbeWalk) Coords(off int) []int {
+	if off >= w.rows.Off+w.rows.Len {
+		for w.rows.Next() && off >= w.rows.Off+w.rows.Len {
+		}
+		copy(w.idx, w.rows.Cur)
+	}
+	last := len(w.idx) - 1
+	w.idx[last] = w.rows.Cur[last] + off - w.rows.Off
+	return w.idx
 }
 
 // NewEnv wraps a dataset with a deterministic random source. Dataset-wide

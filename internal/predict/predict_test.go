@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -472,9 +473,9 @@ func TestLagrangeWeightsSumToOne(t *testing.T) {
 	}
 }
 
-// solveSym is solveSymInto with scratch of its own.
+// solveSym is solveSymInPlace on copies of a and b.
 func solveSym(a, b []float64, n int) ([]float64, bool) {
-	return solveSymInto(make([]float64, n*n), make([]float64, n), a, b, n)
+	return solveSymInPlace(slices.Clone(a), slices.Clone(b), n)
 }
 
 func TestSolveSym(t *testing.T) {

@@ -307,7 +307,7 @@ func (GlobalRegression) Predict(env *Env, idx []int) (float64, error) {
 	// Full scan, skipping the corrupted element.
 	d := a.NumDims()
 	p := d + 1
-	phi, xtx, xtv, solveM, solveX := env.fitScratch(p)
+	phi, xtx, xtv, _ := env.fitScratch(p)
 	for i := range xtx {
 		xtx[i] = 0
 	}
@@ -339,7 +339,7 @@ func (GlobalRegression) Predict(env *Env, idx []int) (float64, error) {
 			xtx[i*p+j] = xtx[j*p+i]
 		}
 	}
-	beta, ok := solveSymInto(solveM, solveX, xtx, xtv, p)
+	beta, ok := solveSymInPlace(xtx, xtv, p)
 	if !ok {
 		return 0, ErrUnsupported
 	}
@@ -367,15 +367,18 @@ func (LocalRegression) Name() string { return "Local Linear Regression" }
 // sums of products of patch-relative coordinates — integers in [-Radius,
 // Radius] — which float64 adds exactly in any order, so it comes in closed
 // form from the patch's clip extents, less one rank-1 term per excluded cell.
-// X'v holds sums of coordinate*value, whose rounding depends on the order of
-// the additions, so it is accumulated cell by cell in row-major order; its
+// The closed form depends on nothing but those extents, so the Env keeps the
+// last one it computed: the unclipped probes of a tuner run share one. X'v
+// holds sums of coordinate*value, whose rounding depends on the order of the
+// additions, so it is accumulated cell by cell in row-major order; its
 // entries are independent accumulators, so several can share one pass over
 // the cells without reordering any entry's additions.
 //
 // The cells that must not be read — idx itself and the masked cells of the
 // patch — are collected once, after the call starts and before the first
 // read (Env.SetMaskFunc states the contract). A row of the patch is then
-// runs of readable cells separated by excluded ones.
+// runs of readable cells separated by excluded ones, and the walk that meets
+// an excluded cell knows its coordinates and takes its term off X'X there.
 func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	a := env.A
 	d := a.NumDims()
@@ -384,50 +387,63 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	if r < 1 {
 		return 0, ErrUnsupported
 	}
-	skip := a.Offset(idx...)
-	phi, xtx, xtv, solveM, solveX := env.fitScratch(p)
+	skip, ok := a.OffsetOK(idx)
+	if !ok {
+		skip = a.Offset(idx...) // panics with the index's error
+	}
+	phi, xtx, xtv, box := env.fitScratch(p)
 
-	// The clipped box, once per prediction: its bounds, its cell count and
-	// the linear span it lies in.
+	// The clipped box, once per prediction: its bounds, its cell count, the
+	// linear span it lies in, and whether the memoized X'X is its own.
 	lo, hi := env.ints(slotRegLo), env.ints(slotRegHi)
+	keyLo, keyHi := env.ints(slotBoxLo), env.ints(slotBoxHi)
 	n, first, last := 1, 0, 0
+	memo := env.sc.boxOK
 	for t := 0; t < d; t++ {
 		lo[t], hi[t] = a.PatchBounds(idx, r, t)
 		n *= hi[t] - lo[t] + 1
 		first += lo[t] * a.Stride(t)
 		last += hi[t] * a.Stride(t)
+		memo = memo && keyLo[t] == lo[t]-idx[t] && keyHi[t] == hi[t]-idx[t]
 	}
 
-	// X'X over the whole box (upper triangle). With n_t cells, coordinate
-	// sum S_t and sum of squares Q_t along dimension t, and n cells in all:
-	// n, S_t*n/n_t, Q_t*n/n_t and S_s*S_t*n/(n_s*n_t), the quotients taken
-	// as products of the other extents.
-	xtx[0] = float64(n)
-	sums := env.ints(slotRegSum)
-	for t := 0; t < d; t++ {
-		sT, qT := 0, 0
-		for x := lo[t] - idx[t]; x <= hi[t]-idx[t]; x++ {
-			sT += x
-			qT += x * x
-		}
-		sums[t] = sT
-		rest := 1 // n/n_t
-		for u := 0; u < d; u++ {
-			if u != t {
-				rest *= hi[u] - lo[u] + 1
+	if memo {
+		copy(xtx, box)
+	} else {
+		// X'X over the whole box (upper triangle). With n_t cells,
+		// coordinate sum S_t and sum of squares Q_t along dimension t, and
+		// n cells in all: n, S_t*n/n_t, Q_t*n/n_t and S_s*S_t*n/(n_s*n_t),
+		// the quotients taken as products of the other extents.
+		xtx[0] = float64(n)
+		sums := env.ints(slotRegSum)
+		for t := 0; t < d; t++ {
+			sT, qT := 0, 0
+			for x := lo[t] - idx[t]; x <= hi[t]-idx[t]; x++ {
+				sT += x
+				qT += x * x
 			}
-		}
-		xtx[t+1] = float64(sT * rest)
-		xtx[(t+1)*p+t+1] = float64(qT * rest)
-		for s := 0; s < t; s++ {
-			rest := 1 // n/(n_s*n_t)
+			sums[t] = sT
+			rest := 1 // n/n_t
 			for u := 0; u < d; u++ {
-				if u != s && u != t {
+				if u != t {
 					rest *= hi[u] - lo[u] + 1
 				}
 			}
-			xtx[(s+1)*p+t+1] = float64(sums[s] * sT * rest)
+			xtx[t+1] = float64(sT * rest)
+			xtx[(t+1)*p+t+1] = float64(qT * rest)
+			for s := 0; s < t; s++ {
+				rest := 1 // n/(n_s*n_t)
+				for u := 0; u < d; u++ {
+					if u != s && u != t {
+						rest *= hi[u] - lo[u] + 1
+					}
+				}
+				xtx[(s+1)*p+t+1] = float64(sums[s] * sT * rest)
+			}
+			keyLo[t], keyHi[t] = lo[t]-idx[t], hi[t]-idx[t]
 		}
+		copy(box, xtx)
+		env.sc.boxOK = true
 	}
 
 	// One mask query for the whole prediction; per cell when the mask cannot
@@ -511,6 +527,20 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 						}
 						xtv[t] = acc
 					}
+					if stop < end {
+						// The excluded cell that ends the run is a cell of
+						// the box, at x: its rank-1 term leaves X'X, in
+						// integers, so exact in any order.
+						if d > 2 {
+							phi[d-2] = fA
+						}
+						if d > 1 {
+							phi[d-1] = fB
+						}
+						phi[d] = x
+						downdate(xtx, phi)
+						n--
+					}
 					off = stop // steps over the excluded cell that ended the run
 				}
 			}
@@ -537,33 +567,6 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 		xtv[d-1] = aB
 	}
 	xtv[d] = ax
-	// Each excluded cell of the box leaves the fit: one rank-1 term off X'X,
-	// in integers, so exact in any order. The target's features are zero
-	// but the intercept's; any other cell's come from its coordinates.
-	cur := env.ints(slotRegCur)
-	for _, off := range excl {
-		if off < first || off > last {
-			continue
-		}
-		clear(phi[1:])
-		if off != skip {
-			a.CoordsInto(cur, off)
-			inBox := true
-			for t, c := range cur {
-				inBox = inBox && c >= lo[t] && c <= hi[t]
-				phi[t+1] = float64(c - idx[t])
-			}
-			if !inBox {
-				continue
-			}
-		}
-		n--
-		for i := 0; i < p; i++ {
-			for j := i; j < p; j++ {
-				xtx[i*p+j] -= phi[i] * phi[j]
-			}
-		}
-	}
 	if n < p {
 		return 0, ErrUnsupported
 	}
@@ -572,7 +575,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 			xtx[i*p+j] = xtx[j*p+i]
 		}
 	}
-	beta, ok := solveSymInto(solveM, solveX, xtx, xtv, p)
+	beta, ok := solveSymInPlace(xtx, xtv, p)
 	if !ok {
 		return 0, ErrUnsupported
 	}
@@ -580,15 +583,45 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	return beta[0], nil
 }
 
-// solveSymInto solves the n x n linear system A x = b (A row-major, symmetric
-// positive semi-definite normal equations) by Gaussian elimination with
-// partial pivoting. It reports ok=false for singular systems. m (n*n) and x
-// (n) are caller-provided scratch that receive working copies of a and b, so
-// a and b are left untouched and no allocation occurs. The solution is
-// returned in x.
-func solveSymInto(m, x, a, b []float64, n int) ([]float64, bool) {
-	copy(m, a)
-	copy(x, b)
+// downdate takes one cell's rank-1 term phi*phi' off the upper triangle of
+// the row-major len(phi) x len(phi) matrix xtx.
+func downdate(xtx, phi []float64) {
+	p := len(phi)
+	for i, fi := range phi {
+		for j := i; j < p; j++ {
+			xtx[i*p+j] -= fi * phi[j]
+		}
+	}
+}
+
+// solveSymInPlace solves the n x n linear system A x = b (A row-major,
+// symmetric positive semi-definite normal equations) by Gaussian elimination
+// with partial pivoting. It reports ok=false for singular systems. It works
+// in a (n*n) and b (n), which it may overwrite, so no allocation occurs, and
+// returns the solution in b.
+//
+// The systems of every fit of an array of up to three dimensions (n = 2, 3
+// and 4) take a fixed-size path, solveSymGeneric written out for that n with
+// the matrix in registers: the same operations in the same order — the
+// pivot choice (the first row of largest magnitude), the skip of a zero
+// multiplier, the back-substitution and the refusal of a zero or NaN pivot
+// and of a NaN or infinite result — so the same bits. Entries below the
+// diagonal that elimination zeroes are left as they are: nothing reads them
+// again.
+func solveSymInPlace(a, b []float64, n int) ([]float64, bool) {
+	switch n {
+	case 2:
+		return solveSym2(a, b)
+	case 3:
+		return solveSym3(a, b)
+	case 4:
+		return solveSym4(a, b)
+	}
+	return solveSymGeneric(a, b, n)
+}
+
+// solveSymGeneric is solveSymInPlace for any n: it eliminates in m and x.
+func solveSymGeneric(m, x []float64, n int) ([]float64, bool) {
 	for col := 0; col < n; col++ {
 		// Partial pivot.
 		piv, pmax := col, math.Abs(m[col*n+col])
@@ -631,6 +664,211 @@ func solveSymInto(m, x, a, b []float64, n int) ([]float64, bool) {
 		}
 	}
 	return x, true
+}
+
+// solveSym2 is solveSymGeneric for n = 2.
+func solveSym2(a, b []float64) ([]float64, bool) {
+	a, b = a[:4], b[:2]
+	m00, m01 := a[0], a[1]
+	m10, m11 := a[2], a[3]
+	y0, y1 := b[0], b[1]
+	piv, pmax := 0, math.Abs(m00)
+	if v := math.Abs(m10); v > pmax {
+		piv, pmax = 1, v
+	}
+	if pmax == 0 || pmax != pmax {
+		return nil, false
+	}
+	if piv == 1 {
+		m00, m01, y0, m10, m11, y1 = m10, m11, y1, m00, m01, y0
+	}
+	inv := 1 / m00
+	if f := m10 * inv; f != 0 {
+		m11 -= f * m01
+		y1 -= f * y0
+	}
+	if pmax = math.Abs(m11); pmax == 0 || pmax != pmax {
+		return nil, false
+	}
+	x1 := y1 / m11
+	x0 := (y0 - m01*x1) / m00
+	for _, v := range [2]float64{x0, x1} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, false
+		}
+	}
+	b[0], b[1] = x0, x1
+	return b, true
+}
+
+// solveSym3 is solveSymGeneric for n = 3.
+func solveSym3(a, b []float64) ([]float64, bool) {
+	a, b = a[:9], b[:3]
+	m00, m01, m02 := a[0], a[1], a[2]
+	m10, m11, m12 := a[3], a[4], a[5]
+	m20, m21, m22 := a[6], a[7], a[8]
+	y0, y1, y2 := b[0], b[1], b[2]
+	piv, pmax := 0, math.Abs(m00)
+	if v := math.Abs(m10); v > pmax {
+		piv, pmax = 1, v
+	}
+	if v := math.Abs(m20); v > pmax {
+		piv, pmax = 2, v
+	}
+	if pmax == 0 || pmax != pmax {
+		return nil, false
+	}
+	switch piv {
+	case 1:
+		m00, m01, m02, y0, m10, m11, m12, y1 = m10, m11, m12, y1, m00, m01, m02, y0
+	case 2:
+		m00, m01, m02, y0, m20, m21, m22, y2 = m20, m21, m22, y2, m00, m01, m02, y0
+	}
+	inv := 1 / m00
+	if f := m10 * inv; f != 0 {
+		m11 -= f * m01
+		m12 -= f * m02
+		y1 -= f * y0
+	}
+	if f := m20 * inv; f != 0 {
+		m21 -= f * m01
+		m22 -= f * m02
+		y2 -= f * y0
+	}
+	piv, pmax = 1, math.Abs(m11)
+	if v := math.Abs(m21); v > pmax {
+		piv, pmax = 2, v
+	}
+	if pmax == 0 || pmax != pmax {
+		return nil, false
+	}
+	if piv == 2 {
+		m11, m12, y1, m21, m22, y2 = m21, m22, y2, m11, m12, y1
+	}
+	inv = 1 / m11
+	if f := m21 * inv; f != 0 {
+		m22 -= f * m12
+		y2 -= f * y1
+	}
+	if pmax = math.Abs(m22); pmax == 0 || pmax != pmax {
+		return nil, false
+	}
+	x2 := y2 / m22
+	x1 := (y1 - m12*x2) / m11
+	x0 := (y0 - m01*x1 - m02*x2) / m00
+	for _, v := range [3]float64{x0, x1, x2} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, false
+		}
+	}
+	b[0], b[1], b[2] = x0, x1, x2
+	return b, true
+}
+
+// solveSym4 is solveSymGeneric for n = 4.
+func solveSym4(a, b []float64) ([]float64, bool) {
+	a, b = a[:16], b[:4]
+	m00, m01, m02, m03 := a[0], a[1], a[2], a[3]
+	m10, m11, m12, m13 := a[4], a[5], a[6], a[7]
+	m20, m21, m22, m23 := a[8], a[9], a[10], a[11]
+	m30, m31, m32, m33 := a[12], a[13], a[14], a[15]
+	y0, y1, y2, y3 := b[0], b[1], b[2], b[3]
+	piv, pmax := 0, math.Abs(m00)
+	if v := math.Abs(m10); v > pmax {
+		piv, pmax = 1, v
+	}
+	if v := math.Abs(m20); v > pmax {
+		piv, pmax = 2, v
+	}
+	if v := math.Abs(m30); v > pmax {
+		piv, pmax = 3, v
+	}
+	if pmax == 0 || pmax != pmax {
+		return nil, false
+	}
+	switch piv {
+	case 1:
+		m00, m01, m02, m03, y0, m10, m11, m12, m13, y1 = m10, m11, m12, m13, y1, m00, m01, m02, m03, y0
+	case 2:
+		m00, m01, m02, m03, y0, m20, m21, m22, m23, y2 = m20, m21, m22, m23, y2, m00, m01, m02, m03, y0
+	case 3:
+		m00, m01, m02, m03, y0, m30, m31, m32, m33, y3 = m30, m31, m32, m33, y3, m00, m01, m02, m03, y0
+	}
+	inv := 1 / m00
+	if f := m10 * inv; f != 0 {
+		m11 -= f * m01
+		m12 -= f * m02
+		m13 -= f * m03
+		y1 -= f * y0
+	}
+	if f := m20 * inv; f != 0 {
+		m21 -= f * m01
+		m22 -= f * m02
+		m23 -= f * m03
+		y2 -= f * y0
+	}
+	if f := m30 * inv; f != 0 {
+		m31 -= f * m01
+		m32 -= f * m02
+		m33 -= f * m03
+		y3 -= f * y0
+	}
+	piv, pmax = 1, math.Abs(m11)
+	if v := math.Abs(m21); v > pmax {
+		piv, pmax = 2, v
+	}
+	if v := math.Abs(m31); v > pmax {
+		piv, pmax = 3, v
+	}
+	if pmax == 0 || pmax != pmax {
+		return nil, false
+	}
+	switch piv {
+	case 2:
+		m11, m12, m13, y1, m21, m22, m23, y2 = m21, m22, m23, y2, m11, m12, m13, y1
+	case 3:
+		m11, m12, m13, y1, m31, m32, m33, y3 = m31, m32, m33, y3, m11, m12, m13, y1
+	}
+	inv = 1 / m11
+	if f := m21 * inv; f != 0 {
+		m22 -= f * m12
+		m23 -= f * m13
+		y2 -= f * y1
+	}
+	if f := m31 * inv; f != 0 {
+		m32 -= f * m12
+		m33 -= f * m13
+		y3 -= f * y1
+	}
+	piv, pmax = 2, math.Abs(m22)
+	if v := math.Abs(m32); v > pmax {
+		piv, pmax = 3, v
+	}
+	if pmax == 0 || pmax != pmax {
+		return nil, false
+	}
+	if piv == 3 {
+		m22, m23, y2, m32, m33, y3 = m32, m33, y3, m22, m23, y2
+	}
+	inv = 1 / m22
+	if f := m32 * inv; f != 0 {
+		m33 -= f * m23
+		y3 -= f * y2
+	}
+	if pmax = math.Abs(m33); pmax == 0 || pmax != pmax {
+		return nil, false
+	}
+	x3 := y3 / m33
+	x2 := (y2 - m23*x3) / m22
+	x1 := (y1 - m12*x2 - m13*x3) / m11
+	x0 := (y0 - m01*x1 - m02*x2 - m03*x3) / m00
+	for _, v := range [4]float64{x0, x1, x2, x3} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, false
+		}
+	}
+	b[0], b[1], b[2], b[3] = x0, x1, x2, x3
+	return b, true
 }
 
 func dot(a, b []float64) float64 {

@@ -58,8 +58,8 @@ type SharedStats struct {
 	min, max   float64
 
 	// Scratch for PredictExcluding and sortedExcluded (guarded by mu).
-	phi, xtx, xtv, solveM, solveX []float64
-	exclBuf                       []int
+	phi, xtx, xtv []float64
+	exclBuf       []int
 }
 
 // NewSharedStats snapshots a's current values (which must be trustworthy:
@@ -266,8 +266,6 @@ func (s *SharedStats) PredictExcluding(idx []int) (float64, error) {
 		s.phi = make([]float64, p)
 		s.xtx = make([]float64, p*p)
 		s.xtv = make([]float64, p)
-		s.solveM = make([]float64, p*p)
-		s.solveX = make([]float64, p)
 	}
 	phi := s.phi[:p]
 	xtx := s.xtx[:p*p]
@@ -276,7 +274,10 @@ func (s *SharedStats) PredictExcluding(idx []int) (float64, error) {
 	copy(xtx, m.xtx)
 	copy(xtv, m.xtv)
 
-	off := s.a.Offset(idx...)
+	off, ok := s.a.OffsetOK(idx)
+	if !ok {
+		off = s.a.Offset(idx...) // panics with the index's error
+	}
 	if _, already := s.excluded[off]; !already {
 		v := s.snap[off]
 		for i := 0; i < p; i++ {
@@ -286,7 +287,7 @@ func (s *SharedStats) PredictExcluding(idx []int) (float64, error) {
 			xtv[i] -= phi[i] * v
 		}
 	}
-	beta, ok := solveSymInto(s.solveM[:p*p], s.solveX[:p], xtx, xtv, p)
+	beta, ok := solveSymInPlace(xtx, xtv, p)
 	if !ok {
 		return 0, ErrUnsupported
 	}

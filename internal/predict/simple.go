@@ -38,25 +38,32 @@ func (Average) Name() string { return "Average" }
 // Predict implements Predictor.
 func (Average) Predict(env *Env, idx []int) (float64, error) {
 	a := env.A
-	sum, n := 0.0, 0
-	nb := env.ints(slotAvgNb)
-	copy(nb, idx)
+	off, ok := a.OffsetOK(idx)
+	if !ok {
+		off = a.Offset(idx...) // panics with the index's error
+	}
+	sum, lastNaN, n := 0.0, 0.0, 0
 	for d := 0; d < a.NumDims(); d++ {
 		for _, delta := range [2]int{-1, +1} {
-			nb[d] = idx[d] + delta
-			if nb[d] >= 0 && nb[d] < a.Dim(d) {
-				if noff := a.Offset(nb...); !env.Masked(noff) {
-					sum += a.AtOffset(noff)
+			if i := idx[d] + delta; i >= 0 && i < a.Dim(d) {
+				if noff := off + delta*a.Stride(d); !env.Masked(noff) {
+					v := a.AtOffset(noff)
+					if v != v {
+						lastNaN = v
+					}
+					sum += v
 					n++
 				}
 			}
 		}
-		nb[d] = idx[d]
 	}
 	if n == 0 {
 		// A 1x1x...x1 array has no neighbors at all (or every neighbor is
 		// quarantined).
 		return 0, ErrUnsupported
+	}
+	if lastNaN != lastNaN {
+		sum = lastNaN // a NaN sum is the last NaN term, as in lorenzoSweep
 	}
 	return sum / float64(n), nil
 }
@@ -93,7 +100,10 @@ func (c CurveFit) Name() string {
 // Predict implements Predictor.
 func (c CurveFit) Predict(env *Env, idx []int) (float64, error) {
 	a := env.A
-	off := a.Offset(idx...)
+	off, ok := a.OffsetOK(idx)
+	if !ok {
+		off = a.Offset(idx...) // panics with the index's error
+	}
 	need := c.Order + 1
 	usable := func(dir int) bool {
 		for k := 1; k <= need; k++ {
