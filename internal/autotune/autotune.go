@@ -121,14 +121,17 @@ func Select(env *predict.Env, idx []int, cfg Config) (Result, error) {
 	// until the division below) rounds as in a method-by-method sweep, and
 	// Random, the one method that draws, draws in the same order.
 	scores := make([]Score, len(methods))
+	var local [16]predict.Predictor // the candidates, built once per run
+	preds := local[:0]
 	for mi, m := range methods {
 		scores[mi].Method = m
+		preds = append(preds, predict.New(m))
 	}
 	for _, off := range probes {
 		probeIdx := walk.Coords(off)
 		want := a.AtOffset(off)
-		for mi, m := range methods {
-			got, err := predict.New(m).Predict(env, probeIdx)
+		for mi, p := range preds {
+			got, err := p.Predict(env, probeIdx)
 			if err != nil {
 				continue
 			}

@@ -513,13 +513,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 					}
 					stop := min(end, excl[k])
 					x := float64(x0 + off - row)
-					for _, v := range data[off:stop] {
-						a0 += v
-						aA += fA * v
-						aB += fB * v
-						ax += x * v
-						x++
-					}
+					a0, aA, aB, ax = xtvRun(data[off:stop], fA, fB, x, a0, aA, aB, ax)
 					for t := 1; t <= nOut; t++ {
 						acc, f := xtv[t], phi[t]
 						for _, v := range data[off:stop] {
@@ -529,15 +523,15 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 					}
 					if stop < end {
 						// The excluded cell that ends the run is a cell of
-						// the box, at x: its rank-1 term leaves X'X, in
-						// integers, so exact in any order.
+						// the box: its rank-1 term leaves X'X, in integers,
+						// so exact in any order.
 						if d > 2 {
 							phi[d-2] = fA
 						}
 						if d > 1 {
 							phi[d-1] = fB
 						}
-						phi[d] = x
+						phi[d] = float64(x0 + stop - row)
 						downdate(xtx, phi)
 						n--
 					}
@@ -581,6 +575,24 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	}
 	// The patch is centered at idx, so the prediction is the intercept.
 	return beta[0], nil
+}
+
+// xtvRun adds one run of cells to LocalRegression's four register X'v
+// sums: the intercept's, A's and B's (constant along the run) and the last
+// coordinate's (x, counting up from the run's first cell). It is kept out of
+// line: inlined into Predict, whose walk keeps more values live than there
+// are registers, the loop's counter went through the stack on every cell.
+//
+//go:noinline
+func xtvRun(run []float64, fA, fB, x, a0, aA, aB, ax float64) (float64, float64, float64, float64) {
+	for _, v := range run {
+		a0 += v
+		aA += fA * v
+		aB += fB * v
+		ax += x * v
+		x++
+	}
+	return a0, aA, aB, ax
 }
 
 // downdate takes one cell's rank-1 term phi*phi' off the upper triangle of
