@@ -120,8 +120,13 @@ func (q *quarantine) AppendMasked(dst []int, lo, hi, limit int) ([]int, bool) {
 		if loaded += w1 - w0 + 1; loaded > limit {
 			return dst[:n0], false
 		}
-		for w := w0; w <= w1; w++ {
-			set := q.words[w].Load()
+		words := q.words[w0 : w1+1]
+		for i := range words {
+			set := words[i].Load()
+			if set == 0 {
+				continue
+			}
+			w := w0 + i
 			if w == first {
 				set &= ^uint64(0) << (lo & 63)
 			}

@@ -505,7 +505,35 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 		for iA := loA; iA <= hiA; iA++ {
 			fA := float64(iA - cA)
 			row := base + iA*stA + loB*stB
-			for iB := loB; iB <= hiB; iB, row = iB+1, row+stB {
+			for iB := loB; iB <= hiB; {
+				for excl[k] < row {
+					k++ // inside the span but outside the box
+				}
+				// The rows that end before the next excluded cell are clean:
+				// one call takes them all.
+				rows := hiB - iB + 1
+				if e := excl[k]; e < row+(rows-1)*stB+rowLen {
+					rows = 0
+					if e >= row+rowLen {
+						rows = (e-row-rowLen)/stB + 1
+					}
+				}
+				if rows > 0 {
+					span := data[row : row+(rows-1)*stB+rowLen]
+					a0, aA, aB, ax = xtvRows(span, rows, rowLen, stB, fA, float64(iB-cB), float64(x0), a0, aA, aB, ax)
+					for t := 1; t <= nOut; t++ {
+						acc, f := xtv[t], phi[t]
+						for r := 0; r < rows; r++ {
+							for _, v := range span[r*stB : r*stB+rowLen] {
+								acc += f * v
+							}
+						}
+						xtv[t] = acc
+					}
+					iB, row = iB+rows, row+rows*stB
+					continue
+				}
+				// A row with an excluded cell: runs of cells between them.
 				fB := float64(iB - cB)
 				for off, end := row, row+rowLen; off < end; off++ {
 					for excl[k] < off {
@@ -513,7 +541,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 					}
 					stop := min(end, excl[k])
 					x := float64(x0 + off - row)
-					a0, aA, aB, ax = xtvRun(data[off:stop], fA, fB, x, a0, aA, aB, ax)
+					a0, aA, aB, ax = xtvRows(data[off:stop], 1, stop-off, 0, fA, fB, x, a0, aA, aB, ax)
 					for t := 1; t <= nOut; t++ {
 						acc, f := xtv[t], phi[t]
 						for _, v := range data[off:stop] {
@@ -537,6 +565,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 					}
 					off = stop // steps over the excluded cell that ended the run
 				}
+				iB, row = iB+1, row+stB
 			}
 		}
 		t := nOut - 1
@@ -577,20 +606,26 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	return beta[0], nil
 }
 
-// xtvRun adds one run of cells to LocalRegression's four register X'v
-// sums: the intercept's, A's and B's (constant along the run) and the last
-// coordinate's (x, counting up from the run's first cell). It is kept out of
-// line: inlined into Predict, whose walk keeps more values live than there
-// are registers, the loop's counter went through the stack on every cell.
+// xtvRows adds rows rows of n cells — the first at data[0:n], each next one
+// stride cells on — to LocalRegression's four register X'v sums in
+// row-major order: the intercept's, A's (fA, constant), B's (fB, one more
+// per row) and the last coordinate's (x0 at a row's first cell, one more per
+// cell). It is kept out of line: inlined into Predict, whose walk keeps more
+// values live than there are registers, the loop's counter went through the
+// stack on every cell.
 //
 //go:noinline
-func xtvRun(run []float64, fA, fB, x, a0, aA, aB, ax float64) (float64, float64, float64, float64) {
-	for _, v := range run {
-		a0 += v
-		aA += fA * v
-		aB += fB * v
-		ax += x * v
-		x++
+func xtvRows(data []float64, rows, n, stride int, fA, fB, x0, a0, aA, aB, ax float64) (float64, float64, float64, float64) {
+	for r := 0; r < rows; r++ {
+		x := x0
+		for _, v := range data[r*stride : r*stride+n] {
+			a0 += v
+			aA += fA * v
+			aB += fB * v
+			ax += x * v
+			x++
+		}
+		fB++
 	}
 	return a0, aA, aB, ax
 }
