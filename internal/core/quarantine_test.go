@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -17,9 +18,9 @@ import (
 
 // TestQuarantineViewEnumerates pins the per-array set the engine hands to
 // every Env: part of the array's record, ascending range enumeration under
-// one query, no answer outside the array, a decline only when the span
-// covers more words than the caller's limit, and no cross-talk between
-// arrays.
+// one query, no answer outside the array, a decline only when the query
+// would read more block counts or words than the caller's limit, and no
+// cross-talk between arrays.
 func TestQuarantineViewEnumerates(t *testing.T) {
 	eng := NewEngine(Options{Seed: 1})
 	a, b := ndarray.New(100), ndarray.New(100)
@@ -42,8 +43,9 @@ func TestQuarantineViewEnumerates(t *testing.T) {
 		t.Error("Masked disagrees with the set")
 	}
 
-	// 0..99 spans two words: a limit of one declines with dst untouched, a
-	// limit of two enumerates, whatever the size of the set.
+	// 0..99 is two words of one non-empty block: a limit of one declines
+	// with dst untouched, a limit of two enumerates, whatever the size of
+	// the set.
 	if got, ok := va.AppendMasked([]int{-1}, 0, 99, 1); ok || fmt.Sprint(got) != "[-1]" {
 		t.Errorf("two-word span under limit 1 = %v, %v; want [-1], false", got, ok)
 	}
@@ -119,6 +121,126 @@ func TestQuarantineBitmapMatchesModel(t *testing.T) {
 		}
 		if got, want := q.offsets(), inModel(0, cells); !slices.Equal(got, want) {
 			t.Fatalf("step %d: offsets %v, model %v", step, got, want)
+		}
+	}
+}
+
+// TestQuarantineBlockCountsUnderWriters is the model test of the indexed
+// bitmap. Writers add and remove random cells — most in a few hot blocks,
+// so adds, removes and count updates of one block and one word race — while
+// readers query random spans. At quiescence every block count equals the set
+// bits of its words, the total equals their sum, and AppendMasked over
+// random spans and limits equals a per-cell Masked scan, declining (dst
+// untouched) exactly when it would read more than limit block counts or
+// more than limit words of non-empty blocks.
+func TestQuarantineBlockCountsUnderWriters(t *testing.T) {
+	const cells = 40*64*blockWords + 77 // 40 blocks and a partial one
+	var q quarantine
+	q.init(cells)
+	hot := []int{0, 3*64*blockWords + 5, cells - 1} // a few cells to center the hot spots on
+	pick := func(rng *rand.Rand) int {
+		if rng.Intn(3) > 0 {
+			return min(max(hot[rng.Intn(len(hot))]+rng.Intn(200)-100, 0), cells-1)
+		}
+		return rng.Intn(cells)
+	}
+
+	for round := 0; round < 6; round++ {
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < 3000; i++ {
+					if off := pick(rng); rng.Intn(2) == 0 {
+						q.add(off)
+					} else {
+						q.remove(off)
+					}
+				}
+			}(int64(100*round + g))
+		}
+		var readers sync.WaitGroup
+		readers.Add(1)
+		go func() { // queries racing the writers must stay in the span and ascending
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(round)))
+			var dst []int
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				lo := pick(rng)
+				hi := lo + rng.Intn(5000)
+				var ok bool
+				if dst, ok = q.AppendMasked(dst[:0], lo, hi, 1+rng.Intn(64)); ok {
+					for i, off := range dst {
+						if off < lo || off > hi || (i > 0 && off <= dst[i-1]) {
+							t.Errorf("AppendMasked(%d..%d) returned %v", lo, hi, dst)
+							return
+						}
+					}
+				}
+			}
+		}()
+		wg.Wait()
+		close(stop)
+		readers.Wait()
+
+		total := 0
+		for b := range q.blocks {
+			set := 0
+			for w := b * blockWords; w < min((b+1)*blockWords, len(q.words)); w++ {
+				set += bits.OnesCount64(q.words[w].Load())
+			}
+			if got := int(q.blocks[b].Load()); got != set {
+				t.Fatalf("round %d: block %d counts %d, its words hold %d bits", round, b, got, set)
+			}
+			total += set
+		}
+		if n := q.count.Load(); n != int64(total) {
+			t.Fatalf("round %d: count %d, bits set %d", round, n, total)
+		}
+
+		rng := rand.New(rand.NewSource(int64(1000 + round)))
+		for i := 0; i < 2000; i++ {
+			lo := pick(rng) - rng.Intn(64*blockWords)
+			hi := lo + rng.Intn(8*64*blockWords)
+			limit := 1 + rng.Intn(3*blockWords)
+			var want []int
+			counts, words := 0, 0
+			clo, chi := max(lo, 0), min(hi, cells-1)
+			for off := clo; off <= chi; off++ {
+				if q.Masked(off) {
+					want = append(want, off)
+				}
+			}
+			if clo <= chi {
+				first, last := clo>>6, chi>>6
+				for b := first / blockWords; b <= last/blockWords; b++ {
+					counts++
+					if q.blocks[b].Load() != 0 {
+						words += min((b+1)*blockWords-1, last) - max(b*blockWords, first) + 1
+					}
+				}
+			}
+			got, ok := q.AppendMasked([]int{-1}, lo, hi, limit)
+			if wantOK := counts <= limit && words <= limit; ok != wantOK {
+				t.Fatalf("round %d: AppendMasked(%d..%d, limit %d) ok = %v; it reads %d counts and %d words", round, lo, hi, limit, ok, counts, words)
+			}
+			if !ok {
+				if !slices.Equal(got, []int{-1}) {
+					t.Fatalf("round %d: a declined AppendMasked(%d..%d) left dst %v", round, lo, hi, got)
+				}
+				continue
+			}
+			if !slices.Equal(got[1:], want) || got[0] != -1 {
+				t.Fatalf("round %d: AppendMasked(%d..%d, limit %d) = %v; per-cell scan %v", round, lo, hi, limit, got, want)
+			}
 		}
 	}
 }

@@ -136,6 +136,31 @@ func TestTryOffsetErrors(t *testing.T) {
 	}
 }
 
+// TestOffsetOKMatchesTryOffset holds the inlinable OffsetOK to TryOffset:
+// the same offset for every index in bounds, and ok = false exactly where
+// TryOffset fails — a coordinate below zero or past its dimension, or the
+// wrong number of coordinates.
+func TestOffsetOKMatchesTryOffset(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, dims := range [][]int{{7}, {1}, {3, 5}, {4, 1, 6}, {2, 3, 2, 3}} {
+		a := New(dims...)
+		for i := 0; i < 500; i++ {
+			idx := make([]int, len(dims)+rng.Intn(5)/4-rng.Intn(5)/4)
+			for d := range idx {
+				idx[d] = rng.Intn(9) - 2
+				if d < len(dims) && rng.Intn(2) == 0 {
+					idx[d] = rng.Intn(dims[d])
+				}
+			}
+			want, err := a.TryOffset(idx...)
+			got, ok := a.OffsetOK(idx)
+			if ok != (err == nil) || (ok && got != want) {
+				t.Fatalf("dims %v idx %v: OffsetOK = %d, %v; TryOffset = %d, %v", dims, idx, got, ok, want, err)
+			}
+		}
+	}
+}
+
 func TestCoordsIntoPanics(t *testing.T) {
 	a := New(3, 4)
 	for _, tc := range []struct {
