@@ -23,6 +23,11 @@ type Lagrange struct {
 	// along dimension 0. They must be distinct and non-zero. The paper's
 	// configuration is {-2, -1, 1}.
 	Offsets []int
+
+	// weights, when set, are Offsets' Lagrange weights, computed once up
+	// front (the paper's configuration, see New); otherwise a prediction
+	// looks them up in the memo.
+	weights []float64
 }
 
 // Name implements Predictor.
@@ -120,11 +125,14 @@ func (l Lagrange) Predict(env *Env, idx []int) (float64, error) {
 	for k := len(l.Offsets); k >= 1; k-- {
 		for axis := 0; axis < a.NumDims(); axis++ {
 			stride := a.Stride(axis)
-			nodes := l.fitNodes(env, center, stride, idx[axis], a.Dim(axis), k)
+			nodes, configured := l.fitNodes(env, center, stride, idx[axis], a.Dim(axis), k)
 			if nodes == nil {
 				continue
 			}
-			w := lagrangeWeights(nodes)
+			w := l.weights
+			if !configured || w == nil {
+				w = lagrangeWeights(nodes)
+			}
 			sum, lastNaN := 0.0, 0.0
 			for r, off := range nodes {
 				term := w[r] * a.AtOffset(center+off*stride)
@@ -146,9 +154,10 @@ func (l Lagrange) Predict(env *Env, idx []int) (float64, error) {
 // bounds and unmasked) when shifted by base = idx[axis]: the configured
 // offsets, their mirror image (both only at full k), or the nearest k usable
 // non-zero offsets within MaxStencilReach. Returns nil if fewer than k
-// candidates exist (dimension too small or too quarantined). center is the
-// target's offset and stride the axis's.
-func (l Lagrange) fitNodes(env *Env, center, stride, base, dimSz, k int) []int {
+// candidates exist (dimension too small or too quarantined), and whether
+// the set is the configured one. center is the target's offset and stride
+// the axis's.
+func (l Lagrange) fitNodes(env *Env, center, stride, base, dimSz, k int) (nodes []int, configured bool) {
 	if k == len(l.Offsets) {
 		ok := true
 		for _, o := range l.Offsets {
@@ -158,7 +167,7 @@ func (l Lagrange) fitNodes(env *Env, center, stride, base, dimSz, k int) []int {
 			}
 		}
 		if ok {
-			return l.Offsets
+			return l.Offsets, true
 		}
 		mir := intBuf(&env.sc.lagNodes, k)
 		for i, o := range l.Offsets {
@@ -172,7 +181,7 @@ func (l Lagrange) fitNodes(env *Env, center, stride, base, dimSz, k int) []int {
 			}
 		}
 		if ok {
-			return mir
+			return mir, false
 		}
 	}
 	// Nearest usable non-zero offsets, alternating outward. The search is
@@ -183,7 +192,7 @@ func (l Lagrange) fitNodes(env *Env, center, stride, base, dimSz, k int) []int {
 	if limit > MaxStencilReach+1 {
 		limit = MaxStencilReach + 1
 	}
-	nodes := intBuf(&env.sc.lagNodes, k)[:0]
+	nodes = intBuf(&env.sc.lagNodes, k)[:0]
 	for dist := 1; len(nodes) < k && dist < limit; dist++ {
 		for _, o := range [2]int{-dist, +dist} {
 			if lagUsable(env, center, stride, base, o, dimSz) {
@@ -195,9 +204,9 @@ func (l Lagrange) fitNodes(env *Env, center, stride, base, dimSz, k int) []int {
 		}
 	}
 	if len(nodes) < k {
-		return nil
+		return nil, false
 	}
-	return nodes
+	return nodes, false
 }
 
 var _ Predictor = Lagrange{}

@@ -419,9 +419,12 @@ func ParseMethod(name string) (Method, error) {
 }
 
 // paperLagrange is the paper's Lagrange configuration (two preceding values
-// and one succeeding), boxed once: New hands out the same read-only value
-// instead of building the offset slice per call.
-var paperLagrange Predictor = Lagrange{Offsets: []int{-2, -1, 1}}
+// and one succeeding), boxed once with its weights: New hands out the same
+// read-only value instead of building the offset slice per call, and its
+// predictions skip the weight memo's lock and lookup.
+var paperLagrange Predictor = Lagrange{Offsets: paperLagrangeOffsets, weights: computeLagrangeWeights(paperLagrangeOffsets)}
+
+var paperLagrangeOffsets = []int{-2, -1, 1}
 
 // New constructs the predictor implementing m with the paper's parameters.
 func New(m Method) Predictor {
