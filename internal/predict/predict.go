@@ -98,12 +98,12 @@ type scratch struct {
 	lorSides []bool    // Lorenzo per-dimension feasibility, both sides
 	lagNodes []int     // Lagrange fallback nodes (one per node, not per dim)
 	excluded []int     // LocalRegression: offsets in the patch it must not read
-	probes   []int     // autotune: probe offsets (see Env.Probes)
+	probes   []int     // autotune: probe offsets, then the probe walk's odometer (see Env.Probes)
 	fit      []float64 // regression working set (see Env.fitScratch)
 
-	// boxOK reports that LocalRegression's memo — the closed-form X'X of the
-	// box whose clip extents relative to its centre are in slots
-	// slotBoxLo/slotBoxHi, kept in the fit slab — holds a value.
+	// boxOK reports that LocalRegression's memo in the fit slab — a box's
+	// clip extents relative to its centre and its closed-form X'X — holds
+	// a value.
 	boxOK bool
 }
 
@@ -118,9 +118,6 @@ const (
 	slotAutoIdx  // LorenzoAuto probe coordinates, held while it calls Lorenzo
 	slotPatchCur // ndarray.PatchRows odometer (see Env.PatchRows)
 	slotProbeIdx // autotune probe coordinates (see ProbeWalk)
-	slotProbeRow // autotune probe row walk odometer (see ProbeWalk)
-	slotBoxLo    // LocalRegression memo key: lower clip extents
-	slotBoxHi    // LocalRegression memo key: upper clip extents
 	numIntSlots
 )
 
@@ -142,25 +139,25 @@ func (e *Env) ints(slot int) []int {
 	d := e.A.NumDims()
 	if len(e.sc.ints) != numIntSlots*d {
 		e.sc.ints = make([]int, numIntSlots*d)
-		e.sc.boxOK = false
 	}
 	return e.sc.ints[slot*d : (slot+1)*d : (slot+1)*d]
 }
 
 // fitScratch returns the working set of a least-squares fit with p features
 // — the feature vector, the normal equations X'X (p*p, row-major) and X'v,
-// which solveSymInPlace consumes, and LocalRegression's memoized box X'X
-// (p*p) — carved from one allocation.
-func (e *Env) fitScratch(p int) (phi, xtx, xtv, box []float64) {
-	if n := 2*p*p + 2*p; len(e.sc.fit) != n {
+// which solveSymInPlace consumes, and LocalRegression's memo: a box's X'X
+// (p*p), then its p-1 lower and p-1 upper clip extents (small integers,
+// exact as float64) — carved from one allocation.
+func (e *Env) fitScratch(p int) (phi, xtx, xtv, memo []float64) {
+	if n := 2*p*p + 4*p - 2; len(e.sc.fit) != n {
 		e.sc.fit = make([]float64, n)
 		e.sc.boxOK = false
 	}
 	buf := e.sc.fit
 	phi, buf = buf[:p:p], buf[p:]
 	xtx, buf = buf[:p*p:p*p], buf[p*p:]
-	xtv, box = buf[:p:p], buf[p:]
-	return phi, xtx, xtv, box
+	xtv, memo = buf[:p:p], buf[p:]
+	return phi, xtx, xtv, memo
 }
 
 // intBuf returns *buf resized (reallocating only on growth) to n elements.
@@ -193,10 +190,14 @@ func (e *Env) Probes(idx []int, k int) (offs []int, walk ProbeWalk) {
 		lo, hi := e.A.PatchBounds(idx, k, d)
 		cells *= hi - lo + 1
 	}
-	if cap(e.sc.probes) < cells {
-		e.sc.probes = make([]int, 0, cells)
+	// One buffer: the probe offsets, and past every one of them the probe
+	// walk's row odometer.
+	n := cells + len(idx)
+	if cap(e.sc.probes) < n {
+		e.sc.probes = make([]int, 0, n)
 	}
-	offs = e.sc.probes[:0]
+	buf := e.sc.probes[:n]
+	offs = buf[:0:cells]
 	rows := e.PatchRows(idx, k)
 	for rows.Next() {
 		for off, end := rows.Off, rows.Off+rows.Len; off < end; off++ {
@@ -205,8 +206,7 @@ func (e *Env) Probes(idx []int, k int) (offs []int, walk ProbeWalk) {
 			}
 		}
 	}
-	e.sc.probes = offs
-	walk = ProbeWalk{rows: e.A.PatchRows(idx, k, e.ints(slotProbeRow)), idx: e.ints(slotProbeIdx)}
+	walk = ProbeWalk{rows: e.A.PatchRows(idx, k, buf[cells:n:n]), idx: e.ints(slotProbeIdx)}
 	if walk.rows.Next() {
 		copy(walk.idx, walk.rows.Cur)
 	}

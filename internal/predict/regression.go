@@ -391,23 +391,23 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	if !ok {
 		skip = a.Offset(idx...) // panics with the index's error
 	}
-	phi, xtx, xtv, box := env.fitScratch(p)
+	phi, xtx, xtv, memo := env.fitScratch(p)
+	box, keyLo, keyHi := memo[:p*p], memo[p*p:p*p+d], memo[p*p+d:]
 
 	// The clipped box, once per prediction: its bounds, its cell count, the
 	// linear span it lies in, and whether the memoized X'X is its own.
 	lo, hi := env.ints(slotRegLo), env.ints(slotRegHi)
-	keyLo, keyHi := env.ints(slotBoxLo), env.ints(slotBoxHi)
 	n, first, last := 1, 0, 0
-	memo := env.sc.boxOK
+	hit := env.sc.boxOK
 	for t := 0; t < d; t++ {
 		lo[t], hi[t] = a.PatchBounds(idx, r, t)
 		n *= hi[t] - lo[t] + 1
 		first += lo[t] * a.Stride(t)
 		last += hi[t] * a.Stride(t)
-		memo = memo && keyLo[t] == lo[t]-idx[t] && keyHi[t] == hi[t]-idx[t]
+		hit = hit && keyLo[t] == float64(lo[t]-idx[t]) && keyHi[t] == float64(hi[t]-idx[t])
 	}
 
-	if memo {
+	if hit {
 		copy(xtx, box)
 	} else {
 		// X'X over the whole box (upper triangle). With n_t cells,
@@ -440,7 +440,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 				}
 				xtx[(s+1)*p+t+1] = float64(sums[s] * sT * rest)
 			}
-			keyLo[t], keyHi[t] = lo[t]-idx[t], hi[t]-idx[t]
+			keyLo[t], keyHi[t] = float64(lo[t]-idx[t]), float64(hi[t]-idx[t])
 		}
 		copy(box, xtx)
 		env.sc.boxOK = true
