@@ -318,8 +318,24 @@ func TestQuarantineConcurrentSharedWord(t *testing.T) {
 
 // BenchmarkQuarantineMasked is the per-read mask query every small-stencil
 // read, tuner probe and verification cell pays, through the Env as the
-// predictors ask it: one goroutine, and one per core on one array.
+// predictors ask it: one goroutine, and one per core on one array. Span is
+// the one query a LocalRegression prediction makes instead: the linear span
+// of a radius-3 box in a 20 x 50 x 50 array (the bench's lib_any field),
+// with only the recovery target at its centre quarantined.
 func BenchmarkQuarantineMasked(b *testing.B) {
+	b.Run("span", func(b *testing.B) {
+		var q quarantine
+		q.init(20 * 50 * 50)
+		centre := 10*2500 + 25*50 + 25
+		q.add(centre)
+		lo, hi := centre-3*2500-3*50-3, centre+3*2500+3*50+3
+		dst := make([]int, 0, 8)
+		for i := 0; i < b.N; i++ {
+			dst, _ = q.AppendMasked(dst[:0], lo, hi, 7*7*7)
+		}
+		sinkInt = len(dst)
+	})
+
 	eng := NewEngine(Options{Seed: 7})
 	a := smoothArray(256, 64)
 	alloc := eng.Protect("grid", a, bitflip.Float32, registry.RecoverWith(predict.MethodLorenzo1))

@@ -130,7 +130,7 @@ const (
 	slotRegLo   = slotKernel0 // LocalRegression box: lower bounds
 	slotRegHi   = slotKernel1 // LocalRegression box: upper bounds
 	slotRegSum  = slotKernel2 // LocalRegression box: coordinate sums
-	slotRegCur  = slotKernel3 // LocalRegression outer odometer, then coordinates
+	slotRegCur  = slotKernel3 // LocalRegression outer odometer (4-D on)
 )
 
 // ints returns coordinate-scratch slot `slot`: NumDims ints, private to the
