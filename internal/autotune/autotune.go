@@ -116,10 +116,10 @@ func Select(env *predict.Env, idx []int, cfg Config) (Result, error) {
 	}
 
 	// Probes outside, methods inside: a probe's coordinates come once from
-	// the walk and its neighbourhood stays cached for all candidates. Each method still
-	// sees the probes in row-major order, so its error sum (kept in MeanRelErr
-	// until the division below) rounds as in a method-by-method sweep, and
-	// Random, the one method that draws, draws in the same order.
+	// the walk and its neighbourhood stays cached for all candidates. Each
+	// method still sees the probes in row-major order, so its error sum (kept
+	// in MeanRelErr until the division below) rounds as in a method-by-method
+	// sweep, and Random, the one method that draws, draws in the same order.
 	scores := make([]Score, len(methods))
 	var local [16]predict.Predictor // the candidates, built once per run
 	preds := local[:0]
