@@ -100,11 +100,6 @@ type scratch struct {
 	excluded []int     // LocalRegression: offsets in the patch it must not read
 	probes   []int     // autotune: probe offsets, then the probe walk's odometer (see Env.Probes)
 	fit      []float64 // regression working set (see Env.fitScratch)
-
-	// boxOK reports that LocalRegression's memo in the fit slab — a box's
-	// clip extents relative to its centre and its closed-form X'X — holds
-	// a value.
-	boxOK bool
 }
 
 // The coordinate-scratch slots of scratch.ints.
@@ -147,11 +142,12 @@ func (e *Env) ints(slot int) []int {
 // — the feature vector, the normal equations X'X (p*p, row-major) and X'v,
 // which solveSymInPlace consumes, and LocalRegression's memo: a box's X'X
 // (p*p), then its p-1 lower and p-1 upper clip extents (small integers,
-// exact as float64) — carved from one allocation.
+// exact as float64) — carved from one allocation. A new memo is empty: its
+// first extent is NaN, which equals no extent.
 func (e *Env) fitScratch(p int) (phi, xtx, xtv, memo []float64) {
 	if n := 2*p*p + 4*p - 2; len(e.sc.fit) != n {
 		e.sc.fit = make([]float64, n)
-		e.sc.boxOK = false
+		e.sc.fit[n-2*(p-1)] = math.NaN()
 	}
 	buf := e.sc.fit
 	phi, buf = buf[:p:p], buf[p:]

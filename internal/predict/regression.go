@@ -398,7 +398,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	// linear span it lies in, and whether the memoized X'X is its own.
 	lo, hi := env.ints(slotRegLo), env.ints(slotRegHi)
 	n, first, last := 1, 0, 0
-	hit := env.sc.boxOK
+	hit := true
 	for t := 0; t < d; t++ {
 		lo[t], hi[t] = a.PatchBounds(idx, r, t)
 		n *= hi[t] - lo[t] + 1
@@ -443,7 +443,6 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 			keyLo[t], keyHi[t] = float64(lo[t]-idx[t]), float64(hi[t]-idx[t])
 		}
 		copy(box, xtx)
-		env.sc.boxOK = true
 	}
 
 	// One mask query for the whole prediction; per cell when the mask cannot
