@@ -92,3 +92,24 @@ func TestLocalRegressionZeroAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestGlobalRegressionZeroAllocs covers the fit of an Env without
+// SharedStats, warm, under no mask, an enumerable source and a bare
+// predicate.
+func TestGlobalRegressionZeroAllocs(t *testing.T) {
+	p := GlobalRegression{}
+	env, idx := globalScanBenchEnv()
+	plain := NewEnv(env.A, 1)
+	predicate, _ := allocField()
+	for name, c := range map[string]struct {
+		env *Env
+		idx []int
+	}{"no mask": {plain, idx}, "enumerable": {env, idx}, "predicate": {predicate, []int{32, 32}}} {
+		c := c
+		assertZeroAllocs(t, p.Name()+", "+name, func() {
+			if _, err := p.Predict(c.env, c.idx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
