@@ -44,7 +44,7 @@ func TestLorenzoZeroAllocs(t *testing.T) {
 
 func TestLagrangeZeroAllocs(t *testing.T) {
 	env, idx := allocField()
-	p := Lagrange{Offsets: []int{-2, -1, 1}}
+	p := Lagrange{}
 	assertZeroAllocs(t, p.Name(), func() {
 		if _, err := p.Predict(env, idx); err != nil {
 			t.Fatal(err)

@@ -45,27 +45,18 @@ func BenchmarkLorenzo1Kernel(b *testing.B) {
 
 func BenchmarkLorenzo3Kernel(b *testing.B) { benchPredictor(b, Lorenzo{Layers: 3}) }
 func BenchmarkLagrangeKernel(b *testing.B) {
-	benchPredictor(b, Lagrange{Offsets: []int{-2, -1, 1}})
+	benchPredictor(b, Lagrange{})
 }
 
-// BenchmarkLagrangeWeightsMemo vs ...Compute measures the memoization win
-// for the weight table on the paper's node pattern.
-func BenchmarkLagrangeWeightsMemo(b *testing.B) {
-	nodes := []int{-2, -1, 1}
-	lagrangeWeights(nodes) // populate
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lagrangeWeights(nodes)
-	}
-}
-
+// BenchmarkLagrangeWeightsCompute times the weights of the paper's node
+// set, computed as a nearest-fit node set's are.
 func BenchmarkLagrangeWeightsCompute(b *testing.B) {
 	nodes := []int{-2, -1, 1}
+	var w [3]float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		computeLagrangeWeights(nodes)
+		lagrangeWeights(w[:], nodes)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestLagrangeDegradesAcrossColumnWipe(t *testing.T) {
 	})
 	env := envFor(a)
 	maskCol(env, a, 4)
-	got, err := (Lagrange{Offsets: []int{-2, -1, 1}}).Predict(env, []int{3, 4})
+	got, err := (Lagrange{}).Predict(env, []int{3, 4})
 	if err != nil {
 		t.Fatalf("degraded predict across column wipe: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestLagrangeShrinksToNearestNeighbor(t *testing.T) {
 	a := fill([]int{4, 4}, func(idx []int) float64 { return float64(idx[0]*4 + idx[1]) })
 	env := envFor(a)
 	maskAllBut(env, a, a.Offset(0, 0), a.Offset(0, 1))
-	got, err := (Lagrange{Offsets: []int{-2, -1, 1}}).Predict(env, []int{0, 0})
+	got, err := (Lagrange{}).Predict(env, []int{0, 0})
 	if err != nil {
 		t.Fatalf("shrunk predict: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestLagrangeDegradedRefusesWhenIsolated(t *testing.T) {
 	a := fill([]int{4, 4}, func(idx []int) float64 { return 1 })
 	env := envFor(a)
 	maskAllBut(env, a, a.Offset(2, 2))
-	if _, err := (Lagrange{Offsets: []int{-2, -1, 1}}).Predict(env, []int{2, 2}); !errors.Is(err, ErrUnsupported) {
+	if _, err := (Lagrange{}).Predict(env, []int{2, 2}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v, want ErrUnsupported", err)
 	}
 }

@@ -1,85 +1,41 @@
 package predict
 
-import "sync"
-
 // Lagrange implements Section 3.4.8: Lagrange polynomial interpolation
-// through k data points around the corrupted element along the slowest
-// changing dimension. The paper uses k = 3 points — two preceding values
-// and one succeeding value — i.e. nodes at offsets {-2, -1, +1} in
-// dimension 0, which defines a degree-2 interpolating polynomial evaluated
-// at offset 0:
+// through k = 3 data points around the corrupted element along the slowest
+// changing dimension — two preceding values and one succeeding value, i.e.
+// nodes at offsets {-2, -1, +1} in dimension 0 — which defines a degree-2
+// interpolating polynomial evaluated at offset 0:
 //
 //	f = -V(x-2)/3 + V(x-1) + V(x+1)/3.
 //
-// When the default node set does not fit inside the array (the corruption
-// sits near a boundary of dimension 0) the node set is mirrored; if neither
+// When the node set does not fit inside the array (the corruption sits near
+// a boundary of dimension 0) the node set is mirrored; if neither
 // orientation fits, the nearest k in-bounds offsets are used instead. The
 // Lagrange weights are recomputed from the actual node offsets, so the
 // interpolation remains exact for polynomials of degree < k. The fallback
 // search is capped at MaxStencilReach so the predictor honours the
 // package-wide stencil bound the lock-striped engine depends on.
-type Lagrange struct {
-	// Offsets are the node positions relative to the corrupted element
-	// along dimension 0. They must be distinct and non-zero. The paper's
-	// configuration is {-2, -1, 1}.
-	Offsets []int
-
-	// weights, when set, are Offsets' Lagrange weights, computed once up
-	// front (the paper's configuration, see New); otherwise a prediction
-	// looks them up in the memo.
-	weights []float64
-}
+type Lagrange struct{}
 
 // Name implements Predictor.
 func (Lagrange) Name() string { return "Lagrange" }
 
-// maxLagNodes bounds the memo key width; node sets are tiny (the paper uses
-// k=3) and every offset fits in MaxStencilReach.
-const maxLagNodes = 7
-
-// lagKey identifies a node-offset pattern: the count followed by the
-// offsets themselves (zero-padded; 0 is not a legal node offset).
-type lagKey [1 + maxLagNodes]int
-
-var lagMemo struct {
-	sync.RWMutex
-	m map[lagKey][]float64
-}
-
-// lagrangeWeights returns the Lagrange basis values at x=0 for the given
-// nodes, memoized by node pattern: only a handful of patterns occur (the
-// configured set, its mirror, and near-boundary fallbacks), so after warmup
-// every call is a lock-shielded map hit with zero allocations.
-func lagrangeWeights(nodes []int) []float64 {
-	if len(nodes) <= maxLagNodes {
-		var key lagKey
-		key[0] = len(nodes)
-		copy(key[1:], nodes)
-		lagMemo.RLock()
-		w, ok := lagMemo.m[key]
-		lagMemo.RUnlock()
-		if ok {
-			return w
-		}
-		w = computeLagrangeWeights(nodes)
-		lagMemo.Lock()
-		if lagMemo.m == nil {
-			lagMemo.m = map[lagKey][]float64{}
-		}
-		// Bound the table; beyond this it's cheaper to recompute than to
-		// evict (in practice a few dozen patterns exist per array shape).
-		if len(lagMemo.m) < 4096 {
-			lagMemo.m[key] = w
-		}
-		lagMemo.Unlock()
+// paperNodes are the paper's node offsets, and paperWeights their Lagrange
+// weights at 0. They are the weights of the mirrored set {2, 1, -1} as well:
+// negating every node negates each factor of a weight's numerator and of its
+// denominator, so every weight keeps its bits.
+var (
+	paperNodes   = [...]int{-2, -1, 1}
+	paperWeights = func() (w [len(paperNodes)]float64) {
+		lagrangeWeights(w[:], paperNodes[:])
 		return w
-	}
-	return computeLagrangeWeights(nodes)
-}
+	}()
+)
 
-// computeLagrangeWeights is the uncached computation.
-func computeLagrangeWeights(nodes []int) []float64 {
-	w := make([]float64, len(nodes))
+// lagrangeWeights writes the Lagrange basis values at x=0 of the given nodes
+// (distinct, non-zero) into w[:len(nodes)] and returns that slice.
+func lagrangeWeights(w []float64, nodes []int) []float64 {
+	w = w[:len(nodes)]
 	for r, xr := range nodes {
 		num, den := 1.0, 1.0
 		for m, xm := range nodes {
@@ -106,11 +62,8 @@ func lagUsable(env *Env, center, stride, base, o, dimSz int) bool {
 }
 
 // Predict implements Predictor.
-func (l Lagrange) Predict(env *Env, idx []int) (float64, error) {
+func (Lagrange) Predict(env *Env, idx []int) (float64, error) {
 	a := env.A
-	if len(l.Offsets) == 0 {
-		return 0, ErrUnsupported
-	}
 	center, ok := a.OffsetOK(idx)
 	if !ok {
 		center = a.Offset(idx...) // panics with the index's error
@@ -122,16 +75,13 @@ func (l Lagrange) Predict(env *Env, idx []int) (float64, error) {
 	// each other dimension — a wiped row leaves the column through the
 	// corruption fully healthy — and only then progressively fewer nodes
 	// (k-1 down to 1, a nearest-neighbor copy) across all dimensions.
-	for k := len(l.Offsets); k >= 1; k-- {
+	var wBuf [len(paperNodes)]float64
+	for k := len(paperNodes); k >= 1; k-- {
 		for axis := 0; axis < a.NumDims(); axis++ {
 			stride := a.Stride(axis)
-			nodes, configured := l.fitNodes(env, center, stride, idx[axis], a.Dim(axis), k)
+			nodes, w := fitNodes(env, center, stride, idx[axis], a.Dim(axis), k, wBuf[:])
 			if nodes == nil {
 				continue
-			}
-			w := l.weights
-			if !configured || w == nil {
-				w = lagrangeWeights(nodes)
 			}
 			sum, lastNaN := 0.0, 0.0
 			for r, off := range nodes {
@@ -151,26 +101,26 @@ func (l Lagrange) Predict(env *Env, idx []int) (float64, error) {
 }
 
 // fitNodes returns a k-node offset set along axis that is fully usable (in
-// bounds and unmasked) when shifted by base = idx[axis]: the configured
-// offsets, their mirror image (both only at full k), or the nearest k usable
-// non-zero offsets within MaxStencilReach. Returns nil if fewer than k
-// candidates exist (dimension too small or too quarantined), and whether
-// the set is the configured one. center is the target's offset and stride
-// the axis's.
-func (l Lagrange) fitNodes(env *Env, center, stride, base, dimSz, k int) (nodes []int, configured bool) {
-	if k == len(l.Offsets) {
+// bounds and unmasked) when shifted by base = idx[axis], and its weights:
+// the paper's nodes or their mirror image (both only at k = 3), whose
+// weights are paperWeights, or the nearest k usable non-zero offsets within
+// MaxStencilReach, whose weights it computes into w. Returns nil if fewer
+// than k candidates exist (dimension too small or too quarantined). center
+// is the target's offset and stride the axis's.
+func fitNodes(env *Env, center, stride, base, dimSz, k int, w []float64) (nodes []int, weights []float64) {
+	if k == len(paperNodes) {
 		ok := true
-		for _, o := range l.Offsets {
+		for _, o := range paperNodes {
 			if !lagUsable(env, center, stride, base, o, dimSz) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			return l.Offsets, true
+			return paperNodes[:], paperWeights[:]
 		}
 		mir := intBuf(&env.sc.lagNodes, k)
-		for i, o := range l.Offsets {
+		for i, o := range paperNodes {
 			mir[i] = -o
 		}
 		ok = true
@@ -181,7 +131,7 @@ func (l Lagrange) fitNodes(env *Env, center, stride, base, dimSz, k int) (nodes 
 			}
 		}
 		if ok {
-			return mir, false
+			return mir, paperWeights[:]
 		}
 	}
 	// Nearest usable non-zero offsets, alternating outward. The search is
@@ -204,9 +154,9 @@ func (l Lagrange) fitNodes(env *Env, center, stride, base, dimSz, k int) (nodes 
 		}
 	}
 	if len(nodes) < k {
-		return nil, false
+		return nil, nil
 	}
-	return nodes, false
+	return nodes, lagrangeWeights(w, nodes)
 }
 
 var _ Predictor = Lagrange{}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"spatialdue/internal/ndarray"
 )
@@ -97,7 +98,7 @@ type scratch struct {
 	ints     []int
 	lorSides []bool    // Lorenzo per-dimension feasibility, both sides
 	lagNodes []int     // Lagrange fallback nodes (one per node, not per dim)
-	excluded []int     // LocalRegression: offsets in the patch it must not read
+	excluded []int     // the offsets a prediction must not read (see Env.excluded)
 	probes   []int     // autotune: probe offsets, then the probe walk's odometer (see Env.Probes)
 	fit      []float64 // regression working set (see Env.fitScratch)
 }
@@ -121,7 +122,7 @@ const (
 	slotLorS    = slotKernel0 // Lorenzo odometer
 	slotLorDir  = slotKernel1 // Lorenzo orientation
 	slotLorMaxs = slotKernel2 // Lorenzo per-dimension layer counts
-	slotRegIdx  = slotKernel0 // GlobalRegression scan coordinates
+	slotRegIdx  = slotKernel0 // GlobalRegression row odometer; Range's patch centre
 	slotRegLo   = slotKernel0 // LocalRegression box: lower bounds
 	slotRegHi   = slotKernel1 // LocalRegression box: upper bounds
 	slotRegSum  = slotKernel2 // LocalRegression box: coordinate sums
@@ -252,34 +253,19 @@ func (e *Env) SetShared(s *SharedStats) { e.shared = s }
 // randoms it would have drawn with a private Env.
 func (e *Env) Reseed(seed int64) { e.Rng = rand.New(rand.NewSource(seed)) }
 
-// Range returns the dataset's (min, max), computing and caching it on first
-// use — the Random predictor's bound (Section 3.4.2). Masked (quarantined)
-// cells are excluded so known-garbage values cannot widen the range.
+// Range returns the dataset's (min, max), NaN cells aside, computing and
+// caching it on first use — the Random predictor's bound (Section 3.4.2).
+// Masked (quarantined) cells are excluded so known-garbage values cannot
+// widen the range. Without SharedStats it is the walk SharedStats rescans
+// with (rangeExcluding).
 func (e *Env) Range() (min, max float64) {
 	if e.shared != nil {
 		return e.shared.Range()
 	}
 	if !e.rangeOK {
-		if e.mask != nil {
-			e.min, e.max = math.NaN(), math.NaN()
-			for off := 0; off < e.A.Len(); off++ {
-				if e.Masked(off) {
-					continue
-				}
-				v := e.A.AtOffset(off)
-				if math.IsNaN(v) {
-					continue
-				}
-				if math.IsNaN(e.min) || v < e.min {
-					e.min = v
-				}
-				if math.IsNaN(e.max) || v > e.max {
-					e.max = v
-				}
-			}
-		} else {
-			e.min, e.max = e.A.MinMax()
-		}
+		origin := e.ints(slotRegIdx)
+		clear(origin)
+		e.min, e.max = rangeExcluding(e.A.Data(), e.excluded(origin, wholeArray, -1))
 		e.rangeOK = true
 	}
 	return e.min, e.max
@@ -290,8 +276,9 @@ func (e *Env) Range() (min, max float64) {
 // across predictions, probes, methods or ladder rungs, so a cell the source
 // reports masked before a prediction starts is never read by that
 // prediction. Within one prediction the small-stencil
-// methods ask before every read; LocalRegression asks once, after it starts
-// and before it reads anything (per cell of its patch for a bare predicate).
+// methods ask before every read; the two regressions ask once, after they
+// start and before they read anything (Env.excluded: per cell of the patch,
+// for GlobalRegression the array, for a bare predicate).
 // Reports are not ordered against array reads, so per-read freshness was
 // never a guarantee a caller could use: the window in which a concurrent
 // report can be missed is one prediction (<= 1 us) rather than one cell.
@@ -316,16 +303,50 @@ func (e *Env) SetMaskSource(src MaskSource) {
 // Masked reports whether the value stored at off must not be used.
 func (e *Env) Masked(off int) bool { return e.mask != nil && e.mask.Masked(off) }
 
-// appendMaskedIn is the per-prediction form of Masked: it appends to dst, in
-// ascending order, the offsets in [lo, hi] for which Masked is true right
-// now. It reports ok=false when that takes asking Masked per offset — a bare
-// predicate, or a source that declined (the span costs more than limit
-// queries) — which the caller then does over the offsets it actually reads.
-func (e *Env) appendMaskedIn(dst []int, lo, hi, limit int) (out []int, ok bool) {
-	if e.mask == nil {
-		return dst, true
+// wholeArray is a patch radius that reaches past every edge of any array:
+// the patch of that radius around any cell is the array.
+const wholeArray = math.MaxInt / 2
+
+// excluded is the per-prediction form of Masked: it returns, in ascending
+// order, the offsets of the patch of Chebyshev radius `radius` around idx
+// that the prediction must not read — skip, unless it is negative, and every
+// cell masked right now. It asks the mask once, for the patch's linear span,
+// and the answer may hold masked cells of that span outside the patch. When
+// the mask cannot enumerate the span for the price of one Masked call per
+// patch cell (a bare predicate, a source that declines), it asks Masked per
+// cell of the patch instead, skip aside. The slice is Env scratch, valid
+// until the next call.
+func (e *Env) excluded(idx []int, radius, skip int) []int {
+	a := e.A
+	n, first, last := 1, 0, 0
+	for t := range idx {
+		lo, hi := a.PatchBounds(idx, radius, t)
+		n *= hi - lo + 1
+		first += lo * a.Stride(t)
+		last += hi * a.Stride(t)
 	}
-	return e.mask.AppendMasked(dst, lo, hi, limit)
+	excl := e.sc.excluded[:0]
+	if e.mask != nil {
+		var ok bool
+		if excl, ok = e.mask.AppendMasked(excl, first, last, n); !ok {
+			excl = excl[:0]
+			rows := e.PatchRows(idx, radius)
+			for rows.Next() {
+				for off, end := rows.Off, rows.Off+rows.Len; off < end; off++ {
+					if off != skip && e.mask.Masked(off) {
+						excl = append(excl, off)
+					}
+				}
+			}
+		}
+	}
+	if skip >= 0 {
+		if i, found := slices.BinarySearch(excl, skip); !found {
+			excl = slices.Insert(excl, i, skip)
+		}
+	}
+	e.sc.excluded = excl
+	return excl
 }
 
 // Predictor reconstructs the value at a corrupted index from its spatial
@@ -414,14 +435,6 @@ func ParseMethod(name string) (Method, error) {
 	return 0, fmt.Errorf("predict: unknown method %q", name)
 }
 
-// paperLagrange is the paper's Lagrange configuration (two preceding values
-// and one succeeding), boxed once with its weights: New hands out the same
-// read-only value instead of building the offset slice per call, and its
-// predictions skip the weight memo's lock and lookup.
-var paperLagrange Predictor = Lagrange{Offsets: paperLagrangeOffsets, weights: computeLagrangeWeights(paperLagrangeOffsets)}
-
-var paperLagrangeOffsets = []int{-2, -1, 1}
-
 // New constructs the predictor implementing m with the paper's parameters.
 func New(m Method) Predictor {
 	switch m {
@@ -452,7 +465,7 @@ func New(m Method) Predictor {
 	case MethodLocalLinReg:
 		return LocalRegression{Radius: 3}
 	case MethodLagrange:
-		return paperLagrange
+		return Lagrange{}
 	default:
 		panic(fmt.Sprintf("predict: no constructor for %v", m))
 	}

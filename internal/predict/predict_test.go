@@ -393,7 +393,7 @@ func TestLagrangePaperStencil(t *testing.T) {
 	a.Set(3, 3, 1) // V(x-1)
 	a.Set(9, 5, 1) // V(x+1)
 	want := -6.0/3 + 3 + 9.0/3
-	if got := predictAt(t, Lagrange{Offsets: []int{-2, -1, 1}}, a, 4, 1); math.Abs(got-want) > 1e-12 {
+	if got := predictAt(t, Lagrange{}, a, 4, 1); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Lagrange = %v, want %v", got, want)
 	}
 }
@@ -404,7 +404,7 @@ func TestLagrangeExactOnQuadratic(t *testing.T) {
 		return 2 - x + 0.25*x*x
 	})
 	want := a.At(6)
-	if got := predictAt(t, Lagrange{Offsets: []int{-2, -1, 1}}, a, 6); math.Abs(got-want) > 1e-9 {
+	if got := predictAt(t, Lagrange{}, a, 6); math.Abs(got-want) > 1e-9 {
 		t.Errorf("Lagrange on quadratic = %v, want %v", got, want)
 	}
 }
@@ -419,7 +419,7 @@ func TestLagrangeBoundaryFallback(t *testing.T) {
 	})
 	for _, i := range []int{0, 1, 11} {
 		want := a.At(i)
-		got := predictAt(t, Lagrange{Offsets: []int{-2, -1, 1}}, a, i)
+		got := predictAt(t, Lagrange{}, a, i)
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("Lagrange at boundary %d = %v, want %v", i, got, want)
 		}
@@ -432,17 +432,14 @@ func TestLagrangeUnsupported(t *testing.T) {
 	// refusing.
 	a := ndarray.New(2)
 	a.SetOffset(1, 42)
-	got, err := (Lagrange{Offsets: []int{-2, -1, 1}}).Predict(envFor(a), []int{0})
+	got, err := (Lagrange{}).Predict(envFor(a), []int{0})
 	if err != nil {
 		t.Errorf("tiny Lagrange error = %v, want degraded copy", err)
 	} else if got != 42 {
 		t.Errorf("tiny Lagrange = %v, want 42 (nearest-neighbor copy)", got)
 	}
-	if _, err := (Lagrange{}).Predict(envFor(ndarray.New(10)), []int{5}); !errors.Is(err, ErrUnsupported) {
-		t.Errorf("empty-offsets Lagrange error = %v, want ErrUnsupported", err)
-	}
 	// A single-element array has no neighbors at all: still refused.
-	if _, err := (Lagrange{Offsets: []int{-2, -1, 1}}).Predict(envFor(ndarray.New(1)), []int{0}); !errors.Is(err, ErrUnsupported) {
+	if _, err := (Lagrange{}).Predict(envFor(ndarray.New(1)), []int{0}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("1-element Lagrange error = %v, want ErrUnsupported", err)
 	}
 }
@@ -463,7 +460,7 @@ func TestLagrangeWeightsSumToOne(t *testing.T) {
 			list = append(list, v)
 		}
 		sum := 0.0
-		for _, w := range lagrangeWeights(list) {
+		for _, w := range lagrangeWeights(make([]float64, n), list) {
 			sum += w
 		}
 		return math.Abs(sum-1) < 1e-8

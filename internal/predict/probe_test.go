@@ -89,7 +89,7 @@ func TestNaNSumIsLastNaNTerm(t *testing.T) {
 		a.SetOffset(2, vals[0])
 		a.SetOffset(3, vals[1])
 		a.SetOffset(5, vals[2])
-		if got := predictAt(t, Lagrange{Offsets: []int{-2, -1, 1}}, a, 4); math.Float64bits(got) != want {
+		if got := predictAt(t, Lagrange{}, a, 4); math.Float64bits(got) != want {
 			t.Errorf("Lagrange over %v = %#x, want the NaN term's %#x", vals, math.Float64bits(got), want)
 		}
 	}

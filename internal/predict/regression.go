@@ -2,7 +2,6 @@ package predict
 
 import (
 	"math"
-	"slices"
 
 	"spatialdue/internal/ndarray"
 )
@@ -23,40 +22,38 @@ import (
 // of an O(N) scan. Coordinates are centered at the array midpoint to keep
 // the normal equations well conditioned on large grids.
 type moments struct {
-	p      int       // number of features: 1 + NumDims
-	xtx    []float64 // p*p, row-major
-	xtv    []float64 // p
-	n      int       // number of rows accumulated
-	center []float64 // per-dimension coordinate offset
-	shape  []int
+	a   *ndarray.Array // the shape the moments are over
+	p   int            // number of features: 1 + NumDims
+	xtx []float64      // p*p, row-major
+	xtv []float64      // p
+	n   int            // number of rows accumulated
 
-	idxBuf []int     // scratch for AddElement/SubElement
-	phiBuf []float64 // scratch for AddElement/SubElement
+	idxBuf []int     // scratch: accumulate's row odometer, a cell's coordinates
+	phiBuf []float64 // scratch: a cell's features
 }
 
 // newMoments returns empty moments for an array of a's shape.
 func newMoments(a *ndarray.Array) *moments {
 	d := a.NumDims()
-	m := &moments{
+	return &moments{
+		a:      a,
 		p:      d + 1,
 		xtx:    make([]float64, (d+1)*(d+1)),
 		xtv:    make([]float64, d+1),
-		center: make([]float64, d),
-		shape:  a.Dims(),
 		idxBuf: make([]int, d),
 		phiBuf: make([]float64, d+1),
 	}
-	for t := 0; t < d; t++ {
-		m.center[t] = float64(a.Dim(t)-1) / 2
-	}
-	return m
 }
 
-// accumulate fills empty moments from data — the values of an array of m's
-// shape, in offset order — leaving out the cells at the offsets excl (in
-// range, ascending, no duplicates). It returns the minimum and maximum of the
-// cells it took, NaN cells aside: (NaN, NaN) when there is no such cell. It
-// is the one array-wide scan behind SharedStats.
+// center returns the midpoint of dimension t, the origin of its feature.
+func (m *moments) center(t int) float64 { return float64(m.a.Dim(t)-1) / 2 }
+
+// accumulate fills m from data — the values of an array of m's shape, in
+// offset order — leaving out the cells at the offsets excl (in range,
+// ascending, no duplicates). It returns the minimum and maximum of the cells
+// it took, NaN cells aside: (NaN, NaN) when there is no such cell. It is the
+// one array-wide walk behind the global fit, of SharedStats and of an Env
+// without them alike.
 //
 // The result is, bit for bit, what adding the cells one by one in offset
 // order gives (moments.add, which the incremental updates still use and a
@@ -85,24 +82,25 @@ func newMoments(a *ndarray.Array) *moments {
 // a row is runs of cells between them, and a row without one a single run.
 func (m *moments) accumulate(data []float64, excl []int) (lo, hi float64) {
 	p, d, n := m.p, m.p-1, len(data)
-	rowLen := m.shape[d-1]
-	cLast := m.center[d-1]
+	rowLen := m.a.Dim(d - 1)
+	cLast := m.center(d - 1)
 	xtx, xtv, phi := m.xtx, m.xtv, m.phiBuf
+	clear(xtx)
+	clear(xtv)
 	m.n = n - len(excl)
 
 	e := 2
-	for _, dim := range m.shape {
-		if dim-1 > e {
-			e = dim - 1
-		}
+	for t := 0; t < d; t++ {
+		e = max(e, m.a.Dim(t)-1)
 	}
 	exact := n <= (1<<53-1)/e/e
 	if exact {
 		xtx[0] = float64(n)
-		for t, dim := range m.shape {
+		for t := 0; t < d; t++ {
+			dim, c := m.a.Dim(t), m.center(t)
 			var sq float64
 			for x := 0; x < dim; x++ {
-				f := float64(x) - m.center[t]
+				f := float64(x) - c
 				sq += f * f
 			}
 			xtx[(t+1)*p+t+1] = sq * float64(n/dim)
@@ -122,7 +120,7 @@ func (m *moments) accumulate(data []float64, excl []int) (lo, hi float64) {
 	k := 0 // excl[k:] are the excluded offsets not yet passed
 	for base := 0; base < n; base += rowLen {
 		for t, x := range lead {
-			phi[t+1] = float64(x) - m.center[t]
+			phi[t+1] = float64(x) - m.center(t)
 		}
 		var f1, f2 float64
 		if d > 1 {
@@ -170,7 +168,7 @@ func (m *moments) accumulate(data []float64, excl []int) (lo, hi float64) {
 			off = stop
 		}
 		for t := d - 2; t >= 0; t-- {
-			if lead[t]++; lead[t] < m.shape[t] {
+			if lead[t]++; lead[t] < m.a.Dim(t) {
 				break
 			}
 			lead[t] = 0
@@ -249,17 +247,13 @@ func rangeExcluding(data []float64, excl []int) (lo, hi float64) {
 // addElementValue folds the element at off with an explicit value v (the
 // value the caller knows was, or should be, accumulated — e.g. a snapshot
 // value when the live cell has since been corrupted).
-func (m *moments) addElementValue(a *ndarray.Array, off int, v float64) {
-	m.updateElement(a, off, v, +1)
-}
+func (m *moments) addElementValue(off int, v float64) { m.updateElement(off, v, +1) }
 
 // subElementValue removes the element at off with an explicit value v.
-func (m *moments) subElementValue(a *ndarray.Array, off int, v float64) {
-	m.updateElement(a, off, v, -1)
-}
+func (m *moments) subElementValue(off int, v float64) { m.updateElement(off, v, -1) }
 
-func (m *moments) updateElement(a *ndarray.Array, off int, v, sign float64) {
-	a.CoordsInto(m.idxBuf, off)
+func (m *moments) updateElement(off int, v, sign float64) {
+	m.a.CoordsInto(m.idxBuf, off)
 	m.features(m.idxBuf, m.phiBuf)
 	m.add(m.phiBuf, v, sign)
 	m.n += int(sign)
@@ -269,8 +263,18 @@ func (m *moments) updateElement(a *ndarray.Array, off int, v, sign float64) {
 func (m *moments) features(idx []int, dst []float64) {
 	dst[0] = 1
 	for t := 0; t < m.p-1; t++ {
-		dst[t+1] = float64(idx[t]) - m.center[t]
+		dst[t+1] = float64(idx[t]) - m.center(t)
 	}
+}
+
+// fitAt solves the normal equations xtx*beta = xtv of a p-feature fit (p =
+// len(phi)), in place, and evaluates the fit at the features phi.
+func fitAt(xtx, xtv, phi []float64) (float64, error) {
+	beta, ok := solveSymInPlace(xtx, xtv, len(phi))
+	if !ok {
+		return 0, ErrUnsupported
+	}
+	return dot(beta, phi), nil
 }
 
 // add accumulates (sign=+1) or removes (sign=-1) one observation.
@@ -288,8 +292,9 @@ func (m *moments) add(phi []float64, v float64, sign float64) {
 // the paper notes hampers its accuracy via long-range correlations, and
 // makes it by far the most expensive method at recovery time — Figure 10).
 //
-// When the Env carries SharedStats the prediction is O(1); without them the
-// predictor performs the honest O(N) scan the paper measures.
+// When the Env carries SharedStats the prediction is O(1). Without them each
+// prediction walks the whole array once (moments.accumulate, the walk that
+// builds SharedStats), leaving out idx and the masked cells.
 type GlobalRegression struct{}
 
 // Name implements Predictor.
@@ -297,57 +302,23 @@ func (GlobalRegression) Name() string { return "Linear Regression" }
 
 // Predict implements Predictor.
 func (GlobalRegression) Predict(env *Env, idx []int) (float64, error) {
-	a := env.A
 	// Engine-shared moments: O(p^2) downdate against incrementally
 	// maintained statistics. The shared exclusion set covers the quarantine
 	// mask, so no rescan is needed even with masked cells in play.
 	if env.shared != nil {
 		return env.shared.PredictExcluding(idx)
 	}
-	// Full scan, skipping the corrupted element.
-	d := a.NumDims()
-	p := d + 1
-	phi, xtx, xtv, _ := env.fitScratch(p)
-	for i := range xtx {
-		xtx[i] = 0
-	}
-	for i := range xtv {
-		xtv[i] = 0
-	}
-	skip := a.Offset(idx...)
-	cur := env.ints(slotRegIdx)
-	for off := 0; off < a.Len(); off++ {
-		if off == skip || env.Masked(off) {
-			continue
-		}
-		a.CoordsInto(cur, off)
-		phi[0] = 1
-		for t := 0; t < d; t++ {
-			phi[t+1] = float64(cur[t]) - (float64(a.Dim(t)-1) / 2)
-		}
-		v := a.AtOffset(off)
-		for i := 0; i < p; i++ {
-			for j := i; j < p; j++ {
-				xtx[i*p+j] += phi[i] * phi[j]
-			}
-			xtv[i] += phi[i] * v
-		}
-	}
-	// Mirror the upper triangle.
-	for i := 0; i < p; i++ {
-		for j := 0; j < i; j++ {
-			xtx[i*p+j] = xtx[j*p+i]
-		}
-	}
-	beta, ok := solveSymInPlace(xtx, xtv, p)
+	a := env.A
+	skip, ok := a.OffsetOK(idx)
 	if !ok {
-		return 0, ErrUnsupported
+		skip = a.Offset(idx...) // panics with the index's error
 	}
-	phi[0] = 1
-	for t := 0; t < d; t++ {
-		phi[t+1] = float64(idx[t]) - (float64(a.Dim(t)-1) / 2)
-	}
-	return dot(beta, phi), nil
+	p := a.NumDims() + 1
+	phi, xtx, xtv, _ := env.fitScratch(p)
+	m := moments{a: a, p: p, xtx: xtx, xtv: xtv, idxBuf: env.ints(slotRegIdx), phiBuf: phi}
+	m.accumulate(a.Data(), env.excluded(idx, wholeArray, skip))
+	m.features(idx, phi)
+	return fitAt(xtx, xtv, phi)
 }
 
 // LocalRegression implements Section 3.4.7: the same first-order fit
@@ -375,8 +346,8 @@ func (LocalRegression) Name() string { return "Local Linear Regression" }
 // the cells without reordering any entry's additions.
 //
 // The cells that must not be read — idx itself and the masked cells of the
-// patch — are collected once, after the call starts and before the first
-// read (Env.SetMaskFunc states the contract). A row of the patch is then
+// patch — are collected once (Env.excluded), after the call starts and
+// before the first read (Env.SetMaskFunc states the contract). A row of the patch is then
 // runs of readable cells separated by excluded ones, and the walk that meets
 // an excluded cell knows its coordinates and takes its term off X'X there.
 func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
@@ -394,16 +365,14 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	phi, xtx, xtv, memo := env.fitScratch(p)
 	box, keyLo, keyHi := memo[:p*p], memo[p*p:p*p+d], memo[p*p+d:]
 
-	// The clipped box, once per prediction: its bounds, its cell count, the
-	// linear span it lies in, and whether the memoized X'X is its own.
+	// The clipped box, once per prediction: its bounds, its cell count and
+	// whether the memoized X'X is its own.
 	lo, hi := env.ints(slotRegLo), env.ints(slotRegHi)
-	n, first, last := 1, 0, 0
+	n := 1
 	hit := true
 	for t := 0; t < d; t++ {
 		lo[t], hi[t] = a.PatchBounds(idx, r, t)
 		n *= hi[t] - lo[t] + 1
-		first += lo[t] * a.Stride(t)
-		last += hi[t] * a.Stride(t)
 		hit = hit && keyLo[t] == float64(lo[t]-idx[t]) && keyHi[t] == float64(hi[t]-idx[t])
 	}
 
@@ -445,24 +414,7 @@ func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 		copy(box, xtx)
 	}
 
-	// One mask query for the whole prediction; per cell when the mask cannot
-	// enumerate (a bare predicate, a span too wide).
-	excl, enumerated := env.appendMaskedIn(env.sc.excluded[:0], first, last, n)
-	if !enumerated {
-		excl = excl[:0]
-		rows := env.PatchRows(idx, r)
-		for rows.Next() {
-			for off, end := rows.Off, rows.Off+rows.Len; off < end; off++ {
-				if off != skip && env.Masked(off) {
-					excl = append(excl, off)
-				}
-			}
-		}
-	}
-	if i, found := slices.BinarySearch(excl, skip); !found {
-		excl = slices.Insert(excl, i, skip)
-	}
-	excl = append(excl, math.MaxInt) // a sentinel past every run
+	excl := append(env.excluded(idx, r, skip), math.MaxInt) // a sentinel past every run
 	env.sc.excluded = excl
 
 	for i := range xtv {

@@ -109,7 +109,7 @@ func (s *SharedStats) Exclude(offs ...int) {
 			continue // the lazy build will skip it
 		}
 		v := s.snap[off]
-		s.mom.subElementValue(s.a, off, v)
+		s.mom.subElementValue(off, v)
 		if s.rangeOK && !s.rangeDirty && !math.IsNaN(v) {
 			if v <= s.min || v >= s.max {
 				s.rangeDirty = true
@@ -145,7 +145,7 @@ func (s *SharedStats) Readmit(off int) {
 		return // the lazy build will include it
 	}
 	v := s.snap[off]
-	s.mom.addElementValue(s.a, off, v)
+	s.mom.addElementValue(off, v)
 	if s.rangeOK && !s.rangeDirty && !math.IsNaN(v) {
 		if math.IsNaN(s.min) {
 			s.min, s.max = v, v
@@ -287,9 +287,5 @@ func (s *SharedStats) PredictExcluding(idx []int) (float64, error) {
 			xtv[i] -= phi[i] * v
 		}
 	}
-	beta, ok := solveSymInPlace(xtx, xtv, p)
-	if !ok {
-		return 0, ErrUnsupported
-	}
-	return dot(beta, phi), nil
+	return fitAt(xtx, xtv, phi)
 }
