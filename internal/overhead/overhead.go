@@ -5,9 +5,9 @@
 // dataset (the paper uses ISABEL's CLOUDf48; so does this package's
 // default).
 //
-// Costs are measured honestly: the Env carries no precomputed regression
-// moments, so Linear Regression pays its full O(N) scan per recovery while
-// every other method touches a constant amount of data.
+// MeasureMethods' Env carries no SharedStats, so every Linear Regression
+// recovery walks the whole dataset once (the walk SharedStats are built
+// with) while every other method touches a constant amount of data.
 package overhead
 
 import (
@@ -54,37 +54,49 @@ func DefaultDataset(scale sdrbench.Scale) *sdrbench.Dataset {
 	return sdrbench.Generate(sdrbench.Isabel, "CLOUDf48", scale)
 }
 
-// MeasureMethods times every given method on the dataset.
-func MeasureMethods(ds *sdrbench.Dataset, methods []predict.Method, cfg Config) []Timing {
+// withDefaults returns cfg with its unset fields taken from DefaultConfig.
+func (cfg Config) withDefaults() Config {
+	def := DefaultConfig()
 	if cfg.MinIters <= 0 {
-		cfg.MinIters = 10
+		cfg.MinIters = def.MinIters
 	}
 	if cfg.MinDuration <= 0 {
-		cfg.MinDuration = time.Second
+		cfg.MinDuration = def.MinDuration
 	}
+	if cfg.TuneK <= 0 {
+		cfg.TuneK = def.TuneK
+	}
+	return cfg
+}
+
+// timeCalls is the one timing loop of Section 4.5: it runs call at cells of
+// ds drawn by rng until it has made cfg.MinIters calls and they have taken
+// cfg.MinDuration, so a call slower than the whole budget still runs
+// MinIters times but no more. It times the calls alone, not the draws.
+func timeCalls(ds *sdrbench.Dataset, cfg Config, rng *rand.Rand, name string, call func(idx []int)) Timing {
+	idx := make([]int, ds.Array.NumDims())
+	calls := 0
+	var elapsed time.Duration
+	for calls < cfg.MinIters || elapsed < cfg.MinDuration {
+		ds.Array.CoordsInto(idx, rng.Intn(ds.Array.Len()))
+		start := time.Now()
+		call(idx)
+		elapsed += time.Since(start)
+		calls++
+	}
+	return Timing{Name: name, PerCall: elapsed / time.Duration(calls), Calls: calls}
+}
+
+// MeasureMethods times every given method on the dataset.
+func MeasureMethods(ds *sdrbench.Dataset, methods []predict.Method, cfg Config) []Timing {
+	cfg = cfg.withDefaults()
 	env := predict.NewEnv(ds.Array, cfg.Seed)
 	env.Range() // dataset range is precomputed once, as in the paper
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	idx := make([]int, ds.Array.NumDims())
-
 	out := make([]Timing, 0, len(methods))
 	for _, m := range methods {
 		p := predict.New(m)
-		calls := 0
-		var elapsed time.Duration
-		for calls < cfg.MinIters || elapsed < cfg.MinDuration {
-			ds.Array.CoordsInto(idx, rng.Intn(ds.Array.Len()))
-			start := time.Now()
-			_, _ = p.Predict(env, idx)
-			elapsed += time.Since(start)
-			calls++
-			// Cap pathological loops: if a single call is slower than the
-			// whole budget, MinIters still applies but not much more.
-			if calls >= cfg.MinIters && elapsed > 4*cfg.MinDuration {
-				break
-			}
-		}
-		out = append(out, Timing{Name: m.String(), PerCall: elapsed / time.Duration(calls), Calls: calls})
+		out = append(out, timeCalls(ds, cfg, rng, m.String(), func(idx []int) { _, _ = p.Predict(env, idx) }))
 	}
 	return out
 }
@@ -92,15 +104,7 @@ func MeasureMethods(ds *sdrbench.Dataset, methods []predict.Method, cfg Config) 
 // MeasureAutotune times the RECOVER_ANY path: a full local tuning pass per
 // call (the paper reports 15.83 ms, plus the chosen method's execution).
 func MeasureAutotune(ds *sdrbench.Dataset, methods []predict.Method, cfg Config) Timing {
-	if cfg.MinIters <= 0 {
-		cfg.MinIters = 10
-	}
-	if cfg.MinDuration <= 0 {
-		cfg.MinDuration = time.Second
-	}
-	if cfg.TuneK <= 0 {
-		cfg.TuneK = 3
-	}
+	cfg = cfg.withDefaults()
 	env := predict.NewEnv(ds.Array, cfg.Seed)
 	// Tuning probes global regression many times; the engine amortizes
 	// these statistics exactly once per allocation.
@@ -108,22 +112,8 @@ func MeasureAutotune(ds *sdrbench.Dataset, methods []predict.Method, cfg Config)
 	shared.Prepare()
 	env.SetShared(shared)
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	idx := make([]int, ds.Array.NumDims())
 	tcfg := autotune.Config{K: cfg.TuneK, Tolerance: 0.01, Methods: methods, MaxProbes: cfg.TuneMaxProbes}
-
-	calls := 0
-	var elapsed time.Duration
-	for calls < cfg.MinIters || elapsed < cfg.MinDuration {
-		ds.Array.CoordsInto(idx, rng.Intn(ds.Array.Len()))
-		start := time.Now()
-		_, _ = autotune.Select(env, idx, tcfg)
-		elapsed += time.Since(start)
-		calls++
-		if calls >= cfg.MinIters && elapsed > 4*cfg.MinDuration {
-			break
-		}
-	}
-	return Timing{Name: "Auto-tuning", PerCall: elapsed / time.Duration(calls), Calls: calls}
+	return timeCalls(ds, cfg, rng, "Auto-tuning", func(idx []int) { _, _ = autotune.Select(env, idx, tcfg) })
 }
 
 // FormatMillis renders a duration in the paper's milliseconds notation
