@@ -21,15 +21,13 @@ type Lagrange struct{}
 func (Lagrange) Name() string { return "Lagrange" }
 
 // paperNodes are the paper's node offsets, and paperWeights their Lagrange
-// weights at 0. They are the weights of the mirrored set {2, 1, -1} as well:
-// negating every node negates each factor of a weight's numerator and of its
+// weights at 0, each the correctly rounded quotient lagrangeWeights divides
+// out. They are the weights of the mirrored set {2, 1, -1} as well: negating
+// every node negates each factor of a weight's numerator and of its
 // denominator, so every weight keeps its bits.
 var (
 	paperNodes   = [...]int{-2, -1, 1}
-	paperWeights = func() (w [len(paperNodes)]float64) {
-		lagrangeWeights(w[:], paperNodes[:])
-		return w
-	}()
+	paperWeights = [...]float64{-1.0 / 3, 1, 1.0 / 3}
 )
 
 // lagrangeWeights writes the Lagrange basis values at x=0 of the given nodes
