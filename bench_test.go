@@ -268,8 +268,8 @@ func preparedStats(a *ndarray.Array) *predict.SharedStats {
 }
 
 func BenchmarkAblationMomentsVsScan(b *testing.B) {
-	// The O(1) shared moments versus the honest O(N) scan for global
-	// regression.
+	// The O(1) shared moments versus the O(N) walk per prediction for
+	// global regression.
 	ds := sdrbench.Generate(sdrbench.Isabel, "Pf48", sdrbench.ScaleTiny)
 	idx := []int{5, 12, 12}
 	b.Run("scan", func(b *testing.B) {

@@ -598,8 +598,8 @@ func runDataset(cfg Config, app sdrbench.App, name string, load func() (*sdrbenc
 	// Every cell of the event, and no other, is masked for the event's whole
 	// evaluation, so a wiped cell's prediction can only draw on survivors —
 	// the degraded stencils, not the doomed neighbors, carry the score.
-	// Global regression scans honestly: shared statistics would have to
-	// exclude each event's cells.
+	// Global regression walks the array per prediction, with no shared
+	// statistics: those would have to exclude each event's cells.
 	for ti, st := range inj.PlanStructured(arr, cfg.FaultClass, cfg.Trials, cfg.FaultSpan) {
 		offs := st.Offsets() // ascending
 		env.SetMaskFunc(func(off int) bool {
