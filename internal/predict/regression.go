@@ -347,9 +347,10 @@ func (LocalRegression) Name() string { return "Local Linear Regression" }
 //
 // The cells that must not be read — idx itself and the masked cells of the
 // patch — are collected once (Env.excluded), after the call starts and
-// before the first read (Env.SetMaskFunc states the contract). A row of the patch is then
-// runs of readable cells separated by excluded ones, and the walk that meets
-// an excluded cell knows its coordinates and takes its term off X'X there.
+// before the first read (Env.SetMaskFunc states the contract). A row of the
+// patch is then runs of readable cells separated by excluded ones, and the
+// walk that meets an excluded cell knows its coordinates and takes its term
+// off X'X there.
 func (l LocalRegression) Predict(env *Env, idx []int) (float64, error) {
 	a := env.A
 	d := a.NumDims()
